@@ -6,9 +6,6 @@
 # govulncheck is installed.
 
 GO ?= go
-# Label under which `make bench` records its run in BENCH_PR5.json
-# (e.g. `make bench BENCH_LABEL=mybranch` for a comparison run).
-BENCH_LABEL ?= after
 
 .PHONY: all help build test check fmt vet lint lint-audit lint-self vulncheck race bench bench-smoke chaos fuzz
 
@@ -24,14 +21,11 @@ help:
 	@echo "make lint        - pitlint, the repo's own static-analysis suite"
 	@echo "make lint-audit  - list every active //pitlint:ignore with its justification"
 	@echo "make lint-self   - run pitlint over its own analyzers and driver"
-	@echo "make bench       - online + offline load benchmark (cmd/pitperf); merges a"
-	@echo "                   '$(BENCH_LABEL)' run into BENCH_PR5.json (BENCH_LABEL=...),"
-	@echo "                   a cold-start run into BENCH_PR8.json, and a single-vs-sharded"
-	@echo "                   run into BENCH_PR10.json"
+	@echo "make bench       - the BENCHMARK.json harness in self-check mode (go run ./benchmark"
+	@echo "                   -selfcheck); see benchmark/README.md for a measured run"
 	@echo "make bench-smoke - one-shot benchmark smoke: figure benchmarks plus the"
-	@echo "                   search/core/rcl/lrw micro-benchmarks, a pitperf -smoke run,"
-	@echo "                   a save/mmap-load/query cold-start round trip, and a 2-shard"
-	@echo "                   scatter-gather round trip (pitperf -sharded + pitserve -shards 2)"
+	@echo "                   search/core/rcl/lrw micro-benchmarks, the benchmark harness's"
+	@echo "                   -smoke run, and pitserve -smoke single and with -shards 2"
 	@echo "make fuzz        - storage artifact-parser fuzzers for 10s per target"
 	@echo "make chaos       - fault-injection suite under -race: internal/chaos plus the"
 	@echo "                   planner/breaker chaos tests in core and server and the"
@@ -95,30 +89,24 @@ chaos:
 	$(GO) test -race ./internal/chaos/
 	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn' ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/
 
-# Online-path and offline-pipeline load benchmark (reproducible: fixed
-# seed, fixed dataset shape). Records the run under $(BENCH_LABEL) in
-# BENCH_PR5.json / BENCH_PR8.json and refuses to merge runs whose
-# dataset configs differ.
+# The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
+# boots the real pitserve on loopback and measures it end to end.
+# -selfcheck runs every workload twice and fails if a pair differs by
+# more than its bound — run it before trusting a before/after.
 bench:
-	$(GO) run ./cmd/pitperf -label $(BENCH_LABEL) -out BENCH_PR5.json
-	$(GO) run ./cmd/pitperf -cold -label $(BENCH_LABEL) -out BENCH_PR8.json
-	$(GO) run ./cmd/pitperf -sharded -label $(BENCH_LABEL) -out BENCH_PR10.json
+	$(GO) run ./benchmark -selfcheck
 
 # Benchmark smoke: run the data_2k figure benchmarks and the online-path
-# micro-benchmarks exactly once (-benchtime 1x), plus the pitperf smoke
-# config, to prove both harnesses still execute. No timing value — just
-# "does it run". The pitperf -cold -smoke run exercises the artifact
-# round trip end to end: build → save both formats → mmap-load → query
-# through the mapping. The pitserve -smoke run then serves real HTTP on
-# ephemeral ports and fails unless /metrics exposes every instrumented
-# layer's metric families (the obs packages themselves are covered under
-# -race by `make race`, which runs ./...).
+# micro-benchmarks exactly once (-benchtime 1x), plus the benchmark
+# harness's seconds-long -smoke run, to prove every benchmark path still
+# executes. No timing value — just "does it run". The pitserve -smoke
+# runs then serve real HTTP on ephemeral ports and fail unless /metrics
+# exposes every instrumented layer's metric families (the obs packages
+# themselves are covered under -race by `make race`, which runs ./...).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig05TimeCostData2k|BenchmarkFig10PrecisionData2k' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/search/ ./internal/core/ ./internal/rcl/ ./internal/lrw/
-	$(GO) run ./cmd/pitperf -smoke -out /tmp/pitperf-smoke.json
-	$(GO) run ./cmd/pitperf -cold -smoke -out /tmp/pitperf-cold-smoke.json
-	$(GO) run ./cmd/pitperf -sharded -smoke -out /tmp/pitperf-sharded-smoke.json
+	$(GO) run ./benchmark -smoke
 	$(GO) run ./cmd/pitserve -smoke
 	$(GO) run ./cmd/pitserve -smoke -shards 2
 

@@ -119,15 +119,14 @@ func run(preset string, scale float64, graphIn, topicsIn, method, query string,
 	}
 
 	start = time.Now()
-	var res []core.TopicResult
-	if diversity > 0 {
-		res, err = eng.SearchDiverse(context.Background(), m, query, graph.NodeID(user), k, diversity)
-	} else {
-		res, err = eng.Search(context.Background(), m, query, graph.NodeID(user), k)
-	}
+	ans, err := eng.Run(context.Background(), core.Query{
+		Method: m, Text: query, User: graph.NodeID(user), K: k, Lambda: diversity,
+		Fidelity: core.FidelityFull, Trace: trace,
+	})
 	if err != nil {
 		return err
 	}
+	res := ans.Results
 	searchTime := time.Since(start)
 
 	if !quiet {
@@ -149,11 +148,7 @@ func run(preset string, scale float64, graphIn, topicsIn, method, query string,
 	for i, r := range res {
 		fmt.Printf("%2d. %-40s influence %.6f\n", i+1, r.Topic.Label, r.Score)
 	}
-	if trace {
-		tr, err := eng.SearchTrace(context.Background(), m, eng.Space().Related(query), graph.NodeID(user), k)
-		if err != nil {
-			return err
-		}
+	if tr := ans.Trace; tr != nil {
 		pruned, consumed, total := 0, 0, 0
 		for _, tt := range tr.Topics {
 			if tt.Pruned {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	pitserve -preset data_2k -addr :8080 -ops-addr 127.0.0.1:9090
-//	pitserve -graph g.tsv -topics t.tsv -materialize
+//	pitserve -graph g.tsv -topics t.tsv -warm-summaries lrw
 //
 // Then:
 //
@@ -97,7 +97,6 @@ type options struct {
 	walkL, walkR       int
 	seed               int64
 	maxK               int
-	materialize        bool
 	warmSummaries      string
 	warmWorkers        int
 	requestTimeout     time.Duration
@@ -154,14 +153,10 @@ func (o options) planConfig() (plan.Config, error) {
 	}, nil
 }
 
-// warmMethods resolves the -warm-summaries flag (with -materialize kept
-// as a compatibility alias for "lrw") into the methods to pre-warm.
+// warmMethods resolves the -warm-summaries flag into the methods to
+// pre-warm.
 func (o options) warmMethods() ([]core.Method, error) {
-	sel := o.warmSummaries
-	if sel == "" && o.materialize {
-		sel = "lrw"
-	}
-	switch sel {
+	switch o.warmSummaries {
 	case "":
 		return nil, nil
 	case "lrw":
@@ -171,7 +166,7 @@ func (o options) warmMethods() ([]core.Method, error) {
 	case "all":
 		return []core.Method{core.MethodLRW, core.MethodRCL}, nil
 	}
-	return nil, fmt.Errorf("-warm-summaries: unknown selection %q (want lrw, rcl or all)", sel)
+	return nil, fmt.Errorf("-warm-summaries: unknown selection %q (want lrw, rcl or all)", o.warmSummaries)
 }
 
 // app is the wired-but-not-yet-ready server: the dataset is loaded and
@@ -222,9 +217,7 @@ func (a *app) closeEngine() {
 		a.pipe.Stop()
 	}
 	if a.router != nil {
-		for i := 0; i < a.router.Shards(); i++ {
-			a.router.Engine(i).Close()
-		}
+		a.router.Close()
 		return
 	}
 	a.engine().Close()
@@ -244,13 +237,11 @@ func main() {
 	flag.IntVar(&o.walkR, "R", 16, "random walks per node R")
 	flag.Int64Var(&o.seed, "seed", 1, "RNG seed")
 	flag.IntVar(&o.maxK, "max-k", 100, "maximum k a request may ask for")
-	flag.BoolVar(&o.materialize, "materialize", false, "pre-summarize every topic (LRW-A) before readiness (alias for -warm-summaries lrw)")
 	flag.StringVar(&o.warmSummaries, "warm-summaries", "", "warm the whole summary corpus before /readyz flips: lrw, rcl or all (empty disables)")
 	flag.IntVar(&o.warmWorkers, "warm-workers", 0, "worker pool size for the summary warm-up (≤0: GOMAXPROCS)")
 	flag.DurationVar(&o.requestTimeout, "request-timeout", 10*time.Second, "per-request deadline for API calls (0 disables)")
 	flag.IntVar(&o.maxInflight, "max-inflight", 256, "max concurrently served API requests before shedding with 429 (0 disables)")
 	flag.DurationVar(&o.shutdownTimeout, "shutdown-timeout", 15*time.Second, "how long a SIGTERM drains in-flight requests before stragglers are force-closed")
-	flag.DurationVar(&o.shutdownTimeout, "shutdown-grace", 15*time.Second, "deprecated alias for -shutdown-timeout")
 	flag.StringVar(&o.tierPolicy, "tier-policy", "auto", "fidelity degradation policy: auto (planner decides), full (never degrade) or materialized (never build on the query path)")
 	flag.DurationVar(&o.staleTTL, "stale-ttl", 5*time.Minute, "how long a last-known-good answer may be served stale when fresher tiers fail (0 disables the stale tier)")
 	flag.IntVar(&o.breakerThreshold, "breaker-threshold", 5, "consecutive summary-build failures before the circuit breaker suspends builds (0 disables the breaker)")

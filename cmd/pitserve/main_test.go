@@ -110,7 +110,7 @@ func TestPrepareMaterialize(t *testing.T) {
 	o := testOptions()
 	o.scale = 0.05
 	o.walkL, o.walkR = 3, 4
-	o.materialize = true
+	o.warmSummaries = "lrw"
 	a, err := buildApp(o)
 	if err != nil {
 		t.Fatal(err)
@@ -138,17 +138,14 @@ func TestPrepareMaterialize(t *testing.T) {
 }
 
 // TestWarmMethodsParsing pins the -warm-summaries selector, including
-// -materialize as the legacy alias for "lrw" and rejection of unknown
-// method names before any data loads.
+// rejection of unknown method names before any data loads.
 func TestWarmMethodsParsing(t *testing.T) {
 	cases := []struct {
-		warm        string
-		materialize bool
-		want        []core.Method
-		wantErr     bool
+		warm    string
+		want    []core.Method
+		wantErr bool
 	}{
 		{warm: "", want: nil},
-		{warm: "", materialize: true, want: []core.Method{core.MethodLRW}},
 		{warm: "lrw", want: []core.Method{core.MethodLRW}},
 		{warm: "rcl", want: []core.Method{core.MethodRCL}},
 		{warm: "all", want: []core.Method{core.MethodLRW, core.MethodRCL}},
@@ -156,7 +153,7 @@ func TestWarmMethodsParsing(t *testing.T) {
 		{warm: "LRW", wantErr: true},
 	}
 	for _, tc := range cases {
-		o := options{warmSummaries: tc.warm, materialize: tc.materialize}
+		o := options{warmSummaries: tc.warm}
 		got, err := o.warmMethods()
 		if tc.wantErr {
 			if err == nil {
@@ -169,7 +166,7 @@ func TestWarmMethodsParsing(t *testing.T) {
 			continue
 		}
 		if !slices.Equal(got, tc.want) {
-			t.Errorf("warmMethods(%q, materialize=%v) = %v, want %v", tc.warm, tc.materialize, got, tc.want)
+			t.Errorf("warmMethods(%q) = %v, want %v", tc.warm, got, tc.want)
 		}
 	}
 }
@@ -212,7 +209,7 @@ func TestPrepareWarmsBothMethods(t *testing.T) {
 func TestPrepareCanceledMidMaterialize(t *testing.T) {
 	o := testOptions()
 	o.scale = 0.05
-	o.materialize = true
+	o.warmSummaries = "lrw"
 	a, err := buildApp(o)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +292,7 @@ func TestPrepareColdStartsFromArtifacts(t *testing.T) {
 	o := testOptions()
 	o.scale = 0.05
 	o.walkL, o.walkR = 3, 4
-	o.materialize = true
+	o.warmSummaries = "lrw"
 	o.indexDir = dir
 	o.indexFormat = "v2"
 

@@ -10,7 +10,13 @@
 // plus dataset generators, an experiment harness regenerating Figures
 // 5–16, three CLI tools and four runnable examples.
 //
-// Start with internal/core.Engine, or run:
+// Typical usage — one request type, one entry point (internal/core):
+//
+//	eng, _ := core.New(g, space, core.Options{})
+//	_ = eng.BuildIndexes(ctx)
+//	ans, _ := eng.Run(ctx, core.Query{Text: "phone", User: user, K: 10})
+//
+// or run:
 //
 //	go run ./examples/quickstart
 //	go run ./cmd/pitbench -exp fig5

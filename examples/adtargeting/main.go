@@ -71,14 +71,15 @@ func main() {
 	reached := 0
 	start = time.Now()
 	for user := graph.NodeID(0); user < 400; user++ {
-		res, err := eng.SearchTopics(context.Background(), core.MethodLRW, related, user, 1)
+		ans, err := eng.Run(context.Background(), core.Query{Topics: related, User: user, K: 1, Fidelity: core.FidelityFull})
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := ans.Results
 		if len(res) == 0 || res[0].Score == 0 {
 			continue // socially unreachable: don't waste ad spend
 		}
-		segments[res[0].Topic] = append(segments[res[0].Topic], user)
+		segments[res[0].Topic.ID] = append(segments[res[0].Topic.ID], user)
 		reached++
 	}
 	elapsed := time.Since(start)

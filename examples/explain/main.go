@@ -52,10 +52,11 @@ func main() {
 		}
 	}
 	related := space.Related(query)
-	tr, err := eng.SearchTrace(context.Background(), core.MethodLRW, related, user, 3)
+	ans, err := eng.Run(context.Background(), core.Query{Text: query, User: user, K: 3, Fidelity: core.FidelityFull, Trace: true})
 	if err != nil {
 		log.Fatal(err)
 	}
+	tr := ans.Trace
 
 	fmt.Printf("query %q for user %d: %d candidate topics, |Γ(user)| = %d\n\n",
 		query, user, len(related), tr.GammaSize)

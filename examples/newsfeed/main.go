@@ -48,12 +48,12 @@ func main() {
 	userA, userB := pickDistantUsers(g)
 	fmt.Printf("feed query %q for two users in different communities:\n\n", query)
 	for _, user := range []graph.NodeID{userA, userB} {
-		res, err := eng.Search(context.Background(), core.MethodLRW, query, user, 3)
+		ans, err := eng.Run(context.Background(), core.Query{Text: query, User: user, K: 3})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("user %d's feed leads with:\n", user)
-		for i, r := range res {
+		for i, r := range ans.Results {
 			fmt.Printf("  %d. %-25s influence %.5f\n", i+1, r.Topic.Label, r.Score)
 		}
 		fmt.Println()
@@ -76,13 +76,13 @@ func main() {
 	}
 	fmt.Printf("incremental refresh carried %d of %d summaries; only changed topics recompute\n\n",
 		st.Carried[core.MethodLRW], space.NumTopics())
-	res, err := eng2.Search(context.Background(), core.MethodLRW, query, userA, 3)
+	ans, err := eng2.Run(context.Background(), core.Query{Text: query, User: userA, K: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after %d users near user %d adopt %q, user %d's feed leads with:\n",
 		50, userA, updated.Topic(burst).Label, userA)
-	for i, r := range res {
+	for i, r := range ans.Results {
 		fmt.Printf("  %d. %-25s influence %.5f\n", i+1, r.Topic.Label, r.Score)
 	}
 }

@@ -72,10 +72,11 @@ func main() {
 	}
 	fmt.Println("\ntop-1 result per user (LRW-A summarization + top-k index):")
 	for _, user := range []graph.NodeID{3, 7, 14} {
-		res, err := eng.Search(context.Background(), core.MethodLRW, "phone", user, 1)
+		ans, err := eng.Run(context.Background(), core.Query{Text: "phone", User: user, K: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := ans.Results
 		if len(res) == 0 {
 			fmt.Printf("  user %-2d → (no influential topic found)\n", user)
 			continue

@@ -85,17 +85,17 @@ func main() {
 			users = append(users, graph.NodeID(v))
 		}
 	}
-	results, err := eng.SearchMany(context.Background(), core.MethodLRW, query, users, 2, 0)
+	answers, err := core.RunMany(context.Background(), eng, core.Query{Text: query, K: 2, Fidelity: core.FidelityFull}, users, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ntop phone topics per user (query %q):\n", query)
 	for i, u := range users {
 		fmt.Printf("  user %-4d →", u)
-		if len(results[i]) == 0 {
+		if len(answers[i].Results) == 0 {
 			fmt.Print(" (no influential topic)")
 		}
-		for _, r := range results[i] {
+		for _, r := range answers[i].Results {
 			fmt.Printf("  %s (%.5f)", r.Topic.Label, r.Score)
 		}
 		fmt.Println()

@@ -50,12 +50,12 @@ func main() {
 	const user = 17
 	const query = "tag003"
 	for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
-		res, err := eng.Search(context.Background(), m, query, user, 3)
+		ans, err := eng.Run(context.Background(), core.Query{Method: m, Text: query, User: user, K: 3})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\ntop-3 %q topics for user %d via %s:\n", query, user, m)
-		for i, r := range res {
+		for i, r := range ans.Results {
 			fmt.Printf("  %d. %-30s influence %.6f\n", i+1, r.Topic.Label, r.Score)
 		}
 	}

@@ -29,12 +29,14 @@ import (
 )
 
 // scopeDirs are the concurrent serving-stack packages whose goroutines
-// Close must be able to wait on. Leaf compute packages manage their own
-// worker pools with local WaitGroups and are covered transitively when
-// these packages call them.
+// Close must be able to wait on — internal/search included, since the
+// per-level parallel expansion of a scattered query runs in its driver.
+// The summarization kernels manage their own worker pools with local
+// WaitGroups and are covered transitively when these packages call them.
 var scopeDirs = []string{
 	"internal/core",
 	"internal/plan",
+	"internal/search",
 	"internal/server",
 	"internal/chaos",
 	"internal/stream",
@@ -59,7 +61,7 @@ func (b *Bounded) has(name string) bool {
 var Analyzer = &analysis.Analyzer{
 	Name: "goroutinelife",
 	Doc: "goroutinelife: every goroutine must be waitable (WaitGroup) or lifecycle-cancelable (context)\n\n" +
-		"Flags go statements in internal/{core,plan,server,chaos} whose goroutine neither\n" +
+		"Flags go statements in internal/{core,plan,search,server,chaos,stream,subscribe,shard} whose goroutine neither\n" +
 		"completes a sync.WaitGroup Add/Done pair nor observes a context, so Engine.Close\n" +
 		"and server drain cannot wait for or stop it.",
 	FactTypes: []analysis.Fact{(*Bounded)(nil)},

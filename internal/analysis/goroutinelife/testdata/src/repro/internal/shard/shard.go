@@ -1,31 +1,15 @@
 // Module-path fixture for the scatter-gather router package, in scope
-// since the PR-10 extension: the router's per-shard scatter goroutines
-// and parallel hydration loaders must be gatherable (WaitGroup) or
+// since the PR-10 extension: the router's parallel hydration loaders
+// and shard probes must be gatherable (WaitGroup) or
 // lifecycle-cancelable, exactly like the rest of the serving stack.
+// (The scatter fan-out case lives with the search fixture, where the
+// driver's parallel expansion now is.)
 package shard
 
 import (
 	"context"
 	"sync"
 )
-
-type router struct {
-	wg sync.WaitGroup
-}
-
-// Scatter fan-out: every per-shard goroutine completes the gather
-// WaitGroup the loop Adds, so the gather barrier accounts for all of
-// them.
-func (r *router) goodScatter(shards int) {
-	for i := 0; i < shards; i++ {
-		r.wg.Add(1)
-		go func(i int) {
-			defer r.wg.Done()
-			_ = i
-		}(i)
-	}
-	r.wg.Wait()
-}
 
 // Parallel hydration: loaders complete a local group and observe the
 // hydration context, so cancellation stops the cold start.

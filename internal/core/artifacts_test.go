@@ -317,7 +317,7 @@ func TestCloseDrainsMappedEngine(t *testing.T) {
 func TestCloseKeepsServingBuiltEngine(t *testing.T) {
 	eng := warmedEngine(t)
 	eng.Close()
-	if _, _, err := eng.SearchMaterialized(context.Background(), MethodLRW, dataset.TagName(0), 1, 3); err != nil {
-		t.Errorf("SearchMaterialized after Close on built engine: %v", err)
+	if _, err := eng.Run(context.Background(), Query{Text: dataset.TagName(0), User: 1, K: 3, Fidelity: FidelityCached}); err != nil {
+		t.Errorf("cached query after Close on built engine: %v", err)
 	}
 }

@@ -3,7 +3,7 @@ package core
 // PR 3 concurrency tests: the sharded cache under churn, singleflight
 // materialization (exactly one summarization per topic under concurrent
 // misses), waiter cancellation not aborting the shared build, and
-// SearchMany's worker clamping + first-error semantics. Run with -race.
+// RunMany's worker clamping + first-error semantics. Run with -race.
 
 import (
 	"context"
@@ -376,13 +376,13 @@ func TestCloseCancelsDetachedBuild(t *testing.T) {
 	}
 }
 
-// TestSearchManyMixedErrors: a batch mixing valid and invalid users
+// TestRunManyMixedErrors: a batch mixing valid and invalid users
 // returns (nil, first error) — never partial results — and the error is
 // classified ErrInvalidArgument for the HTTP layer.
-func TestSearchManyMixedErrors(t *testing.T) {
+func TestRunManyMixedErrors(t *testing.T) {
 	eng := builtEngine(t)
 	users := []graph.NodeID{1, 5, -7, 9, graph.NodeID(eng.Graph().NumNodes() + 3)}
-	batch, err := eng.SearchMany(context.Background(), MethodLRW, "tag000", users, 3, 2)
+	batch, err := runMany(context.Background(), eng, MethodLRW, "tag000", users, 3, 2)
 	if err == nil {
 		t.Fatal("mixed batch with invalid users accepted")
 	}
@@ -394,28 +394,28 @@ func TestSearchManyMixedErrors(t *testing.T) {
 	}
 }
 
-// TestSearchManyWorkerClamping: workers <= 0 means GOMAXPROCS on every
+// TestRunManyWorkerClamping: workers <= 0 means GOMAXPROCS on every
 // path — including the early returns for empty batches and unknown
 // queries, which used to be reachable before the clamp — and any worker
 // count yields the same answers.
-func TestSearchManyWorkerClamping(t *testing.T) {
+func TestRunManyWorkerClamping(t *testing.T) {
 	eng := builtEngine(t)
 	users := []graph.NodeID{2, 4, 6, 8}
 	for _, workers := range []int{-3, 0, 1, 16} {
 		// Early-return paths with an unclamped-looking worker count.
-		if batch, err := eng.SearchMany(context.Background(), MethodLRW, "no-such-tag", users, 3, workers); err != nil || len(batch) != len(users) {
+		if batch, err := runMany(context.Background(), eng, MethodLRW, "no-such-tag", users, 3, workers); err != nil || len(batch) != len(users) {
 			t.Fatalf("workers=%d unknown query: %v, %v", workers, batch, err)
 		}
-		if batch, err := eng.SearchMany(context.Background(), MethodLRW, "tag000", nil, 3, workers); err != nil || len(batch) != 0 {
+		if batch, err := runMany(context.Background(), eng, MethodLRW, "tag000", nil, 3, workers); err != nil || len(batch) != 0 {
 			t.Fatalf("workers=%d empty users: %v, %v", workers, batch, err)
 		}
 	}
-	ref, err := eng.SearchMany(context.Background(), MethodLRW, "tag001", users, 3, 1)
+	ref, err := runMany(context.Background(), eng, MethodLRW, "tag001", users, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{-1, 0, 2, 32} {
-		got, err := eng.SearchMany(context.Background(), MethodLRW, "tag001", users, 3, workers)
+		got, err := runMany(context.Background(), eng, MethodLRW, "tag001", users, 3, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

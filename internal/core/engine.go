@@ -8,11 +8,12 @@
 //
 //	eng, _ := core.New(g, space, core.Options{})
 //	_ = eng.BuildIndexes(ctx)
-//	res, _ := eng.Search(ctx, core.MethodLRW, "phone", user, 10)
+//	ans, _ := eng.Run(ctx, core.Query{Text: "phone", User: user, K: 10})
 //
-// Every online entry point takes a context.Context that is threaded down
-// through the summarizers and the top-k search; a canceled or expired
-// context stops the work early with ctx.Err() instead of burning CPU.
+// Run is the one online entry point (query.go, planned.go). Its
+// context.Context is threaded down through the summarizers and the
+// top-k search; a canceled or expired context stops the work early with
+// ctx.Err() instead of burning CPU.
 //
 // Concurrency design (PR 3): the online read path is lock-free for
 // readers. Readiness is an atomic flag that publishes the immutable
@@ -114,9 +115,9 @@ type Options struct {
 	// index durations, search expansion depth. Nil disables
 	// instrumentation at zero cost.
 	Metrics *obs.Registry
-	// Plan configures the fidelity planner behind SearchPlanned: the
-	// degradation policy, stale-answer cache, per-method build circuit
-	// breaker and cost model. The zero value enables the full ladder
+	// Plan configures the fidelity planner behind Run: the degradation
+	// policy, stale-answer cache, per-method build circuit breaker and
+	// cost model. The zero value enables the full ladder
 	// with the breaker disabled (see plan.Config).
 	Plan plan.Config
 }
@@ -134,13 +135,6 @@ func (o *Options) fill() {
 	if o.RCL.Seed == 0 {
 		o.RCL.Seed = o.Seed
 	}
-}
-
-// TopicResult is one ranked entry of a PIT-Search answer, carrying the
-// full topic for presentation.
-type TopicResult struct {
-	Topic topics.Topic
-	Score float64
 }
 
 // Engine owns the graph, topic space, both offline indexes, the two
@@ -184,17 +178,12 @@ type Engine struct {
 	// checks are branch-predictable no-ops in the disabled case).
 	met *engineMetrics
 
-	// Fidelity-planner state (planned.go): the filled plan config, one
-	// build breaker per method (nil when disabled), the bounded
-	// last-known-good answer cache (nil when the stale tier is off), the
-	// full-tier cost model, and the detached-revalidation bookkeeping.
-	planCfg  plan.Config
+	// The query path (planned.go) with this engine as its Opener, and
+	// the planner state that is about summaries: one build breaker per
+	// method (nil when disabled) and the full-tier cost model.
+	ladder   *Ladder
 	breakers [2]*plan.Breaker
-	stale    *plan.Cache[resultKey, []TopicResult]
 	cost     *plan.CostModel
-	revalMu  sync.Mutex
-	revaling map[resultKey]struct{} // guarded by revalMu
-	revalWG  sync.WaitGroup
 
 	// Artifact-backed state (artifacts.go). handles own the file
 	// mappings behind LoadArtifacts-restored indexes; mapped is true
@@ -222,7 +211,6 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 		space:    space,
 		opts:     opts,
 		override: map[Method]summary.Summarizer{},
-		revaling: map[resultKey]struct{}{},
 	}
 	e.life, e.stopLife = context.WithCancel(context.Background())
 	e.corpus.init(e.life)
@@ -232,22 +220,18 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 		// planting the handles here instruments it from its first query.
 		e.opts.Search.Metrics = search.NewMetrics(opts.Metrics)
 	}
-	e.planCfg = opts.Plan
-	e.planCfg.Fill()
 	for _, m := range []Method{MethodLRW, MethodRCL} {
-		bcfg := e.planCfg.Breaker
+		bcfg := opts.Plan.Breaker
 		method := m
 		bcfg.OnStateChange = func(from, to plan.State) { e.noteBreaker(method, from, to) }
 		e.breakers[m] = plan.NewBreaker(bcfg)
-	}
-	if e.planCfg.StaleEnabled() {
-		e.stale = plan.NewCache[resultKey, []TopicResult](e.planCfg.StaleCapacity, e.planCfg.StaleTTL, nil)
 	}
 	var buildSrc plan.DurationSource
 	if e.met != nil {
 		buildSrc = e.met.buildDur
 	}
-	e.cost = plan.NewCostModel(e.planCfg.Cost, buildSrc)
+	e.cost = plan.NewCostModel(opts.Plan.Cost, buildSrc)
+	e.ladder = NewLadder(g, space, opts.Plan, opts.Metrics, e)
 	return e, nil
 }
 
@@ -268,7 +252,7 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 // gob-restored engines are unaffected.
 func (e *Engine) Close() {
 	e.stopLife()
-	e.revalWG.Wait()
+	e.ladder.Close()
 	if e.mapped {
 		// Order matters: the revalidation goroutines above acquire the
 		// gate too, so they must be fully drained before the gate closes.
@@ -304,7 +288,7 @@ func (e *Engine) Retire() {
 		e.gate.closeAndDrain()
 	}
 	e.stopLife()
-	e.revalWG.Wait()
+	e.ladder.Close()
 	if e.mapped {
 		e.unmapOnce.Do(func() {
 			for _, h := range e.handles {
@@ -700,315 +684,125 @@ func (e *Engine) PreloadSummaries(m Method, sums []summary.Summary) error {
 	return nil
 }
 
-// validateUser tags out-of-graph users as ErrInvalidArgument so the HTTP
-// layer answers 4xx instead of 500.
-func (e *Engine) validateUser(user graph.NodeID) error {
-	if !e.g.Valid(user) {
-		return fmt.Errorf("%w: user %d outside the graph", ErrInvalidArgument, user)
-	}
-	return nil
-}
-
-// SearchTopics runs the online top-k PIT-Search (Algorithm 10) over an
-// explicit q-related topic set.
-func (e *Engine) SearchTopics(ctx context.Context, m Method, related []topics.TopicID, user graph.NodeID, k int) ([]search.Result, error) {
+// Run answers q through the one query path (planned.go) with this
+// engine as the backend. It holds the query gate for the whole request:
+// a concurrent Retire/Close drains behind it, and nothing the request
+// nests — builds, the search, the diversification re-rank — can lose
+// the engine half way.
+func (e *Engine) Run(ctx context.Context, q Query) (Answer, error) {
 	ctx, release, err := e.acquire(ctx)
 	if err != nil {
-		return nil, err
+		return Answer{Outcome: PlanOutcome{Tier: plan.TierUnavailable}}, err
 	}
 	defer release()
-	if err := e.validateUser(user); err != nil {
-		return nil, err
-	}
-	sums := make([]summary.Summary, 0, len(related))
-	for _, t := range related {
-		s, err := e.Summarize(ctx, m, t)
-		if err != nil {
-			return nil, err
-		}
-		sums = append(sums, s)
-	}
-	return e.idx.searcher.TopK(ctx, user, sums, k)
+	return e.ladder.Run(ctx, q)
 }
 
-// SearchTrace is SearchTopics with full diagnostics: it additionally
-// reports per-topic pruning decisions, representative consumption and the
-// expansion frontier evolution (see search.Trace). Intended for operators
-// tuning θ, the expansion budget or the representative counts.
-func (e *Engine) SearchTrace(ctx context.Context, m Method, related []topics.TopicID, user graph.NodeID, k int) (*search.Trace, error) {
+// Open implements Opener: one search session over req.Topics for
+// req.User, holding the query gate until Done. A building open
+// materializes cache misses first (deduplicated through the corpus
+// singleflight); a cached open takes what is materialized and counts
+// the rest as skipped.
+func (e *Engine) Open(ctx context.Context, req OpenRequest) (Opened, error) {
 	ctx, release, err := e.acquire(ctx)
 	if err != nil {
-		return nil, err
+		return Opened{}, err
 	}
-	defer release()
-	if err := e.validateUser(user); err != nil {
-		return nil, err
-	}
-	sums := make([]summary.Summary, 0, len(related))
-	for _, t := range related {
-		s, err := e.Summarize(ctx, m, t)
-		if err != nil {
-			return nil, err
+	opened := false
+	defer func() {
+		if !opened {
+			release()
 		}
-		sums = append(sums, s)
+	}()
+	if !req.Method.valid() {
+		return Opened{}, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, req.Method)
 	}
-	return e.idx.searcher.TopKTrace(ctx, user, sums, k)
-}
-
-// SearchDiverse is Search followed by representative-overlap
-// diversification (search.Diversify): it retrieves an over-fetched
-// candidate ranking (3k, clamped to the q-related topic count) and
-// greedily re-ranks so each returned topic adds representatives the feed
-// has not already covered. lambda ∈ [0,1] is the diversity strength;
-// lambda = 0 degenerates to Search.
-func (e *Engine) SearchDiverse(ctx context.Context, m Method, query string, user graph.NodeID, k int, lambda float64) ([]TopicResult, error) {
-	related := e.space.Related(query)
-	if len(related) == 0 {
-		return nil, nil
-	}
-	if k <= 0 {
-		k = len(related)
-	}
-	// Over-fetch candidates for the re-rank, but keep at least one topic
-	// outside the requested set: with k = |T_q| the dynamic search is
-	// decided immediately (Algorithm 10 stops when T′ \ T^k is empty) and
-	// would skip the expansion that gives candidates comparable scores.
-	fetch := k * 3
-	if fetch >= len(related) {
-		fetch = len(related) - 1
-	}
-	if fetch < k {
-		fetch = k
-	}
-	res, err := e.SearchTopics(ctx, m, related, user, fetch)
-	if err != nil {
-		return nil, err
-	}
-	sums := make([]summary.Summary, 0, len(res))
-	for _, r := range res {
-		s, err := e.Summarize(ctx, m, r.Topic)
-		if err != nil {
-			return nil, err
-		}
-		sums = append(sums, s)
-	}
-	diversified := search.Diversify(res, sums, lambda, k)
-	out := make([]TopicResult, len(diversified))
-	for i, r := range diversified {
-		out[i] = TopicResult{Topic: e.space.Topic(r.Topic), Score: r.Score}
-	}
-	return out, nil
-}
-
-// SearchMany answers the same keyword query for a batch of users
-// concurrently — the shape of the paper's personalized-service use cases
-// (ad targeting segments thousands of candidate customers with one
-// campaign query). The q-related summaries are materialized once, in
-// parallel, with misses deduplicated through the singleflight group;
-// searches then fan out across workers (≤ 0: GOMAXPROCS) running the
-// top-k directly against the shared summary slice, so the per-user loop
-// touches no cache or lock at all. Results are indexed like the input
-// users; a query with no related topics yields nil entries.
-//
-// Error semantics: canceling ctx stops the materialization and every
-// worker, and any failure (canceled context, invalid user, failed
-// summarization) surfaces as the *first* error observed — not an
-// aggregate. A batch mixing valid and invalid users therefore returns
-// (nil, err), never partial results.
-func (e *Engine) SearchMany(ctx context.Context, m Method, query string, users []graph.NodeID, k, workers int) ([][]TopicResult, error) {
-	ctx, release, err := e.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	related := e.space.Related(query)
-	out := make([][]TopicResult, len(users))
-	if len(related) == 0 || len(users) == 0 {
-		return out, nil
-	}
-	// materializeMany clamps against the topic count itself; the search
-	// fan-out below clamps against the user count. Both pools resolve a
-	// ≤ 0 request to GOMAXPROCS through the shared clampWorkers helper,
-	// so no exit path ever sees an unusable worker count.
-	sums, err := e.materializeMany(ctx, m, related, workers)
-	if err != nil {
-		return nil, err
-	}
-	workers = clampWorkers(workers, len(users))
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		firstErr firstError
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					firstErr.set(ctx.Err())
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(users) {
-					return
-				}
-				if err := e.validateUser(users[i]); err != nil {
-					firstErr.set(err)
-					return
-				}
-				res, err := e.idx.searcher.TopK(ctx, users[i], sums, k)
-				if err != nil {
-					firstErr.set(err)
-					return
-				}
-				row := make([]TopicResult, len(res))
-				for j, r := range res {
-					row[j] = TopicResult{Topic: e.space.Topic(r.Topic), Score: r.Score}
-				}
-				out[i] = row
+	sums := make([]summary.Summary, 0, len(req.Topics))
+	for _, t := range req.Topics {
+		if req.Cached {
+			if s, ok := e.corpus.cached(cacheKey{req.Method, t}); ok {
+				sums = append(sums, s)
+			} else if e.met != nil {
+				e.met.materializedSkipped[req.Method].Inc()
 			}
-		}()
+			continue
+		}
+		s, err := e.Summarize(ctx, req.Method, t)
+		if err != nil {
+			return Opened{}, err
+		}
+		sums = append(sums, s)
 	}
-	wg.Wait()
-	if err := firstErr.get(); err != nil {
-		return nil, err
+	sess, err := e.idx.searcher.NewSession(ctx, req.User, sums)
+	if err != nil {
+		return Opened{}, err
 	}
-	return out, nil
+	opened = true
+	return Opened{
+		Sessions: []*search.Session{sess},
+		Complete: len(sums) == len(req.Topics),
+		Done: func(*search.Stats) {
+			sess.Close()
+			release()
+		},
+	}, nil
 }
 
-// Search answers a keyword query q issued by user: it resolves the
-// q-related topics (Algorithm 10 line 1) and returns the top-k most
-// influential ones with their full topic records.
+// PlanInputs implements Opener: the method's breaker readiness and the
+// cost model's full-tier estimate over the not-yet-cached topics.
+func (e *Engine) PlanInputs(m Method, ts []topics.TopicID) plan.Inputs {
+	uncached := 0
+	for _, t := range ts {
+		if _, ok := e.corpus.cached(cacheKey{m, t}); !ok {
+			uncached++
+		}
+	}
+	in := plan.Inputs{BreakerReady: e.breakers[m].Ready()}
+	in.Estimate, in.Calibrated = e.cost.EstimateFull(uncached)
+	return in
+}
+
+// MaterializeTopics returns the summaries of the given topics under m,
+// building cache misses across up to `workers` goroutines (≤ 0:
+// GOMAXPROCS) — materializeMany behind the query gate.
+func (e *Engine) MaterializeTopics(ctx context.Context, m Method, ts []topics.TopicID, workers int) ([]summary.Summary, error) {
+	ctx, release, err := e.acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	if !m.valid() {
+		return nil, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, m)
+	}
+	return e.materializeMany(ctx, m, ts, workers)
+}
+
+// The four methods below are what the frozen benchmark/ harness
+// compiles against. Each builds a Query and calls Run; new code calls
+// Run directly.
+
+// Search is Run for a full-fidelity keyword query (benchmark/ compat).
 func (e *Engine) Search(ctx context.Context, m Method, query string, user graph.NodeID, k int) ([]TopicResult, error) {
-	related := e.space.Related(query)
-	if len(related) == 0 {
-		return nil, nil
-	}
-	res, err := e.SearchTopics(ctx, m, related, user, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TopicResult, len(res))
-	for i, r := range res {
-		out[i] = TopicResult{Topic: e.space.Topic(r.Topic), Score: r.Score}
-	}
-	return out, nil
+	ans, err := e.Run(ctx, Query{Method: m, Text: query, User: user, K: k, Fidelity: FidelityFull})
+	return ans.Results, err
 }
 
-// SearchMaterialized is Search restricted to already-cached summaries —
-// the graceful-degradation fallback the serving layer uses when a request
-// deadline expires mid-search. It never builds a summary: q-related
-// topics without a materialized summary are skipped. The boolean reports
-// whether the answer is complete (every related topic had a cached
-// summary); false means a partial, degraded ranking. The search itself
-// still runs the full Algorithm 10 machinery and is cheap (Γ lookups
-// only), but honors ctx like everything else.
-func (e *Engine) SearchMaterialized(ctx context.Context, m Method, query string, user graph.NodeID, k int) ([]TopicResult, bool, error) {
-	ctx, release, err := e.acquire(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	defer release()
-	if !m.valid() {
-		return nil, false, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, m)
-	}
-	if err := e.validateUser(user); err != nil {
-		return nil, false, err
-	}
-	related := e.space.Related(query)
-	if len(related) == 0 {
-		return nil, true, nil
-	}
-	sums := make([]summary.Summary, 0, len(related))
-	complete := true
-	for _, t := range related {
-		if s, ok := e.corpus.cached(cacheKey{m, t}); ok {
-			sums = append(sums, s)
-		} else {
-			complete = false
-			if e.met != nil {
-				e.met.materializedSkipped[m].Inc()
-			}
-		}
-	}
-	if len(sums) == 0 {
-		return nil, complete, nil
-	}
-	res, err := e.idx.searcher.TopK(ctx, user, sums, k)
-	if err != nil {
-		return nil, complete, err
-	}
-	out := make([]TopicResult, len(res))
-	for i, r := range res {
-		out[i] = TopicResult{Topic: e.space.Topic(r.Topic), Score: r.Score}
-	}
-	return out, complete, nil
+// SearchPlanned is Run for a planned keyword query (benchmark/ compat).
+func (e *Engine) SearchPlanned(ctx context.Context, m Method, query string, user graph.NodeID, k int, lambda float64) ([]TopicResult, PlanOutcome, error) {
+	ans, err := e.Run(ctx, Query{Method: m, Text: query, User: user, K: k, Lambda: lambda})
+	return ans.Results, ans.Outcome, err
 }
 
-// SearchMaterializedDiverse is SearchDiverse restricted to already-
-// cached summaries — the degraded fallback for a diversified query
-// whose deadline expired. The serving layer must not silently drop the
-// requested MMR re-rank when it degrades: the diversification is a
-// cheap post-pass over summaries that are, by construction of this
-// path, all materialized. Candidates are over-fetched like
-// SearchDiverse (3k, clamped to leave the dynamic search something to
-// decide), then greedily re-ranked by representative overlap. The
-// boolean reports completeness exactly as SearchMaterialized does.
-// lambda ≤ 0 degenerates to SearchMaterialized.
-func (e *Engine) SearchMaterializedDiverse(ctx context.Context, m Method, query string, user graph.NodeID, k int, lambda float64) ([]TopicResult, bool, error) {
-	if lambda <= 0 {
-		return e.SearchMaterialized(ctx, m, query, user, k)
-	}
-	ctx, release, err := e.acquire(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	defer release()
-	if !m.valid() {
-		return nil, false, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, m)
-	}
-	if err := e.validateUser(user); err != nil {
-		return nil, false, err
-	}
-	related := e.space.Related(query)
-	if len(related) == 0 {
-		return nil, true, nil
-	}
-	sums := make([]summary.Summary, 0, len(related))
-	complete := true
-	for _, t := range related {
-		if s, ok := e.corpus.cached(cacheKey{m, t}); ok {
-			sums = append(sums, s)
-		} else {
-			complete = false
-			if e.met != nil {
-				e.met.materializedSkipped[m].Inc()
-			}
-		}
-	}
-	if len(sums) == 0 {
-		return nil, complete, nil
-	}
-	if k <= 0 || k > len(sums) {
-		k = len(sums)
-	}
-	// Same over-fetch policy as SearchDiverse, over the cached pool.
-	fetch := k * 3
-	if fetch >= len(sums) {
-		fetch = len(sums) - 1
-	}
-	if fetch < k {
-		fetch = k
-	}
-	res, err := e.idx.searcher.TopK(ctx, user, sums, fetch)
-	if err != nil {
-		return nil, complete, err
-	}
-	diversified := search.Diversify(res, sums, lambda, k)
-	out := make([]TopicResult, len(diversified))
-	for i, r := range diversified {
-		out[i] = TopicResult{Topic: e.space.Topic(r.Topic), Score: r.Score}
-	}
-	return out, complete, nil
+// SearchTopics is Run for a full-fidelity query over an explicit topic
+// set, as bare (topic ID, score) rows (benchmark/ compat).
+func (e *Engine) SearchTopics(ctx context.Context, m Method, related []topics.TopicID, user graph.NodeID, k int) ([]search.Result, error) {
+	ans, err := e.Run(ctx, Query{Method: m, Topics: related, User: user, K: k, Fidelity: FidelityFull})
+	return ans.Ranking(), err
+}
+
+// SearchTrace is SearchTopics with Algorithm 10/11 diagnostics
+// (benchmark/ compat).
+func (e *Engine) SearchTrace(ctx context.Context, m Method, related []topics.TopicID, user graph.NodeID, k int) (*search.Trace, error) {
+	ans, err := e.Run(ctx, Query{Method: m, Topics: related, User: user, K: k, Fidelity: FidelityFull, Trace: true})
+	return ans.Trace, err
 }

@@ -29,6 +29,20 @@ var smallWorld = sync.OnceValues(func() (*graph.Graph, *topics.Space) {
 	return g, space
 })
 
+// runMany is the batch shape the tests speak: one full-fidelity keyword
+// query for many users through RunMany, results only.
+func runMany(ctx context.Context, eng *Engine, m Method, query string, users []graph.NodeID, k, workers int) ([][]TopicResult, error) {
+	answers, err := RunMany(ctx, eng, Query{Method: m, Text: query, K: k, Fidelity: FidelityFull}, users, workers)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]TopicResult, len(answers))
+	for i, ans := range answers {
+		rows[i] = ans.Results
+	}
+	return rows, nil
+}
+
 func builtEngine(t testing.TB) *Engine {
 	t.Helper()
 	g, space := smallWorld()
@@ -240,10 +254,10 @@ func BenchmarkSearchLRW(b *testing.B) {
 	}
 }
 
-func TestSearchManyMatchesSearch(t *testing.T) {
+func TestRunManyMatchesRun(t *testing.T) {
 	eng := builtEngine(t)
 	users := []graph.NodeID{1, 5, 9, 13, 44, 101}
-	batch, err := eng.SearchMany(context.Background(), MethodLRW, "tag001", users, 3, 4)
+	batch, err := runMany(context.Background(), eng, MethodLRW, "tag001", users, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +280,10 @@ func TestSearchManyMatchesSearch(t *testing.T) {
 	}
 }
 
-func TestSearchManyEdgeCases(t *testing.T) {
+func TestRunManyEdgeCases(t *testing.T) {
 	eng := builtEngine(t)
 	// unknown query: nil rows, no error
-	batch, err := eng.SearchMany(context.Background(), MethodLRW, "zzz", []graph.NodeID{1, 2}, 3, 2)
+	batch, err := runMany(context.Background(), eng, MethodLRW, "zzz", []graph.NodeID{1, 2}, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,18 +293,18 @@ func TestSearchManyEdgeCases(t *testing.T) {
 		}
 	}
 	// empty users
-	if batch, err := eng.SearchMany(context.Background(), MethodLRW, "tag000", nil, 3, 2); err != nil || len(batch) != 0 {
+	if batch, err := runMany(context.Background(), eng, MethodLRW, "tag000", nil, 3, 2); err != nil || len(batch) != 0 {
 		t.Errorf("empty users: %v, %v", batch, err)
 	}
 	// invalid user inside the batch surfaces the error
-	if _, err := eng.SearchMany(context.Background(), MethodLRW, "tag000", []graph.NodeID{1, -5}, 3, 2); err == nil {
+	if _, err := runMany(context.Background(), eng, MethodLRW, "tag000", []graph.NodeID{1, -5}, 3, 2); err == nil {
 		t.Error("invalid user accepted in batch")
 	}
 	// before build
 	g, space := smallWorld()
 	fresh, _ := New(g, space, Options{})
-	if _, err := fresh.SearchMany(context.Background(), MethodLRW, "tag000", []graph.NodeID{1}, 1, 1); err == nil {
-		t.Error("SearchMany before BuildIndexes accepted")
+	if _, err := runMany(context.Background(), fresh, MethodLRW, "tag000", []graph.NodeID{1}, 1, 1); err == nil {
+		t.Error("RunMany before BuildIndexes accepted")
 	}
 }
 

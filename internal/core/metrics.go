@@ -62,11 +62,6 @@ type engineMetrics struct {
 	buildsSuspended [2]*obs.Counter
 	breakerTrips    [2]*obs.Counter
 	breakerState    [2]*obs.Gauge
-	// staleServes counts requests answered from the stale-answer cache;
-	// revalOK/revalErr count detached stale revalidation outcomes.
-	staleServes [2]*obs.Counter
-	revalOK     *obs.Counter
-	revalErr    *obs.Counter
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
@@ -88,10 +83,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		"Build circuit-breaker trips (closed/half-open to open transitions).", "method")
 	state := reg.GaugeVec("pit_breaker_state",
 		"Build circuit-breaker state: 0 closed, 1 half-open, 2 open.", "method")
-	staleServes := reg.CounterVec("pit_stale_serves_total",
-		"Requests answered from the stale last-known-good cache.", "method")
-	reval := reg.CounterVec("pit_revalidations_total",
-		"Detached stale-answer revalidation rebuilds by outcome.", "result")
 	m := &engineMetrics{
 		buildsCanceled: reg.Counter("pit_summary_builds_canceled_total",
 			"Summary builds canceled by Engine.Close (shutdown racing a cache miss)."),
@@ -104,8 +95,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		warmDur: reg.Histogram("pit_warm_duration_seconds",
 			"Wall time of successful whole-corpus WarmSummaries runs.",
 			obs.DurationBuckets),
-		revalOK:  reval.With("ok"),
-		revalErr: reval.With("err"),
 	}
 	for _, method := range []Method{MethodLRW, MethodRCL} {
 		l := metricLabel(method)
@@ -118,7 +107,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		m.buildsSuspended[method] = suspended.With(l)
 		m.breakerTrips[method] = trips.With(l)
 		m.breakerState[method] = state.With(l)
-		m.staleServes[method] = staleServes.With(l)
 	}
 	return m
 }

@@ -2,8 +2,7 @@ package core
 
 // Tests for the engine's observability wiring (cache hit/miss,
 // singleflight build vs. dedup counters, Close-canceled builds) and for
-// SearchMaterializedDiverse, the degraded fallback that preserves the
-// lambda re-rank.
+// the cached-only tier preserving the lambda re-rank.
 
 import (
 	"context"
@@ -225,15 +224,20 @@ func diverseScenario(t *testing.T) (eng *Engine, user graph.NodeID, labels [4]st
 	return eng, user, labels
 }
 
-// TestSearchMaterializedDiverseAppliesLambda is the core-level
-// regression for the lambda-dropping degradation bug: the diversified
-// materialized fallback must re-rank by representative overlap, not
-// return the plain influence ranking.
-func TestSearchMaterializedDiverseAppliesLambda(t *testing.T) {
+// TestCachedQueryAppliesLambda is the core-level regression for the
+// lambda-dropping degradation bug: the diversified materialized tier
+// must re-rank by representative overlap, not return the plain
+// influence ranking.
+func TestCachedQueryAppliesLambda(t *testing.T) {
 	eng, user, labels := diverseScenario(t)
 	ctx := context.Background()
 
-	plain, complete, err := eng.SearchMaterialized(ctx, MethodLRW, "tag000", user, 2)
+	// cached runs tag000 over materialized summaries only.
+	cached := func(lambda float64) ([]TopicResult, bool, error) {
+		ans, err := eng.Run(ctx, Query{Text: "tag000", User: user, K: 2, Lambda: lambda, Fidelity: FidelityCached})
+		return ans.Results, ans.Outcome.Complete, err
+	}
+	plain, complete, err := cached(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +248,7 @@ func TestSearchMaterializedDiverseAppliesLambda(t *testing.T) {
 		t.Fatalf("plain materialized top-2 = %v, want [%s %s]", resultLabels(plain), labels[0], labels[1])
 	}
 
-	div, complete, err := eng.SearchMaterializedDiverse(ctx, MethodLRW, "tag000", user, 2, 1.0)
+	div, complete, err := cached(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +262,6 @@ func TestSearchMaterializedDiverseAppliesLambda(t *testing.T) {
 		t.Errorf("diverse materialized top-2 = %v, want [%s %s]", resultLabels(div), labels[0], labels[2])
 	}
 
-	// lambda = 0 degenerates to the plain materialized ranking.
-	zero, _, err := eng.SearchMaterializedDiverse(ctx, MethodLRW, "tag000", user, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(zero) != len(plain) || zero[0].Topic.ID != plain[0].Topic.ID || zero[1].Topic.ID != plain[1].Topic.ID {
-		t.Errorf("lambda=0 fallback = %v, want plain ranking %v", resultLabels(zero), resultLabels(plain))
-	}
 }
 
 func resultLabels(rs []TopicResult) []string {

@@ -1,217 +1,379 @@
 package core
 
-// The fidelity ladder (internal/plan, DESIGN.md §13). SearchPlanned is
-// the planner-aware front door the serving layer calls instead of
-// Search/SearchDiverse: it picks a starting tier from the request's
-// remaining budget, the build breaker and the operator policy, then
-// walks down the ladder on failure — full → materialized → stale →
-// ErrUnavailable — so a broken or slow summarizer degrades answer
-// fidelity instead of turning into 5xx storms.
+// The one query path (DESIGN.md §10, §13). Ladder.Run is what
+// Engine.Run and shard.Router.Run both are: validate the Query, resolve
+// its q-related topics, pick a starting tier from the request's
+// remaining budget, the build breakers and the operator policy, then
+// walk down on failure — full → materialized → stale → ErrUnavailable —
+// so a broken or slow summarizer degrades answer fidelity instead of
+// turning into 5xx storms. Each attempt is the same five steps: open
+// sessions, search.Drive, diversify, hydrate, close. The only thing a
+// backend contributes is its Opener.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/search"
+	"repro/internal/summary"
 	"repro/internal/topics"
 )
 
-// resultKey identifies one exact planned request — the stale cache
-// granularity. lambda participates because a diversified ranking is not
-// interchangeable with a plain one.
-type resultKey struct {
-	m      Method
-	query  string
-	user   graph.NodeID
-	k      int
-	lambda float64
+// OpenRequest asks an Opener for search sessions over Topics.
+type OpenRequest struct {
+	Method Method
+	Topics []topics.TopicID
+	User   graph.NodeID
+	// Cached opens over already-materialized summaries only, never
+	// building; topics without one are left out and reported through
+	// Opened.Complete. Otherwise missing summaries are built first.
+	Cached bool
+	// MayDegrade lets an opener that spreads the topics over several
+	// engines answer a build failure on one of them from that engine's
+	// materialized summaries (Opened.Degraded) instead of failing the
+	// open. Set for planned queries only.
+	MayDegrade bool
 }
 
-// PlanOutcome reports how a planned request was served.
-type PlanOutcome struct {
-	// Tier is the fidelity tier that produced the answer (or
-	// TierUnavailable alongside ErrUnavailable).
-	Tier plan.Tier
-	// Reason is the planner's starting-tier rationale ("ok", "policy",
-	// "breaker", "budget") — bounded label values safe for metrics.
-	Reason string
-	// Complete reports whether every q-related topic contributed
-	// (always true for full and stale answers; a materialized answer
-	// may be partial).
+// Opened is a set of open search sessions that together hold the
+// requested topics (at most once each) for one user.
+type Opened struct {
+	Sessions []*search.Session
+	// Complete reports whether every requested topic is in a session.
 	Complete bool
-	// StaleAge is the served answer's age when Tier == TierStale.
-	StaleAge time.Duration
+	// Degraded reports that part of a building open fell back to
+	// materialized summaries (see OpenRequest.MayDegrade).
+	Degraded bool
+	// Done closes the sessions and releases whatever the opener holds
+	// for them (query gates). st is the finished Drive's stats, nil when
+	// the sessions were never driven to completion. Call exactly once.
+	Done func(st *search.Stats)
 }
 
-// SearchPlanned answers a keyword query through the fidelity ladder.
-// lambda > 0 requests diversified ranking (SearchDiverse semantics);
-// lambda <= 0 plain ranking. The outcome's Tier is authoritative: the
-// serving layer annotates the response with it and must not guess.
+// Opener is what an execution backend contributes to the query path:
+// the single engine opens one session, the shard router one per owning
+// shard.
+type Opener interface {
+	Open(ctx context.Context, req OpenRequest) (Opened, error)
+	// PlanInputs fills the backend's share of the planner's inputs for
+	// a full-tier attempt over ts: whether a build would be admitted
+	// right now and the estimated cost of building what is not
+	// materialized yet.
+	PlanInputs(m Method, ts []topics.TopicID) plan.Inputs
+}
+
+// Ladder runs queries for one backend. It owns the planner state that
+// is about answers rather than summaries: the last-known-good answer
+// cache and the detached revalidations that refresh it.
+type Ladder struct {
+	g       *graph.Graph
+	space   *topics.Space
+	cfg     plan.Config
+	backend Opener
+	stale   *plan.Cache[string, []TopicResult] // nil when the stale tier is off
+
+	// life bounds the detached revalidations; Close cancels it and
+	// waits for them.
+	life     context.Context
+	stop     context.CancelFunc
+	revalMu  sync.Mutex
+	revaling map[string]struct{} // guarded by revalMu
+	revalWG  sync.WaitGroup
+
+	staleServes       [2]*obs.Counter // by Method; nil without a registry
+	revalOK, revalErr *obs.Counter
+}
+
+// NewLadder wires the query path over backend. cfg is the planner
+// configuration (zero values resolve to plan's defaults); reg, when
+// non-nil, receives pit_stale_serves_total and pit_revalidations_total.
+func NewLadder(g *graph.Graph, space *topics.Space, cfg plan.Config, reg *obs.Registry, backend Opener) *Ladder {
+	cfg.Fill()
+	l := &Ladder{g: g, space: space, cfg: cfg, backend: backend, revaling: map[string]struct{}{}}
+	l.life, l.stop = context.WithCancel(context.Background())
+	if cfg.StaleEnabled() {
+		l.stale = plan.NewCache[string, []TopicResult](cfg.StaleCapacity, cfg.StaleTTL, nil)
+	}
+	if reg != nil {
+		serves := reg.CounterVec("pit_stale_serves_total",
+			"Requests answered from the stale last-known-good cache.", "method")
+		reval := reg.CounterVec("pit_revalidations_total",
+			"Detached stale-answer revalidation rebuilds by outcome.", "result")
+		for _, m := range []Method{MethodLRW, MethodRCL} {
+			l.staleServes[m] = serves.With(metricLabel(m))
+		}
+		l.revalOK, l.revalErr = reval.With("ok"), reval.With("err")
+	}
+	return l
+}
+
+// Close cancels the detached revalidations and waits for them to exit.
+// Idempotent.
+func (l *Ladder) Close() {
+	l.stop()
+	l.revalWG.Wait()
+}
+
+// staleKey identifies one exact request — the stale cache granularity.
+// Lambda participates because a diversified ranking is not
+// interchangeable with a plain one; Fidelity and Trace do not, because
+// only planned answers are cached and a trace does not change them.
+func (q Query) staleKey() string {
+	return fmt.Sprintf("%d/%d/%d/%g/%s", q.Method, q.User, q.K, q.Lambda, q.Text)
+}
+
+// Run answers q.
 //
 // Error contract: request-level mistakes (ErrInvalidArgument,
 // ErrNotReady) and client disconnects surface immediately — degrading
 // a bad request would mask bugs, and nobody is listening for a hung-up
-// one. Under PolicyFull every full-tier failure surfaces. Otherwise an
-// error return means the whole ladder was exhausted and is always
-// ErrUnavailable-wrapped.
-func (e *Engine) SearchPlanned(ctx context.Context, m Method, query string, user graph.NodeID, k int, lambda float64) ([]TopicResult, PlanOutcome, error) {
-	none := PlanOutcome{Tier: plan.TierUnavailable}
-	ctx, release, err := e.acquire(ctx)
-	if err != nil {
-		return nil, none, err
+// one. Under PolicyFull, or for a FidelityFull query, every full-tier
+// failure surfaces. Otherwise an error return means the whole ladder
+// was exhausted and is always ErrUnavailable-wrapped.
+func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
+	none := Answer{Outcome: PlanOutcome{Tier: plan.TierUnavailable}}
+	if !q.Method.valid() {
+		return none, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, q.Method)
 	}
-	defer release()
-	if !m.valid() {
-		return nil, none, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, m)
+	if !l.g.Valid(q.User) {
+		return none, fmt.Errorf("%w: user %d outside the graph", ErrInvalidArgument, q.User)
 	}
-	if err := e.validateUser(user); err != nil {
-		return nil, none, err
+	related := q.Topics
+	if related == nil {
+		related = l.space.Related(q.Text)
 	}
-	related := e.space.Related(query)
 	if len(related) == 0 {
 		// An empty topic set is a complete full-fidelity answer — there is
 		// nothing to degrade.
-		return nil, PlanOutcome{Tier: plan.TierFull, Reason: "empty", Complete: true}, nil
+		ans := Answer{Outcome: PlanOutcome{Tier: plan.TierFull, Reason: "empty", Complete: true}}
+		if q.Trace {
+			ans.Trace = &search.Trace{}
+		}
+		return ans, nil
 	}
 
-	key := resultKey{m: m, query: query, user: user, k: k, lambda: lambda}
-	decision := e.planStart(ctx, m, related)
+	planned := q.Fidelity == FidelityPlanned
+	// Only keyword queries have a last-known-good entry: an explicit
+	// topic set has no key to find it under.
+	cacheable := planned && q.Topics == nil && l.stale != nil
+	start, reason := plan.TierFull, "request"
+	switch {
+	case planned:
+		d := l.planStart(ctx, q.Method, related)
+		start, reason = d.Start, d.Reason
+	case q.Fidelity == FidelityCached:
+		start = plan.TierMaterialized
+	}
 
-	if decision.Start == plan.TierFull {
-		res, err := e.searchFull(ctx, m, query, user, k, lambda)
-		if err == nil {
-			e.storeGood(key, res)
-			return res, PlanOutcome{Tier: plan.TierFull, Reason: decision.Reason, Complete: true}, nil
+	if start == plan.TierFull {
+		ans, err := l.attempt(ctx, q, related, false)
+		if err == nil && servable(ans) {
+			ans.Outcome.Reason = reason
+			// A degraded part with every topic cached still equals the
+			// full answer; a partial one must not become last-known-good.
+			if cacheable && ans.Outcome.Complete {
+				l.storeGood(q, ans.Results)
+			}
+			return ans, nil
 		}
-		if errors.Is(err, ErrInvalidArgument) || errors.Is(err, ErrNotReady) {
-			return nil, none, err
-		}
-		if e.planCfg.Policy == plan.PolicyFull {
-			return nil, none, err
-		}
-		// The client hanging up is not a degradation trigger: serve nobody.
-		// (Engine shutdown also surfaces Canceled from the lifecycle
-		// context, but then the request ctx itself is still live.)
-		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-			return nil, none, err
+		if err != nil && (!planned || !l.Degradable(ctx, err)) {
+			return none, err
 		}
 	}
 
-	// Materialized tier. The request's own deadline may already be blown
-	// — that is exactly when this tier earns its keep — so it runs on a
-	// fresh, bounded budget detached from the request's cancellation.
-	mctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), e.planCfg.MaterializedTimeout)
-	res, complete, err := e.SearchMaterializedDiverse(mctx, m, query, user, k, lambda)
+	// Materialized tier. A planned request's own deadline may already
+	// be blown — that is exactly when this tier earns its keep — so it
+	// runs on a fresh, bounded budget detached from the request's
+	// cancellation.
+	mctx, cancel := ctx, context.CancelFunc(func() {})
+	if planned {
+		mctx, cancel = l.CachedContext(ctx)
+	}
+	ans, err := l.attempt(mctx, q, related, true)
 	cancel()
-	if err == nil && (complete || len(res) > 0) {
-		if complete {
+	if err == nil && (!planned || servable(ans)) {
+		ans.Outcome.Reason = reason
+		if cacheable && ans.Outcome.Complete {
 			// All q-related summaries were cached: this answer equals the
 			// full tier's and refreshes the last-known-good entry.
-			e.storeGood(key, res)
+			l.storeGood(q, ans.Results)
 		}
-		return res, PlanOutcome{Tier: plan.TierMaterialized, Reason: decision.Reason, Complete: complete}, nil
+		return ans, nil
+	}
+	if !planned {
+		return none, err
 	}
 
 	// Stale tier: last-known-good answer for this exact request, plus a
 	// detached revalidation so repeated stale hits converge back to
 	// fresh answers once the fault clears.
-	if e.stale != nil {
-		if cached, age, ok := e.stale.Get(key); ok {
-			if e.met != nil {
-				e.met.staleServes[m].Inc()
+	if cacheable {
+		if cached, age, ok := l.stale.Get(q.staleKey()); ok {
+			if c := l.staleServes[q.Method]; c != nil {
+				c.Inc()
 			}
-			e.revalidate(key)
+			l.revalidate(q)
 			out := make([]TopicResult, len(cached))
 			copy(out, cached)
-			return out, PlanOutcome{Tier: plan.TierStale, Reason: decision.Reason, Complete: true, StaleAge: age}, nil
+			return Answer{Results: out, Outcome: PlanOutcome{Tier: plan.TierStale, Reason: reason, Complete: true, StaleAge: age}}, nil
 		}
 	}
-
-	return nil, PlanOutcome{Tier: plan.TierUnavailable, Reason: decision.Reason},
-		fmt.Errorf("%w: query %q has no materialized or stale answer", ErrUnavailable, query)
+	none.Outcome.Reason = reason
+	return none, fmt.Errorf("%w: query %q has no materialized or stale answer", ErrUnavailable, q.Text)
 }
 
-// planStart runs the planner for one request: breaker readiness, the
-// remaining deadline and the cost model's full-tier estimate over the
-// not-yet-cached q-related topics.
-func (e *Engine) planStart(ctx context.Context, m Method, related []topics.TopicID) plan.Decision {
-	in := plan.Inputs{
-		Policy:       e.planCfg.Policy,
-		BreakerReady: e.breakers[m].Ready(),
-	}
+// servable reports whether a planned attempt's answer is worth serving:
+// one that ran (even partly) on cached-only summaries must be complete
+// or at least non-empty, else the next tier down gets its turn.
+func servable(ans Answer) bool {
+	return ans.Outcome.Tier == plan.TierFull || ans.Outcome.Complete || len(ans.Results) > 0
+}
+
+// planStart runs the planner for one request: operator policy, the
+// backend's breaker readiness and cost estimate, and the remaining
+// deadline.
+func (l *Ladder) planStart(ctx context.Context, m Method, related []topics.TopicID) plan.Decision {
+	in := l.backend.PlanInputs(m, related)
+	in.Policy = l.cfg.Policy
 	if deadline, ok := ctx.Deadline(); ok {
 		in.HaveDeadline = true
 		in.Budget = time.Until(deadline)
 	}
-	uncached := 0
-	for _, t := range related {
-		if _, ok := e.corpus.cached(cacheKey{m, t}); !ok {
-			uncached++
-		}
-	}
-	in.Estimate, in.Calibrated = e.cost.EstimateFull(uncached)
 	return plan.Decide(in)
 }
 
-// searchFull runs the full-fidelity tier: plain or diversified ranking
-// with on-demand summarization.
-func (e *Engine) searchFull(ctx context.Context, m Method, query string, user graph.NodeID, k int, lambda float64) ([]TopicResult, error) {
-	if lambda > 0 {
-		return e.SearchDiverse(ctx, m, query, user, k, lambda)
+// Degradable reports whether a failed building attempt may be answered
+// from a lower tier instead of surfacing err. Openers that degrade part
+// of a query on their own (OpenRequest.MayDegrade) apply the same rule.
+func (l *Ladder) Degradable(ctx context.Context, err error) bool {
+	if errors.Is(err, ErrInvalidArgument) || errors.Is(err, ErrNotReady) {
+		return false
 	}
-	return e.Search(ctx, m, query, user, k)
+	if l.cfg.Policy == plan.PolicyFull {
+		return false
+	}
+	// The client hanging up is not a degradation trigger: serve nobody.
+	// (Engine shutdown also surfaces Canceled from the lifecycle
+	// context, but then the request ctx itself is still live.)
+	return !(errors.Is(err, context.Canceled) && ctx.Err() != nil)
+}
+
+// CachedContext derives the materialized tier's budget: bounded by
+// MaterializedTimeout and detached from ctx's cancellation.
+func (l *Ladder) CachedContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.WithoutCancel(ctx), l.cfg.MaterializedTimeout)
+}
+
+// attempt is one tier's run: open sessions over related (building, or
+// cached-only), drive them through Algorithm 10, diversify when asked,
+// and hydrate the ranking into topic records. The answer's Tier is
+// materialized when any session ran on cached-only summaries.
+func (l *Ladder) attempt(ctx context.Context, q Query, related []topics.TopicID, cached bool) (Answer, error) {
+	o, err := l.backend.Open(ctx, OpenRequest{
+		Method: q.Method, Topics: related, User: q.User,
+		Cached: cached, MayDegrade: q.Fidelity == FidelityPlanned,
+	})
+	if err != nil {
+		return Answer{}, err
+	}
+	var stats *search.Stats
+	defer func() { o.Done(stats) }()
+
+	ans := Answer{Outcome: PlanOutcome{Tier: plan.TierFull, Complete: o.Complete}}
+	if cached || o.Degraded {
+		ans.Outcome.Tier = plan.TierMaterialized
+	}
+	total := 0
+	for _, ss := range o.Sessions {
+		total += len(ss.Summaries())
+	}
+	k := q.K
+	if k <= 0 || k > total {
+		k = total
+	}
+	fetch := k
+	if q.Lambda > 0 {
+		// Over-fetch candidates for the re-rank, but keep at least one
+		// topic outside the requested set: with fetch = |T_q| the dynamic
+		// search is decided immediately (Algorithm 10 stops when T′ \ T^k
+		// is empty) and would skip the expansion that gives candidates
+		// comparable scores.
+		fetch = max(k, min(3*k, total-1))
+	}
+	if q.Trace {
+		ans.Trace = &search.Trace{}
+	}
+	res, st, err := search.Drive(ctx, o.Sessions, fetch, ans.Trace)
+	if err != nil {
+		return Answer{}, err
+	}
+	stats = &st
+	if q.Lambda > 0 {
+		sums := make([]summary.Summary, 0, total)
+		for _, ss := range o.Sessions {
+			sums = append(sums, ss.Summaries()...)
+		}
+		res = search.Diversify(res, sums, q.Lambda, k)
+	}
+	ans.Results = make([]TopicResult, len(res))
+	for i, r := range res {
+		ans.Results[i] = TopicResult{Topic: l.space.Topic(r.Topic), Score: r.Score}
+	}
+	return ans, nil
 }
 
 // storeGood records a full-fidelity (or provably equivalent) answer as
 // the last-known-good result for its exact request. The slice is copied
 // both ways (here and on the stale serve) so cached entries never alias
 // caller-visible memory.
-func (e *Engine) storeGood(key resultKey, res []TopicResult) {
-	if e.stale == nil {
-		return
-	}
+func (l *Ladder) storeGood(q Query, res []TopicResult) {
 	cp := make([]TopicResult, len(res))
 	copy(cp, res)
-	e.stale.Put(key, cp)
+	l.stale.Put(q.staleKey(), cp)
 }
 
-// revalidate kicks one detached rebuild of the stale entry for key,
-// deduplicated per key: a burst of stale hits on the same request funds
-// exactly one background rebuild. The rebuild runs on the engine
-// lifecycle (not the request) with its own timeout, goes through the
-// normal full-search path — singleflight-deduplicated builds, breaker
-// checks included — and refreshes the stale entry on success. Close
-// cancels the lifecycle and waits for these goroutines.
-func (e *Engine) revalidate(key resultKey) {
-	e.revalMu.Lock()
-	if _, inflight := e.revaling[key]; inflight {
-		e.revalMu.Unlock()
+// revalidate kicks one detached rebuild of q's stale entry,
+// deduplicated per request: a burst of stale hits on the same query
+// funds exactly one background rebuild. The rebuild runs on the
+// ladder's lifecycle (not the request) with its own timeout, goes
+// through the normal full tier — singleflight-deduplicated builds,
+// breaker checks included — and refreshes the stale entry on success.
+// Close cancels the lifecycle and waits for these goroutines.
+func (l *Ladder) revalidate(q Query) {
+	key := q.staleKey()
+	l.revalMu.Lock()
+	if _, inflight := l.revaling[key]; inflight {
+		l.revalMu.Unlock()
 		return
 	}
-	e.revaling[key] = struct{}{}
-	e.revalWG.Add(1)
-	e.revalMu.Unlock()
+	l.revaling[key] = struct{}{}
+	l.revalWG.Add(1)
+	l.revalMu.Unlock()
 	go func() {
 		defer func() {
-			e.revalMu.Lock()
-			delete(e.revaling, key)
-			e.revalMu.Unlock()
-			e.revalWG.Done()
+			l.revalMu.Lock()
+			delete(l.revaling, key)
+			l.revalMu.Unlock()
+			l.revalWG.Done()
 		}()
-		ctx, cancel := context.WithTimeout(e.life, e.planCfg.RevalidateTimeout)
+		ctx, cancel := context.WithTimeout(l.life, l.cfg.RevalidateTimeout)
 		defer cancel()
-		res, err := e.searchFull(ctx, key.m, key.query, key.user, key.k, key.lambda)
+		q.Fidelity, q.Trace = FidelityFull, false
+		ans, err := l.Run(ctx, q)
 		if err == nil {
-			e.storeGood(key, res)
+			l.storeGood(q, ans.Results)
 		}
-		if e.met != nil {
+		if l.revalOK != nil {
 			if err == nil {
-				e.met.revalOK.Inc()
+				l.revalOK.Inc()
 			} else {
-				e.met.revalErr.Inc()
+				l.revalErr.Inc()
 			}
 		}
 	}()

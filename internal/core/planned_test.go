@@ -1,9 +1,9 @@
 package core
 
-// Fidelity-ladder tests (planned.go): tier selection under budgets and
-// breakers, degradation on build failure, stale-while-revalidate
-// convergence, the ErrUnavailable floor, operator policies, and the
-// per-topic skipped-materialization counter (satellite regression).
+// Engine-internal planner tests: the per-topic skipped-materialization
+// counter, the build breaker steering the planner, and the one-gate-
+// per-request regression. The tier table itself runs against both
+// backends in ladder_test.go.
 
 import (
 	"context"
@@ -55,75 +55,6 @@ func plannedEngine(t *testing.T, pcfg plan.Config) (*Engine, *obs.Registry) {
 	return eng, reg
 }
 
-func TestSearchPlannedFullTier(t *testing.T) {
-	eng, _ := plannedEngine(t, plan.Config{})
-	eng.SetSummarizer(MethodLRW, okSummarizer())
-	res, out, err := eng.SearchPlanned(context.Background(), MethodLRW, "tag000", 3, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Tier != plan.TierFull || !out.Complete || out.Reason != "ok" {
-		t.Fatalf("outcome = %+v, want full/ok/complete", out)
-	}
-	if len(res) != 2 {
-		t.Fatalf("got %d results, want 2", len(res))
-	}
-	// Unknown query: a complete, empty full answer — nothing to degrade.
-	res, out, err = eng.SearchPlanned(context.Background(), MethodLRW, "no-such-tag", 3, 2, 0)
-	if err != nil || len(res) != 0 || out.Tier != plan.TierFull || !out.Complete {
-		t.Fatalf("empty query: res=%v out=%+v err=%v, want empty full answer", res, out, err)
-	}
-}
-
-func TestSearchPlannedValidation(t *testing.T) {
-	eng, _ := plannedEngine(t, plan.Config{})
-	if _, _, err := eng.SearchPlanned(context.Background(), Method(9), "tag000", 3, 2, 0); !errors.Is(err, ErrInvalidArgument) {
-		t.Errorf("bogus method: %v, want ErrInvalidArgument", err)
-	}
-	if _, _, err := eng.SearchPlanned(context.Background(), MethodLRW, "tag000", -5, 2, 0); !errors.Is(err, ErrInvalidArgument) {
-		t.Errorf("bogus user: %v, want ErrInvalidArgument", err)
-	}
-	g, space := smallWorld()
-	cold, err := New(g, space, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cold.SearchPlanned(context.Background(), MethodLRW, "tag000", 3, 2, 0); !errors.Is(err, ErrNotReady) {
-		t.Errorf("unbuilt engine: %v, want ErrNotReady", err)
-	}
-}
-
-// TestSearchPlannedDegradesToMaterialized: a failing summarizer with a
-// partially warmed cache degrades to a partial materialized answer
-// instead of erroring, and the skipped-topic counter sees the gap.
-func TestSearchPlannedDegradesToMaterialized(t *testing.T) {
-	eng, _ := plannedEngine(t, plan.Config{})
-	related := eng.Space().Related("tag000")
-	if len(related) < 2 {
-		t.Fatalf("scenario too small: %d related topics", len(related))
-	}
-	eng.SetSummarizer(MethodLRW, okSummarizer())
-	if err := eng.MaterializeAll(context.Background(), MethodLRW); err != nil {
-		t.Fatal(err)
-	}
-	eng.InvalidateTopic(related[0])
-	eng.SetSummarizer(MethodLRW, failSummarizer(fmt.Errorf("kernel down")))
-
-	res, out, err := eng.SearchPlanned(context.Background(), MethodLRW, "tag000", 3, len(related), 0)
-	if err != nil {
-		t.Fatalf("planned search errored instead of degrading: %v", err)
-	}
-	if out.Tier != plan.TierMaterialized || out.Complete {
-		t.Fatalf("outcome = %+v, want partial materialized", out)
-	}
-	if len(res) != len(related)-1 {
-		t.Fatalf("got %d results, want %d (one topic uncached)", len(res), len(related)-1)
-	}
-	if got := eng.met.materializedSkipped[MethodLRW].Value(); got != 1 {
-		t.Errorf("skipped counter = %d, want 1", got)
-	}
-}
-
 // TestMaterializedSkippedCounterPinned is the satellite regression test:
 // every skipped topic of a materialized-only search increments
 // pit_materialized_skipped_topics_total exactly once.
@@ -135,157 +66,22 @@ func TestMaterializedSkippedCounterPinned(t *testing.T) {
 	}
 	want := uint64(len(related) - 1)
 
-	if _, complete, err := eng.SearchMaterialized(context.Background(), MethodLRW, "tag000", 3, 2); err != nil || complete {
-		t.Fatalf("materialized search: complete=%v err=%v, want partial", complete, err)
+	cached := Query{Text: "tag000", User: 3, K: 2, Fidelity: FidelityCached}
+	ans, err := eng.Run(context.Background(), cached)
+	if err != nil || ans.Outcome.Complete || ans.Outcome.Tier != plan.TierMaterialized {
+		t.Fatalf("cached search: %+v err=%v, want partial materialized", ans.Outcome, err)
 	}
 	if got := eng.met.materializedSkipped[MethodLRW].Value(); got != want {
-		t.Fatalf("skipped counter after SearchMaterialized = %d, want %d", got, want)
+		t.Fatalf("skipped counter after a cached query = %d, want %d", got, want)
 	}
-	// The diverse variant counts through the same handle.
-	if _, _, err := eng.SearchMaterializedDiverse(context.Background(), MethodLRW, "tag000", 3, 2, 0.5); err != nil {
+	// The diversified variant counts through the same handle.
+	cached.Lambda = 0.5
+	if _, err := eng.Run(context.Background(), cached); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.met.materializedSkipped[MethodLRW].Value(); got != 2*want {
 		t.Fatalf("skipped counter after diverse = %d, want %d", got, 2*want)
 	}
-}
-
-// TestSearchPlannedStaleWhileRevalidate: a budget-degraded request with
-// an empty summary cache serves the last-known-good answer, and the
-// detached revalidation restores full fidelity.
-func TestSearchPlannedStaleWhileRevalidate(t *testing.T) {
-	eng, _ := plannedEngine(t, plan.Config{})
-	related := eng.Space().Related("tag000")
-	eng.SetSummarizer(MethodLRW, okSummarizer())
-
-	fresh, out, err := eng.SearchPlanned(context.Background(), MethodLRW, "tag000", 3, 2, 0)
-	if err != nil || out.Tier != plan.TierFull {
-		t.Fatalf("seed search: out=%+v err=%v, want full", out, err)
-	}
-
-	// Blow the cache away and calibrate the cost model to "builds are
-	// expensive": the planner must now skip the full tier under a tight
-	// deadline, find nothing materialized, and fall back to stale.
-	for _, id := range related {
-		eng.InvalidateTopic(id)
-	}
-	for i := 0; i < 10; i++ {
-		eng.met.buildDur.Observe(1.0)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	res, out, err := eng.SearchPlanned(ctx, MethodLRW, "tag000", 3, 2, 0)
-	if err != nil {
-		t.Fatalf("stale path errored: %v", err)
-	}
-	if out.Tier != plan.TierStale || !out.Complete || out.Reason != "budget" {
-		t.Fatalf("outcome = %+v, want stale/budget/complete", out)
-	}
-	if len(res) != len(fresh) {
-		t.Fatalf("stale answer has %d results, want %d", len(res), len(fresh))
-	}
-	for i := range res {
-		if res[i].Topic.ID != fresh[i].Topic.ID {
-			t.Fatalf("stale answer diverged at %d: %v vs %v", i, res[i], fresh[i])
-		}
-	}
-
-	// The stale serve kicked exactly one detached revalidation; it runs
-	// with the healthy summarizer and must repopulate the summary cache.
-	deadline := time.Now().Add(5 * time.Second)
-	for eng.met.revalOK.Value()+eng.met.revalErr.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("revalidation never completed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if eng.met.revalOK.Value() != 1 || eng.met.revalErr.Value() != 0 {
-		t.Fatalf("revalidations ok=%d err=%d, want exactly one success",
-			eng.met.revalOK.Value(), eng.met.revalErr.Value())
-	}
-	if got := eng.CachedSummaries(MethodLRW); got < len(related) {
-		t.Fatalf("revalidation cached %d summaries, want >= %d", got, len(related))
-	}
-	if got := eng.met.staleServes[MethodLRW].Value(); got != 1 {
-		t.Errorf("stale serves = %d, want 1", got)
-	}
-}
-
-// TestSearchPlannedUnavailable: nothing cached at any fidelity is an
-// explicit ErrUnavailable, not a 500-shaped error.
-func TestSearchPlannedUnavailable(t *testing.T) {
-	eng, _ := plannedEngine(t, plan.Config{})
-	eng.SetSummarizer(MethodLRW, failSummarizer(fmt.Errorf("kernel down")))
-	_, out, err := eng.SearchPlanned(context.Background(), MethodLRW, "tag000", 3, 2, 0)
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("err = %v, want ErrUnavailable", err)
-	}
-	if out.Tier != plan.TierUnavailable {
-		t.Fatalf("tier = %v, want unavailable", out.Tier)
-	}
-}
-
-// TestSearchPlannedPolicies: PolicyFull surfaces build failures,
-// PolicyMaterialized never builds.
-func TestSearchPlannedPolicies(t *testing.T) {
-	injected := fmt.Errorf("kernel down")
-	eng, _ := plannedEngine(t, plan.Config{Policy: plan.PolicyFull})
-	eng.SetSummarizer(MethodLRW, failSummarizer(injected))
-	if _, _, err := eng.SearchPlanned(context.Background(), MethodLRW, "tag000", 3, 2, 0); !errors.Is(err, injected) {
-		t.Fatalf("PolicyFull err = %v, want the build failure to surface", err)
-	}
-
-	eng2, _ := plannedEngine(t, plan.Config{Policy: plan.PolicyMaterialized})
-	var calls atomic.Int32
-	eng2.SetSummarizer(MethodLRW, summarizeFunc(func(_ context.Context, id topics.TopicID) (summary.Summary, error) {
-		calls.Add(1)
-		return dummySum(id), nil
-	}))
-	if err := eng2.MaterializeAll(context.Background(), MethodLRW); err != nil {
-		t.Fatal(err)
-	}
-	warmCalls := calls.Load()
-	res, out, err := eng2.SearchPlanned(context.Background(), MethodLRW, "tag000", 3, 2, 0)
-	if err != nil || out.Tier != plan.TierMaterialized || !out.Complete {
-		t.Fatalf("PolicyMaterialized: out=%+v err=%v, want complete materialized", out, err)
-	}
-	if len(res) == 0 {
-		t.Fatal("PolicyMaterialized returned no results from a warm cache")
-	}
-	if got := calls.Load(); got != warmCalls {
-		t.Fatalf("PolicyMaterialized ran %d builds on the query path", got-warmCalls)
-	}
-	if out.Reason != "policy" {
-		t.Fatalf("reason = %q, want policy", out.Reason)
-	}
-}
-
-// TestSearchPlannedClientCancelSurfaces: a hung-up client gets its
-// cancellation back, not a degraded answer nobody will read.
-func TestSearchPlannedClientCancelSurfaces(t *testing.T) {
-	eng, _ := plannedEngine(t, plan.Config{})
-	eng.SetSummarizer(MethodLRW, summarizeFunc(func(ctx context.Context, id topics.TopicID) (summary.Summary, error) {
-		<-ctx.Done()
-		return summary.Summary{}, ctx.Err()
-	}))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := eng.SearchPlanned(ctx, MethodLRW, "tag000", 3, 2, 0)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("planned search did not observe client cancellation")
-	}
-	// The detached build is still pending; Close must cancel and reap it.
-	eng.Close()
 }
 
 // TestBreakerTripsSuspendsAndRecovers: consecutive build failures trip
@@ -320,9 +116,10 @@ func TestBreakerTripsSuspendsAndRecovers(t *testing.T) {
 	}
 
 	// While open, the planner routes around the full tier.
-	_, out, err := eng.SearchPlanned(context.Background(), MethodLRW, "tag000", 3, 2, 0)
-	if !errors.Is(err, ErrUnavailable) || out.Reason != "breaker" {
-		t.Fatalf("open-breaker plan: out=%+v err=%v, want unavailable via breaker", out, err)
+	query := Query{Text: "tag000", User: 3, K: 2}
+	ans, err := eng.Run(context.Background(), query)
+	if !errors.Is(err, ErrUnavailable) || ans.Outcome.Reason != "breaker" {
+		t.Fatalf("open-breaker plan: out=%+v err=%v, want unavailable via breaker", ans.Outcome, err)
 	}
 
 	// Heal the kernel, wait out the cooldown: the half-open probe closes
@@ -332,11 +129,11 @@ func TestBreakerTripsSuspendsAndRecovers(t *testing.T) {
 	if st := eng.BreakerState(MethodLRW); st != plan.HalfOpen {
 		t.Fatalf("state after cooldown = %v, want half-open", st)
 	}
-	res, out, err := eng.SearchPlanned(context.Background(), MethodLRW, "tag000", 3, 2, 0)
-	if err != nil || out.Tier != plan.TierFull {
-		t.Fatalf("post-heal plan: out=%+v err=%v, want full", out, err)
+	ans, err = eng.Run(context.Background(), query)
+	if err != nil || ans.Outcome.Tier != plan.TierFull {
+		t.Fatalf("post-heal plan: out=%+v err=%v, want full", ans.Outcome, err)
 	}
-	if len(res) == 0 {
+	if len(ans.Results) == 0 {
 		t.Fatal("post-heal plan returned no results")
 	}
 	if st := eng.BreakerState(MethodLRW); st != plan.Closed {
@@ -344,16 +141,53 @@ func TestBreakerTripsSuspendsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestSearchPlannedBudgetSkipUncalibrated: without calibration the
-// planner stays optimistic — a tight deadline does not skip the full
-// tier when no cost data exists.
-func TestSearchPlannedBudgetSkipUncalibrated(t *testing.T) {
+// TestRunHoldsGateAcrossRerank is the regression test for the per-call
+// gate: a diversified search used to take and release the query gate
+// for the search and again for every result's re-rank lookup, so an
+// engine retired in between failed the request with ErrNotReady after
+// the whole search had run. Run holds the gate once: a retirement that
+// begins mid-request waits, and the request either completes or was
+// refused before any work.
+func TestRunHoldsGateAcrossRerank(t *testing.T) {
 	eng, _ := plannedEngine(t, plan.Config{})
-	eng.SetSummarizer(MethodLRW, okSummarizer())
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	_, out, err := eng.SearchPlanned(ctx, MethodLRW, "tag000", 3, 2, 0)
-	if err != nil || out.Tier != plan.TierFull || out.Reason != "ok" {
-		t.Fatalf("uncalibrated tight-deadline plan: out=%+v err=%v, want optimistic full", out, err)
+	eng.EnableDrainGate()
+	var (
+		builds  atomic.Int32
+		retired = make(chan struct{})
+	)
+	eng.SetSummarizer(MethodLRW, summarizeFunc(func(_ context.Context, id topics.TopicID) (summary.Summary, error) {
+		if builds.Add(1) == 1 {
+			// Retire from inside the request, and do not go on until the
+			// gate is refusing new top-level queries.
+			go func() {
+				eng.Retire()
+				close(retired)
+			}()
+			for {
+				_, release, err := eng.Hold(context.Background())
+				if err != nil {
+					break
+				}
+				release()
+				time.Sleep(time.Millisecond)
+			}
+		}
+		return dummySum(id), nil
+	}))
+	ans, err := eng.Run(context.Background(), Query{Text: "tag000", User: 3, K: 2, Lambda: 0.5, Fidelity: FidelityFull})
+	if err != nil {
+		t.Fatalf("request admitted before the retirement failed after %d builds: %v", builds.Load(), err)
+	}
+	if len(ans.Results) != 2 {
+		t.Fatalf("got %d results, want a complete answer", len(ans.Results))
+	}
+	<-retired
+	// After the drain the engine refuses immediately, before any build.
+	before := builds.Load()
+	if _, err := eng.Run(context.Background(), Query{Text: "tag001", User: 3, K: 2}); !errors.Is(err, ErrNotReady) {
+		t.Fatalf("retired engine: %v, want ErrNotReady", err)
+	}
+	if builds.Load() != before {
+		t.Fatal("retired engine ran a build")
 	}
 }

@@ -1,0 +1,159 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/plan"
+	"repro/internal/search"
+	"repro/internal/topics"
+)
+
+// Fidelity says which tiers of the ladder (planned.go) a query may use.
+type Fidelity int
+
+const (
+	// FidelityPlanned walks the whole ladder: the planner picks the
+	// starting tier and failures degrade full → materialized → stale.
+	// The zero value, and what the serving layer sends.
+	FidelityPlanned Fidelity = iota
+	// FidelityFull is the exact search only: missing summaries are
+	// built, and any failure surfaces as the error.
+	FidelityFull
+	// FidelityCached never builds: it ranks whatever summaries are
+	// already materialized and reports through Outcome.Complete whether
+	// that was all of them.
+	FidelityCached
+)
+
+// Query is the one request type of the online path — what /search,
+// /subscribe, the stale cache, cmd/pitsearch and library callers all
+// speak. The zero Fidelity and Lambda give a planned, undiversified
+// top-K.
+type Query struct {
+	Method Method
+	// Text is the keyword query; its q-related topics are
+	// Space.Related(Text) (Algorithm 10 line 1).
+	Text string
+	// Topics, when non-nil, is an explicit q-related topic set used
+	// instead of resolving Text.
+	Topics []topics.TopicID
+	User   graph.NodeID
+	// K ≤ 0 (or beyond the topic count) ranks every related topic.
+	K int
+	// Lambda > 0 re-ranks by representative-overlap diversification
+	// (search.Diversify) over a 3K over-fetched candidate list.
+	Lambda   float64
+	Fidelity Fidelity
+	// Trace asks for Answer.Trace.
+	Trace bool
+}
+
+// PlanOutcome reports how a query was served.
+type PlanOutcome struct {
+	// Tier is the fidelity tier that produced the answer (or
+	// TierUnavailable alongside ErrUnavailable).
+	Tier plan.Tier
+	// Reason is the starting-tier rationale: the planner's "ok",
+	// "policy", "breaker" or "budget"; "request" when the query's own
+	// Fidelity fixed the tier; "empty" when nothing related to it.
+	// Bounded label values safe for metrics.
+	Reason string
+	// Complete reports whether every q-related topic contributed
+	// (always true for full and stale answers; a materialized answer
+	// may be partial).
+	Complete bool
+	// StaleAge is the served answer's age when Tier == TierStale.
+	StaleAge time.Duration
+}
+
+// TopicResult is one ranked entry of a PIT-Search answer, carrying the
+// full topic for presentation.
+type TopicResult struct {
+	Topic topics.Topic
+	Score float64
+}
+
+// Answer is what Run returns.
+type Answer struct {
+	Results []TopicResult
+	// Outcome's Tier is authoritative: the serving layer annotates the
+	// response with it and must not guess.
+	Outcome PlanOutcome
+	// Trace holds the Algorithm 10/11 diagnostics of the run that
+	// produced Results when Query.Trace was set (nil for a stale
+	// answer, which ran nothing). With Lambda > 0 its Results are the
+	// over-fetched candidates before the re-rank.
+	Trace *search.Trace
+}
+
+// Ranking projects the results onto bare (topic ID, score) rows — the
+// shape search.TopK and the baselines rank in.
+func (a Answer) Ranking() []search.Result {
+	if len(a.Results) == 0 {
+		return nil
+	}
+	out := make([]search.Result, len(a.Results))
+	for i, r := range a.Results {
+		out[i] = search.Result{Topic: r.Topic.ID, Score: r.Score}
+	}
+	return out
+}
+
+// Runner is the query surface: *Engine and the multi-shard
+// *shard.Router both implement it, and nothing above them can tell the
+// difference.
+type Runner interface {
+	Run(ctx context.Context, q Query) (Answer, error)
+}
+
+// RunMany answers q for every user in users — the shape of the paper's
+// personalized-service use cases (ad targeting segments thousands of
+// candidate customers with one campaign query) — on a pool of workers
+// (≤ 0: GOMAXPROCS) calling r.Run. The summary cache and its
+// singleflight make the q-related summaries materialize once however
+// many users race for them. Answers are indexed like users.
+//
+// Canceling ctx stops every worker, and any failure surfaces as the
+// first error observed: a batch mixing valid and invalid users returns
+// (nil, err), never partial results.
+func RunMany(ctx context.Context, r Runner, q Query, users []graph.NodeID, workers int) ([]Answer, error) {
+	out := make([]Answer, len(users))
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+		fail firstError
+	)
+	for w := clampWorkers(workers, len(users)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(users) {
+					return
+				}
+				err := ctx.Err()
+				if err == nil {
+					uq := q
+					uq.User = users[i]
+					out[i], err = r.Run(ctx, uq)
+				}
+				if err != nil {
+					fail.set(fmt.Errorf("user %d: %w", users[i], err))
+					next.Store(int64(len(users))) // stop handing out work
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := fail.get(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

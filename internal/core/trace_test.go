@@ -51,35 +51,27 @@ func TestSearchTraceBeforeBuildFails(t *testing.T) {
 	}
 }
 
-func TestSearchDiverse(t *testing.T) {
+func TestRunDiversified(t *testing.T) {
 	eng := builtEngine(t)
-	plain, err := eng.Search(context.Background(), MethodLRW, "tag001", 7, 2)
+	ctx := context.Background()
+	query := Query{Text: "tag001", User: 7, K: 2, Fidelity: FidelityFull}
+	plain, err := eng.Run(ctx, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := eng.SearchDiverse(context.Background(), MethodLRW, "tag001", 7, 2, 0)
+	query.Lambda = 0.9
+	div, err := eng.Run(ctx, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(zero) != len(plain) {
-		t.Fatalf("lambda=0 size %d vs plain %d", len(zero), len(plain))
+	if len(div.Results) == 0 || len(div.Results) > 2 {
+		t.Fatalf("diverse results = %d", len(div.Results))
 	}
-	for i := range plain {
-		if plain[i] != zero[i] {
-			t.Errorf("lambda=0 result %d differs: %+v vs %+v", i, zero[i], plain[i])
-		}
+	if div.Results[0] != plain.Results[0] {
+		t.Errorf("diversification changed the top result: %+v vs %+v", div.Results[0], plain.Results[0])
 	}
-	div, err := eng.SearchDiverse(context.Background(), MethodLRW, "tag001", 7, 2, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(div) == 0 || len(div) > 2 {
-		t.Fatalf("diverse results = %d", len(div))
-	}
-	if div[0] != plain[0] {
-		t.Errorf("diversification changed the top result: %+v vs %+v", div[0], plain[0])
-	}
-	if res, err := eng.SearchDiverse(context.Background(), MethodLRW, "no-such-tag", 7, 2, 0.5); err != nil || res != nil {
-		t.Errorf("unknown query: %v, %v", res, err)
+	query.Text = "no-such-tag"
+	if ans, err := eng.Run(ctx, query); err != nil || ans.Results != nil {
+		t.Errorf("unknown query: %v, %v", ans.Results, err)
 	}
 }

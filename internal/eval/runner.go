@@ -192,7 +192,10 @@ type methodRanker struct {
 }
 
 func (mr methodRanker) TopK(user int32, related []topics.TopicID, k int) ([]search.Result, error) {
-	return mr.eng.SearchTopics(context.Background(), mr.m, related, user, k)
+	ans, err := mr.eng.Run(context.Background(), core.Query{
+		Method: mr.m, Topics: related, User: user, K: k, Fidelity: core.FidelityFull,
+	})
+	return ans.Ranking(), err
 }
 
 // measurement is the outcome of running one ranker over the workload.

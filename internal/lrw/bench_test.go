@@ -2,8 +2,9 @@ package lrw
 
 // Kernel micro-benchmark over the golden fixture — the per-topic LRW-A
 // cost (diversified PageRank + influence migration) with no cache layers
-// in front. `make bench-smoke` runs this once; cmd/pitperf measures the
-// same shape on the full benchmark dataset.
+// in front. `make bench-smoke` runs this once; benchmark/'s traced run
+// measures the same shape (lrw.summarize_us) on the full benchmark
+// dataset.
 
 import (
 	"context"

@@ -29,7 +29,7 @@
 //   - the operator policy (PolicyAuto / PolicyFull / PolicyMaterialized).
 //
 // The ladder itself — attempt a tier, degrade on failure — is executed
-// by core.Engine.SearchPlanned; this package owns the decision inputs
+// by core.Ladder.Run; this package owns the decision inputs
 // and the supporting state machines so they are unit-testable without
 // an engine.
 package plan

@@ -2,8 +2,8 @@ package rcl
 
 // Kernel micro-benchmark over the golden fixture — the per-topic RCL-A
 // cost (clustering + centroid selection) with no cache layers in front.
-// `make bench-smoke` runs this once; cmd/pitperf measures the same shape
-// on the full benchmark dataset.
+// `make bench-smoke` runs this once; benchmark/'s traced run measures the
+// same shape (rcl.summarize_us) on the full benchmark dataset.
 
 import (
 	"context"

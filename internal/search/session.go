@@ -1,70 +1,55 @@
-// Lockstep search sessions: the scatter half of the multi-shard
-// router's exact scatter-gather (internal/shard).
+// Search sessions: the one Algorithm 10 state machine.
 //
-// A Session is one shard's slice of a single Algorithm 10 run, opened
-// over that shard's q-related summaries and stepped one expansion
-// level at a time by an external driver. The driver owns the two
-// global quantities a shard cannot compute alone — the k-th best score
-// across *all* shards and the global undecided count — and feeds the
-// k-th score back into Prune each round. Everything else (round-1
-// consumption, the frontier, visited marking, per-level expansion) is
-// topic-set independent: it depends only on the user, Γ and the
-// visited set, so every shard's frontier evolves identically to the
-// single-engine run's. Because Prune applies the exact predicate of
-// pruneAndCount to the exact same float64 inputs, and the driver
-// replicates kthScore / pruneAndCount's undecided test over the pooled
-// per-shard entries (KthOfScores / UndecidedEntries below), a lockstep
-// run over any partition of the summaries reproduces the single-engine
-// TopK byte for byte. The differential test in internal/shard pins
-// this for N ∈ {1, 2, 7}.
+// A Session is one slice of a single Algorithm 10 run, opened over some
+// of the q-related summaries and stepped one expansion level at a time
+// by Drive (drive.go). Drive owns the two quantities a slice cannot
+// compute alone — the k-th best score across *all* sessions and the
+// global undecided count — and feeds the k-th score back into prune
+// each round. Everything else (round-1 consumption, the frontier,
+// visited marking, per-level expansion) is topic-set independent: it
+// depends only on the user, Γ and the visited set, so every session's
+// frontier evolves identically whether the summaries are split 1 or 31
+// ways. A single engine opens one session over all of them; the shard
+// router opens one per owning shard. The byte-identity golden and the
+// N ∈ {1, 2, 7, 31} differential in internal/shard pin that any
+// partition of the summaries produces the same answer.
 package search
 
 import (
 	"context"
 	"fmt"
-	"slices"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/prob"
 	"repro/internal/summary"
-	"repro/internal/topics"
 )
 
-// TopicEntry is one topic's gathered state: the fields the driver
-// needs to compute the global k-th score and the undecided count.
-type TopicEntry struct {
-	Topic  topics.TopicID
-	Score  float64 // heap[t]: influence accumulated so far
-	WR     float64 // W_r[t]: total weight of unconsumed representatives
-	Pruned bool
-}
-
-// Session is an open, externally-driven TopK run. It is not safe for
-// concurrent use; the driver serializes rounds. Close returns the
-// scratch arena to the searcher's pool — a leaked Session pins its
-// summaries until GC, so drivers defer Close.
+// Session is an open TopK run. It is not safe for concurrent use; Drive
+// serializes rounds. The session lives in the searcher's pooled scratch
+// arena: Close must be called exactly once, and the session must not be
+// touched afterwards.
 type Session struct {
 	s         *Searcher
 	sc        *scratch
 	states    []topicState
+	sums      []summary.Summary
 	cur       []expandNode
 	spare     []expandNode
-	depth     int
 	truncated int
-	closed    bool
+	gammaSize int // |Γ(user)|, for Trace
+	expanded  int // frontier size the last expand probed (after truncation)
+	busy      time.Duration
+	sampled   time.Time // non-zero when this run's duration is sampled
 }
 
-// NewSession opens a lockstep session for user over the given
-// summaries, performing the run() preamble exactly: topic-state setup,
-// the round-1 consume over Γ(user), initial frontier collection and
-// visited seeding. The caller drives rounds with Prune/Expand and must
-// Close the session.
+// NewSession opens a session for user over the given summaries: topic
+// state setup, the round-1 consume over Γ(user) (Algorithm 10 lines
+// 4–13), the initial frontier Γ*(v) and visited seeding. Zero summaries
+// open a valid session with nothing to rank.
 func (s *Searcher) NewSession(ctx context.Context, user graph.NodeID, summaries []summary.Summary) (*Session, error) {
 	if int(user) < 0 || int(user) >= s.prop.NumNodes() {
 		return nil, fmt.Errorf("search: user %d outside the indexed graph", user)
-	}
-	if len(summaries) == 0 {
-		return nil, fmt.Errorf("search: session over zero summaries")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -74,7 +59,13 @@ func (s *Searcher) NewSession(ctx context.Context, user graph.NodeID, summaries 
 		totalReps += len(summaries[i].Reps)
 	}
 	sc := s.getScratch(len(summaries), totalReps)
-	ss := &Session{s: s, sc: sc, states: sc.states}
+	ss := &sc.sess
+	*ss = Session{s: s, sc: sc, states: sc.states, sums: summaries}
+	if m := s.opts.Metrics; m != nil {
+		ss.sampled = m.maybeStart()
+	}
+	srcs, props, potential := s.prop.Gamma(user)
+	ss.gammaSize = len(srcs)
 	off := 0
 	for i := range summaries {
 		if err := ctx.Err(); err != nil {
@@ -89,13 +80,6 @@ func (s *Searcher) NewSession(ctx context.Context, user graph.NodeID, summaries 
 			wr:       sum.TotalWeight(),
 		}
 		off += len(sum.Reps)
-	}
-	srcs, props, potential := s.prop.Gamma(user)
-	for i := range ss.states {
-		if err := ctx.Err(); err != nil {
-			ss.Close()
-			return nil, err
-		}
 		s.consume(&ss.states[i], srcs, props, 1.0)
 	}
 	ss.cur = collectFrontier(srcs, props, potential, 1.0, sc.frontier[:0])
@@ -107,42 +91,21 @@ func (s *Searcher) NewSession(ctx context.Context, user graph.NodeID, summaries 
 	return ss, nil
 }
 
-// MaxEP returns maxAcc over the current frontier — the shard-local
-// influence upper-bound factor for this round. With identical
-// frontiers (the quiescent case) every shard reports the same value.
-func (ss *Session) MaxEP() float64 { return maxAcc(ss.cur) }
+// Summaries returns the summaries the session runs over, indexed like
+// the slice it was opened with — the diversification post-pass reuses
+// them instead of going back to the cache.
+func (ss *Session) Summaries() []summary.Summary { return ss.sums }
 
-// FrontierLen reports the current (untruncated) frontier size.
-func (ss *Session) FrontierLen() int { return len(ss.cur) }
+// ExpandTime reports the wall time this session has spent expanding —
+// the shard router's per-shard latency.
+func (ss *Session) ExpandTime() time.Duration { return ss.busy }
 
-// Depth reports how many expansion levels have run.
-func (ss *Session) Depth() int { return ss.depth }
-
-// MaxDepth returns the searcher's MaxExpandDepth bound, so the driver
-// can replicate run()'s termination test.
-func (ss *Session) MaxDepth() int { return ss.s.opts.MaxExpandDepth }
-
-// PruningDisabled reports whether the searcher runs in exhaustive
-// mode; the driver must then use UndecidedExhaustive.
-func (ss *Session) PruningDisabled() bool { return ss.s.opts.DisablePruning }
-
-// NumTopics reports how many topic states the session tracks.
-func (ss *Session) NumTopics() int { return len(ss.states) }
-
-// Entries appends this session's current topic entries to dst.
-func (ss *Session) Entries(dst []TopicEntry) []TopicEntry {
-	for i := range ss.states {
-		st := &ss.states[i]
-		dst = append(dst, TopicEntry{Topic: st.id, Score: st.score, WR: st.wr, Pruned: st.pruned})
-	}
-	return dst
-}
-
-// Prune applies Algorithm 10's two pruning conditions with the given
-// global k-th score and this session's own frontier bound — the exact
-// predicate of pruneAndCount, so a shard makes the same per-topic
-// decision the single engine would. No-op in exhaustive mode.
-func (ss *Session) Prune(kth float64) {
+// prune applies Algorithm 10's two pruning conditions (lines 17–20) with
+// the global k-th score and this session's own frontier bound: (1) no
+// remaining representatives, or (2) the upper bound W_r·maxEP + heap[t]
+// cannot reach the k-th score. depth is the expansion level the run is
+// at, recorded for Trace. No-op in exhaustive mode.
+func (ss *Session) prune(kth float64, depth int) {
 	if ss.s.opts.DisablePruning {
 		return
 	}
@@ -154,16 +117,17 @@ func (ss *Session) Prune(kth float64) {
 		}
 		if prob.ApproxEq(st.wr, 0, 1e-15) || kth >= st.wr*maxEP+st.score {
 			st.pruned = true
+			st.prunedAt = int32(depth)
 		}
 	}
 }
 
-// Alive reports whether any topic in this session could still change
+// alive reports whether any topic in this session could still change
 // rank: unpruned (or, exhaustively, with representative mass left). A
-// dead session's scores are final — the single engine's consume skips
-// pruned states — so the driver drops it from remaining rounds: the
-// shard is cancelled mid-scatter by the influence bound.
-func (ss *Session) Alive() bool {
+// dead session's scores are final — consume skips pruned states — so
+// Drive stops expanding it: the slice is cancelled mid-run by the
+// influence bound.
+func (ss *Session) alive() bool {
 	for i := range ss.states {
 		st := &ss.states[i]
 		if ss.s.opts.DisablePruning {
@@ -177,118 +141,31 @@ func (ss *Session) Alive() bool {
 	return false
 }
 
-// Expand runs one level of Algorithm 11: truncate the frontier, probe
-// Γ for every frontier node, consume into surviving topics and
-// assemble the next frontier — exactly one iteration of run()'s loop
-// body after the prune step.
-func (ss *Session) Expand(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+// expand runs one level of Algorithm 11: truncate the frontier, probe Γ
+// for every frontier node, consume into surviving topics and assemble
+// the next frontier.
+func (ss *Session) expand(ctx context.Context) error {
+	t0 := time.Now()
 	untruncated := len(ss.cur)
 	ss.cur = ss.s.truncateFrontier(ss.cur)
 	if len(ss.cur) < untruncated {
 		ss.truncated++
 	}
+	ss.expanded = len(ss.cur)
 	next, err := ss.s.expandOnce(ctx, ss.sc, ss.states, ss.cur, ss.spare[:0])
 	if err != nil {
 		return err
 	}
 	ss.cur, ss.spare = next, ss.cur
-	ss.depth++
+	ss.busy += time.Since(t0)
 	return nil
 }
 
-// Results ranks this session's topics exactly as TopK does (score
-// descending, ties by topic ID) and returns the best k. Drivers
-// merging across sessions gather Entries instead and use RankEntries.
-func (ss *Session) Results(k int) []Result {
-	if k <= 0 || k > len(ss.states) {
-		k = len(ss.states)
-	}
-	return rank(ss.states, k)
-}
-
-// Close releases the scratch arena back to the pool and records the
-// session's depth in the searcher metrics. Idempotent.
+// Close releases the scratch arena (and with it the session) back to the
+// searcher's pool. An unclosed session pins its summaries until GC.
 func (ss *Session) Close() {
-	if ss.closed {
-		return
-	}
-	ss.closed = true
-	if m := ss.s.opts.Metrics; m != nil {
-		m.record(ss.depth, ss.truncated)
-	}
-	sc := ss.sc
+	sc, s := ss.sc, ss.s
 	sc.frontier, sc.next = ss.cur[:0], ss.spare[:0]
 	sc.dropRefs()
-	ss.s.pool.Put(sc)
-	ss.s, ss.sc, ss.states, ss.cur, ss.spare = nil, nil, nil, nil, nil
-}
-
-// KthOfScores returns the k-th best score — kthScore's semantics over
-// a caller-assembled score slice, which it sorts ascending in place.
-func KthOfScores(scores []float64, k int) float64 {
-	slices.Sort(scores)
-	if k <= len(scores) {
-		return scores[len(scores)-k]
-	}
-	return 0
-}
-
-// byRank orders entries the way pruneAndCount and rank order topics:
-// score descending, ties by topic ID ascending.
-func byRank(a, b TopicEntry) int {
-	switch {
-	case a.Score > b.Score:
-		return -1
-	case a.Score < b.Score:
-		return 1
-	case a.Topic < b.Topic:
-		return -1
-	case a.Topic > b.Topic:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// UndecidedEntries replicates pruneAndCount's |T′ \ T^k| over pooled
-// per-shard entries: it sorts entries in place by rank order and
-// counts unpruned topics at positions ≥ k.
-func UndecidedEntries(entries []TopicEntry, k int) int {
-	slices.SortFunc(entries, byRank)
-	undecided := 0
-	for pos := k; pos < len(entries); pos++ {
-		if !entries[pos].Pruned {
-			undecided++
-		}
-	}
-	return undecided
-}
-
-// UndecidedExhaustive is the DisablePruning variant: every topic with
-// remaining representative mass counts as undecided.
-func UndecidedExhaustive(entries []TopicEntry) int {
-	undecided := 0
-	for i := range entries {
-		if !prob.ApproxEq(entries[i].WR, 0, 1e-15) {
-			undecided++
-		}
-	}
-	return undecided
-}
-
-// RankEntries sorts entries in place by rank order and returns the
-// best k as Results — the cross-shard merge of the final standings.
-func RankEntries(entries []TopicEntry, k int) []Result {
-	slices.SortFunc(entries, byRank)
-	if k <= 0 || k > len(entries) {
-		k = len(entries)
-	}
-	out := make([]Result, k)
-	for i := 0; i < k; i++ {
-		out[i] = Result{Topic: entries[i].Topic, Score: entries[i].Score}
-	}
-	return out
+	s.pool.Put(sc)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -39,70 +40,11 @@ func randomWorld(t *testing.T, seed int64, nodes, numTopics int) (*Searcher, []s
 	return newSearcher(t, ix, Options{MaxExpandDepth: 3, MaxFrontier: 32}), sums
 }
 
-// driveLockstep replicates run()'s loop over one or more sessions the
-// way the shard router does — gather, global k-th, prune, undecided
-// test, expand — and returns the merged ranking.
-func driveLockstep(t *testing.T, ctx context.Context, sessions []*Session, k int) []Result {
-	t.Helper()
-	total := 0
-	for _, ss := range sessions {
-		total += ss.NumTopics()
-	}
-	if k <= 0 || k > total {
-		k = total
-	}
-	maxDepth := sessions[0].MaxDepth()
-	exhaustive := sessions[0].PruningDisabled()
-	var entries []TopicEntry
-	var scores []float64
-	depth := 0
-	for {
-		entries = entries[:0]
-		for _, ss := range sessions {
-			entries = ss.Entries(entries)
-		}
-		scores = scores[:0]
-		for i := range entries {
-			scores = append(scores, entries[i].Score)
-		}
-		kth := KthOfScores(scores, k)
-		for _, ss := range sessions {
-			ss.Prune(kth)
-		}
-		entries = entries[:0]
-		for _, ss := range sessions {
-			entries = ss.Entries(entries)
-		}
-		var undecided int
-		if exhaustive {
-			undecided = UndecidedExhaustive(entries)
-		} else {
-			undecided = UndecidedEntries(entries, k)
-		}
-		frontier := 0
-		for _, ss := range sessions {
-			if n := ss.FrontierLen(); n > frontier {
-				frontier = n
-			}
-		}
-		if undecided == 0 || frontier == 0 || depth >= maxDepth {
-			break
-		}
-		for _, ss := range sessions {
-			if err := ss.Expand(ctx); err != nil {
-				t.Fatal(err)
-			}
-		}
-		depth++
-	}
-	return RankEntries(entries, k)
-}
-
-// TestSessionLockstepEqualsTopK drives sessions over arbitrary
-// partitions of the summary set and requires bit-identical results to
-// the one-shot TopK — the property the shard router's exactness rests
+// TestDrivePartitionInvariant drives sessions over arbitrary partitions
+// of the summary set and requires bit-identical results to the
+// one-session TopK — the property the shard router's exactness rests
 // on.
-func TestSessionLockstepEqualsTopK(t *testing.T) {
+func TestDrivePartitionInvariant(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 5; seed++ {
 		s, sums := randomWorld(t, seed, 60, 12)
@@ -131,9 +73,12 @@ func TestSessionLockstepEqualsTopK(t *testing.T) {
 				}
 				sessions = append(sessions, ss)
 			}
-			got := driveLockstep(t, ctx, sessions, k)
+			got, _, err := Drive(ctx, sessions, k, nil)
 			for _, ss := range sessions {
 				ss.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("seed=%d trial=%d: %d results, want %d", seed, trial, len(got), len(want))
@@ -147,49 +92,23 @@ func TestSessionLockstepEqualsTopK(t *testing.T) {
 	}
 }
 
-// TestSessionSingleEqualsResults: a one-session lockstep must agree
-// with the session's own Results ranking.
-func TestSessionSingleEqualsResults(t *testing.T) {
-	ctx := context.Background()
-	s, sums := randomWorld(t, 9, 40, 6)
-	ss, err := s.NewSession(ctx, 3, sums)
-	if err != nil {
-		t.Fatal(err)
+func TestCountUndecided(t *testing.T) {
+	states := []topicState{
+		{id: 0, score: 0.9},
+		{id: 1, score: 0.5, pruned: true},
+		{id: 2, score: 0.5}, // ties with 1; topic ID breaks the tie
+		{id: 3, score: 0.1},
 	}
-	defer ss.Close()
-	got := driveLockstep(t, ctx, []*Session{ss}, 3)
-	want := ss.Results(3)
-	if len(got) != len(want) {
-		t.Fatalf("%d vs %d results", len(got), len(want))
+	var ranked []*topicState
+	for i := range states {
+		ranked = append(ranked, &states[i])
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("result %d: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestKthOfScores(t *testing.T) {
-	if got := KthOfScores([]float64{0.3, 0.9, 0.1}, 2); got != 0.3 {
-		t.Fatalf("kth=2 over {0.3,0.9,0.1}: got %v", got)
-	}
-	if got := KthOfScores([]float64{0.5}, 3); got != 0 {
-		t.Fatalf("k beyond len must be 0, got %v", got)
-	}
-}
-
-func TestUndecidedEntries(t *testing.T) {
-	entries := []TopicEntry{
-		{Topic: 0, Score: 0.9},
-		{Topic: 1, Score: 0.5, Pruned: true},
-		{Topic: 2, Score: 0.5}, // ties with 1; topic ID breaks the tie
-		{Topic: 3, Score: 0.1},
-	}
-	// k=1: positions 1..3 hold topics 2, 1, 3 (rank order); unpruned 2, 3.
-	if got := UndecidedEntries(entries, 1); got != 2 {
+	slices.SortFunc(ranked, byRank)
+	// k=1: positions 1..3 hold topics 1, 2, 3 (rank order); unpruned 2, 3.
+	if got := countUndecided(ranked, 1, false); got != 2 {
 		t.Fatalf("undecided = %d, want 2", got)
 	}
-	if got := UndecidedEntries(entries, 4); got != 0 {
+	if got := countUndecided(ranked, 4, false); got != 0 {
 		t.Fatalf("k=len: undecided = %d, want 0", got)
 	}
 }
@@ -199,7 +118,13 @@ func TestSessionValidation(t *testing.T) {
 	if _, err := s.NewSession(context.Background(), -1, sums); err == nil {
 		t.Error("negative user accepted")
 	}
-	if _, err := s.NewSession(context.Background(), 0, nil); err == nil {
-		t.Error("empty summary set accepted")
+	// Zero summaries open a valid session with nothing to rank.
+	ss, err := s.NewSession(context.Background(), 0, nil)
+	if err != nil {
+		t.Fatalf("empty summary set rejected: %v", err)
+	}
+	defer ss.Close()
+	if res, _, err := Drive(context.Background(), []*Session{ss}, 3, nil); err != nil || len(res) != 0 {
+		t.Errorf("empty session: res=%v err=%v, want no results", res, err)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/prob"
@@ -91,6 +90,7 @@ func New(prop *propidx.Index, opts Options) (*Searcher, error) {
 // is a scratch-arena subslice parallel to it.
 type topicState struct {
 	id       topics.TopicID
+	prunedAt int32 // expansion level at which the bound pruned the topic
 	reps     []summary.WeightedNode
 	consumed []bool
 	score    float64 // heap[t]: influence accumulated so far
@@ -119,8 +119,13 @@ type scratch struct {
 	epoch    uint32
 	frontier []expandNode
 	next     []expandNode
-	scores   []float64
-	order    []int
+	// sess is the session handed out by NewSession: it lives in the
+	// arena so a warm TopK allocates nothing but its result slice.
+	sess Session
+	// ranked and live are Drive's cross-session scratch; Drive borrows
+	// the arena of the first session it is given.
+	ranked []*topicState
+	live   []*Session
 }
 
 // getScratch fetches (or creates) a scratch arena sized for this query.
@@ -152,9 +157,10 @@ func (s *Searcher) getScratch(numTopics, totalReps int) *scratch {
 	return sc
 }
 
-// dropRefs clears every topicState before the scratch returns to the
-// pool. The states alias summary rep slices (and consumed sub-slices
-// whose parent is the arena's flat backing); without this a pooled
+// dropRefs clears every topicState, Drive's pointers and the arena's
+// session before the scratch returns to the pool. The states alias
+// summary rep slices (and consumed sub-slices whose parent is the
+// arena's flat backing); without this a pooled
 // scratch would pin the last query's summaries — including ones since
 // invalidated or replaced — against GC for as long as the arena idles
 // in the pool. Clearing is O(len(states)) stores and never allocates,
@@ -162,6 +168,9 @@ func (s *Searcher) getScratch(numTopics, totalReps int) *scratch {
 // survives in the tail either.
 func (sc *scratch) dropRefs() {
 	clear(sc.states)
+	clear(sc.ranked)
+	clear(sc.live)
+	sc.sess = Session{}
 }
 
 // visit marks u as seen this query and reports whether it was new.
@@ -178,156 +187,41 @@ func (sc *scratch) visit(u graph.NodeID) bool {
 // score first (ties by topic ID). k ≤ 0 or k ≥ len(summaries) returns all
 // topics ranked. ctx is checked before each expansion level and every
 // few frontier nodes inside EXPAND; a done context aborts with ctx.Err().
+//
+// It is one Session driven by Drive — the package's only round loop.
+// The frozen benchmark/ harness times this entry point, which is why it
+// keeps its own name instead of asking callers to open the session.
 func (s *Searcher) TopK(ctx context.Context, user graph.NodeID, summaries []summary.Summary, k int) ([]Result, error) {
-	return s.run(ctx, user, summaries, k, nil)
-}
-
-// run is the shared core of TopK and TopKTrace; tr, when non-nil, receives
-// diagnostics.
-func (s *Searcher) run(ctx context.Context, user graph.NodeID, summaries []summary.Summary, k int, tr *Trace) ([]Result, error) {
-	if int(user) < 0 || int(user) >= s.prop.NumNodes() {
-		return nil, fmt.Errorf("search: user %d outside the indexed graph", user)
-	}
-	if err := ctx.Err(); err != nil {
+	ss, err := s.NewSession(ctx, user, summaries)
+	if err != nil {
 		return nil, err
 	}
-	if len(summaries) == 0 {
-		return nil, nil
-	}
-	if k <= 0 || k > len(summaries) {
-		k = len(summaries)
-	}
-	var sampleStart time.Time
-	if m := s.opts.Metrics; m != nil {
-		sampleStart = m.maybeStart()
-	}
+	defer ss.Close()
+	res, _, err := Drive(ctx, []*Session{ss}, k, nil)
+	return res, err
+}
 
-	totalReps := 0
-	for i := range summaries {
-		totalReps += len(summaries[i].Reps)
+// truncateFrontier keeps the MaxFrontier highest-accumulated-propagation
+// entries (deterministically: ties by node ID).
+func (s *Searcher) truncateFrontier(frontier []expandNode) []expandNode {
+	if s.opts.MaxFrontier < 0 || len(frontier) <= s.opts.MaxFrontier {
+		return frontier
 	}
-	sc := s.getScratch(len(summaries), totalReps)
-	defer func() {
-		sc.dropRefs()
-		s.pool.Put(sc)
-	}()
-
-	states := sc.states
-	off := 0
-	for i := range summaries {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	slices.SortFunc(frontier, func(a, b expandNode) int {
+		switch {
+		case a.acc > b.acc:
+			return -1
+		case a.acc < b.acc:
+			return 1
+		case a.node < b.node:
+			return -1
+		case a.node > b.node:
+			return 1
+		default:
+			return 0
 		}
-		sum := &summaries[i]
-		states[i] = topicState{
-			id:       sum.Topic,
-			reps:     sum.Reps,
-			consumed: sc.consumed[off : off+len(sum.Reps)],
-			wr:       sum.TotalWeight(),
-		}
-		off += len(sum.Reps)
-	}
-
-	// Round 1 (Algorithm 10 lines 4–13): consume every representative
-	// already present in Γ(user).
-	srcs, props, potential := s.prop.Gamma(user)
-	if tr != nil {
-		tr.GammaSize = len(srcs)
-	}
-	for i := range states {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s.consume(&states[i], srcs, props, 1.0)
-	}
-
-	// Frontier Γ*(v) and maxEP (lines 14–16). cur/spare ping-pong over
-	// the two pooled frontier arrays across expansion levels.
-	cur := collectFrontier(srcs, props, potential, 1.0, sc.frontier[:0])
-	spare := sc.next[:0]
-
-	// Prune (lines 17–20) and, while undecided topics remain outside the
-	// current top-k, expand (line 21–22, Algorithm 11).
-	sc.visit(user)
-	for _, f := range cur { //pitlint:ignore ctxloop bounded visited-bit marking pass with no nested work; ctx is checked immediately before (round 1) and after (top of the expansion loop)
-		sc.visit(f.node)
-	}
-	var prunedAt []int
-	if tr != nil {
-		prunedAt = make([]int, len(states))
-	}
-	depth, truncated := 0, 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		maxEP := maxAcc(cur)
-		kth := kthScore(sc, states, k)
-		var before []bool
-		if tr != nil {
-			before = make([]bool, len(states))
-			for i := range states {
-				before[i] = states[i].pruned
-			}
-		}
-		undecided := s.pruneAndCount(sc, states, k, kth, maxEP)
-		if tr != nil {
-			for i := range states {
-				if states[i].pruned && !before[i] {
-					prunedAt[i] = depth
-				}
-			}
-		}
-		if undecided == 0 || len(cur) == 0 || depth >= s.opts.MaxExpandDepth {
-			break
-		}
-		untruncated := len(cur)
-		cur = s.truncateFrontier(cur)
-		if len(cur) < untruncated {
-			truncated++
-		}
-		if tr != nil {
-			tr.FrontierSizes = append(tr.FrontierSizes, len(cur))
-		}
-		next, err := s.expandOnce(ctx, sc, states, cur, spare[:0])
-		if err != nil {
-			return nil, err
-		}
-		cur, spare = next, cur
-		depth++
-	}
-	// Hand the (possibly grown) frontier arrays back to the arena.
-	sc.frontier, sc.next = cur[:0], spare[:0]
-
-	results := rank(states, k)
-	if m := s.opts.Metrics; m != nil {
-		m.record(depth, truncated)
-		m.observeDuration(sampleStart)
-	}
-	if tr != nil {
-		tr.Depth = depth
-		tr.Results = results
-		tr.Topics = make([]TopicTrace, len(states))
-		for i := range states {
-			st := &states[i]
-			consumed := 0
-			for _, c := range st.consumed {
-				if c {
-					consumed++
-				}
-			}
-			tr.Topics[i] = TopicTrace{
-				Topic:           st.id,
-				Score:           st.score,
-				ConsumedReps:    consumed,
-				TotalReps:       len(st.reps),
-				RemainingWeight: st.wr,
-				Pruned:          st.pruned,
-				PrunedAtDepth:   prunedAt[i],
-			}
-		}
-	}
-	return results, nil
+	})
+	return frontier[:s.opts.MaxFrontier]
 }
 
 // consume intersects the topic's remaining representative set with a Γ
@@ -406,29 +300,6 @@ func collectFrontier(srcs []graph.NodeID, props []float64, potential []bool, acc
 	return dst
 }
 
-// truncateFrontier keeps the MaxFrontier highest-accumulated-propagation
-// entries (deterministically: ties by node ID).
-func (s *Searcher) truncateFrontier(frontier []expandNode) []expandNode {
-	if s.opts.MaxFrontier < 0 || len(frontier) <= s.opts.MaxFrontier {
-		return frontier
-	}
-	slices.SortFunc(frontier, func(a, b expandNode) int {
-		switch {
-		case a.acc > b.acc:
-			return -1
-		case a.acc < b.acc:
-			return 1
-		case a.node < b.node:
-			return -1
-		case a.node > b.node:
-			return 1
-		default:
-			return 0
-		}
-	})
-	return frontier[:s.opts.MaxFrontier]
-}
-
 func maxAcc(frontier []expandNode) float64 {
 	maxEP := 0.0
 	for _, f := range frontier {
@@ -437,80 +308,6 @@ func maxAcc(frontier []expandNode) float64 {
 		}
 	}
 	return maxEP
-}
-
-// kthScore returns the current k-th best accumulated score min(T^k)
-// across all topics (pruned topics keep their final scores and still
-// occupy ranks — pruning only asserts they cannot *rise*).
-func kthScore(sc *scratch, states []topicState, k int) float64 {
-	scores := sc.scores[:0]
-	for i := range states {
-		scores = append(scores, states[i].score)
-	}
-	sc.scores = scores
-	slices.Sort(scores) // ascending: the k-th best sits at len-k
-	if k <= len(scores) {
-		return scores[len(scores)-k]
-	}
-	return 0
-}
-
-// pruneAndCount applies the two pruning conditions of Algorithm 10 lines
-// 17–20 and returns |T′ \ T^k|: the number of unpruned topics outside the
-// current top-k positions, the test driving EXPAND (line 21). With pruning
-// disabled (exhaustive mode) every topic with remaining representative
-// mass counts as undecided, so expansion proceeds until the frontier or
-// the rep sets are exhausted.
-func (s *Searcher) pruneAndCount(sc *scratch, states []topicState, k int, kth, maxEP float64) int {
-	if s.opts.DisablePruning {
-		undecided := 0
-		for i := range states {
-			if !prob.ApproxEq(states[i].wr, 0, 1e-15) {
-				undecided++
-			}
-		}
-		return undecided
-	}
-	for i := range states {
-		st := &states[i]
-		if st.pruned {
-			continue
-		}
-		// (1) no remaining representatives, or (2) upper bound
-		// W_r·maxEP + heap[t] cannot reach the k-th score.
-		if prob.ApproxEq(st.wr, 0, 1e-15) || kth >= st.wr*maxEP+st.score {
-			st.pruned = true
-		}
-	}
-	// T^k is the current top-k by (score, topic ID) — the same order the
-	// final ranking uses; survivors at positions ≥ k are undecided.
-	order := sc.order[:0]
-	for i := range states {
-		order = append(order, i)
-	}
-	sc.order = order
-	slices.SortFunc(order, func(a, b int) int {
-		sa, sb := &states[a], &states[b]
-		switch {
-		case sa.score > sb.score:
-			return -1
-		case sa.score < sb.score:
-			return 1
-		case sa.id < sb.id:
-			return -1
-		case sa.id > sb.id:
-			return 1
-		default:
-			return 0
-		}
-	})
-	undecided := 0
-	for pos := k; pos < len(order); pos++ {
-		if !states[order[pos]].pruned {
-			undecided++
-		}
-	}
-	return undecided
 }
 
 // expandOnce is one level of Algorithm 11: every frontier node u
@@ -536,31 +333,4 @@ func (s *Searcher) expandOnce(ctx context.Context, sc *scratch, states []topicSt
 		}
 	}
 	return dst, nil
-}
-
-// rank returns the k best topics by score, ties broken by topic ID. The
-// returned slice is freshly allocated — it outlives the scratch arena.
-func rank(states []topicState, k int) []Result {
-	out := make([]Result, len(states))
-	for i := range states {
-		out[i] = Result{Topic: states[i].id, Score: states[i].score}
-	}
-	slices.SortFunc(out, func(a, b Result) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		case a.Topic < b.Topic:
-			return -1
-		case a.Topic > b.Topic:
-			return 1
-		default:
-			return 0
-		}
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
 }

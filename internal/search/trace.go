@@ -1,7 +1,7 @@
 package search
 
-// Search tracing: TopKTrace runs the same Algorithm 10/11 search as TopK
-// but records per-topic and per-level diagnostics — which topics were
+// Search tracing: Drive, handed a Trace, runs the same Algorithm 10/11
+// search but records per-topic and per-level diagnostics — which topics were
 // pruned and when, how much representative mass was consumed, how the
 // expansion frontier evolved. Operators use it to tune θ, the expansion
 // depth and the representative budget; tests use it to assert the
@@ -44,11 +44,42 @@ type Trace struct {
 }
 
 // TopKTrace is TopK with diagnostics. It returns the same results as TopK
-// for the same inputs.
+// for the same inputs. Like TopK it is one session handed to Drive, kept
+// under its own name for the frozen benchmark/ harness.
 func (s *Searcher) TopKTrace(ctx context.Context, user graph.NodeID, summaries []summary.Summary, k int) (*Trace, error) {
-	tr := &Trace{}
-	if _, err := s.run(ctx, user, summaries, k, tr); err != nil {
+	ss, err := s.NewSession(ctx, user, summaries)
+	if err != nil {
 		return nil, err
 	}
-	return tr, nil
+	defer ss.Close()
+	tr := &Trace{}
+	_, _, err = Drive(ctx, []*Session{ss}, k, tr)
+	return tr, err
+}
+
+// fill records the final state of a driven run: per-topic traces in
+// session order, then each session's summary order.
+func (tr *Trace) fill(sessions []*Session, res []Result, depth int) {
+	tr.Results, tr.Depth = res, depth
+	tr.GammaSize = sessions[0].gammaSize
+	for _, ss := range sessions {
+		for i := range ss.states {
+			st := &ss.states[i]
+			consumed := 0
+			for _, c := range st.consumed {
+				if c {
+					consumed++
+				}
+			}
+			tr.Topics = append(tr.Topics, TopicTrace{
+				Topic:           st.id,
+				Score:           st.score,
+				ConsumedReps:    consumed,
+				TotalReps:       len(st.reps),
+				RemainingWeight: st.wr,
+				Pruned:          st.pruned,
+				PrunedAtDepth:   int(st.prunedAt),
+			})
+		}
+	}
 }

@@ -248,8 +248,8 @@ func TestDegradedAndClientClosedCounters(t *testing.T) {
 // TestDegradedDiversifiedKeepsLambda is the regression test for the
 // lambda-dropping degradation bug: a lambda > 0 search whose deadline
 // expires must degrade to a *diversified* materialized ranking. Before
-// the fix, the server's degradation path called SearchMaterialized
-// unconditionally and the degraded answer silently lost the MMR re-rank
+// the fix, the server's degradation path ran an undiversified
+// materialized search unconditionally and the degraded answer silently lost the MMR re-rank
 // the client asked for; the planner's materialized tier now threads
 // lambda through.
 //

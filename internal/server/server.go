@@ -29,7 +29,7 @@
 // engine as a context so expired requests stop burning CPU; a semaphore
 // (Config.MaxInflight) sheds excess load with 429 + Retry-After; and
 // /search runs through the engine's fidelity planner
-// (core.SearchPlanned, DESIGN.md §13): a search that cannot afford or
+// (a planned core.Query, DESIGN.md §13): a search that cannot afford or
 // cannot complete full-fidelity summarization degrades down the tier
 // ladder — materialized summaries only, then the last-known-good stale
 // answer — and answers 200 with "degraded": true and the serving tier
@@ -128,9 +128,7 @@ type Backend interface {
 	Graph() *graph.Graph
 	Space() *topics.Space
 	Hold(ctx context.Context) (context.Context, func(), error)
-	Search(ctx context.Context, m core.Method, query string, user graph.NodeID, k int) ([]core.TopicResult, error)
-	SearchDiverse(ctx context.Context, m core.Method, query string, user graph.NodeID, k int, lambda float64) ([]core.TopicResult, error)
-	SearchPlanned(ctx context.Context, m core.Method, query string, user graph.NodeID, k int, lambda float64) ([]core.TopicResult, core.PlanOutcome, error)
+	core.Runner
 	CachedSummaries(m core.Method) int
 	IndexStats() core.IndexStats
 }
@@ -502,74 +500,63 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// searchParams is the validated parameter set shared by /search and
-// /subscribe (a standing query is just a search registered for pushes).
-type searchParams struct {
-	q      string
-	user   graph.NodeID
-	k      int
-	method core.Method
-	lambda float64
-}
-
-// parseSearchParams validates the common query parameters, writing the
-// error response itself on failure. User existence is NOT checked here:
-// it needs an engine, and the caller owns engine resolution.
-func (s *Server) parseSearchParams(w http.ResponseWriter, r *http.Request) (searchParams, bool) {
-	var p searchParams
-	p.q = r.URL.Query().Get("q")
-	if p.q == "" {
+// parseQuery validates the parameters shared by /search and /subscribe
+// (a standing query is just a search registered for pushes) into a
+// planned core.Query, writing the error response itself on failure.
+// User existence is NOT checked here: it needs an engine, and the caller
+// owns engine resolution.
+func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request) (core.Query, bool) {
+	q := core.Query{Text: r.URL.Query().Get("q"), K: 10}
+	if q.Text == "" {
 		s.writeErr(w, r, http.StatusBadRequest, "missing q parameter")
-		return p, false
+		return q, false
 	}
 	userStr := r.URL.Query().Get("user")
 	user, err := strconv.ParseInt(userStr, 10, 32)
 	if err != nil {
 		s.writeErr(w, r, http.StatusBadRequest, "bad user %q", userStr)
-		return p, false
+		return q, false
 	}
-	p.user = graph.NodeID(user)
-	p.k = 10
+	q.User = graph.NodeID(user)
 	if ks := r.URL.Query().Get("k"); ks != "" {
-		p.k, err = strconv.Atoi(ks)
-		if err != nil || p.k < 1 {
+		q.K, err = strconv.Atoi(ks)
+		if err != nil || q.K < 1 {
 			s.writeErr(w, r, http.StatusBadRequest, "bad k %q", ks)
-			return p, false
+			return q, false
 		}
 	}
-	if p.k > s.cfg.MaxK {
-		p.k = s.cfg.MaxK
+	if q.K > s.cfg.MaxK {
+		q.K = s.cfg.MaxK
 	}
-	p.method = core.MethodLRW
 	switch r.URL.Query().Get("method") {
 	case "", "lrw":
 	case "rcl":
-		p.method = core.MethodRCL
+		q.Method = core.MethodRCL
 	default:
 		s.writeErr(w, r, http.StatusBadRequest, "unknown method %q (want lrw or rcl)", r.URL.Query().Get("method"))
-		return p, false
+		return q, false
 	}
 	if ls := r.URL.Query().Get("lambda"); ls != "" {
-		p.lambda, err = strconv.ParseFloat(ls, 64)
-		if err != nil || p.lambda < 0 || p.lambda > 1 {
+		q.Lambda, err = strconv.ParseFloat(ls, 64)
+		if err != nil || q.Lambda < 0 || q.Lambda > 1 {
 			s.writeErr(w, r, http.StatusBadRequest, "bad lambda %q (want 0..1)", ls)
-			return p, false
+			return q, false
 		}
 	}
-	return p, true
+	return q, true
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !s.requireReady(w, r) {
 		return
 	}
-	p, ok := s.parseSearchParams(w, r)
+	q, ok := s.parseQuery(w, r)
 	if !ok {
 		return
 	}
 	eng := s.engine()
-	if !eng.Graph().Valid(p.user) {
-		s.writeErr(w, r, http.StatusNotFound, "user %d not in the network", p.user)
+	if !eng.Graph().Valid(q.User) {
+		s.writeErr(w, r, http.StatusNotFound, "user %d not in the network", q.User)
 		return
 	}
 
@@ -577,7 +564,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// then materialized-only, then the stale last-known-good answer,
 	// then an explicit 503. The server's job is only to annotate what
 	// actually served the response.
-	res, outcome, err := eng.SearchPlanned(r.Context(), p.method, p.q, p.user, p.k, p.lambda)
+	ans, err := eng.Run(r.Context(), q)
 	// ErrNotReady from an engine that is no longer current means the
 	// request lost a swap race: its engine retired between the load and
 	// the query. The fresh engine answers; each retry requires another
@@ -588,29 +575,28 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		eng = cur
-		res, outcome, err = eng.SearchPlanned(r.Context(), p.method, p.q, p.user, p.k, p.lambda)
+		ans, err = eng.Run(r.Context(), q)
 	}
 	if err != nil {
 		s.failSearch(w, r, err)
 		return
 	}
-	tier := outcome.Tier.String()
-	w.Header().Set(tierHeader, tier)
-	s.met.tierServed(outcome.Tier)
-	degraded := outcome.Tier != plan.TierFull
+	tier := ans.Outcome.Tier
+	w.Header().Set(tierHeader, tier.String())
+	s.met.tierServed(tier)
+	degraded := tier != plan.TierFull
 	if degraded {
 		s.met.degraded.Inc()
 	}
-	resp := SearchResponse{
-		Query:    p.q,
-		User:     int32(p.user),
-		Method:   p.method.String(),
-		K:        p.k,
-		Results:  searchRows(res),
-		Tier:     tier,
+	s.writeJSON(w, r, http.StatusOK, SearchResponse{
+		Query:    q.Text,
+		User:     int32(q.User),
+		Method:   q.Method.String(),
+		K:        q.K,
+		Results:  searchRows(ans.Results),
+		Tier:     tier.String(),
 		Degraded: degraded,
-	}
-	s.writeJSON(w, r, http.StatusOK, resp)
+	})
 }
 
 // searchRows projects engine results onto the JSON row shape shared by

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/stream"
-	"repro/internal/subscribe"
 )
 
 // maxUpdateBody bounds a POST /updates payload (1 MiB ≈ 20k events) so
@@ -131,13 +130,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusTooManyRequests, "subscriber capacity reached (%d streams)", s.cfg.MaxSubscribers)
 		return
 	}
-	p, ok := s.parseSearchParams(w, r)
+	q, ok := s.parseQuery(w, r)
 	if !ok {
 		return
 	}
-	sub, err := s.cfg.Subscriptions.Subscribe(r.Context(), s.engine(), subscribe.Query{
-		Method: p.method, Q: p.q, User: p.user, K: p.k, Lambda: p.lambda,
-	})
+	sub, err := s.cfg.Subscriptions.Subscribe(r.Context(), s.engine(), q)
 	if err != nil {
 		switch {
 		case errors.Is(err, core.ErrNotReady):

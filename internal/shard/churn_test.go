@@ -113,7 +113,7 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 				}
 				user := graph.NodeID(rng.Intn(g.NumNodes()))
 				query := dataset.TagName(rng.Intn(4)) // tags 0–3: untargeted
-				if _, _, err := r.SearchPlanned(ctx, core.MethodLRW, query, user, 3, 0); err != nil {
+				if _, err := r.Run(ctx, core.Query{Text: query, User: user, K: 3}); err != nil {
 					untargetedFails.Add(1)
 					firstFail.CompareAndSwap(nil, err)
 					return
@@ -145,14 +145,13 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 			break
 		}
 		user := graph.NodeID(rng.Intn(g.NumNodes()))
-		res, outcome, err := r.SearchPlanned(ctx, core.MethodLRW, dataset.TagName(4), user, 3, 0)
+		ans, err := r.Run(ctx, core.Query{Text: dataset.TagName(4), User: user, K: 3})
 		if err != nil {
 			t.Fatalf("round %d: targeted query errored instead of degrading: %v", round, err)
 		}
-		if outcome.Tier == plan.TierMaterialized {
+		if ans.Outcome.Tier == plan.TierMaterialized {
 			degradedSeen.Add(1)
 		}
-		_ = res
 	}
 	close(stop)
 	wg.Wait()
@@ -174,9 +173,7 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 	}
 
 	set.Stop()
-	for i := 0; i < n; i++ {
-		r.Engine(i).Close()
-	}
+	r.Close()
 	// Old shard-0 engines were retired by the pipeline; give drains and
 	// detached revalidations a moment, then require the goroutine count
 	// back at (or under) the pre-churn baseline plus scheduler noise.

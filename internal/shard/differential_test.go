@@ -133,69 +133,61 @@ func TestRouterMatchesSingleEngine(t *testing.T) {
 		for i := range allTopics {
 			allTopics[i] = topics.TopicID(i)
 		}
-		for q := 0; q < 120; q++ {
+		for qi := 0; qi < 120; qi++ {
 			user := graph.NodeID(rng.Intn(g.NumNodes()))
 			m := pickMethod(rng)
-			switch q % 3 {
+			switch qi % 3 {
 			case 0: // explicit topic subsets, random k
 				rng.Shuffle(len(allTopics), func(i, j int) { allTopics[i], allTopics[j] = allTopics[j], allTopics[i] })
 				sub := allTopics[:1+rng.Intn(len(allTopics))]
 				k := 1 + rng.Intn(len(sub))
 				want, err := single.SearchTopics(ctx, m, sub, user, k)
 				if err != nil {
-					t.Fatalf("n=%d q=%d: single: %v", n, q, err)
+					t.Fatalf("n=%d q=%d: single: %v", n, qi, err)
 				}
 				got, err := r.SearchTopics(ctx, m, sub, user, k)
 				if err != nil {
-					t.Fatalf("n=%d q=%d: router: %v", n, q, err)
+					t.Fatalf("n=%d q=%d: router: %v", n, qi, err)
 				}
 				sameResults(t, "topics", want, got)
-			case 1: // keyword queries
-				query := dataset.TagName(rng.Intn(5))
-				k := rng.Intn(6)
-				want, err := single.Search(ctx, m, query, user, k)
-				if err != nil {
-					t.Fatalf("n=%d q=%d: single: %v", n, q, err)
+			case 1, 2: // keyword queries, plain and diversified
+				q := core.Query{Method: m, Text: dataset.TagName(rng.Intn(5)), User: user, Fidelity: core.FidelityFull}
+				if qi%3 == 1 {
+					q.K = rng.Intn(6)
+				} else {
+					q.K, q.Lambda = 1+rng.Intn(4), 0.5
 				}
-				got, err := r.Search(ctx, m, query, user, k)
+				want, err := single.Run(ctx, q)
 				if err != nil {
-					t.Fatalf("n=%d q=%d: router: %v", n, q, err)
+					t.Fatalf("n=%d q=%d: single: %v", n, qi, err)
+				}
+				got, err := r.Run(ctx, q)
+				if err != nil {
+					t.Fatalf("n=%d q=%d: router: %v", n, qi, err)
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("n=%d q=%d: Search(%q, u=%d, k=%d) differs\n got: %v\nwant: %v", n, q, query, user, k, got, want)
-				}
-			case 2: // diversified keyword queries
-				query := dataset.TagName(rng.Intn(5))
-				k := 1 + rng.Intn(4)
-				want, err := single.SearchDiverse(ctx, m, query, user, k, 0.5)
-				if err != nil {
-					t.Fatalf("n=%d q=%d: single: %v", n, q, err)
-				}
-				got, err := r.SearchDiverse(ctx, m, query, user, k, 0.5)
-				if err != nil {
-					t.Fatalf("n=%d q=%d: router: %v", n, q, err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("n=%d q=%d: SearchDiverse(%q, u=%d, k=%d) differs\n got: %v\nwant: %v", n, q, query, user, k, got, want)
+					t.Fatalf("n=%d q=%d: Run(%+v) differs\n got: %v\nwant: %v", n, qi, q, got, want)
 				}
 			}
 		}
 
-		// The batch path shares the lockstep merge; one sweep per N.
+		// The batch path is a worker pool over the same Run; one sweep
+		// per N.
 		users := make([]graph.NodeID, 25)
 		for i := range users {
 			users[i] = graph.NodeID(rng.Intn(g.NumNodes()))
 		}
-		want, err := single.SearchMany(ctx, core.MethodLRW, dataset.TagName(1), users, 3, 4)
+		batch := core.Query{Text: dataset.TagName(1), K: 3, Fidelity: core.FidelityFull}
+		want, err := core.RunMany(ctx, single, batch, users, 4)
 		if err != nil {
-			t.Fatalf("n=%d: single SearchMany: %v", n, err)
+			t.Fatalf("n=%d: single RunMany: %v", n, err)
 		}
-		got, err := r.SearchMany(ctx, core.MethodLRW, dataset.TagName(1), users, 3, 4)
+		got, err := core.RunMany(ctx, r, batch, users, 4)
 		if err != nil {
-			t.Fatalf("n=%d: router SearchMany: %v", n, err)
+			t.Fatalf("n=%d: router RunMany: %v", n, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("n=%d: SearchMany differs\n got: %v\nwant: %v", n, got, want)
+			t.Fatalf("n=%d: RunMany differs\n got: %v\nwant: %v", n, got, want)
 		}
 
 		closeEngines(engines)
@@ -203,7 +195,7 @@ func TestRouterMatchesSingleEngine(t *testing.T) {
 }
 
 // TestRouterMatchesSingleEngineExhaustive repeats the comparison with
-// pruning disabled: the lockstep must also reproduce the exhaustive
+// pruning disabled: the scatter must also reproduce the exhaustive
 // reference run (where shard drop-out is forbidden — unconsumed
 // near-zero representative mass may still move scores).
 func TestRouterMatchesSingleEngineExhaustive(t *testing.T) {
@@ -263,30 +255,28 @@ func TestRouterPlannedFullTierMatchesSingle(t *testing.T) {
 	defer closeEngines(engines)
 
 	rng := rand.New(rand.NewSource(17)) //pitlint:ignore norandglobal seeded local source
-	for q := 0; q < 40; q++ {
+	for qi := 0; qi < 40; qi++ {
 		user := graph.NodeID(rng.Intn(g.NumNodes()))
 		query := dataset.TagName(rng.Intn(5))
 		k := 1 + rng.Intn(5)
 		lambda := 0.0
-		if q%2 == 1 {
+		if qi%2 == 1 {
 			lambda = 0.4
 		}
-		want, err := single.Search(ctx, core.MethodLRW, query, user, k)
-		if lambda > 0 {
-			want, err = single.SearchDiverse(ctx, core.MethodLRW, query, user, k, lambda)
-		}
+		q := core.Query{Text: query, User: user, K: k, Lambda: lambda}
+		want, err := single.Run(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, outcome, err := r.SearchPlanned(ctx, core.MethodLRW, query, user, k, lambda)
+		got, err := r.Run(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if outcome.Tier.String() != "full" || !outcome.Complete {
-			t.Fatalf("q=%d: outcome %+v, want full/complete", q, outcome)
+		if got.Outcome.Tier.String() != "full" || !got.Outcome.Complete {
+			t.Fatalf("q=%d: outcome %+v, want full/complete", qi, got.Outcome)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("q=%d: planned differs\n got: %v\nwant: %v", q, got, want)
+			t.Fatalf("q=%d: planned differs\n got: %v\nwant: %v", qi, got, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/search"
 )
 
 // maxLabeledShards bounds the cardinality of the per-shard label:
@@ -59,7 +60,7 @@ type routerMetrics struct {
 	fanout   *obs.Histogram   // shards actually scattered to per query
 	pruned   *obs.Counter     // shards dropped mid-scatter by the influence bound
 	merge    *obs.Histogram   // cross-shard merge time per query
-	rounds   *obs.Histogram   // lockstep expansion levels per query
+	rounds   *obs.Histogram   // expansion levels driven per query
 	latency  []*obs.Histogram // per-shard scatter time (open + expands)
 	degraded []*obs.Counter   // per-shard planned-ladder degradations
 	ready    []*obs.Gauge     // per-shard readiness
@@ -77,7 +78,7 @@ func newRouterMetrics(reg *obs.Registry, shards int) *routerMetrics {
 		merge: reg.Histogram("pit_shard_merge_seconds",
 			"Cross-shard gather/merge time per routed query (k-th score exchange and final ranking).", obs.DurationBuckets),
 		rounds: reg.Histogram("pit_shard_rounds",
-			"Lockstep expansion levels driven per routed query.", obs.DepthBuckets),
+			"Expansion levels driven per routed query.", obs.DepthBuckets),
 	}
 	lat := reg.HistogramVec("pit_shard_latency_seconds",
 		"Per-shard scatter time per routed query: session open plus every expansion level.", obs.DurationBuckets, "shard")
@@ -110,6 +111,19 @@ func (m *routerMetrics) observeShard(i int, d time.Duration) {
 		return
 	}
 	m.latency[m.cell(i)].Observe(d.Seconds())
+}
+
+// observeScatter records one routed query whose drive completed: the
+// shards it fanned out to, its rounds and merge time, and the shards the
+// bound froze mid-scatter. st is nil for an abandoned attempt.
+func (m *routerMetrics) observeScatter(fanout int, st *search.Stats) {
+	if m == nil || st == nil {
+		return
+	}
+	m.fanout.Observe(float64(fanout))
+	m.rounds.Observe(float64(st.Depth))
+	m.merge.Observe(st.Merge.Seconds())
+	m.pruned.Add(uint64(st.Frozen))
 }
 
 func (m *routerMetrics) noteDegraded(i int) {

@@ -10,14 +10,15 @@
 // (core.Engine.ShareIndexes) or hydrated per shard from snapshot
 // artifact directories (Hydrate, written by `datagen -shards`).
 //
-// The Router merges per-shard top-k exactly: it drives one lockstep
-// search session per owning shard level-by-level (search.Session),
-// broadcasting the global k-th score so every shard applies Algorithm
-// 10's pruning bound against the same threshold the single engine
-// would, and drops a shard from remaining levels the moment the bound
-// proves none of its topics can rise — pruned mid-scatter, never
-// approximated. The differential test pins byte-identity with the
-// single-engine ranking at N ∈ {1, 2, 7}.
+// The Router merges per-shard top-k exactly: it opens one search
+// session per owning shard and search.Drive — the same round loop a
+// single engine uses — steps them level by level, sharing the global
+// k-th score so every shard applies Algorithm 10's pruning bound
+// against the same threshold the single engine would, and stops
+// expanding a shard the moment the bound proves none of its topics can
+// rise — pruned mid-scatter, never approximated. The golden and the
+// differential test pin byte-identity with the single-engine ranking at
+// N ∈ {1, 2, 7, 31}.
 package shard
 
 import (

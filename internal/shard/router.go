@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -21,34 +20,32 @@ import (
 type Config struct {
 	// Metrics, when non-nil, registers the pit_shard_* families.
 	Metrics *obs.Registry
-	// Workers bounds per-shard materialization concurrency on the batch
-	// paths (≤ 0: GOMAXPROCS).
-	Workers int
 }
 
-// Router is the stateless scatter-gather front of a shard set. All
-// state it holds is routing state (the partition, engine sources,
-// metrics, the planner's stale cache); the serving state lives in the
-// shard engines, which swap independently underneath it.
+// Router is the scatter-gather front of a shard set. It runs queries
+// through the same core.Ladder a single engine does; what it
+// contributes is Open, which scatters the session open to the owning
+// shards. All state it holds is routing state (the partition, engine
+// sources, metrics, the ladder's last-known-good answers — a merged
+// answer spans shards, so no single engine ever held it); the serving
+// state lives in the shard engines, which swap independently underneath
+// it.
 //
-// Exactness: Search/SearchTopics/SearchMany drive one lockstep
-// search.Session per owning shard, level-by-level, exchanging the
-// global k-th score each round — the per-shard frontier evolution is
-// topic-independent and the pruning predicate runs on the same float64
-// inputs the single engine's would, so the merged ranking is
-// byte-identical to a single engine over the whole topic set (pinned
-// by TestRouterMatchesSingleEngine). A shard all of whose topics the
-// bound prunes is closed and dropped mid-scatter.
+// Exactness: search.Drive steps one search.Session per owning shard
+// level by level, exchanging the global k-th score each round — the
+// per-shard frontier evolution is topic-independent and the pruning
+// predicate runs on the same float64 inputs the single engine's would,
+// so the merged ranking is byte-identical to a single engine over the
+// whole topic set (pinned by TestGoldenAnswers and
+// TestRouterMatchesSingleEngine). A shard all of whose topics the bound
+// prunes stops expanding mid-scatter.
 type Router struct {
-	g       *graph.Graph
-	space   *topics.Space
-	part    *Partitioner
-	shards  []EngineSource
-	met     *routerMetrics
-	workers int
-
-	planCfg plan.Config
-	stale   *plan.Cache[plannedKey, []core.TopicResult]
+	g      *graph.Graph
+	space  *topics.Space
+	part   *Partitioner
+	shards []EngineSource
+	met    *routerMetrics
+	ladder *core.Ladder
 }
 
 // NewRouter wires a router over one engine source per shard. Every
@@ -68,21 +65,11 @@ func NewRouter(g *graph.Graph, space *topics.Space, part *Partitioner, sources [
 			return nil, fmt.Errorf("shard: shard %d has no engine source", i)
 		}
 	}
-	r := &Router{
-		g:       g,
-		space:   space,
-		part:    part,
-		shards:  sources,
-		workers: cfg.Workers,
-	}
-	r.planCfg = sources[0]().Options().Plan
-	r.planCfg.Fill()
-	if r.planCfg.StaleEnabled() {
-		r.stale = plan.NewCache[plannedKey, []core.TopicResult](r.planCfg.StaleCapacity, r.planCfg.StaleTTL, nil)
-	}
+	r := &Router{g: g, space: space, part: part, shards: sources}
 	if cfg.Metrics != nil {
 		r.met = newRouterMetrics(cfg.Metrics, part.Shards())
 	}
+	r.ladder = core.NewLadder(g, space, sources[0]().Options().Plan, cfg.Metrics, r)
 	return r, nil
 }
 
@@ -155,8 +142,10 @@ func (r *Router) Hold(ctx context.Context) (context.Context, func(), error) {
 	return ctx, releaseAll, nil
 }
 
-// Close closes every shard's current engine.
+// Close stops the ladder's detached revalidations, then closes every
+// shard's current engine.
 func (r *Router) Close() {
+	r.ladder.Close()
 	for _, src := range r.shards {
 		src().Close()
 	}
@@ -182,29 +171,6 @@ func (r *Router) withShard(i int, fn func(eng *core.Engine) error) error {
 	}
 }
 
-// firstError records the first failure a scatter observes.
-type firstError struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (f *firstError) set(err error) {
-	if err == nil {
-		return
-	}
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.mu.Unlock()
-}
-
-func (f *firstError) get() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
 // Summarize routes a summarization to the topic's owning shard.
 func (r *Router) Summarize(ctx context.Context, m core.Method, t topics.TopicID) (summary.Summary, error) {
 	if !r.space.Valid(t) {
@@ -225,435 +191,144 @@ func (r *Router) Summarize(ctx context.Context, m core.Method, t topics.TopicID)
 // rclMu), N shards warm N× as many RCL topics concurrently as one
 // engine can.
 func (r *Router) WarmOwned(ctx context.Context, m core.Method, workers int) error {
-	var (
-		wg   sync.WaitGroup
-		errs firstError
-	)
-	for i := 0; i < r.part.Shards(); i++ {
+	var wg sync.WaitGroup
+	errs := make([]error, r.part.Shards())
+	for i := range errs {
 		owned := r.part.Owned(i)
 		if len(owned) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, owned []topics.TopicID) {
-			defer wg.Done()
-			errs.set(r.withShard(i, func(eng *core.Engine) error {
-				_, err := eng.MaterializeTopics(ctx, m, owned, workers)
-				return err
-			}))
-		}(i, owned)
-	}
-	wg.Wait()
-	return errs.get()
-}
-
-// openSessions scatters a session open to every owning shard in
-// parallel: shard i materializes (full path) its slice of the
-// q-related topics and opens a lockstep session for the user. On any
-// failure every opened session is closed and the lowest-shard error
-// surfaces (deterministically, like the single engine's first-error
-// contract).
-func (r *Router) openSessions(ctx context.Context, m core.Method, parts [][]topics.TopicID, user graph.NodeID, elapsed []time.Duration) ([]*core.SearchSession, error) {
-	sessions := make([]*core.SearchSession, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, ts := range parts {
-		if len(ts) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, ts []topics.TopicID) {
-			defer wg.Done()
-			t0 := time.Now()
-			errs[i] = r.withShard(i, func(eng *core.Engine) error {
-				cs, err := eng.NewSearchSession(ctx, m, ts, user)
-				if err != nil {
-					return err
-				}
-				sessions[i] = cs
-				return nil
-			})
-			if elapsed != nil {
-				elapsed[i] += time.Since(t0)
-			}
-		}(i, ts)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			closeSessions(sessions)
-			return nil, err
-		}
-	}
-	return sessions, nil
-}
-
-func closeSessions(sessions []*core.SearchSession) {
-	for _, cs := range sessions {
-		if cs != nil {
-			cs.Close()
-		}
-	}
-}
-
-// liveSess pairs a still-expanding session with its shard index.
-type liveSess struct {
-	idx int
-	cs  *core.SearchSession
-}
-
-// lockstep drives the open sessions level-by-level, replicating the
-// single engine's Algorithm 10 schedule exactly:
-//
-//	round: gather scores → global k-th → per-shard prune (identical
-//	predicate, shard-local frontier bound) → global undecided test →
-//	drop bound-pruned shards → expand survivors one level.
-//
-// Per-shard frontiers are identical (frontier evolution is
-// topic-independent), so per-shard maxEP equals the single engine's
-// and every per-topic decision matches bit for bit. par selects
-// cross-shard parallel expansion (the latency path); the batch path
-// steps shards sequentially inside its per-user worker to avoid
-// goroutine churn. elapsed, when non-nil, accumulates per-shard
-// expand time.
-func (r *Router) lockstep(ctx context.Context, sessions []*core.SearchSession, k int, par bool, elapsed []time.Duration) ([]search.Result, error) {
-	var live []liveSess
-	total := 0
-	for i, cs := range sessions {
-		if cs == nil {
-			continue
-		}
-		live = append(live, liveSess{idx: i, cs: cs})
-		total += cs.Search().NumTopics()
-	}
-	if len(live) == 0 {
-		return nil, nil
-	}
-	if k <= 0 || k > total {
-		k = total
-	}
-	firstSess := live[0].cs.Search()
-	maxDepth := firstSess.MaxDepth()
-	exhaustive := firstSess.PruningDisabled()
-	entries := make([]search.TopicEntry, 0, total)
-	scores := make([]float64, 0, total)
-	var frozen []search.TopicEntry
-	depth := 0
-	var mergeTime time.Duration
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		mt0 := time.Now()
-		entries = append(entries[:0], frozen...)
-		for _, l := range live {
-			entries = l.cs.Search().Entries(entries)
-		}
-		scores = scores[:0]
-		for i := range entries {
-			scores = append(scores, entries[i].Score)
-		}
-		kth := search.KthOfScores(scores, k)
-		for _, l := range live {
-			l.cs.Search().Prune(kth)
-		}
-		entries = append(entries[:0], frozen...)
-		for _, l := range live {
-			entries = l.cs.Search().Entries(entries)
-		}
-		var undecided int
-		if exhaustive {
-			undecided = search.UndecidedExhaustive(entries)
-		} else {
-			undecided = search.UndecidedEntries(entries, k)
-		}
-		frontier := 0
-		for _, l := range live {
-			if n := l.cs.Search().FrontierLen(); n > frontier {
-				frontier = n
-			}
-		}
-		mergeTime += time.Since(mt0)
-		if undecided == 0 || frontier == 0 || depth >= maxDepth {
-			break
-		}
-		if !exhaustive {
-			// Bound-prune whole shards: a session with every topic pruned
-			// can never change its scores again (consume skips pruned
-			// states), so freeze its standings and cancel it mid-scatter.
-			kept := live[:0]
-			for _, l := range live {
-				if l.cs.Search().Alive() {
-					kept = append(kept, l)
-					continue
-				}
-				frozen = l.cs.Search().Entries(frozen)
-				l.cs.Close()
-				if r.met != nil {
-					r.met.pruned.Inc()
-				}
-			}
-			live = kept
-			if len(live) == 0 {
-				break
-			}
-		}
-		if par && len(live) > 1 {
-			var (
-				wg   sync.WaitGroup
-				errs firstError
-			)
-			for _, l := range live {
-				wg.Add(1)
-				go func(l liveSess) {
-					defer wg.Done()
-					t0 := time.Now()
-					errs.set(l.cs.Search().Expand(ctx))
-					if elapsed != nil {
-						elapsed[l.idx] += time.Since(t0)
-					}
-				}(l)
-			}
-			wg.Wait()
-			if err := errs.get(); err != nil {
-				return nil, err
-			}
-		} else {
-			for _, l := range live {
-				t0 := time.Now()
-				if err := l.cs.Search().Expand(ctx); err != nil {
-					return nil, err
-				}
-				if elapsed != nil {
-					elapsed[l.idx] += time.Since(t0)
-				}
-			}
-		}
-		depth++
-	}
-	mt0 := time.Now()
-	res := search.RankEntries(entries, k)
-	mergeTime += time.Since(mt0)
-	if r.met != nil {
-		r.met.merge.Observe(mergeTime.Seconds())
-		r.met.rounds.Observe(float64(depth))
-	}
-	return res, nil
-}
-
-// SearchTopics scatter-gathers the top-k PIT-Search over an explicit
-// q-related topic set: each owning shard materializes and searches its
-// slice, the router merges under the influence upper bound.
-func (r *Router) SearchTopics(ctx context.Context, m core.Method, related []topics.TopicID, user graph.NodeID, k int) ([]search.Result, error) {
-	if len(related) == 0 {
-		return nil, nil
-	}
-	if k <= 0 || k > len(related) {
-		k = len(related)
-	}
-	parts := r.part.Split(related)
-	var elapsed []time.Duration
-	fanout := 0
-	for _, ts := range parts {
-		if len(ts) > 0 {
-			fanout++
-		}
-	}
-	if r.met != nil {
-		r.met.fanout.Observe(float64(fanout))
-		elapsed = make([]time.Duration, len(parts))
-	}
-	sessions, err := r.openSessions(ctx, m, parts, user, elapsed)
-	if err != nil {
-		return nil, err
-	}
-	defer closeSessions(sessions)
-	res, err := r.lockstep(ctx, sessions, k, true, elapsed)
-	if r.met != nil {
-		for i, d := range elapsed {
-			if d > 0 {
-				r.met.observeShard(i, d)
-			}
-		}
-	}
-	return res, err
-}
-
-// Search answers a keyword query through the scatter-gather path.
-func (r *Router) Search(ctx context.Context, m core.Method, query string, user graph.NodeID, k int) ([]core.TopicResult, error) {
-	related := r.space.Related(query)
-	if len(related) == 0 {
-		return nil, nil
-	}
-	res, err := r.SearchTopics(ctx, m, related, user, k)
-	if err != nil {
-		return nil, err
-	}
-	return r.toTopicResults(res), nil
-}
-
-func (r *Router) toTopicResults(res []search.Result) []core.TopicResult {
-	out := make([]core.TopicResult, len(res))
-	for i, t := range res {
-		out[i] = core.TopicResult{Topic: r.space.Topic(t.Topic), Score: t.Score}
-	}
-	return out
-}
-
-// SearchDiverse is Search followed by the representative-overlap
-// re-rank, with the single engine's exact over-fetch policy. The
-// result summaries are cache hits on their owning shards — the scatter
-// just materialized them.
-func (r *Router) SearchDiverse(ctx context.Context, m core.Method, query string, user graph.NodeID, k int, lambda float64) ([]core.TopicResult, error) {
-	related := r.space.Related(query)
-	if len(related) == 0 {
-		return nil, nil
-	}
-	if k <= 0 {
-		k = len(related)
-	}
-	fetch := k * 3
-	if fetch >= len(related) {
-		fetch = len(related) - 1
-	}
-	if fetch < k {
-		fetch = k
-	}
-	res, err := r.SearchTopics(ctx, m, related, user, fetch)
-	if err != nil {
-		return nil, err
-	}
-	sums := make([]summary.Summary, 0, len(res))
-	for _, t := range res {
-		s, err := r.Summarize(ctx, m, t.Topic)
-		if err != nil {
-			return nil, err
-		}
-		sums = append(sums, s)
-	}
-	diversified := search.Diversify(res, sums, lambda, k)
-	return r.toTopicResults(diversified), nil
-}
-
-// SearchMany answers one query for a batch of users: each owning shard
-// materializes its topic slice once (in parallel across shards — the
-// per-shard summarizers make even RCL materialization scale), then a
-// worker pool fans the users out, each worker driving its user's
-// lockstep sequentially over per-shard sessions opened straight from
-// the materialized summaries. Results are indexed like users; error
-// semantics match the single engine's (first failure, never partial).
-func (r *Router) SearchMany(ctx context.Context, m core.Method, query string, users []graph.NodeID, k, workers int) ([][]core.TopicResult, error) {
-	related := r.space.Related(query)
-	out := make([][]core.TopicResult, len(users))
-	if len(related) == 0 || len(users) == 0 {
-		return out, nil
-	}
-	parts := r.part.Split(related)
-	engines := make([]*core.Engine, len(parts))
-	sums := make([][]summary.Summary, len(parts))
-	{
-		var (
-			wg   sync.WaitGroup
-			errs firstError
-		)
-		for i, ts := range parts {
-			if len(ts) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, ts []topics.TopicID) {
-				defer wg.Done()
-				errs.set(r.withShard(i, func(eng *core.Engine) error {
-					s, err := eng.MaterializeTopics(ctx, m, ts, r.workers)
-					if err != nil {
-						return err
-					}
-					engines[i], sums[i] = eng, s
-					return nil
-				}))
-			}(i, ts)
-		}
-		wg.Wait()
-		if err := errs.get(); err != nil {
-			return nil, err
-		}
-	}
-	if k <= 0 || k > len(related) {
-		k = len(related)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(users) {
-		workers = len(users)
-	}
-	var (
-		wg       sync.WaitGroup
-		next     int64
-		nextMu   sync.Mutex
-		firstErr firstError
-	)
-	claim := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		i := int(next)
-		next++
-		return i
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sessions := make([]*core.SearchSession, len(parts))
-			for {
-				if err := ctx.Err(); err != nil {
-					firstErr.set(err)
-					return
-				}
-				u := claim()
-				if u >= len(users) {
-					return
-				}
-				res, err := r.searchOneFrom(ctx, engines, sums, users[u], k, sessions)
-				if err != nil {
-					firstErr.set(err)
-					return
-				}
-				out[u] = r.toTopicResults(res)
-			}
+			errs[i] = r.withShard(i, func(eng *core.Engine) error {
+				_, err := eng.MaterializeTopics(ctx, m, owned, workers)
+				return err
+			})
 		}()
 	}
 	wg.Wait()
-	if err := firstErr.get(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return firstError(errs)
 }
 
-// searchOneFrom opens one user's per-shard sessions over the batch's
-// pre-materialized summaries and drives the lockstep sequentially.
-// sessions is caller scratch, reused across the worker's users. An
-// engine retired mid-batch is re-resolved once — the summaries are
-// plain values, valid under any ready engine over the dataset.
-func (r *Router) searchOneFrom(ctx context.Context, engines []*core.Engine, sums [][]summary.Summary, user graph.NodeID, k int, sessions []*core.SearchSession) ([]search.Result, error) {
-	clear(sessions)
-	for i := range sums {
-		if len(sums[i]) == 0 {
+// firstError returns the lowest-shard failure of a scatter.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Run answers q through the one query path with the shard set as its
+// backend.
+func (r *Router) Run(ctx context.Context, q core.Query) (core.Answer, error) {
+	return r.ladder.Run(ctx, q)
+}
+
+// SearchTopics is Run for a full-fidelity query over an explicit topic
+// set, as bare (topic ID, score) rows. The frozen benchmark/ harness
+// compiles against it; new code calls Run.
+func (r *Router) SearchTopics(ctx context.Context, m core.Method, related []topics.TopicID, user graph.NodeID, k int) ([]search.Result, error) {
+	ans, err := r.Run(ctx, core.Query{Method: m, Topics: related, User: user, K: k, Fidelity: core.FidelityFull})
+	return ans.Ranking(), err
+}
+
+// Open implements core.Opener: it scatters the open to every owning
+// shard in parallel and gathers one session per shard. Each shard walks
+// its own two rungs when the request allows it: a shard whose build
+// path fails — breaker open, summarizer fault, build timeout — degrades
+// alone to its cached summaries while the healthy shards keep answering
+// at full fidelity, so one tripped shard costs fidelity on its slice of
+// the topic space, never the whole query. On any other failure every
+// opened session is closed and the lowest-shard error surfaces
+// (deterministically, like the single engine's first-error contract).
+func (r *Router) Open(ctx context.Context, req core.OpenRequest) (core.Opened, error) {
+	type opened struct {
+		core.Opened
+		shard int
+		took  time.Duration
+	}
+	parts := r.part.Split(req.Topics)
+	outs := make([]opened, 0, len(parts))
+	for i, ts := range parts {
+		if len(ts) > 0 {
+			outs = append(outs, opened{shard: i})
+		}
+	}
+	errs := make([]error, len(outs))
+	var wg sync.WaitGroup
+	for j := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := &outs[j]
+			t0 := time.Now()
+			sub := req
+			sub.Topics = parts[o.shard]
+			errs[j] = r.withShard(o.shard, func(eng *core.Engine) error {
+				var err error
+				o.Opened, err = eng.Open(ctx, sub)
+				if err == nil || sub.Cached || !sub.MayDegrade || !r.ladder.Degradable(ctx, err) {
+					return err
+				}
+				// This shard's full tier is down; serve its slice from
+				// cache, on the materialized tier's detached budget so an
+				// already-blown request deadline still gets the degraded
+				// answer the tier exists for.
+				cached := sub
+				cached.Cached = true
+				octx, cancel := r.ladder.CachedContext(ctx)
+				defer cancel()
+				if o.Opened, err = eng.Open(octx, cached); err == nil {
+					o.Degraded = true
+					r.met.noteDegraded(o.shard)
+				}
+				return err
+			})
+			o.took = time.Since(t0)
+		}()
+	}
+	wg.Wait()
+
+	all := core.Opened{Complete: true}
+	for _, o := range outs {
+		all.Sessions = append(all.Sessions, o.Sessions...)
+		all.Complete = all.Complete && o.Complete
+		all.Degraded = all.Degraded || o.Degraded
+	}
+	all.Done = func(st *search.Stats) {
+		for _, o := range outs {
+			if o.Done == nil {
+				continue // this shard's open failed
+			}
+			r.met.observeShard(o.shard, o.took+o.Sessions[0].ExpandTime())
+			o.Done(nil)
+		}
+		r.met.observeScatter(len(outs), st)
+	}
+	if err := firstError(errs); err != nil {
+		all.Done(nil)
+		return core.Opened{}, err
+	}
+	return all, nil
+}
+
+// PlanInputs implements core.Opener over the owning shards: a build is
+// admitted if any of them would admit one (the rest degrade alone, see
+// Open), and the cost is the sum of theirs — pessimistic for a parallel
+// scatter, which is the safe direction for a planner.
+func (r *Router) PlanInputs(m core.Method, ts []topics.TopicID) plan.Inputs {
+	in := plan.Inputs{Calibrated: true}
+	for i, part := range r.part.Split(ts) {
+		if len(part) == 0 {
 			continue
 		}
-		cs, err := engines[i].NewSearchSessionFrom(ctx, user, sums[i])
-		if errors.Is(err, core.ErrNotReady) {
-			if cur := r.shards[i](); cur != engines[i] {
-				engines[i] = cur
-				cs, err = cur.NewSearchSessionFrom(ctx, user, sums[i])
-			}
-		}
-		if err != nil {
-			closeSessions(sessions)
-			return nil, err
-		}
-		sessions[i] = cs
+		s := r.shards[i]().PlanInputs(m, part)
+		in.BreakerReady = in.BreakerReady || s.BreakerReady
+		in.Calibrated = in.Calibrated && s.Calibrated
+		in.Estimate += s.Estimate
 	}
-	defer closeSessions(sessions)
-	return r.lockstep(ctx, sessions, k, false, nil)
+	return in
 }

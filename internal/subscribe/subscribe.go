@@ -37,18 +37,7 @@ import (
 type Engine interface {
 	Graph() *graph.Graph
 	Space() *topics.Space
-	Search(ctx context.Context, m core.Method, query string, user graph.NodeID, k int) ([]core.TopicResult, error)
-	SearchDiverse(ctx context.Context, m core.Method, query string, user graph.NodeID, k int, lambda float64) ([]core.TopicResult, error)
-}
-
-// Query is a standing search: the same parameters as one-shot /search.
-// Lambda > 0 diversifies the ranking exactly as /search does.
-type Query struct {
-	Method core.Method
-	Q      string
-	User   graph.NodeID
-	K      int
-	Lambda float64
+	core.Runner
 }
 
 // Push is one delivered answer. Seq is the stream batch sequence that
@@ -62,7 +51,7 @@ type Push struct {
 // the registry owner calls Unsubscribe when the consumer goes away.
 type Subscription struct {
 	id uint64
-	q  Query
+	q  core.Query
 	ch chan Push
 
 	mu   sync.Mutex
@@ -77,7 +66,7 @@ func (s *Subscription) C() <-chan Push { return s.ch }
 func (s *Subscription) ID() uint64 { return s.id }
 
 // Query returns the registered standing query.
-func (s *Subscription) Query() Query { return s.q }
+func (s *Subscription) Query() core.Query { return s.q }
 
 // rankingChanged records ids as the latest ranking and reports whether
 // it differs from the previous one.
@@ -141,26 +130,30 @@ func (r *Registry) Len() int {
 	return len(r.subs)
 }
 
-// Subscribe validates q against eng, evaluates it once, and registers
-// the standing query; the initial answer is already queued on the
-// returned subscription's channel (Seq 0).
-func (r *Registry) Subscribe(ctx context.Context, eng Engine, q Query) (*Subscription, error) {
+// Subscribe validates q — a keyword query, the same parameters as
+// one-shot /search — against eng, evaluates it once, and registers it
+// as a standing query; the initial answer is already queued on the
+// returned subscription's channel (Seq 0). Standing queries are always
+// evaluated at full fidelity (q.Fidelity is overridden): a push decision
+// compares rankings, and a degraded ranking would read as a change.
+func (r *Registry) Subscribe(ctx context.Context, eng Engine, q core.Query) (*Subscription, error) {
 	if q.K <= 0 {
 		return nil, fmt.Errorf("subscribe: k = %d: need k > 0", q.K)
 	}
 	if !eng.Graph().Valid(q.User) {
 		return nil, fmt.Errorf("subscribe: unknown user %d", q.User)
 	}
-	if len(eng.Space().Related(q.Q)) == 0 {
-		return nil, fmt.Errorf("subscribe: no topics relate to %q", q.Q)
+	if len(eng.Space().Related(q.Text)) == 0 {
+		return nil, fmt.Errorf("subscribe: no topics relate to %q", q.Text)
 	}
-	res, err := evaluate(ctx, eng, q)
+	q.Fidelity = core.FidelityFull
+	ans, err := eng.Run(ctx, q)
 	if err != nil {
 		return nil, fmt.Errorf("subscribe: initial evaluation: %w", err)
 	}
 	s := &Subscription{q: q, ch: make(chan Push, 1)}
-	s.rankingChanged(ranking(res))
-	s.deliver(Push{Seq: 0, Results: res})
+	s.rankingChanged(ranking(ans.Results))
+	s.deliver(Push{Seq: 0, Results: ans.Results})
 
 	r.mu.Lock()
 	r.next++
@@ -205,7 +198,7 @@ func (r *Registry) Dispatch(ctx context.Context, eng Engine, affected []topics.T
 		if ctx.Err() != nil {
 			return
 		}
-		if !intersects(eng.Space().Related(s.q.Q), affected) {
+		if !intersects(eng.Space().Related(s.q.Text), affected) {
 			if r.met != nil {
 				r.met.skipped.Inc()
 			}
@@ -214,17 +207,17 @@ func (r *Registry) Dispatch(ctx context.Context, eng Engine, affected []topics.T
 		if r.met != nil {
 			r.met.evals.Inc()
 		}
-		res, err := evaluate(ctx, eng, s.q)
+		ans, err := eng.Run(ctx, s.q)
 		if err != nil {
 			if r.met != nil {
 				r.met.evalErrors.Inc()
 			}
 			continue
 		}
-		if !s.rankingChanged(ranking(res)) {
+		if !s.rankingChanged(ranking(ans.Results)) {
 			continue
 		}
-		displaced := s.deliver(Push{Seq: seq, Results: res})
+		displaced := s.deliver(Push{Seq: seq, Results: ans.Results})
 		if r.met != nil {
 			r.met.pushes.Inc()
 			if displaced {
@@ -232,15 +225,6 @@ func (r *Registry) Dispatch(ctx context.Context, eng Engine, affected []topics.T
 			}
 		}
 	}
-}
-
-// evaluate runs the standing query like /search would: diversified when
-// Lambda > 0.
-func evaluate(ctx context.Context, eng Engine, q Query) ([]core.TopicResult, error) {
-	if q.Lambda > 0 {
-		return eng.SearchDiverse(ctx, q.Method, q.Q, q.User, q.K, q.Lambda)
-	}
-	return eng.Search(ctx, q.Method, q.Q, q.User, q.K)
 }
 
 // ranking projects results onto their ordered topic IDs — the value a

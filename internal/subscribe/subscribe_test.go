@@ -40,12 +40,12 @@ func TestSubscribeValidation(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
 		name string
-		q    Query
+		q    core.Query
 	}{
-		{"zero k", Query{Method: core.MethodLRW, Q: "tag000", User: 1, K: 0}},
-		{"negative k", Query{Method: core.MethodLRW, Q: "tag000", User: 1, K: -1}},
-		{"unknown user", Query{Method: core.MethodLRW, Q: "tag000", User: 9999, K: 3}},
-		{"unrelated query", Query{Method: core.MethodLRW, Q: "nosuchtag", User: 1, K: 3}},
+		{"zero k", core.Query{Method: core.MethodLRW, Text: "tag000", User: 1, K: 0}},
+		{"negative k", core.Query{Method: core.MethodLRW, Text: "tag000", User: 1, K: -1}},
+		{"unknown user", core.Query{Method: core.MethodLRW, Text: "tag000", User: 9999, K: 3}},
+		{"unrelated query", core.Query{Method: core.MethodLRW, Text: "nosuchtag", User: 1, K: 3}},
 	}
 	for _, c := range cases {
 		if _, err := r.Subscribe(ctx, eng, c.q); err == nil {
@@ -60,8 +60,8 @@ func TestSubscribeValidation(t *testing.T) {
 func TestSubscribeInitialPushAndUnsubscribe(t *testing.T) {
 	eng := testEngine(t, 5)
 	r := NewRegistry(nil)
-	sub, err := r.Subscribe(context.Background(), eng, Query{
-		Method: core.MethodLRW, Q: "tag000", User: 2, K: 3,
+	sub, err := r.Subscribe(context.Background(), eng, core.Query{
+		Method: core.MethodLRW, Text: "tag000", User: 2, K: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +94,11 @@ func TestDispatchFiltersByAffected(t *testing.T) {
 	eng := testEngine(t, 7)
 	r := NewRegistry(nil)
 	ctx := context.Background()
-	subA, err := r.Subscribe(ctx, eng, Query{Method: core.MethodLRW, Q: "tag000", User: 2, K: 3})
+	subA, err := r.Subscribe(ctx, eng, core.Query{Method: core.MethodLRW, Text: "tag000", User: 2, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	subB, err := r.Subscribe(ctx, eng, Query{Method: core.MethodLRW, Q: "tag001", User: 2, K: 3})
+	subB, err := r.Subscribe(ctx, eng, core.Query{Method: core.MethodLRW, Text: "tag001", User: 2, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestDispatchNoPushOnUnchangedRanking(t *testing.T) {
 	eng := testEngine(t, 9)
 	r := NewRegistry(nil)
 	ctx := context.Background()
-	sub, err := r.Subscribe(ctx, eng, Query{Method: core.MethodLRW, Q: "tag000", User: 2, K: 3})
+	sub, err := r.Subscribe(ctx, eng, core.Query{Method: core.MethodLRW, Text: "tag000", User: 2, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
