@@ -110,9 +110,10 @@ bench-smoke:
 	$(GO) run ./cmd/pitserve -smoke
 	$(GO) run ./cmd/pitserve -smoke -shards 2
 
-# Fuzz the artifact parsers: hostile bytes through both the gob and v2
-# load paths must produce wrapped `storage:` errors, never a panic or an
-# unbounded allocation. CI runs this budget on every push; longer local
+# Fuzz the artifact parser: hostile bytes through the v2 load path (the
+# only one; seeds include a retired gob-v1 prefix, which must be refused)
+# must produce wrapped `storage:` errors, never a panic or an unbounded
+# allocation. CI runs this budget on every push; longer local
 # sessions just raise -fuzztime.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/storage/

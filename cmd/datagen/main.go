@@ -12,7 +12,7 @@
 //
 //	datagen -preset data_2k -graph graph.tsv -topics topics.tsv
 //	datagen -nodes 5000 -min-deg 2 -max-deg 12 -tags 20 -graph g.tsv -topics t.tsv
-//	datagen -preset data_350k -index-dir idx/ -warm lrw -index-format v2
+//	datagen -preset data_350k -index-dir idx/ -warm lrw
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/shard"
-	"repro/internal/storage"
 	"repro/internal/topics"
 )
 
@@ -49,7 +48,6 @@ func main() {
 		topicsOut = flag.String("topics", "topics.tsv", "output path for the topic space")
 		stats     = flag.Bool("stats", false, "print structural statistics of the generated graph")
 		indexDir  = flag.String("index-dir", "", "also build the offline indexes and save them as an artifact directory")
-		indexFmt  = flag.String("index-format", "v2", "artifact format for -index-dir: v2 (flat binary, mmap) or gob")
 		theta     = flag.Float64("theta", 0.01, "propagation-index threshold θ (with -index-dir)")
 		walkL     = flag.Int("L", 6, "random-walk length L (with -index-dir)")
 		walkR     = flag.Int("R", 16, "random walks per node R (with -index-dir)")
@@ -65,7 +63,7 @@ func main() {
 		Tags: *tags, TopicsPerTag: *perTag, MeanTopicNodes: *topicSize,
 		Locality: *locality, Seed: *seed + 1,
 	}, *graphOut, *topicsOut, *stats, indexConfig{
-		dir: *indexDir, format: *indexFmt, theta: *theta,
+		dir: *indexDir, theta: *theta,
 		walkL: *walkL, walkR: *walkR, seed: *seed, warm: *warm,
 		shards: *shards,
 	}); err != nil {
@@ -77,7 +75,6 @@ func main() {
 // indexConfig carries the optional offline-index-build step's parameters.
 type indexConfig struct {
 	dir    string
-	format string
 	theta  float64
 	walkL  int
 	walkR  int
@@ -106,10 +103,6 @@ func (c indexConfig) warmMethods() ([]core.Method, error) {
 }
 
 func run(preset string, scale float64, gcfg dataset.GraphConfig, tcfg dataset.TopicConfig, graphOut, topicsOut string, printStats bool, icfg indexConfig) error {
-	format, err := storage.ParseFormat(icfg.format)
-	if err != nil {
-		return fmt.Errorf("-index-format: %w", err)
-	}
 	warmMs, err := icfg.warmMethods()
 	if err != nil {
 		return err
@@ -160,7 +153,7 @@ func run(preset string, scale float64, gcfg dataset.GraphConfig, tcfg dataset.To
 		fmt.Println("out-degree histogram (power-of-two buckets):", graph.DegreeHistogram(g))
 	}
 	if icfg.dir != "" {
-		if err := buildArtifacts(g, sp, icfg, format, warmMs); err != nil {
+		if err := buildArtifacts(g, sp, icfg, warmMs); err != nil {
 			return err
 		}
 	}
@@ -170,7 +163,7 @@ func run(preset string, scale float64, gcfg dataset.GraphConfig, tcfg dataset.To
 // buildArtifacts runs the offline pipeline — walk index, propagation
 // index, optional full-corpus summary materialization — and persists the
 // result so serving processes cold-start instead of rebuilding.
-func buildArtifacts(g *graph.Graph, sp *topics.Space, icfg indexConfig, format storage.Format, warmMs []core.Method) error {
+func buildArtifacts(g *graph.Graph, sp *topics.Space, icfg indexConfig, warmMs []core.Method) error {
 	eng, err := core.New(g, sp, core.Options{
 		WalkL: icfg.walkL, WalkR: icfg.walkR, Theta: icfg.theta, Seed: icfg.seed,
 	})
@@ -198,16 +191,22 @@ func buildArtifacts(g *graph.Graph, sp *topics.Space, icfg indexConfig, format s
 		if err != nil {
 			return err
 		}
-		if err := shard.WriteArtifacts(eng, part, icfg.dir, format); err != nil {
+		// The one engine holds the whole warmed corpus; every shard's
+		// snapshot is cut from it.
+		engines := make([]*core.Engine, icfg.shards)
+		for i := range engines {
+			engines[i] = eng
+		}
+		if err := shard.WriteShardArtifacts(engines, part, icfg.dir); err != nil {
 			return fmt.Errorf("save sharded artifacts to %s: %w", icfg.dir, err)
 		}
-		fmt.Printf("saved %s artifacts for %d shards to %s in %v\n",
-			format, icfg.shards, icfg.dir, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("saved artifacts for %d shards to %s in %v\n",
+			icfg.shards, icfg.dir, time.Since(start).Round(time.Millisecond))
 		return nil
 	}
-	if err := eng.SaveArtifacts(icfg.dir, format); err != nil {
+	if err := eng.SaveArtifactsFiltered(icfg.dir, nil); err != nil {
 		return fmt.Errorf("save artifacts to %s: %w", icfg.dir, err)
 	}
-	fmt.Printf("saved %s artifacts to %s in %v\n", format, icfg.dir, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("saved artifacts to %s in %v\n", icfg.dir, time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -8,12 +8,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/shard"
 	"repro/internal/topics"
 )
 
 // testIdx is the no-persistence index config most tests use.
 func testIdx() indexConfig {
-	return indexConfig{format: "v2", theta: 0.01, walkL: 4, walkR: 8, seed: 1}
+	return indexConfig{theta: 0.01, walkL: 4, walkR: 8, seed: 1}
 }
 
 func TestRunWithExplicitConfig(t *testing.T) {
@@ -78,11 +79,6 @@ func TestRunErrors(t *testing.T) {
 	if err := run("", 1, good, dataset.TopicConfig{Tags: 1, TopicsPerTag: 1, MeanTopicNodes: 4}, filepath.Join(dir, "nope", "g.tsv"), tp, false, testIdx()); err == nil {
 		t.Error("unwritable graph path accepted")
 	}
-	badFmt := testIdx()
-	badFmt.format = "xml"
-	if err := run("", 1, good, dataset.TopicConfig{Tags: 1, TopicsPerTag: 1, MeanTopicNodes: 4}, gp, tp, false, badFmt); err == nil {
-		t.Error("invalid index format accepted")
-	}
 	badWarm := testIdx()
 	badWarm.warm = "lrw,zzz"
 	if err := run("", 1, good, dataset.TopicConfig{Tags: 1, TopicsPerTag: 1, MeanTopicNodes: 4}, gp, tp, false, badWarm); err == nil {
@@ -111,6 +107,21 @@ func TestRunBuildsArtifacts(t *testing.T) {
 	for _, name := range []string{"walks.pit", "prop.pit", "summaries_lrw.pit", "summaries_rcl.pit"} {
 		if _, err := os.Stat(filepath.Join(icfg.dir, name)); err != nil {
 			t.Errorf("artifact %s missing: %v", name, err)
+		}
+	}
+
+	// -shards cuts the same warmed engine into per-shard snapshots.
+	icfg.dir = filepath.Join(dir, "sharded")
+	icfg.shards = 2
+	if err := run("", 1, gcfg, tcfg, gp, tp, false, icfg); err != nil {
+		t.Fatal(err)
+	}
+	if !shard.ArtifactsExist(icfg.dir) {
+		t.Fatal("sharded artifact root has no manifest")
+	}
+	for i := 0; i < icfg.shards; i++ {
+		if !core.ArtifactsExist(shard.ShardDir(icfg.dir, i)) {
+			t.Errorf("shard %d directory not populated", i)
 		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/storage"
 )
 
 func main() {
@@ -41,13 +40,12 @@ func main() {
 		trace     = flag.Bool("trace", false, "print search diagnostics (pruning, expansion, rep consumption)")
 		warm      = flag.Bool("warm", false, "warm every topic summary before searching (batch/eval runs)")
 		indexDir  = flag.String("index-dir", "", "artifact directory: load prebuilt indexes from it when populated, save freshly built ones into it otherwise")
-		indexFmt  = flag.String("index-format", "v2", "artifact format for -index-dir saves: v2 (flat binary, mmap) or gob")
 	)
 	flag.Parse()
 
 	if err := run(*preset, *scale, *graphIn, *topicsIn, *method, *query, *user, *k,
 		*theta, *walkL, *walkR, *seed, *quietFlag, *diversity, *trace, *warm,
-		*indexDir, *indexFmt); err != nil {
+		*indexDir); err != nil {
 		fmt.Fprintln(os.Stderr, "pitsearch:", err)
 		os.Exit(1)
 	}
@@ -55,12 +53,8 @@ func main() {
 
 func run(preset string, scale float64, graphIn, topicsIn, method, query string,
 	user, k int, theta float64, walkL, walkR int, seed int64, quiet bool,
-	diversity float64, trace, warm bool, indexDir, indexFmt string) error {
+	diversity float64, trace, warm bool, indexDir string) error {
 
-	format, err := storage.ParseFormat(indexFmt)
-	if err != nil {
-		return fmt.Errorf("-index-format: %w", err)
-	}
 	g, sp, err := dataset.LoadPresetOrFiles(preset, scale, graphIn, topicsIn)
 	if err != nil {
 		return err
@@ -113,7 +107,7 @@ func run(preset string, scale float64, graphIn, topicsIn, method, query string,
 	}
 
 	if indexDir != "" && !loaded {
-		if err := eng.SaveArtifacts(indexDir, format); err != nil {
+		if err := eng.SaveArtifactsFiltered(indexDir, nil); err != nil {
 			return fmt.Errorf("save artifacts to %s: %w", indexDir, err)
 		}
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -37,7 +38,7 @@ func writeDataset(t *testing.T) (string, string) {
 }
 
 func TestRunWithPreset(t *testing.T) {
-	if err := run("data_2k", 0.1, "", "", "lrw", "tag000", 5, 3, 0.01, 4, 8, 1, true, 0, false, false, "", "v2"); err != nil {
+	if err := run("data_2k", 0.1, "", "", "lrw", "tag000", 5, 3, 0.01, 4, 8, 1, true, 0, false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -45,7 +46,7 @@ func TestRunWithPreset(t *testing.T) {
 func TestRunWithFiles(t *testing.T) {
 	gp, tp := writeDataset(t)
 	for _, method := range []string{"lrw", "rcl"} {
-		if err := run("", 1, gp, tp, method, "tag001", 3, 2, 0.01, 4, 8, 1, true, 0.5, true, true, "", "v2"); err != nil {
+		if err := run("", 1, gp, tp, method, "tag001", 3, 2, 0.01, 4, 8, 1, true, 0.5, true, true, ""); err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
 	}
@@ -58,22 +59,19 @@ func TestRunErrors(t *testing.T) {
 		call func() error
 	}{
 		{"bad method", func() error {
-			return run("", 1, gp, tp, "xxx", "tag000", 1, 1, 0.01, 4, 8, 1, true, 0, false, false, "", "v2")
+			return run("", 1, gp, tp, "xxx", "tag000", 1, 1, 0.01, 4, 8, 1, true, 0, false, false, "")
 		}},
 		{"user out of range", func() error {
-			return run("", 1, gp, tp, "lrw", "tag000", -1, 1, 0.01, 4, 8, 1, true, 0, false, false, "", "v2")
+			return run("", 1, gp, tp, "lrw", "tag000", -1, 1, 0.01, 4, 8, 1, true, 0, false, false, "")
 		}},
 		{"graph without topics", func() error {
-			return run("", 1, gp, "", "lrw", "tag000", 1, 1, 0.01, 4, 8, 1, true, 0, false, false, "", "v2")
+			return run("", 1, gp, "", "lrw", "tag000", 1, 1, 0.01, 4, 8, 1, true, 0, false, false, "")
 		}},
 		{"missing graph file", func() error {
-			return run("", 1, gp+".nope", tp, "lrw", "tag000", 1, 1, 0.01, 4, 8, 1, true, 0, false, false, "", "v2")
+			return run("", 1, gp+".nope", tp, "lrw", "tag000", 1, 1, 0.01, 4, 8, 1, true, 0, false, false, "")
 		}},
 		{"unknown preset", func() error {
-			return run("zzz", 1, "", "", "lrw", "tag000", 1, 1, 0.01, 4, 8, 1, true, 0, false, false, "", "v2")
-		}},
-		{"bad index format", func() error {
-			return run("", 1, gp, tp, "lrw", "tag000", 1, 1, 0.01, 4, 8, 1, true, 0, false, false, t.TempDir(), "zstd")
+			return run("zzz", 1, "", "", "lrw", "tag000", 1, 1, 0.01, 4, 8, 1, true, 0, false, false, "")
 		}},
 	}
 	for _, tc := range cases {
@@ -87,28 +85,39 @@ func TestRunErrors(t *testing.T) {
 
 // TestRunIndexDirRoundTrip drives the persistence path end to end: the
 // first run builds, warms and saves artifacts; the second cold-starts
-// from them (both formats).
+// from them. A directory left behind by the retired gob v1 format is
+// refused, not rebuilt over.
 func TestRunIndexDirRoundTrip(t *testing.T) {
 	gp, tp := writeDataset(t)
-	for _, format := range []string{"v2", "gob"} {
-		t.Run(format, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "idx")
-			if err := run("", 1, gp, tp, "lrw", "tag001", 3, 2, 0.01, 4, 8, 1, true, 0, false, true, dir, format); err != nil {
-				t.Fatalf("save run: %v", err)
+	t.Run("v2", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "idx")
+		if err := run("", 1, gp, tp, "lrw", "tag001", 3, 2, 0.01, 4, 8, 1, true, 0, false, true, dir); err != nil {
+			t.Fatalf("save run: %v", err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "walks.pit")); err != nil {
+			t.Fatalf("walks artifact missing: %v", err)
+		}
+		if err := run("", 1, gp, tp, "lrw", "tag001", 3, 2, 0.01, 4, 8, 1, true, 0, false, false, dir); err != nil {
+			t.Fatalf("load run: %v", err)
+		}
+	})
+	t.Run("legacy v1 refused", func(t *testing.T) {
+		dir := t.TempDir()
+		for _, name := range []string{"walks.pit", "prop.pit"} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("(\x7f\x03\x01\x01\benvelope\x01\xff\x80 pitsearch-index-v1"), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if _, err := os.Stat(filepath.Join(dir, "walks.pit")); err != nil {
-				t.Fatalf("walks artifact missing: %v", err)
-			}
-			if err := run("", 1, gp, tp, "lrw", "tag001", 3, 2, 0.01, 4, 8, 1, true, 0, false, false, dir, format); err != nil {
-				t.Fatalf("load run: %v", err)
-			}
-		})
-	}
+		}
+		err := run("", 1, gp, tp, "lrw", "tag001", 3, 2, 0.01, 4, 8, 1, true, 0, false, false, dir)
+		if err == nil || !strings.Contains(err.Error(), "storage: not a pitsearch-index-v2") || !strings.Contains(err.Error(), "datagen -index-dir") {
+			t.Fatalf("legacy artifact directory: %v", err)
+		}
+	})
 }
 
 func TestRunUnknownQueryIsGraceful(t *testing.T) {
 	gp, tp := writeDataset(t)
-	if err := run("", 1, gp, tp, "lrw", "not-a-tag", 1, 3, 0.01, 4, 8, 1, true, 0, true, false, "", "v2"); err != nil {
+	if err := run("", 1, gp, tp, "lrw", "not-a-tag", 1, 3, 0.01, 4, 8, 1, true, 0, true, false, ""); err != nil {
 		t.Fatalf("unknown query should not error: %v", err)
 	}
 }

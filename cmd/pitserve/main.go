@@ -78,7 +78,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/server"
 	"repro/internal/shard"
-	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/subscribe"
 	"repro/internal/topics"
@@ -108,7 +107,6 @@ type options struct {
 	breakerCooldown    time.Duration
 	breakerMaxCooldown time.Duration
 	indexDir           string
-	indexFormat        string
 	streamBatch        int
 	streamMaxAge       time.Duration
 	decayHalfLife      time.Duration
@@ -119,20 +117,6 @@ type options struct {
 // planConfig resolves the planner flags into the engine's plan.Config.
 // A zero -stale-ttl disables the stale tier outright (plan.Config treats
 // zero as "use the default", so the disable is mapped to negative here).
-// saveFormat resolves the -index-format flag; an unset value (tests
-// constructing options directly) defaults to the v2 binary format, like
-// the flag itself.
-func (o options) saveFormat() (storage.Format, error) {
-	if o.indexFormat == "" {
-		return storage.FormatV2, nil
-	}
-	f, err := storage.ParseFormat(o.indexFormat)
-	if err != nil {
-		return "", fmt.Errorf("-index-format: %w", err)
-	}
-	return f, nil
-}
-
 func (o options) planConfig() (plan.Config, error) {
 	policy, err := plan.ParsePolicy(o.tierPolicy)
 	if err != nil {
@@ -248,7 +232,6 @@ func main() {
 	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", time.Second, "initial breaker cooldown before a half-open probe (doubles per failed probe)")
 	flag.DurationVar(&o.breakerMaxCooldown, "breaker-max-cooldown", 30*time.Second, "upper bound on the breaker's exponential cooldown")
 	flag.StringVar(&o.indexDir, "index-dir", "", "artifact directory: cold-start from it when populated, save freshly built indexes into it otherwise (empty disables persistence)")
-	flag.StringVar(&o.indexFormat, "index-format", "v2", "artifact format for -index-dir saves: v2 (flat binary, mmap cold start) or gob")
 	flag.IntVar(&o.streamBatch, "stream-batch", 0, "streaming updates: apply a batch once this many events are pending (0 disables streaming; enables POST /updates and /subscribe)")
 	flag.DurationVar(&o.streamMaxAge, "stream-max-age", time.Second, "streaming updates: apply a smaller batch once its oldest event is this old")
 	flag.DurationVar(&o.decayHalfLife, "decay-halflife", 0, "halve a queued event's edge weight per this much age at application time (0 disables decay)")
@@ -280,9 +263,6 @@ func main() {
 func buildApp(o options) (*app, error) {
 	if _, err := o.warmMethods(); err != nil {
 		return nil, err // reject a bad -warm-summaries before loading data
-	}
-	if _, err := o.saveFormat(); err != nil {
-		return nil, err // reject a bad -index-format before loading data
 	}
 	pcfg, err := o.planConfig()
 	if err != nil {
@@ -468,15 +448,11 @@ func (a *app) prepare(ctx context.Context) error {
 		log.Printf("warmed %d %s topic summaries in %v", total, m, time.Since(start).Round(time.Millisecond))
 	}
 	if a.opts.indexDir != "" && !loaded {
-		format, err := a.opts.saveFormat()
-		if err != nil {
-			return err
-		}
 		saveStart := time.Now()
-		if err := a.eng.SaveArtifacts(a.opts.indexDir, format); err != nil {
+		if err := a.eng.SaveArtifactsFiltered(a.opts.indexDir, nil); err != nil {
 			return fmt.Errorf("save artifacts to %s: %w", a.opts.indexDir, err)
 		}
-		log.Printf("artifacts saved to %s (%s) in %v", a.opts.indexDir, format, time.Since(saveStart).Round(time.Millisecond))
+		log.Printf("artifacts saved to %s in %v", a.opts.indexDir, time.Since(saveStart).Round(time.Millisecond))
 	}
 	a.srv.MarkReady()
 	if a.pipe != nil {
@@ -532,15 +508,11 @@ func (a *app) prepareSharded(ctx context.Context) error {
 			sp.NumTopics(), m, len(a.engines), time.Since(start).Round(time.Millisecond))
 	}
 	if dir != "" && !loaded {
-		format, err := a.opts.saveFormat()
-		if err != nil {
-			return err
-		}
 		saveStart := time.Now()
-		if err := shard.WriteShardArtifacts(a.engines, a.part, dir, format); err != nil {
+		if err := shard.WriteShardArtifacts(a.engines, a.part, dir); err != nil {
 			return fmt.Errorf("save shard artifacts to %s: %w", dir, err)
 		}
-		log.Printf("per-shard artifacts saved to %s (%s) in %v", dir, format, time.Since(saveStart).Round(time.Millisecond))
+		log.Printf("per-shard artifacts saved to %s in %v", dir, time.Since(saveStart).Round(time.Millisecond))
 	}
 	for i, eng := range a.engines {
 		log.Printf("shard %d ready: %d owned topics, %d lrw / %d rcl summaries cached",

@@ -3,10 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -14,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/plan"
+	"repro/internal/shard"
 )
 
 func testOptions() options {
@@ -282,8 +286,6 @@ func TestOpsHandlerServesMetricsAndPprof(t *testing.T) {
 	}
 }
 
-// TestRunSmoke: the -smoke one-shot passes end to end against a live
-// process on ephemeral ports.
 // TestPrepareColdStartsFromArtifacts: the first prepare builds, warms
 // and saves artifacts; a second app pointed at the same directory loads
 // them instead of rebuilding and serves identical search results.
@@ -294,7 +296,6 @@ func TestPrepareColdStartsFromArtifacts(t *testing.T) {
 	o.walkL, o.walkR = 3, 4
 	o.warmSummaries = "lrw"
 	o.indexDir = dir
-	o.indexFormat = "v2"
 
 	search := func(a *app) string {
 		ts := httptest.NewServer(a.srv.Handler())
@@ -340,6 +341,123 @@ func TestPrepareColdStartsFromArtifacts(t *testing.T) {
 	}
 }
 
+// TestPrepareRefusesNonV2Artifacts: an artifact directory holding
+// anything but v2 files — here what the retired gob v1 format left
+// behind — fails prepare with storage's error (expected format, rebuild
+// command) instead of serving or silently rebuilding, single-engine and
+// sharded alike.
+func TestPrepareRefusesNonV2Artifacts(t *testing.T) {
+	legacy := []byte("(\x7f\x03\x01\x01\benvelope\x01\xff\x80 pitsearch-index-v1")
+	refused := func(t *testing.T, o options) {
+		t.Helper()
+		a, err := buildApp(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.closeEngine()
+		err = a.prepare(context.Background())
+		if err == nil {
+			t.Fatal("prepare served from a non-v2 artifact")
+		}
+		for _, want := range []string{"storage: not a pitsearch-index-v2", "pitsearch-index-v1", "datagen -index-dir"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not say %q", err, want)
+			}
+		}
+	}
+	o := testOptions()
+	o.scale = 0.05
+	o.walkL, o.walkR = 3, 4
+
+	t.Run("index-dir", func(t *testing.T) {
+		o := o
+		o.indexDir = t.TempDir()
+		for _, name := range []string{core.WalkArtifact, core.PropArtifact} {
+			if err := os.WriteFile(filepath.Join(o.indexDir, name), legacy, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		refused(t, o)
+	})
+	t.Run("shard-index-dir", func(t *testing.T) {
+		o := o
+		o.shards = 2
+		o.shardIndexDir = t.TempDir()
+		first, err := buildApp(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = first.prepare(context.Background())
+		first.closeEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(shard.ShardDir(o.shardIndexDir, 1), core.WalkArtifact), legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, o)
+	})
+}
+
+// TestShardedStreamingServesGrownUser: under -shards with streaming, a
+// user added through POST /updates is searchable once the batch has
+// swapped in — the router validates against the graph its shards serve
+// now, like the single-engine server.
+func TestShardedStreamingServesGrownUser(t *testing.T) {
+	o := testOptions()
+	o.shards = 2
+	o.streamBatch = 2
+	o.streamMaxAge = time.Hour // only the full batch flushes
+	a, err := buildApp(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.closeEngine()
+	if err := a.prepare(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(a.srv.Handler())
+	defer ts.Close()
+
+	grown := a.router.Graph().NumNodes()
+	search := func() int {
+		resp, err := http.Get(fmt.Sprintf("%s/search?q=tag000&user=%d&k=3", ts.URL, grown))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	if code := search(); code != http.StatusNotFound {
+		t.Fatalf("/search as a user not yet in the graph = %d, want 404", code)
+	}
+
+	body := fmt.Sprintf(`{"new_nodes":1,"updates":[{"from":3,"to":%d,"weight":0.5},{"from":7,"to":%d,"weight":0.5}]}`, grown, grown)
+	resp, err := http.Post(ts.URL+"/updates", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("/updates = %d, want 202", resp.StatusCode)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < o.shards; i++ {
+		for a.set.Pipeline(i).Swaps() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d never swapped the batch in", i)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if code := search(); code != http.StatusOK {
+		t.Fatalf("/search as the grown user after the swap = %d, want 200", code)
+	}
+}
+
+// TestRunSmoke: the -smoke one-shot passes end to end against a live
+// process on ephemeral ports.
 func TestRunSmoke(t *testing.T) {
 	o := testOptions()
 	if err := runSmoke(o); err != nil {

@@ -6,7 +6,11 @@ package repro
 
 import (
 	"context"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/baselines"
@@ -112,9 +116,9 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	walkPath := filepath.Join(dir, "walks.gob")
-	propPath := filepath.Join(dir, "prop.gob")
-	sumPath := filepath.Join(dir, "sums.gob")
+	walkPath := filepath.Join(dir, "walks.pit")
+	propPath := filepath.Join(dir, "prop.pit")
+	sumPath := filepath.Join(dir, "sums.pit")
 	if err := storage.SaveWalkIndex(walkPath, eng.Walks()); err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +139,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err := eng2.BuildIndexes(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := storage.LoadSummaries(sumPath)
+	loaded, hs, err := storage.OpenSummaries(sumPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer hs.Close() // the preloaded summaries are views into this mapping
 	if err := eng2.PreloadSummaries(core.MethodLRW, loaded); err != nil {
 		t.Fatal(err)
 	}
@@ -166,18 +171,56 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 
 	// And the stored indexes decode to structurally identical artifacts.
-	walks, err := storage.LoadWalkIndex(walkPath)
+	walks, hw, err := storage.OpenWalkIndex(walkPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer hw.Close()
 	if walks.NumNodes() != g.NumNodes() {
 		t.Errorf("reloaded walk index covers %d nodes, want %d", walks.NumNodes(), g.NumNodes())
 	}
-	prop, err := storage.LoadPropIndex(propPath)
+	prop, hp, err := storage.OpenPropIndex(propPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer hp.Close()
 	if prop.Size() != eng.Prop().Size() {
 		t.Errorf("reloaded prop index size %d, want %d", prop.Size(), eng.Prop().Size())
+	}
+}
+
+// TestOneOnDiskFormat fences the persistence stack at one format: gob
+// was the retired pitsearch-index-v1, and a second serializer for the
+// indexes would grow the fork back. internal/analysis is exempt — its
+// vet-facts wire format is gob by the go vet protocol and never touches
+// an artifact.
+func TestOneOnDiskFormat(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join("internal", "analysis") || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				t.Errorf("%s imports encoding/gob: artifacts have one format, pitsearch-index-v2 (internal/storage)", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,13 +7,13 @@ package core
 // build happens once per dataset snapshot and every serving process
 // cold-starts from the artifact directory.
 //
-// With storage.FormatV2 the restored indexes are zero-copy views into
-// read-only file mappings, which changes the engine's shutdown
-// contract: Close must drain in-flight queries through the query gate
-// (gate.go) before releasing the mappings, and queries arriving after
-// Close fail with ErrNotReady instead of reading unmapped memory.
-// Gob-restored and freshly built engines keep the original Close
-// semantics (the cache keeps serving).
+// The restored indexes are zero-copy views into read-only file mappings
+// (internal/storage's one format), which gives a loaded engine a
+// different shutdown contract from a built one: Close must drain
+// in-flight queries through the query gate (gate.go) before releasing
+// the mappings, and queries arriving after Close fail with ErrNotReady
+// instead of reading unmapped memory. A built engine owns its indexes on
+// the heap and keeps serving its cache after Close.
 
 import (
 	"errors"
@@ -23,8 +23,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/lrw"
-	"repro/internal/rcl"
 	"repro/internal/search"
 	"repro/internal/storage"
 	"repro/internal/topics"
@@ -63,45 +61,40 @@ func ArtifactsExist(dir string) bool {
 }
 
 // SaveArtifacts persists the engine's built indexes, plus the cached
-// summary batch of each method that has one, into dir in the given
-// format. Every file is written atomically (temp + rename), so a crash
-// mid-save never corrupts an existing artifact directory. The engine
-// must be ready.
+// summary batch of each method that has one, into dir. Every file is
+// written atomically (temp + rename), so a crash mid-save never corrupts
+// an existing artifact directory. The engine must be ready.
+//
+// There is one format; the parameter (anything but storage.FormatV2 is
+// ErrInvalidArgument) stays ONLY because the frozen benchmark/ harness
+// compiles against this signature. New code calls SaveArtifactsFiltered
+// with a nil filter.
 func (e *Engine) SaveArtifacts(dir string, format storage.Format) error {
-	return e.SaveArtifactsFiltered(dir, format, nil)
+	if format != storage.FormatV2 {
+		return fmt.Errorf("%w: unknown artifact format %q", ErrInvalidArgument, format)
+	}
+	return e.SaveArtifactsFiltered(dir, nil)
 }
 
 // SaveArtifactsFiltered is SaveArtifacts with a summary filter: only
 // cached summaries whose topic satisfies keep are persisted (nil keeps
 // everything). The index artifacts are always written in full — a
 // shard snapshot is self-contained, hydrating anywhere the dataset's
-// graph is available. datagen -shards uses this to write one artifact
-// directory per topic-shard holding exactly the summaries that shard's
-// partition owns.
-func (e *Engine) SaveArtifactsFiltered(dir string, format storage.Format, keep func(topics.TopicID) bool) error {
+// graph is available. shard.WriteShardArtifacts uses this to write one
+// artifact directory per topic-shard holding exactly the summaries that
+// shard's partition owns.
+func (e *Engine) SaveArtifactsFiltered(dir string, keep func(topics.TopicID) bool) error {
 	if err := e.requireIndexes(); err != nil {
 		return err
-	}
-	if format != storage.FormatGob && format != storage.FormatV2 {
-		return fmt.Errorf("%w: unknown artifact format %q", ErrInvalidArgument, format)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: artifact dir: %w", err)
 	}
-	if format == storage.FormatV2 {
-		if err := storage.SaveWalkIndexV2(filepath.Join(dir, WalkArtifact), e.idx.walks); err != nil {
-			return err
-		}
-		if err := storage.SavePropIndexV2(filepath.Join(dir, PropArtifact), e.idx.prop); err != nil {
-			return err
-		}
-	} else {
-		if err := storage.SaveWalkIndex(filepath.Join(dir, WalkArtifact), e.idx.walks); err != nil {
-			return err
-		}
-		if err := storage.SavePropIndex(filepath.Join(dir, PropArtifact), e.idx.prop); err != nil {
-			return err
-		}
+	if err := storage.SaveWalkIndex(filepath.Join(dir, WalkArtifact), e.idx.walks); err != nil {
+		return err
+	}
+	if err := storage.SavePropIndex(filepath.Join(dir, PropArtifact), e.idx.prop); err != nil {
+		return err
 	}
 	for _, m := range []Method{MethodLRW, MethodRCL} {
 		sums := e.corpus.cache.snapshotMethod(m)
@@ -117,31 +110,22 @@ func (e *Engine) SaveArtifactsFiltered(dir string, format storage.Format, keep f
 		if len(sums) == 0 {
 			continue
 		}
-		path := filepath.Join(dir, SummaryArtifact(m))
-		var err error
-		if format == storage.FormatV2 {
-			err = storage.SaveSummariesV2(path, sums)
-		} else {
-			err = storage.SaveSummaries(path, sums)
-		}
-		if err != nil {
+		if err := storage.SaveSummaries(filepath.Join(dir, SummaryArtifact(m)), sums); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// LoadArtifacts restores the offline indexes from dir (format
-// auto-detected per file), making the engine ready without running the
-// index builds. Summary batches present in dir are preloaded into the
-// cache. The artifacts must match the engine's graph — node counts are
-// validated so an artifact from a different dataset snapshot fails
-// loudly here instead of answering garbage.
+// LoadArtifacts restores the offline indexes from dir, making the engine
+// ready without running the index builds. Summary batches present in dir
+// are preloaded into the cache. The artifacts must match the engine's
+// graph — node counts are validated so an artifact from a different
+// dataset snapshot fails loudly here instead of answering garbage.
 //
-// When the artifacts are v2 files, the indexes are zero-copy views into
-// read-only mappings owned by the engine; Close drains in-flight
-// queries and then releases the mappings, and later queries fail with
-// ErrNotReady.
+// The indexes are zero-copy views into read-only mappings owned by the
+// engine; Close drains in-flight queries and then releases the mappings,
+// and later queries fail with ErrNotReady.
 func (e *Engine) LoadArtifacts(dir string) (retErr error) {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
@@ -179,14 +163,6 @@ func (e *Engine) LoadArtifacts(dir string) (retErr error) {
 	if err != nil {
 		return fmt.Errorf("core: searcher: %w", err)
 	}
-	lrwSum, err := lrw.New(e.g, e.space, walks, e.opts.LRW)
-	if err != nil {
-		return fmt.Errorf("core: lrw summarizer: %w", err)
-	}
-	rclSum, err := rcl.New(e.g, e.space, walks, e.opts.RCL)
-	if err != nil {
-		return fmt.Errorf("core: rcl summarizer: %w", err)
-	}
 	for _, m := range []Method{MethodLRW, MethodRCL} {
 		sums, hs, err := storage.OpenSummaries(filepath.Join(dir, SummaryArtifact(m)))
 		if errors.Is(err, fs.ErrNotExist) {
@@ -200,14 +176,10 @@ func (e *Engine) LoadArtifacts(dir string) (retErr error) {
 			return fmt.Errorf("core: %s summaries artifact: %w", m, err)
 		}
 	}
-	e.idx = indexSet{walks: walks, prop: prop, searcher: searcher}
-	e.lrwSum, e.rclSum = lrwSum, rclSum
-	e.handles = handles
-	for _, h := range handles {
-		if h.Mapped() > 0 {
-			e.mapped = true
-		}
+	if err := e.installIndexes(indexSet{walks: walks, prop: prop, searcher: searcher}); err != nil {
+		return err
 	}
+	e.handles, e.mapped = handles, true
 	if e.met != nil {
 		e.met.indexDur.Observe(time.Since(loadStart).Seconds())
 	}

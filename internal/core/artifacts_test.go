@@ -1,11 +1,11 @@
 package core
 
-// Artifact persistence tests: a cold-started engine — whether restored
-// from gob or from the mmap-able v2 format — must answer queries
+// Artifact persistence tests: a cold-started engine must answer queries
 // byte-identically to the engine that built the indexes (pinned with
-// SHA-256 digests over summaries and exact score comparison), and a
-// mapped engine's Close must drain in-flight queries before releasing
-// the mappings (run under -race by `make check`).
+// SHA-256 digests over summaries and exact score comparison), anything
+// that is not a v2 artifact is refused, and a loaded engine's Close must
+// drain in-flight queries before releasing the mappings (run under
+// -race by `make check`).
 
 import (
 	"context"
@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,9 +86,9 @@ func loadedEngine(t testing.TB, dir string) *Engine {
 	return eng
 }
 
-// The golden equivalence test: for both formats, a cold-started engine
-// must produce byte-identical summaries (SHA-256) and exact-equal
-// search scores to the engine that built the indexes.
+// The golden equivalence test: a cold-started engine must produce
+// byte-identical summaries (SHA-256) and exact-equal search scores to
+// the engine that built the indexes.
 func TestArtifactRoundTripByteIdentical(t *testing.T) {
 	src := warmedEngine(t)
 	defer src.Close()
@@ -95,58 +96,90 @@ func TestArtifactRoundTripByteIdentical(t *testing.T) {
 	wantLRW := summary.Digest(allSummaries(t, src, MethodLRW))
 	wantRCL := summary.Digest(allSummaries(t, src, MethodRCL))
 
-	for _, format := range []storage.Format{storage.FormatGob, storage.FormatV2} {
-		t.Run(string(format), func(t *testing.T) {
-			dir := t.TempDir()
-			if err := src.SaveArtifacts(dir, format); err != nil {
-				t.Fatal(err)
+	t.Run(string(storage.FormatV2), func(t *testing.T) {
+		dir := t.TempDir()
+		if err := src.SaveArtifacts(dir, storage.FormatV2); err != nil {
+			t.Fatal(err)
+		}
+		eng := loadedEngine(t, dir)
+		defer eng.Close()
+		// The saved LRW batch must have been preloaded, not rebuilt.
+		if got := eng.CachedSummaries(MethodLRW); got != eng.Space().NumTopics() {
+			t.Errorf("preloaded %d LRW summaries, want %d", got, eng.Space().NumTopics())
+		}
+		if got := summary.Digest(allSummaries(t, eng, MethodLRW)); got != wantLRW {
+			t.Errorf("LRW summary digest differs after the round trip:\n got %s\nwant %s", got, wantLRW)
+		}
+		if got := summary.Digest(allSummaries(t, eng, MethodRCL)); got != wantRCL {
+			t.Errorf("RCL summary digest differs after the round trip:\n got %s\nwant %s", got, wantRCL)
+		}
+		gotScores := queryFingerprint(t, eng)
+		if len(gotScores) != len(wantScores) {
+			t.Fatalf("fingerprint length %d, want %d", len(gotScores), len(wantScores))
+		}
+		for i := range wantScores {
+			if gotScores[i] != wantScores[i] {
+				t.Fatalf("fingerprint[%d] = %v, want %v", i, gotScores[i], wantScores[i])
 			}
-			eng := loadedEngine(t, dir)
-			defer eng.Close()
-			// The saved LRW batch must have been preloaded, not rebuilt.
-			if got := eng.CachedSummaries(MethodLRW); got != eng.Space().NumTopics() {
-				t.Errorf("preloaded %d LRW summaries, want %d", got, eng.Space().NumTopics())
-			}
-			if got := summary.Digest(allSummaries(t, eng, MethodLRW)); got != wantLRW {
-				t.Errorf("LRW summary digest differs after %s round trip:\n got %s\nwant %s", format, got, wantLRW)
-			}
-			if got := summary.Digest(allSummaries(t, eng, MethodRCL)); got != wantRCL {
-				t.Errorf("RCL summary digest differs after %s round trip:\n got %s\nwant %s", format, got, wantRCL)
-			}
-			gotScores := queryFingerprint(t, eng)
-			if len(gotScores) != len(wantScores) {
-				t.Fatalf("fingerprint length %d, want %d", len(gotScores), len(wantScores))
-			}
-			for i := range wantScores {
-				if gotScores[i] != wantScores[i] {
-					t.Fatalf("fingerprint[%d] = %v, want %v (format %s)", i, gotScores[i], wantScores[i], format)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
-// Gob- and v2-restored engines must agree with each other bit for bit,
-// not just with the builder.
-func TestGobAndV2LoadsAgree(t *testing.T) {
-	src := warmedEngine(t)
+// legacyV1Prefix is the gob envelope every artifact of the retired
+// pitsearch-index-v1 format began with (see internal/storage's tests).
+const legacyV1Prefix = "(\x7f\x03\x01\x01\benvelope\x01\xff\x80\x00\x01\x02\x01\x05Magic\x01\f\x00\x01\x04Kind\x01\f\x00\x00\x00\"\xff\x80\x01\x12pitsearch-index-v1\x01\x05walks\x00"
+
+// An artifact directory whose files do not carry the v2 magic — junk,
+// empty, cut off mid-magic, or written by the retired gob v1 format —
+// fails the load with storage's one error (expected format, rebuild
+// command) and leaves the engine not ready and still buildable.
+func TestLoadArtifactsRejectsNonV2(t *testing.T) {
+	good := t.TempDir()
+	src := builtEngine(t)
 	defer src.Close()
-	gobDir, v2Dir := t.TempDir(), t.TempDir()
-	if err := src.SaveArtifacts(gobDir, storage.FormatGob); err != nil {
+	if err := src.SaveArtifacts(good, storage.FormatV2); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.SaveArtifacts(v2Dir, storage.FormatV2); err != nil {
+	goodProp, err := os.ReadFile(filepath.Join(good, PropArtifact))
+	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := loadedEngine(t, gobDir), loadedEngine(t, v2Dir)
-	defer a.Close()
-	defer b.Close()
-	for _, m := range []Method{MethodLRW, MethodRCL} {
-		da := summary.Digest(allSummaries(t, a, m))
-		db := summary.Digest(allSummaries(t, b, m))
-		if da != db {
-			t.Errorf("%s: gob and v2 loads disagree: %s vs %s", m, da, db)
-		}
+	for name, data := range map[string][]byte{
+		"junk":          []byte("not an artifact at all, but longer than any header storage reads"),
+		"empty":         nil,
+		"cut mid-magic": []byte("pitsearch-in"),
+		"gob v1":        []byte(legacyV1Prefix),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, WalkArtifact), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, PropArtifact), goodProp, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			g, space := smallWorld()
+			eng, err := New(g, space, Options{WalkL: 4, WalkR: 8, Theta: 0.02, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			err = eng.LoadArtifacts(dir)
+			if err == nil {
+				t.Fatal("non-v2 walk artifact accepted")
+			}
+			for _, want := range []string{"storage: not a pitsearch-index-v2", "pitsearch-index-v1", "datagen -index-dir"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not say %q", err, want)
+				}
+			}
+			if eng.Ready() {
+				t.Error("engine ready after a refused load")
+			}
+			if err := eng.BuildIndexes(context.Background()); err != nil {
+				t.Errorf("engine not buildable after a refused load: %v", err)
+			}
+		})
 	}
 }
 

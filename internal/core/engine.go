@@ -186,12 +186,12 @@ type Engine struct {
 	cost     *plan.CostModel
 
 	// Artifact-backed state (artifacts.go). handles own the file
-	// mappings behind LoadArtifacts-restored indexes; mapped is true
-	// when any of them is a real mapping, in which case every online
-	// entry point holds the query gate so Close can drain in-flight
-	// queries before releasing the mappings. Both are written before
-	// ready is published and immutable afterwards. unmapOnce makes the
-	// release idempotent across concurrent Close calls.
+	// mappings behind LoadArtifacts-restored indexes and mapped marks
+	// such a loaded engine: every online entry point holds the query
+	// gate so Close can drain in-flight queries before releasing the
+	// mappings. Both are written before ready is published and immutable
+	// afterwards. unmapOnce makes the release idempotent across
+	// concurrent Close calls.
 	handles   []*storage.Handle
 	mapped    bool
 	gated     bool
@@ -231,7 +231,7 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 		buildSrc = e.met.buildDur
 	}
 	e.cost = plan.NewCostModel(opts.Plan.Cost, buildSrc)
-	e.ladder = NewLadder(g, space, opts.Plan, opts.Metrics, e)
+	e.ladder = NewLadder(opts.Plan, opts.Metrics, e)
 	return e, nil
 }
 
@@ -245,11 +245,12 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 // keep serving, but cache misses after Close fail with
 // context.Canceled. Call it after the serving layer has drained.
 //
-// Engines restored from mapped artifacts (LoadArtifacts over v2 files)
-// additionally drain: Close blocks until in-flight queries finish, then
-// releases the file mappings; queries arriving after that fail with
-// ErrNotReady instead of faulting on unmapped memory. Built and
-// gob-restored engines are unaffected.
+// That is the contract of a built engine (BuildIndexes, ShareIndexes),
+// whose indexes live on the heap. A loaded engine (LoadArtifacts) reads
+// its indexes out of file mappings and additionally drains: Close blocks
+// until in-flight queries finish, then releases the mappings; queries
+// arriving after that fail with ErrNotReady instead of faulting on
+// unmapped memory.
 func (e *Engine) Close() {
 	e.stopLife()
 	e.ladder.Close()

@@ -2,7 +2,7 @@ package core
 
 // queryGate drains in-flight queries before the engine unmaps
 // artifact-backed indexes. When an engine's indexes are views into a
-// read-only file mapping (LoadArtifacts over a v2 artifact), Close must
+// read-only file mapping (a LoadArtifacts-restored engine), Close must
 // not munmap while a query still dereferences them — the reader would
 // fault. Every online entry point acquires the gate for its duration;
 // Close flips it closed and blocks until the in-flight count drains.

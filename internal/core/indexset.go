@@ -69,10 +69,10 @@ func (e *Engine) installIndexes(idx indexSet) error {
 // how a multi-shard deployment stands up N engines over one dataset
 // with one index build. The shared indexes are immutable so the
 // aliasing is safe; summarizers, corpus, breakers and lifecycle stay
-// per-engine. src must be ready and must own its indexes on the heap:
-// an engine restored from mapped artifacts refuses to share, because
-// the mapping's lifetime is bound to src's Close and a sharing engine
-// would fault after src unmaps.
+// per-engine. src must be ready and built, not loaded: an engine
+// restored by LoadArtifacts refuses to share, because its mappings'
+// lifetime is bound to src's Close and a sharing engine would fault
+// after src unmaps.
 func (e *Engine) ShareIndexes(src *Engine) error {
 	if src == nil {
 		return fmt.Errorf("core: ShareIndexes: nil source engine")

@@ -60,6 +60,12 @@ type Opened struct {
 // the single engine opens one session, the shard router one per owning
 // shard.
 type Opener interface {
+	// Graph and Space are the dataset the backend serves right now; the
+	// ladder validates users and resolves topics against them per
+	// request, so a backend whose engines swap under it (streaming) is
+	// never checked against a snapshot it has left behind.
+	Graph() *graph.Graph
+	Space() *topics.Space
 	Open(ctx context.Context, req OpenRequest) (Opened, error)
 	// PlanInputs fills the backend's share of the planner's inputs for
 	// a full-tier attempt over ts: whether a build would be admitted
@@ -72,8 +78,6 @@ type Opener interface {
 // is about answers rather than summaries: the last-known-good answer
 // cache and the detached revalidations that refresh it.
 type Ladder struct {
-	g       *graph.Graph
-	space   *topics.Space
 	cfg     plan.Config
 	backend Opener
 	stale   *plan.Cache[string, []TopicResult] // nil when the stale tier is off
@@ -93,9 +97,9 @@ type Ladder struct {
 // NewLadder wires the query path over backend. cfg is the planner
 // configuration (zero values resolve to plan's defaults); reg, when
 // non-nil, receives pit_stale_serves_total and pit_revalidations_total.
-func NewLadder(g *graph.Graph, space *topics.Space, cfg plan.Config, reg *obs.Registry, backend Opener) *Ladder {
+func NewLadder(cfg plan.Config, reg *obs.Registry, backend Opener) *Ladder {
 	cfg.Fill()
-	l := &Ladder{g: g, space: space, cfg: cfg, backend: backend, revaling: map[string]struct{}{}}
+	l := &Ladder{cfg: cfg, backend: backend, revaling: map[string]struct{}{}}
 	l.life, l.stop = context.WithCancel(context.Background())
 	if cfg.StaleEnabled() {
 		l.stale = plan.NewCache[string, []TopicResult](cfg.StaleCapacity, cfg.StaleTTL, nil)
@@ -141,12 +145,12 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	if !q.Method.valid() {
 		return none, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, q.Method)
 	}
-	if !l.g.Valid(q.User) {
+	if !l.backend.Graph().Valid(q.User) {
 		return none, fmt.Errorf("%w: user %d outside the graph", ErrInvalidArgument, q.User)
 	}
 	related := q.Topics
 	if related == nil {
-		related = l.space.Related(q.Text)
+		related = l.backend.Space().Related(q.Text)
 	}
 	if len(related) == 0 {
 		// An empty topic set is a complete full-fidelity answer — there is
@@ -321,9 +325,10 @@ func (l *Ladder) attempt(ctx context.Context, q Query, related []topics.TopicID,
 		}
 		res = search.Diversify(res, sums, q.Lambda, k)
 	}
+	space := l.backend.Space()
 	ans.Results = make([]TopicResult, len(res))
 	for i, r := range res {
-		ans.Results[i] = TopicResult{Topic: l.space.Topic(r.Topic), Score: r.Score}
+		ans.Results[i] = TopicResult{Topic: space.Topic(r.Topic), Score: r.Score}
 	}
 	return ans, nil
 }

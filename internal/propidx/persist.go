@@ -2,9 +2,8 @@ package propidx
 
 // Persistence seams for the propagation index: Raw exposes the CSR
 // backing arrays, Adopt rebuilds an Index around externally owned
-// arrays (e.g. views into a read-only file mapping) without copying.
-// Every load path — gob v1 and the flat binary v2 format — funnels
-// through Adopt, so all of them share one structural validation.
+// arrays (e.g. views into a read-only file mapping) without copying,
+// validating their structure.
 
 import (
 	"fmt"

@@ -5,8 +5,7 @@ package randwalk
 // internal/storage serializes its flat backing arrays directly — Raw
 // exposes them, Adopt rebuilds an Index around externally owned arrays
 // (e.g. slices reinterpreted out of a read-only file mapping) without
-// copying. Both gob (v1) and the flat binary v2 format funnel through
-// Adopt, so every load path gets the same structural validation.
+// copying, validating their structure.
 
 import (
 	"fmt"

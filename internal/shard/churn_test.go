@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -187,5 +188,103 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 			t.Fatalf("goroutine growth: %d now vs %d before churn", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestRouterFollowsGrownGraph grows the node range through the stream
+// set and then queries as the new user: the router must validate users
+// against the graph its shards serve now, not the one it was wired over
+// at boot, and answer exactly like a single engine streamed the same
+// events.
+func TestRouterFollowsGrownGraph(t *testing.T) {
+	g, space := world()
+	opts := worldOptions()
+	ctx := context.Background()
+
+	const n = 3
+	engines, err := shard.BuildEngines(ctx, g, space, opts, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := shard.NewPartitioner(space, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := shard.NewStreamSet(engines, stream.Config{BatchSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Stop()
+	r, err := shard.NewRouter(g, space, part, set.Sources(), shard.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	single, err := core.New(g, space, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := single.BuildIndexes(ctx); err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := stream.New(single, stream.Config{BatchSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		pipe.Stop()
+		pipe.Engine().Close()
+	}()
+
+	// One new user whom two existing ones influence, so the answer is
+	// not trivially empty.
+	grown := graph.NodeID(g.NumNodes())
+	events := []stream.Event{{From: 3, To: grown, Weight: 0.6}, {From: 41, To: grown, Weight: 0.4}}
+	if err := set.GrowNodes(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Submit(events...); err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.GrowNodes(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Submit(events...); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	if got, want := r.Graph().NumNodes(), r.Engine(0).Graph().NumNodes(); got != want || want != g.NumNodes()+1 {
+		t.Fatalf("router graph has %d nodes, shard 0 serves %d, boot graph had %d", got, want, g.NumNodes())
+	}
+	influenced := false
+	for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
+		for tag := 0; tag < 4; tag++ {
+			q := core.Query{Method: m, Text: dataset.TagName(tag), User: grown, K: 5, Fidelity: core.FidelityFull}
+			want, err := pipe.Engine().Run(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, res := range want.Results {
+				influenced = influenced || res.Score > 0
+			}
+			got, err := r.Run(ctx, q)
+			if err != nil {
+				t.Fatalf("%v %s as grown user %d: %v", m, q.Text, grown, err)
+			}
+			sameResults(t, "grown user", want.Ranking(), got.Ranking())
+		}
+	}
+	if !influenced {
+		t.Fatal("no topic influences the grown user: the comparison proved nothing")
+	}
+	if _, err := r.Run(ctx, core.Query{Text: dataset.TagName(0), User: grown + 1, K: 5}); !errors.Is(err, core.ErrInvalidArgument) {
+		t.Fatalf("user beyond the grown graph: %v, want ErrInvalidArgument", err)
 	}
 }

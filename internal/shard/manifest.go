@@ -32,7 +32,7 @@ type ShardInfo struct {
 }
 
 // Manifest describes a sharded artifact set: which partition function
-// produced it and over what dataset shape. Hydrate validates every
+// produced it and over what dataset shape. HydrateInto validates every
 // field against the live dataset and the requested shard count —
 // any mismatch is a loud error, never silent wrong answers.
 type Manifest struct {

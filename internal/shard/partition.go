@@ -8,7 +8,7 @@
 // whose corpus holds only the topics a stable hash assigns it; the
 // immutable indexes underneath are either shared in-process
 // (core.Engine.ShareIndexes) or hydrated per shard from snapshot
-// artifact directories (Hydrate, written by `datagen -shards`).
+// artifact directories (HydrateInto, written by `datagen -shards`).
 //
 // The Router merges per-shard top-k exactly: it opens one search
 // session per owning shard and search.Drive — the same round loop a

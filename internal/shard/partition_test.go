@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/shard"
-	"repro/internal/storage"
 	"repro/internal/topics"
 )
 
@@ -83,6 +82,36 @@ func indexOf(ts []topics.TopicID, id topics.TopicID) int {
 	return -1
 }
 
+// allSlots is the datagen -shards shape: one fully warmed engine
+// snapshots every shard.
+func allSlots(eng *core.Engine, n int) []*core.Engine {
+	engines := make([]*core.Engine, n)
+	for i := range engines {
+		engines[i] = eng
+	}
+	return engines
+}
+
+// hydrate constructs n fresh shard engines, as pitserve does, and
+// hydrates them from root.
+func hydrate(ctx context.Context, g *graph.Graph, space *topics.Space, opts core.Options, root string, n int) ([]*core.Engine, *shard.Partitioner, error) {
+	engines := make([]*core.Engine, n)
+	for i := range engines {
+		eng, err := core.New(g, space, opts)
+		if err != nil {
+			closeEngines(engines[:i])
+			return nil, nil, err
+		}
+		engines[i] = eng
+	}
+	part, err := shard.HydrateInto(ctx, engines, g, space, root)
+	if err != nil {
+		closeEngines(engines)
+		return nil, nil, err
+	}
+	return engines, part, nil
+}
+
 // TestHydrateRoundTrip writes sharded artifacts from a warmed engine,
 // hydrates a fresh shard set from them, and requires the hydrated
 // router to answer exactly like the source engine — summaries included,
@@ -115,11 +144,11 @@ func TestHydrateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := t.TempDir()
-	if err := shard.WriteArtifacts(single, part, root, storage.FormatV2); err != nil {
+	if err := shard.WriteShardArtifacts(allSlots(single, part.Shards()), part, root); err != nil {
 		t.Fatal(err)
 	}
 
-	engines, hydPart, err := shard.Hydrate(ctx, g, space, opts, root, n)
+	engines, hydPart, err := hydrate(ctx, g, space, opts, root, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +206,7 @@ func TestHydrateRejectsMismatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := t.TempDir()
-	if err := shard.WriteArtifacts(single, part, root, storage.FormatV2); err != nil {
+	if err := shard.WriteShardArtifacts(allSlots(single, part.Shards()), part, root); err != nil {
 		t.Fatal(err)
 	}
 	good, err := shard.ReadManifest(root)
@@ -206,7 +235,7 @@ func TestHydrateRejectsMismatches(t *testing.T) {
 			if err := shard.WriteManifest(root, bad); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err := shard.Hydrate(ctx, g, space, opts, root, tc.shards)
+			_, _, err := hydrate(ctx, g, space, opts, root, tc.shards)
 			if err == nil {
 				t.Fatalf("hydration accepted a manifest with a bad %s", tc.name)
 			}
@@ -219,7 +248,7 @@ func TestHydrateRejectsMismatches(t *testing.T) {
 	if err := shard.WriteManifest(root, good); err != nil {
 		t.Fatal(err)
 	}
-	engines, _, err := shard.Hydrate(ctx, g, space, opts, root, 2)
+	engines, _, err := hydrate(ctx, g, space, opts, root, 2)
 	if err != nil {
 		t.Fatalf("good manifest rejected: %v", err)
 	}

@@ -40,8 +40,6 @@ type Config struct {
 // TestRouterMatchesSingleEngine). A shard all of whose topics the bound
 // prunes stops expanding mid-scatter.
 type Router struct {
-	g      *graph.Graph
-	space  *topics.Space
 	part   *Partitioner
 	shards []EngineSource
 	met    *routerMetrics
@@ -50,9 +48,12 @@ type Router struct {
 
 // NewRouter wires a router over one engine source per shard. Every
 // source must resolve to a non-nil engine built over the same graph
-// and topic space as the router's. The plan config (policy, stale
-// cache, materialized budget) is taken from shard 0's engine options,
-// which a homogeneous deployment shares across shards.
+// and topic space; g and space are that boot dataset and are only
+// checked for presence — the router reads the dataset from shard 0's
+// current engine (Graph, Space), because streaming swaps grow it. The
+// plan config (policy, stale cache, materialized budget) is taken from
+// shard 0's engine options, which a homogeneous deployment shares
+// across shards.
 func NewRouter(g *graph.Graph, space *topics.Space, part *Partitioner, sources []EngineSource, cfg Config) (*Router, error) {
 	if g == nil || space == nil || part == nil {
 		return nil, fmt.Errorf("shard: nil graph, space or partitioner")
@@ -65,11 +66,11 @@ func NewRouter(g *graph.Graph, space *topics.Space, part *Partitioner, sources [
 			return nil, fmt.Errorf("shard: shard %d has no engine source", i)
 		}
 	}
-	r := &Router{g: g, space: space, part: part, shards: sources}
+	r := &Router{part: part, shards: sources}
 	if cfg.Metrics != nil {
 		r.met = newRouterMetrics(cfg.Metrics, part.Shards())
 	}
-	r.ladder = core.NewLadder(g, space, sources[0]().Options().Plan, cfg.Metrics, r)
+	r.ladder = core.NewLadder(sources[0]().Options().Plan, cfg.Metrics, r)
 	return r, nil
 }
 
@@ -82,11 +83,13 @@ func (r *Router) Partitioner() *Partitioner { return r.part }
 // Engine returns shard i's current engine.
 func (r *Router) Engine(i int) *core.Engine { return r.shards[i]() }
 
-// Graph returns the dataset's social graph.
-func (r *Router) Graph() *graph.Graph { return r.g }
+// Graph returns the social graph shard 0's current engine serves. The
+// graph is replicated across shards and grows with streaming swaps, so
+// this follows the swap instead of pinning the boot snapshot.
+func (r *Router) Graph() *graph.Graph { return r.shards[0]().Graph() }
 
-// Space returns the dataset's topic space.
-func (r *Router) Space() *topics.Space { return r.space }
+// Space returns the topic space shard 0's current engine serves.
+func (r *Router) Space() *topics.Space { return r.shards[0]().Space() }
 
 // Ready reports whether every shard's current engine is ready, and
 // refreshes the per-shard readiness gauges.
@@ -173,7 +176,7 @@ func (r *Router) withShard(i int, fn func(eng *core.Engine) error) error {
 
 // Summarize routes a summarization to the topic's owning shard.
 func (r *Router) Summarize(ctx context.Context, m core.Method, t topics.TopicID) (summary.Summary, error) {
-	if !r.space.Valid(t) {
+	if !r.Space().Valid(t) {
 		return summary.Summary{}, fmt.Errorf("%w: unknown topic %d", core.ErrInvalidArgument, t)
 	}
 	var s summary.Summary

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/storage"
 	"repro/internal/topics"
 )
 
@@ -48,44 +47,6 @@ func BuildEngines(ctx context.Context, g *graph.Graph, space *topics.Space, opts
 	return engines, nil
 }
 
-// Hydrate cold-starts N shard engines from a sharded artifact root
-// written by `datagen -shards`: the manifest is validated against the
-// live dataset (partition function, shard count, topic and node
-// counts — any mismatch fails loudly), then every shard mmap-loads its
-// own directory in parallel, so time-to-ready is one shard's open, not
-// N sequential ones. After loading, each shard's preloaded summaries
-// are checked against the partition: a summary for a topic the shard
-// does not own means the artifacts and the partitioner disagree, and
-// the whole hydration fails rather than serve misrouted topics.
-func Hydrate(ctx context.Context, g *graph.Graph, space *topics.Space, opts core.Options, root string, wantShards int) ([]*core.Engine, *Partitioner, error) {
-	man, err := ReadManifest(root)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := man.Validate(space, g, wantShards); err != nil {
-		return nil, nil, err
-	}
-	engines := make([]*core.Engine, man.Shards)
-	for i := range engines {
-		eng, err := core.New(g, space, opts)
-		if err != nil {
-			for _, e := range engines[:i] {
-				e.Close()
-			}
-			return nil, nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		engines[i] = eng
-	}
-	part, err := HydrateInto(ctx, engines, g, space, root)
-	if err != nil {
-		for _, eng := range engines {
-			eng.Close()
-		}
-		return nil, nil, err
-	}
-	return engines, part, nil
-}
-
 // ArtifactsExist reports whether root holds a sharded artifact set (its
 // manifest is present) — the cold-start-vs-build decision point.
 func ArtifactsExist(root string) bool {
@@ -93,10 +54,18 @@ func ArtifactsExist(root string) bool {
 	return err == nil
 }
 
-// HydrateInto is Hydrate over caller-constructed engines (one per
-// shard, in shard order), for deployments that wire engines into
-// pipelines/metrics before loading. The manifest must match
-// len(engines) exactly.
+// HydrateInto cold-starts caller-constructed shard engines (one per
+// shard, in shard order — deployments wire them into pipelines and
+// metrics first) from a sharded artifact root written by `datagen
+// -shards` or WriteShardArtifacts: the manifest is validated against the
+// live dataset and len(engines) (partition function, shard count, topic
+// and node counts — any mismatch fails loudly), then every shard
+// mmap-loads its own directory in parallel, so time-to-ready is one
+// shard's open, not N sequential ones. After loading, each shard's
+// preloaded summaries are checked against the partition: a summary for
+// a topic the shard does not own means the artifacts and the
+// partitioner disagree, and the whole hydration fails rather than serve
+// misrouted topics. On error the caller closes the engines.
 func HydrateInto(ctx context.Context, engines []*core.Engine, g *graph.Graph, space *topics.Space, root string) (*Partitioner, error) {
 	man, err := ReadManifest(root)
 	if err != nil {
@@ -150,40 +119,22 @@ func HydrateInto(ctx context.Context, engines []*core.Engine, g *graph.Graph, sp
 	return part, nil
 }
 
-// WriteArtifacts snapshots a warmed engine into a sharded artifact
-// root: shard-<i>/ holds the full index artifacts (self-contained — a
-// shard hydrates anywhere the dataset is available) plus exactly the
-// cached summaries the partition assigns shard i, and the manifest
-// records the partition function and dataset shape for load-time
-// validation. format names a storage format constant ("v2" for
-// mmap-able snapshot shipping).
-func WriteArtifacts(eng *core.Engine, part *Partitioner, root string, format storage.Format) error {
-	if eng == nil || part == nil {
-		return fmt.Errorf("shard: nil engine or partitioner")
-	}
-	for i := 0; i < part.Shards(); i++ {
-		i := i
-		keep := func(t topics.TopicID) bool { return Assign(t, part.Shards()) == i }
-		if err := eng.SaveArtifactsFiltered(ShardDir(root, i), format, keep); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return WriteManifest(root, NewManifest(part, eng.Graph()))
-}
-
-// WriteShardArtifacts is WriteArtifacts for an already-partitioned
-// serving set: engine i (warmed with its owned topics, e.g. via
-// Router.WarmOwned) snapshots shard-<i>/ itself, so a sharded pitserve
-// persists what it built without any engine ever holding the whole
-// corpus.
-func WriteShardArtifacts(engines []*core.Engine, part *Partitioner, root string, format storage.Format) error {
+// WriteShardArtifacts snapshots a warmed serving set into a sharded
+// artifact root: engine i writes shard-<i>/ — the full index artifacts
+// (self-contained: a shard hydrates anywhere the dataset is available)
+// plus exactly the cached summaries the partition assigns shard i — and
+// the manifest records the partition function and dataset shape for
+// load-time validation. A sharded pitserve passes its shard engines
+// (each warmed with its owned topics, e.g. via Router.WarmOwned), so no
+// engine ever holds the whole corpus; datagen -shards passes its one
+// fully warmed engine in every slot.
+func WriteShardArtifacts(engines []*core.Engine, part *Partitioner, root string) error {
 	if len(engines) != part.Shards() {
 		return fmt.Errorf("shard: %d engines for %d shards", len(engines), part.Shards())
 	}
 	for i, eng := range engines {
-		i := i
 		keep := func(t topics.TopicID) bool { return Assign(t, part.Shards()) == i }
-		if err := eng.SaveArtifactsFiltered(ShardDir(root, i), format, keep); err != nil {
+		if err := eng.SaveArtifactsFiltered(ShardDir(root, i), keep); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

@@ -196,24 +196,17 @@ func paddedFieldIs(b []byte, s string) bool {
 	return true
 }
 
-// isV2Magic reports whether data starts with the v2 magic.
-func isV2Magic(data []byte) bool {
-	if len(data) < 24 {
-		return false
-	}
-	return trimNUL(data[0:24]) == magicV2
-}
-
 // parseV2 validates the envelope of a fully loaded v2 file and indexes
 // its sections. Every offset and size is checked against len(data)
 // before any slicing, and every section's CRC is verified, so a
 // truncated or bit-flipped file fails here with a descriptive error.
 func parseV2(data []byte, wantKind string) (*v2File, error) {
+	if len(data) < 24 || !paddedFieldIs(data[0:24], magicV2) {
+		return nil, fmt.Errorf("storage: not a %s artifact (leading bytes %q): it is the only format read — gob pitsearch-index-v1 files no longer are; rebuild with `datagen -index-dir`",
+			magicV2, data[:min(len(data), 24)])
+	}
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("storage: file too small for v2 header (%d bytes)", len(data))
-	}
-	if !paddedFieldIs(data[0:24], magicV2) {
-		return nil, fmt.Errorf("storage: not a %s file (magic %q)", magicV2, trimNUL(data[0:24]))
 	}
 	kind := trimNUL(data[24:32])
 	if kind != wantKind {

@@ -1,8 +1,7 @@
 package storage
 
 // Tests for the flat binary v2 format: round trips over both the
-// zero-copy and copying view paths, auto-detecting Open*, and the
-// robustness battery — truncation at every section boundary, bit
+// zero-copy and copying view paths, and the robustness battery — truncation at every section boundary, bit
 // flips under every CRC, and envelope lies (bad magic, kind, counts,
 // offsets). A corrupt artifact must produce a wrapped "storage:"
 // error, never a panic.
@@ -114,20 +113,14 @@ func sameProp(t *testing.T, a, b *propidx.Index) {
 func TestWalkIndexV2RoundTrip(t *testing.T) {
 	ix := buildWalks(t)
 	path := filepath.Join(t.TempDir(), "walks.pit")
-	if err := SaveWalkIndexV2(path, ix); err != nil {
+	if err := SaveWalkIndex(path, ix); err != nil {
 		t.Fatal(err)
-	}
-	if f, err := DetectFormat(path); err != nil || f != FormatV2 {
-		t.Fatalf("DetectFormat = %v, %v", f, err)
 	}
 	got, h, err := OpenWalkIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if mmapIsReadOnly && h.Mapped() == 0 {
-		t.Error("v2 open reports no mapped bytes")
-	}
 	sameWalks(t, ix, got)
 
 	forceCopy(t, func(t *testing.T) {
@@ -143,7 +136,7 @@ func TestWalkIndexV2RoundTrip(t *testing.T) {
 func TestPropIndexV2RoundTrip(t *testing.T) {
 	ix := buildProp(t)
 	path := filepath.Join(t.TempDir(), "prop.pit")
-	if err := SavePropIndexV2(path, ix); err != nil {
+	if err := SavePropIndex(path, ix); err != nil {
 		t.Fatal(err)
 	}
 	got, h, err := OpenPropIndex(path)
@@ -166,7 +159,7 @@ func TestPropIndexV2RoundTrip(t *testing.T) {
 func TestSummariesV2RoundTrip(t *testing.T) {
 	sums := testSums()
 	path := filepath.Join(t.TempDir(), "sums.pit")
-	if err := SaveSummariesV2(path, sums); err != nil {
+	if err := SaveSummaries(path, sums); err != nil {
 		t.Fatal(err)
 	}
 	check := func(t *testing.T) {
@@ -195,7 +188,7 @@ func TestSummariesV2RoundTrip(t *testing.T) {
 
 func TestSummariesV2RoundTripEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sums.pit")
-	if err := SaveSummariesV2(path, nil); err != nil {
+	if err := SaveSummaries(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, h, err := OpenSummaries(path)
@@ -208,53 +201,14 @@ func TestSummariesV2RoundTripEmpty(t *testing.T) {
 	}
 }
 
-// Open* must also serve gob files transparently (format auto-detect),
-// returning a usable no-op handle.
-func TestOpenAutoDetectsGob(t *testing.T) {
-	ix := buildWalks(t)
-	path := filepath.Join(t.TempDir(), "walks.gob")
-	if err := SaveWalkIndex(path, ix); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := DetectFormat(path); err != nil || f != FormatGob {
-		t.Fatalf("DetectFormat = %v, %v", f, err)
-	}
-	got, h, err := OpenWalkIndex(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Mapped() != 0 {
-		t.Errorf("gob load reports %d mapped bytes", h.Mapped())
-	}
-	if err := h.Close(); err != nil {
-		t.Errorf("gob handle close: %v", err)
-	}
-	if err := h.Close(); err != nil {
-		t.Errorf("second close: %v", err)
-	}
-	sameWalks(t, ix, got)
-}
-
 func TestV2KindMismatchRejected(t *testing.T) {
 	ix := buildWalks(t)
 	path := filepath.Join(t.TempDir(), "walks.pit")
-	if err := SaveWalkIndexV2(path, ix); err != nil {
+	if err := SaveWalkIndex(path, ix); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := OpenPropIndex(path); err == nil || !strings.Contains(err.Error(), "expected") {
 		t.Errorf("walk file opened as prop index: %v", err)
-	}
-}
-
-func TestParseFormat(t *testing.T) {
-	if f, err := ParseFormat("gob"); err != nil || f != FormatGob {
-		t.Errorf("ParseFormat(gob) = %v, %v", f, err)
-	}
-	if f, err := ParseFormat("v2"); err != nil || f != FormatV2 {
-		t.Errorf("ParseFormat(v2) = %v, %v", f, err)
-	}
-	if _, err := ParseFormat("zip"); err == nil {
-		t.Error("unknown format accepted")
 	}
 }
 
@@ -267,13 +221,13 @@ func saveAllV2(t *testing.T) map[string]string {
 		kindProp:  filepath.Join(dir, "prop.pit"),
 		kindSums:  filepath.Join(dir, "sums.pit"),
 	}
-	if err := SaveWalkIndexV2(paths[kindWalks], buildWalks(t)); err != nil {
+	if err := SaveWalkIndex(paths[kindWalks], buildWalks(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := SavePropIndexV2(paths[kindProp], buildProp(t)); err != nil {
+	if err := SavePropIndex(paths[kindProp], buildProp(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveSummariesV2(paths[kindSums], testSums()); err != nil {
+	if err := SaveSummaries(paths[kindSums], testSums()); err != nil {
 		t.Fatal(err)
 	}
 	return paths
@@ -290,7 +244,7 @@ func openByKind(kind, path string) error {
 	case kindProp:
 		_, h, err = OpenPropIndex(path)
 	case kindSums:
-		_, _, err = OpenSummaries(path)
+		_, h, err = OpenSummaries(path)
 	}
 	if h != nil {
 		h.Close()
@@ -387,9 +341,22 @@ func TestSaveIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "walks.pit")
 	ix := buildWalks(t)
-	if err := SaveWalkIndexV2(path, ix); err != nil {
+	if err := SaveWalkIndex(path, ix); err != nil {
 		t.Fatal(err)
 	}
+	onlyArtifact := func(when string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Name() != "walks.pit" {
+				t.Errorf("leftover temp file %q after %s", e.Name(), when)
+			}
+		}
+	}
+	onlyArtifact("a save to a new file")
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -412,16 +379,7 @@ func TestSaveIsAtomic(t *testing.T) {
 	if string(before) != string(after) {
 		t.Fatal("failed save corrupted the existing artifact")
 	}
-	// No temp litter left behind.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() != "walks.pit" {
-			t.Errorf("leftover temp file %q after failed save", e.Name())
-		}
-	}
+	onlyArtifact("a failed save")
 	// And the surviving artifact still loads.
 	got, h, err := OpenWalkIndex(path)
 	if err != nil {
@@ -429,20 +387,4 @@ func TestSaveIsAtomic(t *testing.T) {
 	}
 	defer h.Close()
 	sameWalks(t, ix, got)
-}
-
-// Gob saves share the same temp-and-rename path.
-func TestGobSaveIsAtomicOnNewFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sums.gob")
-	if err := SaveSummaries(path, testSums()); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "sums.gob" {
-		t.Fatalf("unexpected directory contents after save: %v", entries)
-	}
 }

@@ -49,7 +49,7 @@ func TestMmapWriteFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "walks.pit")
-	if err := SaveWalkIndexV2(path, ix); err != nil {
+	if err := SaveWalkIndex(path, ix); err != nil {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(os.Args[0], "-test.run=TestMmapWriteFaults$", "-test.v")

@@ -1,14 +1,14 @@
 package storage
 
-// FuzzLoad drives arbitrary bytes through the auto-detecting load path
-// for every artifact kind — covering both the gob (v1) and flat binary
-// (v2) envelopes. The contract under fuzzing: a load either succeeds or
-// returns a wrapped "storage:" error; it never panics, and (because gob
-// reads are bounded by the file size and v2 validates every length
-// before slicing) never allocates proportionally to a lied-about
-// length. Seeds are freshly encoded artifacts of each kind in each
-// format plus truncated and bit-flipped variants, so the fuzzer starts
-// at the interesting boundaries instead of rediscovering the magic.
+// FuzzLoad drives arbitrary bytes through the load path for every
+// artifact kind. The contract under fuzzing: a load either succeeds or
+// returns a wrapped "storage:" error; it never panics, and (because
+// every length is validated before slicing) never allocates
+// proportionally to a lied-about length. Seeds are freshly encoded
+// artifacts of each kind cut and flipped at the envelope's structural
+// boundaries, plus the prefix of a retired gob v1 artifact, so the
+// fuzzer starts at the interesting edges instead of rediscovering the
+// magic.
 
 import (
 	"context"
@@ -40,11 +40,8 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	}
 	saves := []func(string) error{
 		func(p string) error { return SaveWalkIndex(p, walkIx) },
-		func(p string) error { return SaveWalkIndexV2(p, walkIx) },
 		func(p string) error { return SavePropIndex(p, propIx) },
-		func(p string) error { return SavePropIndexV2(p, propIx) },
 		func(p string) error { return SaveSummaries(p, sums) },
-		func(p string) error { return SaveSummariesV2(p, sums) },
 	}
 	var out [][]byte
 	for i, save := range saves {
@@ -65,15 +62,19 @@ func FuzzLoad(f *testing.F) {
 	for _, data := range fuzzSeeds(f) {
 		for kindSel := byte(0); kindSel < 3; kindSel++ {
 			f.Add(kindSel, data)
-			f.Add(kindSel, data[:len(data)/2])
-			f.Add(kindSel, data[:len(data)-1])
-			mut := append([]byte{}, data...)
-			mut[len(mut)/3] ^= 0xff
-			f.Add(kindSel, mut)
+			for _, cut := range []int{12, headerSize - 1, headerSize + tocEntrySize, len(data) / 2, len(data) - 1} {
+				f.Add(kindSel, data[:cut])
+			}
+			for _, at := range []int{24, len(data) / 3} { // the kind field, a section
+				mut := append([]byte{}, data...)
+				mut[at] ^= 0xff
+				f.Add(kindSel, mut)
+			}
 		}
 	}
 	f.Add(byte(0), []byte{})
 	f.Add(byte(1), []byte(magicV2))
+	f.Add(byte(2), []byte(legacyV1Prefix))
 
 	kinds := []string{kindWalks, kindProp, kindSums}
 	f.Fuzz(func(t *testing.T, kindSel byte, data []byte) {

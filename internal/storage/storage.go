@@ -4,25 +4,19 @@
 // summaries — so a deployment builds them once per dataset snapshot and
 // reloads them at startup, exactly the amortization argument of §6.6.
 //
-// Two on-disk formats coexist:
-//
-//   - gob (v1, "pitsearch-index-v1"): a gob stream; portable and simple,
-//     but loading decodes every element and allocates the full index.
-//   - flat binary (v2, "pitsearch-index-v2"): the indexes' backing
-//     arrays as little-endian machine words behind a checksummed
-//     section TOC (binary.go). The read path maps the file and
-//     reinterprets sections in place (view.go), so cold start costs
-//     page-table setup instead of a full decode.
-//
-// The Open* functions auto-detect the format and return a Handle that
-// owns the mapping; Save* writes gob, Save*V2 writes flat binary. All
-// writes go through a temp file plus atomic rename, so a crash mid-save
-// never corrupts an existing artifact.
+// There is one on-disk format, flat binary "pitsearch-index-v2": the
+// indexes' backing arrays as little-endian machine words behind a
+// checksummed section TOC (binary.go). Save* writes it through a temp
+// file plus atomic rename, so a crash mid-save never corrupts an
+// existing artifact. Open* maps the file and reinterprets sections in
+// place (view.go), so cold start costs page-table setup instead of a
+// full decode, and returns a Handle that owns the mapping. A file with
+// any other magic — including the retired gob "pitsearch-index-v1" — is
+// a hard error; rebuild it with datagen -index-dir.
 package storage
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -34,83 +28,35 @@ import (
 	"repro/internal/summary"
 )
 
-// magicV1 versions the gob envelope so stale files fail loudly.
-const magicV1 = "pitsearch-index-v1"
-
-// Artifact kinds. The v2 header's kind field is 8 bytes, so summaries
-// are "sums" there; the gob envelope keeps its historical "summaries".
+// Artifact kinds (the header's kind field is 8 bytes).
 const (
-	kindWalks        = "walks"
-	kindProp         = "prop"
-	kindSums         = "sums"
-	kindSummariesGob = "summaries"
+	kindWalks = "walks"
+	kindProp  = "prop"
+	kindSums  = "sums"
 )
 
-// Format names an on-disk index format.
+// Format names an on-disk index format. FormatV2 is the only one; the
+// type survives because core.Engine.SaveArtifacts takes it.
 type Format string
 
-const (
-	// FormatGob is the v1 gob stream.
-	FormatGob Format = "gob"
-	// FormatV2 is the flat binary mmap-able format.
-	FormatV2 Format = "v2"
-)
+// FormatV2 is the flat binary mmap-able format.
+const FormatV2 Format = "v2"
 
-// ParseFormat parses a user-supplied format name (CLI flag values).
-func ParseFormat(s string) (Format, error) {
-	switch Format(s) {
-	case FormatGob, FormatV2:
-		return Format(s), nil
-	}
-	return "", fmt.Errorf("storage: unknown format %q (want %q or %q)", s, FormatGob, FormatV2)
-}
-
-// DetectFormat sniffs the format of an existing artifact from its
-// leading bytes. Anything that is not a v2 header is presumed gob — the
-// gob loader then reports its own envelope error for garbage files.
-func DetectFormat(path string) (Format, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", fmt.Errorf("storage: %w", err)
-	}
-	defer f.Close()
-	var head [24]byte
-	n, err := io.ReadFull(f, head[:])
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return "", fmt.Errorf("storage: %w", err)
-	}
-	if isV2Magic(head[:n]) {
-		return FormatV2, nil
-	}
-	return FormatGob, nil
-}
-
-// Handle owns the resources behind a loaded artifact — the file mapping
-// on the v2 path, nothing on the gob path. Close is idempotent; after
-// it returns, slices adopted from a mapped artifact must no longer be
-// accessed (on Linux, access faults). The zero value is a valid no-op
-// handle, so gob and v2 loads are interchangeable to callers.
+// Handle owns the file mapping behind a loaded artifact. Close is
+// idempotent; after it returns, slices adopted from the artifact must
+// no longer be accessed (on Linux, access faults).
 type Handle struct {
 	once    sync.Once
 	closeFn func() error
 	err     error
-	mapped  int64
 }
 
 // Close releases the mapping (first call only; later calls return the
 // first result).
 func (h *Handle) Close() error {
-	h.once.Do(func() {
-		if h.closeFn != nil {
-			h.err = h.closeFn()
-		}
-	})
+	h.once.Do(func() { h.err = h.closeFn() })
 	return h.err
 }
-
-// Mapped returns the number of artifact bytes backing this handle's
-// index (0 for gob loads, which copy into the heap).
-func (h *Handle) Mapped() int64 { return h.mapped }
 
 // atomicWriteFile writes via a temp file in path's directory and
 // renames it into place, so a crash or failed write leaves any existing
@@ -152,61 +98,9 @@ func atomicWriteFile(path string, write func(io.Writer) error) (err error) {
 	return nil
 }
 
-type envelope struct {
-	Magic string
-	Kind  string
-}
-
-func writeFile(path, kind string, payload interface{}) error {
-	return atomicWriteFile(path, func(w io.Writer) error {
-		enc := gob.NewEncoder(w)
-		if err := enc.Encode(envelope{Magic: magicV1, Kind: kind}); err != nil {
-			return fmt.Errorf("storage: encode envelope: %w", err)
-		}
-		if err := enc.Encode(payload); err != nil {
-			return fmt.Errorf("storage: encode %s: %w", kind, err)
-		}
-		return nil
-	})
-}
-
-func readFile(path, kind string, payload interface{}) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	// Bound the decoder to the file's stated size so a growing or
-	// special file cannot feed gob an unbounded stream.
-	lr := &io.LimitedReader{R: bufio.NewReader(f), N: st.Size()}
-	return read(lr, kind, payload)
-}
-
-func read(r io.Reader, kind string, payload interface{}) error {
-	dec := gob.NewDecoder(r)
-	var env envelope
-	if err := dec.Decode(&env); err != nil {
-		return fmt.Errorf("storage: decode envelope: %w", err)
-	}
-	if env.Magic != magicV1 {
-		return fmt.Errorf("storage: not a pitsearch index file (magic %q)", env.Magic)
-	}
-	if env.Kind != kind {
-		return fmt.Errorf("storage: file holds %q, expected %q", env.Kind, kind)
-	}
-	if err := dec.Decode(payload); err != nil {
-		return fmt.Errorf("storage: decode %s: %w", kind, err)
-	}
-	return nil
-}
-
-// openV2 maps path and parses its envelope. On success the Handle owns
+// open maps path and parses its envelope. On success the Handle owns
 // the mapping; on any error the mapping is released before returning.
-func openV2(path, kind string) (*v2File, *Handle, error) {
+func open(path, kind string) (*v2File, *Handle, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("storage: %w", err)
@@ -225,160 +119,62 @@ func openV2(path, kind string) (*v2File, *Handle, error) {
 		closer()
 		return nil, nil, err
 	}
-	return vf, &Handle{closeFn: closer, mapped: int64(len(data))}, nil
+	return vf, &Handle{closeFn: closer}, nil
 }
 
-// SaveWalkIndex persists a walk index to path in gob (v1) format.
+// openAs opens path as a kind artifact and decodes it; a decode failure
+// releases the mapping.
+func openAs[T any](path, kind string, decode func(*v2File) (T, error)) (T, *Handle, error) {
+	var zero T
+	vf, h, err := open(path, kind)
+	if err != nil {
+		return zero, nil, err
+	}
+	v, err := decode(vf)
+	if err != nil {
+		h.Close()
+		return zero, nil, err
+	}
+	return v, h, nil
+}
+
+// SaveWalkIndex persists a walk index to path.
 func SaveWalkIndex(path string, ix *randwalk.Index) error {
 	if ix == nil {
 		return fmt.Errorf("storage: nil walk index")
 	}
-	return writeFile(path, kindWalks, ix)
+	return atomicWriteFile(path, encodeWalksV2(ix).writeTo)
 }
 
-// SaveWalkIndexV2 persists a walk index to path in flat binary (v2)
-// format, the mmap-able cold-start fast path.
-func SaveWalkIndexV2(path string, ix *randwalk.Index) error {
-	if ix == nil {
-		return fmt.Errorf("storage: nil walk index")
-	}
-	w := encodeWalksV2(ix)
-	return atomicWriteFile(path, w.writeTo)
-}
-
-// LoadWalkIndex reads a gob-format walk index from path.
-func LoadWalkIndex(path string) (*randwalk.Index, error) {
-	ix := new(randwalk.Index)
-	if err := readFile(path, kindWalks, ix); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// OpenWalkIndex reads a walk index from path, auto-detecting the
-// format. For v2 files the index's backing arrays are views into the
-// returned Handle's mapping: treat them as immutable and keep the
-// Handle open for the index's lifetime.
+// OpenWalkIndex reads a walk index from path. The index's backing
+// arrays are views into the returned Handle's mapping: treat them as
+// immutable and keep the Handle open for the index's lifetime.
 func OpenWalkIndex(path string) (*randwalk.Index, *Handle, error) {
-	format, err := DetectFormat(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if format == FormatGob {
-		ix, err := LoadWalkIndex(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ix, &Handle{}, nil
-	}
-	vf, h, err := openV2(path, kindWalks)
-	if err != nil {
-		return nil, nil, err
-	}
-	ix, err := decodeWalksV2(vf)
-	if err != nil {
-		h.Close()
-		return nil, nil, err
-	}
-	return ix, h, nil
+	return openAs(path, kindWalks, decodeWalksV2)
 }
 
-// SavePropIndex persists a propagation index to path in gob (v1) format.
+// SavePropIndex persists a propagation index to path.
 func SavePropIndex(path string, ix *propidx.Index) error {
 	if ix == nil {
 		return fmt.Errorf("storage: nil propagation index")
 	}
-	return writeFile(path, kindProp, ix)
+	return atomicWriteFile(path, encodePropV2(ix).writeTo)
 }
 
-// SavePropIndexV2 persists a propagation index to path in flat binary
-// (v2) format.
-func SavePropIndexV2(path string, ix *propidx.Index) error {
-	if ix == nil {
-		return fmt.Errorf("storage: nil propagation index")
-	}
-	w := encodePropV2(ix)
-	return atomicWriteFile(path, w.writeTo)
-}
-
-// LoadPropIndex reads a gob-format propagation index from path.
-func LoadPropIndex(path string) (*propidx.Index, error) {
-	ix := new(propidx.Index)
-	if err := readFile(path, kindProp, ix); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// OpenPropIndex reads a propagation index from path, auto-detecting the
-// format; see OpenWalkIndex for the Handle contract.
+// OpenPropIndex reads a propagation index from path; see OpenWalkIndex
+// for the Handle contract.
 func OpenPropIndex(path string) (*propidx.Index, *Handle, error) {
-	format, err := DetectFormat(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if format == FormatGob {
-		ix, err := LoadPropIndex(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ix, &Handle{}, nil
-	}
-	vf, h, err := openV2(path, kindProp)
-	if err != nil {
-		return nil, nil, err
-	}
-	ix, err := decodePropV2(vf)
-	if err != nil {
-		h.Close()
-		return nil, nil, err
-	}
-	return ix, h, nil
+	return openAs(path, kindProp, decodePropV2)
 }
 
 // SaveSummaries persists a batch of materialized topic summaries (the
-// topic-to-representative index of Figures 15–16) in gob (v1) format.
+// topic-to-representative index of Figures 15–16) to path.
 func SaveSummaries(path string, sums []summary.Summary) error {
-	return writeFile(path, kindSummariesGob, sums)
+	return atomicWriteFile(path, encodeSumsV2(sums).writeTo)
 }
 
-// SaveSummariesV2 persists a summary batch in flat binary (v2) format.
-func SaveSummariesV2(path string, sums []summary.Summary) error {
-	w := encodeSumsV2(sums)
-	return atomicWriteFile(path, w.writeTo)
-}
-
-// LoadSummaries reads a gob-format summary batch from path.
-func LoadSummaries(path string) ([]summary.Summary, error) {
-	var sums []summary.Summary
-	if err := readFile(path, kindSummariesGob, &sums); err != nil {
-		return nil, err
-	}
-	return sums, nil
-}
-
-// OpenSummaries reads a summary batch from path, auto-detecting the
-// format; see OpenWalkIndex for the Handle contract.
+// OpenSummaries reads a summary batch from path; see OpenWalkIndex for
+// the Handle contract.
 func OpenSummaries(path string) ([]summary.Summary, *Handle, error) {
-	format, err := DetectFormat(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if format == FormatGob {
-		sums, err := LoadSummaries(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sums, &Handle{}, nil
-	}
-	vf, h, err := openV2(path, kindSums)
-	if err != nil {
-		return nil, nil, err
-	}
-	sums, err := decodeSumsV2(vf)
-	if err != nil {
-		h.Close()
-		return nil, nil, err
-	}
-	return sums, h, nil
+	return openAs(path, kindSums, decodeSumsV2)
 }

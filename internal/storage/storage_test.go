@@ -1,16 +1,17 @@
 package storage
 
 import (
-	"context"
+	"bytes"
+	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/propidx"
-	"repro/internal/randwalk"
-	"repro/internal/summary"
 )
 
 func testGraph(t testing.TB) *graph.Graph {
@@ -27,128 +28,130 @@ func testGraph(t testing.TB) *graph.Graph {
 	return b.Build()
 }
 
+// legacyV1Prefix is how every artifact of the retired gob format began:
+// the gob type definition of its envelope struct, then the envelope
+// value carrying the magic "pitsearch-index-v1" and the kind. Captured
+// from the last build that wrote it; the payload followed.
+const legacyV1Prefix = "(\x7f\x03\x01\x01\benvelope\x01\xff\x80\x00\x01\x02\x01\x05Magic\x01\f\x00\x01\x04Kind\x01\f\x00\x00\x00\"\xff\x80\x01\x12pitsearch-index-v1\x01\tsummaries\x00"
+
+// resaveIdentical saves what was loaded from path through save and
+// requires the same bytes: the encoding is deterministic, and an index
+// whose arrays are views into a mapping is as saveable as a built one.
+func resaveIdentical(t *testing.T, path string, save func(string) error) {
+	t.Helper()
+	again := path + ".again"
+	if err := save(again); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-saving the loaded artifact changed its bytes (%d → %d)", len(want), len(got))
+	}
+}
+
 func TestWalkIndexRoundTrip(t *testing.T) {
-	g := testGraph(t)
-	ix, err := randwalk.Build(context.Background(), g, randwalk.Options{L: 4, R: 3, Seed: 1})
+	path := saveAllV2(t)[kindWalks]
+	ix, h, err := OpenWalkIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "walks.gob")
-	if err := SaveWalkIndex(path, ix); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadWalkIndex(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.L != ix.L || got.R != ix.R || got.NumNodes() != ix.NumNodes() {
-		t.Fatalf("header mismatch: %d/%d/%d vs %d/%d/%d", got.L, got.R, got.NumNodes(), ix.L, ix.R, ix.NumNodes())
-	}
-	for w := 0; w < g.NumNodes(); w++ {
-		for i := 0; i < ix.R; i++ {
-			a, b := ix.Walk(i, graph.NodeID(w)), got.Walk(i, graph.NodeID(w))
-			if len(a) != len(b) {
-				t.Fatalf("walk(%d,%d) length differs", i, w)
-			}
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("walk(%d,%d)[%d] differs", i, w, j)
-				}
-			}
-		}
-		ra, rb := ix.ReachL(graph.NodeID(w)), got.ReachL(graph.NodeID(w))
-		if len(ra) != len(rb) {
-			t.Fatalf("ReachL(%d) length differs", w)
-		}
-	}
-	for j := 1; j <= ix.L; j++ {
-		for v := 0; v < g.NumNodes(); v++ {
-			if ix.VisitFreq(j, graph.NodeID(v)) != got.VisitFreq(j, graph.NodeID(v)) {
-				t.Fatalf("H[%d][%d] differs", j, v)
-			}
-		}
-	}
+	defer h.Close()
+	resaveIdentical(t, path, func(p string) error { return SaveWalkIndex(p, ix) })
 }
 
 func TestPropIndexRoundTrip(t *testing.T) {
-	g := testGraph(t)
-	ix, err := propidx.Build(context.Background(), g, propidx.Options{Theta: 0.1})
+	path := saveAllV2(t)[kindProp]
+	ix, h, err := OpenPropIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "prop.gob")
-	if err := SavePropIndex(path, ix); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadPropIndex(path)
+	defer h.Close()
+	resaveIdentical(t, path, func(p string) error { return SavePropIndex(p, ix) })
+}
+
+func TestSummariesRoundTrip(t *testing.T) {
+	path := saveAllV2(t)[kindSums]
+	sums, h, err := OpenSummaries(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Theta() != ix.Theta() || got.Size() != ix.Size() {
-		t.Fatalf("header mismatch: θ=%v size=%d vs θ=%v size=%d", got.Theta(), got.Size(), ix.Theta(), ix.Size())
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		s1, p1, m1 := ix.Gamma(graph.NodeID(v))
-		s2, p2, m2 := got.Gamma(graph.NodeID(v))
-		if len(s1) != len(s2) {
-			t.Fatalf("Gamma(%d) length differs", v)
-		}
-		for i := range s1 {
-			if s1[i] != s2[i] || p1[i] != p2[i] || m1[i] != m2[i] {
-				t.Fatalf("Gamma(%d)[%d] differs", v, i)
+	defer h.Close()
+	resaveIdentical(t, path, func(p string) error { return SaveSummaries(p, sums) })
+}
+
+// Every artifact opened as every other kind is refused by the header's
+// kind field, before any section is interpreted.
+func TestKindMismatchRejected(t *testing.T) {
+	for kind, path := range saveAllV2(t) {
+		for _, as := range []string{kindWalks, kindProp, kindSums} {
+			err := openByKind(as, path)
+			if as == kind {
+				if err != nil {
+					t.Errorf("%s file as %s: %v", kind, as, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), "storage: file holds") {
+				t.Errorf("%s file opened as %s: %v", kind, as, err)
 			}
 		}
 	}
 }
 
-func TestSummariesRoundTrip(t *testing.T) {
-	sums := []summary.Summary{
-		summary.New(0, []summary.WeightedNode{{Node: 3, Weight: 0.5}, {Node: 7, Weight: 0.5}}),
-		summary.New(2, nil),
-	}
-	path := filepath.Join(t.TempDir(), "sums.gob")
-	if err := SaveSummaries(path, sums); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadSummaries(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Topic != 0 || got[1].Topic != 2 {
-		t.Fatalf("round trip = %+v", got)
-	}
-	if got[0].Weight(3) != 0.5 {
-		t.Errorf("weight lost: %+v", got[0])
-	}
-}
-
-func TestKindMismatchRejected(t *testing.T) {
-	g := testGraph(t)
-	walks, _ := randwalk.Build(context.Background(), g, randwalk.Options{L: 2, R: 2, Seed: 1})
-	path := filepath.Join(t.TempDir(), "walks.gob")
-	if err := SaveWalkIndex(path, walks); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadPropIndex(path); err == nil {
-		t.Error("loading walk file as prop index succeeded")
-	}
-}
-
+// The legacy boundary: a file that does not carry the v2 magic — junk,
+// nothing at all, a header cut off mid-magic, or an artifact of the
+// retired gob v1 format — is one hard error through every Open*, naming
+// the format this build reads and the command that rebuilds it. The
+// payload is never looked at, so whatever sizes it claims cost nothing.
 func TestCorruptFileRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "junk.gob")
-	if err := os.WriteFile(path, []byte("not gob at all"), 0o644); err != nil {
-		t.Fatal(err)
+	cases := map[string][]byte{
+		"junk":             []byte("not an artifact at all, but longer than any header this package reads"),
+		"empty":            nil,
+		"cut mid-magic":    []byte(magicV2[:12]),
+		"gob v1":           []byte(legacyV1Prefix),
+		"gob v1 huge size": append([]byte(legacyV1Prefix), 0xf8, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff),
 	}
-	if _, err := LoadWalkIndex(path); err == nil {
-		t.Error("corrupt file accepted")
+	dir := t.TempDir()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for name, data := range cases {
+		p := filepath.Join(dir, "legacy.pit")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []string{kindWalks, kindProp, kindSums} {
+			err := openByKind(kind, p)
+			if err == nil {
+				t.Errorf("%s accepted as %s", name, kind)
+				continue
+			}
+			for _, want := range []string{"storage: not a " + magicV2, "pitsearch-index-v1", "datagen -index-dir"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s as %s: error %q does not say %q", name, kind, err, want)
+				}
+			}
+		}
 	}
-	if _, err := LoadWalkIndex(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
-		t.Error("missing file accepted")
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting %d tiny files allocated %d bytes", len(cases), grew)
+	}
+
+	err := openByKind(kindWalks, filepath.Join(dir, "missing.pit"))
+	if !errors.Is(err, fs.ErrNotExist) || !strings.HasPrefix(err.Error(), "storage:") {
+		t.Errorf("missing file: %v, want a storage:-wrapped fs.ErrNotExist", err)
 	}
 }
 
 func TestSaveNilRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.gob")
+	path := filepath.Join(t.TempDir(), "x.pit")
 	if err := SaveWalkIndex(path, nil); err == nil {
 		t.Error("nil walk index accepted")
 	}
