@@ -25,7 +25,7 @@ help:
 	@echo "                   -selfcheck); see benchmark/README.md for a measured run"
 	@echo "make bench-smoke - one-shot benchmark smoke: figure benchmarks plus the"
 	@echo "                   search/core/rcl/lrw micro-benchmarks, the benchmark harness's"
-	@echo "                   -smoke run, and pitserve -smoke single and with -shards 2"
+	@echo "                   -smoke run, and pitserve -smoke at -shards 1 (the default) and 2"
 	@echo "make fuzz        - storage artifact-parser fuzzers for 10s per target"
 	@echo "make chaos       - fault-injection suite under -race: internal/chaos plus the"
 	@echo "                   planner/breaker chaos tests in core and server and the"
@@ -101,8 +101,10 @@ bench:
 # harness's seconds-long -smoke run, to prove every benchmark path still
 # executes. No timing value — just "does it run". The pitserve -smoke
 # runs then serve real HTTP on ephemeral ports and fail unless /metrics
-# exposes every instrumented layer's metric families (the obs packages
-# themselves are covered under -race by `make race`, which runs ./...).
+# exposes every instrumented layer's metric families — one family list,
+# one code path, at two partition widths: the default -shards 1 and
+# -shards 2 (the obs packages themselves are covered under -race by
+# `make race`, which runs ./...).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig05TimeCostData2k|BenchmarkFig10PrecisionData2k' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/search/ ./internal/core/ ./internal/rcl/ ./internal/lrw/

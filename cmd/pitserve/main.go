@@ -27,7 +27,7 @@
 // stops accepting connections, drains in-flight requests for up to
 // -shutdown-timeout, force-closes any straggler, then exits.
 //
-// Searches are served through the engine's fidelity planner: -tier-policy
+// Searches are served through the fidelity planner: -tier-policy
 // pins the degradation policy (auto / full / materialized), -stale-ttl
 // bounds the last-known-good answer cache, and the -breaker-* flags
 // configure the circuit breaker around summary builds. Every /search
@@ -37,21 +37,24 @@
 // -stream-batch > 0 turns the static-index server into a continuously
 // updating one (DESIGN.md §15): POST /updates feeds edge events into a
 // batching pipeline (-stream-batch events or -stream-max-age, whichever
-// first) that incrementally refreshes and hot-swaps the engine, and
+// first) that incrementally refreshes and hot-swaps the engines, and
 // POST /subscribe registers standing queries pushed over SSE when an
 // applied batch changes their top-k. -decay-halflife fades queued
 // event weights by age before application.
 //
-// -shards N > 0 serves through the partitioned engine (DESIGN.md §16):
-// the summary corpus is split across N shard engines by stable topic
-// hash and every query scatter-gathers across the owning shards with
-// bound-based shard pruning — byte-identical answers, independent
-// failure domains. -shard-index-dir points at a sharded artifact root
-// written by `datagen -shards N`: when populated, the N shards
-// mmap-hydrate in parallel at cold start; otherwise indexes are built
-// once, shared, and (when the flag is set) saved back per shard.
-// Streaming composes with sharding: one pipeline per shard applies
-// every batch, and each shard swaps its engine independently.
+// Serving is always partitioned (DESIGN.md §16): the summary corpus is
+// split across -shards N engines (default 1) by stable topic hash, and
+// every query runs through the scatter-gather router over the owning
+// shards with bound-based shard pruning — byte-identical answers at any
+// N, independent failure domains for N > 1. -index-dir is the one
+// artifact directory: a populated one cold-starts the shards (the flat
+// layout of `datagen -index-dir` for one shard, the manifest + shard-<i>/
+// layout of `datagen -shards N -index-dir` hydrated in parallel for any
+// N; a layout that does not fit -shards fails loudly); otherwise indexes
+// are built once, shared by all shards, and saved back in the layout
+// that fits N. With streaming on, one pipeline per shard applies every
+// batch and each shard swaps its engine independently; the router
+// follows the swaps.
 package main
 
 import (
@@ -73,14 +76,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/subscribe"
-	"repro/internal/topics"
 )
 
 // options carries every flag so the whole app is buildable from tests.
@@ -111,7 +112,6 @@ type options struct {
 	streamMaxAge       time.Duration
 	decayHalfLife      time.Duration
 	shards             int
-	shardIndexDir      string
 }
 
 // planConfig resolves the planner flags into the engine's plan.Config.
@@ -157,54 +157,27 @@ func (o options) warmMethods() ([]core.Method, error) {
 // the HTTP surface exists, but the indexes build in prepare.
 type app struct {
 	opts options
-	eng  *core.Engine // initial engine (single-engine mode); under streaming, engine() follows swaps
 	srv  *server.Server
 	reg  *obs.Registry
-	pipe *stream.Pipeline
 	subs *subscribe.Registry
 
-	// Sharded mode (-shards > 0): N engines behind a scatter-gather
-	// router; eng and pipe stay nil.
+	// The one serving topology: -shards engines (the boot set; streaming
+	// swaps replace them underneath the router) behind a scatter-gather
+	// router. set is nil unless -stream-batch > 0.
 	engines []*core.Engine
 	part    *shard.Partitioner
 	router  *shard.Router
 	set     *shard.StreamSet
 }
 
-// engine resolves the engine currently serving: the streaming
-// pipeline's pointer when streaming is on, the initial engine otherwise.
-// Sharded mode has no single engine; callers branch on a.router first.
-func (a *app) engine() *core.Engine {
-	if a.pipe != nil {
-		return a.pipe.Engine()
-	}
-	return a.eng
-}
-
-// swaps reports how many update batches have been applied, whichever
-// streaming surface is wired.
-func (a *app) swaps() uint64 {
-	if a.set != nil {
-		return a.set.Swaps()
-	}
-	return a.pipe.Swaps()
-}
-
-// closeEngine stops the streaming pipeline(s) (if any) and closes every
+// closeEngine stops the streaming pipelines (if any) and closes every
 // engine currently serving; engines superseded earlier were already
 // retired at their swap. Safe to call more than once.
 func (a *app) closeEngine() {
 	if a.set != nil {
 		a.set.Stop()
 	}
-	if a.pipe != nil {
-		a.pipe.Stop()
-	}
-	if a.router != nil {
-		a.router.Close()
-		return
-	}
-	a.engine().Close()
+	a.router.Close()
 }
 
 func main() {
@@ -231,12 +204,11 @@ func main() {
 	flag.IntVar(&o.breakerThreshold, "breaker-threshold", 5, "consecutive summary-build failures before the circuit breaker suspends builds (0 disables the breaker)")
 	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", time.Second, "initial breaker cooldown before a half-open probe (doubles per failed probe)")
 	flag.DurationVar(&o.breakerMaxCooldown, "breaker-max-cooldown", 30*time.Second, "upper bound on the breaker's exponential cooldown")
-	flag.StringVar(&o.indexDir, "index-dir", "", "artifact directory: cold-start from it when populated, save freshly built indexes into it otherwise (empty disables persistence)")
+	flag.StringVar(&o.indexDir, "index-dir", "", "artifact directory: cold-start from it when populated (flat `datagen -index-dir` layout for one shard, `datagen -shards N -index-dir` layout for any N), save freshly built indexes into it otherwise (empty disables persistence)")
 	flag.IntVar(&o.streamBatch, "stream-batch", 0, "streaming updates: apply a batch once this many events are pending (0 disables streaming; enables POST /updates and /subscribe)")
 	flag.DurationVar(&o.streamMaxAge, "stream-max-age", time.Second, "streaming updates: apply a smaller batch once its oldest event is this old")
 	flag.DurationVar(&o.decayHalfLife, "decay-halflife", 0, "halve a queued event's edge weight per this much age at application time (0 disables decay)")
-	flag.IntVar(&o.shards, "shards", 0, "serve through N partitioned shard engines behind the scatter-gather router (0 = single engine)")
-	flag.StringVar(&o.shardIndexDir, "shard-index-dir", "", "sharded artifact root from `datagen -shards N`: hydrate all shards in parallel when populated, save per-shard artifacts into it otherwise (with -shards)")
+	flag.IntVar(&o.shards, "shards", 1, "partition the summary corpus across N shard engines behind the scatter-gather router (at least 1)")
 	flag.Parse()
 
 	if o.smoke {
@@ -257,10 +229,14 @@ func main() {
 	}
 }
 
-// buildApp loads the dataset and wires the engine + HTTP server. Indexes
-// are NOT built yet — call prepare (synchronously in tests, in the
-// background in run) and then the server reports ready.
+// buildApp loads the dataset and wires the shard engines, the router and
+// the HTTP server. Indexes are NOT built yet — call prepare
+// (synchronously in tests, in the background in run) and then the server
+// reports ready.
 func buildApp(o options) (*app, error) {
+	if o.shards < 1 {
+		return nil, fmt.Errorf("-shards: need at least 1 shard, got %d", o.shards)
+	}
 	if _, err := o.warmMethods(); err != nil {
 		return nil, err // reject a bad -warm-summaries before loading data
 	}
@@ -273,66 +249,12 @@ func buildApp(o options) (*app, error) {
 		return nil, err
 	}
 	// One registry spans every layer: engine (cache/singleflight/build
-	// durations), search (expansion depth) and HTTP (request counters).
-	// All families register at construction, so a scrape of an idle
-	// process already lists every metric name.
+	// durations), search (expansion depth), router and HTTP (request
+	// counters). All families register at construction, so a scrape of an
+	// idle process already lists every metric name.
 	reg := obs.NewRegistry()
-	eng, err := core.New(g, sp, core.Options{WalkL: o.walkL, WalkR: o.walkR, Theta: o.theta, Seed: o.seed, Metrics: reg, Plan: pcfg})
-	if err != nil {
-		return nil, err
-	}
-	a := &app{opts: o, eng: eng, reg: reg}
-	srvCfg := server.Config{
-		MaxK:           o.maxK,
-		RequestTimeout: o.requestTimeout,
-		MaxInflight:    o.maxInflight,
-		Registry:       reg,
-	}
-	if o.shards > 0 {
-		return buildSharded(a, o, g, sp, reg, srvCfg)
-	}
-	if o.streamBatch > 0 {
-		a.subs = subscribe.NewRegistry(reg)
-		a.pipe, err = stream.New(eng, stream.Config{
-			BatchSize:     o.streamBatch,
-			MaxAge:        o.streamMaxAge,
-			DecayHalfLife: o.decayHalfLife,
-			Metrics:       reg,
-			OnApply: func(ctx context.Context, r stream.ApplyResult) {
-				a.subs.Dispatch(ctx, r.Engine, r.Stats.Affected, r.Seq)
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		srvCfg.Stream = a.pipe
-		srvCfg.Subscriptions = a.subs
-	}
-	srv, err := server.New(eng, srvCfg)
-	if err != nil {
-		return nil, err
-	}
-	a.srv = srv
-	return a, nil
-}
-
-// buildSharded wires the partitioned serving path (-shards N): the
-// already-constructed engine becomes shard 0, N-1 siblings join it,
-// and the scatter-gather router fronts them all as the server's
-// backend. With streaming on, each shard gets its own pipeline and the
-// router follows every shard's swaps independently.
-func buildSharded(a *app, o options, g *graph.Graph, sp *topics.Space, reg *obs.Registry, srvCfg server.Config) (*app, error) {
-	if o.indexDir != "" {
-		return nil, fmt.Errorf("-index-dir stores single-engine artifacts; use -shard-index-dir with -shards")
-	}
-	pcfg, err := o.planConfig()
-	if err != nil {
-		return nil, err
-	}
-	a.engines = make([]*core.Engine, o.shards)
-	a.engines[0] = a.eng
-	a.eng = nil
-	for i := 1; i < o.shards; i++ {
+	a := &app{opts: o, reg: reg, engines: make([]*core.Engine, o.shards)}
+	for i := range a.engines {
 		a.engines[i], err = core.New(g, sp, core.Options{WalkL: o.walkL, WalkR: o.walkR, Theta: o.theta, Seed: o.seed, Metrics: reg, Plan: pcfg})
 		if err != nil {
 			return nil, err
@@ -342,9 +264,14 @@ func buildSharded(a *app, o options, g *graph.Graph, sp *topics.Space, reg *obs.
 	if err != nil {
 		return nil, err
 	}
+	srvCfg := server.Config{
+		MaxK:           o.maxK,
+		RequestTimeout: o.requestTimeout,
+		MaxInflight:    o.maxInflight,
+		Registry:       reg,
+	}
 	sources := make([]shard.EngineSource, len(a.engines))
 	for i, eng := range a.engines {
-		eng := eng
 		sources[i] = func() *core.Engine { return eng }
 	}
 	if o.streamBatch > 0 {
@@ -371,12 +298,10 @@ func buildSharded(a *app, o options, g *graph.Graph, sp *topics.Space, reg *obs.
 	if err != nil {
 		return nil, err
 	}
-	srvCfg.Source = func() server.Backend { return a.router }
-	srv, err := server.New(a.router, srvCfg)
+	a.srv, err = server.New(a.router, srvCfg)
 	if err != nil {
 		return nil, err
 	}
-	a.srv = srv
 	return a, nil
 }
 
@@ -397,31 +322,31 @@ func (a *app) opsHandler() http.Handler {
 	return mux
 }
 
-// prepare makes the engine ready — cold-starting from the -index-dir
-// artifacts when they exist (summaries included, so the warm-up below
-// is a cache-hit sweep), building from scratch otherwise — and flips
-// the server to ready. Freshly built indexes (and warmed summaries) are
-// saved back to -index-dir so the next start is a cold start. ctx
-// cancellation (e.g. SIGTERM during a long materialization) aborts it.
+// prepare makes every shard ready — cold-starting from the -index-dir
+// artifacts when they exist (summaries included, so the warm-up below is
+// a cache-hit sweep; a layout, shard count or dataset that does not
+// match fails loudly here, not at query time), otherwise building the
+// indexes once and sharing them — warms each shard's owned slice of the
+// corpus, saves a fresh build back to -index-dir so the next start is a
+// cold start, and flips the server to ready. ctx cancellation (e.g.
+// SIGTERM during a long materialization) aborts it.
 func (a *app) prepare(ctx context.Context) error {
-	if a.router != nil {
-		return a.prepareSharded(ctx)
-	}
 	start := time.Now()
-	loaded := false
-	if a.opts.indexDir != "" && core.ArtifactsExist(a.opts.indexDir) {
-		if err := a.eng.LoadArtifacts(a.opts.indexDir); err != nil {
-			return fmt.Errorf("load artifacts from %s: %w", a.opts.indexDir, err)
-		}
-		loaded = true
-		log.Printf("indexes loaded from %s in %v", a.opts.indexDir, time.Since(start).Round(time.Millisecond))
-	} else if err := a.eng.BuildIndexes(ctx); err != nil {
-		return err
+	dir, n := a.opts.indexDir, len(a.engines)
+	sp := a.router.Space()
+	loaded, err := shard.LoadArtifacts(ctx, a.engines, dir)
+	if err != nil {
+		return fmt.Errorf("load artifacts for %d shards from %s: %w", n, dir, err)
 	}
-	g, sp := a.eng.Graph(), a.eng.Space()
-	if !loaded {
-		log.Printf("indexes built in %v (%d users, %d links, %d topics)",
-			time.Since(start).Round(time.Millisecond), g.NumNodes(), g.NumEdges(), sp.NumTopics())
+	if loaded {
+		log.Printf("artifacts loaded from %s into %d shard(s) in %v", dir, n, time.Since(start).Round(time.Millisecond))
+	} else {
+		if err := shard.BuildIndexes(ctx, a.engines); err != nil {
+			return err
+		}
+		g := a.router.Graph()
+		log.Printf("indexes built once for %d shard(s) in %v (%d users, %d links, %d topics)",
+			n, time.Since(start).Round(time.Millisecond), g.NumNodes(), g.NumEdges(), sp.NumTopics())
 	}
 	methods, err := a.opts.warmMethods()
 	if err != nil {
@@ -429,12 +354,8 @@ func (a *app) prepare(ctx context.Context) error {
 	}
 	for _, m := range methods {
 		start = time.Now()
-		total := sp.NumTopics()
-		stride := total / 10
-		if stride < 1 {
-			stride = 1
-		}
-		err := a.eng.WarmSummaries(ctx, m, core.WarmOptions{
+		stride := max(sp.NumTopics()/10, 1)
+		err := a.router.WarmOwned(ctx, m, core.WarmOptions{
 			Workers: a.opts.warmWorkers,
 			Progress: func(done, total int) {
 				if done%stride == 0 || done == total {
@@ -445,74 +366,15 @@ func (a *app) prepare(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("warm %s summaries: %w", m, err)
 		}
-		log.Printf("warmed %d %s topic summaries in %v", total, m, time.Since(start).Round(time.Millisecond))
-	}
-	if a.opts.indexDir != "" && !loaded {
-		saveStart := time.Now()
-		if err := a.eng.SaveArtifactsFiltered(a.opts.indexDir, nil); err != nil {
-			return fmt.Errorf("save artifacts to %s: %w", a.opts.indexDir, err)
-		}
-		log.Printf("artifacts saved to %s in %v", a.opts.indexDir, time.Since(saveStart).Round(time.Millisecond))
-	}
-	a.srv.MarkReady()
-	if a.pipe != nil {
-		// Started only after the initial indexes exist: the first applied
-		// batch refreshes from a fully built engine.
-		a.pipe.Start()
-		log.Printf("streaming pipeline started (batch %d, max age %v)", a.opts.streamBatch, a.opts.streamMaxAge)
-	}
-	return nil
-}
-
-// prepareSharded readies the partitioned backend: parallel per-shard
-// hydration from -shard-index-dir when its artifacts exist, otherwise
-// one index build shared across all shards; then the owned slice of
-// the corpus is warmed per shard and (on a fresh build with the flag
-// set) saved back as per-shard artifacts. Each shard logs its own
-// readiness — a shard-count or dataset mismatch fails loudly here, not
-// at query time.
-func (a *app) prepareSharded(ctx context.Context) error {
-	start := time.Now()
-	g, sp := a.router.Graph(), a.router.Space()
-	dir := a.opts.shardIndexDir
-	loaded := false
-	if dir != "" && shard.ArtifactsExist(dir) {
-		if _, err := shard.HydrateInto(ctx, a.engines, g, sp, dir); err != nil {
-			return fmt.Errorf("hydrate %d shards from %s: %w", len(a.engines), dir, err)
-		}
-		loaded = true
-		log.Printf("%d shards hydrated in parallel from %s in %v",
-			len(a.engines), dir, time.Since(start).Round(time.Millisecond))
-	} else {
-		if err := a.engines[0].BuildIndexes(ctx); err != nil {
-			return err
-		}
-		for i := 1; i < len(a.engines); i++ {
-			if err := a.engines[i].ShareIndexes(a.engines[0]); err != nil {
-				return fmt.Errorf("shard %d: %w", i, err)
-			}
-		}
-		log.Printf("indexes built once and shared across %d shards in %v (%d users, %d links, %d topics)",
-			len(a.engines), time.Since(start).Round(time.Millisecond), g.NumNodes(), g.NumEdges(), sp.NumTopics())
-	}
-	methods, err := a.opts.warmMethods()
-	if err != nil {
-		return err
-	}
-	for _, m := range methods {
-		start = time.Now()
-		if err := a.router.WarmOwned(ctx, m, a.opts.warmWorkers); err != nil {
-			return fmt.Errorf("warm %s summaries: %w", m, err)
-		}
-		log.Printf("warmed %d %s topic summaries across %d shards in %v",
-			sp.NumTopics(), m, len(a.engines), time.Since(start).Round(time.Millisecond))
+		log.Printf("warmed %d %s topic summaries across %d shard(s) in %v",
+			sp.NumTopics(), m, n, time.Since(start).Round(time.Millisecond))
 	}
 	if dir != "" && !loaded {
 		saveStart := time.Now()
-		if err := shard.WriteShardArtifacts(a.engines, a.part, dir); err != nil {
-			return fmt.Errorf("save shard artifacts to %s: %w", dir, err)
+		if err := shard.SaveArtifacts(a.engines, a.part, dir); err != nil {
+			return fmt.Errorf("save artifacts for %d shards to %s: %w", n, dir, err)
 		}
-		log.Printf("per-shard artifacts saved to %s in %v", dir, time.Since(saveStart).Round(time.Millisecond))
+		log.Printf("artifacts saved to %s in %v", dir, time.Since(saveStart).Round(time.Millisecond))
 	}
 	for i, eng := range a.engines {
 		log.Printf("shard %d ready: %d owned topics, %d lrw / %d rcl summaries cached",
@@ -520,9 +382,11 @@ func (a *app) prepareSharded(ctx context.Context) error {
 	}
 	a.srv.MarkReady()
 	if a.set != nil {
+		// Started only after the initial indexes exist: the first applied
+		// batch refreshes from fully built engines.
 		a.set.Start()
-		log.Printf("streaming pipelines started on %d shards (batch %d, max age %v)",
-			len(a.engines), a.opts.streamBatch, a.opts.streamMaxAge)
+		log.Printf("streaming pipelines started on %d shard(s) (batch %d, max age %v)",
+			n, a.opts.streamBatch, a.opts.streamMaxAge)
 	}
 	return nil
 }
@@ -633,7 +497,8 @@ func drainAndStop(hs *http.Server, timeout time.Duration) error {
 // smokeMetrics are the families a live process must expose after serving
 // a couple of searches — one name per instrumented layer (HTTP
 // middleware, summary cache, singleflight, build durations, search
-// expansion). The smoke run fails if any is missing, so a refactor that
+// expansion, streaming, subscriptions, the shard router). The smoke run
+// fails if any is missing, so a refactor that
 // silently unwires a layer's metrics breaks CI instead of production
 // dashboards.
 var smokeMetrics = []string{
@@ -665,11 +530,6 @@ var smokeMetrics = []string{
 	"pit_subscribe_active",
 	"pit_subscribe_evals_total",
 	"pit_subscribe_pushes_total",
-}
-
-// shardSmokeMetrics joins the verified set when the smoke runs sharded
-// (-smoke -shards N): the scatter-gather router's instrument families.
-var shardSmokeMetrics = []string{
 	"pit_shard_scatter_fanout",
 	"pit_shard_pruned_total",
 	"pit_shard_merge_seconds",
@@ -750,12 +610,8 @@ func runSmoke(o options) error {
 	if err != nil {
 		return err
 	}
-	names := smokeMetrics
-	if o.shards > 0 {
-		names = append(append([]string(nil), smokeMetrics...), shardSmokeMetrics...)
-	}
 	var missing []string
-	for _, name := range names {
+	for _, name := range smokeMetrics {
 		if !strings.Contains(string(body), name) {
 			missing = append(missing, name)
 		}
@@ -763,7 +619,7 @@ func runSmoke(o options) error {
 	if len(missing) > 0 {
 		return fmt.Errorf("exposition missing metric families %v", missing)
 	}
-	log.Printf("smoke ok: %d metric families verified on %s", len(names), opsLn.Addr())
+	log.Printf("smoke ok: %d metric families verified on %s", len(smokeMetrics), opsLn.Addr())
 	return nil
 }
 
@@ -805,7 +661,7 @@ func smokeStream(a *app, api string) error {
 		return fmt.Errorf("POST /updates = %d, want 202", upResp.StatusCode)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for a.swaps() == 0 {
+	for a.set.Swaps() == 0 {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("no engine swap %v after accepted update batch", 10*time.Second)
 		}

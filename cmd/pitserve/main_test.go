@@ -10,7 +10,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +28,7 @@ func testOptions() options {
 		theta: 0.01, walkL: 4, walkR: 8, seed: 1, maxK: 20,
 		requestTimeout: 5 * time.Second, maxInflight: 16,
 		shutdownTimeout: time.Second,
+		shards:          1,
 	}
 }
 
@@ -199,9 +202,9 @@ func TestPrepareWarmsBothMethods(t *testing.T) {
 	if err := a.prepare(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	total := a.eng.Space().NumTopics()
+	total := a.router.Space().NumTopics()
 	for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
-		if got := a.eng.CachedSummaries(m); got != total {
+		if got := a.router.CachedSummaries(m); got != total {
 			t.Errorf("method %v: warmed %d of %d topics", m, got, total)
 		}
 	}
@@ -326,7 +329,7 @@ func TestPrepareColdStartsFromArtifacts(t *testing.T) {
 		t.Fatal("prepare did not save artifacts")
 	}
 	want := search(first)
-	first.eng.Close()
+	first.closeEngine()
 
 	second, err := buildApp(o)
 	if err != nil {
@@ -335,7 +338,7 @@ func TestPrepareColdStartsFromArtifacts(t *testing.T) {
 	if err := second.prepare(context.Background()); err != nil {
 		t.Fatalf("cold start from artifacts: %v", err)
 	}
-	defer second.eng.Close()
+	defer second.closeEngine()
 	if got := search(second); got != want {
 		t.Errorf("cold-started answer differs:\n got %s\nwant %s", got, want)
 	}
@@ -344,8 +347,8 @@ func TestPrepareColdStartsFromArtifacts(t *testing.T) {
 // TestPrepareRefusesNonV2Artifacts: an artifact directory holding
 // anything but v2 files — here what the retired gob v1 format left
 // behind — fails prepare with storage's error (expected format, rebuild
-// command) instead of serving or silently rebuilding, single-engine and
-// sharded alike.
+// command) instead of serving or silently rebuilding, in the flat
+// one-shard layout and the sharded one alike.
 func TestPrepareRefusesNonV2Artifacts(t *testing.T) {
 	legacy := []byte("(\x7f\x03\x01\x01\benvelope\x01\xff\x80 pitsearch-index-v1")
 	refused := func(t *testing.T, o options) {
@@ -379,10 +382,10 @@ func TestPrepareRefusesNonV2Artifacts(t *testing.T) {
 		}
 		refused(t, o)
 	})
-	t.Run("shard-index-dir", func(t *testing.T) {
+	t.Run("sharded-root", func(t *testing.T) {
 		o := o
 		o.shards = 2
-		o.shardIndexDir = t.TempDir()
+		o.indexDir = t.TempDir()
 		first, err := buildApp(o)
 		if err != nil {
 			t.Fatal(err)
@@ -392,17 +395,17 @@ func TestPrepareRefusesNonV2Artifacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(shard.ShardDir(o.shardIndexDir, 1), core.WalkArtifact), legacy, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(shard.ShardDir(o.indexDir, 1), core.WalkArtifact), legacy, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		refused(t, o)
 	})
 }
 
-// TestShardedStreamingServesGrownUser: under -shards with streaming, a
+// TestShardedStreamingServesGrownUser: under -shards 2 with streaming, a
 // user added through POST /updates is searchable once the batch has
 // swapped in — the router validates against the graph its shards serve
-// now, like the single-engine server.
+// now, not the boot snapshot.
 func TestShardedStreamingServesGrownUser(t *testing.T) {
 	o := testOptions()
 	o.shards = 2
@@ -453,6 +456,302 @@ func TestShardedStreamingServesGrownUser(t *testing.T) {
 	}
 	if code := search(); code != http.StatusOK {
 		t.Fatalf("/search as the grown user after the swap = %d, want 200", code)
+	}
+}
+
+// metricSum adds up every sample of the app's registry whose exposition
+// line starts with prefix (a family name, optionally with its labels).
+func metricSum(t *testing.T, a *app, prefix string) float64 {
+	t.Helper()
+	var buf strings.Builder
+	if err := a.reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
+}
+
+// TestWarmMetricsAtAnyShardCount: the corpus warm-up behind
+// -warm-summaries is one instrumented pool at every partition width —
+// pit_warm_topics_total counts each topic once and every shard's run
+// lands in pit_warm_duration_seconds.
+func TestWarmMetricsAtAnyShardCount(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		o := testOptions()
+		o.scale = 0.05
+		o.walkL, o.walkR = 3, 4
+		o.warmSummaries = "lrw"
+		o.shards = n
+		a, err := buildApp(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.prepare(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		want := float64(a.router.Space().NumTopics())
+		if got := metricSum(t, a, `pit_warm_topics_total{method="lrw"}`); got != want {
+			t.Errorf("shards=%d: pit_warm_topics_total{lrw} = %v, want %v (every topic, once)", n, got, want)
+		}
+		if got := metricSum(t, a, "pit_warm_duration_seconds_count"); got != float64(n) {
+			t.Errorf("shards=%d: %v warm durations observed, want one per shard", n, got)
+		}
+		a.closeEngine()
+	}
+}
+
+// TestTopologyIdenticalAcrossShardCounts pins that -shards is a width,
+// not a mode: one shard and three serve byte-identical /search bodies
+// for a fixed panel (both methods, plain and diversified) before and
+// after an applied update batch, the same /stats apart from "shards",
+// and the same metric families.
+func TestTopologyIdenticalAcrossShardCounts(t *testing.T) {
+	type observed struct {
+		before, after []string
+		stats         map[string]any
+		families      []string
+	}
+	observe := func(n int) observed {
+		o := testOptions()
+		o.shards = n
+		o.streamBatch = 2
+		o.streamMaxAge = time.Hour // only the full batch flushes
+		a, err := buildApp(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.closeEngine()
+		if err := a.prepare(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(a.srv.Handler())
+		defer ts.Close()
+		get := func(path string) string {
+			t.Helper()
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("shards=%d GET %s = %d: %s", n, path, resp.StatusCode, body)
+			}
+			return string(body)
+		}
+		panel := func() []string {
+			var bodies []string
+			for _, method := range []string{"lrw", "rcl"} {
+				for _, lambda := range []string{"0", "0.5"} {
+					for _, q := range []string{"tag000&user=3", "tag002&user=41"} {
+						bodies = append(bodies, get(fmt.Sprintf("/search?q=%s&k=5&method=%s&lambda=%s", q, method, lambda)))
+					}
+				}
+			}
+			return bodies
+		}
+		var ob observed
+		ob.before = panel()
+		resp, err := http.Post(ts.URL+"/updates", "application/json",
+			strings.NewReader(`{"updates":[{"from":3,"to":41,"weight":0.9},{"from":41,"to":7,"weight":0.8}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("shards=%d /updates = %d, want 202", n, resp.StatusCode)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for i := 0; i < n; i++ {
+			for a.set.Pipeline(i).Swaps() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("shards=%d: shard %d never swapped the batch in", n, i)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+		ob.after = panel()
+		if err := json.Unmarshal([]byte(get("/stats")), &ob.stats); err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		if err := a.reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				ob.families = append(ob.families, name)
+			}
+		}
+		return ob
+	}
+
+	one, three := observe(1), observe(3)
+	if !slices.Equal(one.before, three.before) {
+		t.Errorf("/search panel differs before the batch:\n 1 shard: %v\n3 shards: %v", one.before, three.before)
+	}
+	if !slices.Equal(one.after, three.after) {
+		t.Errorf("/search panel differs after the batch:\n 1 shard: %v\n3 shards: %v", one.after, three.after)
+	}
+	if slices.Equal(one.before, one.after) {
+		t.Error("the update batch changed no panel answer: the after-half compares nothing new")
+	}
+	if one.stats["shards"] != 1.0 || three.stats["shards"] != 3.0 {
+		t.Errorf(`/stats "shards" = %v and %v, want 1 and 3`, one.stats["shards"], three.stats["shards"])
+	}
+	delete(one.stats, "shards")
+	delete(three.stats, "shards")
+	if !reflect.DeepEqual(one.stats, three.stats) {
+		t.Errorf("/stats differs beyond shards:\n 1 shard: %v\n3 shards: %v", one.stats, three.stats)
+	}
+	if !slices.Equal(one.families, three.families) {
+		t.Errorf("metric families differ:\n 1 shard: %v\n3 shards: %v", one.families, three.families)
+	}
+}
+
+// dirListing is every file under root with its size and mtime — enough
+// to tell whether anything was written.
+func dirListing(t *testing.T, root string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		out = append(out, fmt.Sprintf("%s %d %v", path, info.Size(), info.ModTime()))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestIndexDirLayouts drives both artifact layouts through the one
+// -index-dir flag: a fresh build saves the layout that fits -shards, a
+// populated directory is loaded by what it holds (no index build), and a
+// directory that does not fit -shards fails prepare loudly without
+// rebuilding over it.
+func TestIndexDirLayouts(t *testing.T) {
+	base := testOptions()
+	base.scale = 0.05
+	base.walkL, base.walkR = 3, 4
+	base.warmSummaries = "lrw"
+	start := func(n int, dir string) (*app, error) {
+		o := base
+		o.shards, o.indexDir = n, dir
+		a, err := buildApp(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(a.closeEngine)
+		return a, a.prepare(context.Background())
+	}
+	// A cold start from artifacts installs indexes (counted like a build)
+	// but summarizes nothing: the warmed corpus arrives with them.
+	indexed := func(a *app) bool { return metricSum(t, a, "pit_index_build_duration_seconds_count") > 0 }
+	built := func(a *app) bool { return metricSum(t, a, "pit_summary_builds_total") > 0 }
+
+	flat, sharded := t.TempDir(), t.TempDir()
+	one, err := start(1, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !built(one) || !core.ArtifactsExist(flat) || shard.ArtifactsExist(flat) {
+		t.Fatalf("fresh 1-shard start: built=%v, flat layout=%v, manifest=%v; want a build saved flat",
+			built(one), core.ArtifactsExist(flat), shard.ArtifactsExist(flat))
+	}
+	three, err := start(3, sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !built(three) || !shard.ArtifactsExist(sharded) || core.ArtifactsExist(sharded) {
+		t.Fatalf("fresh 3-shard start: built=%v, manifest=%v, flat files=%v; want a build saved per shard",
+			built(three), shard.ArtifactsExist(sharded), core.ArtifactsExist(sharded))
+	}
+	for i := 0; i < 3; i++ {
+		if !core.ArtifactsExist(shard.ShardDir(sharded, i)) {
+			t.Errorf("shard %d directory not populated", i)
+		}
+	}
+	// The `datagen -shards 3 -index-dir` shape: one fully warmed engine
+	// cut into every shard's snapshot.
+	datagen := t.TempDir()
+	whole := one.router.Engine(0)
+	if err := shard.WriteShardArtifacts([]*core.Engine{whole, whole, whole}, three.part, datagen); err != nil {
+		t.Fatal(err)
+	}
+
+	total := one.router.Space().NumTopics()
+	for _, tc := range []struct {
+		name   string
+		shards int
+		dir    string
+	}{
+		{"flat into 1 shard", 1, flat},
+		{"pitserve-saved root into 3 shards", 3, sharded},
+		{"datagen-shaped root into 3 shards", 3, datagen},
+	} {
+		a, err := start(tc.shards, tc.dir)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if built(a) {
+			t.Errorf("%s: summaries were rebuilt, want a cold start from the artifacts", tc.name)
+		}
+		if got := a.router.CachedSummaries(core.MethodLRW); got != total {
+			t.Errorf("%s: %d of %d warmed summaries arrived", tc.name, got, total)
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		shards int
+		dir    string
+		want   []string
+	}{
+		{"flat into 3 shards", 3, flat, []string{core.WalkArtifact, shard.ManifestFile, "datagen -shards 3"}},
+		{"3-shard root into 2 shards", 2, sharded, []string{"manifest has 3 shards", "-shards asked for 2"}},
+	} {
+		before := dirListing(t, tc.dir)
+		a, err := start(tc.shards, tc.dir)
+		if err == nil {
+			t.Fatalf("%s: prepare succeeded", tc.name)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not say %q", tc.name, err, want)
+			}
+		}
+		if a.srv.Ready() || indexed(a) {
+			t.Errorf("%s: ready=%v indexed=%v after a refused load", tc.name, a.srv.Ready(), indexed(a))
+		}
+		if after := dirListing(t, tc.dir); !slices.Equal(before, after) {
+			t.Errorf("%s: the refused directory changed:\nbefore %v\nafter  %v", tc.name, before, after)
+		}
+	}
+}
+
+// TestBuildAppRejectsZeroShards: there is no un-sharded mode to select —
+// a width below one is a flag error, before dataset generation.
+func TestBuildAppRejectsZeroShards(t *testing.T) {
+	o := testOptions()
+	o.shards = 0
+	if _, err := buildApp(o); err == nil || !strings.Contains(err.Error(), "-shards") {
+		t.Fatalf("buildApp with -shards 0 = %v, want an error naming the flag", err)
 	}
 }
 

@@ -267,7 +267,7 @@ func (s *mixedErrSummarizer) Summarize(_ context.Context, t topics.TopicID) (sum
 // instant with different concrete error types must surface one of them
 // as an ordinary first error — not crash the process (the bug this
 // pins: atomic.Value.CompareAndSwap panicking on inconsistently typed
-// stores in materializeMany's error collection).
+// stores in the materialization pool's error collection).
 func TestMaterializeManyMixedErrorTypes(t *testing.T) {
 	eng := builtEngine(t)
 	errEven := errors.New("even topic failed")
@@ -275,9 +275,9 @@ func TestMaterializeManyMixedErrorTypes(t *testing.T) {
 	for round := 0; round < 25; round++ {
 		ms := &mixedErrSummarizer{need: 2, release: make(chan struct{}), errEven: errEven, errOdd: errOdd}
 		eng.SetSummarizer(MethodLRW, ms)
-		_, err := eng.materializeMany(context.Background(), MethodLRW, []topics.TopicID{0, 1}, 2)
+		_, err := eng.MaterializeTopics(context.Background(), MethodLRW, []topics.TopicID{0, 1}, 2)
 		if err == nil {
-			t.Fatal("materializeMany with a failing summarizer returned nil error")
+			t.Fatal("MaterializeTopics with a failing summarizer returned nil error")
 		}
 		if !errors.Is(err, errEven) && !errors.Is(err, errOdd) {
 			t.Fatalf("round %d: error %v is neither worker's failure", round, err)

@@ -597,59 +597,6 @@ func (e *Engine) MaterializeAll(ctx context.Context, m Method) error {
 	return e.WarmSummaries(ctx, m, WarmOptions{})
 }
 
-// materializeMany returns the summaries of the given topics under m,
-// building cache misses across up to `workers` goroutines (≤ 0:
-// GOMAXPROCS, via clampWorkers). Concurrent builds of one topic —
-// within this call or across calls — collapse to one summarization via
-// the singleflight group. The result is indexed like the input; on
-// error the first failure observed is returned.
-func (e *Engine) materializeMany(ctx context.Context, m Method, ts []topics.TopicID, workers int) ([]summary.Summary, error) {
-	sums := make([]summary.Summary, len(ts))
-	workers = clampWorkers(workers, len(ts))
-	if workers <= 1 {
-		for i, t := range ts {
-			s, err := e.Summarize(ctx, m, t)
-			if err != nil {
-				return nil, err
-			}
-			sums[i] = s
-		}
-		return sums, nil
-	}
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		firstErr firstError
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if err := ctx.Err(); err != nil {
-					firstErr.set(err)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(ts) {
-					return
-				}
-				s, err := e.Summarize(ctx, m, ts[i])
-				if err != nil {
-					firstErr.set(err)
-					return
-				}
-				sums[i] = s
-			}
-		}()
-	}
-	wg.Wait()
-	if err := firstErr.get(); err != nil {
-		return nil, err
-	}
-	return sums, nil
-}
-
 // InvalidateTopic drops the cached summaries of t for every method, so the
 // next Summarize recomputes them. The paper refreshes the offline
 // summarization "after a period of time when the social network and topics
@@ -765,7 +712,10 @@ func (e *Engine) PlanInputs(m Method, ts []topics.TopicID) plan.Inputs {
 
 // MaterializeTopics returns the summaries of the given topics under m,
 // building cache misses across up to `workers` goroutines (≤ 0:
-// GOMAXPROCS) — materializeMany behind the query gate.
+// GOMAXPROCS, via clampWorkers). Concurrent builds of one topic —
+// within this call or across calls — collapse to one summarization via
+// the singleflight group. The result is indexed like the input; on
+// error the first failure observed is returned.
 func (e *Engine) MaterializeTopics(ctx context.Context, m Method, ts []topics.TopicID, workers int) ([]summary.Summary, error) {
 	ctx, release, err := e.acquire(ctx)
 	if err != nil {
@@ -775,7 +725,26 @@ func (e *Engine) MaterializeTopics(ctx context.Context, m Method, ts []topics.To
 	if !m.valid() {
 		return nil, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, m)
 	}
-	return e.materializeMany(ctx, m, ts, workers)
+	sums := make([]summary.Summary, len(ts))
+	if clampWorkers(workers, len(ts)) == 1 {
+		// Inline, not through the pool: a one-worker call over cached
+		// topics costs no goroutine and no closure.
+		for i, t := range ts {
+			if sums[i], err = e.Summarize(ctx, m, t); err != nil {
+				return nil, err
+			}
+		}
+		return sums, nil
+	}
+	err = forEachIndex(ctx, len(ts), workers, func(i int) error {
+		s, err := e.Summarize(ctx, m, ts[i])
+		sums[i] = s
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sums, nil
 }
 
 // The four methods below are what the frozen benchmark/ harness

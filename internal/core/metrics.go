@@ -38,9 +38,9 @@ type engineMetrics struct {
 	// buildsCanceled counts builds that failed because Engine.Close
 	// canceled the lifecycle context (shutdown racing a cache miss).
 	buildsCanceled *obs.Counter
-	// warmTopics counts topics completed by WarmSummaries runs, indexed
-	// by Method; warmDur observes the wall time of successful
-	// whole-corpus warms. Per-topic build costs inside a warm reuse
+	// warmTopics counts topics completed by warm runs (WarmTopics),
+	// indexed by Method; warmDur observes the wall time of successful
+	// runs. Per-topic build costs inside a warm reuse
 	// buildDur — a warm build and an online cache-miss build are the
 	// same summarization, observed by the same histogram.
 	warmTopics [2]*obs.Counter
@@ -74,7 +74,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	waits := reg.CounterVec("pit_summary_build_dedup_waits_total",
 		"Callers deduplicated onto another caller's in-flight summarization.", "method")
 	warm := reg.CounterVec("pit_warm_topics_total",
-		"Topics completed by WarmSummaries corpus warm-up runs.", "method")
+		"Topics completed by summary warm-up runs (WarmSummaries, WarmTopics).", "method")
 	skipped := reg.CounterVec("pit_materialized_skipped_topics_total",
 		"Q-related topics skipped by materialized-only searches because no summary was cached.", "method")
 	suspended := reg.CounterVec("pit_summary_builds_suspended_total",
@@ -93,7 +93,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 			"Duration of BuildIndexes (walk + propagation index construction).",
 			obs.DurationBuckets),
 		warmDur: reg.Histogram("pit_warm_duration_seconds",
-			"Wall time of successful whole-corpus WarmSummaries runs.",
+			"Wall time of successful warm-up runs, one observation per engine per run.",
 			obs.DurationBuckets),
 	}
 	for _, method := range []Method{MethodLRW, MethodRCL} {

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -123,36 +121,16 @@ type Runner interface {
 // (nil, err), never partial results.
 func RunMany(ctx context.Context, r Runner, q Query, users []graph.NodeID, workers int) ([]Answer, error) {
 	out := make([]Answer, len(users))
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		fail firstError
-	)
-	for w := clampWorkers(workers, len(users)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(users) {
-					return
-				}
-				err := ctx.Err()
-				if err == nil {
-					uq := q
-					uq.User = users[i]
-					out[i], err = r.Run(ctx, uq)
-				}
-				if err != nil {
-					fail.set(fmt.Errorf("user %d: %w", users[i], err))
-					next.Store(int64(len(users))) // stop handing out work
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := fail.get(); err != nil {
+	err := forEachIndex(ctx, len(users), workers, func(i int) error {
+		uq := q
+		uq.User = users[i]
+		var err error
+		if out[i], err = r.Run(ctx, uq); err != nil {
+			return fmt.Errorf("user %d: %w", users[i], err)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

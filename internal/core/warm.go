@@ -41,36 +41,86 @@ func clampWorkers(requested, items int) int {
 	return requested
 }
 
-// WarmOptions tunes WarmSummaries. The zero value warms with GOMAXPROCS
-// workers and no progress reporting.
+// WarmOptions tunes a warm run (WarmSummaries, WarmTopics). The zero
+// value warms with GOMAXPROCS workers and no progress reporting.
 type WarmOptions struct {
 	// Workers bounds the warm pool; ≤ 0 means GOMAXPROCS.
 	Workers int
 	// Progress, when non-nil, is called after each topic is materialized
-	// with the number of topics completed so far and the corpus size.
+	// with the number of topics completed so far and the size of the run.
 	// Calls are serialized and done is strictly increasing, so the
 	// callback can drive logs or a readiness gauge without its own
 	// locking. It runs on worker goroutines — keep it fast.
 	Progress func(done, total int)
 }
 
+// forEachIndex calls fn(i) for every i in [0, n) on clampWorkers(workers,
+// n) goroutines that pull indexes from one atomic cursor (work stealing:
+// a worker that lands on a cheap item immediately takes the next one).
+// Every worker checks ctx before each item, and the first error observed
+// — ctx's or fn's — stops the hand-out and is what the call returns.
+// Every engine fan-out (corpus warm-up, topic materialization, the user
+// batch of RunMany) is this one pool.
+func forEachIndex(ctx context.Context, n, workers int, fn func(i int) error) error {
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+		fail firstError
+	)
+	for w := clampWorkers(workers, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				err := ctx.Err()
+				if err == nil {
+					err = fn(i)
+				}
+				if err != nil {
+					fail.set(err)
+					next.Store(int64(n)) // stop handing out work
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return fail.get()
+}
+
 // WarmSummaries materializes the summary of every topic in the space
 // under method m before query traffic needs them — the paper's offline
 // topic-to-representative index build (Figures 15–16), run as fast as
-// the hardware allows. Topics are pulled from a shared atomic cursor by
-// up to opts.Workers goroutines (work stealing: a worker that lands on a
-// cheap topic immediately takes the next one), and every build goes
-// through Summarize, i.e. the singleflight group and the sharded cache:
-// topics already materialized are skipped at cache-hit cost, and a warm
-// racing live cache misses collapses into the same in-flight builds.
+// the hardware allows: WarmTopics over the whole space. A nil return
+// means the whole corpus is hot.
+func (e *Engine) WarmSummaries(ctx context.Context, m Method, opts WarmOptions) error {
+	all := make([]topics.TopicID, e.space.NumTopics())
+	for i := range all {
+		all[i] = topics.TopicID(i)
+	}
+	return e.WarmTopics(ctx, m, all, opts)
+}
+
+// WarmTopics materializes the summaries of ts under m — the one
+// instrumented warm pool: a whole-corpus warm passes every topic, a
+// shard (shard.Router.WarmOwned) the topics it owns. Up to opts.Workers
+// goroutines drive the topics through Summarize, i.e. the singleflight
+// group and the sharded cache: topics already materialized are skipped
+// at cache-hit cost, and a warm racing live cache misses collapses into
+// the same in-flight builds. Each warmed topic counts into
+// pit_warm_topics_total and opts.Progress; a completed run observes
+// pit_warm_duration_seconds.
 //
 // Cancellation and errors follow the engine's pool conventions: ctx is
 // observed between topics by every worker (and inside the summarizers
-// themselves), a mid-corpus cancellation returns ctx.Err() while every
+// themselves), a mid-run cancellation returns ctx.Err() while every
 // already-completed topic stays cached and valid, and any failure
-// surfaces as the first error observed. A nil return means the whole
-// corpus is hot.
-func (e *Engine) WarmSummaries(ctx context.Context, m Method, opts WarmOptions) error {
+// surfaces as the first error observed.
+func (e *Engine) WarmTopics(ctx context.Context, m Method, ts []topics.TopicID, opts WarmOptions) error {
 	ctx, release, err := e.acquire(ctx)
 	if err != nil {
 		return err
@@ -79,54 +129,30 @@ func (e *Engine) WarmSummaries(ctx context.Context, m Method, opts WarmOptions) 
 	if !m.valid() {
 		return fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, m)
 	}
-	total := e.space.NumTopics()
-	if total == 0 {
+	if len(ts) == 0 {
 		return nil
 	}
 	start := time.Now()
-	workers := clampWorkers(opts.Workers, total)
-
 	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		done     atomic.Int64
-		firstErr firstError
-		progMu   sync.Mutex // serializes opts.Progress calls
+		progMu sync.Mutex // serializes opts.Progress calls
+		done   int        // guarded by progMu
 	)
-	report := func() {
-		n := int(done.Add(1))
+	err = forEachIndex(ctx, len(ts), opts.Workers, func(i int) error {
+		if _, err := e.Summarize(ctx, m, ts[i]); err != nil {
+			return err
+		}
 		if e.met != nil {
 			e.met.warmTopics[m].Inc()
 		}
 		if opts.Progress != nil {
 			progMu.Lock()
-			opts.Progress(n, total)
+			done++
+			opts.Progress(done, len(ts))
 			progMu.Unlock()
 		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if err := ctx.Err(); err != nil {
-					firstErr.set(err)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= total {
-					return
-				}
-				if _, err := e.Summarize(ctx, m, topics.TopicID(i)); err != nil {
-					firstErr.set(err)
-					return
-				}
-				report()
-			}
-		}()
-	}
-	wg.Wait()
-	if err := firstErr.get(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	if e.met != nil {

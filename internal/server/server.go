@@ -1,4 +1,4 @@
-// Package server exposes a built PIT-Search engine over HTTP with a small
+// Package server exposes a PIT-Search backend over HTTP with a small
 // JSON API — the deployment surface for the personalized services the
 // paper's introduction motivates (personalized recommendation and search,
 // target advertising, product promotion):
@@ -9,19 +9,20 @@
 //	GET /healthz                        — liveness: process is up
 //	GET /readyz                         — readiness: indexes are built
 //
-// With a streaming pipeline attached (Config.Stream) two more routes
-// mount:
+// With a streaming update surface attached (Config.Stream) two more
+// routes mount:
 //
 //	POST /updates                       — submit edge events / node growth
 //	POST /subscribe?q=&user=&k=&...     — standing query, pushes over SSE
 //
-// Streaming swaps the serving engine: handlers resolve the current
-// engine per request, and a request that loses the swap race (its
-// engine retired under it, core.ErrNotReady) transparently retries on
-// the replacement. /subscribe bypasses the request deadline and the
-// in-flight limiter — it is a long-lived event stream with its own
-// bound (Config.MaxSubscribers) — and pushes flow through the
-// statusRecorder's Flush/Unwrap path.
+// The backend is fixed for the server's lifetime. Streaming swaps
+// engines underneath it, and following those swaps — including the
+// retry of a request whose engine retired under it — is the backend's
+// job (shard.Router does it once, for every route), never a handler's.
+// /subscribe bypasses the request deadline and the in-flight limiter —
+// it is a long-lived event stream with its own bound
+// (Config.MaxSubscribers) — and pushes flow through the statusRecorder's
+// Flush/Unwrap path.
 //
 // The handler stack is production-hardened: every request gets an ID and
 // an access-log line; panics in a handler are isolated into a single 500;
@@ -36,8 +37,8 @@
 // in the "tier" field and X-Pit-Tier header; only a request nothing
 // cached can answer gets 503 + Retry-After.
 //
-// All handlers are read-only against the engine and safe for concurrent
-// use. The engine's indexes may be built after New: until MarkReady is
+// All handlers are read-only against the backend and safe for concurrent
+// use. The backend's indexes may be built after New: until MarkReady is
 // called the API answers 503 and /readyz reports not-ready, so index
 // construction can run off the startup critical path.
 package server
@@ -114,15 +115,18 @@ type StatsResponse struct {
 	WalkR            int     `json:"walk_r"`
 	CachedLRW        int     `json:"cached_summaries_lrw"`
 	CachedRCL        int     `json:"cached_summaries_rcl"`
-	// Shards reports the serving partition width; omitted (0) for a
-	// single-engine deployment.
+	// Shards reports the serving partition width: always present (≥ 1)
+	// behind pitserve, whose backend is the shard router at any width;
+	// omitted only when the backend is a bare *core.Engine.
 	Shards int `json:"shards,omitempty"`
 }
 
-// Backend is the query surface the server fronts: a single
-// *core.Engine or the multi-shard *shard.Router — the handlers cannot
-// tell the difference, which is the point (scatter-gather stays below
-// the serving layer).
+// Backend is the query surface the server fronts, held for the server's
+// lifetime: the *shard.Router in every pitserve deployment (one shard or
+// many, static or streaming — engine swaps happen beneath it), or a
+// static *core.Engine for in-process harnesses. The handlers cannot tell
+// the difference, which is the point (scatter-gather and swap-following
+// stay below the serving layer).
 type Backend interface {
 	Ready() bool
 	Graph() *graph.Graph
@@ -133,9 +137,8 @@ type Backend interface {
 	IndexStats() core.IndexStats
 }
 
-// StreamBackend is the update surface behind POST /updates: a single
-// stream.Pipeline or a shard.StreamSet fanning events to one pipeline
-// per shard.
+// StreamBackend is the update surface behind POST /updates:
+// shard.StreamSet, fanning events to one pipeline per shard.
 type StreamBackend interface {
 	Submit(events ...stream.Event) error
 	GrowNodes(n int) error
@@ -172,16 +175,9 @@ type Config struct {
 	// are still collected, just not exposed anywhere.
 	Registry *obs.Registry
 	// Stream, when set, attaches a streaming update surface: POST
-	// /updates mounts. When it is a *stream.Pipeline and Source is nil,
-	// handlers resolve the pipeline's *current* engine instead of the
-	// backend passed to New (which must then be the pipeline's initial
-	// engine).
+	// /updates mounts. The backend passed to New must follow the engine
+	// swaps it causes (a shard.Router over StreamSet.Sources does).
 	Stream StreamBackend
-	// Source, when set, resolves the backend serving the current
-	// request — the hook a sharded deployment uses (the router is the
-	// stable backend; its shards swap underneath it). Overrides the
-	// *stream.Pipeline default above.
-	Source func() Backend
 	// Subscriptions, when set (requires Stream), mounts POST /subscribe:
 	// standing queries with SSE push delivery after applied batches.
 	Subscriptions *subscribe.Registry
@@ -208,13 +204,10 @@ func (c *Config) fill() {
 	}
 }
 
-// Server wraps an engine with HTTP handlers. Create with New, mount with
-// Handler, flip MarkReady once the engine's indexes are built.
+// Server wraps a backend with HTTP handlers. Create with New, mount with
+// Handler, flip MarkReady once the backend's indexes are built.
 type Server struct {
-	// src resolves the backend serving the current request: the static
-	// backend from New, Config.Source, or the streaming pipeline's
-	// current engine.
-	src         func() Backend
+	eng         Backend
 	cfg         Config
 	met         *serverMetrics
 	ready       atomic.Bool
@@ -223,12 +216,10 @@ type Server struct {
 	subscribers chan struct{}
 }
 
-// New returns a Server over the engine. The engine's indexes do not have
-// to be built yet: the server starts not-ready (API answers 503, /readyz
-// reports failure) unless they already are. Call MarkReady after
-// BuildIndexes (and any pre-materialization) completes. When
-// Config.Stream is set, eng must be that pipeline's initial engine;
-// handlers then follow the pipeline across swaps.
+// New returns a Server over the backend. Its indexes do not have to be
+// built yet: the server starts not-ready (API answers 503, /readyz
+// reports failure) unless they already are. Call MarkReady after the
+// index build (and any pre-materialization) completes.
 func New(eng Backend, cfg Config) (*Server, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("server: nil engine")
@@ -241,17 +232,7 @@ func New(eng Backend, cfg Config) (*Server, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s := &Server{cfg: cfg, met: newServerMetrics(reg)}
-	switch {
-	case cfg.Source != nil:
-		s.src = cfg.Source
-	default:
-		if p, ok := cfg.Stream.(*stream.Pipeline); ok {
-			s.src = func() Backend { return p.Engine() }
-		} else {
-			s.src = func() Backend { return eng }
-		}
-	}
+	s := &Server{eng: eng, cfg: cfg, met: newServerMetrics(reg)}
 	if cfg.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInflight)
 	}
@@ -263,11 +244,6 @@ func New(eng Backend, cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// engine resolves the backend for the current request. Under streaming,
-// consecutive calls may return different engines; handlers capture one
-// and retry on the fresh one when theirs retires mid-request.
-func (s *Server) engine() Backend { return s.src() }
 
 // MarkReady flips /readyz to success and opens the API for traffic. Call
 // it once the engine's indexes (and optional summary materialization)
@@ -503,8 +479,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // parseQuery validates the parameters shared by /search and /subscribe
 // (a standing query is just a search registered for pushes) into a
 // planned core.Query, writing the error response itself on failure.
-// User existence is NOT checked here: it needs an engine, and the caller
-// owns engine resolution.
+// User existence is NOT checked here: /search answers it 404, /subscribe
+// 400.
 func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request) (core.Query, bool) {
 	q := core.Query{Text: r.URL.Query().Get("q"), K: 10}
 	if q.Text == "" {
@@ -554,8 +530,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	eng := s.engine()
-	if !eng.Graph().Valid(q.User) {
+	if !s.eng.Graph().Valid(q.User) {
 		s.writeErr(w, r, http.StatusNotFound, "user %d not in the network", q.User)
 		return
 	}
@@ -564,19 +539,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// then materialized-only, then the stale last-known-good answer,
 	// then an explicit 503. The server's job is only to annotate what
 	// actually served the response.
-	ans, err := eng.Run(r.Context(), q)
-	// ErrNotReady from an engine that is no longer current means the
-	// request lost a swap race: its engine retired between the load and
-	// the query. The fresh engine answers; each retry requires another
-	// swap to have happened, so the loop terminates.
-	for err != nil && errors.Is(err, core.ErrNotReady) {
-		cur := s.engine()
-		if cur == eng {
-			break
-		}
-		eng = cur
-		ans, err = eng.Run(r.Context(), q)
-	}
+	ans, err := s.eng.Run(r.Context(), q)
 	if err != nil {
 		s.failSearch(w, r, err)
 		return
@@ -653,7 +616,7 @@ func (s *Server) handleTopics(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusBadRequest, "missing q parameter")
 		return
 	}
-	space := s.engine().Space()
+	space := s.eng.Space()
 	related := space.Related(q)
 	resp := TopicsResponse{Query: q, Topics: make([]string, 0, len(related))}
 	for _, t := range related {
@@ -667,38 +630,31 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Stats reads index internals outside the query entry points, so it
-	// holds the engine's gate: a concurrent retire cannot unmap (or
-	// cancel) under the read. Losing the swap race retries on the
-	// replacement engine, like /search.
-	for {
-		eng := s.engine()
-		_, release, err := eng.Hold(r.Context())
-		if err != nil {
-			if s.engine() != eng {
-				continue
-			}
-			w.Header().Set("Retry-After", "5")
-			s.writeErr(w, r, http.StatusServiceUnavailable, "engine unavailable: %v", err)
-			return
-		}
-		g := eng.Graph()
-		idx := eng.IndexStats()
-		resp := StatsResponse{
-			Nodes:            g.NumNodes(),
-			Edges:            g.NumEdges(),
-			Topics:           eng.Space().NumTopics(),
-			PropIndexEntries: idx.PropEntries,
-			PropIndexTheta:   idx.Theta,
-			WalkL:            idx.WalkL,
-			WalkR:            idx.WalkR,
-			CachedLRW:        eng.CachedSummaries(core.MethodLRW),
-			CachedRCL:        eng.CachedSummaries(core.MethodRCL),
-		}
-		if sh, ok := eng.(interface{ Shards() int }); ok {
-			resp.Shards = sh.Shards()
-		}
-		release()
-		s.writeJSON(w, r, http.StatusOK, resp)
+	// holds the backend's gate: a concurrent retire cannot unmap (or
+	// cancel) under the read.
+	eng := s.eng
+	_, release, err := eng.Hold(r.Context())
+	if err != nil {
+		w.Header().Set("Retry-After", "5")
+		s.writeErr(w, r, http.StatusServiceUnavailable, "engine unavailable: %v", err)
 		return
 	}
+	g := eng.Graph()
+	idx := eng.IndexStats()
+	resp := StatsResponse{
+		Nodes:            g.NumNodes(),
+		Edges:            g.NumEdges(),
+		Topics:           eng.Space().NumTopics(),
+		PropIndexEntries: idx.PropEntries,
+		PropIndexTheta:   idx.Theta,
+		WalkL:            idx.WalkL,
+		WalkR:            idx.WalkR,
+		CachedLRW:        eng.CachedSummaries(core.MethodLRW),
+		CachedRCL:        eng.CachedSummaries(core.MethodRCL),
+	}
+	if sh, ok := eng.(interface{ Shards() int }); ok {
+		resp.Shards = sh.Shards()
+	}
+	release()
+	s.writeJSON(w, r, http.StatusOK, resp)
 }

@@ -1,7 +1,7 @@
 package server
 
-// Streaming routes: /updates feeds the stream.Pipeline, /subscribe
-// serves standing queries over SSE. Both mount only when Config.Stream
+// Streaming routes: /updates feeds Config.Stream, /subscribe serves
+// standing queries over SSE, evaluated against the server's backend. Both mount only when Config.Stream
 // (and, for /subscribe, Config.Subscriptions) is set — a static-index
 // deployment keeps its exact pre-streaming surface.
 
@@ -134,7 +134,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sub, err := s.cfg.Subscriptions.Subscribe(r.Context(), s.engine(), q)
+	sub, err := s.cfg.Subscriptions.Subscribe(r.Context(), s.eng, q)
 	if err != nil {
 		switch {
 		case errors.Is(err, core.ErrNotReady):

@@ -1,8 +1,9 @@
 package server
 
-// End-to-end streaming surface tests: POST /updates feeding the
-// pipeline, POST /subscribe serving SSE pushes, and the swap protocol
-// underneath both. The two-edge graph makes the push semantics exact: a
+// End-to-end streaming surface tests: POST /updates feeding the stream
+// set, POST /subscribe serving SSE pushes, and the swap protocol
+// underneath both — the pitserve wiring at one shard: a router over
+// StreamSet.Sources is the server's backend. The two-edge graph makes the push semantics exact: a
 // re-weighting flips which topic the standing query ranks first, so the
 // subscriber must see exactly one change push with the flipped order.
 
@@ -13,11 +14,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/subscribe"
 	"repro/internal/topics"
@@ -27,7 +30,14 @@ import (
 // strongly (0.9) and node 2 weakly (0.1); topic "alpha" lives on node 1,
 // topic "beta" on node 2, both answering query "t". A standing query for
 // user 0 therefore ranks alpha first until the weights flip.
-func streamHarness(t *testing.T, cfg Config) (*httptest.Server, *stream.Pipeline) {
+func streamHarness(t *testing.T, cfg Config) (*httptest.Server, *shard.StreamSet) {
+	t.Helper()
+	return streamHarnessOver(t, cfg, func(src shard.EngineSource) shard.EngineSource { return src })
+}
+
+// streamHarnessOver is streamHarness with the router's one engine source
+// wrapped by wrap — the seam for a source that lags behind a swap.
+func streamHarnessOver(t *testing.T, cfg Config, wrap func(shard.EngineSource) shard.EngineSource) (*httptest.Server, *shard.StreamSet) {
 	t.Helper()
 	b := graph.NewBuilder(3)
 	b.MustAddEdge(1, 0, 0.9)
@@ -49,42 +59,48 @@ func streamHarness(t *testing.T, cfg Config) (*httptest.Server, *stream.Pipeline
 		t.Fatal(err)
 	}
 	space := sb.Build()
-	eng, err := core.New(g, space, core.Options{WalkL: 2, WalkR: 64, Seed: 3})
+	engines, err := shard.BuildEngines(context.Background(), g, space, core.Options{WalkL: 2, WalkR: 64, Seed: 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.BuildIndexes(context.Background()); err != nil {
+	part, err := shard.NewPartitioner(space, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	subs := subscribe.NewRegistry(nil)
-	p, err := stream.New(eng, stream.Config{
+	var router *shard.Router
+	set, err := shard.NewStreamSet(engines, stream.Config{
 		BatchSize: 2,
 		MaxAge:    20 * time.Millisecond,
 		OnApply: func(ctx context.Context, r stream.ApplyResult) {
-			subs.Dispatch(ctx, r.Engine, r.Stats.Affected, r.Seq)
+			subs.Dispatch(ctx, router, r.Stats.Affected, r.Seq)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Stream = p
+	router, err = shard.NewRouter(g, space, part, []shard.EngineSource{wrap(set.Sources()[0])}, shard.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Stream = set
 	cfg.Subscriptions = subs
 	if cfg.Logger == nil {
 		cfg.Logger = testLogger(t)
 	}
-	srv, err := New(eng, cfg)
+	srv, err := New(router, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.MarkReady()
-	p.Start()
+	set.Start()
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		p.Stop()
-		p.Engine().Close()
+		set.Stop()
+		router.Close()
 	})
-	return ts, p
+	return ts, set
 }
 
 // readSSE reads one SSE event (through the next blank line), returning
@@ -292,5 +308,105 @@ func TestSubscribeValidationErrors(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: status = %d, want %d", c.name, resp.StatusCode, c.want)
 		}
+	}
+}
+
+// TestRetiredEngineIsFollowed: a request whose engine retires under it —
+// the source handed out the old pointer just before the swap published
+// the new one — is answered by the replacement, on every route. The
+// lagging source returns the retired engine on exactly one resolve, the
+// k-th after arming; whichever resolve that is (a graph or space read,
+// which a retired engine still serves, or the one that opens the search,
+// which it refuses), the request must succeed. /subscribe is the route
+// that used to answer 503 here: its handler resolved an engine once and
+// never looked again.
+func TestRetiredEngineIsFollowed(t *testing.T) {
+	var (
+		mu        sync.Mutex // guards the rest
+		retired   *core.Engine
+		countdown int // resolves until the retired engine is handed out; 0 = never
+		resolves  int // resolves since arm
+	)
+	arm := func(k int) {
+		mu.Lock()
+		countdown, resolves = k, 0
+		mu.Unlock()
+	}
+	ts, set := streamHarnessOver(t, Config{}, func(src shard.EngineSource) shard.EngineSource {
+		return func() *core.Engine {
+			mu.Lock()
+			defer mu.Unlock()
+			resolves++
+			if countdown > 0 {
+				if countdown--; countdown == 0 {
+					return retired
+				}
+			}
+			return src()
+		}
+	})
+	old := set.Pipeline(0).Engine()
+	if err := set.Submit(stream.Event{From: 1, To: 0, Weight: 0.5}, stream.Event{From: 2, To: 0, Weight: 0.4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if set.Pipeline(0).Engine() == old {
+		t.Fatal("the flush did not swap the engine")
+	}
+	mu.Lock()
+	retired = old
+	mu.Unlock()
+
+	search := func(t *testing.T) {
+		resp, err := http.Get(ts.URL + "/search?q=t&user=0&k=2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /search = %d, want 200", resp.StatusCode)
+		}
+	}
+	subscribe := func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/subscribe?q=t&user=0&k=2", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /subscribe = %d, want 200", resp.StatusCode)
+		}
+		if event, _ := readSSE(t, bufio.NewReader(resp.Body)); event != "topk" {
+			t.Fatalf("initial event = %q, want topk", event)
+		}
+	}
+	for name, request := range map[string]func(*testing.T){"search": search, "subscribe": subscribe} {
+		t.Run(name, func(t *testing.T) {
+			arm(0)
+			request(t)
+			mu.Lock()
+			baseline := resolves
+			mu.Unlock()
+			retried := false
+			for k := 1; k <= baseline; k++ {
+				arm(k)
+				request(t)
+				mu.Lock()
+				// A refused open re-resolves: one resolve more than usual.
+				retried = retried || resolves > baseline
+				mu.Unlock()
+			}
+			if !retried {
+				t.Fatalf("no position of the retired engine among %d resolves forced a retry: the swap race was never exercised", baseline)
+			}
+		})
 	}
 }

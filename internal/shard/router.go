@@ -155,10 +155,14 @@ func (r *Router) Close() {
 }
 
 // withShard runs fn against shard i's current engine, re-resolving and
-// retrying when the engine was retired under the call — the streaming
-// swap race the single-engine server handles the same way. A fresh
-// resolve that returns the same engine means genuinely not ready, and
-// the error surfaces.
+// retrying when the engine was retired under the call (core.ErrNotReady
+// from an engine that is no longer current: the call lost a streaming
+// swap race, and the replacement answers). This is the one place that
+// follows engine swaps — everything above the router, the HTTP server
+// included, holds the router for its whole lifetime. Each retry needs
+// another swap to have happened, so the loop terminates; a fresh resolve
+// that returns the same engine means genuinely not ready, and the error
+// surfaces.
 func (r *Router) withShard(i int, fn func(eng *core.Engine) error) error {
 	eng := r.shards[i]()
 	for {
@@ -188,25 +192,36 @@ func (r *Router) Summarize(ctx context.Context, m core.Method, t topics.TopicID)
 	return s, err
 }
 
-// WarmOwned materializes every shard's owned topics in parallel across
-// shards (and `workers` wide within each shard) — the sharded corpus
-// warm-up. Because each shard has its own RCL summarizer (and its own
-// rclMu), N shards warm N× as many RCL topics concurrently as one
-// engine can.
-func (r *Router) WarmOwned(ctx context.Context, m core.Method, workers int) error {
+// WarmOwned warms every shard's owned topics, in parallel across shards
+// and opts.Workers wide within each — the corpus warm-up of a shard set.
+// Each shard runs core.Engine.WarmTopics, so pit_warm_topics_total and
+// pit_warm_duration_seconds move exactly as a whole-corpus
+// WarmSummaries moves them; opts.Progress sees one serialized count
+// over the whole topic space, whichever shard a topic landed on.
+// Because each shard has its own RCL summarizer (and its own rclMu), N
+// shards warm N× as many RCL topics concurrently as one engine can.
+func (r *Router) WarmOwned(ctx context.Context, m core.Method, opts core.WarmOptions) error {
+	if report := opts.Progress; report != nil {
+		var (
+			mu   sync.Mutex
+			done int // guarded by mu
+		)
+		total := r.Space().NumTopics()
+		opts.Progress = func(int, int) {
+			mu.Lock()
+			done++
+			report(done, total)
+			mu.Unlock()
+		}
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, r.part.Shards())
 	for i := range errs {
-		owned := r.part.Owned(i)
-		if len(owned) == 0 {
-			continue
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			errs[i] = r.withShard(i, func(eng *core.Engine) error {
-				_, err := eng.MaterializeTopics(ctx, m, owned, workers)
-				return err
+				return eng.WarmTopics(ctx, m, r.part.Owned(i), opts)
 			})
 		}()
 	}

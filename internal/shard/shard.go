@@ -18,12 +18,10 @@ import (
 // coordination.
 type EngineSource func() *core.Engine
 
-// BuildEngines stands up n shard engines over one in-memory dataset:
-// shard 0 builds the offline indexes, the rest adopt them via
-// ShareIndexes — one walk/propagation build total, N independent
-// summarizer+corpus units. Every engine gets identical options (same
-// seed: summaries are deterministic per topic ID, so any shard's build
-// of a topic is byte-identical to the single engine's).
+// BuildEngines stands up n shard engines over one in-memory dataset —
+// core.New × n with identical options (same seed: summaries are
+// deterministic per topic ID, so any shard's build of a topic is
+// byte-identical to the single engine's), then BuildIndexes.
 func BuildEngines(ctx context.Context, g *graph.Graph, space *topics.Space, opts core.Options, n int) ([]*core.Engine, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("shard: need a positive shard count, got %d", n)
@@ -36,22 +34,70 @@ func BuildEngines(ctx context.Context, g *graph.Graph, space *topics.Space, opts
 		}
 		engines[i] = eng
 	}
-	if err := engines[0].BuildIndexes(ctx); err != nil {
-		return nil, fmt.Errorf("shard 0: %w", err)
-	}
-	for i := 1; i < n; i++ {
-		if err := engines[i].ShareIndexes(engines[0]); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
+	if err := BuildIndexes(ctx, engines); err != nil {
+		return nil, err
 	}
 	return engines, nil
 }
 
+// BuildIndexes readies caller-constructed shard engines (a server makes
+// them un-ready so its listener is up before the build) with one offline
+// build: shard 0 builds the walk and propagation indexes, the rest adopt
+// them via ShareIndexes — N summarizer+corpus units over one index set.
+func BuildIndexes(ctx context.Context, engines []*core.Engine) error {
+	if err := engines[0].BuildIndexes(ctx); err != nil {
+		return fmt.Errorf("shard 0: %w", err)
+	}
+	for i := 1; i < len(engines); i++ {
+		if err := engines[i].ShareIndexes(engines[0]); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // ArtifactsExist reports whether root holds a sharded artifact set (its
-// manifest is present) — the cold-start-vs-build decision point.
+// manifest is present).
 func ArtifactsExist(root string) bool {
 	_, err := os.Stat(filepath.Join(root, ManifestFile))
 	return err == nil
+}
+
+// LoadArtifacts cold-starts caller-constructed shard engines from dir
+// and reports whether it did. The layout is observed, never configured:
+// a manifest means the sharded layout (HydrateInto and its loud shard
+// count / partition / dataset validation, at any N including 1); bare
+// index files mean the flat layout of core's SaveArtifactsFiltered,
+// which holds the whole corpus and so fits one shard only; neither (or
+// no dir) loads nothing and the caller builds.
+func LoadArtifacts(ctx context.Context, engines []*core.Engine, dir string) (bool, error) {
+	var err error
+	switch {
+	case dir == "":
+		return false, nil
+	case ArtifactsExist(dir):
+		_, err = HydrateInto(ctx, engines, engines[0].Graph(), engines[0].Space(), dir)
+	case !core.ArtifactsExist(dir):
+		return false, nil
+	case len(engines) == 1:
+		err = engines[0].LoadArtifacts(dir)
+	default:
+		err = fmt.Errorf(
+			"shard: %s holds the flat one-shard layout (%s, %s) but %d shards were asked for — serve it with one shard, or write the sharded layout (%s + shard-<i>/) with `datagen -shards %d -index-dir`",
+			dir, core.WalkArtifact, core.PropArtifact, len(engines), ManifestFile, len(engines))
+	}
+	return err == nil, err
+}
+
+// SaveArtifacts persists a built (and possibly warmed) shard set for the
+// next cold start: one shard holds the whole corpus and writes the flat
+// layout (the files `pitsearch -index-dir` reads), N > 1 shards write
+// WriteShardArtifacts' manifest + shard-<i>/ layout.
+func SaveArtifacts(engines []*core.Engine, part *Partitioner, dir string) error {
+	if len(engines) == 1 {
+		return engines[0].SaveArtifactsFiltered(dir, nil)
+	}
+	return WriteShardArtifacts(engines, part, dir)
 }
 
 // HydrateInto cold-starts caller-constructed shard engines (one per
@@ -94,10 +140,8 @@ func HydrateInto(ctx context.Context, engines []*core.Engine, g *graph.Graph, sp
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	// Ownership audit: every preloaded summary must belong to its shard
 	// under the manifest's partition function.
@@ -124,10 +168,10 @@ func HydrateInto(ctx context.Context, engines []*core.Engine, g *graph.Graph, sp
 // (self-contained: a shard hydrates anywhere the dataset is available)
 // plus exactly the cached summaries the partition assigns shard i — and
 // the manifest records the partition function and dataset shape for
-// load-time validation. A sharded pitserve passes its shard engines
-// (each warmed with its owned topics, e.g. via Router.WarmOwned), so no
-// engine ever holds the whole corpus; datagen -shards passes its one
-// fully warmed engine in every slot.
+// load-time validation. pitserve (through SaveArtifacts) passes its
+// shard engines, each warmed with its owned topics by Router.WarmOwned,
+// so no engine ever holds the whole corpus; datagen -shards passes its
+// one fully warmed engine in every slot.
 func WriteShardArtifacts(engines []*core.Engine, part *Partitioner, root string) error {
 	if len(engines) != part.Shards() {
 		return fmt.Errorf("shard: %d engines for %d shards", len(engines), part.Shards())
