@@ -5,10 +5,9 @@
 //	go vet -vettool=bin/pitlint ./...
 //
 // It speaks the cmd/go vet protocol — responding to -V=full (tool build
-// ID for the build cache, mixed with the cross-package fact schema so a
-// fact-shape change invalidates cached .vetx files), -flags (supported
-// flags as JSON), and otherwise a single *.cfg argument describing one
-// type-checked package — and runs the eleven pitlint analyzers over it:
+// ID for the build cache), -flags (supported flags as JSON), and
+// otherwise a single *.cfg argument describing one type-checked package
+// — and runs the nine pitlint analyzers over it:
 //
 //	ctxloop        heavy kernel loops must observe ctx cancellation
 //	norandglobal   no global math/rand state, no wall-clock seeding
@@ -17,15 +16,12 @@
 //	locksafe       no same-receiver call that re-acquires a held mutex
 //	goroutinelife  goroutines must be waitable (WaitGroup) or ctx-bounded
 //	poolsafe       sync.Pool objects must drop object references before Put
-//	atomicstore    one concrete type per atomic.Value; no mixed atomic/plain access
 //	metrichygiene  metrics register at wiring time; label values from const sets
-//	timerleak      no time.After in loops, no time.Tick on production paths
 //	unsafeslice    unsafe and syscall.Mmap only inside internal/storage
 //
-// Analyzers may exchange cross-package facts (goroutinelife's Bounded
-// set): facts ride the .vetx files cmd/go threads between invocations,
-// gob-encoded, with module-internal dependency packages analyzed in
-// facts-only mode when cmd/go asks for VetxOnly.
+// Every analyzer judges one package at a time; no facts cross packages,
+// so the .vetx file cmd/go expects from each invocation is written
+// empty and dependency-only (VetxOnly) invocations do nothing else.
 //
 // Findings print to stderr as file:line:col: [analyzer] message and the
 // tool exits 2, which go vet surfaces as a failure. Intentional
@@ -55,7 +51,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicstore"
 	"repro/internal/analysis/ctxloop"
 	"repro/internal/analysis/errsentinel"
 	"repro/internal/analysis/goroutinelife"
@@ -65,12 +60,10 @@ import (
 	"repro/internal/analysis/norandglobal"
 	"repro/internal/analysis/poolsafe"
 	"repro/internal/analysis/probinvariant"
-	"repro/internal/analysis/timerleak"
 	"repro/internal/analysis/unsafeslice"
 )
 
 var analyzers = []*analysis.Analyzer{
-	atomicstore.Analyzer,
 	ctxloop.Analyzer,
 	errsentinel.Analyzer,
 	goroutinelife.Analyzer,
@@ -79,12 +72,10 @@ var analyzers = []*analysis.Analyzer{
 	norandglobal.Analyzer,
 	poolsafe.Analyzer,
 	probinvariant.Analyzer,
-	timerleak.Analyzer,
 	unsafeslice.Analyzer,
 }
 
 var (
-	jsonFlag = flag.Bool("json", false, "emit diagnostics as JSON on stdout instead of text on stderr")
 	listFlag = flag.Bool("list", false, "list the analyzers and exit")
 	whyFlag  = flag.Bool("why", false, "audit mode: list every active //pitlint:ignore directive with its justification")
 )
@@ -124,7 +115,7 @@ func main() {
 
 	args := flag.Args()
 	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
-		log.Fatalf(`usage: pitlint [-json] package.cfg
+		log.Fatalf(`usage: pitlint package.cfg
 
 pitlint is a go vet analysis tool; run it via:
 	go vet -vettool=$(pwd)/bin/pitlint ./...`)
@@ -132,13 +123,6 @@ pitlint is a go vet analysis tool; run it via:
 	diags, fset, err := run(args[0])
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *jsonFlag {
-		printJSON(fset, diags)
-		if len(diags) > 0 {
-			os.Exit(2)
-		}
-		return
 	}
 	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
@@ -149,10 +133,7 @@ pitlint is a go vet analysis tool; run it via:
 }
 
 // printVersion implements -V=full: cmd/go keys the build cache on this
-// line, so it must change whenever the executable does — hash ourselves
-// — and whenever the cross-package fact schema does: cached .vetx files
-// hold gob-encoded facts, and a fact-shape change must invalidate them
-// even if (hypothetically) the binary hash were unchanged.
+// line, so it must change whenever the executable does — hash ourselves.
 func printVersion() {
 	exe, err := os.Executable()
 	if err != nil {
@@ -167,7 +148,6 @@ func printVersion() {
 	if _, err := io.Copy(h, f); err != nil {
 		log.Fatal(err)
 	}
-	io.WriteString(h, analysis.FactSchema(analyzers))
 	fmt.Printf("%s version devel comments-go-here buildID=%02x\n",
 		filepath.Base(os.Args[0]), h.Sum(nil))
 }
@@ -202,7 +182,10 @@ func printFlags() {
 // surface for intentional exceptions. Fixture trees (testdata), hidden
 // directories, vendored code, and build output (bin) are skipped.
 // Returns the process exit code: nonzero when any directive is
-// malformed, so the audit doubles as a syntax gate.
+// malformed or names an analyzer that is not in the suite (the vet run
+// reports a directive that suppresses nothing only for analyzers it
+// ran, so a retired name would otherwise linger unjudged), so the audit
+// doubles as a syntax gate.
 func auditIgnores(dirs []string) int {
 	fset := token.NewFileSet()
 	var files []*ast.File
@@ -238,8 +221,18 @@ func auditIgnores(dirs []string) int {
 		fmt.Fprintf(os.Stderr, "%s: [ignore] %s\n", fset.Position(m.Pos), m.Message)
 		exit = 1
 	}
+	known := map[string]bool{"all": true}
+	for _, a := range analyzers {
+		known[strings.ToLower(a.Name)] = true // directive names are lower-cased by the parser
+	}
 	ds := ix.Directives()
 	for _, d := range ds {
+		for _, n := range d.Analyzers {
+			if !known[n] {
+				fmt.Fprintf(os.Stderr, "%s:%d: [ignore] //pitlint:ignore names %q, which is not a pitlint analyzer (see pitlint -list)\n", d.File, d.Line, n)
+				exit = 1
+			}
+		}
 		fmt.Printf("%s:%d: [%s] %s\n", d.File, d.Line, strings.Join(d.Analyzers, ","), d.Reason)
 	}
 	fmt.Printf("%d active suppression(s)\n", len(ds))
@@ -257,7 +250,6 @@ type config struct {
 	GoFiles                   []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	GoVersion                 string
@@ -265,16 +257,6 @@ type config struct {
 }
 
 // run executes the suite over the package described by cfgPath.
-//
-// Facts: dependency .vetx files named in cfg.PackageVetx are decoded
-// into one FactSet, the analyzers run with it (exporting this package's
-// facts into the same set), and the merged set is gob-encoded to
-// cfg.VetxOutput for importing packages — transitive facts re-export,
-// matching how cmd/go threads vetx files. VetxOnly invocations exist
-// solely to produce that file: module-internal packages still
-// type-check and run the fact-typed analyzers (diagnostics discarded);
-// packages outside the module can hold no pitlint facts, so their run
-// just forwards what it imported.
 func run(cfgPath string) ([]analysis.Diagnostic, *token.FileSet, error) {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -285,42 +267,23 @@ func run(cfgPath string) ([]analysis.Diagnostic, *token.FileSet, error) {
 		return nil, nil, fmt.Errorf("parsing %s: %w", cfgPath, err)
 	}
 
-	analysis.RegisterFactTypes(analyzers)
-
-	facts := analysis.NewFactSet()
-	for path, file := range cfg.PackageVetx {
-		b, err := os.ReadFile(file)
-		if err != nil {
-			// A vetx cmd/go promised but did not produce; treat as
-			// fact-free rather than failing the whole package.
-			continue
-		}
-		if err := facts.DecodeFacts(b); err != nil {
-			return nil, nil, fmt.Errorf("facts of %s (%s): %w", path, file, err)
+	// cmd/go fails the build unless every invocation leaves its
+	// VetxOutput file behind. The analyzers exchange no facts, so the
+	// file is always empty, and an invocation that exists only to
+	// produce it (VetxOnly: a dependency of the packages being vetted)
+	// has nothing else to do.
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
+			return nil, nil, err
 		}
 	}
-	// writeFacts leaves the (possibly grown) set for importers. Every
-	// invocation must write VetxOutput, or cmd/go fails the build.
-	writeFacts := func() error {
-		if cfg.VetxOutput == "" {
-			return nil
-		}
-		out, err := facts.EncodeFacts()
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(cfg.VetxOutput, out, 0o666)
+	if cfg.VetxOnly {
+		return nil, token.NewFileSet(), nil
 	}
 
 	importPath := cfg.ImportPath
 	if i := strings.Index(importPath, " ["); i >= 0 {
 		importPath = importPath[:i] // "pkg [pkg.test]" variant
-	}
-	// Only module-internal packages can export pitlint facts; skip
-	// type-checking the standard library on fact-only runs.
-	inModule := importPath == "repro" || strings.HasPrefix(importPath, "repro/")
-	if cfg.VetxOnly && !inModule {
-		return nil, token.NewFileSet(), writeFacts()
 	}
 
 	fset := token.NewFileSet()
@@ -329,7 +292,7 @@ func run(cfgPath string) ([]analysis.Diagnostic, *token.FileSet, error) {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
 			if cfg.SucceedOnTypecheckFailure {
-				return nil, fset, writeFacts()
+				return nil, fset, nil
 			}
 			return nil, nil, err
 		}
@@ -360,64 +323,19 @@ func run(cfgPath string) ([]analysis.Diagnostic, *token.FileSet, error) {
 	tpkg, err := tcfg.Check(importPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			return nil, fset, writeFacts()
+			return nil, fset, nil
 		}
 		return nil, nil, fmt.Errorf("type-checking %s: %w", cfg.ImportPath, err)
 	}
 
-	toRun := analyzers
-	if cfg.VetxOnly {
-		// Fact production only: analyzers with no fact types cannot
-		// contribute anything an importer could see.
-		toRun = nil
-		for _, a := range analyzers {
-			if len(a.FactTypes) > 0 {
-				toRun = append(toRun, a)
-			}
-		}
-	}
 	diags, err := analysis.Run(&analysis.Package{
 		Fset:      fset,
 		Files:     files,
 		Pkg:       tpkg,
 		TypesInfo: info,
-		Facts:     facts,
-	}, toRun)
+	}, analyzers)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := writeFacts(); err != nil {
-		return nil, nil, err
-	}
-	if cfg.VetxOnly {
-		return nil, fset, nil // dependency run: facts matter, findings do not
-	}
 	return diags, fset, nil
-}
-
-// printJSON emits diagnostics as a JSON array on stdout.
-func printJSON(fset *token.FileSet, diags []analysis.Diagnostic) {
-	type jsonDiag struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Column   int    `json:"column"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		posn := fset.Position(d.Pos)
-		out = append(out, jsonDiag{
-			File:     posn.Filename,
-			Line:     posn.Line,
-			Column:   posn.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "\t")
-	if err := enc.Encode(out); err != nil {
-		log.Fatal(err)
-	}
 }

@@ -100,76 +100,25 @@ func Draw() int {
 	if out, err := vet(); err != nil {
 		t.Fatalf("go vet failed on a clean package: %v\noutput:\n%s", err, out)
 	}
-}
 
-// TestVetProtocolFacts proves cross-package facts ride the vet
-// protocol: a worker package exports its Bounded fact into the .vetx
-// file cmd/go threads to importers, so `go sub.Worker(&wg)` in another
-// package resolves without re-analysis — and a detached helper is still
-// caught.
-func TestVetProtocolFacts(t *testing.T) {
-	goTool, tool := buildTool(t)
-
-	mod := t.TempDir()
+	// A directive left behind once its finding is gone is itself a
+	// finding: the suppression path reports what it did not use.
 	writeTree(t, mod, map[string]string{
-		"go.mod": "module scratch\n\ngo 1.24\n",
-		"sub/sub.go": `package sub
+		"good.go": `package scratch
 
-import "sync"
+import "math/rand"
 
-// Worker completes the caller's WaitGroup: bounded, exported as a fact.
-func Worker(wg *sync.WaitGroup) { defer wg.Done() }
-
-// Leak neither completes a WaitGroup nor observes a context.
-func Leak() { select {} }
-`,
-		"use.go": `package scratch
-
-import (
-	"sync"
-
-	"scratch/sub"
-)
-
-func Spawn() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go sub.Worker(&wg)
-	wg.Wait()
+func DrawSeeded(seed int64) int {
+	return rand.New(rand.NewSource(seed)).Intn(10) //pitlint:ignore norandglobal seeded local source
 }
 `,
 	})
-
-	vet := func() (string, error) {
-		cmd := exec.Command(goTool, "vet", "-vettool="+tool, "./...")
-		cmd.Dir = mod
-		var buf bytes.Buffer
-		cmd.Stdout = &buf
-		cmd.Stderr = &buf
-		err := cmd.Run()
-		return buf.String(), err
-	}
-
-	// The bounded cross-package spawn is clean only if sub's Bounded
-	// fact actually reached the importing package's run.
-	if out, err := vet(); err != nil {
-		t.Fatalf("go vet flagged a fact-bounded cross-package spawn: %v\noutput:\n%s", err, out)
-	}
-
-	writeTree(t, mod, map[string]string{
-		"leak.go": `package scratch
-
-import "scratch/sub"
-
-func Detach() { go sub.Leak() }
-`,
-	})
-	out, err := vet()
+	out, err = vet()
 	if err == nil {
-		t.Fatalf("go vet passed a detached cross-package spawn; output:\n%s", out)
+		t.Fatalf("go vet passed a suppression that suppresses nothing; output:\n%s", out)
 	}
-	if !strings.Contains(out, "goroutinelife") || !strings.Contains(out, "detached") {
-		t.Fatalf("missing expected goroutinelife diagnostic; output:\n%s", out)
+	if !strings.Contains(out, "good.go:6") || !strings.Contains(out, "[pitlint] unused suppression") {
+		t.Fatalf("missing expected unused-suppression diagnostic; output:\n%s", out)
 	}
 }
 
@@ -199,7 +148,7 @@ func TestFlagsRoundTrip(t *testing.T) {
 		}
 		got[d.Name] = d.Bool
 	}
-	want := map[string]bool{"json": true, "list": true, "why": true}
+	want := map[string]bool{"list": true, "why": true}
 	if len(got) != len(want) {
 		t.Fatalf("-flags lists %v, want exactly %v", got, want)
 	}
@@ -224,13 +173,13 @@ func TestWhyAudit(t *testing.T) {
 		"a.go": `package p
 
 func a() {
-	_ = 1 //pitlint:ignore timerleak end-of-line justification
+	_ = 1 //pitlint:ignore ctxloop end-of-line justification
 }
 `,
 		"b.go": `package p
 
 func b() {
-	//pitlint:ignore poolsafe,atomicstore line-above justification
+	//pitlint:ignore poolsafe,locksafe line-above justification
 	_ = 2
 }
 `,
@@ -251,8 +200,8 @@ func s() {
 	}
 	out := stdout.String()
 	for _, want := range []string{
-		"a.go:4: [timerleak] end-of-line justification",
-		"b.go:4: [poolsafe,atomicstore] line-above justification",
+		"a.go:4: [ctxloop] end-of-line justification",
+		"b.go:4: [poolsafe,locksafe] line-above justification",
 		"2 active suppression(s)",
 	} {
 		if !strings.Contains(out, want) {
@@ -268,7 +217,7 @@ func s() {
 		"c.go": `package p
 
 func c() {
-	_ = 4 //pitlint:ignore timerleak
+	_ = 4 //pitlint:ignore ctxloop
 }
 `,
 	})
@@ -281,5 +230,26 @@ func c() {
 	}
 	if !strings.Contains(stderr.String(), "missing reason") {
 		t.Errorf("audit failure does not explain the malformed directive:\n%s", stderr.String())
+	}
+
+	// So does a directive naming an analyzer the suite does not have: the
+	// vet run judges only the analyzers it ran, so a retired name would
+	// never be reported unused.
+	writeTree(t, dir, map[string]string{
+		"c.go": `package p
+
+func c() {
+	_ = 4 //pitlint:ignore timerleak retired analyzer
+}
+`,
+	})
+	cmd = exec.Command(tool, "-why", dir)
+	stderr.Reset()
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatal("pitlint -why passed a directive naming an unknown analyzer")
+	}
+	if !strings.Contains(stderr.String(), `names "timerleak"`) {
+		t.Errorf("audit failure does not name the unknown analyzer:\n%s", stderr.String())
 	}
 }

@@ -23,11 +23,8 @@ import (
 )
 
 // Analyzer describes one static-analysis rule. Unlike x/tools analyzers
-// it returns no result value; most pitlint rules are single-package
-// syntax+types checks. Rules that need cross-package knowledge declare
-// package-level fact types (see facts.go) which the drivers thread
-// between packages — in memory for analysistest, through the vet .vetx
-// files for cmd/pitlint.
+// it returns no result value and exchanges no cross-package facts: every
+// pitlint rule is a single-package syntax+types check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //pitlint:ignore directives. By convention a single lowercase word.
@@ -35,12 +32,6 @@ type Analyzer struct {
 	// Doc is a short one-paragraph description; the first line is the
 	// summary shown by `pitlint -list`.
 	Doc string
-	// FactTypes lists prototypes of the package facts this analyzer
-	// exports or imports: pointers to gob-encodable structs. Analyzers
-	// with fact types run on dependency packages too (facts only,
-	// diagnostics discarded) so their exports exist before importers
-	// need them.
-	FactTypes []Fact
 	// Run applies the rule to one package via pass.Report/Reportf.
 	Run func(pass *Pass) error
 }
@@ -53,7 +44,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	facts  *FactSet
 	report func(Diagnostic)
 }
 
@@ -75,26 +65,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// ExportPackageFact publishes fact for the package under analysis,
-// replacing any earlier fact of the same concrete type. fact's type
-// must appear in the analyzer's FactTypes, or drivers will not be able
-// to serialize it.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.facts != nil {
-		p.facts.export(p.Pkg.Path(), fact)
-	}
-}
-
-// ImportPackageFact copies the fact of fact's concrete type exported by
-// the package at path into fact, reporting whether one exists. It
-// returns false when the driver wired no fact set.
-func (p *Pass) ImportPackageFact(path string, fact Fact) bool {
-	if p.facts == nil {
-		return false
-	}
-	return p.facts.get(path, fact)
-}
-
 // Package bundles the inputs shared by every analyzer run over the same
 // type-checked package.
 type Package struct {
@@ -102,32 +72,30 @@ type Package struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Facts carries package facts into and out of Run: the driver
-	// pre-populates it with dependency facts and reads back whatever the
-	// analyzers export. nil is valid and disables the fact machinery.
-	Facts *FactSet
 }
 
 // Run applies each analyzer to pkg, filters the findings through the
 // //pitlint:ignore directives found in pkg's files, and returns the
 // surviving diagnostics sorted by position then analyzer name. Malformed
-// directives surface as diagnostics themselves (analyzer "pitlint"), so a
-// suppression that silently matches nothing cannot hide a finding.
+// directives surface as diagnostics themselves (analyzer "pitlint"), and
+// so does a well-formed directive that names an analyzer in analyzers
+// yet suppressed none of its findings: an exception that excuses nothing
+// is dead and must be deleted, not left to excuse the next edit.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	index, bad := ignore.Build(pkg.Fset, pkg.Files)
 	var out []Diagnostic
 	for _, d := range bad {
 		out = append(out, Diagnostic{Pos: d.Pos, Analyzer: "pitlint", Message: d.Message})
 	}
+	ran := map[string]bool{}
 	for _, a := range analyzers {
+		ran[strings.ToLower(a.Name)] = true
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
 			Files:     pkg.Files,
 			Pkg:       pkg.Pkg,
 			TypesInfo: pkg.TypesInfo,
-			facts:     pkg.Facts,
 		}
 		var diags []Diagnostic
 		pass.report = func(d Diagnostic) { diags = append(diags, d) }
@@ -140,6 +108,10 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			}
 			out = append(out, d)
 		}
+	}
+	for _, d := range index.Unused(ran) {
+		out = append(out, Diagnostic{Pos: d.Pos, Analyzer: "pitlint", Message: fmt.Sprintf(
+			"unused suppression: //pitlint:ignore %s matched no finding here; delete the directive", strings.Join(d.Analyzers, ","))})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		pi, pj := pkg.Fset.Position(out[i].Pos), pkg.Fset.Position(out[j].Pos)

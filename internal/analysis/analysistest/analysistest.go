@@ -56,26 +56,6 @@ func run(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
 	if err != nil {
 		t.Fatalf("loading fixture %q: %v", pkgPath, err)
 	}
-	// Mirror the vet driver's fact flow: dependencies are analyzed first
-	// (facts only — their diagnostics and // want comments are not
-	// checked) so the target package can import what they export.
-	// ld.order is complete-before order, dependencies ahead of
-	// dependents, because loadUncached records a package only after its
-	// imports resolved.
-	facts := analysis.NewFactSet()
-	if len(a.FactTypes) > 0 {
-		for _, dep := range ld.order {
-			if dep == pkgPath {
-				continue
-			}
-			depPkg := ld.pkgs[dep].pkg
-			depPkg.Facts = facts
-			if _, err := analysis.Run(depPkg, []*analysis.Analyzer{a}); err != nil {
-				t.Fatalf("running %s on dependency fixture %q: %v", a.Name, dep, err)
-			}
-		}
-	}
-	pkg.Facts = facts
 	diags, err := analysis.Run(pkg, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %q: %v", a.Name, pkgPath, err)
@@ -164,7 +144,6 @@ type loader struct {
 	root   string // testdata/src
 	fset   *token.FileSet
 	pkgs   map[string]*pkgResult
-	order  []string // fixture packages in complete-before (deps-first) order
 	stdImp types.Importer
 }
 
@@ -204,9 +183,6 @@ func (ld *loader) load(path string) (*analysis.Package, error) {
 	ld.pkgs[path] = r
 	r.pkg, r.err = ld.loadUncached(path)
 	r.busy = false
-	if r.err == nil {
-		ld.order = append(ld.order, path)
-	}
 	return r.pkg, r.err
 }
 

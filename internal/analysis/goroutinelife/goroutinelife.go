@@ -14,16 +14,16 @@
 // bounded when its body (including nested literals, e.g. a deferred
 // Done) calls Done on a WaitGroup that the spawning function also
 // Add()s, or observes a context. A `go f(...)` named call is bounded
-// when f's body is — resolved directly for same-package functions and
-// through the Bounded package fact for imported ones, so a worker
-// helper in another package keeps its callers honest without being
-// re-analyzed.
+// when f is declared in the same package and its body is. Spawning an
+// imported function directly is a finding whatever its body does: the
+// analyzer sees one package at a time, and the spawn site should show
+// what bounds the goroutine — wrap the call in a literal that owns the
+// WaitGroup or ctx.
 package goroutinelife
 
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 
 	"repro/internal/analysis"
 )
@@ -44,36 +44,24 @@ var scopeDirs = []string{
 	"internal/shard",
 }
 
-// Bounded is the package fact goroutinelife exports: the declared
-// functions and methods (by types.Func full name, sorted) whose bodies
-// satisfy the boundedness contract, so spawn sites in importing
-// packages can resolve `go pkg.Worker(...)` without seeing its body.
-type Bounded struct{ Funcs []string }
-
-// AFact marks Bounded as a pitlint fact.
-func (*Bounded) AFact() {}
-
-func (b *Bounded) has(name string) bool {
-	i := sort.SearchStrings(b.Funcs, name)
-	return i < len(b.Funcs) && b.Funcs[i] == name
-}
-
 var Analyzer = &analysis.Analyzer{
 	Name: "goroutinelife",
 	Doc: "goroutinelife: every goroutine must be waitable (WaitGroup) or lifecycle-cancelable (context)\n\n" +
 		"Flags go statements in internal/{core,plan,search,server,chaos,stream,subscribe,shard} whose goroutine neither\n" +
 		"completes a sync.WaitGroup Add/Done pair nor observes a context, so Engine.Close\n" +
-		"and server drain cannot wait for or stop it.",
-	FactTypes: []analysis.Fact{(*Bounded)(nil)},
-	Run:       run,
+		"and server drain cannot wait for or stop it. Spawning an imported function directly\n" +
+		"is always a finding: spawn a literal that owns the WaitGroup or ctx.",
+	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
+	if !analysis.InScope(pass.Pkg.Path(), scopeDirs...) {
+		return nil
+	}
 	c := &checker{
 		pass:  pass,
 		decls: map[*types.Func]*ast.FuncDecl{},
 		memo:  map[*types.Func]int{},
-		facts: map[string]*Bounded{},
 	}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
@@ -85,24 +73,6 @@ func run(pass *analysis.Pass) error {
 				c.decls[obj] = fd
 			}
 		}
-	}
-
-	// Export the Bounded fact for every package analyzed, in or out of
-	// reporting scope: an out-of-scope worker package must still
-	// publish which of its functions are safe to spawn.
-	var bounded []string
-	for fn, fd := range c.decls {
-		if c.boundedBody(fd.Body) {
-			bounded = append(bounded, fn.FullName())
-		}
-	}
-	if len(bounded) > 0 {
-		sort.Strings(bounded)
-		pass.ExportPackageFact(&Bounded{Funcs: bounded})
-	}
-
-	if !analysis.InScope(pass.Pkg.Path(), scopeDirs...) {
-		return nil
 	}
 	for _, f := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, f) {
@@ -130,7 +100,6 @@ type checker struct {
 	pass  *analysis.Pass
 	decls map[*types.Func]*ast.FuncDecl
 	memo  map[*types.Func]int
-	facts map[string]*Bounded // imported Bounded facts by package path
 }
 
 // checkSpawn validates one go statement inside file f.
@@ -150,8 +119,15 @@ func (c *checker) checkSpawn(f *ast.File, g *ast.GoStmt) {
 			return
 		}
 	default:
-		if fn := analysis.Callee(c.pass.TypesInfo, g.Call); fn != nil && c.funcBounded(fn) {
-			return
+		if fn := analysis.Callee(c.pass.TypesInfo, g.Call); fn != nil {
+			if fn.Pkg() != nil && fn.Pkg() != c.pass.Pkg {
+				c.pass.Reportf(g.Pos(),
+					"goroutine spawns imported function %s, whose body this analysis cannot see; spawn a func literal that owns the WaitGroup (Add/Done) or observes the lifecycle ctx and call it from there", fn.FullName())
+				return
+			}
+			if c.funcBounded(fn) {
+				return
+			}
 		}
 	}
 	c.pass.Reportf(g.Pos(),
@@ -263,7 +239,7 @@ func (c *checker) hasAddOn(scope ast.Node, paths []string) bool {
 }
 
 // observesContext reports whether body consults a context.Context:
-// ctx.Err(), ctx.Done(), or delegation to a bounded same/cross-package
+// ctx.Err(), ctx.Done(), or delegation to a bounded same-package
 // function.
 func (c *checker) observesContext(body ast.Node) bool {
 	ok := false
@@ -298,25 +274,10 @@ func (c *checker) boundedBody(body ast.Node) bool {
 	return len(c.doneTargets(body)) > 0 || c.observesContext(body)
 }
 
-// funcBounded resolves boundedness for a named function: same-package
-// declarations by body (memoized, cycle-tolerant — a cycle resolves to
-// detached), imported ones through their package's Bounded fact.
+// funcBounded resolves boundedness for a named function by its body
+// (memoized, cycle-tolerant — a cycle resolves to detached). Only
+// same-package declarations have a body here; anything else is detached.
 func (c *checker) funcBounded(fn *types.Func) bool {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return false
-	}
-	if pkg.Path() != c.pass.Pkg.Path() {
-		fact, loaded := c.facts[pkg.Path()]
-		if !loaded {
-			fact = new(Bounded)
-			if !c.pass.ImportPackageFact(pkg.Path(), fact) {
-				fact = nil
-			}
-			c.facts[pkg.Path()] = fact
-		}
-		return fact != nil && fact.has(fn.FullName())
-	}
 	switch c.memo[fn] {
 	case stateBounded:
 		return true

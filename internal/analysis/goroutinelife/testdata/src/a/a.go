@@ -35,14 +35,39 @@ func goodCtx(ctx context.Context) {
 	}()
 }
 
-// Cross-package spawn resolved through b's Bounded fact.
-func goodCrossPackage(wg *sync.WaitGroup) {
+// Spawning an imported function directly is a finding whatever its body
+// does — b.Worker completes the group and b.Watcher observes ctx, but
+// the analyzer sees one package at a time and the spawn site shows
+// neither.
+func badCrossPackage(wg *sync.WaitGroup) {
 	wg.Add(1)
-	go b.Worker(wg)
+	go b.Worker(wg) // want `spawns imported function b\.Worker`
 }
 
-func goodCrossPackageCtx(ctx context.Context) {
-	go b.Watcher(ctx)
+func badCrossPackageCtx(ctx context.Context) {
+	go b.Watcher(ctx) // want `spawns imported function b\.Watcher`
+}
+
+func badCrossPackageLeak() {
+	go b.Leak() // want `spawns imported function b\.Leak`
+}
+
+// The sanctioned shape: a literal that owns the WaitGroup or ctx and
+// calls the imported worker from inside.
+func goodCrossPackageWrapped(ctx context.Context, wg *sync.WaitGroup) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		b.Watcher(ctx)
+	}()
+}
+
+// Delegating to an imported helper proves nothing: its body is out of
+// sight, so the literal itself must show the bound.
+func badDelegatesCrossPackage(ctx context.Context) {
+	go func() { // want `detached from the engine lifecycle`
+		b.Watcher(ctx)
+	}()
 }
 
 // Same-package named callee resolved from its body.
@@ -78,10 +103,6 @@ func badNoAdd(wg *sync.WaitGroup) {
 	go func() { // want `never calls Add`
 		defer wg.Done()
 	}()
-}
-
-func badCrossPackage() {
-	go b.Leak() // want `detached from the engine lifecycle`
 }
 
 func fireAndForget() { println("x") }

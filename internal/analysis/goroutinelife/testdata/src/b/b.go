@@ -1,5 +1,6 @@
-// Dependency fixture: a worker package analyzed before "a" so its
-// Bounded fact is available at a's spawn sites.
+// Dependency fixture: an imported worker package. "a" may call these
+// from a goroutine it bounds itself, but never spawn them directly —
+// their bodies are invisible to a's analysis.
 package b
 
 import (
@@ -7,12 +8,12 @@ import (
 	"sync"
 )
 
-// Worker completes the caller's WaitGroup: exported as bounded.
+// Worker completes the caller's WaitGroup.
 func Worker(wg *sync.WaitGroup) {
 	defer wg.Done()
 }
 
-// Watcher observes its context: exported as bounded.
+// Watcher observes its context.
 func Watcher(ctx context.Context) {
 	for {
 		if ctx.Err() != nil {
@@ -21,9 +22,7 @@ func Watcher(ctx context.Context) {
 	}
 }
 
-// Leak neither completes a group nor observes a context; spawning it is
-// a finding at the spawn site (not here — defining a function is fine,
-// detaching it is not).
+// Leak neither completes a group nor observes a context.
 func Leak() {
 	for {
 		println("busy")

@@ -8,7 +8,9 @@
 // mandatory: an intentional exception must say why it is intentional, so
 // suppressions stay grep-able and reviewable. Malformed directives —
 // missing analyzer list or missing reason — are themselves reported as
-// findings by the driver, so a typo cannot silently disable a rule.
+// findings by the driver, so a typo cannot silently disable a rule. A
+// well-formed directive that suppressed nothing is reported too (see
+// Unused): a dead exception must not outlive the code it excused.
 package ignore
 
 import (
@@ -24,9 +26,12 @@ const Prefix = "pitlint:ignore"
 // Directive is one parsed //pitlint:ignore comment.
 type Directive struct {
 	File      string
-	Line      int      // line the directive appears on
-	Analyzers []string // lower-case analyzer names, or ["all"]
+	Line      int       // line the directive appears on
+	Pos       token.Pos // of the directive comment
+	Analyzers []string  // lower-case analyzer names, or ["all"]
 	Reason    string
+
+	used bool // suppressed at least one diagnostic (set by Suppressed)
 }
 
 // Malformed is a syntactically invalid directive, reported as a finding.
@@ -35,16 +40,17 @@ type Malformed struct {
 	Message string
 }
 
-// Index answers "is this diagnostic suppressed" queries.
+// Index answers "is this diagnostic suppressed" queries and remembers
+// which directives did the suppressing.
 type Index struct {
 	// byFileLine maps file → line → directives on that line.
-	byFileLine map[string]map[int][]Directive
+	byFileLine map[string]map[int][]*Directive
 }
 
 // Build scans the comments of files for directives. It returns the index
 // and any malformed directives.
 func Build(fset *token.FileSet, files []*ast.File) (*Index, []Malformed) {
-	ix := &Index{byFileLine: map[string]map[int][]Directive{}}
+	ix := &Index{byFileLine: map[string]map[int][]*Directive{}}
 	var bad []Malformed
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -68,12 +74,13 @@ func Build(fset *token.FileSet, files []*ast.File) (*Index, []Malformed) {
 				}
 				d.File = pos.Filename
 				d.Line = pos.Line
+				d.Pos = c.Pos()
 				lines := ix.byFileLine[d.File]
 				if lines == nil {
-					lines = map[int][]Directive{}
+					lines = map[int][]*Directive{}
 					ix.byFileLine[d.File] = lines
 				}
-				lines[d.Line] = append(lines[d.Line], d)
+				lines[d.Line] = append(lines[d.Line], &d)
 			}
 		}
 	}
@@ -101,10 +108,9 @@ func parse(rest string) (Directive, string) {
 	return Directive{Analyzers: names, Reason: strings.Join(fields[1:], " ")}, ""
 }
 
-// Directives returns every well-formed directive in the index, sorted
-// by file then line, for audit tooling (pitlint -why).
-func (ix *Index) Directives() []Directive {
-	var out []Directive
+// sorted returns every well-formed directive by file then line.
+func (ix *Index) sorted() []*Directive {
+	var out []*Directive
 	for _, lines := range ix.byFileLine {
 		for _, ds := range lines {
 			out = append(out, ds...)
@@ -119,8 +125,40 @@ func (ix *Index) Directives() []Directive {
 	return out
 }
 
+// Directives returns every well-formed directive in the index, sorted
+// by file then line, for audit tooling (pitlint -why).
+func (ix *Index) Directives() []Directive {
+	var out []Directive
+	for _, d := range ix.sorted() {
+		out = append(out, *d)
+	}
+	return out
+}
+
+// Unused returns, sorted by file then line, the directives that have
+// suppressed nothing so far although they could have: ran holds the
+// (lower-case) names of the analyzers whose diagnostics were passed
+// through Suppressed. A directive naming only analyzers that did not run
+// is not judged.
+func (ix *Index) Unused(ran map[string]bool) []Directive {
+	var out []Directive
+	for _, d := range ix.sorted() {
+		if d.used {
+			continue
+		}
+		for _, n := range d.Analyzers {
+			if n == "all" || ran[n] {
+				out = append(out, *d)
+				break
+			}
+		}
+	}
+	return out
+}
+
 // Suppressed reports whether a diagnostic from analyzer at posn is
-// covered by a directive on the same line or the line directly above.
+// covered by a directive on the same line or the line directly above,
+// and marks that directive used.
 func (ix *Index) Suppressed(posn token.Position, analyzer string) bool {
 	lines := ix.byFileLine[posn.Filename]
 	if lines == nil {
@@ -131,6 +169,7 @@ func (ix *Index) Suppressed(posn token.Position, analyzer string) bool {
 		for _, d := range lines[line] {
 			for _, n := range d.Analyzers {
 				if n == "all" || n == analyzer {
+					d.used = true
 					return true
 				}
 			}

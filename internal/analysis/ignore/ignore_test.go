@@ -72,7 +72,7 @@ func TestMultiAnalyzerSameLine(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //pitlint:ignore poolsafe,timerleak pool entry holds a timer by design
+	_ = 1 //pitlint:ignore poolsafe,locksafe pool entry holds a lock by design
 }
 `
 	ix, bad, _ := buildFrom(t, src)
@@ -80,10 +80,10 @@ func f() {
 		t.Fatalf("unexpected malformed directives: %v", bad)
 	}
 	pos := token.Position{Filename: "x.go", Line: 4}
-	if !ix.Suppressed(pos, "poolsafe") || !ix.Suppressed(pos, "timerleak") {
+	if !ix.Suppressed(pos, "poolsafe") || !ix.Suppressed(pos, "locksafe") {
 		t.Error("multi-analyzer directive should suppress every listed analyzer on its line")
 	}
-	if ix.Suppressed(pos, "atomicstore") {
+	if ix.Suppressed(pos, "ctxloop") {
 		t.Error("multi-analyzer directive must not suppress an unlisted analyzer")
 	}
 }
@@ -141,6 +141,44 @@ var w = 4
 	}
 	if len(ds[1].Analyzers) != 2 || ds[1].Analyzers[0] != "probinvariant" {
 		t.Errorf("Directives()[1].Analyzers = %v, want both listed analyzers", ds[1].Analyzers)
+	}
+}
+
+// Unused lists the directives that suppressed nothing although one of
+// their analyzers ran; a directive for an analyzer that did not run is
+// not judged, and a hit clears it for good.
+func TestUnusedTracksHits(t *testing.T) {
+	src := `package p
+
+func f() {
+	_ = 1 //pitlint:ignore probinvariant hit below
+	_ = 2 //pitlint:ignore probinvariant never hit
+	_ = 3 //pitlint:ignore ctxloop analyzer did not run
+	_ = 4 //pitlint:ignore all never hit either
+	_ = 5 //pitlint:ignore ctxloop,probinvariant hit through its second name
+}
+`
+	ix, bad, _ := buildFrom(t, src)
+	if len(bad) != 0 {
+		t.Fatalf("unexpected malformed directives: %v", bad)
+	}
+	ran := map[string]bool{"probinvariant": true}
+	if got := ix.Unused(ran); len(got) != 4 {
+		t.Fatalf("before any hit: want every directive but the ctxloop-only one unused, got %v", got)
+	}
+	pos := func(line int) token.Position { return token.Position{Filename: "x.go", Line: line} }
+	if !ix.Suppressed(pos(4), "probinvariant") || !ix.Suppressed(pos(8), "probinvariant") {
+		t.Fatal("directives on lines 4 and 8 should suppress probinvariant")
+	}
+	if ix.Suppressed(pos(5), "locksafe") {
+		t.Fatal("a miss must not suppress")
+	}
+	got := ix.Unused(ran)
+	if len(got) != 2 || got[0].Line != 5 || got[1].Line != 7 {
+		t.Fatalf("Unused = %v, want the never-hit directives on lines 5 and 7", got)
+	}
+	if !got[0].Pos.IsValid() {
+		t.Error("an unused directive must carry its comment position for the diagnostic")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // driver-equivalence tests.
 func randomWorld(t *testing.T, seed int64, nodes, numTopics int) (*Searcher, []summary.Summary) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed)) //pitlint:ignore norandglobal seeded local source
+	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(nodes)
 	for u := 0; u < nodes; u++ {
 		deg := 1 + rng.Intn(4)
@@ -48,7 +48,7 @@ func TestDrivePartitionInvariant(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 5; seed++ {
 		s, sums := randomWorld(t, seed, 60, 12)
-		rng := rand.New(rand.NewSource(seed * 31)) //pitlint:ignore norandglobal seeded local source
+		rng := rand.New(rand.NewSource(seed * 31))
 		for trial := 0; trial < 20; trial++ {
 			user := graph.NodeID(rng.Intn(60))
 			k := 1 + rng.Intn(len(sums))

@@ -105,7 +105,7 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + w))) //pitlint:ignore norandglobal seeded local source
+			rng := rand.New(rand.NewSource(int64(100 + w)))
 			for {
 				select {
 				case <-stop:
@@ -126,7 +126,7 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 
 	// Churn loop: swap shard 0 via a stream refresh every round while
 	// poking the fault path on shard 2 with a targeted query.
-	rng := rand.New(rand.NewSource(7)) //pitlint:ignore norandglobal seeded local source
+	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 6; round++ {
 		from := graph.NodeID(rng.Intn(g.NumNodes()))
 		to := graph.NodeID(rng.Intn(g.NumNodes()))

@@ -128,7 +128,7 @@ func TestRouterMatchesSingleEngine(t *testing.T) {
 			}
 		}
 
-		rng := rand.New(rand.NewSource(93 + int64(n))) //pitlint:ignore norandglobal seeded local source
+		rng := rand.New(rand.NewSource(93 + int64(n)))
 		allTopics := make([]topics.TopicID, space.NumTopics())
 		for i := range allTopics {
 			allTopics[i] = topics.TopicID(i)
@@ -214,7 +214,7 @@ func TestRouterMatchesSingleEngineExhaustive(t *testing.T) {
 	r, engines := buildRouter(t, 3, opts)
 	defer closeEngines(engines)
 
-	rng := rand.New(rand.NewSource(5)) //pitlint:ignore norandglobal seeded local source
+	rng := rand.New(rand.NewSource(5))
 	allTopics := make([]topics.TopicID, space.NumTopics())
 	for i := range allTopics {
 		allTopics[i] = topics.TopicID(i)
@@ -254,7 +254,7 @@ func TestRouterPlannedFullTierMatchesSingle(t *testing.T) {
 	r, engines := buildRouter(t, 4, opts)
 	defer closeEngines(engines)
 
-	rng := rand.New(rand.NewSource(17)) //pitlint:ignore norandglobal seeded local source
+	rng := rand.New(rand.NewSource(17))
 	for qi := 0; qi < 40; qi++ {
 		user := graph.NodeID(rng.Intn(g.NumNodes()))
 		query := dataset.TagName(rng.Intn(5))

@@ -80,7 +80,7 @@ func TestStreamChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rng := rand.New(rand.NewSource(41)) //pitlint:ignore norandglobal seeded local source
+	rng := rand.New(rand.NewSource(41))
 	for round := 0; round < 10; round++ {
 		from := graph.NodeID(rng.Intn(300))
 		to := graph.NodeID(rng.Intn(300))

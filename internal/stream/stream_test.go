@@ -350,7 +350,7 @@ func TestChurnUnderSearchLoad(t *testing.T) {
 	}
 
 	const swaps = 22
-	rng := rand.New(rand.NewSource(99)) //pitlint:ignore norandglobal seeded local source
+	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < swaps; i++ {
 		cachedBefore := p.Engine().CachedSummaries(core.MethodLRW)
 		from := graph.NodeID(rng.Intn(300))
