@@ -24,7 +24,8 @@ help:
 	@echo "                   -selfcheck); see benchmark/README.md for a measured run"
 	@echo "make bench-smoke - one-shot benchmark smoke: figure benchmarks plus the"
 	@echo "                   search/core/rcl/lrw micro-benchmarks, the benchmark harness's"
-	@echo "                   -smoke run, and pitserve -smoke at -shards 1 (the default) and 2"
+	@echo "                   -smoke run, and pitserve -smoke at -shards 1 (the default) and 2,"
+	@echo "                   the second cold-starting from the artifacts the first saved"
 	@echo "make fuzz        - storage artifact-parser fuzzers for 10s per target"
 	@echo "make chaos       - fault-injection suite under -race: internal/chaos plus the"
 	@echo "                   planner/breaker chaos tests in core and server and the"
@@ -100,15 +101,17 @@ bench:
 # executes. No timing value — just "does it run". The pitserve -smoke
 # runs then serve real HTTP on ephemeral ports and fail unless /metrics
 # exposes every instrumented layer's metric families — one family list,
-# one code path, at two partition widths: the default -shards 1 and
-# -shards 2 (the obs packages themselves are covered under -race by
-# `make race`, which runs ./...).
+# one code path, at two partition widths sharing one artifact directory:
+# the default -shards 1 builds and saves it, -shards 2 cold-starts from
+# what the other width wrote (the obs packages themselves are covered
+# under -race by `make race`, which runs ./...).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig05TimeCostData2k|BenchmarkFig10PrecisionData2k' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/search/ ./internal/core/ ./internal/rcl/ ./internal/lrw/
 	$(GO) run ./benchmark -smoke
-	$(GO) run ./cmd/pitserve -smoke
-	$(GO) run ./cmd/pitserve -smoke -shards 2
+	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+		$(GO) run ./cmd/pitserve -smoke -index-dir "$$d" && \
+		$(GO) run ./cmd/pitserve -smoke -shards 2 -index-dir "$$d"
 
 # Fuzz the artifact parser: hostile bytes through the v2 load path (the
 # only one; seeds include a retired gob-v1 prefix, which must be refused)

@@ -6,7 +6,8 @@
 // With -index-dir it additionally acts as the offline index builder:
 // after writing the dataset it builds the random-walk and propagation
 // indexes (and, with -warm, every topic summary) and persists them as a
-// versioned artifact directory that pitserve/pitsearch cold-start from.
+// versioned artifact directory that pitsearch and pitserve, at any
+// -shards, cold-start from.
 //
 // Usage:
 //
@@ -27,7 +28,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/shard"
 	"repro/internal/topics"
 )
 
@@ -52,7 +52,6 @@ func main() {
 		walkL     = flag.Int("L", 6, "random-walk length L (with -index-dir)")
 		walkR     = flag.Int("R", 16, "random walks per node R (with -index-dir)")
 		warm      = flag.String("warm", "", "comma-separated summary methods to materialize into the artifacts: lrw, rcl (with -index-dir)")
-		shards    = flag.Int("shards", 0, "partition the artifact directory into N per-shard corpora (shard-<i>/ plus a manifest) for pitserve -shards N (with -index-dir)")
 	)
 	flag.Parse()
 
@@ -65,7 +64,6 @@ func main() {
 	}, *graphOut, *topicsOut, *stats, indexConfig{
 		dir: *indexDir, theta: *theta,
 		walkL: *walkL, walkR: *walkR, seed: *seed, warm: *warm,
-		shards: *shards,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)
@@ -74,13 +72,12 @@ func main() {
 
 // indexConfig carries the optional offline-index-build step's parameters.
 type indexConfig struct {
-	dir    string
-	theta  float64
-	walkL  int
-	walkR  int
-	seed   int64
-	warm   string
-	shards int
+	dir   string
+	theta float64
+	walkL int
+	walkR int
+	seed  int64
+	warm  string
 }
 
 // warmMethods parses the -warm list into engine methods.
@@ -186,25 +183,7 @@ func buildArtifacts(g *graph.Graph, sp *topics.Space, icfg indexConfig, warmMs [
 			sp.NumTopics(), m, time.Since(start).Round(time.Millisecond))
 	}
 	start = time.Now()
-	if icfg.shards > 0 {
-		part, err := shard.NewPartitioner(sp, icfg.shards)
-		if err != nil {
-			return err
-		}
-		// The one engine holds the whole warmed corpus; every shard's
-		// snapshot is cut from it.
-		engines := make([]*core.Engine, icfg.shards)
-		for i := range engines {
-			engines[i] = eng
-		}
-		if err := shard.WriteShardArtifacts(engines, part, icfg.dir); err != nil {
-			return fmt.Errorf("save sharded artifacts to %s: %w", icfg.dir, err)
-		}
-		fmt.Printf("saved artifacts for %d shards to %s in %v\n",
-			icfg.shards, icfg.dir, time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-	if err := eng.SaveArtifactsFiltered(icfg.dir, nil); err != nil {
+	if err := core.WriteArtifacts(icfg.dir, eng); err != nil {
 		return fmt.Errorf("save artifacts to %s: %w", icfg.dir, err)
 	}
 	fmt.Printf("saved artifacts to %s in %v\n", icfg.dir, time.Since(start).Round(time.Millisecond))

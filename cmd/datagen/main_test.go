@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/shard"
 	"repro/internal/topics"
 )
 
@@ -110,18 +109,4 @@ func TestRunBuildsArtifacts(t *testing.T) {
 		}
 	}
 
-	// -shards cuts the same warmed engine into per-shard snapshots.
-	icfg.dir = filepath.Join(dir, "sharded")
-	icfg.shards = 2
-	if err := run("", 1, gcfg, tcfg, gp, tp, false, icfg); err != nil {
-		t.Fatal(err)
-	}
-	if !shard.ArtifactsExist(icfg.dir) {
-		t.Fatal("sharded artifact root has no manifest")
-	}
-	for i := 0; i < icfg.shards; i++ {
-		if !core.ArtifactsExist(shard.ShardDir(icfg.dir, i)) {
-			t.Errorf("shard %d directory not populated", i)
-		}
-	}
 }

@@ -107,7 +107,7 @@ func run(preset string, scale float64, graphIn, topicsIn, method, query string,
 	}
 
 	if indexDir != "" && !loaded {
-		if err := eng.SaveArtifactsFiltered(indexDir, nil); err != nil {
+		if err := core.WriteArtifacts(indexDir, eng); err != nil {
 			return fmt.Errorf("save artifacts to %s: %w", indexDir, err)
 		}
 	}

@@ -46,15 +46,14 @@
 // split across -shards N engines (default 1) by stable topic hash, and
 // every query runs through the scatter-gather router over the owning
 // shards with bound-based shard pruning — byte-identical answers at any
-// N, independent failure domains for N > 1. -index-dir is the one
-// artifact directory: a populated one cold-starts the shards (the flat
-// layout of `datagen -index-dir` for one shard, the manifest + shard-<i>/
-// layout of `datagen -shards N -index-dir` hydrated in parallel for any
-// N; a layout that does not fit -shards fails loudly); otherwise indexes
-// are built once, shared by all shards, and saved back in the layout
-// that fits N. With streaming on, one pipeline per shard applies every
-// batch and each shard swaps its engine independently; the router
-// follows the swaps.
+// N, independent failure domains for N > 1. -index-dir is the dataset's
+// artifact directory and knows nothing of N: a populated one (written by
+// `datagen -index-dir`, `pitsearch -index-dir` or a pitserve of any
+// width) cold-starts the shards, each mapping the same files and keeping
+// the summaries it owns; otherwise indexes are built once, shared by all
+// shards, and saved back as those same files. With streaming on, one
+// pipeline per shard applies every batch and each shard swaps its engine
+// independently; the router follows the swaps.
 package main
 
 import (
@@ -204,7 +203,7 @@ func main() {
 	flag.IntVar(&o.breakerThreshold, "breaker-threshold", 5, "consecutive summary-build failures before the circuit breaker suspends builds (0 disables the breaker)")
 	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", time.Second, "initial breaker cooldown before a half-open probe (doubles per failed probe)")
 	flag.DurationVar(&o.breakerMaxCooldown, "breaker-max-cooldown", 30*time.Second, "upper bound on the breaker's exponential cooldown")
-	flag.StringVar(&o.indexDir, "index-dir", "", "artifact directory: cold-start from it when populated (flat `datagen -index-dir` layout for one shard, `datagen -shards N -index-dir` layout for any N), save freshly built indexes into it otherwise (empty disables persistence)")
+	flag.StringVar(&o.indexDir, "index-dir", "", "artifact directory: cold-start from it when populated (by `datagen -index-dir` or an earlier run at any -shards), save freshly built indexes into it otherwise (empty disables persistence)")
 	flag.IntVar(&o.streamBatch, "stream-batch", 0, "streaming updates: apply a batch once this many events are pending (0 disables streaming; enables POST /updates and /subscribe)")
 	flag.DurationVar(&o.streamMaxAge, "stream-max-age", time.Second, "streaming updates: apply a smaller batch once its oldest event is this old")
 	flag.DurationVar(&o.decayHalfLife, "decay-halflife", 0, "halve a queued event's edge weight per this much age at application time (0 disables decay)")
@@ -324,8 +323,8 @@ func (a *app) opsHandler() http.Handler {
 
 // prepare makes every shard ready — cold-starting from the -index-dir
 // artifacts when they exist (summaries included, so the warm-up below is
-// a cache-hit sweep; a layout, shard count or dataset that does not
-// match fails loudly here, not at query time), otherwise building the
+// a cache-hit sweep; artifacts of another dataset or format fail
+// loudly here, not at query time), otherwise building the
 // indexes once and sharing them — warms each shard's owned slice of the
 // corpus, saves a fresh build back to -index-dir so the next start is a
 // cold start, and flips the server to ready. ctx cancellation (e.g.
@@ -371,7 +370,7 @@ func (a *app) prepare(ctx context.Context) error {
 	}
 	if dir != "" && !loaded {
 		saveStart := time.Now()
-		if err := shard.SaveArtifacts(a.engines, a.part, dir); err != nil {
+		if err := core.WriteArtifacts(dir, a.engines...); err != nil {
 			return fmt.Errorf("save artifacts for %d shards to %s: %w", n, dir, err)
 		}
 		log.Printf("artifacts saved to %s in %v", dir, time.Since(saveStart).Round(time.Millisecond))

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,7 +20,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/plan"
-	"repro/internal/shard"
 )
 
 func testOptions() options {
@@ -290,8 +290,9 @@ func TestOpsHandlerServesMetricsAndPprof(t *testing.T) {
 }
 
 // TestPrepareColdStartsFromArtifacts: the first prepare builds, warms
-// and saves artifacts; a second app pointed at the same directory loads
-// them instead of rebuilding and serves identical search results.
+// and saves artifacts; a second app pointed at the same directory — at
+// another -shards — loads them instead of rebuilding and serves
+// identical search results.
 func TestPrepareColdStartsFromArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	o := testOptions()
@@ -331,6 +332,7 @@ func TestPrepareColdStartsFromArtifacts(t *testing.T) {
 	want := search(first)
 	first.closeEngine()
 
+	o.shards = 2
 	second, err := buildApp(o)
 	if err != nil {
 		t.Fatal(err)
@@ -339,6 +341,9 @@ func TestPrepareColdStartsFromArtifacts(t *testing.T) {
 		t.Fatalf("cold start from artifacts: %v", err)
 	}
 	defer second.closeEngine()
+	if n := metricSum(t, second, "pit_summary_builds_total"); n != 0 {
+		t.Errorf("cold start built %v summaries, want the saved corpus reused", n)
+	}
 	if got := search(second); got != want {
 		t.Errorf("cold-started answer differs:\n got %s\nwant %s", got, want)
 	}
@@ -347,8 +352,8 @@ func TestPrepareColdStartsFromArtifacts(t *testing.T) {
 // TestPrepareRefusesNonV2Artifacts: an artifact directory holding
 // anything but v2 files — here what the retired gob v1 format left
 // behind — fails prepare with storage's error (expected format, rebuild
-// command) instead of serving or silently rebuilding, in the flat
-// one-shard layout and the sharded one alike.
+// command) instead of serving or silently rebuilding, at one shard and
+// at two alike.
 func TestPrepareRefusesNonV2Artifacts(t *testing.T) {
 	legacy := []byte("(\x7f\x03\x01\x01\benvelope\x01\xff\x80 pitsearch-index-v1")
 	refused := func(t *testing.T, o options) {
@@ -395,7 +400,7 @@ func TestPrepareRefusesNonV2Artifacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(shard.ShardDir(o.indexDir, 1), core.WalkArtifact), legacy, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(o.indexDir, core.WalkArtifact), legacy, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		refused(t, o)
@@ -640,71 +645,83 @@ func dirListing(t *testing.T, root string) []string {
 	return out
 }
 
-// TestIndexDirLayouts drives both artifact layouts through the one
-// -index-dir flag: a fresh build saves the layout that fits -shards, a
-// populated directory is loaded by what it holds (no index build), and a
-// directory that does not fit -shards fails prepare loudly without
-// rebuilding over it.
+// artifactDigests lists the files in dir, sorted, with each one's
+// SHA-256.
+func artifactDigests(t *testing.T, dir string) ([]string, map[string][sha256.Size]byte) {
+	t.Helper()
+	entries, err := os.ReadDir(dir) // sorted by name
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	sums := map[string][sha256.Size]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, e.Name())
+		sums[e.Name()] = sha256.Sum256(data)
+	}
+	return names, sums
+}
+
+// startAt builds o at -shards n over -index-dir dir and prepares it,
+// returning prepare's error; the app is closed with the test.
+func startAt(t *testing.T, o options, n int, dir string) (*app, error) {
+	t.Helper()
+	o.shards, o.indexDir = n, dir
+	a, err := buildApp(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.closeEngine)
+	return a, a.prepare(context.Background())
+}
+
+// TestIndexDirLayouts drives the one artifact layout through the one
+// -index-dir flag: a fresh build saves the same flat files at any
+// -shards, a populated directory cold-starts any -shards whatever width
+// wrote it (no summary build), and a directory in the retired per-shard
+// layout fails prepare loudly without rebuilding over it.
 func TestIndexDirLayouts(t *testing.T) {
 	base := testOptions()
 	base.scale = 0.05
 	base.walkL, base.walkR = 3, 4
 	base.warmSummaries = "lrw"
-	start := func(n int, dir string) (*app, error) {
-		o := base
-		o.shards, o.indexDir = n, dir
-		a, err := buildApp(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(a.closeEngine)
-		return a, a.prepare(context.Background())
-	}
+	start := func(n int, dir string) (*app, error) { return startAt(t, base, n, dir) }
 	// A cold start from artifacts installs indexes (counted like a build)
 	// but summarizes nothing: the warmed corpus arrives with them.
 	indexed := func(a *app) bool { return metricSum(t, a, "pit_index_build_duration_seconds_count") > 0 }
 	built := func(a *app) bool { return metricSum(t, a, "pit_summary_builds_total") > 0 }
+	want := []string{core.PropArtifact, core.SummaryArtifact(core.MethodLRW), core.WalkArtifact}
 
-	flat, sharded := t.TempDir(), t.TempDir()
-	one, err := start(1, flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !built(one) || !core.ArtifactsExist(flat) || shard.ArtifactsExist(flat) {
-		t.Fatalf("fresh 1-shard start: built=%v, flat layout=%v, manifest=%v; want a build saved flat",
-			built(one), core.ArtifactsExist(flat), shard.ArtifactsExist(flat))
-	}
-	three, err := start(3, sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !built(three) || !shard.ArtifactsExist(sharded) || core.ArtifactsExist(sharded) {
-		t.Fatalf("fresh 3-shard start: built=%v, manifest=%v, flat files=%v; want a build saved per shard",
-			built(three), shard.ArtifactsExist(sharded), core.ArtifactsExist(sharded))
-	}
-	for i := 0; i < 3; i++ {
-		if !core.ArtifactsExist(shard.ShardDir(sharded, i)) {
-			t.Errorf("shard %d directory not populated", i)
+	byOne, byThree := t.TempDir(), t.TempDir()
+	for _, tc := range []struct {
+		shards int
+		dir    string
+	}{{1, byOne}, {3, byThree}} {
+		a, err := start(tc.shards, tc.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, _ := artifactDigests(t, tc.dir)
+		if !built(a) || !slices.Equal(names, want) {
+			t.Fatalf("fresh %d-shard start: built=%v, saved %v; want a build saved as %v", tc.shards, built(a), names, want)
 		}
 	}
-	// The `datagen -shards 3 -index-dir` shape: one fully warmed engine
-	// cut into every shard's snapshot.
-	datagen := t.TempDir()
-	whole := one.router.Engine(0)
-	if err := shard.WriteShardArtifacts([]*core.Engine{whole, whole, whole}, three.part, datagen); err != nil {
-		t.Fatal(err)
-	}
 
-	total := one.router.Space().NumTopics()
 	for _, tc := range []struct {
 		name   string
 		shards int
 		dir    string
 	}{
-		{"flat into 1 shard", 1, flat},
-		{"pitserve-saved root into 3 shards", 3, sharded},
-		{"datagen-shaped root into 3 shards", 3, datagen},
+		{"1-shard save into 1 shard", 1, byOne},
+		{"3-shard save into 3 shards", 3, byThree},
+		{"1-shard save into 3 shards", 3, byOne},
+		{"3-shard save into 2 shards", 2, byThree},
 	} {
+		before := dirListing(t, tc.dir)
 		a, err := start(tc.shards, tc.dir)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -712,35 +729,136 @@ func TestIndexDirLayouts(t *testing.T) {
 		if built(a) {
 			t.Errorf("%s: summaries were rebuilt, want a cold start from the artifacts", tc.name)
 		}
+		total := a.router.Space().NumTopics()
 		if got := a.router.CachedSummaries(core.MethodLRW); got != total {
 			t.Errorf("%s: %d of %d warmed summaries arrived", tc.name, got, total)
 		}
+		if after := dirListing(t, tc.dir); !slices.Equal(before, after) {
+			t.Errorf("%s: a cold start rewrote the directory:\nbefore %v\nafter  %v", tc.name, before, after)
+		}
 	}
 
-	for _, tc := range []struct {
-		name   string
-		shards int
-		dir    string
-		want   []string
-	}{
-		{"flat into 3 shards", 3, flat, []string{core.WalkArtifact, shard.ManifestFile, "datagen -shards 3"}},
-		{"3-shard root into 2 shards", 2, sharded, []string{"manifest has 3 shards", "-shards asked for 2"}},
-	} {
-		before := dirListing(t, tc.dir)
-		a, err := start(tc.shards, tc.dir)
+	// What `datagen -shards 2 -index-dir` used to leave behind.
+	retired := t.TempDir()
+	if err := os.WriteFile(filepath.Join(retired, "shard-manifest.json"), []byte(`{"version":1,"shards":2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(retired, "shard-0"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(retired, "shard-0", core.WalkArtifact), []byte("a shard's index copy"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirListing(t, retired)
+	for _, n := range []int{1, 2} {
+		a, err := start(n, retired)
 		if err == nil {
-			t.Fatalf("%s: prepare succeeded", tc.name)
+			t.Fatalf("retired layout at -shards %d: prepare succeeded", n)
 		}
-		for _, want := range tc.want {
+		for _, want := range []string{"shard-manifest.json", "retired", "datagen -index-dir", "delete the directory"} {
 			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: error %q does not say %q", tc.name, err, want)
+				t.Errorf("retired layout at -shards %d: error %q does not say %q", n, err, want)
 			}
 		}
 		if a.srv.Ready() || indexed(a) {
-			t.Errorf("%s: ready=%v indexed=%v after a refused load", tc.name, a.srv.Ready(), indexed(a))
+			t.Errorf("retired layout at -shards %d: ready=%v indexed=%v after a refused load", n, a.srv.Ready(), indexed(a))
 		}
-		if after := dirListing(t, tc.dir); !slices.Equal(before, after) {
-			t.Errorf("%s: the refused directory changed:\nbefore %v\nafter  %v", tc.name, before, after)
+		if after := dirListing(t, retired); !slices.Equal(before, after) {
+			t.Errorf("retired layout at -shards %d: the refused directory changed:\nbefore %v\nafter  %v", n, before, after)
+		}
+	}
+}
+
+// TestArtifactDirIndependentOfShardCount: an artifact directory belongs
+// to the dataset. Saved by a 1-shard set, a 3-shard set and the one
+// whole-corpus engine of datagen, it is the same four files byte for
+// byte; and that directory cold-starts any -shards with every shard
+// holding exactly its owned summaries, nothing summarized, and answers
+// identical across widths and to a freshly built server.
+func TestArtifactDirIndependentOfShardCount(t *testing.T) {
+	base := testOptions()
+	base.scale = 0.05
+	base.walkL, base.walkR = 3, 4
+	base.warmSummaries = "all"
+	ctx := context.Background()
+	start := func(n int, dir string) *app {
+		a, err := startAt(t, base, n, dir)
+		if err != nil {
+			t.Fatalf("-shards %d -index-dir %s: %v", n, dir, err)
+		}
+		return a
+	}
+	panel := func(a *app) []string {
+		ts := httptest.NewServer(a.srv.Handler())
+		defer ts.Close()
+		var out []string
+		for _, method := range []string{"lrw", "rcl"} {
+			for _, lambda := range []string{"0", "0.5"} {
+				for q := 0; q < 3; q++ {
+					url := fmt.Sprintf("%s/search?q=tag%03d&user=%d&k=5&method=%s&lambda=%s", ts.URL, q, 3+q, method, lambda)
+					resp, err := http.Get(url)
+					if err != nil {
+						t.Fatal(err)
+					}
+					body, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK {
+						t.Fatalf("GET %s = %d, %v", url, resp.StatusCode, err)
+					}
+					out = append(out, string(body))
+				}
+			}
+		}
+		return out
+	}
+
+	byOne, byThree, byDatagen := t.TempDir(), t.TempDir(), t.TempDir()
+	fresh := start(1, byOne)
+	wantPanel := panel(fresh)
+	start(3, byThree)
+	// datagen's path: one engine over the same dataset and options holds
+	// the whole warmed corpus and writes it.
+	whole, err := core.New(fresh.router.Graph(), fresh.router.Space(), core.Options{WalkL: base.walkL, WalkR: base.walkR, Theta: base.theta, Seed: base.seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer whole.Close()
+	if err := whole.BuildIndexes(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
+		if err := whole.WarmSummaries(ctx, m, core.WarmOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := core.WriteArtifacts(byDatagen, whole); err != nil {
+		t.Fatal(err)
+	}
+	names, want := artifactDigests(t, byOne)
+	artifactNames := []string{core.PropArtifact, core.SummaryArtifact(core.MethodLRW), core.SummaryArtifact(core.MethodRCL), core.WalkArtifact}
+	if !slices.Equal(names, artifactNames) {
+		t.Fatalf("a 1-shard save wrote %v, want exactly %v", names, artifactNames)
+	}
+	for name, dir := range map[string]string{"3-shard set": byThree, "datagen": byDatagen} {
+		if _, got := artifactDigests(t, dir); !reflect.DeepEqual(got, want) {
+			t.Errorf("the %s's directory differs from the 1-shard set's:\n got %x\nwant %x", name, got, want)
+		}
+	}
+
+	for _, n := range []int{1, 2, 3} {
+		a := start(n, byThree)
+		if builds := metricSum(t, a, "pit_summary_builds_total"); builds != 0 {
+			t.Errorf("-shards %d: the warm sweep built %v summaries, want all of them loaded", n, builds)
+		}
+		for i, eng := range a.engines {
+			for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
+				if got, owned := eng.CachedSummaries(m), len(a.part.Owned(i)); got != owned {
+					t.Errorf("-shards %d: shard %d holds %d %v summaries, owns %d topics", n, i, got, m, owned)
+				}
+			}
+		}
+		if got := panel(a); !slices.Equal(got, wantPanel) {
+			t.Errorf("-shards %d from artifacts answers differently from the fresh build:\n got %v\nwant %v", n, got, wantPanel)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 package core
 
-// Artifact persistence for the engine: SaveArtifacts writes the built
+// Artifact persistence for the engine: WriteArtifacts writes the built
 // offline indexes (and any materialized summary batches) to a
 // directory, LoadArtifacts restores them — the deployment shape the
 // paper's §6.6 amortization argument assumes, where the ~7-hour index
@@ -21,10 +21,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/search"
 	"repro/internal/storage"
+	"repro/internal/summary"
 	"repro/internal/topics"
 )
 
@@ -60,56 +62,52 @@ func ArtifactsExist(dir string) bool {
 	return true
 }
 
-// SaveArtifacts persists the engine's built indexes, plus the cached
-// summary batch of each method that has one, into dir. Every file is
-// written atomically (temp + rename), so a crash mid-save never corrupts
-// an existing artifact directory. The engine must be ready.
-//
-// There is one format; the parameter (anything but storage.FormatV2 is
+// SaveArtifacts is WriteArtifacts for this one engine. There is one
+// format; the parameter (anything but storage.FormatV2 is
 // ErrInvalidArgument) stays ONLY because the frozen benchmark/ harness
-// compiles against this signature. New code calls SaveArtifactsFiltered
-// with a nil filter.
+// compiles against this signature. New code calls WriteArtifacts.
 func (e *Engine) SaveArtifacts(dir string, format storage.Format) error {
 	if format != storage.FormatV2 {
 		return fmt.Errorf("%w: unknown artifact format %q", ErrInvalidArgument, format)
 	}
-	return e.SaveArtifactsFiltered(dir, nil)
+	return WriteArtifacts(dir, e)
 }
 
-// SaveArtifactsFiltered is SaveArtifacts with a summary filter: only
-// cached summaries whose topic satisfies keep are persisted (nil keeps
-// everything). The index artifacts are always written in full — a
-// shard snapshot is self-contained, hydrating anywhere the dataset's
-// graph is available. shard.WriteShardArtifacts uses this to write one
-// artifact directory per topic-shard holding exactly the summaries that
-// shard's partition owns.
-func (e *Engine) SaveArtifactsFiltered(dir string, keep func(topics.TopicID) bool) error {
-	if err := e.requireIndexes(); err != nil {
+// WriteArtifacts persists one dataset's offline state into dir: the
+// built indexes, written once from engines[0] (engines over one dataset
+// hold equal ones), plus each method's summary batch — the union of the
+// engines' caches, which a topic-partitioned serving set keeps disjoint,
+// sorted by topic, when there is any. Such a set therefore writes byte
+// for byte what one engine holding the whole corpus writes: the
+// directory belongs to the dataset and records nothing about how many
+// engines wrote it. Every file is written
+// atomically (temp + rename), so a crash mid-save never corrupts an
+// existing artifact directory. engines[0] must be ready.
+func WriteArtifacts(dir string, engines ...*Engine) error {
+	if len(engines) == 0 {
+		return fmt.Errorf("%w: no engine to save", ErrInvalidArgument)
+	}
+	if err := engines[0].requireIndexes(); err != nil {
 		return err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: artifact dir: %w", err)
 	}
-	if err := storage.SaveWalkIndex(filepath.Join(dir, WalkArtifact), e.idx.walks); err != nil {
+	if err := storage.SaveWalkIndex(filepath.Join(dir, WalkArtifact), engines[0].idx.walks); err != nil {
 		return err
 	}
-	if err := storage.SavePropIndex(filepath.Join(dir, PropArtifact), e.idx.prop); err != nil {
+	if err := storage.SavePropIndex(filepath.Join(dir, PropArtifact), engines[0].idx.prop); err != nil {
 		return err
 	}
 	for _, m := range []Method{MethodLRW, MethodRCL} {
-		sums := e.corpus.cache.snapshotMethod(m)
-		if keep != nil {
-			kept := sums[:0]
-			for _, s := range sums {
-				if keep(s.Topic) {
-					kept = append(kept, s)
-				}
-			}
-			sums = kept
+		var sums []summary.Summary
+		for _, e := range engines {
+			sums = e.corpus.cache.appendMethod(sums, m)
 		}
 		if len(sums) == 0 {
 			continue
 		}
+		slices.SortFunc(sums, func(a, b summary.Summary) int { return int(a.Topic) - int(b.Topic) })
 		if err := storage.SaveSummaries(filepath.Join(dir, SummaryArtifact(m)), sums); err != nil {
 			return err
 		}
@@ -117,16 +115,27 @@ func (e *Engine) SaveArtifactsFiltered(dir string, keep func(topics.TopicID) boo
 	return nil
 }
 
-// LoadArtifacts restores the offline indexes from dir, making the engine
-// ready without running the index builds. Summary batches present in dir
-// are preloaded into the cache. The artifacts must match the engine's
-// graph — node counts are validated so an artifact from a different
-// dataset snapshot fails loudly here instead of answering garbage.
+// LoadArtifacts is LoadOwnedArtifacts keeping every summary in dir: the
+// engine serves the whole corpus.
+func (e *Engine) LoadArtifacts(dir string) error {
+	return e.LoadOwnedArtifacts(dir, nil)
+}
+
+// LoadOwnedArtifacts restores the offline indexes from dir, making the
+// engine ready without running the index builds, and preloads the
+// summaries in dir whose topic owns accepts (nil accepts all) — how each
+// engine of a topic-partitioned set takes its slice of the one
+// directory. The artifacts must match the engine's dataset: both
+// indexes' node counts are checked against the graph and every summary
+// in dir, owned or not, must name a topic of the space and validate, so
+// artifacts from a different snapshot fail loudly here instead of
+// answering garbage. A failed load installs nothing: the engine stays
+// un-ready with an empty cache, still buildable.
 //
-// The indexes are zero-copy views into read-only mappings owned by the
-// engine; Close drains in-flight queries and then releases the mappings,
-// and later queries fail with ErrNotReady.
-func (e *Engine) LoadArtifacts(dir string) (retErr error) {
+// The indexes and summaries are zero-copy views into read-only mappings
+// owned by the engine; Close drains in-flight queries and then releases
+// the mappings, and later queries fail with ErrNotReady.
+func (e *Engine) LoadOwnedArtifacts(dir string, owns func(topics.TopicID) bool) (retErr error) {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
 	if e.ready.Load() {
@@ -163,7 +172,9 @@ func (e *Engine) LoadArtifacts(dir string) (retErr error) {
 	if err != nil {
 		return fmt.Errorf("core: searcher: %w", err)
 	}
-	for _, m := range []Method{MethodLRW, MethodRCL} {
+	methods := []Method{MethodLRW, MethodRCL}
+	batches := make([][]summary.Summary, len(methods))
+	for i, m := range methods {
 		sums, hs, err := storage.OpenSummaries(filepath.Join(dir, SummaryArtifact(m)))
 		if errors.Is(err, fs.ErrNotExist) {
 			continue
@@ -172,12 +183,21 @@ func (e *Engine) LoadArtifacts(dir string) (retErr error) {
 			return fmt.Errorf("core: %s summaries artifact: %w", m, err)
 		}
 		handles = append(handles, hs)
-		if err := e.PreloadSummaries(m, sums); err != nil {
+		if err := e.validateSummaries(sums); err != nil {
 			return fmt.Errorf("core: %s summaries artifact: %w", m, err)
 		}
+		if owns != nil {
+			sums = slices.DeleteFunc(sums, func(s summary.Summary) bool { return !owns(s.Topic) })
+		}
+		batches[i] = sums
 	}
 	if err := e.installIndexes(indexSet{walks: walks, prop: prop, searcher: searcher}); err != nil {
 		return err
+	}
+	// Nothing can fail from here on, so the cache only ever holds views
+	// into mappings the engine keeps.
+	for i, m := range methods {
+		e.corpus.cache.putAll(m, batches[i])
 	}
 	e.handles, e.mapped = handles, true
 	if e.met != nil {

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -243,16 +244,22 @@ func TestLoadArtifactsValidation(t *testing.T) {
 }
 
 // A corrupted artifact in an otherwise valid directory must fail the
-// load and release every mapping already opened (no leaked handles, no
-// half-ready engine).
+// load, release every mapping already opened and install nothing: the
+// batch that decoded cleanly before the corrupt one is views into
+// mappings the failed load releases, so a summary left cached would
+// fault the first query after a fallback build. The RCL batch is the
+// one corrupted because it is read last.
 func TestLoadArtifactsCorruptSummariesRejected(t *testing.T) {
 	src := warmedEngine(t)
 	defer src.Close()
+	if err := src.MaterializeAll(context.Background(), MethodRCL); err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	if err := src.SaveArtifacts(dir, storage.FormatV2); err != nil {
 		t.Fatal(err)
 	}
-	sumPath := filepath.Join(dir, SummaryArtifact(MethodLRW))
+	sumPath := filepath.Join(dir, SummaryArtifact(MethodRCL))
 	data, err := os.ReadFile(sumPath)
 	if err != nil {
 		t.Fatal(err)
@@ -266,11 +273,24 @@ func TestLoadArtifactsCorruptSummariesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	if err := eng.LoadArtifacts(dir); err == nil {
 		t.Fatal("corrupt summaries artifact accepted")
 	}
 	if eng.Ready() {
 		t.Error("engine ready after failed load")
+	}
+	for _, m := range []Method{MethodLRW, MethodRCL} {
+		if n := eng.CachedSummaries(m); n != 0 {
+			t.Fatalf("failed load left %d %v summaries cached over released mappings", n, m)
+		}
+	}
+	// Still buildable, and the built engine answers like the source.
+	if err := eng.BuildIndexes(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := queryFingerprint(t, eng), queryFingerprint(t, src); !slices.Equal(got, want) {
+		t.Errorf("fallback build answers differ:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -620,6 +620,17 @@ func (e *Engine) PreloadSummaries(m Method, sums []summary.Summary) error {
 	if !m.valid() {
 		return fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, m)
 	}
+	if err := e.validateSummaries(sums); err != nil {
+		return err
+	}
+	e.corpus.cache.putAll(m, sums)
+	return nil
+}
+
+// validateSummaries is the admission check on externally materialized
+// summaries: each names a topic of the engine's space and is
+// Validate-clean.
+func (e *Engine) validateSummaries(sums []summary.Summary) error {
 	for _, s := range sums {
 		if !e.space.Valid(s.Topic) {
 			return fmt.Errorf("%w: summary references unknown topic %d", ErrInvalidArgument, s.Topic)
@@ -628,7 +639,6 @@ func (e *Engine) PreloadSummaries(m Method, sums []summary.Summary) error {
 			return fmt.Errorf("core: topic %d: %w", s.Topic, err)
 		}
 	}
-	e.corpus.cache.putAll(m, sums)
 	return nil
 }
 

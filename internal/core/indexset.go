@@ -72,7 +72,7 @@ func (e *Engine) installIndexes(idx indexSet) error {
 // per-engine. src must be ready and built, not loaded: an engine
 // restored by LoadArtifacts refuses to share, because its mappings'
 // lifetime is bound to src's Close and a sharing engine would fault
-// after src unmaps.
+// after src unmaps — each engine loads the artifact directory itself.
 func (e *Engine) ShareIndexes(src *Engine) error {
 	if src == nil {
 		return fmt.Errorf("core: ShareIndexes: nil source engine")
@@ -81,7 +81,7 @@ func (e *Engine) ShareIndexes(src *Engine) error {
 		return fmt.Errorf("core: ShareIndexes: source %w", ErrNotReady)
 	}
 	if src.mapped {
-		return fmt.Errorf("core: ShareIndexes: source engine is backed by file mappings; shards must hydrate from their own artifact directories")
+		return fmt.Errorf("core: ShareIndexes: source engine is backed by file mappings; each engine must load the artifact directory itself")
 	}
 	if src.g != e.g {
 		return fmt.Errorf("core: ShareIndexes: engines must share the same graph")

@@ -11,7 +11,6 @@ package core
 // shard.
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/summary"
@@ -141,23 +140,21 @@ func (c *sumCache) deleteTopic(t topics.TopicID, methods ...Method) {
 	}
 }
 
-// snapshotMethod returns the summaries cached under m, sorted by topic
-// so persisted artifacts are deterministic. The summaries themselves
-// are immutable once cached, so sharing them with the caller is safe.
-func (c *sumCache) snapshotMethod(m Method) []summary.Summary {
-	var out []summary.Summary
+// appendMethod appends the summaries cached under m to dst, in no
+// particular order. The summaries themselves are immutable once cached,
+// so sharing them with the caller is safe.
+func (c *sumCache) appendMethod(dst []summary.Summary, m Method) []summary.Summary {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
 		for k, s := range sh.m {
 			if k.m == m {
-				out = append(out, s)
+				dst = append(dst, s)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	slices.SortFunc(out, func(a, b summary.Summary) int { return int(a.Topic) - int(b.Topic) })
-	return out
+	return dst
 }
 
 // countMethod returns how many summaries are cached under m — a stats

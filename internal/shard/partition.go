@@ -6,9 +6,11 @@
 // summary corpus and the summarizers that build it — decomposes
 // cleanly along topic boundaries. Each shard is a full core.Engine
 // whose corpus holds only the topics a stable hash assigns it; the
-// immutable indexes underneath are either shared in-process
-// (core.Engine.ShareIndexes) or hydrated per shard from snapshot
-// artifact directories (HydrateInto, written by `datagen -shards`).
+// immutable indexes underneath are either built once and shared
+// in-process (core.Engine.ShareIndexes) or mapped by every shard from
+// the dataset's one artifact directory, which is the same whatever the
+// shard count: the partition is applied when it is loaded
+// (LoadArtifacts), never stored.
 //
 // The Router merges per-shard top-k exactly: it opens one search
 // session per owning shard and search.Drive — the same round loop a
@@ -27,15 +29,9 @@ import (
 	"repro/internal/topics"
 )
 
-// PartitionFNV1a names the (only) partition function: FNV-1a over the
-// topic ID's little-endian bytes, reduced mod the shard count. The
-// name is recorded in shard manifests and validated at load, so an
-// artifact set written under a different (future) function fails
-// loudly instead of routing topics to the wrong shard.
-const PartitionFNV1a = "fnv1a/topic-id/v1"
-
-// Assign returns the owning shard of topic t among n shards — the
-// stable hash both the writer (datagen) and the reader (router) use.
+// Assign returns the owning shard of topic t among n shards: FNV-1a
+// over the topic ID's little-endian bytes, reduced mod n — the stable
+// hash the artifact load and the router both use.
 func Assign(t topics.TopicID, n int) int {
 	h := uint32(2166136261)
 	x := uint32(t)
@@ -49,7 +45,6 @@ func Assign(t topics.TopicID, n int) int {
 
 // Partitioner is a fixed topic→shard assignment over a topic space.
 type Partitioner struct {
-	space *topics.Space
 	n     int
 	owned [][]topics.TopicID // per shard, ascending topic IDs
 }
@@ -64,7 +59,7 @@ func NewPartitioner(space *topics.Space, n int) (*Partitioner, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("shard: need a positive shard count, got %d", n)
 	}
-	p := &Partitioner{space: space, n: n, owned: make([][]topics.TopicID, n)}
+	p := &Partitioner{n: n, owned: make([][]topics.TopicID, n)}
 	for t := 0; t < space.NumTopics(); t++ {
 		id := topics.TopicID(t)
 		s := Assign(id, n)
@@ -92,17 +87,4 @@ func (p *Partitioner) Split(ts []topics.TopicID) [][]topics.TopicID {
 		parts[s] = append(parts[s], t)
 	}
 	return parts
-}
-
-// NodeCoverage returns the number of distinct graph nodes shard i's
-// topics cover — the shard's node projection, recorded in the manifest
-// as a cheap integrity signal for hydration.
-func (p *Partitioner) NodeCoverage(i int) int {
-	seen := map[int32]struct{}{}
-	for _, t := range p.owned[i] {
-		for _, v := range p.space.Nodes(t) {
-			seen[int32(v)] = struct{}{}
-		}
-	}
-	return len(seen)
 }

@@ -2,10 +2,12 @@ package shard_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/shard"
 	"repro/internal/topics"
@@ -82,96 +84,99 @@ func indexOf(ts []topics.TopicID, id topics.TopicID) int {
 	return -1
 }
 
-// allSlots is the datagen -shards shape: one fully warmed engine
-// snapshots every shard.
-func allSlots(eng *core.Engine, n int) []*core.Engine {
-	engines := make([]*core.Engine, n)
-	for i := range engines {
-		engines[i] = eng
-	}
-	return engines
-}
-
 // hydrate constructs n fresh shard engines, as pitserve does, and
-// hydrates them from root.
-func hydrate(ctx context.Context, g *graph.Graph, space *topics.Space, opts core.Options, root string, n int) ([]*core.Engine, *shard.Partitioner, error) {
+// cold-starts them from the artifact directory dir.
+func hydrate(ctx context.Context, g *graph.Graph, space *topics.Space, opts core.Options, dir string, n int) ([]*core.Engine, error) {
 	engines := make([]*core.Engine, n)
 	for i := range engines {
 		eng, err := core.New(g, space, opts)
 		if err != nil {
 			closeEngines(engines[:i])
-			return nil, nil, err
+			return nil, err
 		}
 		engines[i] = eng
 	}
-	part, err := shard.HydrateInto(ctx, engines, g, space, root)
+	loaded, err := shard.LoadArtifacts(ctx, engines, dir)
+	if err == nil && !loaded {
+		err = fmt.Errorf("no artifacts found in %s", dir)
+	}
 	if err != nil {
 		closeEngines(engines)
-		return nil, nil, err
+		return nil, err
 	}
-	return engines, part, nil
+	return engines, nil
 }
 
-// TestHydrateRoundTrip writes sharded artifacts from a warmed engine,
-// hydrates a fresh shard set from them, and requires the hydrated
-// router to answer exactly like the source engine — summaries included,
-// without rebuilding anything (the corpus must arrive warm).
-func TestHydrateRoundTrip(t *testing.T) {
-	g, space := world()
-	opts := worldOptions()
+// savedWorld builds one engine over (g, space), warms both methods when
+// asked, and saves it into a fresh artifact directory.
+func savedWorld(t *testing.T, g *graph.Graph, space *topics.Space, warm bool) (*core.Engine, string) {
+	t.Helper()
 	ctx := context.Background()
-	single, err := core.New(g, space, opts)
+	single, err := core.New(g, space, worldOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer single.Close()
+	t.Cleanup(func() { single.Close() })
 	if err := single.BuildIndexes(ctx); err != nil {
 		t.Fatal(err)
 	}
-	all := make([]topics.TopicID, space.NumTopics())
-	for i := range all {
-		all[i] = topics.TopicID(i)
-	}
-	for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
-		if _, err := single.MaterializeTopics(ctx, m, all, 2); err != nil {
-			t.Fatal(err)
+	if warm {
+		for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
+			if err := single.MaterializeAll(ctx, m); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	dir := t.TempDir()
+	if err := core.WriteArtifacts(dir, single); err != nil {
+		t.Fatal(err)
+	}
+	return single, dir
+}
+
+// TestHydrateRoundTrip saves one warmed engine, cold-starts a
+// 3-shard set from the same directory, and requires the hydrated router
+// to answer exactly like the source engine — summaries included, without
+// rebuilding anything (every shard's owned slice must arrive warm, and
+// nothing else).
+func TestHydrateRoundTrip(t *testing.T) {
+	g, space := world()
+	ctx := context.Background()
+	single, dir := savedWorld(t, g, space, true)
 
 	const n = 3
 	part, err := shard.NewPartitioner(space, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := t.TempDir()
-	if err := shard.WriteShardArtifacts(allSlots(single, part.Shards()), part, root); err != nil {
-		t.Fatal(err)
-	}
-
-	engines, hydPart, err := hydrate(ctx, g, space, opts, root, n)
+	engines, err := hydrate(ctx, g, space, worldOptions(), dir, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeEngines(engines)
-	if hydPart.Shards() != n {
-		t.Fatalf("hydrated %d shards, want %d", hydPart.Shards(), n)
-	}
-	// Every shard arrives warm with exactly its owned topics.
 	for i, eng := range engines {
 		if !eng.Ready() {
 			t.Fatalf("shard %d not ready after hydration", i)
 		}
-		want := len(hydPart.Owned(i))
 		for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
-			if got := eng.CachedSummaries(m); got != want {
+			if got, want := eng.CachedSummaries(m), len(part.Owned(i)); got != want {
 				t.Fatalf("shard %d: %d cached %v summaries, want %d (owned)", i, got, m, want)
+			}
+			for _, id := range part.Owned(i) {
+				if _, ok := eng.CachedSummary(m, id); !ok {
+					t.Fatalf("shard %d: owned topic %d arrived without its %v summary", i, id, m)
+				}
 			}
 		}
 	}
 
-	r, err := shard.NewRouter(g, space, hydPart, staticSources(engines), shard.Config{})
+	r, err := shard.NewRouter(g, space, part, staticSources(engines), shard.Config{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	all := make([]topics.TopicID, space.NumTopics())
+	for i := range all {
+		all[i] = topics.TopicID(i)
 	}
 	for q := 0; q < 10; q++ {
 		user := graph.NodeID(q * 17 % g.NumNodes())
@@ -187,70 +192,47 @@ func TestHydrateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHydrateRejectsMismatches tampers with every validated manifest
-// field and requires a loud failure.
+// TestHydrateRejectsMismatches: artifacts of another dataset snapshot
+// fail a 2-shard cold start loudly — the checks are the artifact load's
+// own, run by every shard.
 func TestHydrateRejectsMismatches(t *testing.T) {
 	g, space := world()
-	opts := worldOptions()
 	ctx := context.Background()
-	single, err := core.New(g, space, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	if err := single.BuildIndexes(ctx); err != nil {
-		t.Fatal(err)
-	}
-	part, err := shard.NewPartitioner(space, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := t.TempDir()
-	if err := shard.WriteShardArtifacts(allSlots(single, part.Shards()), part, root); err != nil {
-		t.Fatal(err)
-	}
-	good, err := shard.ReadManifest(root)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	cases := []struct {
-		name   string
-		mutate func(m *shard.Manifest)
-		want   string
-		shards int
-	}{
-		{"wrong shard flag", func(m *shard.Manifest) {}, "-shards", 5},
-		{"version", func(m *shard.Manifest) { m.Version = 99 }, "version", 2},
-		{"partition function", func(m *shard.Manifest) { m.Partition = "modulo/v0" }, "partition function", 2},
-		{"topic count", func(m *shard.Manifest) { m.Topics++ }, "topics", 2},
-		{"node count", func(m *shard.Manifest) { m.Nodes-- }, "nodes", 2},
-		{"per-shard entries", func(m *shard.Manifest) { m.PerShard = m.PerShard[:1] }, "entries", 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			bad := good
-			bad.PerShard = append([]shard.ShardInfo(nil), good.PerShard...)
-			tc.mutate(&bad)
-			if err := shard.WriteManifest(root, bad); err != nil {
-				t.Fatal(err)
-			}
-			_, _, err := hydrate(ctx, g, space, opts, root, tc.shards)
-			if err == nil {
-				t.Fatalf("hydration accepted a manifest with a bad %s", tc.name)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
-	// Restore the good manifest and prove the fixture itself hydrates.
-	if err := shard.WriteManifest(root, good); err != nil {
-		t.Fatal(err)
-	}
-	engines, _, err := hydrate(ctx, g, space, opts, root, 2)
+	t.Run("node count", func(t *testing.T) {
+		g2, err := dataset.GenerateGraph(dataset.GraphConfig{Nodes: 200, MinOutDegree: 2, MaxOutDegree: 6, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		space2, err := dataset.GenerateTopics(g2, dataset.TopicConfig{Tags: 5, TopicsPerTag: 4, MeanTopicNodes: 12, Locality: 0.7, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, dir := savedWorld(t, g2, space2, false)
+		_, err = hydrate(ctx, g, space, worldOptions(), dir, 2)
+		if err == nil || !strings.Contains(err.Error(), "covers 200 nodes, graph has 300") {
+			t.Fatalf("indexes of a 200-node graph hydrated a 300-node one: %v", err)
+		}
+	})
+	t.Run("topic count", func(t *testing.T) {
+		// Same graph, a larger space: some warmed summary names a topic
+		// the serving space does not have.
+		bigger, err := dataset.GenerateTopics(g, dataset.TopicConfig{Tags: 5, TopicsPerTag: 6, MeanTopicNodes: 12, Locality: 0.7, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, dir := savedWorld(t, g, bigger, true)
+		_, err = hydrate(ctx, g, space, worldOptions(), dir, 2)
+		if err == nil || !strings.Contains(err.Error(), "unknown topic") {
+			t.Fatalf("summaries of a %d-topic space hydrated a %d-topic one: %v", bigger.NumTopics(), space.NumTopics(), err)
+		}
+	})
+
+	// The fixture itself hydrates when the dataset matches.
+	_, dir := savedWorld(t, g, space, true)
+	engines, err := hydrate(ctx, g, space, worldOptions(), dir, 2)
 	if err != nil {
-		t.Fatalf("good manifest rejected: %v", err)
+		t.Fatalf("matching artifacts rejected: %v", err)
 	}
 	closeEngines(engines)
 }

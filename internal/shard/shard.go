@@ -56,75 +56,37 @@ func BuildIndexes(ctx context.Context, engines []*core.Engine) error {
 	return nil
 }
 
-// ArtifactsExist reports whether root holds a sharded artifact set (its
-// manifest is present).
-func ArtifactsExist(root string) bool {
-	_, err := os.Stat(filepath.Join(root, ManifestFile))
-	return err == nil
-}
+// retiredManifest is the marker file of the per-shard artifact layout
+// (a manifest plus shard-<i>/ index copies) this build no longer reads
+// or writes.
+const retiredManifest = "shard-manifest.json"
 
 // LoadArtifacts cold-starts caller-constructed shard engines from dir
-// and reports whether it did. The layout is observed, never configured:
-// a manifest means the sharded layout (HydrateInto and its loud shard
-// count / partition / dataset validation, at any N including 1); bare
-// index files mean the flat layout of core's SaveArtifactsFiltered,
-// which holds the whole corpus and so fits one shard only; neither (or
-// no dir) loads nothing and the caller builds.
+// and reports whether it did; no dir, or one without the index
+// artifacts, loads nothing and the caller builds. An artifact directory
+// belongs to the dataset, not to a shard count: every engine opens the
+// same files itself, in parallel (read-only mappings of one file share
+// its pages, and each engine keeps its own handles and Close/Retire
+// drain), and preloads only the summaries Assign gives it — so whatever
+// wrote the directory (core.WriteArtifacts over one engine or over a
+// shard set of any width: the bytes are the same), it serves any
+// len(engines). The dataset checks are core's (index node counts, every
+// summary's topic inside the space). On error the caller closes the
+// engines.
 func LoadArtifacts(ctx context.Context, engines []*core.Engine, dir string) (bool, error) {
-	var err error
-	switch {
-	case dir == "":
+	if dir == "" {
 		return false, nil
-	case ArtifactsExist(dir):
-		_, err = HydrateInto(ctx, engines, engines[0].Graph(), engines[0].Space(), dir)
-	case !core.ArtifactsExist(dir):
+	}
+	if !core.ArtifactsExist(dir) {
+		if _, err := os.Stat(filepath.Join(dir, retiredManifest)); err == nil {
+			return false, fmt.Errorf(
+				"shard: %s holds %s, the retired per-shard artifact layout, and no %s — regenerate it with `datagen -index-dir` (or delete the directory)",
+				dir, retiredManifest, core.WalkArtifact)
+		}
 		return false, nil
-	case len(engines) == 1:
-		err = engines[0].LoadArtifacts(dir)
-	default:
-		err = fmt.Errorf(
-			"shard: %s holds the flat one-shard layout (%s, %s) but %d shards were asked for — serve it with one shard, or write the sharded layout (%s + shard-<i>/) with `datagen -shards %d -index-dir`",
-			dir, core.WalkArtifact, core.PropArtifact, len(engines), ManifestFile, len(engines))
 	}
-	return err == nil, err
-}
-
-// SaveArtifacts persists a built (and possibly warmed) shard set for the
-// next cold start: one shard holds the whole corpus and writes the flat
-// layout (the files `pitsearch -index-dir` reads), N > 1 shards write
-// WriteShardArtifacts' manifest + shard-<i>/ layout.
-func SaveArtifacts(engines []*core.Engine, part *Partitioner, dir string) error {
-	if len(engines) == 1 {
-		return engines[0].SaveArtifactsFiltered(dir, nil)
-	}
-	return WriteShardArtifacts(engines, part, dir)
-}
-
-// HydrateInto cold-starts caller-constructed shard engines (one per
-// shard, in shard order — deployments wire them into pipelines and
-// metrics first) from a sharded artifact root written by `datagen
-// -shards` or WriteShardArtifacts: the manifest is validated against the
-// live dataset and len(engines) (partition function, shard count, topic
-// and node counts — any mismatch fails loudly), then every shard
-// mmap-loads its own directory in parallel, so time-to-ready is one
-// shard's open, not N sequential ones. After loading, each shard's
-// preloaded summaries are checked against the partition: a summary for
-// a topic the shard does not own means the artifacts and the
-// partitioner disagree, and the whole hydration fails rather than serve
-// misrouted topics. On error the caller closes the engines.
-func HydrateInto(ctx context.Context, engines []*core.Engine, g *graph.Graph, space *topics.Space, root string) (*Partitioner, error) {
-	man, err := ReadManifest(root)
-	if err != nil {
-		return nil, err
-	}
-	if err := man.Validate(space, g, len(engines)); err != nil {
-		return nil, err
-	}
-	part, err := NewPartitioner(space, man.Shards)
-	if err != nil {
-		return nil, err
-	}
-	errs := make([]error, len(engines))
+	n := len(engines)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := range engines {
 		wg.Add(1)
@@ -134,53 +96,15 @@ func HydrateInto(ctx context.Context, engines []*core.Engine, g *graph.Graph, sp
 				errs[i] = err
 				return
 			}
-			if err := engines[i].LoadArtifacts(ShardDir(root, i)); err != nil {
+			owns := func(t topics.TopicID) bool { return Assign(t, n) == i }
+			if err := engines[i].LoadOwnedArtifacts(dir, owns); err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			}
 		}(i)
 	}
 	wg.Wait()
 	if err := firstError(errs); err != nil {
-		return nil, err
+		return false, err
 	}
-	// Ownership audit: every preloaded summary must belong to its shard
-	// under the manifest's partition function.
-	for i, eng := range engines {
-		for t := 0; t < space.NumTopics(); t++ {
-			id := topics.TopicID(t)
-			if part.Owns(id) == i {
-				continue
-			}
-			for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
-				if _, cached := eng.CachedSummary(m, id); cached {
-					return nil, fmt.Errorf(
-						"shard: %s holds a %v summary for topic %d, owned by shard %d under %s — artifacts don't match the partition",
-						ShardDir(root, i), m, id, part.Owns(id), man.Partition)
-				}
-			}
-		}
-	}
-	return part, nil
-}
-
-// WriteShardArtifacts snapshots a warmed serving set into a sharded
-// artifact root: engine i writes shard-<i>/ — the full index artifacts
-// (self-contained: a shard hydrates anywhere the dataset is available)
-// plus exactly the cached summaries the partition assigns shard i — and
-// the manifest records the partition function and dataset shape for
-// load-time validation. pitserve (through SaveArtifacts) passes its
-// shard engines, each warmed with its owned topics by Router.WarmOwned,
-// so no engine ever holds the whole corpus; datagen -shards passes its
-// one fully warmed engine in every slot.
-func WriteShardArtifacts(engines []*core.Engine, part *Partitioner, root string) error {
-	if len(engines) != part.Shards() {
-		return fmt.Errorf("shard: %d engines for %d shards", len(engines), part.Shards())
-	}
-	for i, eng := range engines {
-		keep := func(t topics.TopicID) bool { return Assign(t, part.Shards()) == i }
-		if err := eng.SaveArtifactsFiltered(ShardDir(root, i), keep); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return WriteManifest(root, NewManifest(part, engines[0].Graph()))
+	return true, nil
 }
