@@ -23,7 +23,7 @@ help:
 	@echo "make bench       - the BENCHMARK.json harness in self-check mode (go run ./benchmark"
 	@echo "                   -selfcheck); see benchmark/README.md for a measured run"
 	@echo "make bench-smoke - one-shot benchmark smoke: figure benchmarks plus the"
-	@echo "                   search/core/rcl/lrw micro-benchmarks, the benchmark harness's"
+	@echo "                   search/core/rcl/lrw/randwalk/propidx micro-benchmarks, the benchmark harness's"
 	@echo "                   -smoke run, and pitserve -smoke at -shards 1 (the default) and 2,"
 	@echo "                   the second cold-starting from the artifacts the first saved"
 	@echo "make fuzz        - storage artifact-parser fuzzers for 10s per target"
@@ -96,9 +96,10 @@ bench:
 	$(GO) run ./benchmark -selfcheck
 
 # Benchmark smoke: run the data_2k figure benchmarks and the online-path
-# micro-benchmarks exactly once (-benchtime 1x), plus the benchmark
-# harness's seconds-long -smoke run, to prove every benchmark path still
-# executes. No timing value — just "does it run". The pitserve -smoke
+# and write-side (walk index, Γ, summarizer) micro-benchmarks, their
+# data_350k sub-benchmarks included, exactly once (-benchtime 1x), plus
+# the benchmark harness's seconds-long -smoke run, to prove every
+# benchmark path still executes. No timing value — just "does it run". The pitserve -smoke
 # runs then serve real HTTP on ephemeral ports and fail unless /metrics
 # exposes every instrumented layer's metric families — one family list,
 # one code path, at two partition widths sharing one artifact directory:
@@ -107,7 +108,7 @@ bench:
 # under -race by `make race`, which runs ./...).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig05TimeCostData2k|BenchmarkFig10PrecisionData2k' -benchtime 1x .
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/search/ ./internal/core/ ./internal/rcl/ ./internal/lrw/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/search/ ./internal/core/ ./internal/rcl/ ./internal/lrw/ ./internal/randwalk/ ./internal/propidx/
 	$(GO) run ./benchmark -smoke
 	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 		$(GO) run ./cmd/pitserve -smoke -index-dir "$$d" && \

@@ -10,11 +10,39 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/graph"
+	"repro/internal/randwalk"
 	"repro/internal/topics"
 )
 
 func BenchmarkSummarizeCorpus(b *testing.B) {
-	g, space, walks := goldenWorld(b)
+	b.Run("golden", func(b *testing.B) {
+		g, space, walks := goldenWorld(b)
+		benchSummarize(b, g, space, walks)
+	})
+	// The benchmark harness's dataset at the server's L and R.
+	b.Run("data_350k", func(b *testing.B) {
+		if testing.Short() {
+			b.Skip("data_350k build skipped under -short")
+		}
+		p, err := dataset.PresetByName("data_350k")
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds, err := p.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		walks, err := randwalk.Build(context.Background(), ds.Graph, randwalk.Options{L: 6, R: 16, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSummarize(b, ds.Graph, ds.Space, walks)
+	})
+}
+
+func benchSummarize(b *testing.B, g *graph.Graph, space *topics.Space, walks *randwalk.Index) {
 	s, err := New(g, space, walks, Options{})
 	if err != nil {
 		b.Fatal(err)

@@ -133,15 +133,12 @@ func scoresInto(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vt [
 			hv := hPlus[v]
 			acc := 0.0
 			for k, u := range in {
-				if prev[u] == 0 { //pitlint:ignore probinvariant exact +0.0 identity test; an epsilon comparison would skip small nonzero terms and change the sums
-
-					// The skipped term is exactly +0.0: d[u] sums
-					// inw[k]·hPlus over all of u's out-edges including this
-					// one, so inw[k]·hv/d[u] ∈ [0,1] is finite and its
-					// product with prev[u] = 0 is +0.0, the additive
-					// identity for the non-negative acc.
-					continue
-				}
+				// No skip for prev[u] = 0: that term is exactly +0.0 (d[u]
+				// sums inw[k]·hPlus over all of u's out-edges including
+				// this one, so inw[k]·hv/d[u] ∈ [0,1] is finite), the
+				// additive identity for the non-negative acc, and a branch
+				// on it mispredicts across every mid-iteration frontier.
+				// d[u] ≤ 0 is rare and must be skipped: 0/0 is NaN.
 				if d[u] <= 0 {
 					continue
 				}

@@ -12,7 +12,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -139,24 +139,43 @@ type enumerator struct {
 	opt    Options
 	frames []frame
 	stack  []int32
-	agg    map[graph.NodeID]float64
 	cuts   []cutRec
+
+	// Dense per-node state of the target being enumerated, valid for node
+	// u only while stamp[u] == epoch: agg[u] is the propagation aggregated
+	// over the paths found so far and pot[u] its potential mark. nodes
+	// lists the stamped nodes — Γ(v)'s sources — in discovery order.
+	// Stamping makes the reset between targets O(1) instead of O(n).
+	epoch uint32
+	stamp []uint32
+	agg   []float64
+	pot   []bool
+	nodes []graph.NodeID
 }
 
 type cutRec struct{ node, prunedIn graph.NodeID }
 
 func newEnumerator(g *graph.Graph, opt Options) *enumerator {
-	return &enumerator{g: g, opt: opt, agg: map[graph.NodeID]float64{}}
+	n := g.NumNodes()
+	return &enumerator{
+		g: g, opt: opt,
+		stamp: make([]uint32, n),
+		agg:   make([]float64, n),
+		pot:   make([]bool, n),
+	}
 }
 
 // enumerate builds Γ(v) for one target node.
 func (e *enumerator) enumerate(v graph.NodeID) row {
 	e.frames = e.frames[:0]
 	e.stack = e.stack[:0]
-	for k := range e.agg {
-		delete(e.agg, k)
-	}
 	e.cuts = e.cuts[:0]
+	e.nodes = e.nodes[:0]
+	e.epoch++
+	if e.epoch == 0 { // wrapped: a stale stamp must never equal a live epoch
+		clear(e.stamp)
+		e.epoch = 1
+	}
 
 	e.frames = append(e.frames, frame{node: v, parent: -1, prob: 1})
 	e.stack = append(e.stack, 0)
@@ -167,6 +186,14 @@ func (e *enumerator) enumerate(v graph.NodeID) row {
 		e.stack = e.stack[:len(e.stack)-1]
 		f := e.frames[fi]
 		if f.parent >= 0 {
+			// Path probabilities are summed per source in pop order, the
+			// order that fixes the float result.
+			if e.stamp[f.node] != e.epoch {
+				e.stamp[f.node] = e.epoch
+				e.agg[f.node] = 0
+				e.pot[f.node] = false
+				e.nodes = append(e.nodes, f.node)
+			}
 			e.agg[f.node] += f.prob
 		}
 		in, inw := e.g.InNeighbors(f.node)
@@ -190,26 +217,24 @@ func (e *enumerator) enumerate(v graph.NodeID) row {
 	// A node in the tree is marked potential when some pruned in-neighbor
 	// is not itself in Γ(v): influence may flow in from outside the
 	// indexed neighborhood (Figure 3's node 11).
-	potentialSet := map[graph.NodeID]bool{}
 	for _, c := range e.cuts {
 		if c.prunedIn == v || c.node == v {
 			continue
 		}
-		if _, indexed := e.agg[c.prunedIn]; !indexed {
-			potentialSet[c.node] = true
+		if e.stamp[c.prunedIn] != e.epoch {
+			e.pot[c.node] = true
 		}
 	}
 
-	r := row{src: make([]graph.NodeID, 0, len(e.agg))}
-	for u := range e.agg {
-		r.src = append(r.src, u)
+	slices.Sort(e.nodes)
+	r := row{
+		src:       slices.Clone(e.nodes),
+		prop:      make([]float64, len(e.nodes)),
+		potential: make([]bool, len(e.nodes)),
 	}
-	sort.Slice(r.src, func(a, b int) bool { return r.src[a] < r.src[b] })
-	r.prop = make([]float64, len(r.src))
-	r.potential = make([]bool, len(r.src))
 	for i, u := range r.src {
 		r.prop[i] = e.agg[u]
-		r.potential[i] = potentialSet[u]
+		r.potential[i] = e.pot[u]
 	}
 	return r
 }

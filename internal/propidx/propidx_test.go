@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/graph"
 )
 
@@ -292,25 +293,41 @@ func TestMemoryBytesAndSize(t *testing.T) {
 	}
 }
 
+// BenchmarkBuild times the Γ enumeration plus row assembly. data_350k is
+// the benchmark harness's dataset at the server's θ, the shape behind
+// propidx.build_ms.
 func BenchmarkBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	n := 3000
-	gb := graph.NewBuilder(n)
-	for i := 0; i < n*6; i++ {
-		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-		if u == v {
-			continue
+	b.Run("random3k", func(b *testing.B) {
+		g := randomWeighted(rand.New(rand.NewSource(9)), 3000, 18_000, 0.05, 0.5)
+		benchBuild(b, g, Options{Theta: 0.05})
+	})
+	b.Run("data_350k", func(b *testing.B) {
+		if testing.Short() {
+			b.Skip("data_350k build skipped under -short")
 		}
-		_ = gb.AddEdge(u, v, 0.05+0.5*rng.Float64())
-	}
-	g := gb.Build()
+		p, err := dataset.PresetByName("data_350k")
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := dataset.GenerateGraph(p.Graph)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchBuild(b, g, Options{Theta: 0.01})
+	})
+}
+
+func benchBuild(b *testing.B, g *graph.Graph, opt Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
+	var ix *Index
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(context.Background(), g, Options{Theta: 0.05}); err != nil {
+		var err error
+		if ix, err = Build(context.Background(), g, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(ix.Size()), "entries")
 }
 
 // Property: MaxPotential always equals the maximum prop among the

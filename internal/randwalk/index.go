@@ -17,7 +17,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -79,14 +78,6 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// walkShard samples walks for nodes [lo, hi), writing into the shared
-// walks array (disjoint per node) and into shard-local H rows and reach
-// pairs that Build merges afterwards.
-type walkShard struct {
-	h     [][]float64
-	pairs []int64
-}
-
 // Build runs Algorithm 6 over g and returns the index. ctx is checked
 // periodically inside every sampling shard; a done context aborts the
 // build with ctx.Err() (index construction on a large graph can run for
@@ -112,25 +103,28 @@ func Build(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
 		ix.h[j] = make([]float64, n)
 	}
 	if n == 0 {
-		ix.buildReach(nil)
+		ix.buildReach()
 		return ix, nil
 	}
 
+	// Each shard samples start nodes [lo, hi), writing into the shared
+	// walks array (disjoint per node) and into shard-local H rows that are
+	// merged afterwards.
 	workers := opt.Workers
 	if workers > n {
 		workers = n
 	}
-	shards := make([]walkShard, workers)
+	shardH := make([][][]float64, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
 		wg.Add(1)
-		go func(shard *walkShard, errSlot *error, lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			*errSlot = ix.sampleRange(ctx, g, opt, shard, lo, hi)
-		}(&shards[w], &errs[w], lo, hi)
+			shardH[w], errs[w] = ix.sampleRange(ctx, g, opt, lo, hi)
+		}(w, lo, hi)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -139,34 +133,32 @@ func Build(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
 		}
 	}
 
-	// Merge shard-local H rows (element-wise max) and reach pairs.
-	totalPairs := 0
-	for s := range shards {
+	// Merge shard-local H rows (element-wise max).
+	for _, h := range shardH {
 		for j := 0; j < opt.L; j++ {
-			dst, src := ix.h[j], shards[s].h[j]
+			dst, src := ix.h[j], h[j]
 			for v := range src {
 				if src[v] > dst[v] {
 					dst[v] = src[v]
 				}
 			}
 		}
-		totalPairs += len(shards[s].pairs)
 	}
-	pairs := make([]int64, 0, totalPairs)
-	for s := range shards {
-		pairs = append(pairs, shards[s].pairs...)
-	}
-	ix.buildReach(pairs)
+	// buildReach's ordering precondition — entries grouped by ascending
+	// start node — is the walks array's own layout, so it holds however
+	// the start nodes were cut into shards; no shard output is
+	// concatenated for it.
+	ix.buildReach()
 	return ix, nil
 }
 
 // sampleRange runs Algorithm 6's sampling loop for start nodes [lo, hi),
-// checking ctx every few start nodes.
-func (ix *Index) sampleRange(ctx context.Context, g *graph.Graph, opt Options, shard *walkShard, lo, hi int) error {
+// checking ctx every few start nodes, and returns the H rows of its walks.
+func (ix *Index) sampleRange(ctx context.Context, g *graph.Graph, opt Options, lo, hi int) ([][]float64, error) {
 	n := g.NumNodes()
-	shard.h = make([][]float64, opt.L)
-	for j := range shard.h {
-		shard.h[j] = make([]float64, n)
+	h := make([][]float64, opt.L)
+	for j := range h {
+		h[j] = make([]float64, n)
 	}
 	inv := 1.0 / float64(opt.R)
 
@@ -176,13 +168,19 @@ func (ix *Index) sampleRange(ctx context.Context, g *graph.Graph, opt Options, s
 	epoch := make([]int64, n)
 	var cur int64
 
+	// One generator per shard, re-seeded per start node: Seed resets the
+	// source to exactly the state rand.NewSource(seed) constructs, so every
+	// start node still draws from its own stream (and the index stays
+	// independent of the worker count) without allocating a 4.9 KB source
+	// per node.
+	rng := rand.New(rand.NewSource(0))
 	for w := lo; w < hi; w++ {
 		if (w-lo)%256 == 0 {
 			if err := ctx.Err(); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		rng := rand.New(rand.NewSource(int64(splitmix64(uint64(opt.Seed) ^ uint64(w)<<1))))
+		rng.Seed(int64(splitmix64(uint64(opt.Seed) ^ uint64(w)<<1)))
 		for i := 0; i < opt.R; i++ {
 			cur++
 			u := graph.NodeID(w)
@@ -201,38 +199,58 @@ func (ix *Index) sampleRange(ctx context.Context, g *graph.Graph, opt Options, s
 					visited[v] = inv
 					ix.walks[base+fill] = v
 					fill++
-					shard.pairs = append(shard.pairs, int64(v)<<32|int64(w))
 				} else {
 					visited[v] += inv
 				}
-				if hj := shard.h[j-1]; hj[v] < visited[v] {
+				if hj := h[j-1]; hj[v] < visited[v] {
 					hj[v] = visited[v]
 				}
 				u = v
 			}
 		}
 	}
-	return nil
+	return h, nil
 }
 
-// buildReach sorts and dedups (target, start) pairs into the reach CSR.
-func (ix *Index) buildReach(pairs []int64) {
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
+// buildReach inverts the stored walks into the reach CSR: for every target
+// the distinct start nodes whose walks visit it, ascending. Every stored
+// walk entry is one (target, start) pair, and the walks array holds them
+// grouped by ascending start node, so a stable counting sort by target
+// leaves each target's starts already ascending, and a start is a repeat
+// for its target exactly when it equals the last start that target saw.
+// Two passes over the walks — count the distinct pairs, then place them —
+// size reachStarts exactly and need no pair buffer or comparison sort.
+func (ix *Index) buildReach() {
 	ix.reachOff = make([]int32, ix.n+1)
-	ix.reachStarts = make([]graph.NodeID, 0, len(pairs))
-	var prev int64 = -1
-	for _, p := range pairs {
-		if p == prev {
-			continue
+	perStart := ix.R * ix.L
+	last := make([]graph.NodeID, ix.n)
+	for i := range last {
+		last[i] = -1
+	}
+	for base, start := 0, graph.NodeID(0); base < len(ix.walks); base, start = base+perStart, start+1 {
+		for _, target := range ix.walks[base : base+perStart] {
+			if target >= 0 && last[target] != start {
+				last[target] = start
+				ix.reachOff[target+1]++
+			}
 		}
-		prev = p
-		target := graph.NodeID(p >> 32)
-		start := graph.NodeID(p & 0xffffffff)
-		ix.reachOff[target+1]++
-		ix.reachStarts = append(ix.reachStarts, start)
 	}
 	for i := 0; i < ix.n; i++ {
 		ix.reachOff[i+1] += ix.reachOff[i]
+	}
+	ix.reachStarts = make([]graph.NodeID, ix.reachOff[ix.n])
+	next := last // next free slot of each target's run
+	copy(next, ix.reachOff)
+	for base, start := 0, graph.NodeID(0); base < len(ix.walks); base, start = base+perStart, start+1 {
+		for _, target := range ix.walks[base : base+perStart] {
+			if target < 0 {
+				continue
+			}
+			if at := next[target]; at == ix.reachOff[target] || ix.reachStarts[at-1] != start {
+				ix.reachStarts[at] = start
+				next[target] = at + 1
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/graph"
 )
 
@@ -311,15 +312,50 @@ func TestCanReachMatchesScan(t *testing.T) {
 	}
 }
 
+// BenchmarkBuild times Algorithm 6 end to end (seeding, walking, reach
+// CSR). pairs is the number of stored walk entries buildReach inverts,
+// unique the reach entries left after dropping repeats. data_350k is the
+// benchmark harness's dataset at the server's L and R, the shape behind
+// randwalk.build_ms.
 func BenchmarkBuild(b *testing.B) {
-	g := randomGraph(1, 2000, 20_000)
+	b.Run("random2k", func(b *testing.B) {
+		benchBuild(b, randomGraph(1, 2000, 20_000), Options{L: 6, R: 8})
+	})
+	b.Run("data_350k", func(b *testing.B) {
+		if testing.Short() {
+			b.Skip("data_350k build skipped under -short")
+		}
+		p, err := dataset.PresetByName("data_350k")
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := dataset.GenerateGraph(p.Graph)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchBuild(b, g, Options{L: 6, R: 16})
+	})
+}
+
+func benchBuild(b *testing.B, g *graph.Graph, opt Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
+	var ix *Index
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(context.Background(), g, Options{L: 6, R: 8, Seed: int64(i)}); err != nil {
+		opt.Seed = int64(i)
+		var err error
+		if ix, err = Build(context.Background(), g, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
+	pairs := 0
+	for _, v := range ix.walks {
+		if v >= 0 {
+			pairs++
+		}
+	}
+	b.ReportMetric(float64(pairs), "pairs")
+	b.ReportMetric(float64(len(ix.reachStarts)), "unique")
 }
 
 func TestBuildCanceledContext(t *testing.T) {
