@@ -29,7 +29,8 @@ help:
 	@echo "make fuzz        - storage artifact-parser fuzzers for 10s per target"
 	@echo "make chaos       - fault-injection suite under -race: internal/chaos plus the"
 	@echo "                   planner/breaker chaos tests in core and server and the"
-	@echo "                   streaming churn/soak tests in internal/stream"
+	@echo "                   streaming churn/soak/all-or-nothing tests in internal/stream"
+	@echo "                   and internal/shard"
 	@echo "make vulncheck   - govulncheck when installed (best-effort)"
 
 build:
@@ -80,13 +81,14 @@ race:
 # Chaos: the fault-injection harness (internal/chaos) and the end-to-end
 # fidelity-ladder proofs that use it — breaker trip/recovery, zero
 # unplanned 5xx under injected failure, goroutine hygiene on shutdown,
-# and the streaming soak (a fault-injected summarizer on every swapped-in
-# engine must never poison carried summaries) — always under the race
-# detector, since the interesting bugs here are races between
+# the streaming soak (a fault-injected summarizer on every swapped-in
+# engine must never poison carried summaries) and the whole-shard-set
+# swap under router load and its all-or-nothing publish — always under
+# the race detector, since the interesting bugs here are races between
 # degradation, revalidation, swap and close.
 chaos:
 	$(GO) test -race ./internal/chaos/
-	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn' ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/
+	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing' ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.

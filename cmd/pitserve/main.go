@@ -52,8 +52,9 @@
 // width) cold-starts the shards, each mapping the same files and keeping
 // the summaries it owns; otherwise indexes are built once, shared by all
 // shards, and saved back as those same files. With streaming on, one
-// pipeline per shard applies every batch and each shard swaps its engine
-// independently; the router follows the swaps.
+// pipeline above the shard set applies every batch once — one graph, one
+// affected set — rebuilds the shards' engines side by side and swaps all
+// of them or none; the router follows the swaps.
 package main
 
 import (
@@ -162,19 +163,19 @@ type app struct {
 
 	// The one serving topology: -shards engines (the boot set; streaming
 	// swaps replace them underneath the router) behind a scatter-gather
-	// router. set is nil unless -stream-batch > 0.
+	// router. pipe is nil unless -stream-batch > 0.
 	engines []*core.Engine
 	part    *shard.Partitioner
 	router  *shard.Router
-	set     *shard.StreamSet
+	pipe    *stream.Pipeline
 }
 
-// closeEngine stops the streaming pipelines (if any) and closes every
+// closeEngine stops the streaming pipeline (if any) and closes every
 // engine currently serving; engines superseded earlier were already
 // retired at their swap. Safe to call more than once.
 func (a *app) closeEngine() {
-	if a.set != nil {
-		a.set.Stop()
+	if a.pipe != nil {
+		a.pipe.Stop()
 	}
 	a.router.Close()
 }
@@ -275,22 +276,22 @@ func buildApp(o options) (*app, error) {
 	}
 	if o.streamBatch > 0 {
 		a.subs = subscribe.NewRegistry(reg)
-		a.set, err = shard.NewStreamSet(a.engines, stream.Config{
+		a.pipe, err = stream.NewSet(a.engines, stream.Config{
 			BatchSize:     o.streamBatch,
 			MaxAge:        o.streamMaxAge,
 			DecayHalfLife: o.decayHalfLife,
 			Metrics:       reg,
 			OnApply: func(ctx context.Context, r stream.ApplyResult) {
-				// Standing queries evaluate against the router, so a push
-				// merges across every shard, not just the one that fired.
+				// Standing queries evaluate against the router; by now
+				// every shard it scatters to serves the batch.
 				a.subs.Dispatch(ctx, a.router, r.Stats.Affected, r.Seq)
 			},
 		})
 		if err != nil {
 			return nil, err
 		}
-		sources = a.set.Sources()
-		srvCfg.Stream = a.set
+		sources = a.pipe.Sources()
+		srvCfg.Stream = a.pipe
 		srvCfg.Subscriptions = a.subs
 	}
 	a.router, err = shard.NewRouter(g, sp, a.part, sources, shard.Config{Metrics: reg})
@@ -380,11 +381,11 @@ func (a *app) prepare(ctx context.Context) error {
 			i, len(a.part.Owned(i)), eng.CachedSummaries(core.MethodLRW), eng.CachedSummaries(core.MethodRCL))
 	}
 	a.srv.MarkReady()
-	if a.set != nil {
+	if a.pipe != nil {
 		// Started only after the initial indexes exist: the first applied
 		// batch refreshes from fully built engines.
-		a.set.Start()
-		log.Printf("streaming pipelines started on %d shard(s) (batch %d, max age %v)",
+		a.pipe.Start()
+		log.Printf("streaming pipeline started over %d shard(s) (batch %d, max age %v)",
 			n, a.opts.streamBatch, a.opts.streamMaxAge)
 	}
 	return nil
@@ -660,7 +661,7 @@ func smokeStream(a *app, api string) error {
 		return fmt.Errorf("POST /updates = %d, want 202", upResp.StatusCode)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for a.set.Swaps() == 0 {
+	for a.pipe.Swaps() == 0 {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("no engine swap %v after accepted update batch", 10*time.Second)
 		}

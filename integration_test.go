@@ -6,6 +6,7 @@ package repro
 
 import (
 	"context"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -189,11 +190,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOneOnDiskFormat fences the persistence stack at one format: gob
-// was the retired pitsearch-index-v1, and a second serializer for the
-// indexes would grow the fork back. No non-test file in the tree imports
-// it; only analyzer fixtures (testdata) are skipped.
-func TestOneOnDiskFormat(t *testing.T) {
+// forEachSourceFile parses the imports of every non-test Go file in the
+// tree (analyzer fixtures under testdata and dot-directories skipped)
+// and hands each to visit — the walk the fence tests below share.
+func forEachSourceFile(t *testing.T, visit func(path string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -212,14 +213,67 @@ func TestOneOnDiskFormat(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, imp := range f.Imports {
-			if imp.Path.Value == `"encoding/gob"` {
-				t.Errorf("%s imports encoding/gob: artifacts have one format, pitsearch-index-v2 (internal/storage)", path)
-			}
-		}
+		visit(filepath.ToSlash(path), fset, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOneOnDiskFormat fences the persistence stack at one format: gob
+// was the retired pitsearch-index-v1, and a second serializer for the
+// indexes would grow the fork back. No non-test file in the tree imports
+// it; only analyzer fixtures (testdata) are skipped.
+func TestOneOnDiskFormat(t *testing.T) {
+	forEachSourceFile(t, func(path string, _ *token.FileSet, f *ast.File) {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				t.Errorf("%s imports encoding/gob: artifacts have one format, pitsearch-index-v2 (internal/storage)", path)
+			}
+		}
+	})
+}
+
+// TestOneUpdatePipeline fences the write side at one pipeline above the
+// shard set: internal/shard does not know the pipeline exists (a
+// per-shard wrapper would have to import it), and the one-engine
+// stream.New — kept for frozen benchmark/trace.go — has no caller
+// outside internal/stream and benchmark/; everything else wires
+// stream.NewSet over all of its shards.
+func TestOneUpdatePipeline(t *testing.T) {
+	const streamPkg = `"repro/internal/stream"`
+	forEachSourceFile(t, func(path string, fset *token.FileSet, f *ast.File) {
+		name := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == streamPkg {
+				name = "stream"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+			}
+		}
+		if name == "" || strings.HasPrefix(path, "internal/stream/") || strings.HasPrefix(path, "benchmark/") {
+			return
+		}
+		if strings.HasPrefix(path, "internal/shard/") {
+			t.Errorf("%s imports internal/stream: a batch is applied to the deployment, not by the shard layer", path)
+		}
+		full, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(full, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "New" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+					t.Errorf("%s: calls stream.New; wire stream.NewSet over the whole shard set", fset.Position(call.Pos()))
+				}
+			}
+			return true
+		})
+	})
 }

@@ -182,22 +182,81 @@ func AffectedTopics(old, updated *graph.Graph, space *topics.Space, batch Batch,
 // RefreshStats reports what a Refresh invalidated and what it reused.
 type RefreshStats struct {
 	// Affected is the sorted set of topic IDs whose summaries the batch
-	// invalidated: the blast region of AffectedTopics plus every topic
-	// whose node set changed between the old and new space.
+	// invalidated (see Affected).
 	Affected []topics.TopicID
 	// Carried counts, per method, the unaffected summaries copied from
 	// the old engine's cache into the new one.
 	Carried map[core.Method]int
 }
 
-// Refresh applies the batch, builds a new engine with the old engine's
-// options over the updated graph and topic space, and carries over the
-// cached summaries of every topic NOT affected within `radius` hops
-// (expanded over both the old and the updated graph). It returns the new
-// engine plus stats on what was invalidated and carried. The topic space
-// may itself be updated (e.g. new adopters); it defaults to the old
-// engine's space when nil. ctx bounds the index rebuild: a canceled
-// context aborts it and the old engine stays usable.
+// Affected returns the sorted topic IDs a batch invalidates: the blast
+// region of AffectedTopics within `radius` hops (expanded over both the
+// old and the updated graph) plus every topic whose node set changed
+// between oldSpace and space — a topic with new adopters or departures
+// must be re-summarized even if no edge near it moved.
+func Affected(old, updated *graph.Graph, oldSpace, space *topics.Space, batch Batch, radius int) []topics.TopicID {
+	region := AffectedTopics(old, updated, space, batch, radius)
+	out := region
+	for ti := 0; ti < space.NumTopics(); ti++ {
+		t := topics.TopicID(ti)
+		if _, hit := slices.BinarySearch(region, t); hit {
+			continue
+		}
+		// Brand-new topic, or one whose membership moved.
+		if ti >= oldSpace.NumTopics() || !slices.Equal(oldSpace.Nodes(t), space.Nodes(t)) {
+			out = append(out, t)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Rebuild builds a ready engine with old's options over g and space and
+// carries over old's cached summaries of every topic not in affected
+// (sorted, as Affected returns it), reporting the carried count per
+// method. ctx bounds the index build: a canceled context aborts it, the
+// half-built engine is closed and old stays usable.
+func Rebuild(ctx context.Context, old *core.Engine, g *graph.Graph, space *topics.Space, affected []topics.TopicID) (*core.Engine, map[core.Method]int, error) {
+	eng, err := core.New(g, space, old.Options())
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := eng.BuildIndexes(ctx); err != nil {
+		eng.Close()
+		return nil, nil, err
+	}
+	carried := map[core.Method]int{}
+	for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
+		var keep []summary.Summary
+		for ti := 0; ti < space.NumTopics(); ti++ {
+			t := topics.TopicID(ti)
+			if _, hit := slices.BinarySearch(affected, t); hit {
+				continue
+			}
+			if s, ok := old.CachedSummary(m, t); ok {
+				keep = append(keep, s)
+			}
+		}
+		if len(keep) > 0 {
+			if err := eng.PreloadSummaries(m, keep); err != nil {
+				eng.Close()
+				return nil, nil, err
+			}
+		}
+		carried[m] = len(keep)
+	}
+	return eng, carried, nil
+}
+
+// Refresh is Apply → Affected → Rebuild over one engine: it returns a
+// new engine with old's options over the updated graph and topic space,
+// holding the cached summaries of every topic the batch did not affect,
+// plus stats on what was invalidated and carried. The topic space may
+// itself be updated (e.g. new adopters); it defaults to the old engine's
+// space when nil. The streaming pipeline calls the three steps itself
+// (it shares the first two across a shard set); this one-engine form
+// stays for offline callers and because frozen benchmark/trace.go
+// compiles against it.
 func Refresh(ctx context.Context, old *core.Engine, space *topics.Space, batch Batch, radius int) (*core.Engine, RefreshStats, error) {
 	var stats RefreshStats
 	if old == nil {
@@ -210,69 +269,8 @@ func Refresh(ctx context.Context, old *core.Engine, space *topics.Space, batch B
 	if err != nil {
 		return nil, stats, err
 	}
-	eng, err := core.New(g, space, old.Options())
-	if err != nil {
-		return nil, stats, err
-	}
-	if err := eng.BuildIndexes(ctx); err != nil {
-		return nil, stats, err
-	}
-
-	affected := map[topics.TopicID]bool{}
-	for _, t := range AffectedTopics(old.Graph(), g, space, batch, radius) {
-		affected[t] = true
-	}
-	// Topic-space churn also invalidates: a topic whose node set changed
-	// (new adopters, departures) must be re-summarized even if no edge
-	// near it moved.
-	oldSpace := old.Space()
-	for ti := 0; ti < space.NumTopics(); ti++ {
-		t := topics.TopicID(ti)
-		if int(t) >= oldSpace.NumTopics() {
-			affected[t] = true // brand-new topic
-			continue
-		}
-		if !sameNodeSet(oldSpace.Nodes(t), space.Nodes(t)) {
-			affected[t] = true
-		}
-	}
-	stats.Affected = make([]topics.TopicID, 0, len(affected))
-	for t := range affected {
-		stats.Affected = append(stats.Affected, t)
-	}
-	slices.Sort(stats.Affected)
-
-	stats.Carried = map[core.Method]int{}
-	for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
-		var keep []summary.Summary
-		for ti := 0; ti < space.NumTopics(); ti++ {
-			t := topics.TopicID(ti)
-			if affected[t] {
-				continue
-			}
-			if s, ok := old.CachedSummary(m, t); ok {
-				keep = append(keep, s)
-			}
-		}
-		if len(keep) > 0 {
-			if err := eng.PreloadSummaries(m, keep); err != nil {
-				return nil, stats, err
-			}
-		}
-		stats.Carried[m] = len(keep)
-	}
-	return eng, stats, nil
-}
-
-// sameNodeSet compares two sorted node slices.
-func sameNodeSet(a, b []graph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	stats.Affected = Affected(old.Graph(), g, old.Space(), space, batch, radius)
+	eng, carried, err := Rebuild(ctx, old, g, space, stats.Affected)
+	stats.Carried = carried
+	return eng, stats, err
 }

@@ -137,8 +137,10 @@ type Backend interface {
 	IndexStats() core.IndexStats
 }
 
-// StreamBackend is the update surface behind POST /updates:
-// shard.StreamSet, fanning events to one pipeline per shard.
+// StreamBackend is the update surface behind POST /updates: the one
+// stream.Pipeline above the deployment's shard set. Events are validated
+// and queued once; PendingEvents and Swaps describe the deployment —
+// Swaps moves once per batch, after every shard serves it.
 type StreamBackend interface {
 	Submit(events ...stream.Event) error
 	GrowNodes(n int) error
@@ -176,7 +178,7 @@ type Config struct {
 	Registry *obs.Registry
 	// Stream, when set, attaches a streaming update surface: POST
 	// /updates mounts. The backend passed to New must follow the engine
-	// swaps it causes (a shard.Router over StreamSet.Sources does).
+	// swaps it causes (a shard.Router over stream.Pipeline.Sources does).
 	Stream StreamBackend
 	// Subscriptions, when set (requires Stream), mounts POST /subscribe:
 	// standing queries with SSE push delivery after applied batches.

@@ -43,8 +43,10 @@ type UpdateRequest struct {
 }
 
 // UpdateResponse acknowledges accepted events. Application is
-// asynchronous: Pending and Swaps let a client observe the batch get
-// picked up.
+// asynchronous: Pending (events queued for the next batch) and Swaps
+// (batches applied so far) are the deployment's, not a shard's — a
+// client that sees Swaps rise past the value acknowledged here is
+// answered from the updated graph by every shard.
 type UpdateResponse struct {
 	Accepted int    `json:"accepted"`
 	NewNodes int    `json:"new_nodes,omitempty"`

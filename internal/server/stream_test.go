@@ -1,11 +1,12 @@
 package server
 
-// End-to-end streaming surface tests: POST /updates feeding the stream
-// set, POST /subscribe serving SSE pushes, and the swap protocol
+// End-to-end streaming surface tests: POST /updates feeding the update
+// pipeline, POST /subscribe serving SSE pushes, and the swap protocol
 // underneath both — the pitserve wiring at one shard: a router over
-// StreamSet.Sources is the server's backend. The two-edge graph makes the push semantics exact: a
-// re-weighting flips which topic the standing query ranks first, so the
-// subscriber must see exactly one change push with the flipped order.
+// Pipeline.Sources is the server's backend. The two-edge graph makes the
+// push semantics exact: a re-weighting flips which topic the standing
+// query ranks first, so the subscriber must see exactly one change push
+// with the flipped order.
 
 import (
 	"bufio"
@@ -30,14 +31,14 @@ import (
 // strongly (0.9) and node 2 weakly (0.1); topic "alpha" lives on node 1,
 // topic "beta" on node 2, both answering query "t". A standing query for
 // user 0 therefore ranks alpha first until the weights flip.
-func streamHarness(t *testing.T, cfg Config) (*httptest.Server, *shard.StreamSet) {
+func streamHarness(t *testing.T, cfg Config) (*httptest.Server, *stream.Pipeline) {
 	t.Helper()
 	return streamHarnessOver(t, cfg, func(src shard.EngineSource) shard.EngineSource { return src })
 }
 
 // streamHarnessOver is streamHarness with the router's one engine source
 // wrapped by wrap — the seam for a source that lags behind a swap.
-func streamHarnessOver(t *testing.T, cfg Config, wrap func(shard.EngineSource) shard.EngineSource) (*httptest.Server, *shard.StreamSet) {
+func streamHarnessOver(t *testing.T, cfg Config, wrap func(shard.EngineSource) shard.EngineSource) (*httptest.Server, *stream.Pipeline) {
 	t.Helper()
 	b := graph.NewBuilder(3)
 	b.MustAddEdge(1, 0, 0.9)
@@ -69,7 +70,7 @@ func streamHarnessOver(t *testing.T, cfg Config, wrap func(shard.EngineSource) s
 	}
 	subs := subscribe.NewRegistry(nil)
 	var router *shard.Router
-	set, err := shard.NewStreamSet(engines, stream.Config{
+	set, err := stream.NewSet(engines, stream.Config{
 		BatchSize: 2,
 		MaxAge:    20 * time.Millisecond,
 		OnApply: func(ctx context.Context, r stream.ApplyResult) {
@@ -345,14 +346,14 @@ func TestRetiredEngineIsFollowed(t *testing.T) {
 			return src()
 		}
 	})
-	old := set.Pipeline(0).Engine()
+	old := set.Engine()
 	if err := set.Submit(stream.Event{From: 1, To: 0, Weight: 0.5}, stream.Event{From: 2, To: 0, Weight: 0.4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := set.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if set.Pipeline(0).Engine() == old {
+	if set.Engine() == old {
 		t.Fatal("the flush did not swap the engine")
 	}
 	mu.Lock()

@@ -23,8 +23,9 @@ import (
 )
 
 // TestRouterChurnSwapAndFaults drives the router at full load while
-// shard 0's engine is swapped underneath it by a stream refresh and
-// shard 2's summarizer is fault-injected, round after round. Required
+// every shard's engine is swapped underneath it by a stream refresh and
+// shard 2's summarizer is fault-injected — the fault follows the shard
+// across swaps through PrepareEngine — round after round. Required
 // invariants: not one untargeted query fails (swap races retry, the
 // faulted shard degrades alone), at least one targeted query observably
 // degrades without erroring, and no goroutines leak once the churn
@@ -59,7 +60,15 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 		t.Fatalf("no tag004 topics on shard %d; pick another tag", faultShard)
 	}
 
-	set, err := shard.NewStreamSet(engines, stream.Config{BatchSize: 1 << 20})
+	var cs *chaos.Summarizer // set below, before the first flush
+	set, err := stream.NewSet(engines, stream.Config{
+		BatchSize: 1 << 20,
+		PrepareEngine: func(shard int, e *core.Engine) {
+			if shard == faultShard {
+				e.SetSummarizer(core.MethodLRW, cs)
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +93,7 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 	inner := chaos.SummarizeFunc(func(_ context.Context, id topics.TopicID) (summary.Summary, error) {
 		return real[id], nil
 	})
-	cs := chaos.Wrap(inner, chaos.Config{
+	cs = chaos.Wrap(inner, chaos.Config{
 		Seed:     17,
 		FailRate: 1.0,
 		Target:   func(id topics.TopicID) bool { return targeted[id] },
@@ -124,8 +133,8 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 		}(w)
 	}
 
-	// Churn loop: swap shard 0 via a stream refresh every round while
-	// poking the fault path on shard 2 with a targeted query.
+	// Churn loop: swap the whole set via a stream refresh every round
+	// while poking the fault path on shard 2 with a targeted query.
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 6; round++ {
 		from := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -133,10 +142,10 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 		if to == from {
 			to = (to + 1) % graph.NodeID(g.NumNodes())
 		}
-		if err := set.Pipeline(0).Submit(stream.Event{From: from, To: to, Weight: 0.2 + 0.6*rng.Float64()}); err != nil {
+		if err := set.Submit(stream.Event{From: from, To: to, Weight: 0.2 + 0.6*rng.Float64()}); err != nil {
 			t.Fatal(err)
 		}
-		if err := set.Pipeline(0).Flush(ctx); err != nil {
+		if err := set.Flush(ctx); err != nil {
 			t.Fatal(err)
 		}
 		// Invalidate one targeted summary on the faulted shard so the
@@ -169,13 +178,13 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 	if st := cs.Stats(); st.Failures == 0 {
 		t.Fatalf("chaos wrapper injected nothing: %+v", st)
 	}
-	if swaps := set.Pipeline(0).Swaps(); swaps == 0 {
-		t.Fatal("shard 0 never swapped engines")
+	if swaps := set.Swaps(); swaps == 0 {
+		t.Fatal("the set never swapped engines")
 	}
 
 	set.Stop()
 	r.Close()
-	// Old shard-0 engines were retired by the pipeline; give drains and
+	// Old engines were retired by the pipeline; give drains and
 	// detached revalidations a moment, then require the goroutine count
 	// back at (or under) the pre-churn baseline plus scheduler noise.
 	deadline := time.Now().Add(5 * time.Second)
@@ -191,8 +200,8 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 	}
 }
 
-// TestRouterFollowsGrownGraph grows the node range through the stream
-// set and then queries as the new user: the router must validate users
+// TestRouterFollowsGrownGraph grows the node range through the update
+// pipeline and then queries as the new user: the router must validate users
 // against the graph its shards serve now, not the one it was wired over
 // at boot, and answer exactly like a single engine streamed the same
 // events.
@@ -210,7 +219,7 @@ func TestRouterFollowsGrownGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := shard.NewStreamSet(engines, stream.Config{BatchSize: 1 << 20})
+	set, err := stream.NewSet(engines, stream.Config{BatchSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +237,7 @@ func TestRouterFollowsGrownGraph(t *testing.T) {
 	if err := single.BuildIndexes(ctx); err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := stream.New(single, stream.Config{BatchSize: 1 << 20})
+	pipe, err := stream.NewSet([]*core.Engine{single}, stream.Config{BatchSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,9 +319,9 @@ func TestStaleAnswerSurvivesSwap(t *testing.T) {
 	broken := chaos.SummarizeFunc(func(context.Context, topics.TopicID) (summary.Summary, error) {
 		return summary.Summary{}, errors.New("summarizer down")
 	})
-	set, err := shard.NewStreamSet(engines, stream.Config{
+	set, err := stream.NewSet(engines, stream.Config{
 		BatchSize:     1 << 20,
-		PrepareEngine: func(e *core.Engine) { e.SetSummarizer(core.MethodLRW, broken) },
+		PrepareEngine: func(_ int, e *core.Engine) { e.SetSummarizer(core.MethodLRW, broken) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,10 +13,11 @@ import (
 )
 
 // EngineSource resolves a shard's current engine. Static deployments
-// return a fixed engine; streaming deployments return the shard
-// pipeline's current one, so the router follows swaps without
-// coordination.
-type EngineSource func() *core.Engine
+// return a fixed engine; streaming deployments pass the update
+// pipeline's per-shard sources (stream.Pipeline.Sources — an alias, so
+// this package need not import the pipeline), and the router follows
+// swaps without coordination.
+type EngineSource = func() *core.Engine
 
 // BuildEngines stands up n shard engines over one in-memory dataset —
 // core.New × n with identical options (same seed: summaries are

@@ -13,14 +13,15 @@ import (
 	"repro/internal/dynamic"
 )
 
-// Pipeline owns the current engine and the pending event batch. One
-// background goroutine (Start) applies batches; Submit/GrowNodes are
-// safe for concurrent use. Flushes are serialized: there is never more
-// than one rebuild in flight, so a burst of events coalesces into the
-// next batch instead of queueing rebuilds.
+// Pipeline owns the deployment's current engines — one per shard, all
+// over the same graph — and the one pending event batch. One background
+// goroutine (Start) applies batches; Submit/GrowNodes are safe for
+// concurrent use. Flushes are serialized: there is never more than one
+// batch being rebuilt, so a burst of events coalesces into the next
+// batch instead of queueing rebuilds.
 type Pipeline struct {
 	cfg Config
-	cur atomic.Pointer[core.Engine]
+	cur []atomic.Pointer[core.Engine] // one slot per shard, stored together by Flush
 
 	mu       sync.Mutex // guards pending, newNodes, oldest
 	pending  []Event
@@ -38,21 +39,20 @@ type Pipeline struct {
 	met     *pipeMetrics
 }
 
-// New wires a pipeline over eng. It enables eng's drain gate, so it
-// must be called before eng serves traffic. Start begins background
-// flushing; without Start, batches apply only via explicit Flush calls.
-func New(eng *core.Engine, cfg Config) (*Pipeline, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("stream: nil engine")
+// NewSet wires one pipeline over a deployment's shard engines (N ≥ 1,
+// all over one graph and topic space; a single engine is a 1-shard
+// set). It enables the engines' drain gates, so it must be called before
+// they serve traffic. Start begins background flushing; without Start,
+// batches apply only via explicit Flush calls.
+func NewSet(engines []*core.Engine, cfg Config) (*Pipeline, error) {
+	if len(engines) == 0 {
+		return nil, fmt.Errorf("stream: need at least one engine")
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 256
 	}
 	if cfg.MaxAge <= 0 {
 		cfg.MaxAge = time.Second
-	}
-	if cfg.Radius <= 0 {
-		cfg.Radius = eng.Options().WalkL
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -62,24 +62,48 @@ func New(eng *core.Engine, cfg Config) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		cfg:  cfg,
+		cur:  make([]atomic.Pointer[core.Engine], len(engines)),
 		kick: make(chan struct{}, 1),
+	}
+	for i, eng := range engines {
+		if eng == nil {
+			return nil, fmt.Errorf("stream: nil engine (shard %d)", i)
+		}
+		eng.EnableDrainGate()
+		p.cur[i].Store(eng)
 	}
 	if cfg.Metrics != nil {
 		p.met = newPipeMetrics(cfg.Metrics)
 	}
 	p.life, p.stop = context.WithCancel(context.Background())
-	eng.EnableDrainGate()
-	p.cur.Store(eng)
 	return p, nil
 }
 
-// Engine returns the engine currently serving. Callers that hit
-// core.ErrNotReady on a result of this method should re-load: they
-// raced a swap and the fresh engine answers.
-func (p *Pipeline) Engine() *core.Engine { return p.cur.Load() }
+// New is NewSet over one engine. It stays only because frozen
+// benchmark/trace.go compiles against it; everything else calls NewSet.
+func New(eng *core.Engine, cfg Config) (*Pipeline, error) {
+	return NewSet([]*core.Engine{eng}, cfg)
+}
 
-// Swaps reports how many batches have been applied (and engines
-// published) so far.
+// Sources returns one engine source per shard (a shard.EngineSource),
+// each following its shard's current engine across swaps. Callers that
+// hit core.ErrNotReady on a source's result should re-load: they raced
+// a swap and the fresh engine answers.
+func (p *Pipeline) Sources() []func() *core.Engine {
+	out := make([]func() *core.Engine, len(p.cur))
+	for i := range p.cur {
+		out[i] = p.cur[i].Load
+	}
+	return out
+}
+
+// Engine is Sources()[0](): the engine currently serving shard 0, which
+// in a one-engine pipeline is the engine. Like New it stays only for
+// frozen benchmark/trace.go.
+func (p *Pipeline) Engine() *core.Engine { return p.cur[0].Load() }
+
+// Swaps reports how many batches have been applied so far. It moves
+// only after every shard serves the batch.
 func (p *Pipeline) Swaps() uint64 { return p.seq.Load() }
 
 // PendingEvents reports the current pending batch size.
@@ -98,7 +122,7 @@ func (p *Pipeline) Submit(events ...Event) error {
 		return fmt.Errorf("stream: pipeline stopped: %w", err)
 	}
 	now := p.cfg.Clock()
-	nodes := p.Engine().Graph().NumNodes()
+	nodes := p.cur[0].Load().Graph().NumNodes() // every shard serves the same graph
 
 	p.mu.Lock()
 	grown := nodes + p.newNodes
@@ -174,8 +198,8 @@ func (p *Pipeline) Start() {
 // Stop terminates the background loop and waits for it. Events still
 // pending are dropped (visible in pit_stream_pending_events); callers
 // that need them applied call Flush before Stop. Stop does not close
-// the current engine — the owner retires or closes it after the serving
-// layer drains.
+// the current engines — the owner retires or closes them after the
+// serving layer drains.
 func (p *Pipeline) Stop() {
 	p.stop()
 	p.wg.Wait()
@@ -238,11 +262,16 @@ func (p *Pipeline) flushLogged() {
 	}
 }
 
-// Flush applies the pending batch now: decay weights, Refresh, publish
-// the new engine, retire the old one. A flush with nothing pending is a
-// no-op. ctx bounds the index rebuild; on error the pending events are
-// dropped (they were consumed by the failed attempt) and the old engine
-// keeps serving. Concurrent flushes serialize.
+// Flush applies the pending batch to the deployment now. It decays the
+// queued weights against one clock reading, applies the batch to the
+// graph once, computes the affected set once, rebuilds every shard's
+// engine side by side over that one graph (each carrying its own
+// shard's unaffected summaries) and publishes all of them or none:
+// if any rebuild fails, every fresh engine is closed, the failure is
+// counted once and the old generation keeps serving on every shard.
+// A flush with nothing pending is a no-op. ctx bounds the rebuilds; on
+// error the pending events are dropped (they were consumed by the
+// failed attempt). Concurrent flushes serialize.
 func (p *Pipeline) Flush(ctx context.Context) error {
 	p.applyMu.Lock()
 	defer p.applyMu.Unlock()
@@ -272,26 +301,31 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 		batch.Updates = append(batch.Updates, dynamic.EdgeUpdate{From: ev.From, To: ev.To, Weight: w})
 	}
 
-	old := p.cur.Load()
-	fresh, stats, err := dynamic.Refresh(ctx, old, nil, batch, p.cfg.Radius)
+	old := make([]*core.Engine, len(p.cur))
+	for i := range p.cur {
+		old[i] = p.cur[i].Load()
+	}
+	fresh, stats, err := p.rebuild(ctx, old, batch)
 	if err != nil {
 		if p.met != nil {
 			p.met.failures.Inc()
 		}
 		return fmt.Errorf("stream: refresh (batch of %d): %w", len(events), err)
 	}
-	if p.cfg.PrepareEngine != nil {
-		p.cfg.PrepareEngine(fresh)
+	for i, eng := range fresh {
+		if p.cfg.PrepareEngine != nil {
+			p.cfg.PrepareEngine(i, eng)
+		}
+		eng.EnableDrainGate()
 	}
-	cachedAtSwap := map[core.Method]int{}
-	for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
-		cachedAtSwap[m] = fresh.CachedSummaries(m)
+	// Publish. Each Store is the happens-before edge that makes a fresh
+	// engine's gated flag (and everything the rebuild wrote) visible to
+	// readers loading the pointer; nothing below can fail, so a batch
+	// is never live on a strict subset of the shards for longer than
+	// this loop.
+	for i, eng := range fresh {
+		p.cur[i].Store(eng)
 	}
-	// Publish. The Store is the happens-before edge that makes the
-	// fresh engine's gated flag (and everything Refresh built) visible
-	// to readers loading the pointer.
-	fresh.EnableDrainGate()
-	p.cur.Store(fresh)
 	seq := p.seq.Add(1)
 	lag := p.cfg.Clock().Sub(oldest)
 
@@ -306,17 +340,61 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 		p.met.lag.Observe(lag.Seconds())
 	}
 	if p.cfg.OnApply != nil {
-		p.cfg.OnApply(ctx, ApplyResult{
-			Seq:          seq,
-			Batch:        batch,
-			Stats:        stats,
-			CachedAtSwap: cachedAtSwap,
-			Engine:       fresh,
-			Lag:          lag,
-		})
+		p.cfg.OnApply(ctx, ApplyResult{Seq: seq, Batch: batch, Stats: stats, Lag: lag})
 	}
-	// Retire last: in-flight queries admitted on the old engine drain
-	// at full fidelity while the fresh engine already serves new ones.
-	old.Retire()
+	// Retire last: in-flight queries admitted on the old engines drain
+	// at full fidelity while the fresh ones already serve new queries.
+	for _, eng := range old {
+		eng.Retire()
+	}
 	return nil
+}
+
+// rebuild is the fallible half of Flush: one dynamic.Apply and one
+// affected set for the deployment, then one dynamic.Rebuild per shard,
+// concurrently. It returns every shard's fresh engine, or an error with
+// all of them closed. Stats.Carried sums over the shards.
+func (p *Pipeline) rebuild(ctx context.Context, old []*core.Engine, batch dynamic.Batch) ([]*core.Engine, dynamic.RefreshStats, error) {
+	var stats dynamic.RefreshStats
+	base := old[0]
+	space := base.Space()
+	g, err := dynamic.Apply(base.Graph(), batch)
+	if err != nil {
+		return nil, stats, err
+	}
+	// Radius L: the horizon beyond which a carried summary is exact.
+	stats.Affected = dynamic.Affected(base.Graph(), g, space, space, batch, base.Options().WalkL)
+
+	// Every shard still builds its own walk and Γ indexes over the
+	// shared graph: frozen benchmark/loadgen.go calls a batch visible
+	// only once pit_index_build_duration_seconds_count has risen by the
+	// shard count. When that predicate moves (ROADMAP 2b), this loop
+	// becomes "Rebuild shard 0, ShareIndexes into the rest".
+	fresh := make([]*core.Engine, len(old))
+	carried := make([]map[core.Method]int, len(old))
+	errs := make([]error, len(old))
+	var wg sync.WaitGroup
+	for i := range old {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fresh[i], carried[i], errs[i] = dynamic.Rebuild(ctx, old[i], g, space, stats.Affected)
+		}(i)
+	}
+	wg.Wait()
+	stats.Carried = map[core.Method]int{}
+	for i, err := range errs {
+		if err != nil {
+			for _, eng := range fresh {
+				if eng != nil {
+					eng.Close()
+				}
+			}
+			return nil, stats, fmt.Errorf("shard %d: %w", i, err)
+		}
+		for m, n := range carried[i] {
+			stats.Carried[m] += n
+		}
+	}
+	return fresh, stats, nil
 }

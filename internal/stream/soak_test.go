@@ -59,7 +59,7 @@ func TestStreamChaosSoak(t *testing.T) {
 		mu       sync.Mutex
 		wrappers []*chaos.Summarizer
 	)
-	poison := func(e *core.Engine) {
+	poison := func(_ int, e *core.Engine) {
 		cs := chaos.Wrap(inner, chaos.Config{
 			Seed:     17,
 			FailRate: 1.0, // every targeted rebuild fails
@@ -70,7 +70,7 @@ func TestStreamChaosSoak(t *testing.T) {
 		wrappers = append(wrappers, cs)
 		mu.Unlock()
 	}
-	poison(eng) // the initial engine is as chaotic as its successors
+	poison(0, eng) // the initial engine is as chaotic as its successors
 
 	p, err := New(eng, Config{
 		BatchSize:     1 << 20, // flushed explicitly below

@@ -10,17 +10,20 @@
 //   - the pipeline coalesces them into a dynamic.Batch, flushing when
 //     the batch reaches Config.BatchSize events or the oldest pending
 //     event reaches Config.MaxAge;
-//   - each flush runs dynamic.Refresh (rebuild + carry unaffected
-//     summaries), publishes the fresh engine through an atomic pointer,
-//     and Retires the old one — refusing its new queries, draining its
-//     in-flight ones, and only then cancelling its lifecycle;
+//   - each flush applies the batch to the deployment, not to a shard:
+//     one dynamic.Apply and one affected set, then one dynamic.Rebuild
+//     per shard engine over the one updated graph (rebuild + carry that
+//     shard's unaffected summaries). All fresh engines are published
+//     through atomic pointers or none is, and only then are the old ones
+//     Retired — refusing new queries, draining in-flight ones, and only
+//     then cancelling their lifecycles;
 //   - optional time decay fades an event's edge weight between its
 //     enqueue time and its application, so influence observed long
 //     before the rebuild lands weaker than influence observed just now.
 //
-// Readers follow the current engine with Pipeline.Engine(); a reader
-// that loses the swap race (acquired the old pointer, found its gate
-// closed) gets core.ErrNotReady and retries on the new pointer.
+// Readers follow each shard's current engine through Pipeline.Sources();
+// a reader that loses the swap race (acquired the old pointer, found its
+// gate closed) gets core.ErrNotReady and retries on the new pointer.
 package stream
 
 import (
@@ -46,23 +49,17 @@ type Event struct {
 	At       time.Time
 }
 
-// ApplyResult describes one applied batch: what changed, what the
-// refresh reused, and the engine now serving. OnApply receives it after
-// the swap, before the old engine is retired.
+// ApplyResult describes one applied batch: what changed and what the
+// refresh reused. OnApply receives it after every shard has swapped,
+// before the old engines are retired.
 type ApplyResult struct {
 	// Seq numbers applied batches from 1, in application order.
 	Seq uint64
 	// Batch is the coalesced update set, weights already decayed.
 	Batch dynamic.Batch
 	// Stats is the refresh outcome: invalidated topics and carried
-	// summary counts per method.
+	// summary counts per method, summed over the shards.
 	Stats dynamic.RefreshStats
-	// CachedAtSwap is the new engine's cached-summary count per method
-	// taken before the engine was published — i.e. exactly the carried
-	// summaries, before any query re-materializes an affected topic.
-	CachedAtSwap map[core.Method]int
-	// Engine is the freshly published engine.
-	Engine *core.Engine
 	// Lag is the age of the oldest event in the batch at publish time:
 	// batching delay plus rebuild time.
 	Lag time.Duration
@@ -77,10 +74,6 @@ type Config struct {
 	// MaxAge flushes the pending batch when its oldest event reaches
 	// this age (default 1s), bounding staleness under a trickle.
 	MaxAge time.Duration
-	// Radius is the affected-topic blast radius handed to
-	// dynamic.Refresh; 0 defaults to the engine's walk length L, the
-	// horizon beyond which a carried summary is exact.
-	Radius int
 	// DecayHalfLife > 0 halves an event's upsert weight for every
 	// half-life between its observation and its application. Decay is
 	// applied to *queued events*, not to the standing graph: re-decaying
@@ -89,15 +82,15 @@ type Config struct {
 	DecayHalfLife time.Duration
 	// Metrics registers pipeline instrumentation when set.
 	Metrics *obs.Registry
-	// PrepareEngine, when set, runs on each refreshed engine after its
-	// indexes build and before it is published — the seam for carrying
-	// per-engine configuration (fault injectors, summarizer overrides)
-	// across swaps.
-	PrepareEngine func(*core.Engine)
-	// OnApply, when set, runs synchronously after each swap with the
-	// fresh engine serving and the old engine not yet retired — the
-	// subscription-dispatch hook. ctx is the flush's context (the
-	// pipeline lifecycle for background flushes).
+	// PrepareEngine, when set, runs on each shard's refreshed engine
+	// after every rebuild has succeeded and before any is published —
+	// the seam for carrying per-engine configuration (fault injectors,
+	// summarizer overrides) across swaps.
+	PrepareEngine func(shard int, eng *core.Engine)
+	// OnApply, when set, runs synchronously once per applied batch with
+	// every shard's fresh engine serving and the old engines not yet
+	// retired — the subscription-dispatch hook. ctx is the flush's
+	// context (the pipeline lifecycle for background flushes).
 	OnApply func(ctx context.Context, r ApplyResult)
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time

@@ -149,6 +149,7 @@ func TestFlushSwapsAndRetires(t *testing.T) {
 	if fresh == old {
 		t.Fatal("engine pointer did not swap")
 	}
+	cachedAtSwap := fresh.CachedSummaries(core.MethodLRW) // before any query refills an affected topic
 	if w, ok := fresh.Graph().EdgeWeight(1, 2); !ok || w != 0.5 {
 		t.Fatalf("applied edge = (%v, %v), want (0.5, true)", w, ok)
 	}
@@ -163,15 +164,14 @@ func TestFlushSwapsAndRetires(t *testing.T) {
 		t.Fatalf("OnApply ran %d times, want 1", len(results))
 	}
 	r := results[0]
-	if r.Seq != 1 || r.Engine != fresh {
-		t.Errorf("ApplyResult{Seq: %d, Engine: %p}, want {1, %p}", r.Seq, r.Engine, fresh)
+	if r.Seq != 1 {
+		t.Errorf("ApplyResult{Seq: %d}, want 1", r.Seq)
 	}
 	// The corpus started fully materialized, so the swap snapshot equals
 	// the carried count, and carried + affected partitions the topics.
 	total := eng.Space().NumTopics()
-	if r.CachedAtSwap[core.MethodLRW] != r.Stats.Carried[core.MethodLRW] {
-		t.Errorf("cached at swap = %d, carried = %d; want equal",
-			r.CachedAtSwap[core.MethodLRW], r.Stats.Carried[core.MethodLRW])
+	if cachedAtSwap != r.Stats.Carried[core.MethodLRW] {
+		t.Errorf("cached at swap = %d, carried = %d; want equal", cachedAtSwap, r.Stats.Carried[core.MethodLRW])
 	}
 	if r.Stats.Carried[core.MethodLRW]+len(r.Stats.Affected) != total {
 		t.Errorf("carried %d + affected %d != total %d",
@@ -288,8 +288,9 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 // query goroutines hammer SearchPlanned through the swap pointer. Over
 // 22 engine swaps, zero queries may fail (a reader that loses the swap
 // race retries on the fresh pointer), the carried-summary count of
-// every batch must match the affected-topic arithmetic, and the run
-// must not leak goroutines.
+// every batch must match the affected-topic arithmetic (the exact
+// carried = cached-at-swap equality is TestFlushSwapsAndRetires', where
+// no query races the count), and the run must not leak goroutines.
 func TestChurnUnderSearchLoad(t *testing.T) {
 	before := runtime.NumGoroutine()
 	eng := testEngine(t, 300, 11)
@@ -368,10 +369,6 @@ func TestChurnUnderSearchLoad(t *testing.T) {
 		mu.Lock()
 		r := results[len(results)-1]
 		mu.Unlock()
-		if r.CachedAtSwap[core.MethodLRW] != r.Stats.Carried[core.MethodLRW] {
-			t.Fatalf("swap %d: cached at swap %d != carried %d",
-				i, r.CachedAtSwap[core.MethodLRW], r.Stats.Carried[core.MethodLRW])
-		}
 		// The cache only grows between swaps (queries re-materialize
 		// affected topics), so carrying everything outside the blast
 		// region bounds the carried count from below.
