@@ -30,7 +30,7 @@ help:
 	@echo "make chaos       - fault-injection suite under -race: internal/chaos plus the"
 	@echo "                   planner/breaker chaos tests in core and server and the"
 	@echo "                   streaming churn/soak/all-or-nothing tests in internal/stream"
-	@echo "                   and internal/shard"
+	@echo "                   and internal/shard, and the refresh = rebuild property test"
 	@echo "make vulncheck   - govulncheck when installed (best-effort)"
 
 build:
@@ -82,13 +82,15 @@ race:
 # fidelity-ladder proofs that use it — breaker trip/recovery, zero
 # unplanned 5xx under injected failure, goroutine hygiene on shutdown,
 # the streaming soak (a fault-injected summarizer on every swapped-in
-# engine must never poison carried summaries) and the whole-shard-set
-# swap under router load and its all-or-nothing publish — always under
+# engine must never poison carried summaries), the whole-shard-set
+# swap under router load and its all-or-nothing publish, and the root
+# package's refresh ≡ rebuild property (every flush of a streamed
+# deployment equals a from-scratch build) — always under
 # the race detector, since the interesting bugs here are races between
 # degradation, revalidation, swap and close.
 chaos:
 	$(GO) test -race ./internal/chaos/
-	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing' ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/
+	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.
