@@ -356,26 +356,7 @@ func (e *Engine) SetSummarizer(m Method, s summary.Summarizer) {
 // 5.1. It is idempotent. ctx is threaded into both index builders, so a
 // canceled context (shutdown, deployment rollback) aborts a long build.
 func (e *Engine) BuildIndexes(ctx context.Context) error {
-	e.buildMu.Lock()
-	defer e.buildMu.Unlock()
-	if e.ready.Load() {
-		return nil
-	}
-	buildStart := time.Now()
-	idx, err := buildIndexSet(ctx, e.g, e.opts)
-	if err != nil {
-		return err
-	}
-	if err := e.installIndexes(idx); err != nil {
-		return err
-	}
-	if e.met != nil {
-		e.met.indexDur.Observe(time.Since(buildStart).Seconds())
-	}
-	// The atomic store publishes every field written above: a reader
-	// that observes ready == true also observes the built indexes.
-	e.ready.Store(true)
-	return nil
+	return e.publishIndexes(func() (indexSet, error) { return buildIndexSet(ctx, e.g, e.opts) })
 }
 
 func (e *Engine) requireIndexes() error {

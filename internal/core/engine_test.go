@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/topics"
 )
 
@@ -364,5 +366,66 @@ func TestBuildIndexesCanceledContext(t *testing.T) {
 	// partial state behind.
 	if err := eng.BuildIndexes(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// PatchIndexes stands a fresh engine up from the engine it replaces: the
+// same indexes a build gives, one index-duration observation, and a
+// refusal — not a panic — when there is nothing to patch from.
+func TestPatchIndexes(t *testing.T) {
+	ctx := context.Background()
+	old := builtEngine(t)
+	defer old.Close()
+	g := old.Graph()
+	b := graph.NewBuilder(g.NumNodes())
+	for _, e := range g.Edges()[1:] { // drop one edge …
+		b.MustAddEdge(e.From, e.To, e.Weight)
+	}
+	var from, to graph.NodeID = 0, 1
+	for g.HasEdge(from, to) {
+		to++
+	}
+	b.MustAddEdge(from, to, 0.5) // … and add one
+	next := b.Build()
+
+	opts := old.Options()
+	opts.Metrics = obs.NewRegistry()
+	fresh, err := New(next, old.Space(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if _, err := fresh.PatchIndexes(ctx, nil); err == nil {
+		t.Error("PatchIndexes(nil) succeeded")
+	}
+	unbuilt, err := New(g, old.Space(), old.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unbuilt.Close()
+	if _, err := fresh.PatchIndexes(ctx, unbuilt); !errors.Is(err, ErrNotReady) {
+		t.Errorf("PatchIndexes from an engine without indexes returned %v, want ErrNotReady", err)
+	}
+	stats, err := fresh.PatchIndexes(ctx, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := next.NumNodes()
+	if stats.Walks.Rebuilt || stats.Prop.Rebuilt || stats.Walks.Resampled <= 0 || stats.Walks.Resampled >= n || stats.Prop.PatchedRows <= 0 || stats.Prop.PatchedRows >= n {
+		t.Errorf("two changed edges gave %+v on %d nodes; want a partial patch of both indexes", stats, n)
+	}
+	if !fresh.Ready() || fresh.met.indexDur.Count() != 1 {
+		t.Errorf("ready %v with %d index-duration observations, want true and 1", fresh.Ready(), fresh.met.indexDur.Count())
+	}
+	ref, err := New(next, old.Space(), old.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.BuildIndexes(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh.Walks(), ref.Walks()) || !reflect.DeepEqual(fresh.Prop(), ref.Prop()) {
+		t.Error("patched indexes differ from built ones")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/lrw"
@@ -42,6 +43,82 @@ func buildIndexSet(ctx context.Context, g *graph.Graph, opts Options) (indexSet,
 		return indexSet{}, fmt.Errorf("core: searcher: %w", err)
 	}
 	return indexSet{walks: walks, prop: prop, searcher: searcher}, nil
+}
+
+// PatchStats reports how much of each index a PatchIndexes re-did.
+type PatchStats struct {
+	Walks randwalk.PatchStats
+	Prop  propidx.PatchStats
+}
+
+// patchIndexSet derives the indexSet of g from old, the set of oldG: what
+// buildIndexSet(ctx, g, opts) returns, at a cost that follows the edges
+// that differ between the two graphs (randwalk.Patch, propidx.Patch).
+func patchIndexSet(ctx context.Context, old indexSet, oldG, g *graph.Graph, opts Options) (indexSet, PatchStats, error) {
+	var stats PatchStats
+	walks, ws, err := randwalk.Patch(ctx, old.walks, oldG, g, randwalk.Options{L: opts.WalkL, R: opts.WalkR, Seed: opts.Seed})
+	if err != nil {
+		return indexSet{}, stats, fmt.Errorf("core: walk index: %w", err)
+	}
+	prop, ps, err := propidx.Patch(ctx, old.prop, oldG, g, propidx.Options{Theta: opts.Theta})
+	if err != nil {
+		return indexSet{}, stats, fmt.Errorf("core: propagation index: %w", err)
+	}
+	searcher, err := search.New(prop, opts.Search)
+	if err != nil {
+		return indexSet{}, stats, fmt.Errorf("core: searcher: %w", err)
+	}
+	return indexSet{walks: walks, prop: prop, searcher: searcher}, PatchStats{Walks: ws, Prop: ps}, nil
+}
+
+// PatchIndexes makes the engine ready with the indexes BuildIndexes would
+// build, derived from those of old — the engine it replaces, over the
+// graph this engine's graph was updated from — by re-sampling only the
+// walks and re-enumerating only the Γ rows the differing edges can reach.
+// The result is bit-identical to a build; where a patch cannot promise
+// that cheaply (node growth, other options, indexes loaded from an
+// artifact directory) the index concerned is built and the stats say so.
+// old is only read and keeps serving. Like BuildIndexes it observes
+// pit_index_build_duration_seconds once and is a no-op on a ready engine.
+func (e *Engine) PatchIndexes(ctx context.Context, old *Engine) (PatchStats, error) {
+	if old == nil {
+		return PatchStats{}, fmt.Errorf("core: PatchIndexes: nil source engine")
+	}
+	if err := old.requireIndexes(); err != nil {
+		return PatchStats{}, fmt.Errorf("core: PatchIndexes: source %w", ErrNotReady)
+	}
+	var stats PatchStats
+	err := e.publishIndexes(func() (idx indexSet, err error) {
+		idx, stats, err = patchIndexSet(ctx, old.idx, old.g, e.g, e.opts)
+		return idx, err
+	})
+	return stats, err
+}
+
+// publishIndexes is the one way an engine comes to own freshly made
+// indexes: make them, install them, time the whole as one index build and
+// publish. A ready engine is left as it is.
+func (e *Engine) publishIndexes(produce func() (indexSet, error)) error {
+	e.buildMu.Lock()
+	defer e.buildMu.Unlock()
+	if e.ready.Load() {
+		return nil
+	}
+	start := time.Now()
+	idx, err := produce()
+	if err != nil {
+		return err
+	}
+	if err := e.installIndexes(idx); err != nil {
+		return err
+	}
+	if e.met != nil {
+		e.met.indexDur.Observe(time.Since(start).Seconds())
+	}
+	// The atomic store publishes every field written above: a reader
+	// that observes ready == true also observes the indexes.
+	e.ready.Store(true)
+	return nil
 }
 
 // installIndexes wires an indexSet into the engine and constructs the

@@ -47,7 +47,7 @@ type engineMetrics struct {
 	warmDur    *obs.Histogram
 	// buildDur observes successful summarization durations (the offline
 	// §3–4 work when it leaks onto the online path as a cache miss);
-	// indexDur observes BuildIndexes. buildDur doubles as the live
+	// indexDur observes BuildIndexes and PatchIndexes. buildDur doubles as the live
 	// calibration source for the fidelity planner's cost model.
 	buildDur *obs.Histogram
 	indexDur *obs.Histogram

@@ -2,15 +2,29 @@
 // its offline summarization "after a period of time when the social
 // network and topics have changed" (§4.4) — a full rebuild. This package
 // makes the refresh incremental, in the spirit of the dynamic influence
-// maximization line of work the paper cites (ref [29]):
+// maximization line of work the paper cites (ref [29]): its cost follows
+// the change, not the graph.
 //
 //   - Apply produces a new immutable graph from an edge-update batch;
 //   - AffectedTopics computes which topics' summaries the batch actually
 //     touches (a topic is affected when a changed endpoint lies within a
 //     hop radius of one of its nodes);
-//   - Refresh builds a new engine over the updated graph and carries over
-//     the cached summaries of every *unaffected* topic, so only the
-//     touched fraction of the topic-to-representative index is recomputed.
+//   - Rebuild stands up the engine of the updated graph from the engine it
+//     replaces: the walk index and Γ are patched — only the start nodes
+//     whose walks can meet a node with a changed out-list are re-sampled,
+//     only the Γ rows that contain a node with a changed in-list are
+//     re-enumerated, everything else is copied — and the cached summaries
+//     of every *unaffected* topic are carried over, so only the touched
+//     fraction of the topic-to-representative index is recomputed;
+//   - Refresh is the three in a row for one engine.
+//
+// The patched indexes are exact: bit for bit what a build over the updated
+// graph returns (randwalk.Patch and propidx.Patch state why; the root
+// package's TestRefreshEqualsRebuild holds every flush to it). A patch
+// turns into a build when exactness would cost one anyway — the batch
+// grew the node set, or the old engine's indexes were loaded from an
+// artifact directory and carry no patch state; RefreshStats then reports
+// every start node and every row.
 //
 // Carrying a summary over is an approximation: an unaffected topic's
 // representative weights were computed on the old graph, but by
@@ -119,64 +133,69 @@ func AffectedTopics(old, updated *graph.Graph, space *topics.Space, batch Batch,
 	if updated == nil || space == nil {
 		return nil
 	}
-	// Collect the changed endpoints (including new nodes: they have no
+	// The blast region is a dense mark over the node IDs of both graphs,
+	// seeded with the changed endpoints (including new nodes: they have no
 	// topics yet, but their neighbors' regions changed).
-	endpoints := map[graph.NodeID]bool{}
-	for _, u := range batch.Updates {
-		if updated.Valid(u.From) {
-			endpoints[u.From] = true
-		}
-		if updated.Valid(u.To) {
-			endpoints[u.To] = true
-		}
-	}
-	// Expand the blast region by radius hops, ignoring direction
-	// (influence structure changes propagate both ways) and ignoring
-	// which of the two graphs supplies an edge.
-	region := map[graph.NodeID]bool{}
-	frontier := make([]graph.NodeID, 0, len(endpoints))
-	for v := range endpoints {
-		region[v] = true
-		frontier = append(frontier, v)
-	}
-	graphs := []*graph.Graph{updated}
+	n := updated.NumNodes()
 	if old != nil {
-		graphs = append(graphs, old)
+		n = max(n, old.NumNodes())
 	}
-	for hop := 0; hop < radius; hop++ {
-		var next []graph.NodeID
+	region := make([]bool, n)
+	var frontier, next []graph.NodeID
+	for _, u := range batch.Updates {
+		for _, v := range [2]graph.NodeID{u.From, u.To} {
+			if updated.Valid(v) && !region[v] {
+				region[v] = true
+				frontier = append(frontier, v)
+			}
+		}
+	}
+	// Expand it by radius hops, ignoring direction (influence structure
+	// changes propagate both ways) and ignoring which of the two graphs
+	// supplies an edge.
+	for hop := 0; hop < radius && len(frontier) > 0; hop++ {
+		next = next[:0]
 		for _, v := range frontier {
-			for _, g := range graphs {
-				if !g.Valid(v) {
+			for _, g := range [2]*graph.Graph{updated, old} {
+				if g == nil || !g.Valid(v) {
 					continue
 				}
 				out, _ := g.OutNeighbors(v)
+				next = spread(region, next, out)
 				in, _ := g.InNeighbors(v)
-				for _, lists := range [][]graph.NodeID{out, in} {
-					for _, w := range lists {
-						if !region[w] {
-							region[w] = true
-							next = append(next, w)
-						}
-					}
-				}
+				next = spread(region, next, in)
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
 
-	affected := map[topics.TopicID]bool{}
-	for v := range region {
-		for _, t := range space.NodeTopics(v) {
-			affected[t] = true
+	affected := make([]bool, space.NumTopics())
+	for v, in := range region {
+		if in {
+			for _, t := range space.NodeTopics(graph.NodeID(v)) {
+				affected[t] = true
+			}
 		}
 	}
-	out := make([]topics.TopicID, 0, len(affected))
-	for t := range affected {
-		out = append(out, t)
+	var out []topics.TopicID
+	for t, hit := range affected {
+		if hit {
+			out = append(out, topics.TopicID(t))
+		}
 	}
-	slices.Sort(out)
 	return out
+}
+
+// spread marks the unmarked nodes of nbrs in region and appends them to
+// next.
+func spread(region []bool, next, nbrs []graph.NodeID) []graph.NodeID {
+	for _, w := range nbrs {
+		if !region[w] {
+			region[w] = true
+			next = append(next, w)
+		}
+	}
+	return next
 }
 
 // RefreshStats reports what a Refresh invalidated and what it reused.
@@ -187,6 +206,11 @@ type RefreshStats struct {
 	// Carried counts, per method, the unaffected summaries copied from
 	// the old engine's cache into the new one.
 	Carried map[core.Method]int
+	// Resampled is the number of start nodes whose walks the index patch
+	// sampled again and PatchedRows the number of Γ rows it enumerated
+	// again; the rest of both indexes was copied. Either equals the node
+	// count when that index had to be built instead (see Rebuild).
+	Resampled, PatchedRows int
 }
 
 // Affected returns the sorted topic IDs a batch invalidates: the blast
@@ -211,21 +235,32 @@ func Affected(old, updated *graph.Graph, oldSpace, space *topics.Space, batch Ba
 	return out
 }
 
-// Rebuild builds a ready engine with old's options over g and space and
-// carries over old's cached summaries of every topic not in affected
-// (sorted, as Affected returns it), reporting the carried count per
-// method. ctx bounds the index build: a canceled context aborts it, the
-// half-built engine is closed and old stays usable.
-func Rebuild(ctx context.Context, old *core.Engine, g *graph.Graph, space *topics.Space, affected []topics.TopicID) (*core.Engine, map[core.Method]int, error) {
+// Rebuild returns a ready engine with old's options over g and space — g
+// being old's graph with a batch applied. Its walk index and Γ are what a
+// build over g gives, bit for bit, but made by patching old's
+// (core.PatchIndexes): walks are re-sampled for the start nodes that can
+// reach a node whose out-neighbours changed, Γ rows re-enumerated where
+// they contain a node whose in-edges changed, and the rest copied. An
+// index is built from scratch instead when g has more nodes than old's
+// graph or old's indexes came from an artifact directory. It then carries
+// over old's cached summaries of every topic not in affected (sorted, as
+// Affected returns it). The stats echo affected and report the carried
+// count per method and the patch sizes. ctx bounds the index work: a
+// canceled context aborts it, the half-made engine is closed and old,
+// which is only read, stays usable.
+func Rebuild(ctx context.Context, old *core.Engine, g *graph.Graph, space *topics.Space, affected []topics.TopicID) (*core.Engine, RefreshStats, error) {
+	stats := RefreshStats{Affected: affected}
 	eng, err := core.New(g, space, old.Options())
 	if err != nil {
-		return nil, nil, err
+		return nil, stats, err
 	}
-	if err := eng.BuildIndexes(ctx); err != nil {
+	patch, err := eng.PatchIndexes(ctx, old)
+	if err != nil {
 		eng.Close()
-		return nil, nil, err
+		return nil, stats, err
 	}
-	carried := map[core.Method]int{}
+	stats.Resampled, stats.PatchedRows = patch.Walks.Resampled, patch.Prop.PatchedRows
+	stats.Carried = map[core.Method]int{}
 	for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
 		var keep []summary.Summary
 		for ti := 0; ti < space.NumTopics(); ti++ {
@@ -240,37 +275,35 @@ func Rebuild(ctx context.Context, old *core.Engine, g *graph.Graph, space *topic
 		if len(keep) > 0 {
 			if err := eng.PreloadSummaries(m, keep); err != nil {
 				eng.Close()
-				return nil, nil, err
+				return nil, stats, err
 			}
 		}
-		carried[m] = len(keep)
+		stats.Carried[m] = len(keep)
 	}
-	return eng, carried, nil
+	return eng, stats, nil
 }
 
 // Refresh is Apply → Affected → Rebuild over one engine: it returns a
 // new engine with old's options over the updated graph and topic space,
-// holding the cached summaries of every topic the batch did not affect,
-// plus stats on what was invalidated and carried. The topic space may
+// its indexes patched from old's (see Rebuild for what is patched, what
+// is copied and when an index is built instead), holding the cached
+// summaries of every topic the batch did not affect, plus stats on what
+// was invalidated, carried and patched. The topic space may
 // itself be updated (e.g. new adopters); it defaults to the old engine's
 // space when nil. The streaming pipeline calls the three steps itself
 // (it shares the first two across a shard set); this one-engine form
 // stays for offline callers and because frozen benchmark/trace.go
 // compiles against it.
 func Refresh(ctx context.Context, old *core.Engine, space *topics.Space, batch Batch, radius int) (*core.Engine, RefreshStats, error) {
-	var stats RefreshStats
 	if old == nil {
-		return nil, stats, fmt.Errorf("dynamic: nil engine")
+		return nil, RefreshStats{}, fmt.Errorf("dynamic: nil engine")
 	}
 	if space == nil {
 		space = old.Space()
 	}
 	g, err := Apply(old.Graph(), batch)
 	if err != nil {
-		return nil, stats, err
+		return nil, RefreshStats{}, err
 	}
-	stats.Affected = Affected(old.Graph(), g, old.Space(), space, batch, radius)
-	eng, carried, err := Rebuild(ctx, old, g, space, stats.Affected)
-	stats.Carried = carried
-	return eng, stats, err
+	return Rebuild(ctx, old, g, space, Affected(old.Graph(), g, old.Space(), space, batch, radius))
 }

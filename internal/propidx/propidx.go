@@ -19,7 +19,7 @@ import (
 	"repro/internal/graph"
 )
 
-// Options configures Build.
+// Options configures Build and Patch.
 type Options struct {
 	// Theta is the propagation threshold θ ∈ (0,1): a path is indexed only
 	// while its probability stays ≥ θ.
@@ -53,6 +53,9 @@ func (o *Options) fill() error {
 // node. Immutable after Build; safe for concurrent readers.
 type Index struct {
 	theta float64
+	// maxPaths is the Options.MaxPathsPerNode every row was enumerated
+	// under; 0 when unknown (Adopt), which makes Patch rebuild.
+	maxPaths int
 
 	// CSR over targets: the sources able to reach target v with
 	// aggregated propagation ≥ θ-per-path occupy positions
@@ -249,7 +252,7 @@ func Build(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
 		return nil, err
 	}
 	n := g.NumNodes()
-	ix := &Index{theta: opt.Theta, off: make([]int32, n+1)}
+	ix := &Index{theta: opt.Theta, maxPaths: opt.MaxPathsPerNode, off: make([]int32, n+1)}
 	if n == 0 {
 		return ix, nil
 	}

@@ -45,9 +45,50 @@ type Index struct {
 	// sorted ascending.
 	reachOff    []int32
 	reachStarts []graph.NodeID
+
+	// sup accounts for which walks stand behind every H cell, so Patch can
+	// retire a re-sampled walk's share of a maximum. Nil on an index that
+	// was not built here (Adopt): Patch rebuilds such an index.
+	sup *support
 }
 
-// Options configures Build.
+// support is the bookkeeping that makes H patchable. H[j][v] is a maximum
+// over every walk of every start node, so unlike the walks and the reach
+// lists it does not decompose by start: dropping one walk lowers a cell
+// only if no other walk still holds it up. A walk contributes to cell
+// (j, v) when its j-th step lands on v, at level k = the number of times
+// it has been on v by then (k·1/R is the frequency H records). Nearly all
+// contributions are first visits, so level 1 is a dense count and the few
+// revisits are a sparse map; H is exactly the highest supported level of
+// each cell (fillH).
+type support struct {
+	seed int64 // Options.Seed of the build the counts describe
+	// one[(j-1)*n+v] counts the walks whose j-th step is their first visit
+	// of v.
+	one []uint32
+	// more counts the contributions at level ≥ 2; no entry is zero.
+	more map[hCell]uint32
+}
+
+// hCell names a level ≥ 2 contribution: step lands on node for the
+// level-th time in its walk.
+type hCell struct {
+	step, level int32
+	node        graph.NodeID
+}
+
+// addMore moves the count behind one level ≥ 2 contribution by delta,
+// which is 1 or, to retire one, ^uint32(0).
+func (s *support) addMore(step, level int32, v graph.NodeID, delta uint32) {
+	c := hCell{step: step, level: level, node: v}
+	if left := s.more[c] + delta; left == 0 {
+		delete(s.more, c)
+	} else {
+		s.more[c] = left
+	}
+}
+
+// Options configures Build and Patch.
 type Options struct {
 	L    int   // walk length; must be ≥ 1
 	R    int   // walks per node; must be ≥ 1
@@ -83,14 +124,8 @@ func splitmix64(x uint64) uint64 {
 // build with ctx.Err() (index construction on a large graph can run for
 // minutes, and a shutting-down server must not wait it out).
 func Build(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
-	if opt.L < 1 {
-		return nil, fmt.Errorf("randwalk: L must be ≥ 1, got %d", opt.L)
-	}
-	if opt.R < 1 {
-		return nil, fmt.Errorf("randwalk: R must be ≥ 1, got %d", opt.R)
-	}
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
+	if err := opt.fill(); err != nil {
+		return nil, err
 	}
 	n := g.NumNodes()
 	ix := &Index{L: opt.L, R: opt.R, n: n}
@@ -98,32 +133,34 @@ func Build(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
 	for i := range ix.walks {
 		ix.walks[i] = -1
 	}
-	ix.h = make([][]float64, opt.L)
-	for j := range ix.h {
-		ix.h[j] = make([]float64, n)
-	}
+	ix.sup = newSupport(opt, n)
 	if n == 0 {
+		ix.fillH()
 		ix.buildReach()
 		return ix, nil
 	}
 
 	// Each shard samples start nodes [lo, hi), writing into the shared
-	// walks array (disjoint per node) and into shard-local H rows that are
-	// merged afterwards.
+	// walks array (disjoint per node) and into a shard-local support that
+	// is summed afterwards; shard 0 counts straight into the index's own.
 	workers := opt.Workers
 	if workers > n {
 		workers = n
 	}
-	shardH := make([][][]float64, workers)
+	sups := make([]*support, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
+		sups[w] = ix.sup
+		if w > 0 {
+			sups[w] = newSupport(opt, n)
+		}
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			shardH[w], errs[w] = ix.sampleRange(ctx, g, opt, lo, hi)
+			errs[w] = ix.sampleRange(ctx, g, opt, lo, hi, sups[w])
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -132,18 +169,15 @@ func Build(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
 			return nil, err
 		}
 	}
-
-	// Merge shard-local H rows (element-wise max).
-	for _, h := range shardH {
-		for j := 0; j < opt.L; j++ {
-			dst, src := ix.h[j], h[j]
-			for v := range src {
-				if src[v] > dst[v] {
-					dst[v] = src[v]
-				}
-			}
+	for _, s := range sups[1:] {
+		for i, c := range s.one {
+			ix.sup.one[i] += c
+		}
+		for c, cnt := range s.more {
+			ix.sup.more[c] += cnt
 		}
 	}
+	ix.fillH()
 	// buildReach's ordering precondition — entries grouped by ascending
 	// start node — is the walks array's own layout, so it holds however
 	// the start nodes were cut into shards; no shard output is
@@ -152,106 +186,174 @@ func Build(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
 	return ix, nil
 }
 
-// sampleRange runs Algorithm 6's sampling loop for start nodes [lo, hi),
-// checking ctx every few start nodes, and returns the H rows of its walks.
-func (ix *Index) sampleRange(ctx context.Context, g *graph.Graph, opt Options, lo, hi int) ([][]float64, error) {
-	n := g.NumNodes()
-	h := make([][]float64, opt.L)
-	for j := range h {
-		h[j] = make([]float64, n)
+func (o *Options) fill() error {
+	if o.L < 1 {
+		return fmt.Errorf("randwalk: L must be ≥ 1, got %d", o.L)
 	}
-	inv := 1.0 / float64(opt.R)
+	if o.R < 1 {
+		return fmt.Errorf("randwalk: R must be ≥ 1, got %d", o.R)
+	}
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
+	}
+	return nil
+}
 
-	// Per-walk visit counts with epoch marking so the visited array is
-	// "initialized" per walk (Algorithm 6 line 6) without O(n) clears.
-	visited := make([]float64, n)
-	epoch := make([]int64, n)
-	var cur int64
+func newSupport(opt Options, n int) *support {
+	return &support{seed: opt.Seed, one: make([]uint32, opt.L*n), more: map[hCell]uint32{}}
+}
 
-	// One generator per shard, re-seeded per start node: Seed resets the
-	// source to exactly the state rand.NewSource(seed) constructs, so every
-	// start node still draws from its own stream (and the index stays
-	// independent of the worker count) without allocating a 4.9 KB source
-	// per node.
-	rng := rand.New(rand.NewSource(0))
+// sampleRange runs Algorithm 6's sampling loop for start nodes [lo, hi),
+// checking ctx every few start nodes, and counts their H contributions
+// into sup.
+func (ix *Index) sampleRange(ctx context.Context, g *graph.Graph, opt Options, lo, hi int, sup *support) error {
+	s := newSampler(ix.n)
 	for w := lo; w < hi; w++ {
 		if (w-lo)%256 == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		rng.Seed(int64(splitmix64(uint64(opt.Seed) ^ uint64(w)<<1)))
-		for i := 0; i < opt.R; i++ {
-			cur++
-			u := graph.NodeID(w)
-			epoch[u] = cur
-			visited[u] = inv
-			base := (w*opt.R + i) * opt.L
-			fill := 0
-			for j := 1; j <= opt.L; j++ {
-				nbrs, _ := g.OutNeighbors(u)
-				if len(nbrs) == 0 {
-					break // dead end: the walk terminates early
-				}
-				v := nbrs[rng.Intn(len(nbrs))]
-				if epoch[v] != cur {
-					epoch[v] = cur
-					visited[v] = inv
-					ix.walks[base+fill] = v
-					fill++
-				} else {
-					visited[v] += inv
-				}
-				if hj := h[j-1]; hj[v] < visited[v] {
-					hj[v] = visited[v]
-				}
-				u = v
+		s.sample(g, opt, w, ix.walks, sup, 1)
+	}
+	return nil
+}
+
+// sampler is one goroutine's scratch for simulating walks.
+type sampler struct {
+	// One generator, re-seeded per start node: Seed resets the source to
+	// exactly the state rand.NewSource(seed) constructs, so every start
+	// node still draws from its own stream (and the index stays
+	// independent of the worker count and of which start nodes a Patch
+	// re-samples) without allocating a 4.9 KB source per node.
+	rng *rand.Rand
+	// Per-walk visit counts with epoch marking so the counts are
+	// "initialized" per walk (Algorithm 6 line 6) without O(n) clears.
+	visits []int32
+	epoch  []int64
+	cur    int64
+}
+
+func newSampler(n int) *sampler {
+	return &sampler{rng: rand.New(rand.NewSource(0)), visits: make([]int32, n), epoch: make([]int64, n)}
+}
+
+// sample simulates the R walks of start node w over g from w's own RNG
+// stream and moves the support count of every step by delta (1, or
+// ^uint32(0) to retire the walks). With walks non-nil it also stores each
+// walk's first visits there; w's slots must hold -1 on entry.
+func (s *sampler) sample(g *graph.Graph, opt Options, w int, walks []graph.NodeID, sup *support, delta uint32) {
+	n := len(s.visits)
+	s.rng.Seed(int64(splitmix64(uint64(opt.Seed) ^ uint64(w)<<1)))
+	for i := 0; i < opt.R; i++ {
+		s.cur++
+		u := graph.NodeID(w)
+		s.epoch[u] = s.cur
+		s.visits[u] = 1
+		base := (w*opt.R + i) * opt.L
+		fill := 0
+		for j := 1; j <= opt.L; j++ {
+			nbrs, _ := g.OutNeighbors(u)
+			if len(nbrs) == 0 {
+				break // dead end: the walk terminates early
 			}
+			v := nbrs[s.rng.Intn(len(nbrs))]
+			if s.epoch[v] != s.cur {
+				s.epoch[v] = s.cur
+				s.visits[v] = 1
+				if walks != nil {
+					walks[base+fill] = v
+					fill++
+				}
+				sup.one[(j-1)*n+int(v)] += delta
+			} else {
+				s.visits[v]++
+				sup.addMore(int32(j), s.visits[v], v, delta)
+			}
+			u = v
 		}
 	}
-	return h, nil
+}
+
+// fillH derives every H row from the support: a cell holds the frequency
+// of its highest supported level, where level k is 1/R added up k times —
+// the float a walk accumulates visit by visit.
+func (ix *Index) fillH() {
+	ix.h = make([][]float64, ix.L)
+	levels := make([]float64, ix.L+2) // a walk is on a node at most L+1 times
+	for k := 1; k < len(levels); k++ {
+		levels[k] = levels[k-1] + 1.0/float64(ix.R)
+	}
+	for j := range ix.h {
+		row := make([]float64, ix.n)
+		for v, c := range ix.sup.one[j*ix.n : (j+1)*ix.n] {
+			if c > 0 {
+				row[v] = levels[1]
+			}
+		}
+		ix.h[j] = row
+	}
+	for c := range ix.sup.more {
+		if f := levels[c.level]; f > ix.h[c.step-1][c.node] {
+			ix.h[c.step-1][c.node] = f
+		}
+	}
 }
 
 // buildReach inverts the stored walks into the reach CSR: for every target
-// the distinct start nodes whose walks visit it, ascending. Every stored
-// walk entry is one (target, start) pair, and the walks array holds them
-// grouped by ascending start node, so a stable counting sort by target
-// leaves each target's starts already ascending, and a start is a repeat
-// for its target exactly when it equals the last start that target saw.
-// Two passes over the walks — count the distinct pairs, then place them —
-// size reachStarts exactly and need no pair buffer or comparison sort.
+// the distinct start nodes whose walks visit it, ascending.
 func (ix *Index) buildReach() {
-	ix.reachOff = make([]int32, ix.n+1)
+	ix.reachOff, ix.reachStarts = ix.invertWalks(nil)
+}
+
+// invertWalks returns, in CSR form, for every target the distinct start
+// nodes whose stored walks visit it, ascending — of all start nodes, or
+// with only non-nil of those it marks. Every stored walk entry is one
+// (target, start) pair, and the walks array holds them grouped by
+// ascending start node, so a stable counting sort by target leaves each
+// target's starts already ascending, and a start is a repeat for its
+// target exactly when it equals the last start that target saw. Two
+// passes over the walks — count the distinct pairs, then place them — size
+// the output exactly and need no pair buffer or comparison sort.
+func (ix *Index) invertWalks(only []bool) (off []int32, starts []graph.NodeID) {
+	off = make([]int32, ix.n+1)
 	perStart := ix.R * ix.L
 	last := make([]graph.NodeID, ix.n)
 	for i := range last {
 		last[i] = -1
 	}
 	for base, start := 0, graph.NodeID(0); base < len(ix.walks); base, start = base+perStart, start+1 {
+		if only != nil && !only[start] {
+			continue
+		}
 		for _, target := range ix.walks[base : base+perStart] {
 			if target >= 0 && last[target] != start {
 				last[target] = start
-				ix.reachOff[target+1]++
+				off[target+1]++
 			}
 		}
 	}
 	for i := 0; i < ix.n; i++ {
-		ix.reachOff[i+1] += ix.reachOff[i]
+		off[i+1] += off[i]
 	}
-	ix.reachStarts = make([]graph.NodeID, ix.reachOff[ix.n])
+	starts = make([]graph.NodeID, off[ix.n])
 	next := last // next free slot of each target's run
-	copy(next, ix.reachOff)
+	copy(next, off)
 	for base, start := 0, graph.NodeID(0); base < len(ix.walks); base, start = base+perStart, start+1 {
+		if only != nil && !only[start] {
+			continue
+		}
 		for _, target := range ix.walks[base : base+perStart] {
 			if target < 0 {
 				continue
 			}
-			if at := next[target]; at == ix.reachOff[target] || ix.reachStarts[at-1] != start {
-				ix.reachStarts[at] = start
+			if at := next[target]; at == off[target] || starts[at-1] != start {
+				starts[at] = start
 				next[target] = at + 1
 			}
 		}
 	}
+	return off, starts
 }
 
 // NumNodes returns the node count the index was built over.
@@ -318,5 +420,8 @@ func (ix *Index) MemoryBytes() int64 {
 	b := int64(len(ix.walks)) * 4
 	b += int64(ix.L) * int64(ix.n) * 8
 	b += int64(len(ix.reachOff))*4 + int64(len(ix.reachStarts))*4
+	if ix.sup != nil {
+		b += int64(len(ix.sup.one)) * 4 // the map of revisits is a few KB at most
+	}
 	return b
 }

@@ -263,7 +263,8 @@ func (p *Pipeline) flushLogged() {
 }
 
 // Flush applies the pending batch to the deployment now. It decays the
-// queued weights against one clock reading, applies the batch to the
+// queued weights against one clock reading (an upsert that decayed to
+// exactly 0 is dropped, not applied as the delete a 0 would mean), applies the batch to the
 // graph once, computes the affected set once, rebuilds every shard's
 // engine side by side over that one graph (each carrying its own
 // shard's unaffected summaries) and publishes all of them or none:
@@ -297,6 +298,11 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 		w := ev.Weight
 		if w > 0 {
 			w = DecayedWeight(w, now.Sub(ev.At), p.cfg.DecayHalfLife)
+			if w == 0 {
+				// Faded to nothing: the observation carries no influence
+				// any more. Forwarded, the 0 would read as a delete.
+				continue
+			}
 		}
 		batch.Updates = append(batch.Updates, dynamic.EdgeUpdate{From: ev.From, To: ev.To, Weight: w})
 	}
@@ -353,7 +359,9 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 // rebuild is the fallible half of Flush: one dynamic.Apply and one
 // affected set for the deployment, then one dynamic.Rebuild per shard,
 // concurrently. It returns every shard's fresh engine, or an error with
-// all of them closed. Stats.Carried sums over the shards.
+// all of them closed. Stats.Carried sums over the shards; the patch sizes
+// are shard 0's, every shard having patched equal indexes over the same
+// two graphs.
 func (p *Pipeline) rebuild(ctx context.Context, old []*core.Engine, batch dynamic.Batch) ([]*core.Engine, dynamic.RefreshStats, error) {
 	var stats dynamic.RefreshStats
 	base := old[0]
@@ -365,24 +373,25 @@ func (p *Pipeline) rebuild(ctx context.Context, old []*core.Engine, batch dynami
 	// Radius L: the horizon beyond which a carried summary is exact.
 	stats.Affected = dynamic.Affected(base.Graph(), g, space, space, batch, base.Options().WalkL)
 
-	// Every shard still builds its own walk and Γ indexes over the
-	// shared graph: frozen benchmark/loadgen.go calls a batch visible
-	// only once pit_index_build_duration_seconds_count has risen by the
-	// shard count. When that predicate moves (ROADMAP 2b), this loop
-	// becomes "Rebuild shard 0, ShareIndexes into the rest".
+	// Every shard still patches its own copy of the walk and Γ indexes
+	// over the shared graph: frozen benchmark/loadgen.go calls a batch
+	// visible only once pit_index_build_duration_seconds_count has risen
+	// by the shard count. When that predicate moves (ROADMAP 2b), this
+	// loop becomes "Rebuild shard 0, ShareIndexes into the rest".
 	fresh := make([]*core.Engine, len(old))
-	carried := make([]map[core.Method]int, len(old))
+	shard := make([]dynamic.RefreshStats, len(old))
 	errs := make([]error, len(old))
 	var wg sync.WaitGroup
 	for i := range old {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fresh[i], carried[i], errs[i] = dynamic.Rebuild(ctx, old[i], g, space, stats.Affected)
+			fresh[i], shard[i], errs[i] = dynamic.Rebuild(ctx, old[i], g, space, stats.Affected)
 		}(i)
 	}
 	wg.Wait()
 	stats.Carried = map[core.Method]int{}
+	stats.Resampled, stats.PatchedRows = shard[0].Resampled, shard[0].PatchedRows
 	for i, err := range errs {
 		if err != nil {
 			for _, eng := range fresh {
@@ -392,7 +401,7 @@ func (p *Pipeline) rebuild(ctx context.Context, old []*core.Engine, batch dynami
 			}
 			return nil, stats, fmt.Errorf("shard %d: %w", i, err)
 		}
-		for m, n := range carried[i] {
+		for m, n := range shard[i].Carried {
 			stats.Carried[m] += n
 		}
 	}

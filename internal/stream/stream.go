@@ -101,8 +101,12 @@ type Config struct {
 
 // DecayedWeight fades w by age under an exponential half-life:
 // w · 2^(−age/halfLife). A non-positive half-life or age leaves w
-// untouched. The result stays in (0, w] for w in (0, 1], so a decayed
-// upsert never violates the graph's weight domain.
+// untouched. For w in (0, 1] the result stays in [0, w]: it never leaves
+// the graph's weight domain upwards, and it reaches exactly 0 only by
+// float underflow, some 1 075 half-lives on (-decay-halflife 10ms under
+// -stream-max-age 30s gets there). A weight of 0 means "delete" to
+// dynamic.Apply, which a faded observation is not, so Flush drops a fully
+// decayed upsert instead of forwarding it.
 func DecayedWeight(w float64, age, halfLife time.Duration) float64 {
 	if halfLife <= 0 || age <= 0 {
 		return w

@@ -66,6 +66,61 @@ func TestDecayedWeight(t *testing.T) {
 			t.Fatalf("decay left the weight domain: %v at age %v", got, age)
 		}
 	}
+	// Past ≈ 1 075 half-lives the product underflows: the smallest
+	// subnormal is 2^-1074, so 1 074 half-lives still leave something of a
+	// weight of 1 and 1 100 leave exactly nothing, never a negative or NaN.
+	if got := DecayedWeight(1.0, 1074*time.Millisecond, time.Millisecond); got <= 0 {
+		t.Errorf("1 074 half-lives: %v, want the smallest positive float", got)
+	}
+	for _, halfLives := range []time.Duration{1100, 3000, 1 << 40} {
+		if got := DecayedWeight(w, halfLives*time.Millisecond, time.Millisecond); got != 0 {
+			t.Errorf("%d half-lives: %v, want exactly 0", halfLives, got)
+		}
+	}
+}
+
+// An upsert so old that its weight decays to exactly 0 is dropped from
+// the batch: forwarded, the 0 would reach dynamic.Apply as a delete and an
+// old observation of an existing edge would remove it.
+func TestFlushDropsFullyDecayedUpsert(t *testing.T) {
+	eng := testEngine(t, 100, 5)
+	now := time.Unix(1000, 0)
+	p, err := New(eng, Config{
+		BatchSize:     1 << 20,
+		DecayHalfLife: 10 * time.Millisecond, // with the 30 s below: 3 000 half-lives
+		Clock:         func() time.Time { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbrs, ws := eng.Graph().OutNeighbors(0)
+	if len(nbrs) == 0 {
+		t.Fatal("node 0 has no out-edges in the generated graph")
+	}
+	if eng.Graph().HasEdge(1, 0) {
+		t.Fatal("the generated graph already has 1→0")
+	}
+	if err := p.Submit(Event{From: 0, To: nbrs[0], Weight: 0.9}, Event{From: 1, To: 0, Weight: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(30 * time.Second)
+	if err := p.Submit(Event{From: 2, To: 0, Weight: 0.7}); err != nil { // fresh: applied as is
+		t.Fatal(err)
+	}
+	if err := p.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fresh := p.Engine()
+	defer fresh.Close()
+	if w, ok := fresh.Graph().EdgeWeight(0, nbrs[0]); !ok || w != ws[0] {
+		t.Errorf("existing edge 0→%d = (%v, %v) after a fully decayed upsert, want it untouched at %v", nbrs[0], w, ok, ws[0])
+	}
+	if fresh.Graph().HasEdge(1, 0) {
+		t.Error("a fully decayed upsert created edge 1→0")
+	}
+	if w, _ := fresh.Graph().EdgeWeight(2, 0); w != 0.7 {
+		t.Errorf("the fresh upsert landed at %v, want 0.7", w)
+	}
 }
 
 // Submit is all-or-nothing: one bad event rejects the whole call and

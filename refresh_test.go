@@ -73,10 +73,12 @@ func refreshEqualsRebuild(t *testing.T, shards int) {
 	}
 
 	now := time.Unix(1_700_000_000, 0)
+	var applied stream.ApplyResult
 	pipe, err := stream.NewSet(engines, stream.Config{
 		BatchSize:     1 << 20, // flushes are explicit
 		DecayHalfLife: time.Minute,
 		Clock:         func() time.Time { return now },
+		OnApply:       func(_ context.Context, r stream.ApplyResult) { applied = r },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +114,30 @@ func refreshEqualsRebuild(t *testing.T, shards int) {
 		served := pipe.Sources()[0]().Graph()
 		if served.NumNodes() != cur.NumNodes()+grow {
 			t.Fatalf("batch %d: %d nodes served, want %d", k, served.NumNodes(), cur.NumNodes()+grow)
+		}
+		// Equal digests prove nothing about the patch path if every flush
+		// quietly fell back to a build: the patch sizes must follow the
+		// batch.
+		n := served.NumNodes()
+		switch resampled, rows := applied.Stats.Resampled, applied.Stats.PatchedRows; {
+		case applied.Seq != uint64(k+1):
+			t.Fatalf("batch %d: OnApply last saw batch %d", k, applied.Seq)
+		case grow > 0: // a grown node set is rebuilt
+			if resampled != n || rows != n {
+				t.Errorf("batch %d grew the graph: resampled %d starts, patched %d rows, want all %d", k, resampled, rows, n)
+			}
+		case k%10 == 3: // weights only: walks are unweighted, Γ is not
+			if resampled != 0 || rows <= 0 || rows >= n {
+				t.Errorf("batch %d changed weights only: resampled %d starts (want 0), patched %d of %d rows (want some)", k, resampled, rows, n)
+			}
+		case k%10 == 6: // deletes of absent edges change nothing
+			if resampled != 0 || rows != 0 {
+				t.Errorf("batch %d changed nothing: resampled %d starts, patched %d rows", k, resampled, rows)
+			}
+		default:
+			if resampled <= 0 || resampled >= n || rows <= 0 || rows >= n {
+				t.Errorf("batch %d: resampled %d starts, patched %d rows of %d; want some and not all of each", k, resampled, rows, n)
+			}
 		}
 		ref, err := core.New(served, space, opts)
 		if err != nil {
@@ -161,10 +187,10 @@ func refreshEqualsRebuild(t *testing.T, shards int) {
 func refreshBatch(rng *rand.Rand, g *graph.Graph, grow, k int) []stream.Event {
 	n := g.NumNodes()
 	edges := g.Edges()
-	absent := func(limit int) (from, to graph.NodeID) {
+	absent := func() (from, to graph.NodeID) {
 		for {
-			from, to = graph.NodeID(rng.Intn(limit)), graph.NodeID(rng.Intn(limit))
-			if from != to && (int(from) >= n || int(to) >= n || !g.HasEdge(from, to)) {
+			from, to = graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+			if from != to && !g.HasEdge(from, to) {
 				return from, to
 			}
 		}
@@ -176,7 +202,7 @@ func refreshBatch(rng *rand.Rand, g *graph.Graph, grow, k int) []stream.Event {
 		evs = append(evs, stream.Event{From: e.From, To: e.To, Weight: weight()})
 	}
 	deleteAbsent := func() {
-		from, to := absent(n)
+		from, to := absent()
 		evs = append(evs, stream.Event{From: from, To: to})
 	}
 	switch k % 10 {
@@ -190,7 +216,7 @@ func refreshBatch(rng *rand.Rand, g *graph.Graph, grow, k int) []stream.Event {
 		return evs
 	}
 	for i := 1 + rng.Intn(3); i > 0; i-- { // new edges
-		from, to := absent(n)
+		from, to := absent()
 		evs = append(evs, stream.Event{From: from, To: to, Weight: weight()})
 	}
 	for i := rng.Intn(3); i > 0; i-- {
@@ -205,7 +231,7 @@ func refreshBatch(rng *rand.Rand, g *graph.Graph, grow, k int) []stream.Event {
 	}
 	// Duplicate keys resolve last-write-wins: a new edge upserted twice,
 	// a new edge upserted then deleted, an old edge deleted then restored.
-	from, to := absent(n)
+	from, to := absent()
 	switch rng.Intn(3) {
 	case 0:
 		evs = append(evs, stream.Event{From: from, To: to, Weight: weight()}, stream.Event{From: from, To: to, Weight: weight()})
