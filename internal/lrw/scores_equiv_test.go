@@ -2,13 +2,17 @@ package lrw
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/prob"
 	"repro/internal/randwalk"
+	"repro/internal/topics"
 )
 
 // referenceScores is Equation 5 written out literally, with the two skips
@@ -115,4 +119,239 @@ func TestScoresMatchSkippingLoop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// zooWorld is one (graph, walks) pair of TestPlanEqualsReference's zoo.
+type zooWorld struct {
+	g     *graph.Graph
+	walks *randwalk.Index
+}
+
+// zooGraph draws a random graph on n nodes whose shape rotates with seed so
+// the zoo as a whole holds every in-degree pattern the propagation plan
+// groups by: sources (in-degree 0, out-edges only), sinks (in-edges only, so
+// D_i = 0), isolated nodes, one hub alone in its in-degree class, three
+// co-hubs sharing the maximum in-degree, two components with no edge
+// between them, and the one-node graph.
+func zooGraph(rng *rand.Rand, seed, n int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	if n == 1 {
+		return b.Build()
+	}
+	// Node roles by position: the last three stay isolated, the three before
+	// them are sinks, the three before those are sources; the rest are
+	// ordinary and split into two halves that share no edge when seed%5 == 4.
+	ordinary := n - 9
+	sources, sinks := ordinary, ordinary+3
+	edge := func(u, v int) {
+		if u != v {
+			b.MustAddEdge(graph.NodeID(u), graph.NodeID(v), 0.05+0.9*rng.Float64())
+		}
+	}
+	half := ordinary / 2
+	for i := 0; i < ordinary*3; i++ {
+		u, v := rng.Intn(ordinary), rng.Intn(ordinary)
+		if seed%5 == 4 && (u < half) != (v < half) {
+			continue
+		}
+		edge(u, v)
+	}
+	for s := sources; s < sources+3; s++ {
+		edge(s, rng.Intn(half))
+	}
+	for s := sinks; s < sinks+3; s++ {
+		edge(rng.Intn(half), s)
+	}
+	switch seed % 5 {
+	case 0, 1: // one hub every ordinary node and source points at
+		for u := 0; u < sinks; u++ {
+			edge(u, 0)
+		}
+	case 2, 3: // three co-hubs, each pointed at by everything that has out-edges
+		for u := 0; u < sinks; u++ {
+			edge(u, 0)
+			edge(u, 1)
+			edge(u, 2)
+		}
+	}
+	return b.Build()
+}
+
+// reweigh keeps g's topology and redraws its weights: same n, same m, same
+// in-degree classes, other coefficients.
+func reweigh(rng *rand.Rand, g *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder(g.NumNodes())
+	for _, e := range g.Edges() {
+		b.MustAddEdge(e.From, e.To, 0.05+0.9*rng.Float64())
+	}
+	return b.Build()
+}
+
+// zooTopics are topic sets placed on every role zooGraph hands out.
+func zooTopics(rng *rand.Rand, g *graph.Graph) [][]graph.NodeID {
+	n := g.NumNodes()
+	if n == 1 {
+		return [][]graph.NodeID{{0}}
+	}
+	id := func(v int) graph.NodeID { return graph.NodeID(v) }
+	ordinary := n - 9
+	sets := [][]graph.NodeID{
+		{id(rng.Intn(ordinary / 2))},             // one node
+		{0, 1, 2, 3},                             // the hubs, inside the first component
+		{id(ordinary), id(ordinary + 1)},         // sources
+		{id(ordinary + 3)},                       // a sink
+		{id(n - 1)},                              // isolated
+		{4, id(ordinary + 4), id(n - 2)},         // ordinary, sink and isolated together
+		{id(ordinary/2 + 1), id(ordinary/2 + 2)}, // inside the second component
+	}
+	all := make([]graph.NodeID, n)
+	for v := range all {
+		all[v] = id(v)
+	}
+	return append(sets, all)
+}
+
+// TestPlanEqualsReference drives the production Equation 5 and the literal
+// referenceScores over 240 seeded graphs and requires equal bits in all n
+// scores, the same representative order, and the same summary. One scratch
+// serves the whole zoo and, within a seed, alternates between three
+// (graph, walks) pairs of equal size — a second graph of the same topology
+// with other weights, and the first graph under a second walk index — so
+// topic-free state kept from the previous pair shows up as a wrong bit.
+func TestPlanEqualsReference(t *testing.T) {
+	ctx := context.Background()
+	sc := new(scratch)
+	var sawSource, sawSink, sawIsolated, sawLoneHub, sawSharedMax, sawSingleNode, sawTwoComponents bool
+	graphs := 0
+	for seed := 0; seed < 120; seed++ {
+		rng := rand.New(rand.NewSource(int64(1000 + seed)))
+		L := 1 + 5*(seed%2)
+		build := func(g *graph.Graph, walkSeed int64) zooWorld {
+			walks, err := randwalk.Build(ctx, g, randwalk.Options{L: L, R: 3, Seed: walkSeed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return zooWorld{g: g, walks: walks}
+		}
+		n := 20 + rng.Intn(45)
+		if seed%10 == 9 {
+			n = 1
+		}
+		g1 := zooGraph(rng, seed, n)
+		g2 := zooGraph(rng, seed, n)
+		if seed%3 == 0 {
+			g2 = reweigh(rng, g1)
+		}
+		graphs += 2
+		worlds := []zooWorld{build(g1, int64(seed)), build(g2, int64(seed)+7), build(g1, int64(seed)+13)}
+		topicSets := zooTopics(rng, g1)
+
+		// What this seed adds to the zoo.
+		maxDeg, atMax := 0, 0
+		degCount := map[int]int{}
+		for v := 0; v < g1.NumNodes(); v++ {
+			in, out := g1.InDegree(graph.NodeID(v)), g1.OutDegree(graph.NodeID(v))
+			sawSource = sawSource || (in == 0 && out > 0)
+			sawSink = sawSink || (in > 0 && out == 0)
+			sawIsolated = sawIsolated || (in == 0 && out == 0 && g1.NumNodes() > 1)
+			degCount[in]++
+			switch {
+			case in > maxDeg:
+				maxDeg, atMax = in, 1
+			case in == maxDeg:
+				atMax++
+			}
+		}
+		sawLoneHub = sawLoneHub || (maxDeg > 0 && atMax == 1)
+		sawSharedMax = sawSharedMax || (maxDeg > 0 && atMax >= 3)
+		sawSingleNode = sawSingleNode || g1.NumNodes() == 1
+		sawTwoComponents = sawTwoComponents || (seed%5 == 4 && g1.NumNodes() > 1)
+
+		sb := topics.NewSpaceBuilder()
+		for ti, vt := range topicSets {
+			tid, err := sb.AddTopic("zoo", fmt.Sprintf("topic %d", ti))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range vt {
+				_ = sb.AddNode(tid, v)
+			}
+		}
+		space := sb.Build()
+
+		opts := []Options{{}, {Lambda: 0.5, RepCount: 5}}
+		for ti := range topicSets {
+			vt := space.Nodes(topics.TopicID(ti))
+			for wi, w := range worlds {
+				opt := opts[(ti+wi)%2]
+				got, err := scoresInto(ctx, w.g, w.walks, vt, opt, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := referenceScores(w.g, w.walks, vt, opt)
+				for v := range want {
+					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("seed %d world %d topic set %d node %d: got %x (%g), want %x (%g)",
+							seed, wi, ti, v, math.Float64bits(got[v]), got[v], math.Float64bits(want[v]), want[v])
+					}
+				}
+
+				reps, err := repNodesInto(ctx, w.g, w.walks, vt, opt, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantReps := referenceReps(want, len(vt), opt)
+				if !slices.Equal(reps, wantReps) {
+					t.Fatalf("seed %d world %d topic set %d: reps %v, want %v", seed, wi, ti, reps, wantReps)
+				}
+
+				s, err := New(w.g, space, w.walks, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum, err := s.Summarize(ctx, topics.TopicID(ti))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSum := MigrateInfluence(topics.TopicID(ti), w.walks, vt, wantReps)
+				if len(sum.Reps) != len(wantSum.Reps) {
+					t.Fatalf("seed %d world %d topic set %d: %d weighted reps, want %d", seed, wi, ti, len(sum.Reps), len(wantSum.Reps))
+				}
+				for j, r := range sum.Reps {
+					if r.Node != wantSum.Reps[j].Node || math.Float64bits(r.Weight) != math.Float64bits(wantSum.Reps[j].Weight) {
+						t.Fatalf("seed %d world %d topic set %d rep %d: got %+v, want %+v", seed, wi, ti, j, r, wantSum.Reps[j])
+					}
+				}
+			}
+		}
+	}
+	if graphs < 200 {
+		t.Errorf("zoo holds %d graphs, want ≥ 200", graphs)
+	}
+	for name, saw := range map[string]bool{
+		"a source (in-degree 0)": sawSource, "a sink (D_i = 0)": sawSink, "an isolated node": sawIsolated,
+		"a hub alone in its in-degree class": sawLoneHub, "several nodes sharing the maximum in-degree": sawSharedMax,
+		"n = 1": sawSingleNode, "two components": sawTwoComponents,
+	} {
+		if !saw {
+			t.Errorf("the zoo never contained %s", name)
+		}
+	}
+}
+
+// referenceReps is Algorithm 7's selection by a full sort: highest score
+// first, ties by node ID, cut at RepCount or ⌈μ·|V_t|⌉.
+func referenceReps(scores []float64, topicNodes int, opt Options) []graph.NodeID {
+	opt.fill()
+	count := opt.RepCount
+	if count <= 0 {
+		count = int(opt.Mu*float64(topicNodes) + 0.999999)
+	}
+	count = min(max(count, 1), len(scores))
+	order := make([]graph.NodeID, len(scores))
+	for v := range order {
+		order[v] = graph.NodeID(v)
+	}
+	sort.SliceStable(order, func(i, j int) bool { return scores[order[i]] > scores[order[j]] })
+	return order[:count]
 }
