@@ -526,6 +526,13 @@ func (r *Runner) FigS1() (Table, error) {
 			return Table{}, err
 		}
 		nTopics := space.NumTopics()
+		// Untimed first topic per method, as in summarizeCost.
+		if _, err := rclSum.Summarize(context.Background(), 0); err != nil {
+			return Table{}, err
+		}
+		if _, err := lrwSum.Summarize(context.Background(), 0); err != nil {
+			return Table{}, err
+		}
 		start := time.Now()
 		for ti := 0; ti < nTopics; ti++ {
 			if _, err := rclSum.Summarize(context.Background(), topics.TopicID(ti)); err != nil {
@@ -679,7 +686,8 @@ func (r *Runner) materializationSample(e *env) []topics.TopicID {
 }
 
 // summarizeCost measures average per-topic summarization time and
-// allocation for the given engine and method over the sample topics.
+// allocation for the given engine and method over the sample topics, on a
+// warm kernel.
 // Cached summaries are invalidated first so the measurement always covers
 // real work (a shared env may have warmed them for other experiments).
 func summarizeCost(eng *core.Engine, m core.Method, sample []topics.TopicID) (time.Duration, float64, error) {
@@ -689,6 +697,15 @@ func summarizeCost(eng *core.Engine, m core.Method, sample []topics.TopicID) (ti
 	for _, t := range sample {
 		eng.InvalidateTopic(t)
 	}
+	// One untimed summarization first. Both kernels keep state per (graph,
+	// walks) that the first topic builds and a corpus of thousands
+	// amortises — LRW-A's propagation plan is ≈ 135 ms on the data_3m graph —
+	// and a six-topic sample on a cold scratch would charge a sixth of it to
+	// every topic.
+	if _, err := eng.Summarize(context.Background(), m, sample[0]); err != nil {
+		return 0, 0, err
+	}
+	eng.InvalidateTopic(sample[0])
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()

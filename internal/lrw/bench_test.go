@@ -9,6 +9,7 @@ package lrw
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
@@ -16,12 +17,13 @@ import (
 	"repro/internal/topics"
 )
 
-func BenchmarkSummarizeCorpus(b *testing.B) {
+// benchWorlds runs fn on the golden fixture and on the benchmark harness's
+// dataset at the server's L and R.
+func benchWorlds(b *testing.B, fn func(*testing.B, *graph.Graph, *topics.Space, *randwalk.Index)) {
 	b.Run("golden", func(b *testing.B) {
 		g, space, walks := goldenWorld(b)
-		benchSummarize(b, g, space, walks)
+		fn(b, g, space, walks)
 	})
-	// The benchmark harness's dataset at the server's L and R.
 	b.Run("data_350k", func(b *testing.B) {
 		if testing.Short() {
 			b.Skip("data_350k build skipped under -short")
@@ -38,21 +40,49 @@ func BenchmarkSummarizeCorpus(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchSummarize(b, ds.Graph, ds.Space, walks)
+		fn(b, ds.Graph, ds.Space, walks)
 	})
 }
 
-func benchSummarize(b *testing.B, g *graph.Graph, space *topics.Space, walks *randwalk.Index) {
-	s, err := New(g, space, walks, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	total := space.NumTopics()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Summarize(context.Background(), topics.TopicID(i%total)); err != nil {
+// BenchmarkSummarizeCorpus is one topic end to end on a warm scratch;
+// plan_build_us is what the first topic of a (graph, walks) pair pays on top.
+func BenchmarkSummarizeCorpus(b *testing.B) {
+	benchWorlds(b, func(b *testing.B, g *graph.Graph, space *topics.Space, walks *randwalk.Index) {
+		s, err := New(g, space, walks, Options{})
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		var p plan
+		start := time.Now()
+		if err := p.ensure(context.Background(), g, walks); err != nil {
+			b.Fatal(err)
+		}
+		planBuild := time.Since(start)
+		total := space.NumTopics()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Summarize(context.Background(), topics.TopicID(i%total)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(planBuild.Microseconds()), "plan_build_us")
+	})
+}
+
+// BenchmarkScores is Equation 5 alone (L iterations over the plan, no
+// ranking, no migration), so a change in BenchmarkSummarizeCorpus can be
+// told apart as kernel or not without a profiler.
+func BenchmarkScores(b *testing.B) {
+	benchWorlds(b, func(b *testing.B, g *graph.Graph, space *topics.Space, walks *randwalk.Index) {
+		sc := new(scratch)
+		total := space.NumTopics()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := scoresInto(context.Background(), g, walks, space.Nodes(topics.TopicID(i%total)), Options{}, sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

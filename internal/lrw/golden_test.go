@@ -57,6 +57,9 @@ func summarizeAll(t testing.TB, s *Summarizer, space *topics.Space) []summary.Su
 	return out
 }
 
+// goldenDefaultsDigest pins every summary of goldenWorld under Options{}.
+const goldenDefaultsDigest = "4412afa7935ed9c55ce72bac71f5d57b0cf92f92d7ba21cc3ebdb7921ded9f1e"
+
 func TestGoldenSummaries(t *testing.T) {
 	cases := []struct {
 		name string
@@ -66,7 +69,7 @@ func TestGoldenSummaries(t *testing.T) {
 		{
 			name: "defaults",
 			opts: Options{},
-			want: "4412afa7935ed9c55ce72bac71f5d57b0cf92f92d7ba21cc3ebdb7921ded9f1e",
+			want: goldenDefaultsDigest,
 		},
 		{
 			name: "repcount_capped",

@@ -49,8 +49,8 @@ func (s *Summarizer) Summarize(ctx context.Context, t topics.TopicID) (summary.S
 	// One pooled scratch serves both kernels: the reps slice returned by
 	// repNodesInto aliases it, and migrateInto only reads reps while
 	// filling buffers the ranking no longer needs.
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc) //pitlint:ignore poolsafe cacheG/cacheWalks deliberately persist across Put as the per-(graph,walks) row-cache key; see scratch.go
+	sc := getScratch()
+	defer putScratch(sc)
 	reps, err := repNodesInto(ctx, s.g, s.walks, vt, s.opts, sc)
 	if err != nil {
 		return summary.Summary{}, err

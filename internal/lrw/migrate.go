@@ -34,8 +34,8 @@ func MigrateInfluence(t topics.TopicID, walks *randwalk.Index, vt, reps []graph.
 // ctx is checked between absorbing-walk rows (one row per topic node /
 // representative, R walks each).
 func migrateInfluenceCtx(ctx context.Context, t topics.TopicID, walks *randwalk.Index, vt, reps []graph.NodeID) (summary.Summary, error) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc) //pitlint:ignore poolsafe cacheG/cacheWalks deliberately persist across Put as the per-(graph,walks) row-cache key; see scratch.go
+	sc := getScratch()
+	defer putScratch(sc)
 	return migrateInto(ctx, t, walks, vt, reps, sc)
 }
 

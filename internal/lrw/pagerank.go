@@ -13,7 +13,6 @@ import (
 	"slices"
 
 	"repro/internal/graph"
-	"repro/internal/prob"
 	"repro/internal/randwalk"
 	"repro/internal/topics"
 )
@@ -64,12 +63,12 @@ func Scores(g *graph.Graph, walks *randwalk.Index, vt []graph.NodeID, opt Option
 	return scores
 }
 
-// scoresCtx is Scores with cooperative cancellation: ctx is checked every
-// ctxStride nodes inside the O(n·deg) loops. The returned slice is owned
+// scoresCtx is Scores with cooperative cancellation: ctx is checked
+// between the O(n·deg) iterations. The returned slice is owned
 // by the caller (the kernel itself runs on pooled scratch).
 func scoresCtx(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vt []graph.NodeID, opt Options) ([]float64, error) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc) //pitlint:ignore poolsafe cacheG/cacheWalks deliberately persist across Put as the per-(graph,walks) row-cache key; see scratch.go
+	sc := getScratch()
+	defer putScratch(sc)
 	res, err := scoresInto(ctx, g, walks, vt, opt, sc)
 	if err != nil {
 		return nil, err
@@ -112,45 +111,17 @@ func scoresInto(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vt [
 	prev, cur := sc.prev, sc.cur
 	copy(prev, pStar)
 
-	// d[u] is D_T(u) = Σ_{(u,w)∈E} P0(u,w)·N_T(w) and hPlus is H[i]+hFloor;
-	// both depend on the iteration but not the topic, so they come from the
-	// scratch's per-(graph, walks) cache, built once and shared by every
-	// topic this scratch summarizes.
-	if err := sc.ensureTopicFreeRows(ctx, g, walks); err != nil {
+	// Everything in the propagation term but prev depends on the iteration
+	// and the edge only, so it comes from the scratch's per-(graph, walks)
+	// plan, built once and shared by every topic this scratch summarizes.
+	if err := sc.plan.ensure(ctx, g, walks); err != nil {
 		return nil, err
 	}
-
 	for i := 1; i <= walks.L; i++ {
-		hPlus := sc.hPlusRows[i-1]
-		d := sc.dRows[i-1]
-		for v := 0; v < n; v++ {
-			if v%ctxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			in, inw := g.InNeighbors(graph.NodeID(v))
-			hv := hPlus[v]
-			acc := 0.0
-			for k, u := range in {
-				// No skip for prev[u] = 0: that term is exactly +0.0 (d[u]
-				// sums inw[k]·hPlus over all of u's out-edges including
-				// this one, so inw[k]·hv/d[u] ∈ [0,1] is finite), the
-				// additive identity for the non-negative acc, and a branch
-				// on it mispredicts across every mid-iteration frontier.
-				// d[u] ≤ 0 is rare and must be skipped: 0/0 is NaN.
-				if d[u] <= 0 {
-					continue
-				}
-				acc += inw[k] * hv / d[u] * prev[u]
-			}
-			// The reinforced transition is row-substochastic (each
-			// coefficient inw·(h_v+hFloor)/d[u] ≤ 1 because d[u] sums
-			// that very term over all of u's out-edges), so the rank
-			// vector stays a distribution; Clamp01 only strips
-			// accumulated rounding noise at the boundaries.
-			cur[v] = prob.Clamp01((1-opt.Lambda)*pStar[v] + opt.Lambda*acc)
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		sc.plan.propagate(i, opt.Lambda, pStar, prev, cur)
 		prev, cur = cur, prev
 	}
 	return prev, nil
@@ -168,8 +139,8 @@ func RepNodes(g *graph.Graph, walks *randwalk.Index, vt []graph.NodeID, opt Opti
 // repNodesCtx is RepNodes with cooperative cancellation (see scoresCtx).
 // The returned slice is owned by the caller.
 func repNodesCtx(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vt []graph.NodeID, opt Options) ([]graph.NodeID, error) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc) //pitlint:ignore poolsafe cacheG/cacheWalks deliberately persist across Put as the per-(graph,walks) row-cache key; see scratch.go
+	sc := getScratch()
+	defer putScratch(sc)
 	reps, err := repNodesInto(ctx, g, walks, vt, opt, sc)
 	if err != nil || reps == nil {
 		return nil, err

@@ -248,13 +248,11 @@ func TestPlanEqualsReference(t *testing.T) {
 
 		// What this seed adds to the zoo.
 		maxDeg, atMax := 0, 0
-		degCount := map[int]int{}
 		for v := 0; v < g1.NumNodes(); v++ {
 			in, out := g1.InDegree(graph.NodeID(v)), g1.OutDegree(graph.NodeID(v))
 			sawSource = sawSource || (in == 0 && out > 0)
 			sawSink = sawSink || (in > 0 && out == 0)
 			sawIsolated = sawIsolated || (in == 0 && out == 0 && g1.NumNodes() > 1)
-			degCount[in]++
 			switch {
 			case in > maxDeg:
 				maxDeg, atMax = in, 1

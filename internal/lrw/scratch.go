@@ -1,37 +1,31 @@
 package lrw
 
-// Pooled per-call scratch (PR 5). One LRW summarization needs five
-// n-sized float vectors (PageRank ping-pong state), an n-sized ranking
-// permutation, dense position lookups for the migration matrix, and the
-// matrix itself. Allocating those per topic made the offline warm-up
-// allocation-bound, so they live in a sync.Pool: the Summarizer is
-// documented safe for concurrent use, and a pool gives each in-flight
-// summarization its own buffers while steady state allocates nothing.
+// Pooled per-call scratch (PR 5). One LRW summarization needs three
+// n-sized float vectors (the topic prior and the PageRank ping-pong
+// state), Equation 5's propagation plan, an n-sized ranking permutation,
+// dense position lookups for the migration matrix, and the matrix itself.
+// Allocating those per topic made the offline warm-up allocation-bound, so
+// they live in a sync.Pool: the Summarizer is documented safe for
+// concurrent use, and a pool gives each in-flight summarization its own
+// buffers while steady state allocates nothing.
 //
 // Position lookups are epoch-stamped: stamp[v] == epoch means v was
 // registered in the current call, so reuse costs O(topic) instead of an
 // O(n) clear or a map rebuild.
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/randwalk"
 )
 
 type scratch struct {
 	// Graph-node-sized vectors for scoresInto.
 	pStar, prev, cur []float64
-	// Topic-independent per-iteration rows for scoresInto: hPlusRows[i-1]
-	// is H[i]+hFloor and dRows[i-1] the matching D_T denominators, both
-	// functions of (graph, walks, i) only. They are built once per
-	// (cacheG, cacheWalks) pair and reused across every topic — holding
-	// the references also keeps the cache keys alive, so pointer equality
-	// can never alias a recycled allocation.
-	hPlusRows, dRows [][]float64
-	cacheG           *graph.Graph
-	cacheWalks       *randwalk.Index
+	// Equation 5's topic-free half, built once per (graph, walks) and
+	// shared by every topic this scratch summarizes; it stays valid across
+	// Put (see putScratch).
+	plan plan
 	// order is the ranking buffer repNodesInto selects into.
 	order []graph.NodeID
 	// Epoch-stamped dense positions for migrateInto. Topic and
@@ -44,6 +38,15 @@ type scratch struct {
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// putScratch returns sc to the pool with its propagation plan intact: the
+// next topic of the same (graph, walks) pair — the common case by a factor
+// of the topic count — finds it built.
+func putScratch(sc *scratch) {
+	scratchPool.Put(sc) //pitlint:ignore poolsafe plan.g/plan.walks deliberately persist across Put as the validity key of the propagation plan; a pool, unlike an engine field, lets the GC drop the plan with them; see plan.go
+}
 
 // ensureNodes sizes every graph-node-indexed buffer for n nodes.
 func (sc *scratch) ensureNodes(n int) {
@@ -65,56 +68,6 @@ func (sc *scratch) ensureNodes(n int) {
 	sc.repStamp = sc.repStamp[:n]
 	sc.topicPos = sc.topicPos[:n]
 	sc.repPos = sc.repPos[:n]
-}
-
-// ensureTopicFreeRows builds (or revalidates) the topic-independent
-// per-iteration rows: hPlusRows[i-1][v] = H[i][v] + hFloor and
-// dRows[i-1][u] = Σ_{(u,w)∈E} w(u,w)·hPlusRows[i-1][w]. The loops and
-// accumulation order are exactly those the per-topic kernel used before
-// the cache existed, so the cached values are bit-identical to an inline
-// recomputation. The cache is only marked valid once fully built; a
-// cancellation mid-build leaves it invalid for the next caller.
-func (sc *scratch) ensureTopicFreeRows(ctx context.Context, g *graph.Graph, walks *randwalk.Index) error {
-	if sc.cacheG == g && sc.cacheWalks == walks {
-		return nil
-	}
-	sc.cacheG, sc.cacheWalks = nil, nil
-	n := g.NumNodes()
-	L := walks.L
-	if cap(sc.hPlusRows) < L {
-		sc.hPlusRows = make([][]float64, L)
-		sc.dRows = make([][]float64, L)
-	}
-	sc.hPlusRows = sc.hPlusRows[:L]
-	sc.dRows = sc.dRows[:L]
-	for i := 1; i <= L; i++ {
-		if cap(sc.hPlusRows[i-1]) < n {
-			sc.hPlusRows[i-1] = make([]float64, n)
-			sc.dRows[i-1] = make([]float64, n)
-		}
-		hPlus := sc.hPlusRows[i-1][:n]
-		d := sc.dRows[i-1][:n]
-		sc.hPlusRows[i-1], sc.dRows[i-1] = hPlus, d
-		h := walks.VisitFreqRow(i)
-		for v := 0; v < n; v++ {
-			hPlus[v] = h[v] + hFloor
-		}
-		for u := 0; u < n; u++ {
-			if u%ctxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			nbrs, ws := g.OutNeighbors(graph.NodeID(u))
-			sum := 0.0
-			for k, w := range nbrs {
-				sum += ws[k] * hPlus[w] //pitlint:ignore probinvariant D_T is a normalizing denominator, not a probability; the transition built from it is clamped at use
-			}
-			d[u] = sum
-		}
-	}
-	sc.cacheG, sc.cacheWalks = g, walks
-	return nil
 }
 
 // nextTopicEpoch advances the topic-position epoch, handling uint32
