@@ -23,14 +23,16 @@ help:
 	@echo "make bench       - the BENCHMARK.json harness in self-check mode (go run ./benchmark"
 	@echo "                   -selfcheck); see benchmark/README.md for a measured run"
 	@echo "make bench-smoke - one-shot benchmark smoke: figure benchmarks plus the"
-	@echo "                   search/core/rcl/lrw/randwalk/propidx micro-benchmarks, the benchmark harness's"
+	@echo "                   search/core/rcl/lrw/randwalk/propidx micro-benchmarks (lrw's"
+	@echo "                   SummarizeMany and core's ColdOpen time a 120-topic refill), the benchmark harness's"
 	@echo "                   -smoke run, and pitserve -smoke at -shards 1 (the default) and 2,"
 	@echo "                   the second cold-starting from the artifacts the first saved"
 	@echo "make fuzz        - storage artifact-parser fuzzers for 10s per target"
 	@echo "make chaos       - fault-injection suite under -race: internal/chaos plus the"
-	@echo "                   planner/breaker chaos tests in core and server and the"
+	@echo "                   planner/breaker chaos tests in core and server, the"
 	@echo "                   streaming churn/soak/all-or-nothing tests in internal/stream"
-	@echo "                   and internal/shard, and the refresh = rebuild property test"
+	@echo "                   and internal/shard, the refresh = rebuild property test and"
+	@echo "                   the multi-key singleflight (DoMany) tests"
 	@echo "make vulncheck   - govulncheck when installed (best-effort)"
 
 build:
@@ -83,14 +85,16 @@ race:
 # unplanned 5xx under injected failure, goroutine hygiene on shutdown,
 # the streaming soak (a fault-injected summarizer on every swapped-in
 # engine must never poison carried summaries), the whole-shard-set
-# swap under router load and its all-or-nothing publish, and the root
+# swap under router load and its all-or-nothing publish, the root
 # package's refresh ≡ rebuild property (every flush of a streamed
-# deployment equals a from-scratch build) — always under
+# deployment equals a from-scratch build), and the multi-key flight every
+# cache miss goes through (singleflight DoMany: per-key dedup, waiter vs
+# Base cancellation, panics reaching every key) — always under
 # the race detector, since the interesting bugs here are races between
 # degradation, revalidation, swap and close.
 chaos:
 	$(GO) test -race ./internal/chaos/
-	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/
+	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.
@@ -100,8 +104,9 @@ bench:
 	$(GO) run ./benchmark -selfcheck
 
 # Benchmark smoke: run the data_2k figure benchmarks and the online-path
-# and write-side (walk index, Γ, summarizer) micro-benchmarks, their
-# data_350k sub-benchmarks included, exactly once (-benchtime 1x), plus
+# and write-side (walk index, Γ, summarizer, and the 120-topic refill:
+# lrw's BenchmarkSummarizeMany, core's BenchmarkColdOpen) micro-benchmarks,
+# their data_350k sub-benchmarks included, exactly once (-benchtime 1x), plus
 # the benchmark harness's seconds-long -smoke run, to prove every
 # benchmark path still executes. No timing value — just "does it run". The pitserve -smoke
 # runs then serve real HTTP on ephemeral ports and fail unless /metrics

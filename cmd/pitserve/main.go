@@ -161,13 +161,14 @@ type app struct {
 	reg  *obs.Registry
 	subs *subscribe.Registry
 
-	// The one serving topology: -shards engines (the boot set; streaming
-	// swaps replace them underneath the router) behind a scatter-gather
-	// router. pipe is nil unless -stream-batch > 0.
-	engines []*core.Engine
-	part    *shard.Partitioner
-	router  *shard.Router
-	pipe    *stream.Pipeline
+	// The one serving topology: -shards engines behind a scatter-gather
+	// router. pipe is nil unless -stream-batch > 0. The app holds no
+	// engine itself: the router's sources (the pipeline's, when
+	// streaming) are the only holders, so a boot engine a swap retired
+	// is garbage — walk index, Γ and summary cache included.
+	part   *shard.Partitioner
+	router *shard.Router
+	pipe   *stream.Pipeline
 }
 
 // closeEngine stops the streaming pipeline (if any) and closes every
@@ -253,9 +254,10 @@ func buildApp(o options) (*app, error) {
 	// counters). All families register at construction, so a scrape of an
 	// idle process already lists every metric name.
 	reg := obs.NewRegistry()
-	a := &app{opts: o, reg: reg, engines: make([]*core.Engine, o.shards)}
-	for i := range a.engines {
-		a.engines[i], err = core.New(g, sp, core.Options{WalkL: o.walkL, WalkR: o.walkR, Theta: o.theta, Seed: o.seed, Metrics: reg, Plan: pcfg})
+	a := &app{opts: o, reg: reg}
+	engines := make([]*core.Engine, o.shards)
+	for i := range engines {
+		engines[i], err = core.New(g, sp, core.Options{WalkL: o.walkL, WalkR: o.walkR, Theta: o.theta, Seed: o.seed, Metrics: reg, Plan: pcfg})
 		if err != nil {
 			return nil, err
 		}
@@ -270,13 +272,13 @@ func buildApp(o options) (*app, error) {
 		MaxInflight:    o.maxInflight,
 		Registry:       reg,
 	}
-	sources := make([]shard.EngineSource, len(a.engines))
-	for i, eng := range a.engines {
+	sources := make([]shard.EngineSource, len(engines))
+	for i, eng := range engines {
 		sources[i] = func() *core.Engine { return eng }
 	}
 	if o.streamBatch > 0 {
 		a.subs = subscribe.NewRegistry(reg)
-		a.pipe, err = stream.NewSet(a.engines, stream.Config{
+		a.pipe, err = stream.NewSet(engines, stream.Config{
 			BatchSize:     o.streamBatch,
 			MaxAge:        o.streamMaxAge,
 			DecayHalfLife: o.decayHalfLife,
@@ -332,16 +334,23 @@ func (a *app) opsHandler() http.Handler {
 // SIGTERM during a long materialization) aborts it.
 func (a *app) prepare(ctx context.Context) error {
 	start := time.Now()
-	dir, n := a.opts.indexDir, len(a.engines)
+	// The boot set, read off the router: nothing swaps before the
+	// pipeline starts at the end of prepare, and nothing keeps this
+	// slice after it returns.
+	dir, n := a.opts.indexDir, a.router.Shards()
+	engines := make([]*core.Engine, n)
+	for i := range engines {
+		engines[i] = a.router.Engine(i)
+	}
 	sp := a.router.Space()
-	loaded, err := shard.LoadArtifacts(ctx, a.engines, dir)
+	loaded, err := shard.LoadArtifacts(ctx, engines, dir)
 	if err != nil {
 		return fmt.Errorf("load artifacts for %d shards from %s: %w", n, dir, err)
 	}
 	if loaded {
 		log.Printf("artifacts loaded from %s into %d shard(s) in %v", dir, n, time.Since(start).Round(time.Millisecond))
 	} else {
-		if err := shard.BuildIndexes(ctx, a.engines); err != nil {
+		if err := shard.BuildIndexes(ctx, engines); err != nil {
 			return err
 		}
 		g := a.router.Graph()
@@ -371,12 +380,12 @@ func (a *app) prepare(ctx context.Context) error {
 	}
 	if dir != "" && !loaded {
 		saveStart := time.Now()
-		if err := core.WriteArtifacts(dir, a.engines...); err != nil {
+		if err := core.WriteArtifacts(dir, engines...); err != nil {
 			return fmt.Errorf("save artifacts for %d shards to %s: %w", n, dir, err)
 		}
 		log.Printf("artifacts saved to %s in %v", dir, time.Since(saveStart).Round(time.Millisecond))
 	}
-	for i, eng := range a.engines {
+	for i, eng := range engines {
 		log.Printf("shard %d ready: %d owned topics, %d lrw / %d rcl summaries cached",
 			i, len(a.part.Owned(i)), eng.CachedSummaries(core.MethodLRW), eng.CachedSummaries(core.MethodRCL))
 	}

@@ -846,7 +846,8 @@ func TestArtifactDirIndependentOfShardCount(t *testing.T) {
 		if builds := metricSum(t, a, "pit_summary_builds_total"); builds != 0 {
 			t.Errorf("-shards %d: the warm sweep built %v summaries, want all of them loaded", n, builds)
 		}
-		for i, eng := range a.engines {
+		for i := range n {
+			eng := a.router.Engine(i)
 			for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {
 				if got, owned := eng.CachedSummaries(m), len(a.part.Owned(i)); got != owned {
 					t.Errorf("-shards %d: shard %d holds %d %v summaries, owns %d topics", n, i, got, m, owned)

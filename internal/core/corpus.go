@@ -37,24 +37,43 @@ func (c *corpus) cached(key cacheKey) (summary.Summary, bool) {
 	return c.cache.get(key)
 }
 
-// materialize runs the cache-miss path: the singleflight leader
-// re-checks the cache under the flight (a racing fill or preload may
-// have landed), captures the key's write generation, runs build, and
-// installs the result unless an invalidation raced the build — the
-// waiters still get the result, but the cache won't serve a
-// pre-invalidation summary afterwards. The bool reports whether this
-// caller shared another caller's build.
-func (c *corpus) materialize(ctx context.Context, key cacheKey, build func(context.Context) (summary.Summary, error)) (summary.Summary, error, bool) {
-	return c.flight.Do(ctx, key, func(ctx context.Context) (summary.Summary, error) {
-		s, ok, gen := c.cache.getWithGen(key)
-		if ok {
-			return s, nil
+// materialize runs the cache-miss path for a block of keys through one
+// multi-key flight: keys another caller is building are waited on, and
+// for the ones this caller leads, the leader re-checks the cache under
+// the flight (a racing fill or preload may have landed), captures each
+// key's write generation, hands whatever is still missing to one build
+// call — which writes sums[i] and errs[i] for keys[i] — and installs each
+// built summary unless an invalidation raced its build: the waiters still
+// get it, but the cache won't serve a pre-invalidation summary
+// afterwards. Installation is per key, so a key that built is cached even
+// when a sibling failed. out[i] is keys[i]'s result; Shared marks a key
+// another caller's flight built.
+func (c *corpus) materialize(ctx context.Context, keys []cacheKey, build func(ctx context.Context, keys []cacheKey, sums []summary.Summary, errs []error)) []singleflight.Result[summary.Summary] {
+	return c.flight.DoMany(ctx, keys, func(ctx context.Context, led []cacheKey, sums []summary.Summary, errs []error) {
+		// The led keys still missing: todo[j] is led[at[j]], read at gens[j].
+		var (
+			todo []cacheKey
+			at   []int
+			gens []uint64
+		)
+		for i, k := range led {
+			s, ok, gen := c.cache.getWithGen(k)
+			if ok {
+				sums[i] = s
+				continue
+			}
+			todo, at, gens = append(todo, k), append(at, i), append(gens, gen)
 		}
-		s, err := build(ctx)
-		if err != nil {
-			return summary.Summary{}, err
+		if len(todo) == 0 {
+			return
 		}
-		c.cache.putIfGen(key, s, gen)
-		return s, nil
+		built, failed := make([]summary.Summary, len(todo)), make([]error, len(todo))
+		build(ctx, todo, built, failed)
+		for j, i := range at {
+			sums[i], errs[i] = built[j], failed[j]
+			if failed[j] == nil {
+				c.cache.putIfGen(todo[j], built[j], gens[j])
+			}
+		}
 	})
 }

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/lrw"
@@ -436,6 +435,9 @@ func (f *firstError) get() error {
 // surviving waiters (and the cache) still want it. The one signal that
 // does cancel a running shared build is engine shutdown: Close cancels
 // the lifecycle context every build is derived from.
+//
+// It is the one-topic case of the engine's miss path (miss.go), which
+// Open, MaterializeTopics and WarmTopics hand their misses to in blocks.
 func (e *Engine) Summarize(ctx context.Context, m Method, t topics.TopicID) (summary.Summary, error) {
 	ctx, release, err := e.acquire(ctx)
 	if err != nil {
@@ -445,86 +447,11 @@ func (e *Engine) Summarize(ctx context.Context, m Method, t topics.TopicID) (sum
 	if !m.valid() {
 		return summary.Summary{}, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, m)
 	}
-	if !e.space.Valid(t) {
-		return summary.Summary{}, fmt.Errorf("%w: unknown topic %d", ErrInvalidArgument, t)
-	}
-	key := cacheKey{m, t}
-	if s, ok := e.corpus.cached(key); ok {
-		if e.met != nil {
-			e.met.cacheHits[m].Inc()
-		}
-		return s, nil
-	}
-	if e.met != nil {
-		e.met.cacheMisses[m].Inc()
-	}
-	if err := ctx.Err(); err != nil {
+	var out [1]summary.Summary
+	if err := e.summarizeInto(ctx, m, []topics.TopicID{t}, out[:]); err != nil {
 		return summary.Summary{}, err
 	}
-	// The corpus runs the singleflight + write-generation dance; this
-	// closure is the leader-only build. The breaker is consulted only
-	// here — after the corpus's in-flight cache recheck — so a half-open
-	// probe slot is consumed exclusively by a call that will actually
-	// run a build and report its outcome.
-	s, err, shared := e.corpus.materialize(ctx, key, func(ctx context.Context) (summary.Summary, error) {
-		br := e.breakers[m]
-		if !br.Allow() {
-			if e.met != nil {
-				e.met.buildsSuspended[m].Inc()
-			}
-			return summary.Summary{}, fmt.Errorf("%w: %v build breaker open", ErrBuildsSuspended, m)
-		}
-		start := time.Now()
-		s, err := e.buildRecorded(ctx, m, t, br)
-		if err != nil {
-			return summary.Summary{}, err
-		}
-		if e.met != nil {
-			e.met.observeBuild(start)
-		}
-		return s, nil
-	})
-	if e.met != nil {
-		if shared {
-			e.met.dedupWaits[m].Inc()
-		} else {
-			e.met.builds[m].Inc()
-		}
-		// A miss racing Engine.Close fails with context.Canceled from the
-		// lifecycle context; distinguish it from a waiter hanging up so
-		// shutdown-vs-client cancellations are attributable in dashboards.
-		if err != nil && errors.Is(err, context.Canceled) && e.life.Err() != nil {
-			e.met.buildsCanceled.Inc()
-		}
-	}
-	return s, err
-}
-
-// buildRecorded runs one summarizer build and reports its outcome to
-// the method's breaker — exactly once, panic included: Allow consumed a
-// probe slot the breaker gets back only through OnSuccess/OnFailure, so
-// a panicking kernel must count as a failure before the panic continues
-// up into the singleflight recovery. Cancellations caused by engine
-// shutdown are neutral: a drained process says nothing about kernel
-// health.
-func (e *Engine) buildRecorded(ctx context.Context, m Method, t topics.TopicID, br *plan.Breaker) (summary.Summary, error) {
-	finished := false
-	defer func() {
-		if !finished {
-			br.OnFailure()
-		}
-	}()
-	s, err := e.summarizeBackend(ctx, m, t)
-	finished = true
-	switch {
-	case err == nil:
-		br.OnSuccess()
-	case errors.Is(err, context.Canceled) && e.life.Err() != nil:
-		// Shutdown, not a kernel fault: leave the breaker untouched.
-	default:
-		br.OnFailure()
-	}
-	return s, err
+	return out[0], nil
 }
 
 // noteBreaker is the per-method breaker's OnStateChange hook: it keeps
@@ -547,25 +474,6 @@ func (e *Engine) BreakerState(m Method) plan.State {
 		return plan.Closed
 	}
 	return e.breakers[m].State()
-}
-
-// summarizeBackend dispatches a cache-miss build to the override seam
-// or the built-in summarizer for m.
-func (e *Engine) summarizeBackend(ctx context.Context, m Method, t topics.TopicID) (summary.Summary, error) {
-	e.ovMu.RLock()
-	ov := e.override[m]
-	e.ovMu.RUnlock()
-	switch {
-	case ov != nil:
-		return ov.Summarize(ctx, t)
-	case m == MethodLRW:
-		return e.lrwSum.Summarize(ctx, t)
-	default: // MethodRCL
-		// The RCL summarizer owns mutable BFS state; serialize it.
-		e.rclMu.Lock()
-		defer e.rclMu.Unlock()
-		return e.rclSum.Summarize(ctx, t)
-	}
 }
 
 // MaterializeAll pre-computes and caches summaries for every topic in the
@@ -639,9 +547,9 @@ func (e *Engine) Run(ctx context.Context, q Query) (Answer, error) {
 
 // Open implements Opener: one search session over req.Topics for
 // req.User, holding the query gate until Done. A building open
-// materializes cache misses first (deduplicated through the corpus
-// singleflight); a cached open takes what is materialized and counts
-// the rest as skipped.
+// materializes cache misses first, in blocks through the engine's miss
+// path (deduplicated through the corpus singleflight); a cached open
+// takes what is materialized and counts the rest as skipped.
 func (e *Engine) Open(ctx context.Context, req OpenRequest) (Opened, error) {
 	ctx, release, err := e.acquire(ctx)
 	if err != nil {
@@ -657,20 +565,19 @@ func (e *Engine) Open(ctx context.Context, req OpenRequest) (Opened, error) {
 		return Opened{}, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, req.Method)
 	}
 	sums := make([]summary.Summary, 0, len(req.Topics))
-	for _, t := range req.Topics {
-		if req.Cached {
+	if req.Cached {
+		for _, t := range req.Topics {
 			if s, ok := e.corpus.cached(cacheKey{req.Method, t}); ok {
 				sums = append(sums, s)
 			} else if e.met != nil {
 				e.met.materializedSkipped[req.Method].Inc()
 			}
-			continue
 		}
-		s, err := e.Summarize(ctx, req.Method, t)
-		if err != nil {
+	} else {
+		sums = sums[:len(req.Topics)]
+		if err := e.summarizeInto(ctx, req.Method, req.Topics, sums); err != nil {
 			return Opened{}, err
 		}
-		sums = append(sums, s)
 	}
 	sess, err := e.idx.searcher.NewSession(ctx, req.User, sums)
 	if err != nil {
@@ -702,8 +609,8 @@ func (e *Engine) PlanInputs(m Method, ts []topics.TopicID) plan.Inputs {
 }
 
 // MaterializeTopics returns the summaries of the given topics under m,
-// building cache misses across up to `workers` goroutines (≤ 0:
-// GOMAXPROCS, via clampWorkers). Concurrent builds of one topic —
+// building cache misses in blocks across up to `workers` goroutines
+// (≤ 0: GOMAXPROCS, via clampWorkers). Concurrent builds of one topic —
 // within this call or across calls — collapse to one summarization via
 // the singleflight group. The result is indexed like the input; on
 // error the first failure observed is returned.
@@ -720,18 +627,10 @@ func (e *Engine) MaterializeTopics(ctx context.Context, m Method, ts []topics.To
 	if clampWorkers(workers, len(ts)) == 1 {
 		// Inline, not through the pool: a one-worker call over cached
 		// topics costs no goroutine and no closure.
-		for i, t := range ts {
-			if sums[i], err = e.Summarize(ctx, m, t); err != nil {
-				return nil, err
-			}
-		}
-		return sums, nil
+		err = e.summarizeInto(ctx, m, ts, sums)
+	} else {
+		err = e.summarizeChunks(ctx, m, ts, sums, workers, nil)
 	}
-	err = forEachIndex(ctx, len(ts), workers, func(i int) error {
-		s, err := e.Summarize(ctx, m, ts[i])
-		sums[i] = s
-		return err
-	})
 	if err != nil {
 		return nil, err
 	}

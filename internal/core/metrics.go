@@ -8,11 +8,7 @@ package core
 // Method-indexed arrays — so the hot path pays one atomic add per
 // event and never allocates.
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // metricLabel is the label value for a method ("lrw" / "rcl").
 func metricLabel(m Method) string {
@@ -29,10 +25,11 @@ type engineMetrics struct {
 	// path, indexed by Method.
 	cacheHits   [2]*obs.Counter
 	cacheMisses [2]*obs.Counter
-	// builds counts singleflight leader executions (this caller ran the
-	// summarization); dedupWaits counts callers deduplicated onto
-	// another caller's in-flight build. dedupWaits/(builds+dedupWaits)
-	// is the thundering-herd collapse ratio.
+	// builds counts topics a singleflight leader handed to the build —
+	// missing still at the flight's recheck, built alone or in a block;
+	// dedupWaits counts topics a caller deduplicated onto another
+	// caller's in-flight build. dedupWaits/(builds+dedupWaits) is the
+	// thundering-herd collapse ratio.
 	builds     [2]*obs.Counter
 	dedupWaits [2]*obs.Counter
 	// buildsCanceled counts builds that failed because Engine.Close
@@ -45,10 +42,12 @@ type engineMetrics struct {
 	// same summarization, observed by the same histogram.
 	warmTopics [2]*obs.Counter
 	warmDur    *obs.Histogram
-	// buildDur observes successful summarization durations (the offline
-	// §3–4 work when it leaks onto the online path as a cache miss);
-	// indexDur observes BuildIndexes and PatchIndexes. buildDur doubles as the live
-	// calibration source for the fidelity planner's cost model.
+	// buildDur observes one duration per successfully summarized topic
+	// (the offline §3–4 work when it leaks onto the online path as a
+	// cache miss): a topic built in a block observes its share of the
+	// block's wall time. indexDur observes BuildIndexes and PatchIndexes.
+	// buildDur doubles as the live calibration source for the fidelity
+	// planner's cost model, which therefore stays in per-topic units.
 	buildDur *obs.Histogram
 	indexDur *obs.Histogram
 	// materializedSkipped counts q-related topics skipped by the
@@ -109,9 +108,4 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		m.breakerState[method] = state.With(l)
 	}
 	return m
-}
-
-// observeBuild records one successful summarization's duration.
-func (m *engineMetrics) observeBuild(start time.Time) {
-	m.buildDur.Observe(time.Since(start).Seconds())
 }

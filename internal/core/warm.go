@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/summary"
 	"repro/internal/topics"
 )
 
@@ -108,8 +109,9 @@ func (e *Engine) WarmSummaries(ctx context.Context, m Method, opts WarmOptions) 
 // WarmTopics materializes the summaries of ts under m — the one
 // instrumented warm pool: a whole-corpus warm passes every topic, a
 // shard (shard.Router.WarmOwned) the topics it owns. Up to opts.Workers
-// goroutines drive the topics through Summarize, i.e. the singleflight
-// group and the sharded cache: topics already materialized are skipped
+// goroutines pull the topics in chunks of up to a block and drive them
+// through the engine's miss path, i.e. the singleflight group and the
+// sharded cache: topics already materialized are skipped
 // at cache-hit cost, and a warm racing live cache misses collapses into
 // the same in-flight builds. Each warmed topic counts into
 // pit_warm_topics_total and opts.Progress; a completed run observes
@@ -137,20 +139,18 @@ func (e *Engine) WarmTopics(ctx context.Context, m Method, ts []topics.TopicID, 
 		progMu sync.Mutex // serializes opts.Progress calls
 		done   int        // guarded by progMu
 	)
-	err = forEachIndex(ctx, len(ts), opts.Workers, func(i int) error {
-		if _, err := e.Summarize(ctx, m, ts[i]); err != nil {
-			return err
-		}
+	err = e.summarizeChunks(ctx, m, ts, make([]summary.Summary, len(ts)), opts.Workers, func(n int) {
 		if e.met != nil {
-			e.met.warmTopics[m].Inc()
+			e.met.warmTopics[m].Add(uint64(n))
 		}
 		if opts.Progress != nil {
 			progMu.Lock()
-			done++
-			opts.Progress(done, len(ts))
+			for range n {
+				done++
+				opts.Progress(done, len(ts))
+			}
 			progMu.Unlock()
 		}
-		return nil
 	})
 	if err != nil {
 		return err

@@ -39,21 +39,106 @@ func New(g *graph.Graph, space *topics.Space, walks *randwalk.Index, opts Option
 // between PageRank iterations and migration rows; a done context aborts
 // with ctx.Err().
 func (s *Summarizer) Summarize(ctx context.Context, t topics.TopicID) (summary.Summary, error) {
-	if !s.space.Valid(t) {
-		return summary.Summary{}, fmt.Errorf("lrw: unknown topic %d", t)
-	}
-	vt := s.space.Nodes(t)
-	if len(vt) == 0 {
-		return summary.New(t, nil), nil
-	}
-	// One pooled scratch serves both kernels: the reps slice returned by
-	// repNodesInto aliases it, and migrateInto only reads reps while
-	// filling buffers the ranking no longer needs.
-	sc := getScratch()
-	defer putScratch(sc)
-	reps, err := repNodesInto(ctx, s.g, s.walks, vt, s.opts, sc)
-	if err != nil {
+	var out [1]summary.Summary
+	if err := s.summarizeInto(ctx, []topics.TopicID{t}, out[:]); err != nil {
 		return summary.Summary{}, err
 	}
-	return migrateInto(ctx, t, s.walks, vt, reps, sc)
+	return out[0], nil
+}
+
+// Lanes is how many topics share one pass of Equation 5 in SummarizeMany.
+// Four 8-byte lanes make one 32-byte gather per in-edge; at eight the
+// gathered rows spill the cache and a topic costs more, not less (DESIGN.md
+// §12 "Four topics per pass").
+const Lanes = 4
+
+// SummarizeMany is Summarize for every topic of ts, bit for bit, with
+// Equation 5 run for Lanes topics per pass over the propagation plan
+// (DESIGN.md §12 "Four topics per pass"). It returns one summary per topic,
+// in order, or an error and none.
+func (s *Summarizer) SummarizeMany(ctx context.Context, ts []topics.TopicID) ([]summary.Summary, error) {
+	out := make([]summary.Summary, len(ts))
+	if err := s.summarizeInto(ctx, ts, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func (s *Summarizer) summarizeInto(ctx context.Context, ts []topics.TopicID, out []summary.Summary) error {
+	sc := getScratch()
+	defer putScratch(sc)
+	return summarizeBlock(ctx, s.g, s.space, s.walks, ts, s.opts, sc, out)
+}
+
+// summarizeBlock summarizes ts on one scratch, out[i] becoming ts[i]'s
+// summary. A topic without nodes needs no kernel; the others share
+// Equation 5 passes Lanes at a time, and a lone one left over runs the
+// scalar kernel (a 4-lane pass costs about two scalar ones whatever its
+// occupancy). The scratch serves every stage: selection returns reps
+// aliasing it, and migrateInto only reads reps while filling buffers the
+// ranking no longer needs. On an error out holds nothing usable.
+func summarizeBlock(ctx context.Context, g *graph.Graph, space *topics.Space, walks *randwalk.Index, ts []topics.TopicID, opt Options, sc *scratch, out []summary.Summary) error {
+	opt.fill()
+	// The topics sharing the next pass: lane j is ts[at[j]], with nodes vts[j].
+	var (
+		at  [Lanes]int
+		vts [Lanes][]graph.NodeID
+	)
+	k := 0
+	for i, t := range ts {
+		if !space.Valid(t) {
+			return fmt.Errorf("lrw: unknown topic %d", t)
+		}
+		if vts[k] = space.Nodes(t); len(vts[k]) == 0 {
+			out[i] = summary.New(t, nil)
+			continue
+		}
+		at[k] = i
+		if k++; k == Lanes {
+			if err := summarizeLanes(ctx, g, walks, ts, at[:k], vts[:k], opt, sc, out); err != nil {
+				return err
+			}
+			k = 0
+		}
+	}
+	if k == 0 {
+		return nil
+	}
+	return summarizeLanes(ctx, g, walks, ts, at[:k], vts[:k], opt, sc, out)
+}
+
+// summarizeLanes summarizes the topics ts[at[0]], ts[at[1]], … with nodes
+// vts[0], vts[1], … into the matching out slots from one Equation 5 pass.
+// Each lane's scores are copied out into sc.prev, the n-vector selectReps
+// and migrateInto read, so neither knows it ran in a block.
+func summarizeLanes(ctx context.Context, g *graph.Graph, walks *randwalk.Index, ts []topics.TopicID, at []int, vts [][]graph.NodeID, opt Options, sc *scratch, out []summary.Summary) error {
+	var lanes [][Lanes]float64
+	if len(at) > 1 {
+		var err error
+		if lanes, err = scoresLanes(ctx, g, walks, vts, opt, sc); err != nil {
+			return err
+		}
+	}
+	for j, i := range at {
+		var scores []float64
+		if lanes == nil {
+			var err error
+			if scores, err = scoresInto(ctx, g, walks, vts[j], opt, sc); err != nil {
+				return err
+			}
+		} else {
+			scores = sc.prev
+			for v := range scores {
+				scores[v] = lanes[v][j]
+			}
+		}
+		reps, err := selectReps(ctx, scores, len(vts[j]), opt, sc)
+		if err != nil {
+			return err
+		}
+		if out[i], err = migrateInto(ctx, ts[i], walks, vts[j], reps, sc); err != nil {
+			return err
+		}
+	}
+	return nil
 }

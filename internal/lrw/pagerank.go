@@ -127,6 +127,38 @@ func scoresInto(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vt [
 	return prev, nil
 }
 
+// scoresLanes is scoresInto for up to Lanes topics in one pass: lane j of
+// the result is vts[j]'s score vector, bit for bit, and lanes past
+// len(vts) stay zero. Every vts[j] must be non-empty. The result aliases
+// sc's lane buffers, valid until sc is reused or returned to the pool.
+func scoresLanes(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vts [][]graph.NodeID, opt Options, sc *scratch) ([][Lanes]float64, error) {
+	opt.fill()
+	n := g.NumNodes()
+	sc.ensureNodes(n)
+	sc.ensureLanes(n)
+	pStar := sc.pStar4
+	clear(pStar)
+	for j, vt := range vts {
+		prior := 1.0 / float64(len(vt))
+		for _, v := range vt {
+			pStar[v][j] = prior
+		}
+	}
+	prev, cur := sc.prev4, sc.cur4
+	copy(prev, pStar)
+	if err := sc.plan.ensure(ctx, g, walks); err != nil {
+		return nil, err
+	}
+	for i := 1; i <= walks.L; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		sc.plan.propagate4(i, opt.Lambda, pStar, prev, cur)
+		prev, cur = cur, prev
+	}
+	return prev, nil
+}
+
 // RepNodes is Algorithm 7: rank every node by the diversified PageRank of
 // Equation 5 and return the top-scored nodes, highest first. The selected
 // count is opt.RepCount if positive, else ⌈μ·|V_t|⌉ (minimum 1), capped at
@@ -162,10 +194,18 @@ func repNodesInto(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vt
 	if err != nil {
 		return nil, err
 	}
+	return selectReps(ctx, scores, len(vt), opt, sc)
+}
 
+// selectReps is Algorithm 7's cut over one score per graph node for a
+// topic of topicNodes nodes; opt must be filled. The returned slice aliases
+// sc.order (sized by ensureNodes) and is valid until sc is reused or
+// returned to the pool.
+func selectReps(ctx context.Context, scores []float64, topicNodes int, opt Options, sc *scratch) ([]graph.NodeID, error) {
+	n := len(scores)
 	repCount := opt.RepCount
 	if repCount <= 0 {
-		repCount = int(opt.Mu*float64(len(vt)) + 0.999999)
+		repCount = int(opt.Mu*float64(topicNodes) + 0.999999)
 	}
 	if repCount < 1 {
 		repCount = 1

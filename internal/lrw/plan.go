@@ -187,3 +187,38 @@ func (p *plan) propagate(i int, lambda float64, pStar, prev, cur []float64) {
 		nodes = nodes[c.count:]
 	}
 }
+
+// propagate4 is propagate for Lanes topics at once: lane j of pStar, prev
+// and cur is topic j's vector. The plan's src and coef stream once for all
+// four, each in-edge gathers one 32-byte prev row, and the four sums are
+// independent add chains. Per lane it is propagate term for term — the same
+// coefficient times the same prev value added in the same order to an
+// accumulator starting at 0, then the same Clamp01 expression — so lane j
+// holds the bits propagate computes for topic j alone (DESIGN.md §12 "Four
+// topics per pass").
+func (p *plan) propagate4(i int, lambda float64, pStar, prev, cur [][Lanes]float64) {
+	nodes, src, coef := p.nodes, p.src, p.coef[i-1]
+	for _, c := range p.classes {
+		deg := int(c.deg)
+		for _, v := range nodes[:c.count] {
+			// Four named accumulators, not an array: the compiler keeps these
+			// in registers, an indexed array in memory.
+			var a0, a1, a2, a3 float64
+			us := src[:deg]
+			for k, w := range coef[:deg] {
+				x := &prev[us[k]]
+				a0 += w * x[0]
+				a1 += w * x[1]
+				a2 += w * x[2]
+				a3 += w * x[3]
+			}
+			src, coef = src[deg:], coef[deg:]
+			ps, out := &pStar[v], &cur[v]
+			out[0] = prob.Clamp01((1-lambda)*ps[0] + lambda*a0)
+			out[1] = prob.Clamp01((1-lambda)*ps[1] + lambda*a1)
+			out[2] = prob.Clamp01((1-lambda)*ps[2] + lambda*a2)
+			out[3] = prob.Clamp01((1-lambda)*ps[3] + lambda*a3)
+		}
+		nodes = nodes[c.count:]
+	}
+}

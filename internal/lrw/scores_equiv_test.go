@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/prob"
 	"repro/internal/randwalk"
+	"repro/internal/summary"
 	"repro/internal/topics"
 )
 
@@ -218,6 +219,8 @@ func zooTopics(rng *rand.Rand, g *graph.Graph) [][]graph.NodeID {
 // (graph, walks) pairs of equal size — a second graph of the same topology
 // with other weights, and the first graph under a second walk index — so
 // topic-free state kept from the previous pair shows up as a wrong bit.
+// Every seed's topics then go through the block path in blocks of 1, 2, 3
+// and 4 (checkBlocks), with an empty topic and one topic in two lanes.
 func TestPlanEqualsReference(t *testing.T) {
 	ctx := context.Background()
 	sc := new(scratch)
@@ -275,6 +278,11 @@ func TestPlanEqualsReference(t *testing.T) {
 				_ = sb.AddNode(tid, v)
 			}
 		}
+		// One more topic, with no nodes, for the blocks below only.
+		empty, err := sb.AddTopic("zoo", "empty")
+		if err != nil {
+			t.Fatal(err)
+		}
 		space := sb.Build()
 
 		opts := []Options{{}, {Lambda: 0.5, RepCount: 5}}
@@ -322,6 +330,20 @@ func TestPlanEqualsReference(t *testing.T) {
 				}
 			}
 		}
+
+		// The same topics through the block path, Lanes and fewer at a
+		// time: every topic, then the first again, so some block holds one
+		// topic in two lanes; the empty topic rides in front.
+		seq := []topics.TopicID{empty}
+		for ti := range topicSets {
+			seq = append(seq, topics.TopicID(ti))
+		}
+		seq = append(seq, 0)
+		for wi, w := range worlds {
+			for size := 1; size <= Lanes; size++ {
+				checkBlocks(t, fmt.Sprintf("seed %d world %d blocks of %d", seed, wi, size), w, space, seq, size, opts[(wi+size)%2], sc)
+			}
+		}
 	}
 	if graphs < 200 {
 		t.Errorf("zoo holds %d graphs, want ≥ 200", graphs)
@@ -333,6 +355,71 @@ func TestPlanEqualsReference(t *testing.T) {
 	} {
 		if !saw {
 			t.Errorf("the zoo never contained %s", name)
+		}
+	}
+}
+
+// checkBlocks runs seq through the block path on sc in chunks of size
+// topics. Per chunk, the topics with nodes go through one scoresLanes
+// pass, and each lane must hold referenceScores' bits, select the
+// reference representative order, and leave the unused lanes zero; then
+// summarizeBlock over the whole chunk must return the reference summary
+// for every topic, empty ones included.
+func checkBlocks(t *testing.T, where string, w zooWorld, space *topics.Space, seq []topics.TopicID, size int, opt Options, sc *scratch) {
+	t.Helper()
+	ctx := context.Background()
+	opt.fill()
+	for lo := 0; lo < len(seq); lo += size {
+		chunk := seq[lo:min(lo+size, len(seq))]
+		var vts [][]graph.NodeID
+		for _, ti := range chunk {
+			if vt := space.Nodes(ti); len(vt) > 0 {
+				vts = append(vts, vt)
+			}
+		}
+		if len(vts) > 0 {
+			lanes, err := scoresLanes(ctx, w.g, w.walks, vts, opt, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := make([]float64, w.g.NumNodes())
+			for j, vt := range vts {
+				want := referenceScores(w.g, w.walks, vt, opt)
+				for v := range want {
+					if col[v] = lanes[v][j]; math.Float64bits(col[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("%s, chunk at %d lane %d node %d: got %x (%g), want %x (%g)",
+							where, lo, j, v, math.Float64bits(col[v]), col[v], math.Float64bits(want[v]), want[v])
+					}
+				}
+				reps, err := selectReps(ctx, col, len(vt), opt, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantReps := referenceReps(want, len(vt), opt); !slices.Equal(reps, wantReps) {
+					t.Fatalf("%s, chunk at %d lane %d: reps %v, want %v", where, lo, j, reps, wantReps)
+				}
+			}
+			for v := range lanes {
+				for j := len(vts); j < Lanes; j++ {
+					if lanes[v][j] != 0 {
+						t.Fatalf("%s, chunk at %d: unused lane %d holds %g at node %d", where, lo, j, lanes[v][j], v)
+					}
+				}
+			}
+		}
+
+		out := make([]summary.Summary, len(chunk))
+		if err := summarizeBlock(ctx, w.g, space, w.walks, chunk, opt, sc, out); err != nil {
+			t.Fatal(err)
+		}
+		for i, ti := range chunk {
+			want := summary.New(ti, nil)
+			if vt := space.Nodes(ti); len(vt) > 0 {
+				want = MigrateInfluence(ti, w.walks, vt, referenceReps(referenceScores(w.g, w.walks, vt, opt), len(vt), opt))
+			}
+			if summary.Digest([]summary.Summary{out[i]}) != summary.Digest([]summary.Summary{want}) {
+				t.Fatalf("%s, chunk at %d: topic %d summarized to %+v, want %+v", where, lo, ti, out[i], want)
+			}
 		}
 	}
 }

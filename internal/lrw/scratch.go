@@ -2,7 +2,8 @@ package lrw
 
 // Pooled per-call scratch (PR 5). One LRW summarization needs three
 // n-sized float vectors (the topic prior and the PageRank ping-pong
-// state), Equation 5's propagation plan, an n-sized ranking permutation,
+// state) — a block of topics the same three with Lanes interleaved
+// lanes — Equation 5's propagation plan, an n-sized ranking permutation,
 // dense position lookups for the migration matrix, and the matrix itself.
 // Allocating those per topic made the offline warm-up allocation-bound, so
 // they live in a sync.Pool: the Summarizer is documented safe for
@@ -20,8 +21,12 @@ import (
 )
 
 type scratch struct {
-	// Graph-node-sized vectors for scoresInto.
+	// Graph-node-sized vectors for scoresInto. A block's lanes are read
+	// back one at a time through prev (see summarizeBlock).
 	pStar, prev, cur []float64
+	// The same three vectors for a block of up to Lanes topics, lanes
+	// interleaved: prev4[v][j] is topic j's P_i(v).
+	pStar4, prev4, cur4 [][Lanes]float64
 	// Equation 5's topic-free half, built once per (graph, walks) and
 	// shared by every topic this scratch summarizes; it stays valid across
 	// Put (see putScratch).
@@ -68,6 +73,15 @@ func (sc *scratch) ensureNodes(n int) {
 	sc.repStamp = sc.repStamp[:n]
 	sc.topicPos = sc.topicPos[:n]
 	sc.repPos = sc.repPos[:n]
+}
+
+// ensureLanes sizes the block buffers for n nodes. They are separate from
+// ensureNodes so a scratch that only ever summarizes lone topics never
+// holds them.
+func (sc *scratch) ensureLanes(n int) {
+	sc.pStar4 = resize(sc.pStar4, n)
+	sc.prev4 = resize(sc.prev4, n)
+	sc.cur4 = resize(sc.cur4, n)
 }
 
 // nextTopicEpoch advances the topic-position epoch, handling uint32

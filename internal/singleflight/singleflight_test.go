@@ -3,6 +3,7 @@ package singleflight
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -331,5 +332,271 @@ func TestStatsCountLeadersAndWaits(t *testing.T) {
 	}
 	if st := g.Stats(); st.Panics != 1 || st.Leaders != 2 {
 		t.Errorf("stats after panic = %+v, want Panics=1 Leaders=2", st)
+	}
+}
+
+// gatedBlock returns a DoMany fn that records the keys it led, signals
+// entered, and holds until release closes; every led key k gets value
+// k*10.
+func gatedBlock(led *[]int, entered, release chan struct{}) func(context.Context, []int, []int, []error) {
+	return func(_ context.Context, keys []int, vals []int, _ []error) {
+		*led = append(*led, keys...)
+		close(entered)
+		<-release
+		for i, k := range keys {
+			vals[i] = k * 10
+		}
+	}
+}
+
+// TestDoManyLeadsPerKey: a block leads exactly the keys nobody else has
+// in flight and waits on the rest, and the counters account per key —
+// one leader per led key, one dedup wait per joined key.
+func TestDoManyLeadsPerKey(t *testing.T) {
+	var g Group[int, int]
+	entered, release := make(chan struct{}), make(chan struct{})
+	doDone := make(chan int, 1)
+	go func() {
+		v, _, _ := g.Do(context.Background(), 2, func(context.Context) (int, error) {
+			close(entered)
+			<-release
+			return 99, nil
+		})
+		doDone <- v
+	}()
+	<-entered
+
+	var led []int
+	blockIn := make(chan struct{})
+	out := make(chan []Result[int], 1)
+	go func() {
+		out <- g.DoMany(context.Background(), []int{1, 2, 3}, gatedBlock(&led, blockIn, release))
+	}()
+	<-blockIn
+	if st := g.Stats(); st.Leaders != 3 || st.DedupedWaits != 1 {
+		t.Errorf("stats = %+v, want 3 leaders (Do's key, the block's two) and 1 dedup wait", st)
+	}
+	close(release)
+	res := <-out
+	if <-doDone != 99 {
+		t.Fatal("the single-key Do lost its value")
+	}
+	if !slices.Equal(led, []int{1, 3}) {
+		t.Fatalf("the block led %v, want [1 3]", led)
+	}
+	want := []Result[int]{{Val: 10}, {Val: 99, Shared: true}, {Val: 30}}
+	if !slices.Equal(res, want) {
+		t.Fatalf("results %+v, want %+v", res, want)
+	}
+}
+
+// TestDoRacingDoManyBuildsOnce: a single-key Do arriving while a block
+// holds its key joins the block's execution instead of running its own.
+func TestDoRacingDoManyBuildsOnce(t *testing.T) {
+	var g Group[int, int]
+	var led []int
+	entered, release := make(chan struct{}), make(chan struct{})
+	out := make(chan []Result[int], 1)
+	go func() {
+		out <- g.DoMany(context.Background(), []int{4, 5, 6, 7}, gatedBlock(&led, entered, release))
+	}()
+	<-entered
+	doOut := make(chan Result[int], 1)
+	go func() {
+		v, err, shared := g.Do(context.Background(), 6, func(context.Context) (int, error) {
+			t.Error("Do ran its own fn for a key the block holds")
+			return 0, nil
+		})
+		doOut <- Result[int]{v, err, shared}
+	}()
+	for g.Stats().DedupedWaits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-out
+	if r := <-doOut; r != (Result[int]{Val: 60, Shared: true}) {
+		t.Fatalf("Do racing the block got %+v, want the block's 60, shared", r)
+	}
+	if st := g.Stats(); st.Leaders != 4 || st.DedupedWaits != 1 {
+		t.Errorf("stats = %+v, want 4 leaders and 1 dedup wait", st)
+	}
+}
+
+// TestDoManyWaiterCancellationKeepsBlock: a waiter on one of a block's
+// keys hanging up — and the block's own caller hanging up — returns
+// ctx.Err() to them while the block runs on, detached, for everyone else.
+func TestDoManyWaiterCancellationKeepsBlock(t *testing.T) {
+	var g Group[int, int]
+	entered, release := make(chan struct{}), make(chan struct{})
+	fnErr := make(chan error, 1)
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	out := make(chan []Result[int], 1)
+	go func() {
+		out <- g.DoMany(leaderCtx, []int{1, 2}, func(ctx context.Context, keys []int, vals []int, _ []error) {
+			close(entered)
+			<-release
+			fnErr <- ctx.Err()
+			vals[0], vals[1] = 10, 20
+		})
+	}()
+	<-entered
+
+	wctx, wcancel := context.WithCancel(context.Background())
+	wcancel()
+	if r := g.DoMany(wctx, []int{2}, nil); !errors.Is(r[0].Err, context.Canceled) || !r[0].Shared {
+		t.Fatalf("cancelled waiter got %+v, want context.Canceled, shared", r[0])
+	}
+	patient := make(chan []Result[int], 1)
+	go func() { patient <- g.DoMany(context.Background(), []int{1}, nil) }()
+	for g.Stats().DedupedWaits < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	cancelLeader()
+	for _, r := range <-out {
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Fatalf("the block's cancelled caller got %+v, want context.Canceled", r)
+		}
+	}
+	close(release)
+	if err := <-fnErr; err != nil {
+		t.Fatalf("the block observed %v; only Base may cancel it", err)
+	}
+	if r := <-patient; r[0] != (Result[int]{Val: 10, Shared: true}) {
+		t.Fatalf("patient waiter got %+v, want the block's 10", r[0])
+	}
+}
+
+// TestDoManyBaseCancellationStopsBlock: owner shutdown reaches a running
+// block, and every key of it reports the cancellation.
+func TestDoManyBaseCancellationStopsBlock(t *testing.T) {
+	base, cancelBase := context.WithCancel(context.Background())
+	defer cancelBase()
+	g := Group[int, int]{Base: base}
+	entered := make(chan struct{})
+	out := make(chan []Result[int], 1)
+	go func() {
+		out <- g.DoMany(context.Background(), []int{1, 2, 3}, func(ctx context.Context, _ []int, _ []int, errs []error) {
+			close(entered)
+			<-ctx.Done()
+			for i := range errs {
+				errs[i] = ctx.Err()
+			}
+		})
+	}()
+	<-entered
+	cancelBase()
+	select {
+	case res := <-out:
+		for i, r := range res {
+			if !errors.Is(r.Err, context.Canceled) {
+				t.Fatalf("key %d after Base cancellation: %+v, want context.Canceled", i, r)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the block never observed Base cancellation")
+	}
+}
+
+// TestDoManyPanicReachesEveryKey: a panicking block delivers the panic,
+// with its stack, to its caller for every key and to a waiter on any one
+// of them; the keys are free again afterwards.
+func TestDoManyPanicReachesEveryKey(t *testing.T) {
+	var g Group[int, int]
+	entered, release := make(chan struct{}), make(chan struct{})
+	out := make(chan []Result[int], 1)
+	go func() {
+		out <- g.DoMany(context.Background(), []int{1, 2, 3}, func(_ context.Context, _ []int, vals []int, _ []error) {
+			vals[0] = 10
+			close(entered)
+			<-release
+			panic("kaboom")
+		})
+	}()
+	<-entered
+	waiter := make(chan []Result[int], 1)
+	go func() { waiter <- g.DoMany(context.Background(), []int{3}, nil) }()
+	for g.Stats().DedupedWaits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for _, res := range [][]Result[int]{<-out, <-waiter} {
+		for _, r := range res {
+			if r.Err == nil || !strings.Contains(r.Err.Error(), "kaboom") || !strings.Contains(r.Err.Error(), "goroutine") || r.Val != 0 {
+				t.Fatalf("after a panic a key reported %+v, want the panic with its stack and no value", r)
+			}
+		}
+	}
+	if st := g.Stats(); st.Panics != 1 {
+		t.Errorf("panics = %d, want 1 per execution", st.Panics)
+	}
+	if r := g.DoMany(context.Background(), []int{1, 2, 3}, func(_ context.Context, _ []int, vals []int, _ []error) { vals[1] = 5 }); r[1].Val != 5 {
+		t.Fatalf("post-panic block got %+v", r)
+	}
+}
+
+// TestDoManyOutcomesArePerKey: a key whose slot carries an error fails
+// alone; its siblings deliver their values.
+func TestDoManyOutcomesArePerKey(t *testing.T) {
+	var g Group[int, int]
+	boom := errors.New("boom")
+	res := g.DoMany(context.Background(), []int{1, 2, 3}, func(_ context.Context, keys []int, vals []int, errs []error) {
+		for i, k := range keys {
+			if k == 2 {
+				errs[i] = boom
+				continue
+			}
+			vals[i] = k * 10
+		}
+	})
+	want := []Result[int]{{Val: 10}, {Err: boom}, {Val: 30}}
+	if !slices.Equal(res, want) {
+		t.Fatalf("results %+v, want %+v", res, want)
+	}
+}
+
+// TestDoManyDuplicateKeys: a key listed twice is led once — fn sees it
+// once, the caller does not wait on its own flight, and both positions
+// get its value — and a duplicate of a key someone else leads is one
+// dedup wait, not two.
+func TestDoManyDuplicateKeys(t *testing.T) {
+	var g Group[int, int]
+	var calls [][]int
+	done := make(chan []Result[int], 1)
+	go func() {
+		done <- g.DoMany(context.Background(), []int{1, 2, 1, 1}, func(_ context.Context, keys []int, vals []int, _ []error) {
+			calls = append(calls, slices.Clone(keys))
+			for i, k := range keys {
+				vals[i] = k * 10
+			}
+		})
+	}()
+	select {
+	case res := <-done:
+		want := []Result[int]{{Val: 10}, {Val: 20}, {Val: 10}, {Val: 10}}
+		if !slices.Equal(res, want) || len(calls) != 1 || !slices.Equal(calls[0], []int{1, 2}) {
+			t.Fatalf("results %+v from calls %v, want %+v from one call over [1 2]", res, calls, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a block listing a key twice waited on its own flight")
+	}
+	if st := g.Stats(); st.Leaders != 2 {
+		t.Errorf("leaders = %d, want 2 (one per distinct key)", st.Leaders)
+	}
+
+	var led []int
+	entered, release := make(chan struct{}), make(chan struct{})
+	go g.DoMany(context.Background(), []int{9}, gatedBlock(&led, entered, release))
+	<-entered
+	waited := make(chan []Result[int], 1)
+	go func() { waited <- g.DoMany(context.Background(), []int{9, 9}, nil) }()
+	for g.Stats().DedupedWaits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if res := <-waited; res[0] != (Result[int]{Val: 90, Shared: true}) || res[1] != res[0] {
+		t.Fatalf("a block listing an in-flight key twice got %+v", res)
+	}
+	if st := g.Stats(); st.DedupedWaits != 1 {
+		t.Errorf("dedup waits = %d, want 1 for the key listed twice", st.DedupedWaits)
 	}
 }
