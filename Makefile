@@ -89,12 +89,13 @@ race:
 # package's refresh ≡ rebuild property (every flush of a streamed
 # deployment equals a from-scratch build), and the multi-key flight every
 # cache miss goes through (singleflight DoMany: per-key dedup, waiter vs
-# Base cancellation, panics reaching every key) — always under
+# Base cancellation, panics reaching every key), and one request per
+# generation (a request parked across a publish merges no two) — always under
 # the race detector, since the interesting bugs here are races between
 # degradation, revalidation, swap and close.
 chaos:
 	$(GO) test -race ./internal/chaos/
-	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
+	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.

@@ -163,9 +163,9 @@ type app struct {
 
 	// The one serving topology: -shards engines behind a scatter-gather
 	// router. pipe is nil unless -stream-batch > 0. The app holds no
-	// engine itself: the router's sources (the pipeline's, when
-	// streaming) are the only holders, so a boot engine a swap retired
-	// is garbage — walk index, Γ and summary cache included.
+	// engine itself: the router's generation source (the pipeline's,
+	// when streaming) is the only holder, so a boot engine a swap
+	// retired is garbage — walk index, Γ and summary cache included.
 	part   *shard.Partitioner
 	router *shard.Router
 	pipe   *stream.Pipeline
@@ -272,10 +272,7 @@ func buildApp(o options) (*app, error) {
 		MaxInflight:    o.maxInflight,
 		Registry:       reg,
 	}
-	sources := make([]shard.EngineSource, len(engines))
-	for i, eng := range engines {
-		sources[i] = func() *core.Engine { return eng }
-	}
+	gen := core.Static(engines...)
 	if o.streamBatch > 0 {
 		a.subs = subscribe.NewRegistry(reg)
 		a.pipe, err = stream.NewSet(engines, stream.Config{
@@ -292,11 +289,11 @@ func buildApp(o options) (*app, error) {
 		if err != nil {
 			return nil, err
 		}
-		sources = a.pipe.Sources()
+		gen = a.pipe.Current
 		srvCfg.Stream = a.pipe
 		srvCfg.Subscriptions = a.subs
 	}
-	a.router, err = shard.NewRouter(g, sp, a.part, sources, shard.Config{Metrics: reg})
+	a.router, err = shard.New(a.part, gen, shard.Config{Metrics: reg})
 	if err != nil {
 		return nil, err
 	}

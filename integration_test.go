@@ -236,27 +236,32 @@ func TestOneOnDiskFormat(t *testing.T) {
 }
 
 // TestOneUpdatePipeline fences the write side at one pipeline above the
-// shard set: internal/shard does not know the pipeline exists (a
-// per-shard wrapper would have to import it), and the one-engine
-// stream.New — kept for frozen benchmark/trace.go — has no caller
-// outside internal/stream and benchmark/; everything else wires
-// stream.NewSet over all of its shards.
+// shard set, publishing one generation at a time: internal/shard does
+// not know the pipeline exists (a per-shard wrapper would have to import
+// it); the one-engine stream.New and the source-taking shard.NewRouter —
+// kept for frozen benchmark/trace.go — have no caller outside their own
+// package and benchmark/, and shard.EngineSource no user; internal/stream
+// and internal/shard hold no array of atomic pointers (per-shard slots),
+// and no type has a Sources method (per-shard engine sources).
+// Everything else wires stream.NewSet over all of its shards and
+// shard.New over the pipeline's Current.
 func TestOneUpdatePipeline(t *testing.T) {
-	const streamPkg = `"repro/internal/stream"`
-	forEachSourceFile(t, func(path string, fset *token.FileSet, f *ast.File) {
-		name := ""
+	importName := func(f *ast.File, pkg string) string {
 		for _, imp := range f.Imports {
-			if imp.Path.Value == streamPkg {
-				name = "stream"
+			if imp.Path.Value == pkg {
 				if imp.Name != nil {
-					name = imp.Name.Name
+					return imp.Name.Name
 				}
+				return pkg[strings.LastIndex(pkg, "/")+1 : len(pkg)-1]
 			}
 		}
-		if name == "" || strings.HasPrefix(path, "internal/stream/") || strings.HasPrefix(path, "benchmark/") {
-			return
-		}
-		if strings.HasPrefix(path, "internal/shard/") {
+		return ""
+	}
+	forEachSourceFile(t, func(path string, fset *token.FileSet, f *ast.File) {
+		stream, shard := importName(f, `"repro/internal/stream"`), importName(f, `"repro/internal/shard"`)
+		frozen := strings.HasPrefix(path, "benchmark/")
+		slots := strings.HasPrefix(path, "internal/stream/") || strings.HasPrefix(path, "internal/shard/")
+		if stream != "" && strings.HasPrefix(path, "internal/shard/") {
 			t.Errorf("%s imports internal/stream: a batch is applied to the deployment, not by the shard layer", path)
 		}
 		full, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -264,13 +269,25 @@ func TestOneUpdatePipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 		ast.Inspect(full, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "New" {
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
-					t.Errorf("%s: calls stream.New; wire stream.NewSet over the whole shard set", fset.Position(call.Pos()))
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				x, ok := n.X.(*ast.Ident)
+				switch {
+				case !ok || frozen:
+				case x.Name == stream && n.Sel.Name == "New":
+					t.Errorf("%s: uses stream.New; wire stream.NewSet over the whole shard set", fset.Position(n.Pos()))
+				case x.Name == shard && (n.Sel.Name == "NewRouter" || n.Sel.Name == "EngineSource"):
+					t.Errorf("%s: uses shard.%s; wire shard.New over a generation source", fset.Position(n.Pos()), n.Sel.Name)
+				}
+			case *ast.ArrayType:
+				if ix, ok := n.Elt.(*ast.IndexExpr); ok && slots {
+					if sel, ok := ix.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pointer" {
+						t.Errorf("%s: an array of atomic pointers; publish one core.Generation behind one pointer", fset.Position(n.Pos()))
+					}
+				}
+			case *ast.FuncDecl:
+				if n.Recv != nil && n.Name.Name == "Sources" {
+					t.Errorf("%s: a Sources method; readers follow one generation (stream.Pipeline.Current)", fset.Position(n.Pos()))
 				}
 			}
 			return true

@@ -230,7 +230,7 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 		buildSrc = e.met.buildDur
 	}
 	e.cost = plan.NewCostModel(opts.Plan.Cost, buildSrc)
-	e.ladder = NewLadder(opts.Plan, opts.Metrics, e)
+	e.ladder = NewLadder(opts.Plan, opts.Metrics, e.hold)
 	return e, nil
 }
 
@@ -299,12 +299,11 @@ func (e *Engine) Retire() {
 }
 
 // Hold registers a top-level read against the engine's query gate and
-// returns a release func. Handlers that read index state outside the
-// query entry points (e.g. /stats sizing a mapped index) hold the gate
-// so a concurrent Retire/Close cannot unmap under the read. On engines
-// that neither map files nor gate (EnableDrainGate), it is free. The
-// returned context carries the gate token, so nested query calls do not
-// re-acquire.
+// returns a release func. Readers of index state outside the query
+// entry points hold the gate so a concurrent Retire/Close cannot unmap
+// under the read. On engines that neither map files nor gate
+// (EnableDrainGate), it is free. The returned context carries this
+// gate's token, so nested calls on this engine do not re-acquire.
 func (e *Engine) Hold(ctx context.Context) (context.Context, func(), error) {
 	return e.acquire(ctx)
 }
@@ -365,11 +364,13 @@ func (e *Engine) requireIndexes() error {
 	return nil
 }
 
-// gateTokenKey marks a context as already holding the query gate, so
-// nested entry points (Search → SearchTopics → Summarize all receive
-// the same ctx) piggyback on the outer acquisition instead of
-// re-acquiring — see queryGate.
-type gateTokenKey struct{}
+// gateTokenKey marks a context as already holding the query gate it
+// names, so nested entry points on the same engine (Run → Open →
+// Summarize all receive the same ctx) piggyback on the outer acquisition
+// instead of re-acquiring — see queryGate. It names one gate: a context
+// holding engine A's gate still acquires engine B's, or B's Retire would
+// not wait for the query.
+type gateTokenKey struct{ gate *queryGate }
 
 // acquire is the entry gate of every online query path: it checks
 // readiness and, when the indexes are views into file mappings,
@@ -385,14 +386,15 @@ func (e *Engine) acquire(ctx context.Context) (context.Context, func(), error) {
 	if !e.mapped && !e.gated {
 		return ctx, func() {}, nil
 	}
-	if ctx.Value(gateTokenKey{}) != nil {
-		return ctx, func() {}, nil // nested within a held gate
+	token := gateTokenKey{&e.gate}
+	if ctx.Value(token) != nil {
+		return ctx, func() {}, nil // nested within this engine's held gate
 	}
 	release, ok := e.gate.acquire()
 	if !ok {
 		return ctx, nil, fmt.Errorf("%w: engine closed", ErrNotReady)
 	}
-	return context.WithValue(ctx, gateTokenKey{}, gateTokenKey{}), release, nil
+	return context.WithValue(ctx, token, true), release, nil
 }
 
 // firstError records the first error a worker pool observes. A plain
@@ -537,12 +539,30 @@ func (e *Engine) validateSummaries(sums []summary.Summary) error {
 // nests — builds, the search, the diversification re-rank — can lose
 // the engine half way.
 func (e *Engine) Run(ctx context.Context, q Query) (Answer, error) {
-	ctx, release, err := e.acquire(ctx)
-	if err != nil {
-		return Answer{Outcome: PlanOutcome{Tier: plan.TierUnavailable}}, err
-	}
-	defer release()
 	return e.ladder.Run(ctx, q)
+}
+
+// hold is the engine's HoldFunc: the engine itself, under its query
+// gate.
+func (e *Engine) hold(ctx context.Context) (context.Context, Opener, func(), error) {
+	ctx, release, err := e.acquire(ctx)
+	return ctx, e, release, err
+}
+
+// Generation implements Opener: an engine on its own is a static
+// deployment, generation 0. Deployments that swap engines number their
+// generations in Generation.ID.
+func (e *Engine) Generation() uint64 { return 0 }
+
+// Acquire holds the engine's query gate and returns it as the
+// generation it serves on its own — the whole-deployment hold of a
+// single engine (see shard.Router.Acquire).
+func (e *Engine) Acquire(ctx context.Context) (*Generation, func(), error) {
+	_, release, err := e.acquire(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Generation{Engines: []*Engine{e}}, release, nil
 }
 
 // Open implements Opener: one search session over req.Topics for

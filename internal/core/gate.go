@@ -9,8 +9,9 @@ package core
 //
 // Engine entry points nest (Search → SearchTopics → Summarize), so the
 // gate is acquired only at the outermost boundary: Engine.acquire tags
-// the request context with a token, and nested entries that see the
-// token piggyback on the already-held gate instead of re-acquiring.
+// the request context with a token naming this gate, and nested entries
+// on the same engine that see it piggyback on the already-held gate
+// instead of re-acquiring (another engine's token does not count).
 // That makes closing strict — it refuses every new top-level query —
 // while letting in-flight queries (and everything they nest) run to
 // completion, so the in-flight count decreases monotonically once

@@ -135,13 +135,12 @@ func routerBackend(t *testing.T, pcfg plan.Config, build bool) *ladderBackend {
 	g, space := ladderWorld()
 	reg := obs.NewRegistry()
 	engines := make([]*core.Engine, n)
-	sources := make([]shard.EngineSource, n)
 	for i := range engines {
 		eng, err := core.New(g, space, ladderOptions(reg, pcfg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines[i], sources[i] = eng, func() *core.Engine { return eng }
+		engines[i] = eng
 	}
 	if build {
 		if err := engines[0].BuildIndexes(context.Background()); err != nil {
@@ -157,7 +156,7 @@ func routerBackend(t *testing.T, pcfg plan.Config, build bool) *ladderBackend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := shard.NewRouter(g, space, part, sources, shard.Config{Metrics: reg})
+	r, err := shard.New(part, core.Static(engines...), shard.Config{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

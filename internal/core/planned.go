@@ -8,7 +8,8 @@ package core
 // so a broken or slow summarizer degrades answer fidelity instead of
 // turning into 5xx storms. Each attempt is the same five steps: open
 // sessions, search.Drive, diversify, hydrate, close. The only thing a
-// backend contributes is its Opener.
+// backend contributes is its HoldFunc: the Opener one request runs on,
+// pinned for the whole request.
 
 import (
 	"context"
@@ -58,14 +59,15 @@ type Opened struct {
 
 // Opener is what an execution backend contributes to the query path:
 // the single engine opens one session, the shard router one per owning
-// shard.
+// shard of the generation the request holds.
 type Opener interface {
-	// Graph and Space are the dataset the backend serves right now; the
-	// ladder validates users and resolves topics against them per
-	// request, so a backend whose engines swap under it (streaming) is
-	// never checked against a snapshot it has left behind.
+	// Graph and Space are the dataset the opener serves; the ladder
+	// validates users, resolves topics and hydrates results against them.
 	Graph() *graph.Graph
 	Space() *topics.Space
+	// Generation is the ID of the deployment generation the opener
+	// serves (0 for an engine on its own).
+	Generation() uint64
 	Open(ctx context.Context, req OpenRequest) (Opened, error)
 	// PlanInputs fills the backend's share of the planner's inputs for
 	// a full-tier attempt over ts: whether a build would be admitted
@@ -74,13 +76,20 @@ type Opener interface {
 	PlanInputs(m Method, ts []topics.TopicID) plan.Inputs
 }
 
+// HoldFunc pins a backend for one Run: it returns the Opener every step
+// of the request uses — so one request sees one dataset and one set of
+// engines from user validation to hydration — the context carrying its
+// query-gate tokens, and the release of those gates (called once, when
+// the request is done).
+type HoldFunc func(ctx context.Context) (context.Context, Opener, func(), error)
+
 // Ladder runs queries for one backend. It owns the planner state that
 // is about answers rather than summaries: the last-known-good answer
 // cache and the detached revalidations that refresh it.
 type Ladder struct {
-	cfg     plan.Config
-	backend Opener
-	stale   *plan.Cache[string, []TopicResult] // nil when the stale tier is off
+	cfg   plan.Config
+	hold  HoldFunc
+	stale *plan.Cache[string, staleAnswer] // nil when the stale tier is off
 
 	// life bounds the detached revalidations; Close cancels it and
 	// waits for them.
@@ -94,15 +103,23 @@ type Ladder struct {
 	revalOK, revalErr *obs.Counter
 }
 
-// NewLadder wires the query path over backend. cfg is the planner
-// configuration (zero values resolve to plan's defaults); reg, when
-// non-nil, receives pit_stale_serves_total and pit_revalidations_total.
-func NewLadder(cfg plan.Config, reg *obs.Registry, backend Opener) *Ladder {
+// staleAnswer is a last-known-good entry: the ranking and the
+// generation it was computed on.
+type staleAnswer struct {
+	results    []TopicResult
+	generation uint64
+}
+
+// NewLadder wires the query path over the backend hold pins per
+// request. cfg is the planner configuration (zero values resolve to
+// plan's defaults); reg, when non-nil, receives pit_stale_serves_total
+// and pit_revalidations_total.
+func NewLadder(cfg plan.Config, reg *obs.Registry, hold HoldFunc) *Ladder {
 	cfg.Fill()
-	l := &Ladder{cfg: cfg, backend: backend, revaling: map[string]struct{}{}}
+	l := &Ladder{cfg: cfg, hold: hold, revaling: map[string]struct{}{}}
 	l.life, l.stop = context.WithCancel(context.Background())
 	if cfg.StaleEnabled() {
-		l.stale = plan.NewCache[string, []TopicResult](cfg.StaleCapacity, cfg.StaleTTL, nil)
+		l.stale = plan.NewCache[string, staleAnswer](cfg.StaleCapacity, cfg.StaleTTL, nil)
 	}
 	if reg != nil {
 		serves := reg.CounterVec("pit_stale_serves_total",
@@ -132,7 +149,8 @@ func (q Query) staleKey() string {
 	return fmt.Sprintf("%d/%d/%d/%g/%s", q.Method, q.User, q.K, q.Lambda, q.Text)
 }
 
-// Run answers q.
+// Run answers q on the backend its hold pins once, up front, for the
+// whole request.
 //
 // Error contract: request-level mistakes (ErrInvalidArgument,
 // ErrNotReady) and client disconnects surface immediately — degrading
@@ -142,20 +160,26 @@ func (q Query) staleKey() string {
 // was exhausted and is always ErrUnavailable-wrapped.
 func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	none := Answer{Outcome: PlanOutcome{Tier: plan.TierUnavailable}}
+	ctx, backend, release, err := l.hold(ctx)
+	if err != nil {
+		return none, err
+	}
+	defer release()
+	none.Generation = backend.Generation()
 	if !q.Method.valid() {
 		return none, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, q.Method)
 	}
-	if !l.backend.Graph().Valid(q.User) {
+	if !backend.Graph().Valid(q.User) {
 		return none, fmt.Errorf("%w: user %d outside the graph", ErrInvalidArgument, q.User)
 	}
 	related := q.Topics
 	if related == nil {
-		related = l.backend.Space().Related(q.Text)
+		related = backend.Space().Related(q.Text)
 	}
 	if len(related) == 0 {
 		// An empty topic set is a complete full-fidelity answer — there is
 		// nothing to degrade.
-		ans := Answer{Outcome: PlanOutcome{Tier: plan.TierFull, Reason: "empty", Complete: true}}
+		ans := Answer{Outcome: PlanOutcome{Tier: plan.TierFull, Reason: "empty", Complete: true}, Generation: none.Generation}
 		if q.Trace {
 			ans.Trace = &search.Trace{}
 		}
@@ -169,20 +193,20 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	start, reason := plan.TierFull, "request"
 	switch {
 	case planned:
-		d := l.planStart(ctx, q.Method, related)
+		d := l.planStart(ctx, backend, q.Method, related)
 		start, reason = d.Start, d.Reason
 	case q.Fidelity == FidelityCached:
 		start = plan.TierMaterialized
 	}
 
 	if start == plan.TierFull {
-		ans, err := l.attempt(ctx, q, related, false)
+		ans, err := l.attempt(ctx, backend, q, related, false)
 		if err == nil && servable(ans) {
 			ans.Outcome.Reason = reason
 			// A degraded part with every topic cached still equals the
 			// full answer; a partial one must not become last-known-good.
 			if cacheable && ans.Outcome.Complete {
-				l.storeGood(q, ans.Results)
+				l.storeGood(q, ans)
 			}
 			return ans, nil
 		}
@@ -199,14 +223,14 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	if planned {
 		mctx, cancel = l.CachedContext(ctx)
 	}
-	ans, err := l.attempt(mctx, q, related, true)
+	ans, err := l.attempt(mctx, backend, q, related, true)
 	cancel()
 	if err == nil && (!planned || servable(ans)) {
 		ans.Outcome.Reason = reason
 		if cacheable && ans.Outcome.Complete {
 			// All q-related summaries were cached: this answer equals the
 			// full tier's and refreshes the last-known-good entry.
-			l.storeGood(q, ans.Results)
+			l.storeGood(q, ans)
 		}
 		return ans, nil
 	}
@@ -223,9 +247,13 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 				c.Inc()
 			}
 			l.revalidate(q)
-			out := make([]TopicResult, len(cached))
-			copy(out, cached)
-			return Answer{Results: out, Outcome: PlanOutcome{Tier: plan.TierStale, Reason: reason, Complete: true, StaleAge: age}}, nil
+			out := make([]TopicResult, len(cached.results))
+			copy(out, cached.results)
+			return Answer{
+				Results:    out,
+				Outcome:    PlanOutcome{Tier: plan.TierStale, Reason: reason, Complete: true, StaleAge: age},
+				Generation: cached.generation,
+			}, nil
 		}
 	}
 	none.Outcome.Reason = reason
@@ -242,8 +270,8 @@ func servable(ans Answer) bool {
 // planStart runs the planner for one request: operator policy, the
 // backend's breaker readiness and cost estimate, and the remaining
 // deadline.
-func (l *Ladder) planStart(ctx context.Context, m Method, related []topics.TopicID) plan.Decision {
-	in := l.backend.PlanInputs(m, related)
+func (l *Ladder) planStart(ctx context.Context, backend Opener, m Method, related []topics.TopicID) plan.Decision {
+	in := backend.PlanInputs(m, related)
 	in.Policy = l.cfg.Policy
 	if deadline, ok := ctx.Deadline(); ok {
 		in.HaveDeadline = true
@@ -278,8 +306,8 @@ func (l *Ladder) CachedContext(ctx context.Context) (context.Context, context.Ca
 // cached-only), drive them through Algorithm 10, diversify when asked,
 // and hydrate the ranking into topic records. The answer's Tier is
 // materialized when any session ran on cached-only summaries.
-func (l *Ladder) attempt(ctx context.Context, q Query, related []topics.TopicID, cached bool) (Answer, error) {
-	o, err := l.backend.Open(ctx, OpenRequest{
+func (l *Ladder) attempt(ctx context.Context, backend Opener, q Query, related []topics.TopicID, cached bool) (Answer, error) {
+	o, err := backend.Open(ctx, OpenRequest{
 		Method: q.Method, Topics: related, User: q.User,
 		Cached: cached, MayDegrade: q.Fidelity == FidelityPlanned,
 	})
@@ -289,7 +317,7 @@ func (l *Ladder) attempt(ctx context.Context, q Query, related []topics.TopicID,
 	var stats *search.Stats
 	defer func() { o.Done(stats) }()
 
-	ans := Answer{Outcome: PlanOutcome{Tier: plan.TierFull, Complete: o.Complete}}
+	ans := Answer{Outcome: PlanOutcome{Tier: plan.TierFull, Complete: o.Complete}, Generation: backend.Generation()}
 	if cached || o.Degraded {
 		ans.Outcome.Tier = plan.TierMaterialized
 	}
@@ -325,7 +353,7 @@ func (l *Ladder) attempt(ctx context.Context, q Query, related []topics.TopicID,
 		}
 		res = search.Diversify(res, sums, q.Lambda, k)
 	}
-	space := l.backend.Space()
+	space := backend.Space()
 	ans.Results = make([]TopicResult, len(res))
 	for i, r := range res {
 		ans.Results[i] = TopicResult{Topic: space.Topic(r.Topic), Score: r.Score}
@@ -337,10 +365,10 @@ func (l *Ladder) attempt(ctx context.Context, q Query, related []topics.TopicID,
 // the last-known-good result for its exact request. The slice is copied
 // both ways (here and on the stale serve) so cached entries never alias
 // caller-visible memory.
-func (l *Ladder) storeGood(q Query, res []TopicResult) {
-	cp := make([]TopicResult, len(res))
-	copy(cp, res)
-	l.stale.Put(q.staleKey(), cp)
+func (l *Ladder) storeGood(q Query, ans Answer) {
+	cp := make([]TopicResult, len(ans.Results))
+	copy(cp, ans.Results)
+	l.stale.Put(q.staleKey(), staleAnswer{results: cp, generation: ans.Generation})
 }
 
 // revalidate kicks one detached rebuild of q's stale entry,
@@ -349,6 +377,8 @@ func (l *Ladder) storeGood(q Query, res []TopicResult) {
 // ladder's lifecycle (not the request) with its own timeout, goes
 // through the normal full tier — singleflight-deduplicated builds,
 // breaker checks included — and refreshes the stale entry on success.
+// It is a Run of its own, so it holds whatever generation serves when it
+// starts, never the one the request that kicked it holds.
 // Close cancels the lifecycle and waits for these goroutines.
 func (l *Ladder) revalidate(q Query) {
 	key := q.staleKey()
@@ -372,7 +402,7 @@ func (l *Ladder) revalidate(q Query) {
 		q.Fidelity, q.Trace = FidelityFull, false
 		ans, err := l.Run(ctx, q)
 		if err == nil {
-			l.storeGood(q, ans.Results)
+			l.storeGood(q, ans)
 		}
 		if l.revalOK != nil {
 			if err == nil {

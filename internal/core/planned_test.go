@@ -191,3 +191,52 @@ func TestRunHoldsGateAcrossRerank(t *testing.T) {
 		t.Fatal("retired engine ran a build")
 	}
 }
+
+// TestGateTokenNamesItsGate: the context Hold returns marks that
+// engine's gate as held, and no other's. A retired engine must refuse a
+// hold made under another engine's token — skipping its gate would let
+// its Retire miss the query, and a mapped engine unmap under it — while
+// a nested hold on the same engine still rides the outer one.
+func TestGateTokenNamesItsGate(t *testing.T) {
+	a, b := builtEngine(t), builtEngine(t)
+	defer b.Close()
+	a.EnableDrainGate()
+	b.EnableDrainGate()
+	ctxA, releaseA, err := a.Hold(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Retire()
+	if _, release, err := b.Hold(ctxA); !errors.Is(err, ErrNotReady) {
+		if release != nil {
+			release()
+		}
+		t.Fatalf("retired engine B under engine A's hold: %v, want ErrNotReady", err)
+	}
+
+	retired := make(chan struct{})
+	go func() {
+		a.Retire()
+		close(retired)
+	}()
+	for { // wait until A's gate refuses new top-level holds
+		_, release, err := a.Hold(context.Background())
+		if err != nil {
+			break
+		}
+		release()
+		time.Sleep(time.Millisecond)
+	}
+	_, release, err := a.Hold(ctxA)
+	if err != nil {
+		t.Fatalf("nested hold on the held engine: %v", err)
+	}
+	release()
+	select {
+	case <-retired:
+		t.Fatal("engine A retired under a held query")
+	default:
+	}
+	releaseA()
+	<-retired
+}

@@ -87,6 +87,10 @@ type Answer struct {
 	// answer, which ran nothing). With Lambda > 0 its Results are the
 	// over-fetched candidates before the re-rank.
 	Trace *search.Trace
+	// Generation is the ID of the deployment generation the answer was
+	// computed on: a stale answer's is the one it was computed on, not
+	// the one serving now; an engine on its own is generation 0.
+	Generation uint64
 }
 
 // Ranking projects the results onto bare (topic ID, score) rows — the

@@ -16,9 +16,12 @@
 //	POST /subscribe?q=&user=&k=&...     — standing query, pushes over SSE
 //
 // The backend is fixed for the server's lifetime. Streaming swaps
-// engines underneath it, and following those swaps — including the
-// retry of a request whose engine retired under it — is the backend's
-// job (shard.Router does it once, for every route), never a handler's.
+// engines underneath it a generation at a time, and following those
+// swaps — including the retry of a request whose generation retired
+// under it — is the backend's job (shard.Router does it once per
+// request, at the hold), never a handler's. /search reports the
+// generation its answer was computed on in the X-Pit-Generation header;
+// /stats reads every field from one held generation and reports its ID.
 // /subscribe bypasses the request deadline and the in-flight limiter —
 // it is a long-lived event stream with its own bound
 // (Config.MaxSubscribers) — and pushes flow through the statusRecorder's
@@ -72,6 +75,10 @@ const statusClientClosedRequest = 499
 // served (or refused) a /search request.
 const tierHeader = "X-Pit-Tier"
 
+// generationHeader is the response header carrying the ID of the
+// deployment generation a /search answer was computed on.
+const generationHeader = "X-Pit-Generation"
+
 // SearchResult is one JSON row of a /search response.
 type SearchResult struct {
 	Rank  int     `json:"rank"`
@@ -104,8 +111,11 @@ type TopicsResponse struct {
 	Topics []string `json:"topics"`
 }
 
-// StatsResponse is the /stats payload.
+// StatsResponse is the /stats payload: one generation's counters.
 type StatsResponse struct {
+	// Generation is the ID of the deployment generation every other
+	// field was read from: 0 at boot, +1 per applied update batch.
+	Generation       uint64  `json:"generation"`
 	Nodes            int     `json:"nodes"`
 	Edges            int     `json:"edges"`
 	Topics           int     `json:"topics"`
@@ -131,16 +141,17 @@ type Backend interface {
 	Ready() bool
 	Graph() *graph.Graph
 	Space() *topics.Space
-	Hold(ctx context.Context) (context.Context, func(), error)
 	core.Runner
-	CachedSummaries(m core.Method) int
-	IndexStats() core.IndexStats
+	// Acquire holds the generation serving now until release, so a
+	// concurrent retirement cannot unmap (or cancel) under a read of it.
+	Acquire(ctx context.Context) (*core.Generation, func(), error)
 }
 
 // StreamBackend is the update surface behind POST /updates: the one
 // stream.Pipeline above the deployment's shard set. Events are validated
 // and queued once; PendingEvents and Swaps describe the deployment —
-// Swaps moves once per batch, after every shard serves it.
+// Swaps is the ID of the generation serving now: it moves once per
+// batch, after every shard serves it.
 type StreamBackend interface {
 	Submit(events ...stream.Event) error
 	GrowNodes(n int) error
@@ -178,7 +189,7 @@ type Config struct {
 	Registry *obs.Registry
 	// Stream, when set, attaches a streaming update surface: POST
 	// /updates mounts. The backend passed to New must follow the engine
-	// swaps it causes (a shard.Router over stream.Pipeline.Sources does).
+	// swaps it causes (a shard.Router over stream.Pipeline.Current does).
 	Stream StreamBackend
 	// Subscriptions, when set (requires Stream), mounts POST /subscribe:
 	// standing queries with SSE push delivery after applied batches.
@@ -548,6 +559,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	tier := ans.Outcome.Tier
 	w.Header().Set(tierHeader, tier.String())
+	w.Header().Set(generationHeader, strconv.FormatUint(ans.Generation, 10))
 	s.met.tierServed(tier)
 	degraded := tier != plan.TierFull
 	if degraded {
@@ -632,29 +644,29 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Stats reads index internals outside the query entry points, so it
-	// holds the backend's gate: a concurrent retire cannot unmap (or
-	// cancel) under the read.
-	eng := s.eng
-	_, release, err := eng.Hold(r.Context())
+	// holds one generation of the backend — every field below comes from
+	// it, and a concurrent retire cannot unmap (or cancel) under the read.
+	gen, release, err := s.eng.Acquire(r.Context())
 	if err != nil {
 		w.Header().Set("Retry-After", "5")
 		s.writeErr(w, r, http.StatusServiceUnavailable, "engine unavailable: %v", err)
 		return
 	}
-	g := eng.Graph()
-	idx := eng.IndexStats()
+	g := gen.Graph()
+	idx := gen.IndexStats()
 	resp := StatsResponse{
+		Generation:       gen.ID,
 		Nodes:            g.NumNodes(),
 		Edges:            g.NumEdges(),
-		Topics:           eng.Space().NumTopics(),
+		Topics:           gen.Space().NumTopics(),
 		PropIndexEntries: idx.PropEntries,
 		PropIndexTheta:   idx.Theta,
 		WalkL:            idx.WalkL,
 		WalkR:            idx.WalkR,
-		CachedLRW:        eng.CachedSummaries(core.MethodLRW),
-		CachedRCL:        eng.CachedSummaries(core.MethodRCL),
+		CachedLRW:        gen.CachedSummaries(core.MethodLRW),
+		CachedRCL:        gen.CachedSummaries(core.MethodRCL),
 	}
-	if sh, ok := eng.(interface{ Shards() int }); ok {
+	if sh, ok := s.eng.(interface{ Shards() int }); ok {
 		resp.Shards = sh.Shards()
 	}
 	release()

@@ -113,6 +113,9 @@ func TestSearchOK(t *testing.T) {
 	if resp.Method != "LRW-A" {
 		t.Errorf("default method = %q", resp.Method)
 	}
+	if gen := rec.Header().Get(generationHeader); gen != "0" {
+		t.Errorf("%s = %q on a static engine, want 0", generationHeader, gen)
+	}
 	if len(resp.Results) == 0 || len(resp.Results) > 3 {
 		t.Errorf("results = %d", len(resp.Results))
 	}
@@ -212,6 +215,13 @@ func TestStats(t *testing.T) {
 	}
 	if resp.WalkL != 4 || resp.WalkR != 8 {
 		t.Errorf("walk params = %d/%d", resp.WalkL, resp.WalkR)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if gen, ok := raw["generation"]; !ok || gen != 0.0 {
+		t.Errorf("generation = %v (present %v) on a static engine, want 0", gen, ok)
 	}
 }
 

@@ -3,7 +3,7 @@ package server
 // End-to-end streaming surface tests: POST /updates feeding the update
 // pipeline, POST /subscribe serving SSE pushes, and the swap protocol
 // underneath both — the pitserve wiring at one shard: a router over
-// Pipeline.Sources is the server's backend. The two-edge graph makes the
+// Pipeline.Current is the server's backend. The two-edge graph makes the
 // push semantics exact: a re-weighting flips which topic the standing
 // query ranks first, so the subscriber must see exactly one change push
 // with the flipped order.
@@ -33,12 +33,12 @@ import (
 // user 0 therefore ranks alpha first until the weights flip.
 func streamHarness(t *testing.T, cfg Config) (*httptest.Server, *stream.Pipeline) {
 	t.Helper()
-	return streamHarnessOver(t, cfg, func(src shard.EngineSource) shard.EngineSource { return src })
+	return streamHarnessOver(t, cfg, func(current func() *core.Generation) func() *core.Generation { return current })
 }
 
-// streamHarnessOver is streamHarness with the router's one engine source
+// streamHarnessOver is streamHarness with the router's generation source
 // wrapped by wrap — the seam for a source that lags behind a swap.
-func streamHarnessOver(t *testing.T, cfg Config, wrap func(shard.EngineSource) shard.EngineSource) (*httptest.Server, *stream.Pipeline) {
+func streamHarnessOver(t *testing.T, cfg Config, wrap func(func() *core.Generation) func() *core.Generation) (*httptest.Server, *stream.Pipeline) {
 	t.Helper()
 	b := graph.NewBuilder(3)
 	b.MustAddEdge(1, 0, 0.9)
@@ -80,7 +80,7 @@ func streamHarnessOver(t *testing.T, cfg Config, wrap func(shard.EngineSource) s
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err = shard.NewRouter(g, space, part, []shard.EngineSource{wrap(set.Sources()[0])}, shard.Config{})
+	router, err = shard.New(part, wrap(set.Current), shard.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +188,62 @@ func TestSubscribePushesOnRankingFlip(t *testing.T) {
 	}
 	if len(changed.Results) != 2 || changed.Results[0].Topic != "beta" {
 		t.Fatalf("post-flip ranking = %+v, want beta first of 2", changed.Results)
+	}
+}
+
+// /search and /stats report the generation they read: 0 at boot, 1 once
+// the first batch serves. The /updates ack's swaps is the same counter.
+func TestResponsesReportGeneration(t *testing.T) {
+	ts, set := streamHarness(t, Config{})
+	generations := func() (search string, stats uint64) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/search?q=t&user=0&k=2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /search = %d, want 200", resp.StatusCode)
+		}
+		search = resp.Header.Get(generationHeader)
+		resp, err = http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st StatsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return search, st.Generation
+	}
+	if search, stats := generations(); search != "0" || stats != 0 {
+		t.Fatalf("at boot: /search generation %q, /stats %d; want 0, 0", search, stats)
+	}
+
+	body := `{"updates":[{"from":1,"to":0,"weight":0.05},{"from":2,"to":0,"weight":0.95}]}`
+	up, err := http.Post(ts.URL+"/updates", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack UpdateResponse
+	err = json.NewDecoder(up.Body).Decode(&ack)
+	up.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Swaps != 0 {
+		t.Errorf("ack swaps = %d before any batch applied, want 0", ack.Swaps)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for set.Swaps() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the batch was never applied")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if search, stats := generations(); search != "1" || stats != 1 {
+		t.Fatalf("after one batch: /search generation %q, /stats %d; want 1, 1", search, stats)
 	}
 }
 
@@ -313,28 +369,28 @@ func TestSubscribeValidationErrors(t *testing.T) {
 }
 
 // TestRetiredEngineIsFollowed: a request whose engine retires under it —
-// the source handed out the old pointer just before the swap published
-// the new one — is answered by the replacement, on every route. The
-// lagging source returns the retired engine on exactly one resolve, the
-// k-th after arming; whichever resolve that is (a graph or space read,
-// which a retired engine still serves, or the one that opens the search,
-// which it refuses), the request must succeed. /subscribe is the route
-// that used to answer 503 here: its handler resolved an engine once and
-// never looked again.
+// the source handed out the old generation just before the swap
+// published the new one — is answered by the replacement, on every
+// route. The lagging source returns the retired generation on exactly
+// one load, the k-th after arming; whichever load that is (a graph read,
+// which a retired generation still serves, or the one the request holds,
+// which refuses), the request must succeed. /subscribe is the route that
+// used to answer 503 here: its handler resolved an engine once and never
+// looked again.
 func TestRetiredEngineIsFollowed(t *testing.T) {
 	var (
 		mu        sync.Mutex // guards the rest
-		retired   *core.Engine
-		countdown int // resolves until the retired engine is handed out; 0 = never
-		resolves  int // resolves since arm
+		retired   *core.Generation
+		countdown int // loads until the retired generation is handed out; 0 = never
+		resolves  int // loads since arm
 	)
 	arm := func(k int) {
 		mu.Lock()
 		countdown, resolves = k, 0
 		mu.Unlock()
 	}
-	ts, set := streamHarnessOver(t, Config{}, func(src shard.EngineSource) shard.EngineSource {
-		return func() *core.Engine {
+	ts, set := streamHarnessOver(t, Config{}, func(current func() *core.Generation) func() *core.Generation {
+		return func() *core.Generation {
 			mu.Lock()
 			defer mu.Unlock()
 			resolves++
@@ -343,18 +399,18 @@ func TestRetiredEngineIsFollowed(t *testing.T) {
 					return retired
 				}
 			}
-			return src()
+			return current()
 		}
 	})
-	old := set.Engine()
+	old := set.Current()
 	if err := set.Submit(stream.Event{From: 1, To: 0, Weight: 0.5}, stream.Event{From: 2, To: 0, Weight: 0.4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := set.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if set.Engine() == old {
-		t.Fatal("the flush did not swap the engine")
+	if set.Current() == old {
+		t.Fatal("the flush did not swap the generation")
 	}
 	mu.Lock()
 	retired = old
@@ -401,12 +457,12 @@ func TestRetiredEngineIsFollowed(t *testing.T) {
 				arm(k)
 				request(t)
 				mu.Lock()
-				// A refused open re-resolves: one resolve more than usual.
+				// A refused hold re-loads: one load more than usual.
 				retried = retried || resolves > baseline
 				mu.Unlock()
 			}
 			if !retried {
-				t.Fatalf("no position of the retired engine among %d resolves forced a retry: the swap race was never exercised", baseline)
+				t.Fatalf("no position of the retired generation among %d loads forced a retry: the swap race was never exercised", baseline)
 			}
 		})
 	}

@@ -72,7 +72,7 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := shard.NewRouter(g, space, part, set.Sources(), shard.Config{})
+	r, err := shard.New(part, set.Current, shard.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRouterFollowsGrownGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Stop()
-	r, err := shard.NewRouter(g, space, part, set.Sources(), shard.Config{})
+	r, err := shard.New(part, set.Current, shard.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestStaleAnswerSurvivesSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Stop()
-	r, err := shard.NewRouter(g, space, part, set.Sources(), shard.Config{})
+	r, err := shard.New(part, set.Current, shard.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,15 +40,6 @@ func worldOptions() core.Options {
 	return core.Options{WalkL: 4, WalkR: 8, Theta: 0.02, Seed: 7}
 }
 
-func staticSources(engines []*core.Engine) []shard.EngineSource {
-	out := make([]shard.EngineSource, len(engines))
-	for i, eng := range engines {
-		eng := eng
-		out[i] = func() *core.Engine { return eng }
-	}
-	return out
-}
-
 func buildRouter(t testing.TB, n int, opts core.Options) (*shard.Router, []*core.Engine) {
 	t.Helper()
 	g, space := world()
@@ -60,7 +51,7 @@ func buildRouter(t testing.TB, n int, opts core.Options) (*shard.Router, []*core
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := shard.NewRouter(g, space, part, staticSources(engines), shard.Config{})
+	r, err := shard.New(part, core.Static(engines...), shard.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

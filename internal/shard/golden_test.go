@@ -102,7 +102,7 @@ func TestGoldenAnswers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := shard.NewRouter(g, space, part, staticSources(engines), shard.Config{})
+			r, err := shard.New(part, core.Static(engines...), shard.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -170,7 +170,7 @@ func TestHydrateRoundTrip(t *testing.T) {
 		}
 	}
 
-	r, err := shard.NewRouter(g, space, part, staticSources(engines), shard.Config{})
+	r, err := shard.New(part, core.Static(engines...), shard.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

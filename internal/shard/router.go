@@ -24,12 +24,14 @@ type Config struct {
 
 // Router is the scatter-gather front of a shard set. It runs queries
 // through the same core.Ladder a single engine does; what it
-// contributes is Open, which scatters the session open to the owning
-// shards. All state it holds is routing state (the partition, engine
-// sources, metrics, the ladder's last-known-good answers — a merged
-// answer spans shards, so no single engine ever held it); the serving
-// state lives in the shard engines, which swap independently underneath
-// it.
+// contributes is its hold — one generation of the shard set, loaded and
+// held once per request — and the scatter that opens a session on each
+// owning shard of it. All state it holds is routing state (the
+// partition, the generation source, metrics, the ladder's
+// last-known-good answers — a merged answer spans shards, so no single
+// engine ever held it); the serving state lives in the shard engines,
+// which a streaming deployment replaces a generation at a time
+// underneath it.
 //
 // Exactness: search.Drive steps one search.Session per owning shard
 // level by level, exchanging the global k-th score each round — the
@@ -41,37 +43,54 @@ type Config struct {
 // prunes stops expanding mid-scatter.
 type Router struct {
 	part   *Partitioner
-	shards []EngineSource
+	gen    func() *core.Generation
 	met    *routerMetrics
 	ladder *core.Ladder
 }
 
-// NewRouter wires a router over one engine source per shard. Every
-// source must resolve to a non-nil engine built over the same graph
-// and topic space; g and space are that boot dataset and are only
-// checked for presence — the router reads the dataset from shard 0's
-// current engine (Graph, Space), because streaming swaps grow it. The
-// plan config (policy, stale cache, materialized budget) is taken from
-// shard 0's engine options, which a homogeneous deployment shares
-// across shards.
-func NewRouter(g *graph.Graph, space *topics.Space, part *Partitioner, sources []EngineSource, cfg Config) (*Router, error) {
-	if g == nil || space == nil || part == nil {
-		return nil, fmt.Errorf("shard: nil graph, space or partitioner")
+// New wires a router over a deployment's generations: gen returns the
+// one serving now — stream.Pipeline.Current, or core.Static for a
+// deployment that never swaps. Every generation holds one engine per
+// shard of part, all over one graph and topic space. The plan config
+// (policy, stale cache, materialized budget) is taken from shard 0's
+// engine options, which a homogeneous deployment shares across shards.
+func New(part *Partitioner, gen func() *core.Generation, cfg Config) (*Router, error) {
+	if part == nil || gen == nil || gen() == nil {
+		return nil, fmt.Errorf("shard: nil partitioner or generation")
 	}
-	if len(sources) != part.Shards() {
-		return nil, fmt.Errorf("shard: %d engine sources for %d shards", len(sources), part.Shards())
+	first := gen()
+	if len(first.Engines) != part.Shards() {
+		return nil, fmt.Errorf("shard: %d engines for %d shards", len(first.Engines), part.Shards())
 	}
-	for i, src := range sources {
-		if src == nil || src() == nil {
-			return nil, fmt.Errorf("shard: shard %d has no engine source", i)
+	for i, eng := range first.Engines {
+		if eng == nil {
+			return nil, fmt.Errorf("shard: shard %d has no engine", i)
 		}
 	}
-	r := &Router{part: part, shards: sources}
+	r := &Router{part: part, gen: gen}
 	if cfg.Metrics != nil {
 		r.met = newRouterMetrics(cfg.Metrics, part.Shards())
 	}
-	r.ladder = core.NewLadder(sources[0]().Options().Plan, cfg.Metrics, r)
+	r.ladder = core.NewLadder(first.Engines[0].Options().Plan, cfg.Metrics, r.pin)
 	return r, nil
+}
+
+// NewRouter is New over static engine sources, each resolved once into
+// generation 0; g and space are only checked for presence. It survives
+// only because frozen benchmark/trace.go compiles against it — like
+// stream.New and Pipeline.Engine — and ROADMAP 2(a) deletes it.
+func NewRouter(g *graph.Graph, space *topics.Space, part *Partitioner, sources []EngineSource, cfg Config) (*Router, error) {
+	if g == nil || space == nil {
+		return nil, fmt.Errorf("shard: nil graph or space")
+	}
+	engines := make([]*core.Engine, len(sources))
+	for i, src := range sources {
+		if src == nil {
+			return nil, fmt.Errorf("shard: shard %d has no engine source", i)
+		}
+		engines[i] = src()
+	}
+	return New(part, core.Static(engines...), cfg)
 }
 
 // Shards returns the shard count.
@@ -80,116 +99,85 @@ func (r *Router) Shards() int { return r.part.Shards() }
 // Partitioner returns the router's topic partition.
 func (r *Router) Partitioner() *Partitioner { return r.part }
 
-// Engine returns shard i's current engine.
-func (r *Router) Engine(i int) *core.Engine { return r.shards[i]() }
+// Engine returns shard i's engine in the generation serving now.
+func (r *Router) Engine(i int) *core.Engine { return r.gen().Engines[i] }
 
-// Graph returns the social graph shard 0's current engine serves. The
-// graph is replicated across shards and grows with streaming swaps, so
-// this follows the swap instead of pinning the boot snapshot.
-func (r *Router) Graph() *graph.Graph { return r.shards[0]().Graph() }
+// Graph returns the social graph the generation serving now serves; it
+// grows with streaming swaps.
+func (r *Router) Graph() *graph.Graph { return r.gen().Graph() }
 
-// Space returns the topic space shard 0's current engine serves.
-func (r *Router) Space() *topics.Space { return r.shards[0]().Space() }
+// Space returns the topic space the generation serving now serves.
+func (r *Router) Space() *topics.Space { return r.gen().Space() }
 
-// Ready reports whether every shard's current engine is ready, and
-// refreshes the per-shard readiness gauges.
+// Ready reports whether every shard of the generation serving now is
+// ready, and refreshes the per-shard readiness gauges.
 func (r *Router) Ready() bool {
 	all := true
-	for i, src := range r.shards {
-		ok := src().Ready()
+	for i, eng := range r.gen().Engines {
+		ok := eng.Ready()
 		r.met.setReady(i, ok)
-		if !ok {
-			all = false
-		}
+		all = all && ok
 	}
 	return all
 }
 
-// CachedSummaries sums the materialized summaries for m across shards
-// — corpus ownership is disjoint, so the sum is the corpus size.
-func (r *Router) CachedSummaries(m core.Method) int {
-	n := 0
-	for _, src := range r.shards {
-		n += src().CachedSummaries(m)
-	}
-	return n
+// CachedSummaries sums the materialized summaries for m across the
+// shards of the generation serving now.
+func (r *Router) CachedSummaries(m core.Method) int { return r.gen().CachedSummaries(m) }
+
+// Acquire holds the generation serving now — every shard's query gate —
+// until release, so its retirement drains behind the caller. It is the
+// one place that follows engine swaps: a hold refused because the
+// generation was retired between the load and the hold re-loads and
+// tries again. Each retry needs another publish, so the loop ends; a
+// re-load that returns the same generation means genuinely not ready,
+// and the error surfaces.
+func (r *Router) Acquire(ctx context.Context) (*core.Generation, func(), error) {
+	_, gen, release, err := r.hold(ctx)
+	return gen, release, err
 }
 
-// IndexStats reports shard 0's index sizing. Every shard carries a
-// full copy of the immutable indexes (the partition splits the
-// corpus, not the graph), so one shard's numbers describe them all.
-func (r *Router) IndexStats() core.IndexStats { return r.shards[0]().IndexStats() }
+// hold is Acquire plus the context carrying the held gates' tokens.
+func (r *Router) hold(ctx context.Context) (context.Context, *core.Generation, func(), error) {
+	gen := r.gen()
+	for {
+		held, release, err := gen.Hold(ctx)
+		if err == nil || !errors.Is(err, core.ErrNotReady) {
+			return held, gen, release, err
+		}
+		cur := r.gen()
+		if cur == gen {
+			return ctx, nil, nil, err
+		}
+		gen = cur
+	}
+}
 
-// Hold registers a read against every shard's query gate, so a
-// concurrent retire/close on any shard drains behind the caller.
-func (r *Router) Hold(ctx context.Context) (context.Context, func(), error) {
-	releases := make([]func(), 0, len(r.shards))
-	releaseAll := func() {
-		for _, f := range releases {
-			f()
-		}
-	}
-	for i := range r.shards {
-		err := r.withShard(i, func(eng *core.Engine) error {
-			_, rel, err := eng.Hold(ctx)
-			if err == nil {
-				releases = append(releases, rel)
-			}
-			return err
-		})
-		if err != nil {
-			releaseAll()
-			return ctx, nil, err
-		}
-	}
-	return ctx, releaseAll, nil
+// pin is the router's core.HoldFunc: the scatter over the generation
+// the request holds.
+func (r *Router) pin(ctx context.Context) (context.Context, core.Opener, func(), error) {
+	ctx, gen, release, err := r.hold(ctx)
+	return ctx, scatter{r, gen}, release, err
 }
 
 // Close stops the ladder's detached revalidations, then closes every
-// shard's current engine.
+// engine of the generation serving now.
 func (r *Router) Close() {
 	r.ladder.Close()
-	for _, src := range r.shards {
-		src().Close()
-	}
-}
-
-// withShard runs fn against shard i's current engine, re-resolving and
-// retrying when the engine was retired under the call (core.ErrNotReady
-// from an engine that is no longer current: the call lost a streaming
-// swap race, and the replacement answers). This is the one place that
-// follows engine swaps — everything above the router, the HTTP server
-// included, holds the router for its whole lifetime. Each retry needs
-// another swap to have happened, so the loop terminates; a fresh resolve
-// that returns the same engine means genuinely not ready, and the error
-// surfaces.
-func (r *Router) withShard(i int, fn func(eng *core.Engine) error) error {
-	eng := r.shards[i]()
-	for {
-		err := fn(eng)
-		if err == nil || !errors.Is(err, core.ErrNotReady) {
-			return err
-		}
-		cur := r.shards[i]()
-		if cur == eng {
-			return err
-		}
-		eng = cur
-	}
+	r.gen().Close()
 }
 
 // Summarize routes a summarization to the topic's owning shard.
 func (r *Router) Summarize(ctx context.Context, m core.Method, t topics.TopicID) (summary.Summary, error) {
-	if !r.Space().Valid(t) {
+	ctx, gen, release, err := r.hold(ctx)
+	if err != nil {
+		return summary.Summary{}, err
+	}
+	defer release()
+	if !gen.Space().Valid(t) {
 		return summary.Summary{}, fmt.Errorf("%w: unknown topic %d", core.ErrInvalidArgument, t)
 	}
-	var s summary.Summary
-	err := r.withShard(r.part.Owns(t), func(eng *core.Engine) error {
-		var err error
-		s, err = eng.Summarize(ctx, m, t)
-		return err
-	})
-	return s, err
+	return gen.Engines[r.part.Owns(t)].Summarize(ctx, m, t)
 }
 
 // WarmOwned warms every shard's owned topics, in parallel across shards
@@ -201,12 +189,17 @@ func (r *Router) Summarize(ctx context.Context, m core.Method, t topics.TopicID)
 // Because each shard has its own RCL summarizer (and its own rclMu), N
 // shards warm N× as many RCL topics concurrently as one engine can.
 func (r *Router) WarmOwned(ctx context.Context, m core.Method, opts core.WarmOptions) error {
+	ctx, gen, release, err := r.hold(ctx)
+	if err != nil {
+		return err
+	}
+	defer release()
 	if report := opts.Progress; report != nil {
 		var (
 			mu   sync.Mutex
 			done int // guarded by mu
 		)
-		total := r.Space().NumTopics()
+		total := gen.Space().NumTopics()
 		opts.Progress = func(int, int) {
 			mu.Lock()
 			done++
@@ -220,9 +213,7 @@ func (r *Router) WarmOwned(ctx context.Context, m core.Method, opts core.WarmOpt
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = r.withShard(i, func(eng *core.Engine) error {
-				return eng.WarmTopics(ctx, m, r.part.Owned(i), opts)
-			})
+			errs[i] = gen.Engines[i].WarmTopics(ctx, m, r.part.Owned(i), opts)
 		}()
 	}
 	wg.Wait()
@@ -239,8 +230,8 @@ func firstError(errs []error) error {
 	return nil
 }
 
-// Run answers q through the one query path with the shard set as its
-// backend.
+// Run answers q through the one query path on one generation of the
+// shard set, loaded and held once, up front, for the whole request.
 func (r *Router) Run(ctx context.Context, q core.Query) (core.Answer, error) {
 	return r.ladder.Run(ctx, q)
 }
@@ -253,21 +244,33 @@ func (r *Router) SearchTopics(ctx context.Context, m core.Method, related []topi
 	return ans.Ranking(), err
 }
 
-// Open implements core.Opener: it scatters the open to every owning
-// shard in parallel and gathers one session per shard. Each shard walks
-// its own two rungs when the request allows it: a shard whose build
-// path fails — breaker open, summarizer fault, build timeout — degrades
-// alone to its cached summaries while the healthy shards keep answering
-// at full fidelity, so one tripped shard costs fidelity on its slice of
-// the topic space, never the whole query. On any other failure every
-// opened session is closed and the lowest-shard error surfaces
-// (deterministically, like the single engine's first-error contract).
-func (r *Router) Open(ctx context.Context, req core.OpenRequest) (core.Opened, error) {
+// scatter is the router's core.Opener over the one generation a
+// request holds: every read of the request goes to its engines.
+type scatter struct {
+	r   *Router
+	gen *core.Generation
+}
+
+func (s scatter) Graph() *graph.Graph  { return s.gen.Graph() }
+func (s scatter) Space() *topics.Space { return s.gen.Space() }
+func (s scatter) Generation() uint64   { return s.gen.ID }
+
+// Open scatters the open to every owning shard in parallel and gathers
+// one session per shard. Each shard walks its own two rungs when the
+// request allows it: a shard whose build path fails — breaker open,
+// summarizer fault, build timeout — degrades alone to its cached
+// summaries while the healthy shards keep answering at full fidelity,
+// so one tripped shard costs fidelity on its slice of the topic space,
+// never the whole query. On any other failure every opened session is
+// closed and the lowest-shard error surfaces (deterministically, like
+// the single engine's first-error contract).
+func (s scatter) Open(ctx context.Context, req core.OpenRequest) (core.Opened, error) {
 	type opened struct {
 		core.Opened
 		shard int
 		took  time.Duration
 	}
+	r := s.r
 	parts := r.part.Split(req.Topics)
 	outs := make([]opened, 0, len(parts))
 	for i, ts := range parts {
@@ -283,14 +286,11 @@ func (r *Router) Open(ctx context.Context, req core.OpenRequest) (core.Opened, e
 			defer wg.Done()
 			o := &outs[j]
 			t0 := time.Now()
+			eng := s.gen.Engines[o.shard]
 			sub := req
 			sub.Topics = parts[o.shard]
-			errs[j] = r.withShard(o.shard, func(eng *core.Engine) error {
-				var err error
-				o.Opened, err = eng.Open(ctx, sub)
-				if err == nil || sub.Cached || !sub.MayDegrade || !r.ladder.Degradable(ctx, err) {
-					return err
-				}
+			o.Opened, errs[j] = eng.Open(ctx, sub)
+			if errs[j] != nil && !sub.Cached && sub.MayDegrade && r.ladder.Degradable(ctx, errs[j]) {
 				// This shard's full tier is down; serve its slice from
 				// cache, on the materialized tier's detached budget so an
 				// already-blown request deadline still gets the degraded
@@ -298,13 +298,12 @@ func (r *Router) Open(ctx context.Context, req core.OpenRequest) (core.Opened, e
 				cached := sub
 				cached.Cached = true
 				octx, cancel := r.ladder.CachedContext(ctx)
-				defer cancel()
-				if o.Opened, err = eng.Open(octx, cached); err == nil {
+				if o.Opened, errs[j] = eng.Open(octx, cached); errs[j] == nil {
 					o.Degraded = true
 					r.met.noteDegraded(o.shard)
 				}
-				return err
-			})
+				cancel()
+			}
 			o.took = time.Since(t0)
 		}()
 	}
@@ -333,20 +332,20 @@ func (r *Router) Open(ctx context.Context, req core.OpenRequest) (core.Opened, e
 	return all, nil
 }
 
-// PlanInputs implements core.Opener over the owning shards: a build is
-// admitted if any of them would admit one (the rest degrade alone, see
-// Open), and the cost is the sum of theirs — pessimistic for a parallel
-// scatter, which is the safe direction for a planner.
-func (r *Router) PlanInputs(m core.Method, ts []topics.TopicID) plan.Inputs {
+// PlanInputs fills the planner's inputs over the owning shards: a build
+// is admitted if any of them would admit one (the rest degrade alone,
+// see Open), and the cost is the sum of theirs — pessimistic for a
+// parallel scatter, which is the safe direction for a planner.
+func (s scatter) PlanInputs(m core.Method, ts []topics.TopicID) plan.Inputs {
 	in := plan.Inputs{Calibrated: true}
-	for i, part := range r.part.Split(ts) {
+	for i, part := range s.r.part.Split(ts) {
 		if len(part) == 0 {
 			continue
 		}
-		s := r.shards[i]().PlanInputs(m, part)
-		in.BreakerReady = in.BreakerReady || s.BreakerReady
-		in.Calibrated = in.Calibrated && s.Calibrated
-		in.Estimate += s.Estimate
+		p := s.gen.Engines[i].PlanInputs(m, part)
+		in.BreakerReady = in.BreakerReady || p.BreakerReady
+		in.Calibrated = in.Calibrated && p.Calibrated
+		in.Estimate += p.Estimate
 	}
 	return in
 }

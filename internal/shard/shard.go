@@ -12,11 +12,9 @@ import (
 	"repro/internal/topics"
 )
 
-// EngineSource resolves a shard's current engine. Static deployments
-// return a fixed engine; streaming deployments pass the update
-// pipeline's per-shard sources (stream.Pipeline.Sources — an alias, so
-// this package need not import the pipeline), and the router follows
-// swaps without coordination.
+// EngineSource resolves one shard's engine. It survives only as
+// NewRouter's argument type for frozen benchmark/trace.go; routers
+// follow a deployment through a generation source (New).
 type EngineSource = func() *core.Engine
 
 // BuildEngines stands up n shard engines over one in-memory dataset —

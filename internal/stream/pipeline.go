@@ -13,19 +13,20 @@ import (
 	"repro/internal/dynamic"
 )
 
-// Pipeline owns the deployment's current engines — one per shard, all
-// over the same graph — and the one pending event batch. One background
-// goroutine (Start) applies batches; Submit/GrowNodes are safe for
-// concurrent use. Flushes are serialized: there is never more than one
-// batch being rebuilt, so a burst of events coalesces into the next
-// batch instead of queueing rebuilds.
+// Pipeline owns the deployment's current generation — one engine per
+// shard, all over the same graph — and the one pending event batch. One
+// background goroutine (Start) applies batches; Submit/GrowNodes are
+// safe for concurrent use. Flushes are serialized: there is never more
+// than one batch being rebuilt, so a burst of events coalesces into the
+// next batch instead of queueing rebuilds.
 type Pipeline struct {
 	cfg Config
-	cur []atomic.Pointer[core.Engine] // one slot per shard, stored together by Flush
+	cur atomic.Pointer[core.Generation]
 
-	mu       sync.Mutex // guards pending, newNodes, oldest
+	mu       sync.Mutex // guards pending, nodes, newNodes, oldest
 	pending  []Event
-	newNodes int
+	nodes    int       // events may name nodes below this: published plus accepted growth
+	newNodes int       // growth not yet taken by a flush
 	oldest   time.Time // earliest At among pending events
 
 	kick chan struct{} // buffered(1): wakes the run loop on batch-size
@@ -35,7 +36,6 @@ type Pipeline struct {
 	wg   sync.WaitGroup
 
 	applyMu sync.Mutex // serializes Flush
-	seq     atomic.Uint64
 	met     *pipeMetrics
 }
 
@@ -60,18 +60,14 @@ func NewSet(engines []*core.Engine, cfg Config) (*Pipeline, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = log.Default()
 	}
-	p := &Pipeline{
-		cfg:  cfg,
-		cur:  make([]atomic.Pointer[core.Engine], len(engines)),
-		kick: make(chan struct{}, 1),
-	}
 	for i, eng := range engines {
 		if eng == nil {
 			return nil, fmt.Errorf("stream: nil engine (shard %d)", i)
 		}
 		eng.EnableDrainGate()
-		p.cur[i].Store(eng)
 	}
+	p := &Pipeline{cfg: cfg, nodes: engines[0].Graph().NumNodes(), kick: make(chan struct{}, 1)}
+	p.cur.Store(&core.Generation{Engines: engines})
 	if cfg.Metrics != nil {
 		p.met = newPipeMetrics(cfg.Metrics)
 	}
@@ -85,26 +81,19 @@ func New(eng *core.Engine, cfg Config) (*Pipeline, error) {
 	return NewSet([]*core.Engine{eng}, cfg)
 }
 
-// Sources returns one engine source per shard (a shard.EngineSource),
-// each following its shard's current engine across swaps. Callers that
-// hit core.ErrNotReady on a source's result should re-load: they raced
-// a swap and the fresh engine answers.
-func (p *Pipeline) Sources() []func() *core.Engine {
-	out := make([]func() *core.Engine, len(p.cur))
-	for i := range p.cur {
-		out[i] = p.cur[i].Load
-	}
-	return out
-}
+// Current returns the generation serving now — a shard.Router's
+// generation source. A reader that holds it and is refused
+// (core.ErrNotReady) raced a swap: the next Current answers.
+func (p *Pipeline) Current() *core.Generation { return p.cur.Load() }
 
-// Engine is Sources()[0](): the engine currently serving shard 0, which
-// in a one-engine pipeline is the engine. Like New it stays only for
-// frozen benchmark/trace.go.
-func (p *Pipeline) Engine() *core.Engine { return p.cur[0].Load() }
+// Engine is the engine currently serving shard 0, which in a one-engine
+// pipeline is the engine. Like New it stays only for frozen
+// benchmark/trace.go.
+func (p *Pipeline) Engine() *core.Engine { return p.Current().Engines[0] }
 
-// Swaps reports how many batches have been applied so far. It moves
-// only after every shard serves the batch.
-func (p *Pipeline) Swaps() uint64 { return p.seq.Load() }
+// Swaps reports how many batches have been applied so far: the ID of
+// the generation serving now.
+func (p *Pipeline) Swaps() uint64 { return p.Current().ID }
 
 // PendingEvents reports the current pending batch size.
 func (p *Pipeline) PendingEvents() int {
@@ -122,12 +111,10 @@ func (p *Pipeline) Submit(events ...Event) error {
 		return fmt.Errorf("stream: pipeline stopped: %w", err)
 	}
 	now := p.cfg.Clock()
-	nodes := p.cur[0].Load().Graph().NumNodes() // every shard serves the same graph
 
 	p.mu.Lock()
-	grown := nodes + p.newNodes
 	for _, ev := range events {
-		if err := validateEvent(ev, grown); err != nil {
+		if err := validateEvent(ev, p.nodes); err != nil {
 			p.mu.Unlock()
 			return err
 		}
@@ -168,6 +155,7 @@ func (p *Pipeline) GrowNodes(n int) error {
 		return fmt.Errorf("stream: GrowNodes(%d): need a positive count", n)
 	}
 	p.mu.Lock()
+	p.nodes += n
 	p.newNodes += n
 	if p.oldest.IsZero() {
 		p.oldest = p.cfg.Clock()
@@ -270,6 +258,8 @@ func (p *Pipeline) flushLogged() {
 // shard's unaffected summaries) and publishes all of them or none:
 // if any rebuild fails, every fresh engine is closed, the failure is
 // counted once and the old generation keeps serving on every shard.
+// Success publishes generation ID+1 with one pointer store and then
+// retires the old generation as a whole.
 // A flush with nothing pending is a no-op. ctx bounds the rebuilds; on
 // error the pending events are dropped (they were consumed by the
 // failed attempt). Concurrent flushes serialize.
@@ -307,12 +297,12 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 		batch.Updates = append(batch.Updates, dynamic.EdgeUpdate{From: ev.From, To: ev.To, Weight: w})
 	}
 
-	old := make([]*core.Engine, len(p.cur))
-	for i := range p.cur {
-		old[i] = p.cur[i].Load()
-	}
-	fresh, stats, err := p.rebuild(ctx, old, batch)
+	old := p.Current()
+	fresh, stats, err := p.rebuild(ctx, old.Engines, batch)
 	if err != nil {
+		p.mu.Lock()
+		p.nodes = old.Graph().NumNodes() + p.newNodes // the batch's growth is lost with it
+		p.mu.Unlock()
 		if p.met != nil {
 			p.met.failures.Inc()
 		}
@@ -324,15 +314,11 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 		}
 		eng.EnableDrainGate()
 	}
-	// Publish. Each Store is the happens-before edge that makes a fresh
-	// engine's gated flag (and everything the rebuild wrote) visible to
-	// readers loading the pointer; nothing below can fail, so a batch
-	// is never live on a strict subset of the shards for longer than
-	// this loop.
-	for i, eng := range fresh {
-		p.cur[i].Store(eng)
-	}
-	seq := p.seq.Add(1)
+	// Publish: the one Store is the happens-before edge that makes every
+	// fresh engine's gated flag (and everything the rebuild wrote)
+	// visible to readers loading the generation.
+	gen := &core.Generation{ID: old.ID + 1, Engines: fresh}
+	p.cur.Store(gen)
 	lag := p.cfg.Clock().Sub(oldest)
 
 	if p.met != nil {
@@ -346,13 +332,11 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 		p.met.lag.Observe(lag.Seconds())
 	}
 	if p.cfg.OnApply != nil {
-		p.cfg.OnApply(ctx, ApplyResult{Seq: seq, Batch: batch, Stats: stats, Lag: lag})
+		p.cfg.OnApply(ctx, ApplyResult{Seq: gen.ID, Batch: batch, Stats: stats, Lag: lag})
 	}
-	// Retire last: in-flight queries admitted on the old engines drain
-	// at full fidelity while the fresh ones already serve new queries.
-	for _, eng := range old {
-		eng.Retire()
-	}
+	// Retire last: in-flight queries holding the old generation drain at
+	// full fidelity while the fresh one already serves new queries.
+	old.Retire()
 	return nil
 }
 

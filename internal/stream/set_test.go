@@ -51,9 +51,7 @@ func testSet(t testing.TB, nodes int, seed int64) []*core.Engine {
 // closeSet stops the pipeline and closes whatever it serves now.
 func closeSet(p *Pipeline) {
 	p.Stop()
-	for _, src := range p.Sources() {
-		src().Close()
-	}
+	p.Current().Close()
 }
 
 // With decay on and a clock that moves between any two readings, one
@@ -77,21 +75,21 @@ func TestSetDecaysOnce(t *testing.T) {
 	if err := p.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	base := p.Sources()[0]().Graph()
+	base := p.Current().Graph()
 	for _, ev := range events {
 		want, ok := base.EdgeWeight(ev.From, ev.To)
 		if !ok || want >= ev.Weight {
 			t.Fatalf("shard 0: edge %d→%d = (%v, %v), want a decayed weight below %v", ev.From, ev.To, want, ok, ev.Weight)
 		}
-		for i, src := range p.Sources() {
-			if got, _ := src().Graph().EdgeWeight(ev.From, ev.To); got != want {
+		for i, eng := range p.Current().Engines {
+			if got, _ := eng.Graph().EdgeWeight(ev.From, ev.To); got != want {
 				t.Errorf("shard %d applied %d→%d at weight %v, shard 0 at %v", i, ev.From, ev.To, got, want)
 			}
 		}
 	}
 }
 
-// OnApply fires once per batch and only after the last shard's pointer
+// OnApply fires once per batch and only after the generation's pointer
 // store: a standing query re-evaluated from the hook scatters over one
 // generation. Swaps() has moved by then, and not before.
 func TestSetOnApplySeesEveryShardSwapped(t *testing.T) {
@@ -108,8 +106,8 @@ func TestSetOnApplySeesEveryShardSwapped(t *testing.T) {
 			if r.Seq != 1 || p.Swaps() != 1 {
 				t.Errorf("in OnApply: seq %d, swaps %d; want 1, 1", r.Seq, p.Swaps())
 			}
-			for i, src := range p.Sources() {
-				g := src().Graph()
+			for i, eng := range p.Current().Engines {
+				g := eng.Graph()
 				if w, ok := g.EdgeWeight(1, graph.NodeID(nodes)); g.NumNodes() != nodes+1 || !ok || w != 0.5 {
 					t.Errorf("in OnApply shard %d still serves the old graph (%d nodes, grown edge %v/%v)", i, g.NumNodes(), w, ok)
 				}
@@ -134,7 +132,7 @@ func TestSetOnApplySeesEveryShardSwapped(t *testing.T) {
 	}
 	// One applied graph, not N equal copies, and — while every shard
 	// still builds its own indexes — equal walks and Γ rows over it.
-	a, b := p.Sources()[0](), p.Sources()[1]()
+	a, b := p.Current().Engines[0], p.Current().Engines[1]
 	if a.Graph() != b.Graph() {
 		t.Fatal("the shards serve two graph copies of one batch")
 	}
@@ -170,8 +168,8 @@ func TestSetCountsCarriedOnEveryShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := 0
-	for i, src := range p.Sources() {
-		n := src().CachedSummaries(core.MethodLRW) // nothing has queried the fresh engines: exactly the carried ones
+	for i, eng := range p.Current().Engines {
+		n := eng.CachedSummaries(core.MethodLRW) // nothing has queried the fresh engines: exactly the carried ones
 		if n == 0 {
 			t.Fatalf("shard %d carried nothing; the sum below would prove nothing", i)
 		}
@@ -207,7 +205,7 @@ func (c *cancelAfter) Err() error {
 }
 
 // A flush canceled after one shard's worth of rebuild work publishes on
-// no shard: every pointer still holds the old engine, Swaps() and the
+// no shard: the generation still holds every old engine, Swaps() and the
 // swap counter stay put, the failure counts once, the fresh engines are
 // closed, and the next flush applies cleanly to the same generation.
 func TestSetFlushIsAllOrNothing(t *testing.T) {
@@ -233,8 +231,8 @@ func TestSetFlushIsAllOrNothing(t *testing.T) {
 		t.Fatalf("a rebuild polled its context %d times; cannot cancel inside one", perShard)
 	}
 	served := make([]*core.Engine, len(engines))
-	for i, src := range p.Sources() {
-		served[i] = src()
+	for i, eng := range p.Current().Engines {
+		served[i] = eng
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -247,11 +245,11 @@ func TestSetFlushIsAllOrNothing(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled flush returned %v, want context.Canceled", err)
 	}
-	for i, src := range p.Sources() {
-		if src() != served[i] {
+	for i, eng := range p.Current().Engines {
+		if eng != served[i] {
 			t.Errorf("shard %d published an engine from the canceled flush", i)
 		}
-		if w, _ := src().Graph().EdgeWeight(2, 3); w == lost {
+		if w, _ := eng.Graph().EdgeWeight(2, 3); w == lost {
 			t.Errorf("shard %d serves the canceled batch", i)
 		}
 	}
@@ -269,8 +267,8 @@ func TestSetFlushIsAllOrNothing(t *testing.T) {
 	if err := p.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for i, src := range p.Sources() {
-		g := src().Graph()
+	for i, eng := range p.Current().Engines {
+		g := eng.Graph()
 		first, _ := g.EdgeWeight(1, 2)
 		dropped, _ := g.EdgeWeight(2, 3)
 		last, _ := g.EdgeWeight(3, 4)

@@ -13,17 +13,19 @@
 //   - each flush applies the batch to the deployment, not to a shard:
 //     one dynamic.Apply and one affected set, then one dynamic.Rebuild
 //     per shard engine over the one updated graph (rebuild + carry that
-//     shard's unaffected summaries). All fresh engines are published
-//     through atomic pointers or none is, and only then are the old ones
-//     Retired — refusing new queries, draining in-flight ones, and only
-//     then cancelling their lifecycles;
+//     shard's unaffected summaries). The fresh engines are published
+//     together as the next core.Generation, with one pointer store, or
+//     not at all, and only then is the old generation Retired —
+//     refusing new queries, draining in-flight ones, and only then
+//     cancelling its engines' lifecycles;
 //   - optional time decay fades an event's edge weight between its
 //     enqueue time and its application, so influence observed long
 //     before the rebuild lands weaker than influence observed just now.
 //
-// Readers follow each shard's current engine through Pipeline.Sources();
-// a reader that loses the swap race (acquired the old pointer, found its
-// gate closed) gets core.ErrNotReady and retries on the new pointer.
+// Readers follow the deployment through Pipeline.Current, loading one
+// generation per request and holding it; a reader that loses the swap
+// race (loaded the old generation, found a gate closed) gets
+// core.ErrNotReady and retries on the new one — shard.Router does.
 package stream
 
 import (
@@ -53,7 +55,8 @@ type Event struct {
 // refresh reused. OnApply receives it after every shard has swapped,
 // before the old engines are retired.
 type ApplyResult struct {
-	// Seq numbers applied batches from 1, in application order.
+	// Seq numbers applied batches from 1, in application order: the ID
+	// of the generation that serves the batch.
 	Seq uint64
 	// Batch is the coalesced update set, weights already decayed.
 	Batch dynamic.Batch

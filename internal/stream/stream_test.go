@@ -167,6 +167,61 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// A flush takes the accepted node growth into its batch before it
+// publishes the grown graph. An event for a grown node submitted in that
+// window — here from PrepareEngine, after the rebuild and before the
+// publish — is valid all the same and lands with the next batch. A
+// flush that fails takes its growth with it.
+func TestSubmitDuringFlushSeesAcceptedGrowth(t *testing.T) {
+	eng := testEngine(t, 100, 3)
+	var (
+		p         *Pipeline
+		submitted bool
+		submitErr error
+	)
+	p, err := NewSet([]*core.Engine{eng}, Config{
+		BatchSize: 1 << 20,
+		PrepareEngine: func(int, *core.Engine) {
+			if !submitted {
+				submitted = true
+				submitErr = p.Submit(Event{From: 0, To: 100, Weight: 0.4})
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeSet(p)
+	ctx := context.Background()
+	if err := p.GrowNodes(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if submitErr != nil {
+		t.Fatalf("event on a node the flush in progress is adding: %v", submitErr)
+	}
+	if err := p.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if w, ok := p.Engine().Graph().EdgeWeight(0, 100); !ok || w != 0.4 {
+		t.Fatalf("edge 0→100 after the next flush = (%v, %v), want (0.4, true)", w, ok)
+	}
+
+	if err := p.GrowNodes(1); err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := p.Flush(canceled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("flush on a canceled context: %v, want context.Canceled", err)
+	}
+	if err := p.Submit(Event{From: 0, To: 101, Weight: 0.4}); err == nil {
+		t.Fatal("event on a node whose growth failed to apply was accepted")
+	}
+}
+
 // One explicit Flush applies the batch, publishes a fresh engine that
 // serves, retires the old one (new queries refused, per PR 8 drain
 // semantics), and reports carried-summary counts consistent with the

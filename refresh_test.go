@@ -85,14 +85,12 @@ func refreshEqualsRebuild(t *testing.T, shards int) {
 	}
 	defer func() {
 		pipe.Stop()
-		for _, src := range pipe.Sources() {
-			src().Close()
-		}
+		pipe.Current().Close()
 	}()
 
 	rng := rand.New(rand.NewSource(26))
 	for k := 0; k < refreshBatches; k++ {
-		cur := pipe.Sources()[0]().Graph()
+		cur := pipe.Current().Graph()
 		grow := 0
 		if k%10 == 9 {
 			grow = 1 + rng.Intn(2)
@@ -111,7 +109,7 @@ func refreshEqualsRebuild(t *testing.T, shards int) {
 			t.Fatalf("batch %d: %v", k, err)
 		}
 
-		served := pipe.Sources()[0]().Graph()
+		served := pipe.Current().Graph()
 		if served.NumNodes() != cur.NumNodes()+grow {
 			t.Fatalf("batch %d: %d nodes served, want %d", k, served.NumNodes(), cur.NumNodes()+grow)
 		}
@@ -147,8 +145,7 @@ func refreshEqualsRebuild(t *testing.T, shards int) {
 			t.Fatal(err)
 		}
 		wantWalks, wantProp := walkFingerprint(served, ref.Walks()), propFingerprint(served, ref.Prop())
-		for i, src := range pipe.Sources() {
-			eng := src()
+		for i, eng := range pipe.Current().Engines {
 			if eng.Graph() != served {
 				t.Fatalf("batch %d: shard %d serves another graph than shard 0", k, i)
 			}
