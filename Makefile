@@ -27,11 +27,13 @@ help:
 	@echo "                   SummarizeMany and core's ColdOpen time a 120-topic refill), the benchmark harness's"
 	@echo "                   -smoke run, and pitserve -smoke at -shards 1 (the default) and 2,"
 	@echo "                   the second cold-starting from the artifacts the first saved"
+	@echo "                   (the metric family list is TestMetricFamiliesDocumented's, under make test)"
 	@echo "make fuzz        - storage artifact-parser fuzzers for 10s per target"
 	@echo "make chaos       - fault-injection suite under -race: internal/chaos plus the"
 	@echo "                   planner/breaker chaos tests in core and server, the"
 	@echo "                   streaming churn/soak/all-or-nothing tests in internal/stream"
-	@echo "                   and internal/shard, the refresh = rebuild property test and"
+	@echo "                   and internal/shard, the refresh = rebuild property test,"
+	@echo "                   a tripped breaker surviving an engine swap and"
 	@echo "                   the multi-key singleflight (DoMany) tests"
 	@echo "make vulncheck   - govulncheck when installed (best-effort)"
 
@@ -89,13 +91,14 @@ race:
 # package's refresh ≡ rebuild property (every flush of a streamed
 # deployment equals a from-scratch build), and the multi-key flight every
 # cache miss goes through (singleflight DoMany: per-key dedup, waiter vs
-# Base cancellation, panics reaching every key), and one request per
-# generation (a request parked across a publish merges no two) — always under
+# Base cancellation, panics reaching every key), one request per
+# generation (a request parked across a publish merges no two), and a
+# tripped build breaker surviving the swap to fresh engines — always under
 # the race detector, since the interesting bugs here are races between
 # degradation, revalidation, swap and close.
 chaos:
 	$(GO) test -race ./internal/chaos/
-	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
+	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.
@@ -110,12 +113,13 @@ bench:
 # their data_350k sub-benchmarks included, exactly once (-benchtime 1x), plus
 # the benchmark harness's seconds-long -smoke run, to prove every
 # benchmark path still executes. No timing value — just "does it run". The pitserve -smoke
-# runs then serve real HTTP on ephemeral ports and fail unless /metrics
-# exposes every instrumented layer's metric families — one family list,
-# one code path, at two partition widths sharing one artifact directory:
-# the default -shards 1 builds and saves it, -shards 2 cold-starts from
-# what the other width wrote (the obs packages themselves are covered
-# under -race by `make race`, which runs ./...).
+# runs then serve real HTTP on ephemeral ports and fail on an error
+# status or an empty /metrics — one code path at two partition widths
+# sharing one artifact directory: the default -shards 1 builds and saves
+# it, -shards 2 cold-starts from what the other width wrote. Which
+# families /metrics holds is TestMetricFamiliesDocumented's (cmd/pitserve,
+# against README's metrics table), run by `make race` with the obs
+# packages themselves.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig05TimeCostData2k|BenchmarkFig10PrecisionData2k' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/search/ ./internal/core/ ./internal/rcl/ ./internal/lrw/ ./internal/randwalk/ ./internal/propidx/

@@ -250,9 +250,10 @@ func buildApp(o options) (*app, error) {
 		return nil, err
 	}
 	// One registry spans every layer: engine (cache/singleflight/build
-	// durations), search (expansion depth), router and HTTP (request
-	// counters). All families register at construction, so a scrape of an
-	// idle process already lists every metric name.
+	// durations), query path (truncations, revalidations), router,
+	// streaming and HTTP. All families register at construction, so a
+	// scrape of an idle process already lists every metric name — the
+	// names README's metrics table documents.
 	reg := obs.NewRegistry()
 	a := &app{opts: o, reg: reg}
 	engines := make([]*core.Engine, o.shards)
@@ -500,65 +501,21 @@ func drainAndStop(hs *http.Server, timeout time.Duration) error {
 	return err
 }
 
-// smokeMetrics are the families a live process must expose after serving
-// a couple of searches — one name per instrumented layer (HTTP
-// middleware, summary cache, singleflight, build durations, search
-// expansion, streaming, subscriptions, the shard router). The smoke run
-// fails if any is missing, so a refactor that
-// silently unwires a layer's metrics breaks CI instead of production
-// dashboards.
-var smokeMetrics = []string{
-	"pit_http_requests_total",
-	"pit_http_request_duration_seconds",
-	"pit_http_inflight_requests",
-	"pit_http_degraded_total",
-	"pit_summary_cache_hits_total",
-	"pit_summary_cache_misses_total",
-	"pit_summary_builds_total",
-	"pit_summary_build_dedup_waits_total",
-	"pit_summary_build_duration_seconds",
-	"pit_index_build_duration_seconds",
-	"pit_warm_topics_total",
-	"pit_warm_duration_seconds",
-	"pit_search_expand_depth",
-	"pit_search_frontier_truncations_total",
-	"pit_search_topk_duration_seconds",
-	"pit_search_tier_total",
-	"pit_breaker_state",
-	"pit_materialized_skipped_topics_total",
-	"pit_stale_serves_total",
-	"pit_stream_events_submitted_total",
-	"pit_stream_events_applied_total",
-	"pit_stream_batches_applied_total",
-	"pit_stream_engine_swaps_total",
-	"pit_stream_rebuild_lag_seconds",
-	"pit_stream_pending_events",
-	"pit_subscribe_active",
-	"pit_subscribe_evals_total",
-	"pit_subscribe_pushes_total",
-	"pit_shard_scatter_fanout",
-	"pit_shard_pruned_total",
-	"pit_shard_merge_seconds",
-	"pit_shard_rounds",
-	"pit_shard_latency_seconds",
-	"pit_shard_degraded_total",
-	"pit_shard_ready",
-}
-
 // runSmoke is the one-shot end-to-end check behind -smoke: build a small
 // engine, serve API and ops listeners on ephemeral ports, issue real
-// searches over HTTP, then scrape /metrics and verify every instrumented
-// layer shows up in the exposition.
+// searches and an update batch over HTTP, then scrape /metrics. Which
+// families the exposition holds is TestMetricFamiliesDocumented's job
+// (against README's table); the smoke only asks for a non-empty one.
 func runSmoke(o options) error {
 	o.scale = 0.1
 	o.walkL, o.walkR = 4, 8
 	// Exercise the offline warm pipeline end to end so the smoke fails
-	// if the warm-up path or its instrumentation unwires.
+	// if the warm-up path unwires.
 	if o.warmSummaries == "" {
 		o.warmSummaries = "lrw"
 	}
-	// Always stream in the smoke: the /updates → batch → swap path and
-	// its metric families are part of the verified surface.
+	// Always stream in the smoke: the /updates → batch → swap path is
+	// part of the verified surface.
 	if o.streamBatch <= 0 {
 		o.streamBatch = 4
 	}
@@ -616,16 +573,10 @@ func runSmoke(o options) error {
 	if err != nil {
 		return err
 	}
-	var missing []string
-	for _, name := range smokeMetrics {
-		if !strings.Contains(string(body), name) {
-			missing = append(missing, name)
-		}
+	if len(body) == 0 {
+		return fmt.Errorf("/metrics served an empty exposition")
 	}
-	if len(missing) > 0 {
-		return fmt.Errorf("exposition missing metric families %v", missing)
-	}
-	log.Printf("smoke ok: %d metric families verified on %s", len(smokeMetrics), opsLn.Addr())
+	log.Printf("smoke ok: %d bytes of metrics on %s", len(body), opsLn.Addr())
 	return nil
 }
 

@@ -19,7 +19,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/plan"
+	"repro/internal/stream"
 )
 
 func testOptions() options {
@@ -232,9 +234,10 @@ func TestPrepareCanceledMidMaterialize(t *testing.T) {
 }
 
 // TestOpsHandlerServesMetricsAndPprof: the operational surface exposes
-// the Prometheus exposition (with families from every instrumented
-// layer) and the pprof handlers, and is a separate handler from the API
-// — the API mux must keep answering 404 for /metrics.
+// the Prometheus exposition and the pprof handlers, and is a separate
+// handler from the API — the API mux must keep answering 404 for
+// /metrics. Which families the exposition holds is
+// TestMetricFamiliesDocumented's.
 func TestOpsHandlerServesMetricsAndPprof(t *testing.T) {
 	o := testOptions()
 	o.scale = 0.05
@@ -258,14 +261,8 @@ func TestOpsHandlerServesMetricsAndPprof(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics = %d", resp.StatusCode)
 	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range smokeMetrics {
-		if !strings.Contains(string(body), name) {
-			t.Errorf("exposition missing %s", name)
-		}
+	if families := typeLines(t, resp.Body); len(families) == 0 {
+		t.Error("/metrics exposes no metric family")
 	}
 
 	resp2, err := http.Get(ops.URL + "/debug/pprof/cmdline")
@@ -286,6 +283,108 @@ func TestOpsHandlerServesMetricsAndPprof(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusNotFound {
 		t.Errorf("API /metrics = %d, want 404 (ops surface must stay off the API listener)", resp3.StatusCode)
+	}
+}
+
+// typeLines returns the family names an exposition declares in its
+// "# TYPE" lines, in order.
+func typeLines(t *testing.T, r io.Reader) []string {
+	t.Helper()
+	body, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			names = append(names, strings.Fields(rest)[0])
+		}
+	}
+	return names
+}
+
+// readmeFamilies returns the family column of README's metrics table —
+// the rows under its "| Question | Family | Layer |" header — without
+// label lists.
+func readmeFamilies(t *testing.T) []string {
+	t.Helper()
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "| Question | Family | Layer |\n|---|---|---|\n")
+	if !ok {
+		t.Fatal("README has no | Question | Family | Layer | table")
+	}
+	var names []string
+	for _, row := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(row, "|") {
+			break
+		}
+		cells := strings.Split(row, " | ")
+		if len(cells) != 3 {
+			t.Fatalf("README metrics row %q: want 3 cells", row)
+		}
+		name, _, _ := strings.Cut(strings.Trim(cells[1], "`"), "{")
+		names = append(names, name)
+	}
+	return names
+}
+
+// TestMetricFamiliesDocumented: README's metrics table is the one list of
+// families. A live process at -shards 2 with streaming on, after two
+// searches and a flushed batch, exposes exactly the families the table
+// names — a family missing from the table fails, and so does a row whose
+// family is gone.
+func TestMetricFamiliesDocumented(t *testing.T) {
+	o := testOptions()
+	o.scale = 0.05
+	o.shards = 2
+	o.streamBatch = 8
+	o.streamMaxAge = time.Hour // only the explicit Flush below applies
+	a, err := buildApp(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.closeEngine()
+	ctx := context.Background()
+	if err := a.prepare(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, user := range []int{3, 5} {
+		if _, err := a.router.Run(ctx, core.Query{Text: "tag000", User: graph.NodeID(user), K: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.pipe.Submit(stream.Event{From: 1, To: 2, Weight: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.pipe.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ops := httptest.NewServer(a.opsHandler())
+	defer ops.Close()
+	resp, err := http.Get(ops.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+
+	exposed, documented := typeLines(t, resp.Body), readmeFamilies(t)
+	slices.Sort(exposed)
+	slices.Sort(documented)
+	for _, name := range exposed {
+		if _, found := slices.BinarySearch(documented, name); !found {
+			t.Errorf("%s is exposed but has no README metrics row", name)
+		}
+	}
+	for _, name := range documented {
+		if _, found := slices.BinarySearch(exposed, name); !found {
+			t.Errorf("README documents %s, which the process does not expose", name)
+		}
+	}
+	if n := len(slices.Compact(slices.Clone(documented))); n != len(documented) {
+		t.Errorf("README has %d metrics rows for %d families", len(documented), n)
 	}
 }
 

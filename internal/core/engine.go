@@ -109,9 +109,9 @@ type Options struct {
 	// Seed drives walk sampling and RCL-A randomness.
 	Seed int64
 	// Metrics, when non-nil, is the observability registry the engine
-	// (and its searcher) register their instruments on: summary-cache
+	// and its query path register their instruments on: summary-cache
 	// hit/miss counters, singleflight build/dedup counters, build and
-	// index durations, search expansion depth. Nil disables
+	// index durations, frontier truncations. Nil disables
 	// instrumentation at zero cost.
 	Metrics *obs.Registry
 	// Plan configures the fidelity planner behind Run: the degradation
@@ -179,7 +179,8 @@ type Engine struct {
 
 	// The query path (planned.go) with this engine as its Opener, and
 	// the planner state that is about summaries: one build breaker per
-	// method (nil when disabled) and the full-tier cost model.
+	// method (nil when disabled; the engine that replaces this one at a
+	// swap inherits them, see PatchIndexes) and the full-tier cost model.
 	ladder   *Ladder
 	breakers [2]*plan.Breaker
 	cost     *plan.CostModel
@@ -215,21 +216,17 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 	e.corpus.init(e.life)
 	if opts.Metrics != nil {
 		e.met = newEngineMetrics(opts.Metrics)
-		// The searcher is constructed in BuildIndexes from e.opts.Search;
-		// planting the handles here instruments it from its first query.
-		e.opts.Search.Metrics = search.NewMetrics(opts.Metrics)
 	}
 	for _, m := range []Method{MethodLRW, MethodRCL} {
 		bcfg := opts.Plan.Breaker
-		method := m
-		bcfg.OnStateChange = func(from, to plan.State) { e.noteBreaker(method, from, to) }
+		bcfg.OnStateChange = e.met.breakerHook(m)
 		e.breakers[m] = plan.NewBreaker(bcfg)
 	}
 	var buildSrc plan.DurationSource
 	if e.met != nil {
 		buildSrc = e.met.buildDur
 	}
-	e.cost = plan.NewCostModel(opts.Plan.Cost, buildSrc)
+	e.cost = plan.NewCostModel(buildSrc)
 	e.ladder = NewLadder(opts.Plan, opts.Metrics, e.hold)
 	return e, nil
 }
@@ -454,19 +451,6 @@ func (e *Engine) Summarize(ctx context.Context, m Method, t topics.TopicID) (sum
 		return summary.Summary{}, err
 	}
 	return out[0], nil
-}
-
-// noteBreaker is the per-method breaker's OnStateChange hook: it keeps
-// the state gauge current and counts trips. Called with the breaker's
-// lock held; metric updates only.
-func (e *Engine) noteBreaker(m Method, _, to plan.State) {
-	if e.met == nil {
-		return
-	}
-	e.met.breakerState[m].Set(int64(to))
-	if to == plan.Open {
-		e.met.breakerTrips[m].Inc()
-	}
 }
 
 // BreakerState returns the current build-breaker state for m (Closed

@@ -78,8 +78,11 @@ func patchIndexSet(ctx context.Context, old indexSet, oldG, g *graph.Graph, opts
 // The result is bit-identical to a build; where a patch cannot promise
 // that cheaply (node growth, other options, indexes loaded from an
 // artifact directory) the index concerned is built and the stats say so.
-// old is only read and keeps serving. Like BuildIndexes it observes
-// pit_index_build_duration_seconds once and is a no-op on a ready engine.
+// old is only read and keeps serving. The engine also takes over old's
+// build breakers: a swap changes the graph, not the health of the
+// summarizer, so a tripped breaker stays tripped with its backoff. Like
+// BuildIndexes it observes pit_index_build_duration_seconds once and is
+// a no-op on a ready engine.
 func (e *Engine) PatchIndexes(ctx context.Context, old *Engine) (PatchStats, error) {
 	if old == nil {
 		return PatchStats{}, fmt.Errorf("core: PatchIndexes: nil source engine")
@@ -90,6 +93,7 @@ func (e *Engine) PatchIndexes(ctx context.Context, old *Engine) (PatchStats, err
 	var stats PatchStats
 	err := e.publishIndexes(func() (idx indexSet, err error) {
 		idx, stats, err = patchIndexSet(ctx, old.idx, old.g, e.g, e.opts)
+		e.breakers = old.breakers
 		return idx, err
 	})
 	return stats, err

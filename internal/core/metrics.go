@@ -8,10 +8,14 @@ package core
 // Method-indexed arrays — so the hot path pays one atomic add per
 // event and never allocates.
 
-import "repro/internal/obs"
+import (
+	"repro/internal/obs"
+	"repro/internal/plan"
+)
 
-// metricLabel is the label value for a method ("lrw" / "rcl").
-func metricLabel(m Method) string {
+// Label is the method's metric label value ("lrw" / "rcl"), shared by
+// every family partitioned by method.
+func (m Method) Label() string {
 	if m == MethodRCL {
 		return "rcl"
 	}
@@ -96,7 +100,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 			obs.DurationBuckets),
 	}
 	for _, method := range []Method{MethodLRW, MethodRCL} {
-		l := metricLabel(method)
+		l := method.Label()
 		m.cacheHits[method] = hits.With(l)
 		m.cacheMisses[method] = misses.With(l)
 		m.builds[method] = builds.With(l)
@@ -108,4 +112,23 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		m.breakerState[method] = state.With(l)
 	}
 	return m
+}
+
+// breakerHook is method m's build-breaker OnStateChange: it keeps the
+// state gauge current and counts trips. It captures the two metric
+// handles and nothing else — the engine that replaces this one at a swap
+// inherits the breaker (PatchIndexes), so a hook holding an engine would
+// keep every retired one reachable. nil when instrumentation is off.
+// Called with the breaker's lock held.
+func (em *engineMetrics) breakerHook(m Method) func(from, to plan.State) {
+	if em == nil {
+		return nil
+	}
+	state, trips := em.breakerState[m], em.breakerTrips[m]
+	return func(_, to plan.State) {
+		state.Set(int64(to))
+		if to == plan.Open {
+			trips.Inc()
+		}
+	}
 }

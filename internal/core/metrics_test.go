@@ -73,7 +73,7 @@ func TestMetricsCacheHitMissBuild(t *testing.T) {
 		"pit_summary_builds_canceled_total",
 		"pit_summary_build_duration_seconds",
 		"pit_index_build_duration_seconds",
-		"pit_search_expand_depth",
+		"pit_search_frontier_truncations_total",
 	} {
 		if !strings.Contains(b.String(), name) {
 			t.Errorf("exposition missing %s", name)

@@ -99,7 +99,11 @@ type Ladder struct {
 	revaling map[string]struct{} // guarded by revalMu
 	revalWG  sync.WaitGroup
 
-	staleServes       [2]*obs.Counter // by Method; nil without a registry
+	// truncations counts expansion levels whose frontier was cut to
+	// MaxFrontier, from each finished drive's search.Stats; the
+	// revalidation counters count detached rebuilds by outcome. All nil
+	// without a registry.
+	truncations       *obs.Counter
 	revalOK, revalErr *obs.Counter
 }
 
@@ -110,25 +114,33 @@ type staleAnswer struct {
 	generation uint64
 }
 
+// The ladder's fixed budgets and sizes.
+const (
+	// staleCapacity bounds the last-known-good cache (LRU eviction).
+	staleCapacity = 4096
+	// materializedTimeout bounds the materialized-tier attempt, which
+	// runs detached from a request deadline that may already be blown.
+	materializedTimeout = 2 * time.Second
+	// revalidateTimeout bounds one detached stale revalidation.
+	revalidateTimeout = 30 * time.Second
+)
+
 // NewLadder wires the query path over the backend hold pins per
 // request. cfg is the planner configuration (zero values resolve to
-// plan's defaults); reg, when non-nil, receives pit_stale_serves_total
-// and pit_revalidations_total.
+// plan's defaults); reg, when non-nil, receives
+// pit_search_frontier_truncations_total and pit_revalidations_total.
 func NewLadder(cfg plan.Config, reg *obs.Registry, hold HoldFunc) *Ladder {
 	cfg.Fill()
 	l := &Ladder{cfg: cfg, hold: hold, revaling: map[string]struct{}{}}
 	l.life, l.stop = context.WithCancel(context.Background())
-	if cfg.StaleEnabled() {
-		l.stale = plan.NewCache[string, staleAnswer](cfg.StaleCapacity, cfg.StaleTTL, nil)
+	if cfg.StaleTTL > 0 {
+		l.stale = plan.NewCache[string, staleAnswer](staleCapacity, cfg.StaleTTL, nil)
 	}
 	if reg != nil {
-		serves := reg.CounterVec("pit_stale_serves_total",
-			"Requests answered from the stale last-known-good cache.", "method")
+		l.truncations = reg.Counter("pit_search_frontier_truncations_total",
+			"Expansion levels whose frontier exceeded MaxFrontier and was truncated best-first.")
 		reval := reg.CounterVec("pit_revalidations_total",
 			"Detached stale-answer revalidation rebuilds by outcome.", "result")
-		for _, m := range []Method{MethodLRW, MethodRCL} {
-			l.staleServes[m] = serves.With(metricLabel(m))
-		}
 		l.revalOK, l.revalErr = reval.With("ok"), reval.With("err")
 	}
 	return l
@@ -243,9 +255,6 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	// fresh answers once the fault clears.
 	if cacheable {
 		if cached, age, ok := l.stale.Get(q.staleKey()); ok {
-			if c := l.staleServes[q.Method]; c != nil {
-				c.Inc()
-			}
 			l.revalidate(q)
 			out := make([]TopicResult, len(cached.results))
 			copy(out, cached.results)
@@ -297,9 +306,9 @@ func (l *Ladder) Degradable(ctx context.Context, err error) bool {
 }
 
 // CachedContext derives the materialized tier's budget: bounded by
-// MaterializedTimeout and detached from ctx's cancellation.
+// materializedTimeout and detached from ctx's cancellation.
 func (l *Ladder) CachedContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.WithoutCancel(ctx), l.cfg.MaterializedTimeout)
+	return context.WithTimeout(context.WithoutCancel(ctx), materializedTimeout)
 }
 
 // attempt is one tier's run: open sessions over related (building, or
@@ -346,6 +355,9 @@ func (l *Ladder) attempt(ctx context.Context, backend Opener, q Query, related [
 		return Answer{}, err
 	}
 	stats = &st
+	if l.truncations != nil && st.Truncated > 0 {
+		l.truncations.Add(uint64(st.Truncated))
+	}
 	if q.Lambda > 0 {
 		sums := make([]summary.Summary, 0, total)
 		for _, ss := range o.Sessions {
@@ -397,7 +409,7 @@ func (l *Ladder) revalidate(q Query) {
 			l.revalMu.Unlock()
 			l.revalWG.Done()
 		}()
-		ctx, cancel := context.WithTimeout(l.life, l.cfg.RevalidateTimeout)
+		ctx, cancel := context.WithTimeout(l.life, revalidateTimeout)
 		defer cancel()
 		q.Fidelity, q.Trace = FidelityFull, false
 		ans, err := l.Run(ctx, q)

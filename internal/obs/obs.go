@@ -9,8 +9,8 @@
 //
 //  1. The observe paths are lock-free. Counter.Add, Gauge.Set and
 //     Histogram.Observe are a handful of atomic operations and never
-//     allocate, so they can sit inside the 1-alloc warm search path
-//     (see internal/search) without showing up in its benchmarks.
+//     allocate, so they can sit on the query path without showing up
+//     in its benchmarks.
 //  2. Exposition is deterministic: families sort by name, vec children
 //     by label values, so two scrapes of an idle process are
 //     byte-identical and tests can assert on output.

@@ -11,77 +11,49 @@ type DurationSource interface {
 	Count() uint64
 }
 
-// CostConfig tunes the full-tier cost model.
-type CostConfig struct {
-	// PriorBuild is an explicit operator override for the per-build cost
-	// estimate, used instead of the live histogram when set. Default 0:
-	// no prior — an uncalibrated model is optimistic (never skips the
-	// full tier) rather than guessing.
-	PriorBuild time.Duration
-	// SearchOverhead is the flat estimate for the top-k scan itself
-	// (default 2ms) — small next to builds, but keeps a zero-uncached
-	// estimate honest.
-	SearchOverhead time.Duration
-	// Safety multiplies the estimate (default 2.0): planning exists to
-	// avoid blowing deadlines, so predict pessimistically.
-	Safety float64
-	// Quantile is the histogram quantile used as the per-build cost
-	// (default 0.9).
-	Quantile float64
-	// MinSamples is the observation floor below which the live histogram
-	// is considered uncalibrated (default 8).
-	MinSamples uint64
-}
-
-func (c *CostConfig) fill() {
-	if c.SearchOverhead <= 0 {
-		c.SearchOverhead = 2 * time.Millisecond
-	}
-	if c.Safety <= 0 {
-		c.Safety = 2.0
-	}
-	if c.Quantile <= 0 || c.Quantile > 1 {
-		c.Quantile = 0.9
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 8
-	}
-}
+// The cost model's constants.
+const (
+	// searchOverhead is the flat estimate for the top-k scan itself —
+	// small next to builds, but it keeps a zero-uncached estimate honest.
+	searchOverhead = 2 * time.Millisecond
+	// safety multiplies the estimate: planning exists to avoid blowing
+	// deadlines, so predict pessimistically.
+	safety = 2.0
+	// buildQuantile is the histogram quantile used as the per-build cost.
+	buildQuantile = 0.9
+	// minSamples is the observation floor below which the live histogram
+	// is considered uncalibrated.
+	minSamples = 8
+)
 
 // CostModel predicts full-tier latency from a live build-duration
-// distribution. It holds no state of its own beyond config + source, so
-// one instance per method is cheap and lock-free.
+// distribution. It holds no state of its own beyond its source, so one
+// instance per method is cheap and lock-free.
 type CostModel struct {
-	cfg CostConfig
 	src DurationSource // may be nil (no live histogram)
 }
 
-// NewCostModel builds a model over src (nil allowed). cfg zero values
-// resolve to the documented defaults.
-func NewCostModel(cfg CostConfig, src DurationSource) *CostModel {
-	cfg.fill()
-	return &CostModel{cfg: cfg, src: src}
+// NewCostModel builds a model over src (nil allowed).
+func NewCostModel(src DurationSource) *CostModel {
+	return &CostModel{src: src}
 }
 
 // EstimateFull predicts the full-tier cost of a request needing
 // `uncached` summarizer builds. ok=false means the model is
-// uncalibrated — no operator prior and not enough live samples — and
-// the caller should stay optimistic (attempt the full tier; the
-// mid-flight degradation path catches a wrong guess).
+// uncalibrated — not enough live samples — and the caller should stay
+// optimistic (attempt the full tier; the mid-flight degradation path
+// catches a wrong guess).
 func (m *CostModel) EstimateFull(uncached int) (est time.Duration, ok bool) {
 	if uncached <= 0 {
-		return m.cfg.SearchOverhead, true
+		return searchOverhead, true
 	}
-	perBuild := m.cfg.PriorBuild
-	if perBuild <= 0 {
-		if m.src == nil || m.src.Count() < m.cfg.MinSamples {
-			return 0, false
-		}
-		perBuild = time.Duration(m.src.Quantile(m.cfg.Quantile) * float64(time.Second))
+	if m.src == nil || m.src.Count() < minSamples {
+		return 0, false
 	}
+	perBuild := time.Duration(m.src.Quantile(buildQuantile) * float64(time.Second))
 	// Builds are parallelized by the engine's worker pool but share
 	// cores and the singleflight; a linear-in-uncached model overstates
 	// large fan-outs, which is the safe direction for a planner.
-	est = m.cfg.SearchOverhead + time.Duration(uncached)*perBuild
-	return time.Duration(float64(est) * m.cfg.Safety), true
+	est = searchOverhead + time.Duration(uncached)*perBuild
+	return time.Duration(float64(est) * safety), true
 }

@@ -16,7 +16,7 @@ func (f *fakeSource) Count() uint64            { return f.n }
 
 func TestCostModelUncalibrated(t *testing.T) {
 	// No source at all.
-	m := NewCostModel(CostConfig{}, nil)
+	m := NewCostModel(nil)
 	if _, ok := m.EstimateFull(3); ok {
 		t.Error("nil source reported calibrated for uncached builds")
 	}
@@ -25,38 +25,26 @@ func TestCostModelUncalibrated(t *testing.T) {
 		t.Errorf("EstimateFull(0) = %v, %v; want 2ms, true", est, ok)
 	}
 	// Source with too few samples.
-	m = NewCostModel(CostConfig{}, &fakeSource{q: 0.1, n: 7})
+	m = NewCostModel(&fakeSource{q: 0.1, n: 7})
 	if _, ok := m.EstimateFull(1); ok {
-		t.Error("7 samples under MinSamples=8 reported calibrated")
+		t.Error("7 samples under the 8-sample floor reported calibrated")
 	}
 	// At the floor it calibrates.
-	m = NewCostModel(CostConfig{}, &fakeSource{q: 0.1, n: 8})
+	m = NewCostModel(&fakeSource{q: 0.1, n: 8})
 	if _, ok := m.EstimateFull(1); !ok {
-		t.Error("8 samples at MinSamples=8 reported uncalibrated")
+		t.Error("8 samples at the 8-sample floor reported uncalibrated")
 	}
 }
 
 func TestCostModelEstimate(t *testing.T) {
 	// p90 build = 100ms, 2 uncached builds, 2ms overhead, 2x safety:
 	// (2ms + 200ms) * 2 = 404ms.
-	m := NewCostModel(CostConfig{}, &fakeSource{q: 0.1, n: 100})
+	m := NewCostModel(&fakeSource{q: 0.1, n: 100})
 	est, ok := m.EstimateFull(2)
 	if !ok {
 		t.Fatal("calibrated source reported uncalibrated")
 	}
 	if want := 404 * time.Millisecond; est != want {
 		t.Errorf("EstimateFull(2) = %v, want %v", est, want)
-	}
-}
-
-func TestCostModelPriorOverridesHistogram(t *testing.T) {
-	// An explicit prior wins even with no live samples.
-	m := NewCostModel(CostConfig{PriorBuild: 50 * time.Millisecond, SearchOverhead: 10 * time.Millisecond, Safety: 1}, nil)
-	est, ok := m.EstimateFull(4)
-	if !ok {
-		t.Fatal("explicit prior reported uncalibrated")
-	}
-	if want := 210 * time.Millisecond; est != want {
-		t.Errorf("EstimateFull(4) = %v, want %v", est, want)
 	}
 }

@@ -174,9 +174,10 @@ func Decide(in Inputs) Decision {
 }
 
 // Config tunes the planner machinery an engine owns. The zero value
-// enables the ladder with a 5-minute stale TTL, a 4096-entry stale
-// cache, a 2-second materialized-tier budget and the breaker disabled;
-// Fill resolves the defaults in place.
+// enables the ladder with a 5-minute stale TTL and the breaker disabled;
+// Fill resolves the defaults in place. The ladder's fixed budgets (the
+// stale cache's size, the materialized-tier and revalidation timeouts)
+// live beside it in internal/core.
 type Config struct {
 	// Policy is the degradation stance (default PolicyAuto).
 	Policy Policy
@@ -184,20 +185,9 @@ type Config struct {
 	// serve on the stale tier. 0 means the 5-minute default; negative
 	// disables the stale tier entirely.
 	StaleTTL time.Duration
-	// StaleCapacity bounds the stale-answer cache entry count (LRU
-	// eviction). 0 means the 4096 default; negative disables the tier.
-	StaleCapacity int
-	// MaterializedTimeout bounds the materialized-tier search that runs
-	// after the request's own deadline already expired (default 2s).
-	MaterializedTimeout time.Duration
-	// RevalidateTimeout bounds one detached stale-revalidation rebuild
-	// (default 30s).
-	RevalidateTimeout time.Duration
 	// Breaker configures the per-method build circuit breaker;
 	// Breaker.Threshold <= 0 leaves the breaker disabled.
 	Breaker BreakerConfig
-	// Cost tunes the full-tier cost model.
-	Cost CostConfig
 }
 
 // Fill resolves zero values to documented defaults.
@@ -205,20 +195,4 @@ func (c *Config) Fill() {
 	if c.StaleTTL == 0 {
 		c.StaleTTL = 5 * time.Minute
 	}
-	if c.StaleCapacity == 0 {
-		c.StaleCapacity = 4096
-	}
-	if c.MaterializedTimeout <= 0 {
-		c.MaterializedTimeout = 2 * time.Second
-	}
-	if c.RevalidateTimeout <= 0 {
-		c.RevalidateTimeout = 30 * time.Second
-	}
-	c.Cost.fill()
-}
-
-// StaleEnabled reports whether the stale tier is configured on (call
-// after Fill).
-func (c *Config) StaleEnabled() bool {
-	return c.StaleTTL > 0 && c.StaleCapacity > 0
 }

@@ -16,6 +16,10 @@ type Stats struct {
 	// Frozen counts sessions dropped mid-run because the influence upper
 	// bound pruned every one of their topics.
 	Frozen int
+	// Truncated is how many expansion levels had their frontier cut to
+	// MaxFrontier best-first: the widest session's count, since a frozen
+	// session stopped counting early.
+	Truncated int
 	// Merge is the time spent in the cross-session steps: ranking the
 	// topics, the global k-th score, the undecided test, the result.
 	Merge time.Duration
@@ -118,15 +122,8 @@ func Drive(ctx context.Context, sessions []*Session, k int, tr *Trace) ([]Result
 		res[i] = Result{Topic: ranked[i].id, Score: ranked[i].score}
 	}
 	st.Merge += time.Since(t0)
-	if m := opts.Metrics; m != nil {
-		// Once per query, not per session: a frozen session stopped
-		// counting early, so the widest count is the query's.
-		truncated := 0
-		for _, ss := range sessions {
-			truncated = max(truncated, ss.truncated)
-		}
-		m.record(st.Depth, truncated)
-		m.observeDuration(first.sampled)
+	for _, ss := range sessions {
+		st.Truncated = max(st.Truncated, ss.truncated)
 	}
 	if tr != nil {
 		tr.fill(sessions, res, st.Depth)

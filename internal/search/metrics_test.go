@@ -1,143 +1,105 @@
-package search
+package search_test
 
-// Tests for the search instrumentation and the scratch-release fix:
-// a pooled scratch must hold no summary references between queries
-// (it pinned invalidated summaries against GC), and the metric hooks
-// must keep the warm path at exactly one allocation (the result slice).
+// The search carries no instrumentation of its own: Drive reports what
+// a run did in search.Stats, and the query path above it (core.Ladder,
+// behind both an engine and the shard router) turns that into metrics.
 
 import (
 	"context"
-	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/search"
+	"repro/internal/shard"
 )
 
-// TestScratchHoldsNoSummaryRefsAfterQuery is the regression test for
-// the pool-pinning bug: after a query returns, the arena sitting in the
-// pool must not alias any summary rep slice. Before the fix,
-// sc.states[i].reps kept the last query's summaries reachable for as
-// long as the scratch idled in the pool.
-func TestScratchHoldsNoSummaryRefsAfterQuery(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool deliberately drops items under -race; pooled-scratch identity is not observable")
-	}
-	ix, sums, user := randomScenario(31)
-	s := newSearcher(t, ix, Options{})
-	// Two queries with different shapes, the second smaller, so a stale
-	// tail entry (beyond the second query's states length) would be
-	// caught too.
-	if _, err := s.TopK(context.Background(), user, sums, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.TopK(context.Background(), user, sums[:1], 1); err != nil {
-		t.Fatal(err)
-	}
-	sc, _ := s.pool.Get().(*scratch)
-	if sc == nil {
-		t.Fatal("pool did not return the scratch just released")
-	}
-	states := sc.states[:cap(sc.states)]
-	for i := range states {
-		if states[i].reps != nil {
-			t.Errorf("pooled scratch state %d still aliases a summary rep slice (%d reps)", i, len(states[i].reps))
-		}
-		if states[i].consumed != nil {
-			t.Errorf("pooled scratch state %d still holds a consumed sub-slice", i)
-		}
-	}
-}
-
-// TestMetricsRecorded: truncation counting is exact and the depth
-// histogram observes 1-in-sampleEvery queries.
+// TestMetricsRecorded: Stats.Truncated counts the expansion levels a
+// run cut to MaxFrontier, and pit_search_frontier_truncations_total
+// moves by exactly that once per Run — on an engine's ladder and on a
+// shard router's alike.
 func TestMetricsRecorded(t *testing.T) {
-	ix, sums, user := randomScenario(7)
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	m.sampleEvery = 1 // observe every query in this test
-	// MaxFrontier 1 forces truncation on any level whose frontier has
-	// more than one node; DisablePruning keeps expansion running.
-	s := newSearcher(t, ix, Options{MaxFrontier: 1, DisablePruning: true, Metrics: m})
-
-	const queries = 20
-	for i := 0; i < queries; i++ {
-		if _, err := s.TopK(context.Background(), user, sums, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.depth.Count(); got != queries {
-		t.Errorf("depth observations = %d, want %d (sampleEvery=1)", got, queries)
-	}
-	// The scenario graphs are dense enough that depth-1 frontiers exceed
-	// one node; truncations must have been counted.
-	if m.truncations.Value() == 0 {
-		t.Error("no frontier truncations counted despite MaxFrontier=1")
-	}
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
+	ctx := context.Background()
+	g, err := dataset.GenerateGraph(dataset.GraphConfig{Nodes: 200, MinOutDegree: 2, MaxOutDegree: 5, Seed: 7})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"pit_search_expand_depth", "pit_search_frontier_truncations_total"} {
-		if !strings.Contains(b.String(), name) {
-			t.Errorf("exposition missing %s:\n%s", name, b.String())
-		}
-	}
-}
-
-// TestMetricsSampling: with the default interval only every 16th query
-// lands in the histogram; the truncation counter stays exact.
-func TestMetricsSampling(t *testing.T) {
-	ix, sums, user := randomScenario(9)
-	m := NewMetrics(obs.NewRegistry())
-	s := newSearcher(t, ix, Options{Metrics: m})
-	const queries = 64
-	for i := 0; i < queries; i++ {
-		if _, err := s.TopK(context.Background(), user, sums, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := m.depth.Count(), uint64(queries/defaultSampleEvery); got != want {
-		t.Errorf("sampled depth observations = %d, want %d", got, want)
-	}
-}
-
-// TestSearchTopKInstrumentedAllocs pins the acceptance criterion: the
-// warm query path stays at exactly one allocation (the caller-visible
-// result slice) with instrumentation enabled.
-func TestSearchTopKInstrumentedAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race, inflating the alloc count")
-	}
-	ix, sums, user := randomScenario(5)
-	m := NewMetrics(obs.NewRegistry())
-	s := newSearcher(t, ix, Options{Metrics: m})
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := s.TopK(context.Background(), user, sums, 3); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 1 {
-		t.Errorf("instrumented warm TopK = %v allocs/op, want 1 (the result slice)", allocs)
-	}
-}
-
-// BenchmarkSearchTopKWarmInstrumented is BenchmarkTopKWarm with metrics
-// enabled — `go test -bench Search` must show the same 1 alloc/op.
-func BenchmarkSearchTopKWarmInstrumented(b *testing.B) {
-	ix, sums, user := randomScenario(5)
-	m := NewMetrics(obs.NewRegistry())
-	s, err := New(ix, Options{Metrics: m})
+	space, err := dataset.GenerateTopics(g, dataset.TopicConfig{Tags: 2, TopicsPerTag: 6, MeanTopicNodes: 10, Locality: 0.8, Seed: 7})
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	if _, err := s.TopK(context.Background(), user, sums, 3); err != nil {
-		b.Fatal(err)
+	// MaxFrontier 1 truncates every level whose frontier has more than
+	// one node; DisablePruning keeps expansion running to MaxExpandDepth.
+	sopts := search.Options{MaxFrontier: 1, DisablePruning: true}
+	opts := core.Options{WalkL: 3, WalkR: 4, Seed: 7, Search: sopts}
+	related := space.Related("tag000")
+	const user = graph.NodeID(3)
+	q := core.Query{Method: core.MethodLRW, Topics: related, User: user, K: 2, Fidelity: core.FidelityFull}
+
+	engReg := obs.NewRegistry()
+	engOpts := opts
+	engOpts.Metrics = engReg
+	eng, err := core.New(g, space, engOpts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.TopK(context.Background(), user, sums, 3); err != nil {
-			b.Fatal(err)
+	defer eng.Close()
+	if err := eng.BuildIndexes(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sums, err := eng.MaterializeTopics(ctx, core.MethodLRW, related, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := search.New(eng.Prop(), sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := s.NewSession(ctx, user, sums)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := search.Drive(ctx, []*search.Session{ss}, q.K, nil)
+	ss.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Truncated == 0 || st.Truncated > st.Depth {
+		t.Fatalf("Stats.Truncated = %d over %d levels with MaxFrontier=1, want 1..%d", st.Truncated, st.Depth, st.Depth)
+	}
+
+	routerReg := obs.NewRegistry()
+	engines, err := shard.BuildEngines(ctx, g, space, opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := shard.NewPartitioner(space, len(engines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := shard.New(part, core.Static(engines...), shard.Config{Metrics: routerReg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	const runs = 5
+	for _, tc := range []struct {
+		name   string
+		runner core.Runner
+		reg    *obs.Registry
+	}{{"engine", eng, engReg}, {"router", router, routerReg}} {
+		for i := 0; i < runs; i++ {
+			if _, err := tc.runner.Run(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := tc.reg.Counter("pit_search_frontier_truncations_total", "").Value()
+		if want := uint64(runs * st.Truncated); got != want {
+			t.Errorf("%s: pit_search_frontier_truncations_total = %d after %d runs truncating %d levels each, want %d",
+				tc.name, got, runs, st.Truncated, want)
 		}
 	}
 }

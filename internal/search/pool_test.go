@@ -1,8 +1,10 @@
 package search
 
 // Tests for PR 3's pooled per-query scratch state: defaults are pinned,
-// arena reuse must never leak state between queries, and concurrent
-// queries over one Searcher must stay independent (run with -race).
+// arena reuse must never leak state between queries, concurrent
+// queries over one Searcher must stay independent (run with -race), a
+// pooled arena pins no summaries, and a warm query allocates only its
+// result.
 
 import (
 	"context"
@@ -116,6 +118,60 @@ func TestConcurrentTopKIndependent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestScratchHoldsNoSummaryRefsAfterQuery is the regression test for
+// the pool-pinning bug: after a query returns, the arena sitting in the
+// pool must not alias any summary rep slice. Before the fix,
+// sc.states[i].reps kept the last query's summaries reachable for as
+// long as the scratch idled in the pool.
+func TestScratchHoldsNoSummaryRefsAfterQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool deliberately drops items under -race; pooled-scratch identity is not observable")
+	}
+	ix, sums, user := randomScenario(31)
+	s := newSearcher(t, ix, Options{})
+	// Two queries with different shapes, the second smaller, so a stale
+	// tail entry (beyond the second query's states length) would be
+	// caught too.
+	if _, err := s.TopK(context.Background(), user, sums, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.TopK(context.Background(), user, sums[:1], 1); err != nil {
+		t.Fatal(err)
+	}
+	sc, _ := s.pool.Get().(*scratch)
+	if sc == nil {
+		t.Fatal("pool did not return the scratch just released")
+	}
+	states := sc.states[:cap(sc.states)]
+	for i := range states {
+		if states[i].reps != nil {
+			t.Errorf("pooled scratch state %d still aliases a summary rep slice (%d reps)", i, len(states[i].reps))
+		}
+		if states[i].consumed != nil {
+			t.Errorf("pooled scratch state %d still holds a consumed sub-slice", i)
+		}
+	}
+}
+
+// TestSearchTopKInstrumentedAllocs pins the warm query path at exactly
+// one allocation, the caller-visible result slice. The search itself
+// is not instrumented: what a run did reaches metrics through Stats.
+func TestSearchTopKInstrumentedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race, inflating the alloc count")
+	}
+	ix, sums, user := randomScenario(5)
+	s := newSearcher(t, ix, Options{})
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := s.TopK(context.Background(), user, sums, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("warm TopK = %v allocs/op, want 1 (the result slice)", allocs)
+	}
 }
 
 func assertSameResults(t *testing.T, want, got []Result, round int) {

@@ -40,7 +40,6 @@ type Session struct {
 	gammaSize int // |Γ(user)|, for Trace
 	expanded  int // frontier size the last expand probed (after truncation)
 	busy      time.Duration
-	sampled   time.Time // non-zero when this run's duration is sampled
 }
 
 // NewSession opens a session for user over the given summaries: topic
@@ -61,9 +60,6 @@ func (s *Searcher) NewSession(ctx context.Context, user graph.NodeID, summaries 
 	sc := s.getScratch(len(summaries), totalReps)
 	ss := &sc.sess
 	*ss = Session{s: s, sc: sc, states: sc.states, sums: summaries}
-	if m := s.opts.Metrics; m != nil {
-		ss.sampled = m.maybeStart()
-	}
 	srcs, props, potential := s.prop.Gamma(user)
 	ss.gammaSize = len(srcs)
 	off := 0

@@ -52,10 +52,6 @@ type Options struct {
 	// frontier exhaustively; used by tests to verify that pruning never
 	// changes the result set.
 	DisablePruning bool
-	// Metrics, when non-nil, receives per-query depth and truncation
-	// observations (see NewMetrics). The hooks are atomic-only and keep
-	// the warm path allocation-free.
-	Metrics *Metrics
 }
 
 func (o *Options) fill() {

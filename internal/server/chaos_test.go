@@ -277,8 +277,8 @@ func TestChaosShutdownNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("request %d: X-Pit-Tier %q != body tier %q", i, headerTier, resp.Tier)
 		}
 	}
-	if got := srv.met.degraded.Value(); got == 0 {
-		t.Error("stale serves did not count as degraded")
+	if got := srv.met.tiers[plan.TierStale].Value(); got == 0 {
+		t.Error("stale serves were not counted under the stale tier")
 	}
 
 	eng.Close() // idempotent with the t.Cleanup close

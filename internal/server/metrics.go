@@ -1,10 +1,12 @@
 package server
 
 // HTTP-layer instrumentation (dependency-free, internal/obs). The
-// middleware stack records per-route request counts and latency, the
-// in-flight gauge, and the failure-mode counters the serving path was
-// hardened around in earlier PRs but could not report: shed requests,
-// recovered panics, degraded answers, clients gone before the response.
+// middleware stack records per-route request counts by final status
+// and latency, the in-flight gauge, and recovered panics; /search adds
+// the fidelity tier it served. Every failure mode with its own status —
+// shed (429), client gone (499) — is a code child of the request
+// counter, and a degraded answer is a tier child, so no second counter
+// has to agree with them.
 
 import (
 	"strconv"
@@ -23,14 +25,8 @@ type serverMetrics struct {
 	latency  *obs.HistogramVec
 	// inflight tracks requests currently inside the handler stack.
 	inflight *obs.Gauge
-	// shed counts requests rejected 429 by the MaxInflight limiter;
-	// panics counts handler panics isolated into a 500; degraded counts
-	// searches answered below full fidelity (materialized or stale
-	// tier); clientClosed counts requests whose client went away (499).
-	shed         *obs.Counter
-	panics       *obs.Counter
-	degraded     *obs.Counter
-	clientClosed *obs.Counter
+	// panics counts handler panics isolated into a 500.
+	panics *obs.Counter
 	// tiers counts /search outcomes by the fidelity tier that served
 	// (or, for "unavailable", refused) them. Children are resolved
 	// eagerly per tier: the hot path is one atomic add, and every tier
@@ -47,14 +43,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"HTTP request wall time by route.", obs.DurationBuckets, "route"),
 		inflight: reg.Gauge("pit_http_inflight_requests",
 			"Requests currently being served."),
-		shed: reg.Counter("pit_http_shed_total",
-			"Requests shed with 429 by the in-flight limiter."),
 		panics: reg.Counter("pit_http_panics_total",
 			"Handler panics recovered into a 500."),
-		degraded: reg.Counter("pit_http_degraded_total",
-			"Searches answered degraded (materialized summaries only) after the request deadline expired."),
-		clientClosed: reg.Counter("pit_http_client_closed_total",
-			"Requests whose client disconnected before the response (status 499)."),
 	}
 	tiers := reg.CounterVec("pit_search_tier_total",
 		"Planned /search requests by the fidelity tier that served (or refused) them.", "tier")
@@ -72,9 +62,6 @@ func (m *serverMetrics) tierServed(t plan.Tier) { m.tiers[t].Inc() }
 func (m *serverMetrics) observe(route string, status int, seconds float64) {
 	m.requests.With(route, strconv.Itoa(status)).Inc() //pitlint:ignore metrichygiene route comes from routeLabel's const set at every caller; status is an HTTP code from the recorder (bounded by the status space)
 	m.latency.With(route).Observe(seconds)             //pitlint:ignore metrichygiene route comes from routeLabel's const set at every caller
-	if status == statusClientClosedRequest {
-		m.clientClosed.Inc()
-	}
 }
 
 // routeLabel maps a request path to a bounded label set so arbitrary

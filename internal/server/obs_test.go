@@ -9,8 +9,9 @@ package server
 //   - a diversified (lambda > 0) search that degrades on deadline must
 //     keep its lambda re-rank instead of silently falling back to the
 //     plain influence ranking;
-//   - the middleware counters (requests, latency, shed, panic, degraded,
-//     client-closed) must record each failure mode.
+//   - the middleware counters (requests by status, latency, panics) and
+//     the tier counter must record each failure mode: shed is code 429,
+//     a gone client code 499, a degraded answer its tier.
 
 import (
 	"context"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/summary"
 	"repro/internal/topics"
 )
@@ -118,10 +120,8 @@ func TestRequestMetricsRecorded(t *testing.T) {
 		"pit_http_requests_total",
 		"pit_http_request_duration_seconds",
 		"pit_http_inflight_requests",
-		"pit_http_shed_total",
 		"pit_http_panics_total",
-		"pit_http_degraded_total",
-		"pit_http_client_closed_total",
+		"pit_search_tier_total",
 	} {
 		if !strings.Contains(b.String(), name) {
 			t.Errorf("exposition missing %s", name)
@@ -129,8 +129,8 @@ func TestRequestMetricsRecorded(t *testing.T) {
 	}
 }
 
-// TestShedCounter: a request rejected by the in-flight limiter increments
-// the shed counter and is recorded with code 429.
+// TestShedCounter: a request rejected by the in-flight limiter is
+// counted as code 429 — the one shed count there is.
 func TestShedCounter(t *testing.T) {
 	eng := faultEngine(t)
 	srv, _ := obsServer(t, eng, Config{MaxInflight: 1})
@@ -164,9 +164,6 @@ func TestShedCounter(t *testing.T) {
 
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated request = %d, want 429", rec.Code)
-	}
-	if got := srv.met.shed.Value(); got != 1 {
-		t.Errorf("shed counter = %d, want 1", got)
 	}
 	if got := srv.met.requests.With("/search", "429").Value(); got != 1 {
 		t.Errorf(`requests{route="/search",code="429"} = %d, want 1`, got)
@@ -202,9 +199,9 @@ func TestPanicCounter(t *testing.T) {
 	}
 }
 
-// TestDegradedAndClientClosedCounters: a deadline-degraded search bumps
-// the degraded counter; a client disconnect bumps client-closed and is
-// recorded with status 499. Some topics are pre-materialized so the
+// TestDegradedAndClientClosedCounters: a deadline-degraded search is
+// counted under its serving tier; a client disconnect is counted as code
+// 499. Some topics are pre-materialized so the
 // ladder has a materialized answer to degrade to (with nothing cached it
 // would be the planner's 503 instead — see faults_test.go).
 func TestDegradedAndClientClosedCounters(t *testing.T) {
@@ -226,8 +223,8 @@ func TestDegradedAndClientClosedCounters(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("degraded search = %d, want 200: %s", rec.Code, rec.Body)
 	}
-	if got := srv.met.degraded.Value(); got != 1 {
-		t.Errorf("degraded counter = %d, want 1", got)
+	if got := srv.met.tiers[plan.TierMaterialized].Value() + srv.met.tiers[plan.TierStale].Value(); got != 1 {
+		t.Errorf(`tier{materialized}+tier{stale} = %d, want 1`, got)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -236,9 +233,6 @@ func TestDegradedAndClientClosedCounters(t *testing.T) {
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?q=tag000&user=3&k=3", nil).WithContext(ctx))
 	if rec.Code != statusClientClosedRequest {
 		t.Fatalf("canceled request = %d, want %d", rec.Code, statusClientClosedRequest)
-	}
-	if got := srv.met.clientClosed.Value(); got != 1 {
-		t.Errorf("client-closed counter = %d, want 1", got)
 	}
 	if got := srv.met.requests.With("/search", "499").Value(); got != 1 {
 		t.Errorf(`requests{route="/search",code="499"} = %d, want 1`, got)
@@ -320,7 +314,7 @@ func TestDegradedDiversifiedKeepsLambda(t *testing.T) {
 		t.Errorf("degraded diversified top-2 = [%s %s], want [%s %s] (lambda re-rank lost?)",
 			resp.Results[0].Topic, resp.Results[1].Topic, label(0), label(2))
 	}
-	if got := srv.met.degraded.Value(); got != 1 {
-		t.Errorf("degraded counter = %d, want 1", got)
+	if got := srv.met.tiers[plan.TierMaterialized].Value(); got != 1 {
+		t.Errorf(`tier{materialized} = %d, want 1`, got)
 	}
 }

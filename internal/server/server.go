@@ -183,9 +183,9 @@ type Config struct {
 	// (default log.Default()).
 	Logger *log.Logger
 	// Registry receives the server's metrics (request/status counters,
-	// latency histograms, in-flight gauge, shed/panic/degraded/
-	// client-closed counters). Nil means a private registry: the metrics
-	// are still collected, just not exposed anywhere.
+	// latency histograms, in-flight gauge, panic counter, serving tiers).
+	// Nil means a private registry: the metrics are still collected, just
+	// not exposed anywhere.
 	Registry *obs.Registry
 	// Stream, when set, attaches a streaming update surface: POST
 	// /updates mounts. The backend passed to New must follow the engine
@@ -197,9 +197,6 @@ type Config struct {
 	// MaxSubscribers bounds concurrently connected /subscribe streams
 	// (default 256); excess subscribers get 429.
 	MaxSubscribers int
-	// SubscribeHeartbeat is the SSE keep-alive comment interval
-	// (default 15s), which doubles as the dead-client detection bound.
-	SubscribeHeartbeat time.Duration
 }
 
 func (c *Config) fill() {
@@ -211,9 +208,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxSubscribers <= 0 {
 		c.MaxSubscribers = 256
-	}
-	if c.SubscribeHeartbeat <= 0 {
-		c.SubscribeHeartbeat = 15 * time.Second
 	}
 }
 
@@ -375,7 +369,7 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 
 // withAccessLog emits one structured line per request with latency and
 // final status, and records the request in the metrics registry
-// (per-route count/latency, in-flight gauge, client-closed counter).
+// (per-route count by final status, latency, in-flight gauge).
 func (s *Server) withAccessLog(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
@@ -424,7 +418,6 @@ func (s *Server) withLimit(next http.Handler) http.Handler {
 			defer func() { <-s.inflight }()
 			next.ServeHTTP(w, r)
 		default:
-			s.met.shed.Inc()
 			w.Header().Set("Retry-After", "1")
 			s.writeErr(w, r, http.StatusTooManyRequests, "server at capacity (%d in-flight requests)", s.cfg.MaxInflight)
 		}
@@ -561,10 +554,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(tierHeader, tier.String())
 	w.Header().Set(generationHeader, strconv.FormatUint(ans.Generation, 10))
 	s.met.tierServed(tier)
-	degraded := tier != plan.TierFull
-	if degraded {
-		s.met.degraded.Inc()
-	}
 	s.writeJSON(w, r, http.StatusOK, SearchResponse{
 		Query:    q.Text,
 		User:     int32(q.User),
@@ -572,7 +561,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		K:        q.K,
 		Results:  searchRows(ans.Results),
 		Tier:     tier.String(),
-		Degraded: degraded,
+		Degraded: tier != plan.TierFull,
 	})
 }
 

@@ -26,6 +26,10 @@ const maxUpdateBody = 1 << 20
 // reading for this long is disconnected at the next push or heartbeat.
 const sseWriteTimeout = 10 * time.Second
 
+// subscribeHeartbeat is the SSE keep-alive comment interval, which
+// doubles as the dead-client detection bound.
+const subscribeHeartbeat = 15 * time.Second
+
 // UpdateEvent is one JSON edge event: weight > 0 upserts from→to,
 // weight = 0 deletes it.
 type UpdateEvent struct {
@@ -127,7 +131,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	case s.subscribers <- struct{}{}:
 		defer func() { <-s.subscribers }()
 	default:
-		s.met.shed.Inc()
 		w.Header().Set("Retry-After", "1")
 		s.writeErr(w, r, http.StatusTooManyRequests, "subscriber capacity reached (%d streams)", s.cfg.MaxSubscribers)
 		return
@@ -166,7 +169,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return rc.Flush()
 	}
 
-	hb := time.NewTicker(s.cfg.SubscribeHeartbeat)
+	hb := time.NewTicker(subscribeHeartbeat)
 	defer hb.Stop()
 	for {
 		select {

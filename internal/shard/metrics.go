@@ -63,7 +63,6 @@ type routerMetrics struct {
 	rounds   *obs.Histogram   // expansion levels driven per query
 	latency  []*obs.Histogram // per-shard scatter time (open + expands)
 	degraded []*obs.Counter   // per-shard planned-ladder degradations
-	ready    []*obs.Gauge     // per-shard readiness
 }
 
 // fanoutBuckets covers 1..16 shards engaged.
@@ -84,8 +83,6 @@ func newRouterMetrics(reg *obs.Registry, shards int) *routerMetrics {
 		"Per-shard scatter time per routed query: session open plus every expansion level.", obs.DurationBuckets, "shard")
 	deg := reg.CounterVec("pit_shard_degraded_total",
 		"Planned queries on which this shard degraded to cached-only summaries while the rest answered at full fidelity.", "shard")
-	rdy := reg.GaugeVec("pit_shard_ready",
-		"Per-shard readiness (1 = hydrated and serving).", "shard")
 	n := shards
 	if n > maxLabeledShards {
 		n = maxLabeledShards + 1 // one overflow cell shared past the cap
@@ -93,7 +90,6 @@ func newRouterMetrics(reg *obs.Registry, shards int) *routerMetrics {
 	for i := 0; i < n; i++ {
 		m.latency = append(m.latency, lat.With(shardLabel(i)))
 		m.degraded = append(m.degraded, deg.With(shardLabel(i)))
-		m.ready = append(m.ready, rdy.With(shardLabel(i)))
 	}
 	return m
 }
@@ -131,15 +127,4 @@ func (m *routerMetrics) noteDegraded(i int) {
 		return
 	}
 	m.degraded[m.cell(i)].Inc()
-}
-
-func (m *routerMetrics) setReady(i int, ready bool) {
-	if m == nil {
-		return
-	}
-	v := int64(0)
-	if ready {
-		v = 1
-	}
-	m.ready[m.cell(i)].Set(v)
 }

@@ -110,15 +110,14 @@ func (r *Router) Graph() *graph.Graph { return r.gen().Graph() }
 func (r *Router) Space() *topics.Space { return r.gen().Space() }
 
 // Ready reports whether every shard of the generation serving now is
-// ready, and refreshes the per-shard readiness gauges.
+// ready.
 func (r *Router) Ready() bool {
-	all := true
-	for i, eng := range r.gen().Engines {
-		ok := eng.Ready()
-		r.met.setReady(i, ok)
-		all = all && ok
+	for _, eng := range r.gen().Engines {
+		if !eng.Ready() {
+			return false
+		}
 	}
-	return all
+	return true
 }
 
 // CachedSummaries sums the materialized summaries for m across the

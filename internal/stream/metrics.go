@@ -5,15 +5,6 @@ import (
 	"repro/internal/obs"
 )
 
-// methodLabel is the label value for a summarization method, matching
-// the engine's metric labels ("lrw" / "rcl").
-func methodLabel(m core.Method) string {
-	if m == core.MethodRCL {
-		return "rcl"
-	}
-	return "lrw"
-}
-
 // pipeMetrics holds the pipeline's obs handles; nil disables
 // instrumentation (every use site is nil-checked). Handles resolve once
 // here so the apply path pays one atomic add per event and never
@@ -21,7 +12,8 @@ func methodLabel(m core.Method) string {
 type pipeMetrics struct {
 	// submitted counts events accepted by Submit; applied counts events
 	// that made it into a published engine. applied lags submitted by
-	// the pending batch (and diverges when a batch's refresh fails).
+	// the pending batch, and diverges when a batch's refresh fails or an
+	// upsert decayed to nothing before its flush.
 	submitted *obs.Counter
 	applied   *obs.Counter
 	// batches counts successful applies; failures counts batches whose
@@ -36,7 +28,8 @@ type pipeMetrics struct {
 	affected *obs.Counter
 	carried  [2]*obs.Counter
 	// swaps counts publications of the whole shard set (it moves once
-	// per batch, after the last shard's pointer store); lag observes the
+	// per batch, with the generation's one pointer store — the same
+	// number as batches, kept because both are scraped); lag observes the
 	// oldest event's age at each publication (batching delay + rebuild
 	// time).
 	swaps *obs.Counter
@@ -67,7 +60,7 @@ func newPipeMetrics(reg *obs.Registry) *pipeMetrics {
 			"Events waiting in the unapplied batch."),
 	}
 	for _, mm := range []core.Method{core.MethodLRW, core.MethodRCL} {
-		m.carried[mm] = carried.With(methodLabel(mm))
+		m.carried[mm] = carried.With(mm.Label())
 	}
 	return m
 }

@@ -322,7 +322,7 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 	lag := p.cfg.Clock().Sub(oldest)
 
 	if p.met != nil {
-		p.met.applied.Add(uint64(len(events)))
+		p.met.applied.Add(uint64(len(batch.Updates)))
 		p.met.batches.Inc()
 		p.met.affected.Add(uint64(len(stats.Affected)))
 		for _, m := range []core.Method{core.MethodLRW, core.MethodRCL} {

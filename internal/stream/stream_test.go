@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // testEngine builds a small warm engine: generated graph + topics,
@@ -85,10 +86,12 @@ func TestDecayedWeight(t *testing.T) {
 func TestFlushDropsFullyDecayedUpsert(t *testing.T) {
 	eng := testEngine(t, 100, 5)
 	now := time.Unix(1000, 0)
+	reg := obs.NewRegistry()
 	p, err := New(eng, Config{
 		BatchSize:     1 << 20,
 		DecayHalfLife: 10 * time.Millisecond, // with the 30 s below: 3 000 half-lives
 		Clock:         func() time.Time { return now },
+		Metrics:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,6 +124,23 @@ func TestFlushDropsFullyDecayedUpsert(t *testing.T) {
 	if w, _ := fresh.Graph().EdgeWeight(2, 0); w != 0.7 {
 		t.Errorf("the fresh upsert landed at %v, want 0.7", w)
 	}
+	// A dropped upsert was submitted but never applied.
+	submitted := reg.Counter("pit_stream_events_submitted_total", "")
+	applied := reg.Counter("pit_stream_events_applied_total", "")
+	if submitted.Value() != 3 || applied.Value() != 1 {
+		t.Errorf("events submitted %d / applied %d, want 3 / 1 (two faded to nothing)", submitted.Value(), applied.Value())
+	}
+	if err := p.Submit(Event{From: 3, To: 0, Weight: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(30 * time.Second)
+	if err := p.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s, a := submitted.Value()-3, applied.Value()-1; s != 1 || a != 0 {
+		t.Errorf("a lone faded upsert: submitted %d / applied %d, want 1 / 0", s, a)
+	}
+	p.Engine().Close()
 }
 
 // Submit is all-or-nothing: one bad event rejects the whole call and
