@@ -23,8 +23,9 @@ help:
 	@echo "make bench       - the BENCHMARK.json harness in self-check mode (go run ./benchmark"
 	@echo "                   -selfcheck); see benchmark/README.md for a measured run"
 	@echo "make bench-smoke - one-shot benchmark smoke: figure benchmarks plus the"
-	@echo "                   search/core/rcl/lrw/randwalk/propidx micro-benchmarks (lrw's"
-	@echo "                   SummarizeMany and core's ColdOpen time a 120-topic refill), the benchmark harness's"
+	@echo "                   search/core/rcl/lrw/randwalk/propidx/stream micro-benchmarks (lrw's"
+	@echo "                   SummarizeMany and core's ColdOpen time a 120-topic refill, stream's"
+	@echo "                   Flush one streamed batch), the benchmark harness's"
 	@echo "                   -smoke run, and pitserve -smoke at -shards 1 (the default) and 2,"
 	@echo "                   the second cold-starting from the artifacts the first saved"
 	@echo "                   (the metric family list is TestMetricFamiliesDocumented's, under make test)"
@@ -33,7 +34,8 @@ help:
 	@echo "                   planner/breaker chaos tests in core and server, the"
 	@echo "                   streaming churn/soak/all-or-nothing tests in internal/stream"
 	@echo "                   and internal/shard, the refresh = rebuild property test,"
-	@echo "                   a tripped breaker surviving an engine swap and"
+	@echo "                   a tripped breaker surviving an engine swap,"
+	@echo "                   a canceled concurrent index patch and"
 	@echo "                   the multi-key singleflight (DoMany) tests"
 	@echo "make vulncheck   - govulncheck when installed (best-effort)"
 
@@ -92,13 +94,15 @@ race:
 # deployment equals a from-scratch build), and the multi-key flight every
 # cache miss goes through (singleflight DoMany: per-key dedup, waiter vs
 # Base cancellation, panics reaching every key), one request per
-# generation (a request parked across a publish merges no two), and a
-# tripped build breaker surviving the swap to fresh engines — always under
+# generation (a request parked across a publish merges no two), a
+# tripped build breaker surviving the swap to fresh engines, and a
+# PatchIndexes canceled before or while its walk and Γ patches run side
+# by side (an error, nothing published, no goroutine left) — always under
 # the race detector, since the interesting bugs here are races between
 # degradation, revalidation, swap and close.
 chaos:
 	$(GO) test -race ./internal/chaos/
-	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
+	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker|PatchIndexesCanceledContext' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.
@@ -108,8 +112,9 @@ bench:
 	$(GO) run ./benchmark -selfcheck
 
 # Benchmark smoke: run the data_2k figure benchmarks and the online-path
-# and write-side (walk index, Γ, summarizer, and the 120-topic refill:
-# lrw's BenchmarkSummarizeMany, core's BenchmarkColdOpen) micro-benchmarks,
+# and write-side (walk index, Γ, summarizer, the 120-topic refill:
+# lrw's BenchmarkSummarizeMany, core's BenchmarkColdOpen, and one
+# streamed batch: stream's BenchmarkFlush) micro-benchmarks,
 # their data_350k sub-benchmarks included, exactly once (-benchtime 1x), plus
 # the benchmark harness's seconds-long -smoke run, to prove every
 # benchmark path still executes. No timing value — just "does it run". The pitserve -smoke
@@ -122,7 +127,7 @@ bench:
 # packages themselves.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig05TimeCostData2k|BenchmarkFig10PrecisionData2k' -benchtime 1x .
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/search/ ./internal/core/ ./internal/rcl/ ./internal/lrw/ ./internal/randwalk/ ./internal/propidx/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/search/ ./internal/core/ ./internal/rcl/ ./internal/lrw/ ./internal/randwalk/ ./internal/propidx/ ./internal/stream/
 	$(GO) run ./benchmark -smoke
 	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 		$(GO) run ./cmd/pitserve -smoke -index-dir "$$d" && \

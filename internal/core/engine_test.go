@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -369,6 +371,21 @@ func TestBuildIndexesCanceledContext(t *testing.T) {
 	}
 }
 
+// swapOneEdge returns g with its first edge dropped and an edge it lacks
+// added.
+func swapOneEdge(g *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder(g.NumNodes())
+	for _, e := range g.Edges()[1:] {
+		b.MustAddEdge(e.From, e.To, e.Weight)
+	}
+	var from, to graph.NodeID = 0, 1
+	for g.HasEdge(from, to) {
+		to++
+	}
+	b.MustAddEdge(from, to, 0.5)
+	return b.Build()
+}
+
 // PatchIndexes stands a fresh engine up from the engine it replaces: the
 // same indexes a build gives, one index-duration observation, and a
 // refusal — not a panic — when there is nothing to patch from.
@@ -377,16 +394,7 @@ func TestPatchIndexes(t *testing.T) {
 	old := builtEngine(t)
 	defer old.Close()
 	g := old.Graph()
-	b := graph.NewBuilder(g.NumNodes())
-	for _, e := range g.Edges()[1:] { // drop one edge …
-		b.MustAddEdge(e.From, e.To, e.Weight)
-	}
-	var from, to graph.NodeID = 0, 1
-	for g.HasEdge(from, to) {
-		to++
-	}
-	b.MustAddEdge(from, to, 0.5) // … and add one
-	next := b.Build()
+	next := swapOneEdge(g)
 
 	opts := old.Options()
 	opts.Metrics = obs.NewRegistry()
@@ -427,5 +435,65 @@ func TestPatchIndexes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fresh.Walks(), ref.Walks()) || !reflect.DeepEqual(fresh.Prop(), ref.Prop()) {
 		t.Error("patched indexes differ from built ones")
+	}
+}
+
+// cancelAfter is a context that cancels itself on its checks-th Err call:
+// a patch that has already passed some of its cancellation checks sees
+// the cancel at a later one, in whichever of the two patches makes it.
+type cancelAfter struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// A canceled PatchIndexes — before it starts or part way through the two
+// concurrent patches — reports context.Canceled, publishes nothing, leaves
+// the engine it patches from serving and no goroutine behind, and the same
+// engine can still be patched once the context is live.
+func TestPatchIndexesCanceledContext(t *testing.T) {
+	old := builtEngine(t)
+	defer old.Close()
+	next := swapOneEdge(old.Graph())
+	for _, checks := range []int32{0, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		c := &cancelAfter{Context: ctx, cancel: cancel}
+		c.left.Store(checks)
+		if checks == 0 {
+			cancel() // canceled before the patch starts
+		}
+		fresh, err := New(next, old.Space(), old.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		_, err = fresh.PatchIndexes(c, old)
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("cancel at check %d: %d goroutines before the patch, %d when it returned", checks, before, n)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at check %d: PatchIndexes returned %v, want context.Canceled", checks, err)
+		}
+		cancel()
+		if c.left.Load() >= 0 {
+			t.Fatalf("cancel at check %d: the patch made only %d checks and never saw the cancel", checks, checks-c.left.Load())
+		}
+		if fresh.Ready() {
+			t.Errorf("cancel at check %d: the patched engine is ready", checks)
+		}
+		if _, err := old.Search(context.Background(), MethodLRW, dataset.TagName(0), 1, 3); err != nil || !old.Ready() {
+			t.Errorf("cancel at check %d: the old engine stopped serving: ready %v, search %v", checks, old.Ready(), err)
+		}
+		if _, err := fresh.PatchIndexes(context.Background(), old); err != nil || !fresh.Ready() {
+			t.Errorf("cancel at check %d: a second patch with a live context: ready %v, err %v", checks, fresh.Ready(), err)
+		}
+		fresh.Close()
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -53,20 +54,32 @@ type PatchStats struct {
 
 // patchIndexSet derives the indexSet of g from old, the set of oldG: what
 // buildIndexSet(ctx, g, opts) returns, at a cost that follows the edges
-// that differ between the two graphs (randwalk.Patch, propidx.Patch).
+// that differ between the two graphs (randwalk.Patch, propidx.Patch). The
+// two patches run side by side: each reads only its old index and the two
+// graphs. If both fail, the walk index's error is the one returned.
 func patchIndexSet(ctx context.Context, old indexSet, oldG, g *graph.Graph, opts Options) (indexSet, PatchStats, error) {
-	var stats PatchStats
+	var (
+		prop    *propidx.Index
+		ps      propidx.PatchStats
+		propErr error
+		wg      sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		prop, ps, propErr = propidx.Patch(ctx, old.prop, oldG, g, propidx.Options{Theta: opts.Theta})
+	}()
 	walks, ws, err := randwalk.Patch(ctx, old.walks, oldG, g, randwalk.Options{L: opts.WalkL, R: opts.WalkR, Seed: opts.Seed})
+	wg.Wait()
 	if err != nil {
-		return indexSet{}, stats, fmt.Errorf("core: walk index: %w", err)
+		return indexSet{}, PatchStats{}, fmt.Errorf("core: walk index: %w", err)
 	}
-	prop, ps, err := propidx.Patch(ctx, old.prop, oldG, g, propidx.Options{Theta: opts.Theta})
-	if err != nil {
-		return indexSet{}, stats, fmt.Errorf("core: propagation index: %w", err)
+	if propErr != nil {
+		return indexSet{}, PatchStats{}, fmt.Errorf("core: propagation index: %w", propErr)
 	}
 	searcher, err := search.New(prop, opts.Search)
 	if err != nil {
-		return indexSet{}, stats, fmt.Errorf("core: searcher: %w", err)
+		return indexSet{}, PatchStats{}, fmt.Errorf("core: searcher: %w", err)
 	}
 	return indexSet{walks: walks, prop: prop, searcher: searcher}, PatchStats{Walks: ws, Prop: ps}, nil
 }

@@ -93,9 +93,10 @@ type Options struct {
 	L    int   // walk length; must be ≥ 1
 	R    int   // walks per node; must be ≥ 1
 	Seed int64 // RNG seed; identical seeds give identical indexes
-	// Workers parallelizes the sampling. Each node's walks come from its
-	// own seeded RNG stream, so the index is identical at any worker
-	// count. Default: GOMAXPROCS.
+	// Workers parallelizes the sampling of Build only (including the
+	// Build a Patch falls back to); Patch re-samples serially. Each node's
+	// walks come from its own seeded RNG stream, so the index is identical
+	// at any worker count. Default: GOMAXPROCS.
 	Workers int
 }
 
@@ -221,11 +222,12 @@ func (ix *Index) sampleRange(ctx context.Context, g *graph.Graph, opt Options, l
 
 // sampler is one goroutine's scratch for simulating walks.
 type sampler struct {
-	// One generator, re-seeded per start node: Seed resets the source to
-	// exactly the state rand.NewSource(seed) constructs, so every start
-	// node still draws from its own stream (and the index stays
-	// independent of the worker count and of which start nodes a Patch
-	// re-samples) without allocating a 4.9 KB source per node.
+	// One generator, re-seeded per start node, so every start node draws
+	// from its own stream and the index is independent of the worker count
+	// and of which start nodes a Patch re-samples. Its source is
+	// math/rand's stream seeded in O(1) (see source): re-seeding costs a
+	// start node only the register words its draws read, not a 607-word
+	// fill, and Intn is still rand.Rand's own.
 	rng *rand.Rand
 	// Per-walk visit counts with epoch marking so the counts are
 	// "initialized" per walk (Algorithm 6 line 6) without O(n) clears.
@@ -235,7 +237,7 @@ type sampler struct {
 }
 
 func newSampler(n int) *sampler {
-	return &sampler{rng: rand.New(rand.NewSource(0)), visits: make([]int32, n), epoch: make([]int64, n)}
+	return &sampler{rng: rand.New(newSource(0)), visits: make([]int32, n), epoch: make([]int64, n)}
 }
 
 // sample simulates the R walks of start node w over g from w's own RNG
