@@ -31,11 +31,12 @@ help:
 	@echo "                   (the metric family list is TestMetricFamiliesDocumented's, under make test)"
 	@echo "make fuzz        - storage artifact-parser fuzzers for 10s per target"
 	@echo "make chaos       - fault-injection suite under -race: internal/chaos plus the"
-	@echo "                   planner/breaker chaos tests in core and server, the"
+	@echo "                   planner/breaker/stale-tier tests in plan, core and server, the"
 	@echo "                   streaming churn/soak/all-or-nothing tests in internal/stream"
 	@echo "                   and internal/shard, the refresh = rebuild property test,"
 	@echo "                   a tripped breaker surviving an engine swap,"
-	@echo "                   a canceled concurrent index patch and"
+	@echo "                   a canceled concurrent index patch,"
+	@echo "                   the generation the /updates ack, /search and /stats report and"
 	@echo "                   the multi-key singleflight (DoMany) tests"
 	@echo "make vulncheck   - govulncheck when installed (best-effort)"
 
@@ -85,8 +86,11 @@ race:
 	$(GO) test -race ./...
 
 # Chaos: the fault-injection harness (internal/chaos) and the end-to-end
-# fidelity-ladder proofs that use it — breaker trip/recovery, zero
-# unplanned 5xx under injected failure, goroutine hygiene on shutdown,
+# fidelity-ladder proofs that use it — the planner's start decision, cost
+# model and stale-answer cache, breaker trip/recovery, a blown deadline
+# or a failing summarizer answered from a lower tier (never a 504 or a
+# 500), zero unplanned 5xx under injected failure, goroutine hygiene on
+# shutdown,
 # the streaming soak (a fault-injected summarizer on every swapped-in
 # engine must never poison carried summaries), the whole-shard-set
 # swap under router load and its all-or-nothing publish, the root
@@ -97,12 +101,13 @@ race:
 # generation (a request parked across a publish merges no two), a
 # tripped build breaker surviving the swap to fresh engines, and a
 # PatchIndexes canceled before or while its walk and Γ patches run side
-# by side (an error, nothing published, no goroutine left) — always under
+# by side (an error, nothing published, no goroutine left), and the
+# /updates ack, /search and /stats agreeing on the generation — always under
 # the race detector, since the interesting bugs here are races between
 # degradation, revalidation, swap and close.
 chaos:
 	$(GO) test -race ./internal/chaos/
-	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker|PatchIndexesCanceledContext' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
+	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker|PatchIndexesCanceledContext|Decide|CostModel|CacheGetPutTTL|CacheLRUEviction|CacheConcurrent|WalksLadder|DeadlineDegrades|DeadlineWithNothingCached|TestDegraded|ResponsesReportGeneration' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.

@@ -27,12 +27,12 @@
 // stops accepting connections, drains in-flight requests for up to
 // -shutdown-timeout, force-closes any straggler, then exits.
 //
-// Searches are served through the fidelity planner: -tier-policy
-// pins the degradation policy (auto / full / materialized), -stale-ttl
-// bounds the last-known-good answer cache, and the -breaker-* flags
-// configure the circuit breaker around summary builds. Every /search
+// Searches are served through the fidelity planner: full search, then
+// materialized summaries only, then a last-known-good answer, then an
+// explicit 503, with a circuit breaker around summary builds (five
+// consecutive failures trip it). The ladder has no flags. Every /search
 // response carries its serving tier in the X-Pit-Tier header (see
-// DESIGN.md §13).
+// DESIGN.md §13). README's Operations section lists every flag.
 //
 // -stream-batch > 0 turns the static-index server into a continuously
 // updating one (DESIGN.md §15): POST /updates feeds edge events into a
@@ -86,55 +86,27 @@ import (
 
 // options carries every flag so the whole app is buildable from tests.
 type options struct {
-	preset             string
-	scale              float64
-	graphIn            string
-	topicsIn           string
-	addr               string
-	opsAddr            string
-	smoke              bool
-	theta              float64
-	walkL, walkR       int
-	seed               int64
-	maxK               int
-	warmSummaries      string
-	warmWorkers        int
-	requestTimeout     time.Duration
-	maxInflight        int
-	shutdownTimeout    time.Duration
-	tierPolicy         string
-	staleTTL           time.Duration
-	breakerThreshold   int
-	breakerCooldown    time.Duration
-	breakerMaxCooldown time.Duration
-	indexDir           string
-	streamBatch        int
-	streamMaxAge       time.Duration
-	decayHalfLife      time.Duration
-	shards             int
-}
-
-// planConfig resolves the planner flags into the engine's plan.Config.
-// A zero -stale-ttl disables the stale tier outright (plan.Config treats
-// zero as "use the default", so the disable is mapped to negative here).
-func (o options) planConfig() (plan.Config, error) {
-	policy, err := plan.ParsePolicy(o.tierPolicy)
-	if err != nil {
-		return plan.Config{}, fmt.Errorf("-tier-policy: %w", err)
-	}
-	ttl := o.staleTTL
-	if ttl == 0 {
-		ttl = -1
-	}
-	return plan.Config{
-		Policy:   policy,
-		StaleTTL: ttl,
-		Breaker: plan.BreakerConfig{
-			Threshold:   o.breakerThreshold,
-			Cooldown:    o.breakerCooldown,
-			MaxCooldown: o.breakerMaxCooldown,
-		},
-	}, nil
+	preset          string
+	scale           float64
+	graphIn         string
+	topicsIn        string
+	addr            string
+	opsAddr         string
+	smoke           bool
+	theta           float64
+	walkL, walkR    int
+	seed            int64
+	maxK            int
+	warmSummaries   string
+	warmWorkers     int
+	requestTimeout  time.Duration
+	maxInflight     int
+	shutdownTimeout time.Duration
+	indexDir        string
+	streamBatch     int
+	streamMaxAge    time.Duration
+	decayHalfLife   time.Duration
+	shards          int
 }
 
 // warmMethods resolves the -warm-summaries flag into the methods to
@@ -181,35 +153,36 @@ func (a *app) closeEngine() {
 	a.router.Close()
 }
 
+// registerFlags binds every pitserve flag to a field of o. README's
+// Operations flag table documents exactly this set (TestFlagsDocumented).
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.preset, "preset", "data_2k", "dataset preset (ignored when -graph/-topics are given)")
+	fs.Float64Var(&o.scale, "scale", 1, "preset scale factor")
+	fs.StringVar(&o.graphIn, "graph", "", "graph TSV file (with -topics, replaces the preset)")
+	fs.StringVar(&o.topicsIn, "topics", "", "topic-space TSV file")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.opsAddr, "ops-addr", "", "operational listener address for /metrics and /debug/pprof (empty disables)")
+	fs.BoolVar(&o.smoke, "smoke", false, "one-shot smoke run: serve on ephemeral ports, issue searches, verify /metrics, exit")
+	fs.Float64Var(&o.theta, "theta", 0.01, "propagation-index threshold θ")
+	fs.IntVar(&o.walkL, "L", 6, "random-walk length L")
+	fs.IntVar(&o.walkR, "R", 16, "random walks per node R")
+	fs.Int64Var(&o.seed, "seed", 1, "RNG seed")
+	fs.IntVar(&o.maxK, "max-k", 100, "maximum k a request may ask for")
+	fs.StringVar(&o.warmSummaries, "warm-summaries", "", "warm the whole summary corpus before /readyz flips: lrw, rcl or all (empty disables)")
+	fs.IntVar(&o.warmWorkers, "warm-workers", 0, "worker pool size for the summary warm-up (≤0: GOMAXPROCS)")
+	fs.DurationVar(&o.requestTimeout, "request-timeout", 10*time.Second, "per-request deadline for API calls (0 disables)")
+	fs.IntVar(&o.maxInflight, "max-inflight", 256, "max concurrently served API requests before shedding with 429 (0 disables)")
+	fs.DurationVar(&o.shutdownTimeout, "shutdown-timeout", 15*time.Second, "how long a SIGTERM drains in-flight requests before stragglers are force-closed")
+	fs.StringVar(&o.indexDir, "index-dir", "", "artifact directory: cold-start from it when populated (by `datagen -index-dir` or an earlier run at any -shards), save freshly built indexes into it otherwise (empty disables persistence)")
+	fs.IntVar(&o.streamBatch, "stream-batch", 0, "streaming updates: apply a batch once this many events are pending (0 disables streaming; enables POST /updates and /subscribe)")
+	fs.DurationVar(&o.streamMaxAge, "stream-max-age", time.Second, "streaming updates: apply a smaller batch once its oldest event is this old")
+	fs.DurationVar(&o.decayHalfLife, "decay-halflife", 0, "halve a queued event's edge weight per this much age at application time (0 disables decay)")
+	fs.IntVar(&o.shards, "shards", 1, "partition the summary corpus across N shard engines behind the scatter-gather router (at least 1)")
+}
+
 func main() {
 	var o options
-	flag.StringVar(&o.preset, "preset", "data_2k", "dataset preset (ignored when -graph/-topics are given)")
-	flag.Float64Var(&o.scale, "scale", 1, "preset scale factor")
-	flag.StringVar(&o.graphIn, "graph", "", "graph TSV file (with -topics, replaces the preset)")
-	flag.StringVar(&o.topicsIn, "topics", "", "topic-space TSV file")
-	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&o.opsAddr, "ops-addr", "", "operational listener address for /metrics and /debug/pprof (empty disables)")
-	flag.BoolVar(&o.smoke, "smoke", false, "one-shot smoke run: serve on ephemeral ports, issue searches, verify /metrics, exit")
-	flag.Float64Var(&o.theta, "theta", 0.01, "propagation-index threshold θ")
-	flag.IntVar(&o.walkL, "L", 6, "random-walk length L")
-	flag.IntVar(&o.walkR, "R", 16, "random walks per node R")
-	flag.Int64Var(&o.seed, "seed", 1, "RNG seed")
-	flag.IntVar(&o.maxK, "max-k", 100, "maximum k a request may ask for")
-	flag.StringVar(&o.warmSummaries, "warm-summaries", "", "warm the whole summary corpus before /readyz flips: lrw, rcl or all (empty disables)")
-	flag.IntVar(&o.warmWorkers, "warm-workers", 0, "worker pool size for the summary warm-up (≤0: GOMAXPROCS)")
-	flag.DurationVar(&o.requestTimeout, "request-timeout", 10*time.Second, "per-request deadline for API calls (0 disables)")
-	flag.IntVar(&o.maxInflight, "max-inflight", 256, "max concurrently served API requests before shedding with 429 (0 disables)")
-	flag.DurationVar(&o.shutdownTimeout, "shutdown-timeout", 15*time.Second, "how long a SIGTERM drains in-flight requests before stragglers are force-closed")
-	flag.StringVar(&o.tierPolicy, "tier-policy", "auto", "fidelity degradation policy: auto (planner decides), full (never degrade) or materialized (never build on the query path)")
-	flag.DurationVar(&o.staleTTL, "stale-ttl", 5*time.Minute, "how long a last-known-good answer may be served stale when fresher tiers fail (0 disables the stale tier)")
-	flag.IntVar(&o.breakerThreshold, "breaker-threshold", 5, "consecutive summary-build failures before the circuit breaker suspends builds (0 disables the breaker)")
-	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", time.Second, "initial breaker cooldown before a half-open probe (doubles per failed probe)")
-	flag.DurationVar(&o.breakerMaxCooldown, "breaker-max-cooldown", 30*time.Second, "upper bound on the breaker's exponential cooldown")
-	flag.StringVar(&o.indexDir, "index-dir", "", "artifact directory: cold-start from it when populated (by `datagen -index-dir` or an earlier run at any -shards), save freshly built indexes into it otherwise (empty disables persistence)")
-	flag.IntVar(&o.streamBatch, "stream-batch", 0, "streaming updates: apply a batch once this many events are pending (0 disables streaming; enables POST /updates and /subscribe)")
-	flag.DurationVar(&o.streamMaxAge, "stream-max-age", time.Second, "streaming updates: apply a smaller batch once its oldest event is this old")
-	flag.DurationVar(&o.decayHalfLife, "decay-halflife", 0, "halve a queued event's edge weight per this much age at application time (0 disables decay)")
-	flag.IntVar(&o.shards, "shards", 1, "partition the summary corpus across N shard engines behind the scatter-gather router (at least 1)")
+	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
 
 	if o.smoke {
@@ -241,10 +214,6 @@ func buildApp(o options) (*app, error) {
 	if _, err := o.warmMethods(); err != nil {
 		return nil, err // reject a bad -warm-summaries before loading data
 	}
-	pcfg, err := o.planConfig()
-	if err != nil {
-		return nil, err // reject a bad -tier-policy before loading data
-	}
 	g, sp, err := dataset.LoadPresetOrFiles(o.preset, o.scale, o.graphIn, o.topicsIn)
 	if err != nil {
 		return nil, err
@@ -258,7 +227,12 @@ func buildApp(o options) (*app, error) {
 	a := &app{opts: o, reg: reg}
 	engines := make([]*core.Engine, o.shards)
 	for i := range engines {
-		engines[i], err = core.New(g, sp, core.Options{WalkL: o.walkL, WalkR: o.walkR, Theta: o.theta, Seed: o.seed, Metrics: reg, Plan: pcfg})
+		engines[i], err = core.New(g, sp, core.Options{
+			WalkL: o.walkL, WalkR: o.walkR, Theta: o.theta, Seed: o.seed, Metrics: reg,
+			// Five consecutive build failures suspend builds; the
+			// cooldowns are the breaker's defaults (1s doubling to 30s).
+			Breaker: plan.BreakerConfig{Threshold: 5},
+		})
 		if err != nil {
 			return nil, err
 		}

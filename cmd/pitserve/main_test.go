@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -20,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/plan"
 	"repro/internal/stream"
 )
 
@@ -385,6 +385,60 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 	}
 	if n := len(slices.Compact(slices.Clone(documented))); n != len(documented) {
 		t.Errorf("README has %d metrics rows for %d families", len(documented), n)
+	}
+}
+
+// readmeFlags returns README's flag table — the rows under its
+// "| Flag | Default | Sets |" header — as flag name → default cell.
+func readmeFlags(t *testing.T) map[string]string {
+	t.Helper()
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "| Flag | Default | Sets |\n|---|---|---|\n")
+	if !ok {
+		t.Fatal("README has no | Flag | Default | Sets | table")
+	}
+	rows := map[string]string{}
+	for _, row := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(row, "|") {
+			break
+		}
+		cells := strings.Split(row, " | ")
+		if len(cells) != 3 {
+			t.Fatalf("README flag row %q: want 3 cells", row)
+		}
+		name := strings.TrimPrefix(strings.Trim(strings.TrimPrefix(cells[0], "| "), "`"), "-")
+		if _, dup := rows[name]; dup {
+			t.Errorf("README documents -%s twice", name)
+		}
+		rows[name] = strings.Trim(cells[1], "`")
+	}
+	return rows
+}
+
+// TestFlagsDocumented: README's flag table is the one list of pitserve
+// flags. Every flag registerFlags registers has a row carrying its
+// default, and every row names a registered flag — a flag missing from
+// the table fails, and so does a row for a flag that is gone.
+func TestFlagsDocumented(t *testing.T) {
+	fs := flag.NewFlagSet("pitserve", flag.ContinueOnError)
+	registerFlags(fs, &options{})
+	documented := readmeFlags(t)
+	fs.VisitAll(func(f *flag.Flag) {
+		def, ok := documented[f.Name]
+		switch {
+		case !ok:
+			t.Errorf("-%s is registered but has no README flag row", f.Name)
+		case def != f.DefValue && !(f.DefValue == "" && def == `""`):
+			t.Errorf("README gives -%s the default %q, the flag's is %q", f.Name, def, f.DefValue)
+		}
+	})
+	for name := range documented {
+		if fs.Lookup(name) == nil {
+			t.Errorf("README documents -%s, which pitserve does not register", name)
+		}
 	}
 }
 
@@ -975,55 +1029,6 @@ func TestRunSmoke(t *testing.T) {
 	o := testOptions()
 	if err := runSmoke(o); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPlanConfigParsing pins the planner-flag resolution: policy names,
-// the 0-means-disabled mapping of -stale-ttl, and breaker passthrough.
-func TestPlanConfigParsing(t *testing.T) {
-	o := testOptions()
-	o.tierPolicy = "materialized"
-	o.staleTTL = 2 * time.Minute
-	o.breakerThreshold = 7
-	o.breakerCooldown = 3 * time.Second
-	o.breakerMaxCooldown = 90 * time.Second
-	pcfg, err := o.planConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pcfg.Policy != plan.PolicyMaterialized || pcfg.StaleTTL != 2*time.Minute {
-		t.Errorf("planConfig = %+v", pcfg)
-	}
-	if pcfg.Breaker.Threshold != 7 || pcfg.Breaker.Cooldown != 3*time.Second || pcfg.Breaker.MaxCooldown != 90*time.Second {
-		t.Errorf("breaker config not forwarded: %+v", pcfg.Breaker)
-	}
-
-	o = testOptions() // zero tierPolicy means auto, zero staleTTL disables
-	pcfg, err = o.planConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pcfg.Policy != plan.PolicyAuto {
-		t.Errorf("empty -tier-policy = %v, want auto", pcfg.Policy)
-	}
-	if pcfg.StaleTTL >= 0 {
-		t.Errorf("-stale-ttl 0 should disable the stale tier, got %v", pcfg.StaleTTL)
-	}
-
-	o = testOptions()
-	o.tierPolicy = "bogus"
-	if _, err := o.planConfig(); err == nil {
-		t.Error("unknown -tier-policy accepted")
-	}
-}
-
-// TestBuildAppRejectsBadTierPolicy: a bogus -tier-policy fails fast,
-// before dataset generation.
-func TestBuildAppRejectsBadTierPolicy(t *testing.T) {
-	o := testOptions()
-	o.tierPolicy = "degrade-maybe"
-	if _, err := buildApp(o); err == nil {
-		t.Fatal("buildApp accepted unknown -tier-policy value")
 	}
 }
 

@@ -114,11 +114,10 @@ type Options struct {
 	// index durations, frontier truncations. Nil disables
 	// instrumentation at zero cost.
 	Metrics *obs.Registry
-	// Plan configures the fidelity planner behind Run: the degradation
-	// policy, stale-answer cache, per-method build circuit breaker and
-	// cost model. The zero value enables the full ladder
-	// with the breaker disabled (see plan.Config).
-	Plan plan.Config
+	// Breaker configures the per-method circuit breaker around summary
+	// builds that the fidelity planner behind Run consults. The zero
+	// value disables it.
+	Breaker plan.BreakerConfig
 }
 
 func (o *Options) fill() {
@@ -218,7 +217,7 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 		e.met = newEngineMetrics(opts.Metrics)
 	}
 	for _, m := range []Method{MethodLRW, MethodRCL} {
-		bcfg := opts.Plan.Breaker
+		bcfg := opts.Breaker
 		bcfg.OnStateChange = e.met.breakerHook(m)
 		e.breakers[m] = plan.NewBreaker(bcfg)
 	}
@@ -227,7 +226,7 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 		buildSrc = e.met.buildDur
 	}
 	e.cost = plan.NewCostModel(buildSrc)
-	e.ladder = NewLadder(opts.Plan, opts.Metrics, e.hold)
+	e.ladder = NewLadder(opts.Metrics, e.hold)
 	return e, nil
 }
 

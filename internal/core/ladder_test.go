@@ -4,8 +4,8 @@ package core_test
 // backends of the query path: a single Engine and a 3-shard Router.
 // They share core.Ladder, so every case must hold on both — tier
 // selection under budgets, degradation on build failure,
-// stale-while-revalidate convergence, the ErrUnavailable floor, the
-// operator policies and client-cancel surfacing.
+// stale-while-revalidate convergence, the ErrUnavailable floor, pinned
+// fidelities and client-cancel surfacing.
 
 import (
 	"context"
@@ -106,17 +106,17 @@ func (b *ladderBackend) counter(name, label, value string) uint64 {
 	return b.reg.CounterVec(name, "", label).With(value).Value()
 }
 
-type backendMaker func(t *testing.T, pcfg plan.Config, build bool) *ladderBackend
+type backendMaker func(t *testing.T, build bool) *ladderBackend
 
-func ladderOptions(reg *obs.Registry, pcfg plan.Config) core.Options {
-	return core.Options{WalkL: 4, WalkR: 8, Theta: 0.02, Seed: 7, Metrics: reg, Plan: pcfg}
+func ladderOptions(reg *obs.Registry) core.Options {
+	return core.Options{WalkL: 4, WalkR: 8, Theta: 0.02, Seed: 7, Metrics: reg}
 }
 
-func engineBackend(t *testing.T, pcfg plan.Config, build bool) *ladderBackend {
+func engineBackend(t *testing.T, build bool) *ladderBackend {
 	t.Helper()
 	g, space := ladderWorld()
 	reg := obs.NewRegistry()
-	eng, err := core.New(g, space, ladderOptions(reg, pcfg))
+	eng, err := core.New(g, space, ladderOptions(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +129,14 @@ func engineBackend(t *testing.T, pcfg plan.Config, build bool) *ladderBackend {
 	return &ladderBackend{Runner: eng, reg: reg, engines: []*core.Engine{eng}, summarize: eng.Summarize, close: eng.Close}
 }
 
-func routerBackend(t *testing.T, pcfg plan.Config, build bool) *ladderBackend {
+func routerBackend(t *testing.T, build bool) *ladderBackend {
 	t.Helper()
 	const n = 3
 	g, space := ladderWorld()
 	reg := obs.NewRegistry()
 	engines := make([]*core.Engine, n)
 	for i := range engines {
-		eng, err := core.New(g, space, ladderOptions(reg, pcfg))
+		eng, err := core.New(g, space, ladderOptions(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func ladderTable(t *testing.T, mk backendMaker) {
 	query := core.Query{Text: "tag000", User: 3, K: 2}
 
 	t.Run("FullTier", func(t *testing.T) {
-		b := mk(t, plan.Config{}, true)
+		b := mk(t, true)
 		b.setSummarizer(summarizeFunc(okSummary))
 		ans, err := b.Run(ctx, query)
 		if err != nil {
@@ -206,7 +206,7 @@ func ladderTable(t *testing.T, mk backendMaker) {
 	})
 
 	t.Run("Validation", func(t *testing.T) {
-		b := mk(t, plan.Config{}, true)
+		b := mk(t, true)
 		bad := query
 		bad.Method = core.Method(9)
 		if _, err := b.Run(ctx, bad); !errors.Is(err, core.ErrInvalidArgument) {
@@ -217,7 +217,7 @@ func ladderTable(t *testing.T, mk backendMaker) {
 		if _, err := b.Run(ctx, bad); !errors.Is(err, core.ErrInvalidArgument) {
 			t.Errorf("bogus user: %v, want ErrInvalidArgument", err)
 		}
-		cold := mk(t, plan.Config{}, false)
+		cold := mk(t, false)
 		if _, err := cold.Run(ctx, query); !errors.Is(err, core.ErrNotReady) {
 			t.Errorf("unbuilt backend: %v, want ErrNotReady", err)
 		}
@@ -227,7 +227,7 @@ func ladderTable(t *testing.T, mk backendMaker) {
 	// partial materialized answer instead of erroring, and the
 	// skipped-topic counter sees the gap.
 	t.Run("DegradesToMaterialized", func(t *testing.T) {
-		b := mk(t, plan.Config{}, true)
+		b := mk(t, true)
 		b.setSummarizer(summarizeFunc(okSummary))
 		b.warm(t)
 		b.invalidate(related[0])
@@ -254,7 +254,7 @@ func ladderTable(t *testing.T, mk backendMaker) {
 	// last-known-good answer, and the detached revalidation restores
 	// full fidelity.
 	t.Run("StaleWhileRevalidate", func(t *testing.T) {
-		b := mk(t, plan.Config{}, true)
+		b := mk(t, true)
 		b.setSummarizer(summarizeFunc(okSummary))
 		fresh, err := b.Run(ctx, query)
 		if err != nil || fresh.Outcome.Tier != plan.TierFull {
@@ -309,7 +309,7 @@ func ladderTable(t *testing.T, mk backendMaker) {
 	// Nothing cached at any fidelity is an explicit ErrUnavailable, not a
 	// 500-shaped error.
 	t.Run("Unavailable", func(t *testing.T) {
-		b := mk(t, plan.Config{}, true)
+		b := mk(t, true)
 		b.setSummarizer(failWith(fmt.Errorf("kernel down")))
 		ans, err := b.Run(ctx, query)
 		if !errors.Is(err, core.ErrUnavailable) {
@@ -320,17 +320,20 @@ func ladderTable(t *testing.T, mk backendMaker) {
 		}
 	})
 
-	// PolicyFull surfaces build failures, PolicyMaterialized never
-	// builds, PolicyAuto is every other case of the table.
-	t.Run("Policies", func(t *testing.T) {
+	// A query that pins its fidelity skips the planner: FidelityFull
+	// surfaces a build failure instead of degrading, FidelityCached
+	// answers from the cache and never builds.
+	t.Run("PinnedFidelity", func(t *testing.T) {
 		injected := fmt.Errorf("kernel down")
-		strict := mk(t, plan.Config{Policy: plan.PolicyFull}, true)
+		strict := mk(t, true)
 		strict.setSummarizer(failWith(injected))
-		if _, err := strict.Run(ctx, query); !errors.Is(err, injected) {
-			t.Fatalf("PolicyFull err = %v, want the build failure to surface", err)
+		exact := query
+		exact.Fidelity = core.FidelityFull
+		if _, err := strict.Run(ctx, exact); !errors.Is(err, injected) {
+			t.Fatalf("FidelityFull err = %v, want the build failure to surface", err)
 		}
 
-		b := mk(t, plan.Config{Policy: plan.PolicyMaterialized}, true)
+		b := mk(t, true)
 		var calls atomic.Int32
 		b.setSummarizer(summarizeFunc(func(ctx context.Context, id topics.TopicID) (summary.Summary, error) {
 			calls.Add(1)
@@ -338,22 +341,24 @@ func ladderTable(t *testing.T, mk backendMaker) {
 		}))
 		b.warm(t)
 		warmCalls := calls.Load()
-		ans, err := b.Run(ctx, query)
-		if out := ans.Outcome; err != nil || out.Tier != plan.TierMaterialized || !out.Complete || out.Reason != "policy" {
-			t.Fatalf("PolicyMaterialized: %+v err=%v, want complete materialized by policy", out, err)
+		cached := query
+		cached.Fidelity = core.FidelityCached
+		ans, err := b.Run(ctx, cached)
+		if out := ans.Outcome; err != nil || out.Tier != plan.TierMaterialized || !out.Complete || out.Reason != "request" {
+			t.Fatalf("FidelityCached: %+v err=%v, want a complete materialized answer", out, err)
 		}
 		if len(ans.Results) == 0 {
-			t.Fatal("PolicyMaterialized returned no results from a warm cache")
+			t.Fatal("FidelityCached returned no results from a warm cache")
 		}
 		if got := calls.Load(); got != warmCalls {
-			t.Fatalf("PolicyMaterialized ran %d builds on the query path", got-warmCalls)
+			t.Fatalf("FidelityCached ran %d builds on the query path", got-warmCalls)
 		}
 	})
 
 	// A hung-up client gets its cancellation back, not a degraded answer
 	// nobody will read.
 	t.Run("ClientCancelSurfaces", func(t *testing.T) {
-		b := mk(t, plan.Config{}, true)
+		b := mk(t, true)
 		b.setSummarizer(summarizeFunc(func(ctx context.Context, _ topics.TopicID) (summary.Summary, error) {
 			<-ctx.Done()
 			return summary.Summary{}, ctx.Err()
@@ -382,7 +387,7 @@ func ladderTable(t *testing.T, mk backendMaker) {
 	// Without calibration the planner stays optimistic — a tight deadline
 	// does not skip the full tier when no cost data exists.
 	t.Run("BudgetSkipUncalibrated", func(t *testing.T) {
-		b := mk(t, plan.Config{}, true)
+		b := mk(t, true)
 		b.setSummarizer(summarizeFunc(okSummary))
 		tight, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 		defer cancel()

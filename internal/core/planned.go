@@ -3,13 +3,13 @@ package core
 // The one query path (DESIGN.md §10, §13). Ladder.Run is what
 // Engine.Run and shard.Router.Run both are: validate the Query, resolve
 // its q-related topics, pick a starting tier from the request's
-// remaining budget, the build breakers and the operator policy, then
-// walk down on failure — full → materialized → stale → ErrUnavailable —
-// so a broken or slow summarizer degrades answer fidelity instead of
-// turning into 5xx storms. Each attempt is the same five steps: open
-// sessions, search.Drive, diversify, hydrate, close. The only thing a
-// backend contributes is its HoldFunc: the Opener one request runs on,
-// pinned for the whole request.
+// remaining budget and the build breakers, then walk down on failure —
+// full → materialized → stale → ErrUnavailable — so a broken or slow
+// summarizer degrades answer fidelity instead of turning into 5xx
+// storms. Each attempt is the same five steps: open sessions,
+// search.Drive, diversify, hydrate, close. The only thing a backend
+// contributes is its HoldFunc: the Opener one request runs on, pinned
+// for the whole request.
 
 import (
 	"context"
@@ -87,9 +87,8 @@ type HoldFunc func(ctx context.Context) (context.Context, Opener, func(), error)
 // is about answers rather than summaries: the last-known-good answer
 // cache and the detached revalidations that refresh it.
 type Ladder struct {
-	cfg   plan.Config
 	hold  HoldFunc
-	stale *plan.Cache[string, staleAnswer] // nil when the stale tier is off
+	stale *plan.Cache[string, staleAnswer]
 
 	// life bounds the detached revalidations; Close cancels it and
 	// waits for them.
@@ -118,6 +117,9 @@ type staleAnswer struct {
 const (
 	// staleCapacity bounds the last-known-good cache (LRU eviction).
 	staleCapacity = 4096
+	// staleTTL bounds how old a last-known-good answer may be and still
+	// serve on the stale tier.
+	staleTTL = 5 * time.Minute
 	// materializedTimeout bounds the materialized-tier attempt, which
 	// runs detached from a request deadline that may already be blown.
 	materializedTimeout = 2 * time.Second
@@ -126,16 +128,15 @@ const (
 )
 
 // NewLadder wires the query path over the backend hold pins per
-// request. cfg is the planner configuration (zero values resolve to
-// plan's defaults); reg, when non-nil, receives
+// request. reg, when non-nil, receives
 // pit_search_frontier_truncations_total and pit_revalidations_total.
-func NewLadder(cfg plan.Config, reg *obs.Registry, hold HoldFunc) *Ladder {
-	cfg.Fill()
-	l := &Ladder{cfg: cfg, hold: hold, revaling: map[string]struct{}{}}
-	l.life, l.stop = context.WithCancel(context.Background())
-	if cfg.StaleTTL > 0 {
-		l.stale = plan.NewCache[string, staleAnswer](staleCapacity, cfg.StaleTTL, nil)
+func NewLadder(reg *obs.Registry, hold HoldFunc) *Ladder {
+	l := &Ladder{
+		hold:     hold,
+		stale:    plan.NewCache[string, staleAnswer](staleCapacity, staleTTL, nil),
+		revaling: map[string]struct{}{},
 	}
+	l.life, l.stop = context.WithCancel(context.Background())
 	if reg != nil {
 		l.truncations = reg.Counter("pit_search_frontier_truncations_total",
 			"Expansion levels whose frontier exceeded MaxFrontier and was truncated best-first.")
@@ -167,9 +168,9 @@ func (q Query) staleKey() string {
 // Error contract: request-level mistakes (ErrInvalidArgument,
 // ErrNotReady) and client disconnects surface immediately — degrading
 // a bad request would mask bugs, and nobody is listening for a hung-up
-// one. Under PolicyFull, or for a FidelityFull query, every full-tier
-// failure surfaces. Otherwise an error return means the whole ladder
-// was exhausted and is always ErrUnavailable-wrapped.
+// one. For a FidelityFull or FidelityCached query every failure
+// surfaces. For a planned one an error return means the whole ladder was
+// exhausted and is always ErrUnavailable-wrapped.
 func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	none := Answer{Outcome: PlanOutcome{Tier: plan.TierUnavailable}}
 	ctx, backend, release, err := l.hold(ctx)
@@ -201,11 +202,11 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	planned := q.Fidelity == FidelityPlanned
 	// Only keyword queries have a last-known-good entry: an explicit
 	// topic set has no key to find it under.
-	cacheable := planned && q.Topics == nil && l.stale != nil
+	cacheable := planned && q.Topics == nil
 	start, reason := plan.TierFull, "request"
 	switch {
 	case planned:
-		d := l.planStart(ctx, backend, q.Method, related)
+		d := planStart(ctx, backend, q.Method, related)
 		start, reason = d.Start, d.Reason
 	case q.Fidelity == FidelityCached:
 		start = plan.TierMaterialized
@@ -222,7 +223,7 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 			}
 			return ans, nil
 		}
-		if err != nil && (!planned || !l.Degradable(ctx, err)) {
+		if err != nil && (!planned || !Degradable(ctx, err)) {
 			return none, err
 		}
 	}
@@ -233,7 +234,7 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	// cancellation.
 	mctx, cancel := ctx, context.CancelFunc(func() {})
 	if planned {
-		mctx, cancel = l.CachedContext(ctx)
+		mctx, cancel = CachedContext(ctx)
 	}
 	ans, err := l.attempt(mctx, backend, q, related, true)
 	cancel()
@@ -276,12 +277,10 @@ func servable(ans Answer) bool {
 	return ans.Outcome.Tier == plan.TierFull || ans.Outcome.Complete || len(ans.Results) > 0
 }
 
-// planStart runs the planner for one request: operator policy, the
-// backend's breaker readiness and cost estimate, and the remaining
-// deadline.
-func (l *Ladder) planStart(ctx context.Context, backend Opener, m Method, related []topics.TopicID) plan.Decision {
+// planStart runs the planner for one request: the backend's breaker
+// readiness and cost estimate, and the remaining deadline.
+func planStart(ctx context.Context, backend Opener, m Method, related []topics.TopicID) plan.Decision {
 	in := backend.PlanInputs(m, related)
-	in.Policy = l.cfg.Policy
 	if deadline, ok := ctx.Deadline(); ok {
 		in.HaveDeadline = true
 		in.Budget = time.Until(deadline)
@@ -292,11 +291,8 @@ func (l *Ladder) planStart(ctx context.Context, backend Opener, m Method, relate
 // Degradable reports whether a failed building attempt may be answered
 // from a lower tier instead of surfacing err. Openers that degrade part
 // of a query on their own (OpenRequest.MayDegrade) apply the same rule.
-func (l *Ladder) Degradable(ctx context.Context, err error) bool {
+func Degradable(ctx context.Context, err error) bool {
 	if errors.Is(err, ErrInvalidArgument) || errors.Is(err, ErrNotReady) {
-		return false
-	}
-	if l.cfg.Policy == plan.PolicyFull {
 		return false
 	}
 	// The client hanging up is not a degradation trigger: serve nobody.
@@ -307,7 +303,7 @@ func (l *Ladder) Degradable(ctx context.Context, err error) bool {
 
 // CachedContext derives the materialized tier's budget: bounded by
 // materializedTimeout and detached from ctx's cancellation.
-func (l *Ladder) CachedContext(ctx context.Context) (context.Context, context.CancelFunc) {
+func CachedContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.WithoutCancel(ctx), materializedTimeout)
 }
 

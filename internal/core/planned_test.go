@@ -39,12 +39,12 @@ func failSummarizer(err error) summarizeFunc {
 }
 
 // plannedEngine builds an engine over the shared smallWorld dataset
-// with a metrics registry and the given plan config.
-func plannedEngine(t *testing.T, pcfg plan.Config) (*Engine, *obs.Registry) {
+// with a metrics registry and the given build breaker.
+func plannedEngine(t *testing.T, breaker plan.BreakerConfig) (*Engine, *obs.Registry) {
 	t.Helper()
 	g, space := smallWorld()
 	reg := obs.NewRegistry()
-	eng, err := New(g, space, Options{WalkL: 4, WalkR: 8, Theta: 0.02, Seed: 7, Metrics: reg, Plan: pcfg})
+	eng, err := New(g, space, Options{WalkL: 4, WalkR: 8, Theta: 0.02, Seed: 7, Metrics: reg, Breaker: breaker})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func plannedEngine(t *testing.T, pcfg plan.Config) (*Engine, *obs.Registry) {
 // every skipped topic of a materialized-only search increments
 // pit_materialized_skipped_topics_total exactly once.
 func TestMaterializedSkippedCounterPinned(t *testing.T) {
-	eng, _ := plannedEngine(t, plan.Config{})
+	eng, _ := plannedEngine(t, plan.BreakerConfig{})
 	related := eng.Space().Related("tag000")
 	if _, err := eng.Summarize(context.Background(), MethodLRW, related[0]); err != nil {
 		t.Fatal(err)
@@ -89,9 +89,7 @@ func TestMaterializedSkippedCounterPinned(t *testing.T) {
 // steering the planner to the materialized tier), and a successful
 // half-open probe closes it again.
 func TestBreakerTripsSuspendsAndRecovers(t *testing.T) {
-	eng, _ := plannedEngine(t, plan.Config{
-		Breaker: plan.BreakerConfig{Threshold: 2, Cooldown: 20 * time.Millisecond, MaxCooldown: 40 * time.Millisecond, Jitter: 0.01},
-	})
+	eng, _ := plannedEngine(t, plan.BreakerConfig{Threshold: 2, Cooldown: 20 * time.Millisecond, MaxCooldown: 40 * time.Millisecond, Jitter: 0.01})
 	related := eng.Space().Related("tag000")
 	injected := fmt.Errorf("kernel down")
 	eng.SetSummarizer(MethodLRW, failSummarizer(injected))
@@ -149,7 +147,7 @@ func TestBreakerTripsSuspendsAndRecovers(t *testing.T) {
 // begins mid-request waits, and the request either completes or was
 // refused before any work.
 func TestRunHoldsGateAcrossRerank(t *testing.T) {
-	eng, _ := plannedEngine(t, plan.Config{})
+	eng, _ := plannedEngine(t, plan.BreakerConfig{})
 	eng.EnableDrainGate()
 	var (
 		builds  atomic.Int32

@@ -57,7 +57,7 @@ type PlanOutcome struct {
 	// TierUnavailable alongside ErrUnavailable).
 	Tier plan.Tier
 	// Reason is the starting-tier rationale: the planner's "ok",
-	// "policy", "breaker" or "budget"; "request" when the query's own
+	// "breaker" or "budget"; "request" when the query's own
 	// Fidelity fixed the tier; "empty" when nothing related to it.
 	// Bounded label values safe for metrics.
 	Reason string

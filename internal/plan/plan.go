@@ -17,7 +17,7 @@
 //	unavailable  — nothing cached at any fidelity: an explicit
 //	               503 + Retry-After, the only planned "no answer"
 //
-// Three signals drive the choice of the starting tier:
+// Two measured signals drive the choice of the starting tier:
 //
 //   - the request's remaining deadline versus a per-tier cost model
 //     calibrated from the live internal/obs duration histograms
@@ -25,13 +25,14 @@
 //     skips straight to materialized instead of burning its budget;
 //   - a circuit breaker around summarizer builds (breaker.go) — a
 //     broken kernel degrades the tier instead of stalling every query
-//     on singleflight;
-//   - the operator policy (PolicyAuto / PolicyFull / PolicyMaterialized).
+//     on singleflight.
 //
-// The ladder itself — attempt a tier, degrade on failure — is executed
-// by core.Ladder.Run; this package owns the decision inputs
-// and the supporting state machines so they are unit-testable without
-// an engine.
+// There is no operator dial: a caller that needs the exact answer or a
+// build-free one says so per query (core.FidelityFull, core.FidelityCached)
+// and skips the planner. The ladder itself — attempt a tier, degrade on
+// failure — is executed by core.Ladder.Run; this package owns the
+// decision inputs and the supporting state machines so they are
+// unit-testable without an engine.
 package plan
 
 import (
@@ -78,55 +79,9 @@ func (t Tier) String() string {
 	}
 }
 
-// Policy is the operator-level degradation stance.
-type Policy int
-
-const (
-	// PolicyAuto runs the full ladder: start at the highest tier the
-	// budget/breaker allow, degrade on failure, 503 only when nothing
-	// cached exists.
-	PolicyAuto Policy = iota
-	// PolicyFull never degrades: every request attempts the exact
-	// search and failures surface as errors (the pre-planner contract,
-	// for deployments that prefer hard failures over partial answers).
-	PolicyFull
-	// PolicyMaterialized never builds on the query path: every request
-	// starts at the materialized tier (for deployments that pre-warm the
-	// corpus and want the query path strictly allocation- and
-	// build-free).
-	PolicyMaterialized
-)
-
-// String returns the policy's flag spelling.
-func (p Policy) String() string {
-	switch p {
-	case PolicyFull:
-		return "full"
-	case PolicyMaterialized:
-		return "materialized"
-	default:
-		return "auto"
-	}
-}
-
-// ParsePolicy parses a -tier-policy flag value.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "auto":
-		return PolicyAuto, nil
-	case "full":
-		return PolicyFull, nil
-	case "materialized":
-		return PolicyMaterialized, nil
-	}
-	return PolicyAuto, fmt.Errorf("plan: unknown tier policy %q (want auto, full or materialized)", s)
-}
-
 // Inputs are the signals Decide weighs when choosing the starting tier
 // for one request.
 type Inputs struct {
-	// Policy is the operator stance.
-	Policy Policy
 	// BreakerReady reports whether the method's build breaker would
 	// admit a build right now (closed, or open with an expired cooldown
 	// ready for a half-open probe). False skips the full tier entirely.
@@ -147,7 +102,7 @@ type Inputs struct {
 
 // Decision is the planner's starting point for one request: the first
 // tier to attempt and the reason it was chosen (a bounded label:
-// "policy", "breaker", "budget" or "ok").
+// "breaker", "budget" or "ok").
 type Decision struct {
 	Start  Tier
 	Reason string
@@ -158,12 +113,6 @@ type Decision struct {
 // the engine, which re-plans nothing — one decision per request, then
 // failures walk down the ladder.
 func Decide(in Inputs) Decision {
-	switch in.Policy {
-	case PolicyFull:
-		return Decision{Start: TierFull, Reason: "policy"}
-	case PolicyMaterialized:
-		return Decision{Start: TierMaterialized, Reason: "policy"}
-	}
 	if !in.BreakerReady {
 		return Decision{Start: TierMaterialized, Reason: "breaker"}
 	}
@@ -171,28 +120,4 @@ func Decide(in Inputs) Decision {
 		return Decision{Start: TierMaterialized, Reason: "budget"}
 	}
 	return Decision{Start: TierFull, Reason: "ok"}
-}
-
-// Config tunes the planner machinery an engine owns. The zero value
-// enables the ladder with a 5-minute stale TTL and the breaker disabled;
-// Fill resolves the defaults in place. The ladder's fixed budgets (the
-// stale cache's size, the materialized-tier and revalidation timeouts)
-// live beside it in internal/core.
-type Config struct {
-	// Policy is the degradation stance (default PolicyAuto).
-	Policy Policy
-	// StaleTTL bounds how old a last-known-good answer may be and still
-	// serve on the stale tier. 0 means the 5-minute default; negative
-	// disables the stale tier entirely.
-	StaleTTL time.Duration
-	// Breaker configures the per-method build circuit breaker;
-	// Breaker.Threshold <= 0 leaves the breaker disabled.
-	Breaker BreakerConfig
-}
-
-// Fill resolves zero values to documented defaults.
-func (c *Config) Fill() {
-	if c.StaleTTL == 0 {
-		c.StaleTTL = 5 * time.Minute
-	}
 }

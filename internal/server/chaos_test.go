@@ -36,7 +36,7 @@ import (
 // summarizer is a chaos wrapper around the topic summaries the real
 // LRW-A backend produced. All topics start warm; tests invalidate what
 // they want rebuilt through the fault regime.
-func chaosHarness(t *testing.T, pcfg plan.Config, ccfg chaos.Config) (*Server, *core.Engine, *chaos.Summarizer, *obs.Registry) {
+func chaosHarness(t *testing.T, breaker plan.BreakerConfig, ccfg chaos.Config) (*Server, *core.Engine, *chaos.Summarizer, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	g, err := dataset.GenerateGraph(dataset.GraphConfig{
@@ -52,7 +52,7 @@ func chaosHarness(t *testing.T, pcfg plan.Config, ccfg chaos.Config) (*Server, *
 		t.Fatal(err)
 	}
 	eng, err := core.New(g, space, core.Options{
-		WalkL: 3, WalkR: 4, Seed: 7, Metrics: reg, Plan: pcfg,
+		WalkL: 3, WalkR: 4, Seed: 7, Metrics: reg, Breaker: breaker,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func chaosGet(t *testing.T, srv *Server, target string) (int, string, SearchResp
 // the advertised tier must match the body, the per-tier counters must
 // account for every request, and no 5xx of any kind may be recorded.
 func TestChaosSteadyServiceUnderTransientFailure(t *testing.T) {
-	srv, eng, cs, _ := chaosHarness(t, plan.Config{}, chaos.Config{
+	srv, eng, cs, _ := chaosHarness(t, plan.BreakerConfig{}, chaos.Config{
 		FailRate: 0.3,
 		Target:   func(id topics.TopicID) bool { return id >= 3 },
 	})
@@ -170,13 +170,11 @@ func TestChaosSteadyServiceUnderTransientFailure(t *testing.T) {
 // after the outage heals, a half-open probe closes the breaker and full
 // fidelity returns.
 func TestChaosBreakerTripsAndRecovers(t *testing.T) {
-	srv, eng, cs, reg := chaosHarness(t, plan.Config{
-		Breaker: plan.BreakerConfig{
-			Threshold:   2,
-			Cooldown:    20 * time.Millisecond,
-			MaxCooldown: 40 * time.Millisecond,
-			Jitter:      0.01,
-		},
+	srv, eng, cs, reg := chaosHarness(t, plan.BreakerConfig{
+		Threshold:   2,
+		Cooldown:    20 * time.Millisecond,
+		MaxCooldown: 40 * time.Millisecond,
+		Jitter:      0.01,
 	}, chaos.Config{PermanentOutage: true})
 
 	for i := 0; i < faultTopics; i++ {
@@ -256,7 +254,7 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 func TestChaosShutdownNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	srv, eng, cs, _ := chaosHarness(t, plan.Config{}, chaos.Config{})
+	srv, eng, cs, _ := chaosHarness(t, plan.BreakerConfig{}, chaos.Config{})
 
 	// Seed the stale cache with a last-known-good answer via a clean
 	// full-tier request, then break every rebuild.

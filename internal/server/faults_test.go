@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/plan"
 	"repro/internal/summary"
 	"repro/internal/topics"
 )
@@ -47,13 +46,6 @@ const faultTopics = 6
 // so injected faults and poisoned caches cannot leak across tests.
 func faultEngine(t *testing.T) *core.Engine {
 	t.Helper()
-	return faultEnginePlanned(t, plan.Config{})
-}
-
-// faultEnginePlanned is faultEngine with an explicit planner config, for
-// tests that pin a policy or enable the breaker.
-func faultEnginePlanned(t *testing.T, pcfg plan.Config) *core.Engine {
-	t.Helper()
 	g, err := dataset.GenerateGraph(dataset.GraphConfig{
 		Nodes: 200, MinOutDegree: 2, MaxOutDegree: 6, Seed: 7,
 	})
@@ -66,7 +58,7 @@ func faultEnginePlanned(t *testing.T, pcfg plan.Config) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.New(g, space, core.Options{WalkL: 3, WalkR: 4, Seed: 7, Plan: pcfg})
+	eng, err := core.New(g, space, core.Options{WalkL: 3, WalkR: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +221,9 @@ func TestPanickingSummarizerIsolated(t *testing.T) {
 	}
 }
 
-// TestErroringSummarizerWalksLadder: under the default auto policy a
-// plain build failure is not a 500 — the planner walks the ladder, finds
-// nothing cached, and answers with its explicit 503 + Retry-After. Under
-// PolicyFull the same fault surfaces raw as a 500, because the operator
-// asked for full fidelity or an honest error.
+// TestErroringSummarizerWalksLadder: a plain build failure is not a
+// 500 — the planner walks the ladder, finds nothing cached, and answers
+// with its explicit 503 + Retry-After.
 func TestErroringSummarizerWalksLadder(t *testing.T) {
 	erroring := func() *fakeSummarizer {
 		return &fakeSummarizer{fn: func(int32, context.Context, topics.TopicID) (summary.Summary, error) {
@@ -256,18 +246,6 @@ func TestErroringSummarizerWalksLadder(t *testing.T) {
 		}
 		if got := rec.Header().Get(tierHeader); got != "unavailable" {
 			t.Errorf("X-Pit-Tier = %q, want unavailable", got)
-		}
-	})
-
-	t.Run("policy full surfaces 500", func(t *testing.T) {
-		eng := faultEnginePlanned(t, plan.Config{Policy: plan.PolicyFull})
-		srv := faultServer(t, eng, Config{})
-		eng.SetSummarizer(core.MethodLRW, erroring())
-
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?q=tag000&user=3&k=3", nil))
-		if rec.Code != http.StatusInternalServerError {
-			t.Errorf("erroring search under PolicyFull = %d, want 500: %s", rec.Code, rec.Body)
 		}
 	})
 }

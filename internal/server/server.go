@@ -174,10 +174,9 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxInflight bounds concurrently served API requests; excess requests
 	// are shed immediately with 429 + Retry-After. Zero disables shedding.
-	// Degradation budgets (the materialized-tier timeout that replaced
-	// the old DegradeTimeout, the stale TTL, the breaker) live in the
-	// engine's plan.Config — the planner owns the ladder; the server
-	// only annotates what it served.
+	// Degradation budgets (the materialized-tier timeout, the stale TTL,
+	// the breaker) belong to the engine's query path — the planner owns
+	// the ladder; the server only annotates what it served.
 	MaxInflight int
 	// Logger receives access-log, panic and encode-failure lines
 	// (default log.Default()).
@@ -584,8 +583,8 @@ func searchRows(res []core.TopicResult) []SearchResult {
 // invalid arguments, 499 for a client that went away, 503 while
 // indexes build, 503 + Retry-After when the whole fidelity ladder is
 // exhausted (ErrUnavailable — the planner's explicit "nothing cached
-// can answer"), 504 for a surfaced deadline (PolicyFull deployments),
-// 500 otherwise.
+// can answer"), 500 otherwise. A planned search never surfaces its own
+// deadline: the ladder answers it from a lower tier or ErrUnavailable.
 func (s *Server) failSearch(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, core.ErrInvalidArgument):
@@ -603,8 +602,6 @@ func (s *Server) failSearch(w http.ResponseWriter, r *http.Request, err error) {
 		// The client disconnected; nobody is reading the body, but the
 		// status still lands in the access log.
 		s.writeErr(w, r, statusClientClosedRequest, "client closed request")
-	case errors.Is(err, context.DeadlineExceeded):
-		s.writeErr(w, r, http.StatusGatewayTimeout, "deadline exceeded: %v", err)
 	default:
 		s.writeErr(w, r, http.StatusInternalServerError, "search failed: %v", err)
 	}

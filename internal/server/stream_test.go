@@ -31,14 +31,25 @@ import (
 // strongly (0.9) and node 2 weakly (0.1); topic "alpha" lives on node 1,
 // topic "beta" on node 2, both answering query "t". A standing query for
 // user 0 therefore ranks alpha first until the weights flip.
+// The pipeline flushes on its own at two events or 20 ms.
 func streamHarness(t *testing.T, cfg Config) (*httptest.Server, *stream.Pipeline) {
 	t.Helper()
-	return streamHarnessOver(t, cfg, func(current func() *core.Generation) func() *core.Generation { return current })
+	return streamHarnessOver(t, cfg, eagerBatching, sameGeneration)
 }
 
-// streamHarnessOver is streamHarness with the router's generation source
-// wrapped by wrap — the seam for a source that lags behind a swap.
-func streamHarnessOver(t *testing.T, cfg Config, wrap func(func() *core.Generation) func() *core.Generation) (*httptest.Server, *stream.Pipeline) {
+// eagerBatching is streamHarness's batching: two events or 20 ms,
+// whichever first.
+var eagerBatching = stream.Config{BatchSize: 2, MaxAge: 20 * time.Millisecond}
+
+// sameGeneration is the identity wrap: the router reads the pipeline's
+// generation source as it is.
+func sameGeneration(current func() *core.Generation) func() *core.Generation { return current }
+
+// streamHarnessOver is streamHarness with the pipeline's BatchSize and
+// MaxAge taken from batching and the router's generation source wrapped
+// by wrap — the seams for a pipeline that flushes only when told to and
+// for a source that lags behind a swap.
+func streamHarnessOver(t *testing.T, cfg Config, batching stream.Config, wrap func(func() *core.Generation) func() *core.Generation) (*httptest.Server, *stream.Pipeline) {
 	t.Helper()
 	b := graph.NewBuilder(3)
 	b.MustAddEdge(1, 0, 0.9)
@@ -71,8 +82,8 @@ func streamHarnessOver(t *testing.T, cfg Config, wrap func(func() *core.Generati
 	subs := subscribe.NewRegistry(nil)
 	var router *shard.Router
 	set, err := stream.NewSet(engines, stream.Config{
-		BatchSize: 2,
-		MaxAge:    20 * time.Millisecond,
+		BatchSize: batching.BatchSize,
+		MaxAge:    batching.MaxAge,
 		OnApply: func(ctx context.Context, r stream.ApplyResult) {
 			subs.Dispatch(ctx, router, r.Stats.Affected, r.Seq)
 		},
@@ -193,8 +204,11 @@ func TestSubscribePushesOnRankingFlip(t *testing.T) {
 
 // /search and /stats report the generation they read: 0 at boot, 1 once
 // the first batch serves. The /updates ack's swaps is the same counter.
+// The pipeline never flushes on its own here — two events stay below its
+// batch size and its max age is an hour — so the ack is read before any
+// batch can publish, and the batch applies only at the explicit Flush.
 func TestResponsesReportGeneration(t *testing.T) {
-	ts, set := streamHarness(t, Config{})
+	ts, set := streamHarnessOver(t, Config{}, stream.Config{BatchSize: 1 << 20, MaxAge: time.Hour}, sameGeneration)
 	generations := func() (search string, stats uint64) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/search?q=t&user=0&k=2")
@@ -235,12 +249,11 @@ func TestResponsesReportGeneration(t *testing.T) {
 	if ack.Swaps != 0 {
 		t.Errorf("ack swaps = %d before any batch applied, want 0", ack.Swaps)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for set.Swaps() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the batch was never applied")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := set.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := set.Swaps(); got != 1 {
+		t.Fatalf("swaps after one flush = %d, want 1", got)
 	}
 	if search, stats := generations(); search != "1" || stats != 1 {
 		t.Fatalf("after one batch: /search generation %q, /stats %d; want 1, 1", search, stats)
@@ -389,7 +402,7 @@ func TestRetiredEngineIsFollowed(t *testing.T) {
 		countdown, resolves = k, 0
 		mu.Unlock()
 	}
-	ts, set := streamHarnessOver(t, Config{}, func(current func() *core.Generation) func() *core.Generation {
+	ts, set := streamHarnessOver(t, Config{}, eagerBatching, func(current func() *core.Generation) func() *core.Generation {
 		return func() *core.Generation {
 			mu.Lock()
 			defer mu.Unlock()

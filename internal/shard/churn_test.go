@@ -33,7 +33,6 @@ import (
 func TestRouterChurnSwapAndFaults(t *testing.T) {
 	g, space := world()
 	opts := worldOptions()
-	opts.Plan = plan.Config{Policy: plan.PolicyAuto}
 	ctx := context.Background()
 
 	const n = 3

@@ -51,9 +51,7 @@ type Router struct {
 // New wires a router over a deployment's generations: gen returns the
 // one serving now — stream.Pipeline.Current, or core.Static for a
 // deployment that never swaps. Every generation holds one engine per
-// shard of part, all over one graph and topic space. The plan config
-// (policy, stale cache, materialized budget) is taken from shard 0's
-// engine options, which a homogeneous deployment shares across shards.
+// shard of part, all over one graph and topic space.
 func New(part *Partitioner, gen func() *core.Generation, cfg Config) (*Router, error) {
 	if part == nil || gen == nil || gen() == nil {
 		return nil, fmt.Errorf("shard: nil partitioner or generation")
@@ -71,7 +69,7 @@ func New(part *Partitioner, gen func() *core.Generation, cfg Config) (*Router, e
 	if cfg.Metrics != nil {
 		r.met = newRouterMetrics(cfg.Metrics, part.Shards())
 	}
-	r.ladder = core.NewLadder(first.Engines[0].Options().Plan, cfg.Metrics, r.pin)
+	r.ladder = core.NewLadder(cfg.Metrics, r.pin)
 	return r, nil
 }
 
@@ -289,14 +287,14 @@ func (s scatter) Open(ctx context.Context, req core.OpenRequest) (core.Opened, e
 			sub := req
 			sub.Topics = parts[o.shard]
 			o.Opened, errs[j] = eng.Open(ctx, sub)
-			if errs[j] != nil && !sub.Cached && sub.MayDegrade && r.ladder.Degradable(ctx, errs[j]) {
+			if errs[j] != nil && !sub.Cached && sub.MayDegrade && core.Degradable(ctx, errs[j]) {
 				// This shard's full tier is down; serve its slice from
 				// cache, on the materialized tier's detached budget so an
 				// already-blown request deadline still gets the degraded
 				// answer the tier exists for.
 				cached := sub
 				cached.Cached = true
-				octx, cancel := r.ladder.CachedContext(ctx)
+				octx, cancel := core.CachedContext(ctx)
 				if o.Opened, errs[j] = eng.Open(octx, cached); errs[j] == nil {
 					o.Degraded = true
 					r.met.noteDegraded(o.shard)

@@ -203,7 +203,7 @@ func TestSwapKeepsTrippedBreaker(t *testing.T) {
 	defer warm.Close()
 	opts := warm.Options()
 	opts.Metrics = reg
-	opts.Plan.Breaker = plan.BreakerConfig{Threshold: 2, Cooldown: time.Minute}
+	opts.Breaker = plan.BreakerConfig{Threshold: 2, Cooldown: time.Minute}
 	broken := chaos.SummarizeFunc(func(context.Context, topics.TopicID) (summary.Summary, error) {
 		return summary.Summary{}, errors.New("kernel down")
 	})
@@ -217,13 +217,13 @@ func TestSwapKeepsTrippedBreaker(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.SetSummarizer(core.MethodLRW, broken)
-		for ti := range opts.Plan.Breaker.Threshold {
+		for ti := range opts.Breaker.Threshold {
 			if _, err := eng.Summarize(ctx, core.MethodLRW, topics.TopicID(ti)); err == nil {
 				t.Fatal("a broken summarizer built a summary")
 			}
 		}
 		if got := eng.BreakerState(core.MethodLRW); got != plan.Open {
-			t.Fatalf("shard %d breaker after %d failures = %v, want open", i, opts.Plan.Breaker.Threshold, got)
+			t.Fatalf("shard %d breaker after %d failures = %v, want open", i, opts.Breaker.Threshold, got)
 		}
 		engines[i] = eng
 	}
