@@ -31,7 +31,8 @@ help:
 	@echo "                   (the metric family list is TestMetricFamiliesDocumented's, under make test)"
 	@echo "make fuzz        - storage artifact-parser fuzzers for 10s per target"
 	@echo "make chaos       - fault-injection suite under -race: internal/chaos plus the"
-	@echo "                   planner/breaker/stale-tier tests in plan, core and server, the"
+	@echo "                   ladder/breaker/stale-tier tests in plan, core and server (a"
+	@echo "                   deadline shorter than a build still warming the cache), the"
 	@echo "                   streaming churn/soak/all-or-nothing tests in internal/stream"
 	@echo "                   and internal/shard, the refresh = rebuild property test,"
 	@echo "                   a tripped breaker surviving an engine swap,"
@@ -86,11 +87,12 @@ race:
 	$(GO) test -race ./...
 
 # Chaos: the fault-injection harness (internal/chaos) and the end-to-end
-# fidelity-ladder proofs that use it — the planner's start decision, cost
-# model and stale-answer cache, breaker trip/recovery, a blown deadline
-# or a failing summarizer answered from a lower tier (never a 504 or a
-# 500), zero unplanned 5xx under injected failure, goroutine hygiene on
-# shutdown,
+# fidelity-ladder proofs that use it — a full attempt whose deadline
+# fires still warming the cache for the next request, the stale-answer
+# cache, breaker trip/recovery (an open breaker never reaching the
+# summarizer), a blown deadline or a failing summarizer answered from a
+# lower tier (never a 504 or a 500), zero unplanned 5xx under injected
+# failure, goroutine hygiene on shutdown,
 # the streaming soak (a fault-injected summarizer on every swapped-in
 # engine must never poison carried summaries), the whole-shard-set
 # swap under router load and its all-or-nothing publish, the root
@@ -107,7 +109,7 @@ race:
 # degradation, revalidation, swap and close.
 chaos:
 	$(GO) test -race ./internal/chaos/
-	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker|PatchIndexesCanceledContext|Decide|CostModel|CacheGetPutTTL|CacheLRUEviction|CacheConcurrent|WalksLadder|DeadlineDegrades|DeadlineWithNothingCached|TestDegraded|ResponsesReportGeneration' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
+	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker|PatchIndexesCanceledContext|CacheGetPutTTL|CacheLRUEviction|CacheConcurrent|WalksLadder|DeadlineDegrades|DeadlineWithNothingCached|TestDegraded|ResponsesReportGeneration' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.

@@ -27,10 +27,12 @@
 // stops accepting connections, drains in-flight requests for up to
 // -shutdown-timeout, force-closes any straggler, then exits.
 //
-// Searches are served through the fidelity planner: full search, then
-// materialized summaries only, then a last-known-good answer, then an
-// explicit 503, with a circuit breaker around summary builds (five
-// consecutive failures trip it). The ladder has no flags. Every /search
+// Searches are served through the fidelity ladder: every search attempts
+// the full search, and only a real failure — the deadline firing, a
+// failed or breaker-refused build — walks it down to materialized
+// summaries only, then a last-known-good answer, then an explicit 503.
+// A circuit breaker guards summary builds (five consecutive failures trip
+// it). The ladder has no flags. Every /search
 // response carries its serving tier in the X-Pit-Tier header (see
 // DESIGN.md §13). README's Operations section lists every flag.
 //

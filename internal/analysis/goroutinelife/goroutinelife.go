@@ -1,6 +1,6 @@
 // Package goroutinelife enforces the lifecycle contract the serving
 // stack converged on across PRs 3–6: every goroutine the engine, the
-// planner, the server or the chaos harness spawns must be something
+// ladder, the server or the chaos harness spawns must be something
 // Close/drain can account for. Concretely, the goroutine must either
 // complete a sync.WaitGroup (the Add/Done pattern Close waits on) or
 // observe a context (ctx.Err()/ctx.Done()) so cancelling the engine

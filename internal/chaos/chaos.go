@@ -5,7 +5,7 @@
 // added latency, transient errors, a permanent outage, and panics, each
 // deterministic for a seed and optionally targeted at specific topics.
 //
-// The point is falsifiability: the fidelity planner's claims ("under
+// The point is falsifiability: the fidelity ladder's claims ("under
 // 30% summarizer failure the server keeps answering from lower tiers
 // with zero unplanned 5xx"; "the breaker trips, backs off, and recovers
 // through a half-open probe") are only worth stating if a harness can

@@ -57,7 +57,7 @@ var (
 	// offline indexes are not built yet. An HTTP server should answer 503.
 	ErrNotReady = errors.New("core: engine not ready")
 	// ErrBuildsSuspended tags summary builds refused because the method's
-	// circuit breaker is open: the kernel is failing and the planner is
+	// circuit breaker is open: the kernel is failing and the engine is
 	// shedding build load while it backs off. The fidelity ladder absorbs
 	// it (degrade to materialized); direct Summarize callers see it as a
 	// retryable condition.
@@ -115,8 +115,9 @@ type Options struct {
 	// instrumentation at zero cost.
 	Metrics *obs.Registry
 	// Breaker configures the per-method circuit breaker around summary
-	// builds that the fidelity planner behind Run consults. The zero
-	// value disables it.
+	// builds: while it is open a cache miss fails with
+	// ErrBuildsSuspended, which the fidelity ladder behind Run degrades
+	// on. The zero value disables it.
 	Breaker plan.BreakerConfig
 }
 
@@ -177,12 +178,11 @@ type Engine struct {
 	met *engineMetrics
 
 	// The query path (planned.go) with this engine as its Opener, and
-	// the planner state that is about summaries: one build breaker per
+	// the ladder state that is about summaries: one build breaker per
 	// method (nil when disabled; the engine that replaces this one at a
-	// swap inherits them, see PatchIndexes) and the full-tier cost model.
+	// swap inherits them, see PatchIndexes).
 	ladder   *Ladder
 	breakers [2]*plan.Breaker
-	cost     *plan.CostModel
 
 	// Artifact-backed state (artifacts.go). handles own the file
 	// mappings behind LoadArtifacts-restored indexes and mapped marks
@@ -221,11 +221,6 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 		bcfg.OnStateChange = e.met.breakerHook(m)
 		e.breakers[m] = plan.NewBreaker(bcfg)
 	}
-	var buildSrc plan.DurationSource
-	if e.met != nil {
-		buildSrc = e.met.buildDur
-	}
-	e.cost = plan.NewCostModel(buildSrc)
 	e.ladder = NewLadder(opts.Metrics, e.hold)
 	return e, nil
 }
@@ -595,20 +590,6 @@ func (e *Engine) Open(ctx context.Context, req OpenRequest) (Opened, error) {
 			release()
 		},
 	}, nil
-}
-
-// PlanInputs implements Opener: the method's breaker readiness and the
-// cost model's full-tier estimate over the not-yet-cached topics.
-func (e *Engine) PlanInputs(m Method, ts []topics.TopicID) plan.Inputs {
-	uncached := 0
-	for _, t := range ts {
-		if _, ok := e.corpus.cached(cacheKey{m, t}); !ok {
-			uncached++
-		}
-	}
-	in := plan.Inputs{BreakerReady: e.breakers[m].Ready()}
-	in.Estimate, in.Calibrated = e.cost.EstimateFull(uncached)
-	return in
 }
 
 // MaterializeTopics returns the summaries of the given topics under m,

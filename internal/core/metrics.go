@@ -49,9 +49,9 @@ type engineMetrics struct {
 	// buildDur observes one duration per successfully summarized topic
 	// (the offline §3–4 work when it leaks onto the online path as a
 	// cache miss): a topic built in a block observes its share of the
-	// block's wall time. indexDur observes BuildIndexes and PatchIndexes.
-	// buildDur doubles as the live calibration source for the fidelity
-	// planner's cost model, which therefore stays in per-topic units.
+	// block's wall time, so its count is the topics built and a block of
+	// lrw.Lanes topics and a lone build report cost in one unit.
+	// indexDur observes BuildIndexes and PatchIndexes.
 	buildDur *obs.Histogram
 	indexDur *obs.Histogram
 	// materializedSkipped counts q-related topics skipped by the

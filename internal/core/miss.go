@@ -178,7 +178,8 @@ func (e *Engine) buildBlock(ctx context.Context, m Method, keys []cacheKey, sums
 // Cancellations caused by engine shutdown are neutral: a drained process
 // says nothing about kernel health. Each built topic observes its share
 // of the run's wall time in pit_summary_build_duration_seconds, so the
-// planner's cost model keeps estimating in per-topic units. lanes selects
+// histogram counts topics and prices one topic whether it was built alone
+// or in a block of lrw.Lanes. lanes selects
 // the built-in LRW-A summarizer's SummarizeMany; otherwise the run is one
 // topic for summarizeBackend.
 func (e *Engine) buildRecorded(ctx context.Context, lanes bool, ov summary.Summarizer, keys []cacheKey, sums []summary.Summary, errs []error, br *plan.Breaker) {

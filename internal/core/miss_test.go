@@ -138,9 +138,10 @@ func TestBlockInstallsPastFailingSibling(t *testing.T) {
 }
 
 // TestBuildDurationIsPerTopic: a block observes one duration per topic
-// it built, each the topic's share of the block, so the histogram the
-// planner's cost model calibrates on keeps per-topic units — the shares
-// of a serial run add up to no more than its wall time.
+// it built, each the topic's share of the block, so
+// pit_summary_build_duration_seconds keeps per-topic units whatever the
+// block size — the shares of a serial run add up to no more than its wall
+// time.
 func TestBuildDurationIsPerTopic(t *testing.T) {
 	eng, _ := metricEngine(t)
 	ts := allTopics(eng.Space())

@@ -2,14 +2,14 @@ package core
 
 // The one query path (DESIGN.md §10, §13). Ladder.Run is what
 // Engine.Run and shard.Router.Run both are: validate the Query, resolve
-// its q-related topics, pick a starting tier from the request's
-// remaining budget and the build breakers, then walk down on failure —
-// full → materialized → stale → ErrUnavailable — so a broken or slow
-// summarizer degrades answer fidelity instead of turning into 5xx
-// storms. Each attempt is the same five steps: open sessions,
-// search.Drive, diversify, hydrate, close. The only thing a backend
-// contributes is its HoldFunc: the Opener one request runs on, pinned
-// for the whole request.
+// its q-related topics, attempt the full tier, then walk down on a real
+// failure — full → materialized → stale → ErrUnavailable — so a broken
+// or slow summarizer degrades answer fidelity instead of turning into
+// 5xx storms. Nothing is predicted: a full attempt whose deadline fires
+// has still started the builds the next request needs. Each attempt is
+// the same five steps: open sessions, search.Drive, diversify, hydrate,
+// close. The only thing a backend contributes is its HoldFunc: the
+// Opener one request runs on, pinned for the whole request.
 
 import (
 	"context"
@@ -69,11 +69,6 @@ type Opener interface {
 	// serves (0 for an engine on its own).
 	Generation() uint64
 	Open(ctx context.Context, req OpenRequest) (Opened, error)
-	// PlanInputs fills the backend's share of the planner's inputs for
-	// a full-tier attempt over ts: whether a build would be admitted
-	// right now and the estimated cost of building what is not
-	// materialized yet.
-	PlanInputs(m Method, ts []topics.TopicID) plan.Inputs
 }
 
 // HoldFunc pins a backend for one Run: it returns the Opener every step
@@ -83,7 +78,7 @@ type Opener interface {
 // the request is done).
 type HoldFunc func(ctx context.Context) (context.Context, Opener, func(), error)
 
-// Ladder runs queries for one backend. It owns the planner state that
+// Ladder runs queries for one backend. It owns the ladder state that
 // is about answers rather than summaries: the last-known-good answer
 // cache and the detached revalidations that refresh it.
 type Ladder struct {
@@ -192,7 +187,7 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	if len(related) == 0 {
 		// An empty topic set is a complete full-fidelity answer — there is
 		// nothing to degrade.
-		ans := Answer{Outcome: PlanOutcome{Tier: plan.TierFull, Reason: "empty", Complete: true}, Generation: none.Generation}
+		ans := Answer{Outcome: PlanOutcome{Tier: plan.TierFull, Complete: true}, Generation: none.Generation}
 		if q.Trace {
 			ans.Trace = &search.Trace{}
 		}
@@ -203,19 +198,13 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	// Only keyword queries have a last-known-good entry: an explicit
 	// topic set has no key to find it under.
 	cacheable := planned && q.Topics == nil
-	start, reason := plan.TierFull, "request"
-	switch {
-	case planned:
-		d := planStart(ctx, backend, q.Method, related)
-		start, reason = d.Start, d.Reason
-	case q.Fidelity == FidelityCached:
-		start = plan.TierMaterialized
-	}
 
-	if start == plan.TierFull {
+	if q.Fidelity != FidelityCached {
+		// An open build breaker refuses here, inside the attempt, with
+		// ErrBuildsSuspended — never reaching the summarizer — and the
+		// planned request degrades as on any other build failure.
 		ans, err := l.attempt(ctx, backend, q, related, false)
 		if err == nil && servable(ans) {
-			ans.Outcome.Reason = reason
 			// A degraded part with every topic cached still equals the
 			// full answer; a partial one must not become last-known-good.
 			if cacheable && ans.Outcome.Complete {
@@ -239,7 +228,6 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	ans, err := l.attempt(mctx, backend, q, related, true)
 	cancel()
 	if err == nil && (!planned || servable(ans)) {
-		ans.Outcome.Reason = reason
 		if cacheable && ans.Outcome.Complete {
 			// All q-related summaries were cached: this answer equals the
 			// full tier's and refreshes the last-known-good entry.
@@ -261,12 +249,11 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 			copy(out, cached.results)
 			return Answer{
 				Results:    out,
-				Outcome:    PlanOutcome{Tier: plan.TierStale, Reason: reason, Complete: true, StaleAge: age},
+				Outcome:    PlanOutcome{Tier: plan.TierStale, Complete: true, StaleAge: age},
 				Generation: cached.generation,
 			}, nil
 		}
 	}
-	none.Outcome.Reason = reason
 	return none, fmt.Errorf("%w: query %q has no materialized or stale answer", ErrUnavailable, q.Text)
 }
 
@@ -275,17 +262,6 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 // or at least non-empty, else the next tier down gets its turn.
 func servable(ans Answer) bool {
 	return ans.Outcome.Tier == plan.TierFull || ans.Outcome.Complete || len(ans.Results) > 0
-}
-
-// planStart runs the planner for one request: the backend's breaker
-// readiness and cost estimate, and the remaining deadline.
-func planStart(ctx context.Context, backend Opener, m Method, related []topics.TopicID) plan.Decision {
-	in := backend.PlanInputs(m, related)
-	if deadline, ok := ctx.Deadline(); ok {
-		in.HaveDeadline = true
-		in.Budget = time.Until(deadline)
-	}
-	return plan.Decide(in)
 }
 
 // Degradable reports whether a failed building attempt may be answered

@@ -1,8 +1,8 @@
 package core
 
-// Engine-internal planner tests: the per-topic skipped-materialization
-// counter, the build breaker steering the planner, and the one-gate-
-// per-request regression. The tier table itself runs against both
+// Engine-internal ladder tests: the per-topic skipped-materialization
+// counter, the build breaker refusing the ladder's builds, and the one-
+// gate-per-request regression. The tier table itself runs against both
 // backends in ladder_test.go.
 
 import (
@@ -85,9 +85,9 @@ func TestMaterializedSkippedCounterPinned(t *testing.T) {
 }
 
 // TestBreakerTripsSuspendsAndRecovers: consecutive build failures trip
-// the breaker (suspending further builds with ErrBuildsSuspended and
-// steering the planner to the materialized tier), and a successful
-// half-open probe closes it again.
+// the breaker (suspending further builds with ErrBuildsSuspended, so a
+// planned query degrades without reaching the summarizer), and a
+// successful half-open probe closes it again.
 func TestBreakerTripsSuspendsAndRecovers(t *testing.T) {
 	eng, _ := plannedEngine(t, plan.BreakerConfig{Threshold: 2, Cooldown: 20 * time.Millisecond, MaxCooldown: 40 * time.Millisecond, Jitter: 0.01})
 	related := eng.Space().Related("tag000")
@@ -113,11 +113,25 @@ func TestBreakerTripsSuspendsAndRecovers(t *testing.T) {
 		t.Fatalf("suspended = %d, want 1", eng.met.buildsSuspended[MethodLRW].Value())
 	}
 
-	// While open, the planner routes around the full tier.
+	// While open, the full tier's builds are refused before the
+	// summarizer: the planned query finds nothing materialized and
+	// nothing stale, and every refusal is counted.
+	var calls atomic.Int32
+	eng.SetSummarizer(MethodLRW, summarizeFunc(func(context.Context, topics.TopicID) (summary.Summary, error) {
+		calls.Add(1)
+		return summary.Summary{}, injected
+	}))
+	suspended := eng.met.buildsSuspended[MethodLRW].Value()
 	query := Query{Text: "tag000", User: 3, K: 2}
 	ans, err := eng.Run(context.Background(), query)
-	if !errors.Is(err, ErrUnavailable) || ans.Outcome.Reason != "breaker" {
-		t.Fatalf("open-breaker plan: out=%+v err=%v, want unavailable via breaker", ans.Outcome, err)
+	if !errors.Is(err, ErrUnavailable) || ans.Outcome.Tier != plan.TierUnavailable {
+		t.Fatalf("open-breaker plan: out=%+v err=%v, want unavailable", ans.Outcome, err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("open-breaker plan made %d summarizer calls, want 0", n)
+	}
+	if got := eng.met.buildsSuspended[MethodLRW].Value(); got <= suspended {
+		t.Fatalf("suspended = %d after the open-breaker plan, want > %d", got, suspended)
 	}
 
 	// Heal the kernel, wait out the cooldown: the half-open probe closes

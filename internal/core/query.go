@@ -15,8 +15,8 @@ import (
 type Fidelity int
 
 const (
-	// FidelityPlanned walks the whole ladder: the planner picks the
-	// starting tier and failures degrade full → materialized → stale.
+	// FidelityPlanned walks the whole ladder: it attempts the full tier
+	// and failures degrade full → materialized → stale.
 	// The zero value, and what the serving layer sends.
 	FidelityPlanned Fidelity = iota
 	// FidelityFull is the exact search only: missing summaries are
@@ -56,11 +56,6 @@ type PlanOutcome struct {
 	// Tier is the fidelity tier that produced the answer (or
 	// TierUnavailable alongside ErrUnavailable).
 	Tier plan.Tier
-	// Reason is the starting-tier rationale: the planner's "ok",
-	// "breaker" or "budget"; "request" when the query's own
-	// Fidelity fixed the tier; "empty" when nothing related to it.
-	// Bounded label values safe for metrics.
-	Reason string
 	// Complete reports whether every q-related topic contributed
 	// (always true for full and stale answers; a materialized answer
 	// may be partial).

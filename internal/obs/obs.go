@@ -103,49 +103,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 
-// Quantile estimates the q-quantile (q in [0,1]) of the observed
-// distribution by linear interpolation inside the winning bucket — the
-// same estimate PromQL's histogram_quantile computes server-side, made
-// available in-process so components (the fidelity planner's cost
-// model) can calibrate against live latencies without a scrape
-// round-trip. Returns 0 on an empty histogram; observations beyond the
-// last finite bound are reported as that bound (the estimate cannot
-// exceed the layout). The bucket counters are loaded without a global
-// lock, so a Quantile racing Observe may be off by the in-flight
-// observations — fine for planning, not for invariants.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := uint64(0)
-	for i, bound := range h.bounds {
-		c := h.counts[i].Load()
-		prev := cum
-		cum += c
-		if float64(cum) >= rank && c > 0 {
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			frac := (rank - float64(prev)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lower + (bound-lower)*frac
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // atomicFloat is a float64 updated through CAS on its bit pattern.
 type atomicFloat struct {
 	bits atomic.Uint64

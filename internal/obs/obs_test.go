@@ -278,38 +278,6 @@ func TestObservePathsAllocFree(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantile: the interpolated quantile estimate must land
-// inside the winning bucket and behave sanely at the edges (empty
-// histogram, q outside [0,1], everything in the overflow bucket).
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q_seconds", "x", []float64{0.01, 0.1, 1})
-	if got := h.Quantile(0.9); got != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", got)
-	}
-	// 8 observations in (0.01, 0.1], 2 in (0.1, 1].
-	for i := 0; i < 8; i++ {
-		h.Observe(0.05)
-	}
-	h.Observe(0.5)
-	h.Observe(0.5)
-	if got := h.Quantile(0.5); got <= 0.01 || got > 0.1 {
-		t.Errorf("p50 = %v, want inside (0.01, 0.1]", got)
-	}
-	if got := h.Quantile(0.95); got <= 0.1 || got > 1 {
-		t.Errorf("p95 = %v, want inside (0.1, 1]", got)
-	}
-	if got, want := h.Quantile(-1), h.Quantile(0); got != want {
-		t.Errorf("q<0 clamped = %v, want %v", got, want)
-	}
-	// Observations beyond every finite bound are capped at the last bound.
-	h2 := r.Histogram("q_overflow_seconds", "x", []float64{0.01, 0.1})
-	h2.Observe(5)
-	if got := h2.Quantile(0.99); got != 0.1 {
-		t.Errorf("overflow-bucket quantile = %v, want last bound 0.1", got)
-	}
-}
-
 // TestGaugeVec: labeled gauges resolve idempotently and render in the
 // exposition sorted by label value.
 func TestGaugeVec(t *testing.T) {

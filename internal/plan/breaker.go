@@ -80,11 +80,10 @@ func (c *BreakerConfig) fill() {
 }
 
 // Breaker is a consecutive-failure circuit breaker around summarizer
-// builds. Planning reads Ready (non-consuming); the build path calls
-// Allow exactly once per admitted build and reports the outcome via
-// OnSuccess/OnFailure. The split matters: if planning consumed the
-// half-open probe slot, a planned request that then hit the summary
-// cache would waste the probe and the breaker could stay open forever.
+// builds. The build path calls Allow exactly once per build it is about
+// to run — never for a cache hit, which would waste the half-open probe
+// and could keep the breaker open forever — and reports the outcome via
+// OnSuccess/OnFailure.
 type Breaker struct {
 	cfg BreakerConfig
 
@@ -117,26 +116,6 @@ func (b *Breaker) State() State {
 	defer b.mu.Unlock()
 	b.maybeHalfOpenLocked()
 	return b.state
-}
-
-// Ready reports whether a build would be admitted right now: Closed, or
-// HalfOpen with no probe in flight. It consumes nothing — safe to call
-// during planning.
-func (b *Breaker) Ready() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.maybeHalfOpenLocked()
-	switch b.state {
-	case Closed:
-		return true
-	case HalfOpen:
-		return !b.probing
-	default:
-		return false
-	}
 }
 
 // Allow asks to run one build. In HalfOpen it consumes the single probe

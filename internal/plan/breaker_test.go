@@ -17,7 +17,7 @@ func TestBreakerDisabled(t *testing.T) {
 		t.Fatal("Threshold 0 should return a nil (disabled) breaker")
 	}
 	// All methods must be safe and permissive on nil.
-	if !br.Ready() || !br.Allow() || br.State() != Closed {
+	if !br.Allow() || br.State() != Closed {
 		t.Error("nil breaker must be always-closed and admitting")
 	}
 	br.OnSuccess()
@@ -33,7 +33,7 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	// Two failures: still closed.
 	br.OnFailure()
 	br.OnFailure()
-	if br.State() != Closed || !br.Ready() {
+	if br.State() != Closed {
 		t.Fatalf("state after 2 failures = %v, want closed", br.State())
 	}
 	// A success resets the streak.
@@ -45,24 +45,24 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	}
 	// Third consecutive failure trips.
 	br.OnFailure()
-	if br.State() != Open || br.Ready() || br.Allow() {
+	if br.State() != Open || br.Allow() {
 		t.Fatalf("state after trip = %v, want open and rejecting", br.State())
 	}
 
 	// Before cooldown: still open. Jitter is ±20% of 1s, so 500ms is safe.
 	clk.advance(500 * time.Millisecond)
-	if br.Ready() {
+	if br.State() != Open {
 		t.Fatal("breaker ready before cooldown expired")
 	}
 	// Past max jittered cooldown: half-open, one probe slot.
 	clk.advance(time.Second)
-	if br.State() != HalfOpen || !br.Ready() {
+	if br.State() != HalfOpen {
 		t.Fatalf("state after cooldown = %v, want half-open", br.State())
 	}
 	if !br.Allow() {
 		t.Fatal("half-open breaker refused the probe")
 	}
-	if br.Ready() || br.Allow() {
+	if br.Allow() {
 		t.Fatal("second concurrent probe admitted")
 	}
 	// Successful probe closes and resets backoff.
@@ -94,8 +94,8 @@ func TestBreakerBackoffDoublesAndCaps(t *testing.T) {
 		}
 		// Under the jittered reopen time: still open.
 		clk.advance(time.Duration(float64(cd) * 0.9))
-		if br.Ready() {
-			t.Fatalf("round %d: ready %v before cooldown %v elapsed", i, time.Duration(float64(cd)*0.9), cd)
+		if br.State() != Open {
+			t.Fatalf("round %d: not open %v before cooldown %v elapsed", i, time.Duration(float64(cd)*0.9), cd)
 		}
 		// Past it (jitter ±0.1%): half-open.
 		clk.advance(time.Duration(float64(cd) * 0.2))
@@ -113,7 +113,7 @@ func TestBreakerBackoffDoublesAndCaps(t *testing.T) {
 	br.OnSuccess()
 	br.OnFailure() // trip again
 	clk.advance(1100 * time.Millisecond)
-	if !br.Ready() {
+	if br.State() != HalfOpen {
 		t.Fatal("backoff did not reset to base cooldown after successful probe")
 	}
 }

@@ -2,7 +2,7 @@ package server
 
 // Chaos suite (run under -race via `make chaos`): drives the full HTTP
 // stack against an internal/chaos summarizer and checks the fidelity
-// planner's headline claims end to end —
+// ladder's headline claims end to end —
 //
 //   - under sustained 30% injected build failure every request is
 //     answered 200 from some tier, with zero unplanned 5xx;
@@ -197,8 +197,8 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 		}
 	}
 
-	// Breaker open: planned requests stop at the materialized tier and
-	// must not reach the (dead) summarizer at all.
+	// Breaker open: planned requests' builds are refused before the
+	// (dead) summarizer, which they must not reach at all.
 	callsWhenOpen := cs.Stats().Calls
 	if code, _, _ := chaosGet(t, srv, "/search?q=tag000&user=3&k=6"); code != http.StatusServiceUnavailable {
 		t.Fatalf("breaker-open request = %d, want 503", code)

@@ -8,7 +8,7 @@ package server
 // in-flight requests, and summarizer faults walk the fidelity ladder —
 // expired deadlines degrade to cached summaries (200 + "degraded": true,
 // X-Pit-Tier: materialized) and only a request no tier can answer gets
-// the planner's explicit 503 + Retry-After (X-Pit-Tier: unavailable).
+// the ladder's explicit 503 + Retry-After (X-Pit-Tier: unavailable).
 
 import (
 	"context"
@@ -181,9 +181,9 @@ func TestLoadSheddingReturns429(t *testing.T) {
 }
 
 // TestPanickingSummarizerIsolated: a panic inside the engine call tree
-// is recovered (singleflight turns it into a build error), the planner
-// exhausts the ladder — nothing is cached — and the response is the
-// planner's explicit 503, not a process crash and not an opaque 500.
+// is recovered (singleflight turns it into a build error), the ladder
+// is exhausted — nothing is cached — and the response is the
+// ladder's explicit 503, not a process crash and not an opaque 500.
 // The server — and even the same endpoint once the fault is removed —
 // keeps serving.
 func TestPanickingSummarizerIsolated(t *testing.T) {
@@ -222,7 +222,7 @@ func TestPanickingSummarizerIsolated(t *testing.T) {
 }
 
 // TestErroringSummarizerWalksLadder: a plain build failure is not a
-// 500 — the planner walks the ladder, finds nothing cached, and answers
+// 500 — the ladder walks down, finds nothing cached, and answers
 // with its explicit 503 + Retry-After.
 func TestErroringSummarizerWalksLadder(t *testing.T) {
 	erroring := func() *fakeSummarizer {
@@ -357,7 +357,7 @@ func TestDeadlineDegradesToMaterialized(t *testing.T) {
 
 // TestDeadlineWithNothingCachedIsUnavailable: when the deadline expires
 // and no summaries are materialized at all, every rung of the ladder
-// comes up empty — the honest answer is the planner's explicit 503 with
+// comes up empty — the honest answer is the ladder's explicit 503 with
 // Retry-After and X-Pit-Tier: unavailable, not an empty 200 pretending
 // a degraded answer exists.
 func TestDeadlineWithNothingCachedIsUnavailable(t *testing.T) {

@@ -203,7 +203,7 @@ func TestPanicCounter(t *testing.T) {
 // counted under its serving tier; a client disconnect is counted as code
 // 499. Some topics are pre-materialized so the
 // ladder has a materialized answer to degrade to (with nothing cached it
-// would be the planner's 503 instead — see faults_test.go).
+// would be the ladder's 503 instead — see faults_test.go).
 func TestDegradedAndClientClosedCounters(t *testing.T) {
 	eng := faultEngine(t)
 	srv, _ := obsServer(t, eng, Config{RequestTimeout: 50 * time.Millisecond})
@@ -244,7 +244,7 @@ func TestDegradedAndClientClosedCounters(t *testing.T) {
 // expires must degrade to a *diversified* materialized ranking. Before
 // the fix, the server's degradation path ran an undiversified
 // materialized search unconditionally and the degraded answer silently lost the MMR re-rank
-// the client asked for; the planner's materialized tier now threads
+// the client asked for; the ladder's materialized tier now threads
 // lambda through.
 //
 // The preloaded summaries are crafted (from the user's actual Γ

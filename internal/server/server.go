@@ -32,7 +32,7 @@
 // a per-request deadline (Config.RequestTimeout) is threaded through the
 // engine as a context so expired requests stop burning CPU; a semaphore
 // (Config.MaxInflight) sheds excess load with 429 + Retry-After; and
-// /search runs through the engine's fidelity planner
+// /search runs through the engine's fidelity ladder
 // (a planned core.Query, DESIGN.md §13): a search that cannot afford or
 // cannot complete full-fidelity summarization degrades down the tier
 // ladder — materialized summaries only, then the last-known-good stale
@@ -175,8 +175,8 @@ type Config struct {
 	// MaxInflight bounds concurrently served API requests; excess requests
 	// are shed immediately with 429 + Retry-After. Zero disables shedding.
 	// Degradation budgets (the materialized-tier timeout, the stale TTL,
-	// the breaker) belong to the engine's query path — the planner owns
-	// the ladder; the server only annotates what it served.
+	// the breaker) belong to the engine's query path, which owns the
+	// ladder; the server only annotates what it served.
 	MaxInflight int
 	// Logger receives access-log, panic and encode-failure lines
 	// (default log.Default()).
@@ -540,7 +540,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The fidelity planner owns the degradation ladder: full search,
+	// The fidelity ladder owns degradation: full search,
 	// then materialized-only, then the stale last-known-good answer,
 	// then an explicit 503. The server's job is only to annotate what
 	// actually served the response.
@@ -582,7 +582,7 @@ func searchRows(res []core.TopicResult) []SearchResult {
 // failSearch maps a failed planned search to a response: 400 for
 // invalid arguments, 499 for a client that went away, 503 while
 // indexes build, 503 + Retry-After when the whole fidelity ladder is
-// exhausted (ErrUnavailable — the planner's explicit "nothing cached
+// exhausted (ErrUnavailable — the ladder's explicit "nothing cached
 // can answer"), 500 otherwise. A planned search never surfaces its own
 // deadline: the ladder answers it from a lower tier or ErrUnavailable.
 func (s *Server) failSearch(w http.ResponseWriter, r *http.Request, err error) {

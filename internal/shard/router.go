@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/search"
 	"repro/internal/summary"
 	"repro/internal/topics"
@@ -327,22 +326,4 @@ func (s scatter) Open(ctx context.Context, req core.OpenRequest) (core.Opened, e
 		return core.Opened{}, err
 	}
 	return all, nil
-}
-
-// PlanInputs fills the planner's inputs over the owning shards: a build
-// is admitted if any of them would admit one (the rest degrade alone,
-// see Open), and the cost is the sum of theirs — pessimistic for a
-// parallel scatter, which is the safe direction for a planner.
-func (s scatter) PlanInputs(m core.Method, ts []topics.TopicID) plan.Inputs {
-	in := plan.Inputs{Calibrated: true}
-	for i, part := range s.r.part.Split(ts) {
-		if len(part) == 0 {
-			continue
-		}
-		p := s.gen.Engines[i].PlanInputs(m, part)
-		in.BreakerReady = in.BreakerReady || p.BreakerReady
-		in.Calibrated = in.Calibrated && p.Calibrated
-		in.Estimate += p.Estimate
-	}
-	return in
 }

@@ -103,7 +103,7 @@ func TestStreamChaosSoak(t *testing.T) {
 		}
 		// Force a targeted rebuild every round: invalidate one tag001
 		// summary, then query the tag. The rebuild goes through the fault
-		// regime and fails — the ladder above (planner, server) may
+		// regime and fails — the ladder above (core, server) may
 		// degrade, but down here the error must be the planned one.
 		for id := range targeted {
 			live.InvalidateTopic(id)
