@@ -23,9 +23,10 @@ help:
 	@echo "make bench       - the BENCHMARK.json harness in self-check mode (go run ./benchmark"
 	@echo "                   -selfcheck); see benchmark/README.md for a measured run"
 	@echo "make bench-smoke - one-shot benchmark smoke: figure benchmarks plus the"
-	@echo "                   search/core/rcl/lrw/randwalk/propidx/stream micro-benchmarks (lrw's"
-	@echo "                   SummarizeMany and core's ColdOpen time a 120-topic refill, stream's"
-	@echo "                   Flush one streamed batch), the benchmark harness's"
+	@echo "                   search/core/rcl/lrw/randwalk/propidx/dynamic/stream micro-benchmarks"
+	@echo "                   (lrw's SummarizeMany and core's ColdOpen time a 120-topic refill,"
+	@echo "                   stream's Flush one streamed batch, dynamic's Apply its graph"
+	@echo "                   splice), the benchmark harness's"
 	@echo "                   -smoke run, and pitserve -smoke at -shards 1 (the default) and 2,"
 	@echo "                   the second cold-starting from the artifacts the first saved"
 	@echo "                   (the metric family list is TestMetricFamiliesDocumented's, under make test)"
@@ -103,7 +104,9 @@ race:
 # generation (a request parked across a publish merges no two), a
 # tripped build breaker surviving the swap to fresh engines, and a
 # PatchIndexes canceled before or while its walk and Γ patches run side
-# by side (an error, nothing published, no goroutine left), and the
+# by side, or inside the walk scan, the walk re-sampling or a
+# Γ-enumeration worker (an error, nothing published, every goroutine
+# joined before it returns), and the
 # /updates ack, /search and /stats agreeing on the generation — always under
 # the race detector, since the interesting bugs here are races between
 # degradation, revalidation, swap and close.
@@ -120,8 +123,9 @@ bench:
 
 # Benchmark smoke: run the data_2k figure benchmarks and the online-path
 # and write-side (walk index, Γ, summarizer, the 120-topic refill:
-# lrw's BenchmarkSummarizeMany, core's BenchmarkColdOpen, and one
-# streamed batch: stream's BenchmarkFlush) micro-benchmarks,
+# lrw's BenchmarkSummarizeMany, core's BenchmarkColdOpen, one streamed
+# batch: stream's BenchmarkFlush, and its graph splice: dynamic's
+# BenchmarkApply) micro-benchmarks,
 # their data_350k sub-benchmarks included, exactly once (-benchtime 1x), plus
 # the benchmark harness's seconds-long -smoke run, to prove every
 # benchmark path still executes. No timing value — just "does it run". The pitserve -smoke
@@ -134,7 +138,7 @@ bench:
 # packages themselves.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig05TimeCostData2k|BenchmarkFig10PrecisionData2k' -benchtime 1x .
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/search/ ./internal/core/ ./internal/rcl/ ./internal/lrw/ ./internal/randwalk/ ./internal/propidx/ ./internal/stream/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/search/ ./internal/core/ ./internal/rcl/ ./internal/lrw/ ./internal/randwalk/ ./internal/propidx/ ./internal/dynamic/ ./internal/stream/
 	$(GO) run ./benchmark -smoke
 	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 		$(GO) run ./cmd/pitserve -smoke -index-dir "$$d" && \

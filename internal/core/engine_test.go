@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
@@ -454,45 +456,122 @@ func (c *cancelAfter) Err() error {
 	return c.Context.Err()
 }
 
-// A canceled PatchIndexes — before it starts or part way through the two
-// concurrent patches — reports context.Canceled, publishes nothing, leaves
-// the engine it patches from serving and no goroutine behind, and the same
-// engine can still be patched once the context is live.
+// cancelIn is a context that cancels itself at the first Err call made
+// from the function whose name ends in fn: a cancel that lands inside one
+// chosen loop of the two concurrent patches, wherever the rest of them is.
+type cancelIn struct {
+	context.Context
+	cancel context.CancelFunc
+	fn     string
+	hit    atomic.Bool
+}
+
+func (c *cancelIn) Err() error {
+	if pc, _, _, ok := runtime.Caller(1); ok && strings.HasSuffix(runtime.FuncForPC(pc).Name(), c.fn) {
+		c.hit.Store(true)
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// lateCheck is the innermost context of a patch. Once returned is set —
+// PatchIndexes has returned — an Err call from a randwalk or propidx
+// frame can only come from a worker the patch did not join before
+// returning; the first such frame is kept in late.
+type lateCheck struct {
+	context.Context
+	returned atomic.Bool
+	late     atomic.Pointer[string]
+}
+
+func (l *lateCheck) Err() error {
+	if l.returned.Load() {
+		pcs := make([]uintptr, 32)
+		frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+		for f, more := frames.Next(); ; f, more = frames.Next() {
+			if strings.Contains(f.Function, "internal/randwalk.") || strings.Contains(f.Function, "internal/propidx.") {
+				l.late.CompareAndSwap(nil, &f.Function)
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return l.Context.Err()
+}
+
+// A canceled PatchIndexes — before it starts, part way through the two
+// concurrent patches, or inside the walk scan, the walk re-sampling or a
+// worker of the Γ enumeration — reports context.Canceled, publishes
+// nothing, leaves the engine it patches from serving, has joined every
+// goroutine it started by the time it returns, and the same engine can
+// still be patched once the context is live.
 func TestPatchIndexesCanceledContext(t *testing.T) {
 	old := builtEngine(t)
 	defer old.Close()
 	next := swapOneEdge(old.Graph())
+	type attempt struct {
+		name string
+		ctx  context.Context
+		base *lateCheck
+		seen func() bool // the patch reached the cancel
+	}
+	var attempts []attempt
 	for _, checks := range []int32{0, 2} {
 		ctx, cancel := context.WithCancel(context.Background())
-		c := &cancelAfter{Context: ctx, cancel: cancel}
+		defer cancel()
+		base := &lateCheck{Context: ctx}
+		c := &cancelAfter{Context: base, cancel: cancel}
 		c.left.Store(checks)
 		if checks == 0 {
 			cancel() // canceled before the patch starts
 		}
+		attempts = append(attempts, attempt{fmt.Sprintf("cancel at check %d", checks), c, base, func() bool { return c.left.Load() < 0 }})
+	}
+	for _, fn := range []string{"randwalk.(*Index).touching", "randwalk.(*Index).resample", "propidx.enumerateChunks"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		base := &lateCheck{Context: ctx}
+		c := &cancelIn{Context: base, cancel: cancel, fn: fn}
+		attempts = append(attempts, attempt{"cancel inside " + fn, c, base, c.hit.Load})
+	}
+	for _, a := range attempts {
 		fresh, err := New(next, old.Space(), old.Options())
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := runtime.NumGoroutine()
-		_, err = fresh.PatchIndexes(c, old)
-		if n := runtime.NumGoroutine(); n != before {
-			t.Errorf("cancel at check %d: %d goroutines before the patch, %d when it returned", checks, before, n)
+		_, err = fresh.PatchIndexes(a.ctx, old)
+		a.base.returned.Store(true)
+		// A worker that has marked its WaitGroup done may still be on its
+		// way out when the wait returns, so the count gets a second to
+		// settle; one that was never waited for shows in late meanwhile,
+		// at its next cancellation check.
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > before {
+			t.Errorf("%s: %d goroutines before the patch, %d after it returned", a.name, before, n)
+		}
+		if fn := a.base.late.Load(); fn != nil {
+			t.Errorf("%s: %s checked the context after PatchIndexes returned; the patch did not join it", a.name, *fn)
 		}
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancel at check %d: PatchIndexes returned %v, want context.Canceled", checks, err)
+			t.Fatalf("%s: PatchIndexes returned %v, want context.Canceled", a.name, err)
 		}
-		cancel()
-		if c.left.Load() >= 0 {
-			t.Fatalf("cancel at check %d: the patch made only %d checks and never saw the cancel", checks, checks-c.left.Load())
+		if !a.seen() {
+			t.Fatalf("%s: the patch never reached the cancel", a.name)
 		}
 		if fresh.Ready() {
-			t.Errorf("cancel at check %d: the patched engine is ready", checks)
+			t.Errorf("%s: the patched engine is ready", a.name)
 		}
 		if _, err := old.Search(context.Background(), MethodLRW, dataset.TagName(0), 1, 3); err != nil || !old.Ready() {
-			t.Errorf("cancel at check %d: the old engine stopped serving: ready %v, search %v", checks, old.Ready(), err)
+			t.Errorf("%s: the old engine stopped serving: ready %v, search %v", a.name, old.Ready(), err)
 		}
 		if _, err := fresh.PatchIndexes(context.Background(), old); err != nil || !fresh.Ready() {
-			t.Errorf("cancel at check %d: a second patch with a live context: ready %v, err %v", checks, fresh.Ready(), err)
+			t.Errorf("%s: a second patch with a live context: ready %v, err %v", a.name, fresh.Ready(), err)
 		}
 		fresh.Close()
 	}

@@ -60,12 +60,16 @@ type Batch struct {
 }
 
 // Apply returns a new graph with the batch applied. Updates referencing
-// nodes outside the grown node range fail. Updates replay strictly in
-// slice order, so duplicates of the same edge within one batch resolve
-// last-write-wins: upsert→delete deletes, delete→upsert keeps the final
-// weight, double-upsert keeps the second weight. Deleting an edge the
-// graph does not have is a deterministic no-op, not an error — streams
-// retry and reorder, so deletes are idempotent.
+// nodes outside the grown node range fail, the first such in slice order
+// reported. Updates replay strictly in slice order, so duplicates of the
+// same edge within one batch resolve last-write-wins: upsert→delete
+// deletes, delete→upsert keeps the final weight, double-upsert keeps the
+// second weight. Deleting an edge the graph does not have is a
+// deterministic no-op, not an error — streams retry and reorder, so
+// deletes are idempotent. A surviving upsert the graph cannot hold (a self
+// loop, a weight outside (0, 1]) fails the batch; of several, the first in
+// (From, To) order is reported. The new graph is a splice of the old one
+// (graph.Splice): only the rows the batch touches are rebuilt.
 func Apply(g *graph.Graph, batch Batch) (*graph.Graph, error) {
 	if g == nil {
 		return nil, fmt.Errorf("dynamic: nil graph")
@@ -74,46 +78,14 @@ func Apply(g *graph.Graph, batch Batch) (*graph.Graph, error) {
 		return nil, fmt.Errorf("dynamic: negative NewNodes")
 	}
 	n := g.NumNodes() + batch.NewNodes
-
-	// One overlay, replayed sequentially: the last update for a key is
-	// the one that sticks. Weight 0 in the overlay means "deleted".
-	overlay := make(map[[2]graph.NodeID]float64, len(batch.Updates))
-	for _, u := range batch.Updates {
+	edits := make([]graph.Edge, len(batch.Updates))
+	for i, u := range batch.Updates {
 		if int(u.From) >= n || int(u.To) >= n || u.From < 0 || u.To < 0 {
 			return nil, fmt.Errorf("dynamic: update %d→%d outside grown graph (%d nodes)", u.From, u.To, n)
 		}
-		overlay[[2]graph.NodeID{u.From, u.To}] = u.Weight
+		edits[i] = graph.Edge{From: u.From, To: u.To, Weight: u.Weight}
 	}
-
-	b := graph.NewBuilder(n)
-	for u := 0; u < g.NumNodes(); u++ {
-		nbrs, ws := g.OutNeighbors(graph.NodeID(u))
-		for i, v := range nbrs {
-			key := [2]graph.NodeID{graph.NodeID(u), v}
-			w := ws[i]
-			if ow, ok := overlay[key]; ok {
-				delete(overlay, key)
-				if ow == 0 {
-					continue
-				}
-				w = ow
-			}
-			if err := b.AddEdge(graph.NodeID(u), v, w); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Leftovers are edges the old graph did not have: inserts, plus
-	// deletes of edges that never existed (skipped — idempotent).
-	for key, w := range overlay {
-		if w == 0 {
-			continue
-		}
-		if err := b.AddEdge(key[0], key[1], w); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build(), nil
+	return g.Splice(n, edits)
 }
 
 // AffectedTopics returns the sorted topic IDs whose node sets come within
@@ -135,48 +107,63 @@ func AffectedTopics(old, updated *graph.Graph, space *topics.Space, batch Batch,
 	}
 	// The blast region is a dense mark over the node IDs of both graphs,
 	// seeded with the changed endpoints (including new nodes: they have no
-	// topics yet, but their neighbors' regions changed).
+	// topics yet, but their neighbors' regions changed). A node's topics
+	// are marked affected as it joins the region. The result is those
+	// marks alone, so the expansion stops once every topic carries one.
 	n := updated.NumNodes()
 	if old != nil {
 		n = max(n, old.NumNodes())
 	}
 	region := make([]bool, n)
+	affected := make([]bool, space.NumTopics())
+	unmarked := len(affected)
 	var frontier, next []graph.NodeID
+	// join adds v to the region, unless it is there, and to frontier.
+	join := func(frontier []graph.NodeID, v graph.NodeID) []graph.NodeID {
+		if region[v] {
+			return frontier
+		}
+		region[v] = true
+		for _, t := range space.NodeTopics(v) {
+			if !affected[t] {
+				affected[t] = true
+				unmarked--
+			}
+		}
+		return append(frontier, v)
+	}
 	for _, u := range batch.Updates {
 		for _, v := range [2]graph.NodeID{u.From, u.To} {
-			if updated.Valid(v) && !region[v] {
-				region[v] = true
-				frontier = append(frontier, v)
+			if updated.Valid(v) {
+				frontier = join(frontier, v)
 			}
 		}
 	}
 	// Expand it by radius hops, ignoring direction (influence structure
 	// changes propagate both ways) and ignoring which of the two graphs
 	// supplies an edge.
-	for hop := 0; hop < radius && len(frontier) > 0; hop++ {
+	for hop := 0; hop < radius && len(frontier) > 0 && unmarked > 0; hop++ {
 		next = next[:0]
 		for _, v := range frontier {
+			if unmarked == 0 {
+				break
+			}
 			for _, g := range [2]*graph.Graph{updated, old} {
 				if g == nil || !g.Valid(v) {
 					continue
 				}
 				out, _ := g.OutNeighbors(v)
-				next = spread(region, next, out)
 				in, _ := g.InNeighbors(v)
-				next = spread(region, next, in)
+				for _, nbrs := range [2][]graph.NodeID{out, in} {
+					for _, w := range nbrs {
+						next = join(next, w)
+					}
+				}
 			}
 		}
 		frontier, next = next, frontier
 	}
 
-	affected := make([]bool, space.NumTopics())
-	for v, in := range region {
-		if in {
-			for _, t := range space.NodeTopics(graph.NodeID(v)) {
-				affected[t] = true
-			}
-		}
-	}
 	var out []topics.TopicID
 	for t, hit := range affected {
 		if hit {
@@ -184,18 +171,6 @@ func AffectedTopics(old, updated *graph.Graph, space *topics.Space, batch Batch,
 		}
 	}
 	return out
-}
-
-// spread marks the unmarked nodes of nbrs in region and appends them to
-// next.
-func spread(region []bool, next, nbrs []graph.NodeID) []graph.NodeID {
-	for _, w := range nbrs {
-		if !region[w] {
-			region[w] = true
-			next = append(next, w)
-		}
-	}
-	return next
 }
 
 // RefreshStats reports what a Refresh invalidated and what it reused.

@@ -3,6 +3,7 @@ package dynamic
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -506,5 +507,248 @@ func TestAffectedTopicsEmptyBatch(t *testing.T) {
 	space := phoneSpace(t)
 	if got := AffectedTopics(g, g, space, Batch{}, 3); len(got) != 0 {
 		t.Errorf("empty batch affected %v", got)
+	}
+}
+
+// builderApply is the Apply the splice replaced, kept as the oracle: replay
+// the batch into an overlay (last write wins), then feed a graph.Builder
+// every surviving edge — untouched ones, re-weighted ones, and inserts —
+// in (From, To) order, so the first invalid upsert in that order is the
+// error.
+func builderApply(g *graph.Graph, batch Batch) (*graph.Graph, error) {
+	n := g.NumNodes() + batch.NewNodes
+	overlay := map[[2]graph.NodeID]float64{}
+	for _, u := range batch.Updates {
+		overlay[[2]graph.NodeID{u.From, u.To}] = u.Weight
+	}
+	for _, e := range g.Edges() {
+		if _, ok := overlay[[2]graph.NodeID{e.From, e.To}]; !ok {
+			overlay[[2]graph.NodeID{e.From, e.To}] = e.Weight
+		}
+	}
+	keys := make([][2]graph.NodeID, 0, len(overlay))
+	for k := range overlay {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b [2]graph.NodeID) int {
+		if a[0] != b[0] {
+			return int(a[0] - b[0])
+		}
+		return int(a[1] - b[1])
+	})
+	b := graph.NewBuilder(n)
+	for _, k := range keys {
+		if w := overlay[k]; w != 0 {
+			if err := b.AddEdge(k[0], k[1], w); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return b.Build(), nil
+}
+
+// TestApplySpliceEqualsBuilder holds Apply's splice to a full Builder
+// rebuild — both CSRs, field for field — over seeded random graphs and
+// batches mixing inserts, deletes of present and absent edges, weight-only
+// changes, in-batch duplicates and node growth; and holds a batch with
+// several invalid upserts to one error, the first in (From, To) order,
+// however often it is applied.
+func TestApplySpliceEqualsBuilder(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(60)
+		b := graph.NewBuilder(n)
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			if u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)); u != v {
+				b.MustAddEdge(u, v, 0.05+0.9*rng.Float64())
+			}
+		}
+		g := b.Build()
+		edges := g.Edges()
+		batch := Batch{NewNodes: rng.Intn(3)}
+		grown := n + batch.NewNodes
+		for i := rng.Intn(40); i > 0; i-- {
+			var u EdgeUpdate
+			switch kind := rng.Intn(5); {
+			case kind == 0 && len(edges) > 0: // delete a present edge
+				e := edges[rng.Intn(len(edges))]
+				u = EdgeUpdate{From: e.From, To: e.To}
+			case kind == 1 && len(edges) > 0: // re-weight a present edge
+				e := edges[rng.Intn(len(edges))]
+				u = EdgeUpdate{From: e.From, To: e.To, Weight: 0.05 + 0.9*rng.Float64()}
+			case kind == 2: // delete an edge that may be absent
+				u = EdgeUpdate{From: graph.NodeID(rng.Intn(grown)), To: graph.NodeID(rng.Intn(grown))}
+			default: // insert, possibly touching a new node
+				u = EdgeUpdate{From: graph.NodeID(rng.Intn(grown)), To: graph.NodeID(rng.Intn(grown)), Weight: 0.05 + 0.9*rng.Float64()}
+				if u.From == u.To {
+					u.Weight = 0
+				}
+			}
+			batch.Updates = append(batch.Updates, u)
+			if rng.Intn(4) == 0 { // an in-batch duplicate, either kind
+				d := u
+				if d.Weight = 0; d.From != d.To && rng.Intn(2) == 0 {
+					d.Weight = 0.3
+				}
+				batch.Updates = append(batch.Updates, d)
+			}
+		}
+		want, err := builderApply(g, batch)
+		if err != nil {
+			t.Fatalf("seed %d: oracle: %v", seed, err)
+		}
+		before := rebuilt(g)
+		got, err := Apply(g, batch)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: spliced graph differs from a Builder rebuild (%v against %v)", seed, got, want)
+		}
+		if !reflect.DeepEqual(g, before) {
+			t.Fatalf("seed %d: Apply modified its input graph", seed)
+		}
+	}
+
+	t.Run("invalid updates", func(t *testing.T) {
+		g := baseGraph(t)
+		batch := Batch{Updates: []EdgeUpdate{
+			{From: 5, To: 0, Weight: 2},    // weight > 1
+			{From: 3, To: 3, Weight: 0.5},  // self loop
+			{From: 4, To: 1, Weight: -0.1}, // negative weight
+			{From: 2, To: 2, Weight: 0},    // a self-loop delete is a no-op
+			{From: 1, To: 0, Weight: 1.5},  // overwritten below
+			{From: 1, To: 0, Weight: 0.5},
+			{From: 0, To: 1, Weight: 0.9},
+		}}
+		_, want := builderApply(g, batch)
+		if want == nil || want.Error() != "graph: self loop on node 3" {
+			t.Fatalf("oracle error %v, want the self loop at (3, 3)", want)
+		}
+		for i := 0; i < 100; i++ {
+			if _, err := Apply(g, batch); err == nil || err.Error() != want.Error() {
+				t.Fatalf("apply %d: error %v, want %v", i, err, want)
+			}
+		}
+	})
+}
+
+// rebuilt is g put through a Builder: the same graph, newly allocated.
+func rebuilt(g *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder(g.NumNodes())
+	for _, e := range g.Edges() {
+		b.MustAddEdge(e.From, e.To, e.Weight)
+	}
+	return b.Build()
+}
+
+// BenchmarkApply times the benchmark harness's batch shape through Apply:
+// 16 edges the graph does not have, then their deletes, on each preset's
+// graph.
+func BenchmarkApply(b *testing.B) {
+	for _, preset := range []string{"data_2k", "data_350k"} {
+		b.Run(preset, func(b *testing.B) {
+			p, err := dataset.PresetByName(preset)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := dataset.GenerateGraph(p.Graph)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			var upserts, deletes Batch
+			for len(upserts.Updates) < 16 {
+				u, v := graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))
+				if u != v && !g.HasEdge(u, v) && !slices.ContainsFunc(upserts.Updates, func(e EdgeUpdate) bool { return e.From == u && e.To == v }) {
+					upserts.Updates = append(upserts.Updates, EdgeUpdate{From: u, To: v, Weight: 0.1 + 0.8*rng.Float64()})
+					deletes.Updates = append(deletes.Updates, EdgeUpdate{From: u, To: v})
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next, err := Apply(g, upserts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := Apply(next, deletes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestAffectedTopicsEarlyExitIsExact holds AffectedTopics, which stops
+// expanding once every topic is marked, to the full radius-hop expansion
+// over both graphs, on random graphs and spaces of one topic to many.
+func TestAffectedTopicsEarlyExitIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		n := 10 + rng.Intn(40)
+		b := graph.NewBuilder(n)
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			if u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)); u != v {
+				b.MustAddEdge(u, v, 0.5)
+			}
+		}
+		old := b.Build()
+		var batch Batch
+		for i := 1 + rng.Intn(3); i > 0; i-- {
+			if u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)); u != v {
+				batch.Updates = append(batch.Updates, EdgeUpdate{From: u, To: v, Weight: float64(rng.Intn(2)) * 0.5})
+			}
+		}
+		updated, err := Apply(old, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb := topics.NewSpaceBuilder()
+		for ti := 1 + rng.Intn(8); ti > 0; ti-- {
+			id, _ := sb.AddTopic("x", "t")
+			for j := 1 + rng.Intn(4); j > 0; j-- {
+				_ = sb.AddNode(id, graph.NodeID(rng.Intn(n)))
+			}
+		}
+		space := sb.Build()
+		radius := rng.Intn(6)
+
+		// The reference: mark the whole radius-hop region, then its topics.
+		region := make([]bool, n)
+		var frontier []graph.NodeID
+		for _, u := range batch.Updates {
+			for _, v := range []graph.NodeID{u.From, u.To} {
+				if !region[v] {
+					region[v] = true
+					frontier = append(frontier, v)
+				}
+			}
+		}
+		for hop := 0; hop < radius; hop++ {
+			var next []graph.NodeID
+			for _, v := range frontier {
+				for _, g := range []*graph.Graph{old, updated} {
+					out, _ := g.OutNeighbors(v)
+					in, _ := g.InNeighbors(v)
+					for _, w := range append(slices.Clone(out), in...) {
+						if !region[w] {
+							region[w] = true
+							next = append(next, w)
+						}
+					}
+				}
+			}
+			frontier = next
+		}
+		var want []topics.TopicID
+		for ti := 0; ti < space.NumTopics(); ti++ {
+			if slices.ContainsFunc(space.Nodes(topics.TopicID(ti)), func(v graph.NodeID) bool { return region[v] }) {
+				want = append(want, topics.TopicID(ti))
+			}
+		}
+		if got := AffectedTopics(old, updated, space, batch, radius); !slices.Equal(got, want) {
+			t.Fatalf("trial %d radius %d: affected %v, want %v", trial, radius, got, want)
+		}
 	}
 }

@@ -172,19 +172,36 @@ func NewBuilder(n int) *Builder {
 // outside (0, 1]: transition probabilities of zero carry no influence and
 // would only bloat the CSR arrays.
 func (b *Builder) AddEdge(u, v NodeID, w float64) error {
-	if u < 0 || int(u) >= b.n {
-		return fmt.Errorf("graph: edge source %d out of range [0,%d)", u, b.n)
+	if err := checkEndpoints(b.n, u, v); err != nil {
+		return err
 	}
-	if v < 0 || int(v) >= b.n {
-		return fmt.Errorf("graph: edge target %d out of range [0,%d)", v, b.n)
+	if err := checkEdge(u, v, w); err != nil {
+		return err
 	}
+	b.edges = append(b.edges, Edge{From: u, To: v, Weight: w})
+	return nil
+}
+
+// checkEndpoints reports an endpoint of u→v outside [0, n).
+func checkEndpoints(n int, u, v NodeID) error {
+	if u < 0 || int(u) >= n {
+		return fmt.Errorf("graph: edge source %d out of range [0,%d)", u, n)
+	}
+	if v < 0 || int(v) >= n {
+		return fmt.Errorf("graph: edge target %d out of range [0,%d)", v, n)
+	}
+	return nil
+}
+
+// checkEdge reports why u→v with weight w cannot be an edge: a self loop
+// or a weight outside (0, 1].
+func checkEdge(u, v NodeID, w float64) error {
 	if u == v {
 		return fmt.Errorf("graph: self loop on node %d", u)
 	}
 	if w <= 0 || w > 1 || math.IsNaN(w) {
 		return fmt.Errorf("graph: edge %d->%d weight %v outside (0,1]", u, v, w)
 	}
-	b.edges = append(b.edges, Edge{From: u, To: v, Weight: w})
 	return nil
 }
 

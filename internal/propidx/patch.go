@@ -24,8 +24,9 @@ type PatchStats struct {
 // else of the graph; so a row none of whose nodes had its in-list changed
 // enumerates to the same entries in the same order, and is copied. The
 // rows to redo are those v with a changed node in {v} ∪ Γ_old(v), found
-// in one scan of the old rows. old is left untouched, and returned as is
-// when no row needs redoing.
+// in one scan of the old rows, and enumerated on opt.Workers goroutines as
+// Build's are. old is left untouched, and returned as is when no row
+// needs redoing.
 //
 // When old cannot vouch for its rows under opt — other θ or path cap, an
 // index that was not built here (Adopt), a different node count — Patch
@@ -66,16 +67,12 @@ func Patch(ctx context.Context, old *Index, oldG, newG *graph.Graph, opt Options
 		return old, PatchStats{}, nil
 	}
 
-	e := newEnumerator(newG, opt)
 	rows := make([]row, len(dirty))
+	if err := enumerateRows(ctx, newG, opt, rows, func(i int) graph.NodeID { return graph.NodeID(dirty[i]) }); err != nil {
+		return nil, PatchStats{}, err
+	}
 	total := len(old.src)
 	for i, v := range dirty {
-		if i%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, PatchStats{}, err
-			}
-		}
-		rows[i] = e.enumerate(graph.NodeID(v))
 		total += len(rows[i].src) - int(old.off[v+1]-old.off[v])
 	}
 

@@ -30,9 +30,9 @@ type Options struct {
 	// (they behave exactly like θ-cut nodes: expandable online).
 	// Default 200_000.
 	MaxPathsPerNode int
-	// Workers parallelizes the per-target enumeration (each target's Γ
-	// row is independent, so the result is identical at any worker
-	// count). Default: GOMAXPROCS.
+	// Workers parallelizes the per-target enumeration of Build and of
+	// Patch's dirty rows (each target's Γ row is independent, so the
+	// result is identical at any worker count). Default: GOMAXPROCS.
 	Workers int
 }
 
@@ -244,9 +244,8 @@ func (e *enumerator) enumerate(v graph.NodeID) row {
 
 // Build materializes the index for every node of g with a reverse
 // depth-first path enumeration bounded by θ. Targets are sharded across
-// opt.Workers goroutines; the result is identical at any worker count.
-// ctx is checked between targets (sequential) or between chunks
-// (parallel); a done context aborts the build with ctx.Err().
+// opt.Workers goroutines (enumerateRows); the result is identical at any
+// worker count. A done context aborts the build with ctx.Err().
 func Build(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
 	if err := opt.fill(); err != nil {
 		return nil, err
@@ -258,55 +257,8 @@ func Build(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
 	}
 
 	rows := make([]row, n)
-	workers := opt.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		e := newEnumerator(g, opt)
-		for v := 0; v < n; v++ {
-			if v%64 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			rows[v] = e.enumerate(graph.NodeID(v))
-		}
-	} else {
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		errs := make([]error, workers)
-		const chunk = 256
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(errSlot *error) {
-				defer wg.Done()
-				e := newEnumerator(g, opt)
-				for {
-					if err := ctx.Err(); err != nil {
-						*errSlot = err
-						return
-					}
-					lo := int(next.Add(chunk)) - chunk
-					if lo >= n {
-						return
-					}
-					hi := lo + chunk
-					if hi > n {
-						hi = n
-					}
-					for v := lo; v < hi; v++ {
-						rows[v] = e.enumerate(graph.NodeID(v))
-					}
-				}
-			}(&errs[w])
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	if err := enumerateRows(ctx, g, opt, rows, func(i int) graph.NodeID { return graph.NodeID(i) }); err != nil {
+		return nil, err
 	}
 
 	total := 0
@@ -323,6 +275,51 @@ func Build(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
 		ix.potential = append(ix.potential, rows[v].potential...)
 	}
 	return ix, nil
+}
+
+// enumerateRows sets rows[i] to Γ(target(i)) for every i, on up to
+// opt.Workers goroutines that take chunks of consecutive indexes in turn,
+// each with an enumerator of its own. Every row is independent of the
+// others, so the rows are the same at any worker count. ctx is checked
+// before every chunk; a done context fails the call with ctx.Err() once
+// every worker has stopped.
+func enumerateRows(ctx context.Context, g *graph.Graph, opt Options, rows []row, target func(i int) graph.NodeID) error {
+	workers := min(opt.Workers, len(rows))
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = enumerateChunks(ctx, newEnumerator(g, opt), &next, rows, target)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// enumerateChunks is one enumerateRows worker: it claims the next chunk of
+// rows from next until none is left, checking ctx before each.
+func enumerateChunks(ctx context.Context, e *enumerator, next *atomic.Int64, rows []row, target func(i int) graph.NodeID) error {
+	const chunk = 32
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		lo := int(next.Add(chunk)) - chunk
+		if lo >= len(rows) {
+			return nil
+		}
+		for i := lo; i < min(lo+chunk, len(rows)); i++ {
+			rows[i] = e.enumerate(target(i))
+		}
+	}
 }
 
 // onPath reports whether node u already lies on the branch ending at

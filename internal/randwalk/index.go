@@ -5,7 +5,8 @@
 // diversified PageRank of Algorithm 7, and the L-hop reverse-reachability
 // lists I_L[v] ("all the nodes that can reach node v within L hops")
 // consumed by RCL-A's grouping probabilities (Algorithm 1) and centroid
-// voting (Algorithm 4).
+// voting (Algorithm 4). I_L is the inversion of the stored walks, and only
+// RCL-A reads it, so an index derives it once, on its first read.
 //
 // Per the paper, the index is built once per dataset and shared by both
 // summarization algorithms; its construction cost is amortized (§6.6).
@@ -18,12 +19,16 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
 
 // Index is the materialized output of Algorithm 6. It is immutable after
-// Build and safe for concurrent readers.
+// Build and safe for concurrent readers. The reach lists I_L are the one
+// part made after Build: the first ReachL or CanReach call inverts the
+// walks into them, once, whichever goroutines ask. Raw and MemoryBytes
+// do not keep them: only RCL-A's reads do.
 type Index struct {
 	L int // walk length (hops per walk)
 	R int // walks sampled per node
@@ -42,7 +47,10 @@ type Index struct {
 
 	// Reverse reachability I_L in CSR form: the nodes that reached v on
 	// some sampled walk within L hops are reachStarts[reachOff[v]:reachOff[v+1]],
-	// sorted ascending.
+	// sorted ascending. Both are nil until reachOnce has run (see reach);
+	// reachDone reports that it has.
+	reachOnce   sync.Once
+	reachDone   atomic.Bool
 	reachOff    []int32
 	reachStarts []graph.NodeID
 
@@ -120,10 +128,11 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Build runs Algorithm 6 over g and returns the index. ctx is checked
-// periodically inside every sampling shard; a done context aborts the
-// build with ctx.Err() (index construction on a large graph can run for
-// minutes, and a shutting-down server must not wait it out).
+// Build runs Algorithm 6 over g and returns the index, its reach lists
+// left to their first read. ctx is checked periodically inside every
+// sampling shard; a done context aborts the build with ctx.Err() (index
+// construction on a large graph can run for minutes, and a shutting-down
+// server must not wait it out).
 func Build(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
 	if err := opt.fill(); err != nil {
 		return nil, err
@@ -135,56 +144,41 @@ func Build(ctx context.Context, g *graph.Graph, opt Options) (*Index, error) {
 		ix.walks[i] = -1
 	}
 	ix.sup = newSupport(opt, n)
-	if n == 0 {
-		ix.fillH()
-		ix.buildReach()
-		return ix, nil
-	}
-
 	// Each shard samples start nodes [lo, hi), writing into the shared
 	// walks array (disjoint per node) and into a shard-local support that
 	// is summed afterwards; shard 0 counts straight into the index's own.
-	workers := opt.Workers
-	if workers > n {
-		workers = n
-	}
+	workers := max(1, min(opt.Workers, n))
 	sups := make([]*support, workers)
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
+	parallel(workers, func(w int) {
 		sups[w] = ix.sup
 		if w > 0 {
 			sups[w] = newSupport(opt, n)
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = ix.sampleRange(ctx, g, opt, lo, hi, sups[w])
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		errs[w] = ix.sampleRange(ctx, g, opt, w*n/workers, (w+1)*n/workers, sups[w])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	for _, s := range sups[1:] {
-		for i, c := range s.one {
-			ix.sup.one[i] += c
-		}
-		for c, cnt := range s.more {
-			ix.sup.more[c] += cnt
-		}
-	}
+	ix.sup.add(sups[1:])
 	ix.fillH()
-	// buildReach's ordering precondition — entries grouped by ascending
-	// start node — is the walks array's own layout, so it holds however
-	// the start nodes were cut into shards; no shard output is
-	// concatenated for it.
-	ix.buildReach()
 	return ix, nil
+}
+
+// parallel runs f(0), …, f(workers-1) on goroutines of their own and waits
+// for all of them.
+func parallel(workers int, f func(w int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(w)
+		}()
+	}
+	wg.Wait()
 }
 
 func (o *Options) fill() error {
@@ -202,6 +196,18 @@ func (o *Options) fill() error {
 
 func newSupport(opt Options, n int) *support {
 	return &support{seed: opt.Seed, one: make([]uint32, opt.L*n), more: map[hCell]uint32{}}
+}
+
+// add sums the counts of parts, Build's shard-local supports, into s.
+func (s *support) add(parts []*support) {
+	for _, p := range parts {
+		for i, c := range p.one {
+			s.one[i] += c
+		}
+		for c, cnt := range p.more {
+			s.addMore(c.step, c.level, c.node, cnt)
+		}
+	}
 }
 
 // sampleRange runs Algorithm 6's sampling loop for start nodes [lo, hi),
@@ -302,10 +308,25 @@ func (ix *Index) fillH() {
 	}
 }
 
-// buildReach inverts the stored walks into the reach CSR: for every target
-// the distinct start nodes whose walks visit it, ascending.
-func (ix *Index) buildReach() {
-	ix.reachOff, ix.reachStarts = ix.invertWalks(nil)
+// reach returns the reach CSR, inverting the stored walks into it on the
+// first call: for every target the distinct start nodes whose walks visit
+// it, ascending. invertWalks' ordering precondition — entries grouped by
+// ascending start node — is the walks array's own layout, however Build
+// cut the start nodes into shards.
+func (ix *Index) reach() ([]int32, []graph.NodeID) {
+	ix.reachOnce.Do(func() {
+		ix.reachOff, ix.reachStarts = ix.invertWalks(nil)
+		ix.reachDone.Store(true)
+	})
+	return ix.reachOff, ix.reachStarts
+}
+
+// setReach installs a reach CSR made elsewhere (Adopt, Patch) as if reach
+// had derived it. The index must not be shared yet.
+func (ix *Index) setReach(off []int32, starts []graph.NodeID) {
+	ix.reachOff, ix.reachStarts = off, starts
+	ix.reachOnce.Do(func() {})
+	ix.reachDone.Store(true)
 }
 
 // invertWalks returns, in CSR form, for every target the distinct start
@@ -375,9 +396,11 @@ func (ix *Index) Walk(i int, w graph.NodeID) []graph.NodeID {
 }
 
 // ReachL returns I_L[v]: the sorted set of nodes observed to reach v within
-// L hops on the sampled walks. The slice aliases internal storage.
+// L hops on the sampled walks. The slice aliases internal storage. The
+// first call on an index derives every list (see Index).
 func (ix *Index) ReachL(v graph.NodeID) []graph.NodeID {
-	return ix.reachStarts[ix.reachOff[v]:ix.reachOff[v+1]]
+	off, starts := ix.reach()
+	return starts[off[v]:off[v+1]]
 }
 
 // CanReach reports whether start was observed to reach target within L hops
@@ -417,11 +440,14 @@ func (ix *Index) VisitFreqRow(step int) []float64 {
 }
 
 // MemoryBytes estimates the resident size of the index, reported by the
-// Figure 15 index-cost experiment.
+// Figure 15 index-cost experiment. It counts the reach lists only once a
+// reader has derived them.
 func (ix *Index) MemoryBytes() int64 {
 	b := int64(len(ix.walks)) * 4
 	b += int64(ix.L) * int64(ix.n) * 8
-	b += int64(len(ix.reachOff))*4 + int64(len(ix.reachStarts))*4
+	if ix.reachDone.Load() {
+		b += int64(len(ix.reachOff))*4 + int64(len(ix.reachStarts))*4
+	}
 	if ix.sup != nil {
 		b += int64(len(ix.sup.one)) * 4 // the map of revisits is a few KB at most
 	}

@@ -3,10 +3,12 @@ package randwalk
 import (
 	"context"
 	"errors"
+	"fmt"
 	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -55,7 +57,11 @@ func randomEdits(rng *rand.Rand, g *graph.Graph, count int) []graph.Edge {
 }
 
 // mustPatch patches old and fails the test unless the result is, field
-// for field and support count for support count, what Build returns.
+// for field and support count for support count, what Build returns, with
+// its reach lists where they belong: merged from old's when old had
+// derived its own (and the patch did not fall back to a build), left to
+// their first read otherwise. The reach lists are compared on their own
+// before the indexes as wholes, each side's derived by now.
 func mustPatch(t *testing.T, old *Index, oldG, newG *graph.Graph, opt Options) (*Index, PatchStats) {
 	t.Helper()
 	ctx := context.Background()
@@ -64,9 +70,24 @@ func mustPatch(t *testing.T, old *Index, oldG, newG *graph.Graph, opt Options) (
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(before, old) {
+		t.Fatal("Patch modified the old index, which may still be serving reads")
+	}
 	want, err := Build(ctx, newG, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want.reachDone.Load() {
+		t.Fatal("Build derived the reach lists; they wait for their first read")
+	}
+	if merged := old.reachDone.Load() && !stats.Rebuilt; got.reachDone.Load() != merged {
+		t.Fatalf("old index read: %v, rebuilt: %v, but the patched index has its reach lists in place: %v",
+			old.reachDone.Load(), stats.Rebuilt, got.reachDone.Load())
+	}
+	gotOff, gotStarts := got.reach()
+	wantOff, wantStarts := want.reach()
+	if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotStarts, wantStarts) {
+		t.Fatalf("patched reach lists differ from a build's (%d entries against %d)", len(gotStarts), len(wantStarts))
 	}
 	if !reflect.DeepEqual(got, want) {
 		for j := 1; j <= opt.L; j++ {
@@ -74,47 +95,54 @@ func mustPatch(t *testing.T, old *Index, oldG, newG *graph.Graph, opt Options) (
 				t.Errorf("H[%d] differs", j)
 			}
 		}
-		t.Fatalf("patched index differs from a build (walks equal: %v, reach equal: %v, support equal: %v)",
-			reflect.DeepEqual(got.walks, want.walks), reflect.DeepEqual(got.reachStarts, want.reachStarts), reflect.DeepEqual(got.sup, want.sup))
-	}
-	if !reflect.DeepEqual(before, old) {
-		t.Fatal("Patch modified the old index, which may still be serving reads")
+		t.Fatalf("patched index differs from a build (walks equal: %v, support equal: %v)",
+			reflect.DeepEqual(got.walks, want.walks), reflect.DeepEqual(got.sup, want.sup))
 	}
 	return got, stats
 }
 
-// snapshot deep-copies an index.
+// snapshot deep-copies an index, its reach lists only if it has them.
 func snapshot(ix *Index) *Index {
-	c := *ix
-	c.walks = slices.Clone(ix.walks)
-	c.h = make([][]float64, len(ix.h))
+	c := &Index{L: ix.L, R: ix.R, n: ix.n, walks: slices.Clone(ix.walks), h: make([][]float64, len(ix.h))}
 	for j := range ix.h {
 		c.h[j] = slices.Clone(ix.h[j])
 	}
-	c.reachOff, c.reachStarts = slices.Clone(ix.reachOff), slices.Clone(ix.reachStarts)
+	if ix.reachDone.Load() {
+		c.setReach(slices.Clone(ix.reachOff), slices.Clone(ix.reachStarts))
+	}
 	if ix.sup != nil {
 		c.sup = &support{seed: ix.sup.seed, one: slices.Clone(ix.sup.one), more: maps.Clone(ix.sup.more)}
 	}
-	return &c
+	return c
 }
 
 func TestPatchEqualsBuild(t *testing.T) {
 	opt := Options{L: 5, R: 6, Seed: 9}
+	// Each chain patches its own last patch; the read chain reads I_L
+	// before every patch, so every patch merges, the unread one never
+	// derives it.
 	t.Run("random batches, each patching the last patch", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(3))
-		g := randomGraph(3, 400, 1600)
-		ix, err := Build(context.Background(), g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 12; round++ {
-			next := edited(g, 0, randomEdits(rng, g, 1+rng.Intn(5))...)
-			var stats PatchStats
-			ix, stats = mustPatch(t, ix, g, next, opt)
-			if stats.Rebuilt || stats.Resampled >= g.NumNodes() {
-				t.Fatalf("round %d: %+v; a small batch must not resample every start", round, stats)
-			}
-			g = next
+		for _, read := range []bool{false, true} {
+			t.Run(fmt.Sprintf("I_L read %v", read), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(3))
+				g := randomGraph(3, 400, 1600)
+				ix, err := Build(context.Background(), g, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round := 0; round < 12; round++ {
+					if read {
+						ix.ReachL(0)
+					}
+					next := edited(g, 0, randomEdits(rng, g, 1+rng.Intn(5))...)
+					var stats PatchStats
+					ix, stats = mustPatch(t, ix, g, next, opt)
+					if stats.Rebuilt || stats.Resampled >= g.NumNodes() {
+						t.Fatalf("round %d: %+v; a small batch must not resample every start", round, stats)
+					}
+					g = next
+				}
+			})
 		}
 	})
 
@@ -220,6 +248,99 @@ func TestPatchCanceledContext(t *testing.T) {
 	cancel()
 	if _, _, err := Patch(ctx, ix, g, edited(g, 0, graph.Edge{From: 1, To: 2, Weight: 0.5}), opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Patch under a canceled context returned %v", err)
+	}
+}
+
+// TestReachDerivedOnFirstRead: Build leaves I_L to its first read, the
+// read derives the build's lists, a patch of an index nobody read stays
+// unread, and a patch of a read index arrives with its lists merged.
+func TestReachDerivedOnFirstRead(t *testing.T) {
+	g := randomGraph(17, 300, 1200)
+	opt := Options{L: 4, R: 4, Seed: 17}
+	ix, err := Build(context.Background(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.reachDone.Load() || ix.reachStarts != nil {
+		t.Fatal("Build derived I_L")
+	}
+	// Saving or sizing an index is no RCL-A read: Raw hands out the
+	// inversion without keeping it, MemoryBytes counts what is there.
+	wantOff, wantStarts := referenceReach(ix)
+	_, _, _, _, _, rawOff, rawStarts := ix.Raw()
+	if !slices.Equal(rawOff, wantOff) || !slices.Equal(rawStarts, wantStarts) {
+		t.Fatal("Raw's reach lists differ from the inversion of the walks")
+	}
+	unread := ix.MemoryBytes()
+	if ix.reachDone.Load() || ix.reachStarts != nil {
+		t.Fatal("Raw or MemoryBytes kept I_L on the index")
+	}
+	next := edited(g, 0, graph.Edge{From: 1, To: 2, Weight: 0.5}, graph.Edge{From: 7, To: 3, Weight: 0.5})
+	lazy, _, err := Patch(context.Background(), ix, g, next, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.reachDone.Load() || lazy.reachDone.Load() {
+		t.Fatalf("a patch of an unread index derived I_L (old: %v, new: %v)", ix.reachDone.Load(), lazy.reachDone.Load())
+	}
+	if !slices.Equal(ix.ReachL(5), wantStarts[wantOff[5]:wantOff[6]]) || !ix.reachDone.Load() {
+		t.Fatal("the first ReachL did not derive the build's lists")
+	}
+	if read := ix.MemoryBytes(); read != unread+int64(len(wantOff)+len(wantStarts))*4 {
+		t.Fatalf("MemoryBytes %d once I_L is read, %d before: the %d reach entries are not counted", read, unread, len(wantStarts))
+	}
+	merged, _, err := Patch(context.Background(), ix, g, next, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !merged.reachDone.Load() {
+		t.Fatal("a patch of a read index left I_L to a full inversion")
+	}
+	wantOff, wantStarts = referenceReach(merged)
+	if !slices.Equal(merged.reachOff, wantOff) || !slices.Equal(merged.reachStarts, wantStarts) {
+		t.Fatal("merged reach lists differ from the inversion of the patched walks")
+	}
+}
+
+// TestReachConcurrentFirstRead: sixteen goroutines make the first reads
+// of one fresh index at once; every one sees the lists a lone reader does.
+func TestReachConcurrentFirstRead(t *testing.T) {
+	g := randomGraph(19, 400, 1600)
+	opt := Options{L: 5, R: 6, Seed: 19}
+	ref, err := Build(context.Background(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOff, wantStarts := ref.reach()
+	for round := 0; round < 5; round++ {
+		ix, err := Build(context.Background(), g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 16)
+		for r := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < ix.NumNodes(); i++ {
+					v := graph.NodeID((i + r*37) % ix.NumNodes())
+					want := wantStarts[wantOff[v]:wantOff[v+1]]
+					if r%2 == 0 && !slices.Equal(ix.ReachL(v), want) {
+						errs[r] = fmt.Errorf("reader %d: ReachL(%d) = %v, want %v", r, v, ix.ReachL(v), want)
+						return
+					}
+					if r%2 == 1 && len(want) > 0 && !ix.CanReach(want[len(want)-1], v) {
+						errs[r] = fmt.Errorf("reader %d: CanReach(%d, %d) = false", r, want[len(want)-1], v)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -15,10 +15,17 @@ import (
 
 // Raw exposes the index's backing arrays for persistence: the flat walk
 // array (walk i of node w at [(w*R+i)*L, +L)), the H rows (h[j-1] is
-// H[j], each of length n), and the reverse-reachability CSR. The slices
-// alias internal storage and must be treated as immutable.
+// H[j], each of length n), and the reverse-reachability CSR — the index's
+// own if a reader has derived it, else inverted for this call only, so
+// saving an index nobody asked for I_L does not keep the lists on it. The
+// slices alias internal storage and must be treated as immutable.
 func (ix *Index) Raw() (l, r, n int, walks []graph.NodeID, h [][]float64, reachOff []int32, reachStarts []graph.NodeID) {
-	return ix.L, ix.R, ix.n, ix.walks, ix.h, ix.reachOff, ix.reachStarts
+	if ix.reachDone.Load() {
+		reachOff, reachStarts = ix.reachOff, ix.reachStarts
+	} else {
+		reachOff, reachStarts = ix.invertWalks(nil)
+	}
+	return ix.L, ix.R, ix.n, ix.walks, ix.h, reachOff, reachStarts
 }
 
 // Adopt builds an Index over externally owned backing arrays, in the
@@ -28,7 +35,8 @@ func (ix *Index) Raw() (l, r, n int, walks []graph.NodeID, h [][]float64, reachO
 // through them faults). Structural invariants are validated — array
 // sizes against the header, the reach CSR's offsets monotone and in
 // range — so a corrupt artifact fails here with an error instead of
-// panicking inside a query.
+// panicking inside a query. The reach CSR is installed as loaded: an
+// adopted index never inverts its walks.
 func Adopt(l, r, n int, walks []graph.NodeID, h [][]float64, reachOff []int32, reachStarts []graph.NodeID) (*Index, error) {
 	if l < 1 || r < 1 || n < 0 {
 		return nil, fmt.Errorf("randwalk: adopt: corrupt header L=%d R=%d N=%d", l, r, n)
@@ -61,9 +69,7 @@ func Adopt(l, r, n int, walks []graph.NodeID, h [][]float64, reachOff []int32, r
 	if len(reachOff) > 0 && int(reachOff[len(reachOff)-1]) != len(reachStarts) {
 		return nil, fmt.Errorf("randwalk: adopt: reach CSR ends at %d, want %d", reachOff[len(reachOff)-1], len(reachStarts))
 	}
-	return &Index{
-		L: l, R: r, n: n,
-		walks: walks, h: h,
-		reachOff: reachOff, reachStarts: reachStarts,
-	}, nil
+	ix := &Index{L: l, R: r, n: n, walks: walks, h: h}
+	ix.setReach(reachOff, reachStarts)
+	return ix, nil
 }

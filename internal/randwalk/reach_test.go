@@ -10,7 +10,7 @@ import (
 	"repro/internal/graph"
 )
 
-// referenceReach is the reach construction buildReach replaced, kept as
+// referenceReach is the reach construction invertWalks replaced, kept as
 // the oracle: materialize every (target, start) pair of the stored walks,
 // comparison-sort them, drop repeats.
 func referenceReach(ix *Index) (off []int32, starts []graph.NodeID) {
@@ -39,7 +39,7 @@ func referenceReach(ix *Index) (off []int32, starts []graph.NodeID) {
 	return off, starts
 }
 
-// TestBuildReachMatchesSortAndDedup drives buildReach over random walk
+// TestBuildReachMatchesSortAndDedup drives the reach inversion over random walk
 // arrays — start nodes with no entries at all, walks cut short by dead
 // ends, a handful of hub targets that almost every walk repeats, and the
 // empty index — and requires the CSR the comparison sort produced, in a
@@ -73,16 +73,16 @@ func TestBuildReachMatchesSortAndDedup(t *testing.T) {
 					}
 				}
 			}
-			ix.buildReach()
+			off, starts := ix.reach()
 			wantOff, wantStarts := referenceReach(ix)
-			if !slices.Equal(ix.reachOff, wantOff) {
-				t.Fatalf("shape %+v round %d: reach offsets differ\n got  %v\n want %v", sh, round, ix.reachOff, wantOff)
+			if !slices.Equal(off, wantOff) {
+				t.Fatalf("shape %+v round %d: reach offsets differ\n got  %v\n want %v", sh, round, off, wantOff)
 			}
-			if !slices.Equal(ix.reachStarts, wantStarts) {
-				t.Fatalf("shape %+v round %d: reach starts differ\n got  %v\n want %v", sh, round, ix.reachStarts, wantStarts)
+			if !slices.Equal(starts, wantStarts) {
+				t.Fatalf("shape %+v round %d: reach starts differ\n got  %v\n want %v", sh, round, starts, wantStarts)
 			}
-			if cap(ix.reachStarts) != len(ix.reachStarts) {
-				t.Fatalf("shape %+v round %d: reachStarts holds %d entries in %d slots", sh, round, len(ix.reachStarts), cap(ix.reachStarts))
+			if cap(starts) != len(starts) {
+				t.Fatalf("shape %+v round %d: reachStarts holds %d entries in %d slots", sh, round, len(starts), cap(starts))
 			}
 		}
 	}
@@ -97,8 +97,9 @@ func TestBuildReachOnBuiltIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		off, starts := ix.reach()
 		wantOff, wantStarts := referenceReach(ix)
-		if !slices.Equal(ix.reachOff, wantOff) || !slices.Equal(ix.reachStarts, wantStarts) {
+		if !slices.Equal(off, wantOff) || !slices.Equal(starts, wantStarts) {
 			t.Fatalf("workers=%d: reach CSR differs from sort-and-dedup", workers)
 		}
 	}
