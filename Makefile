@@ -32,8 +32,10 @@ help:
 	@echo "                   (the metric family list is TestMetricFamiliesDocumented's, under make test)"
 	@echo "make fuzz        - storage artifact-parser fuzzers for 10s per target"
 	@echo "make chaos       - fault-injection suite under -race: internal/chaos plus the"
-	@echo "                   ladder/breaker/stale-tier tests in plan, core and server (a"
-	@echo "                   deadline shorter than a build still warming the cache), the"
+	@echo "                   ladder/breaker/stale-tier tests in plan, core, server and"
+	@echo "                   shard (a deadline shorter than a build still warming the"
+	@echo "                   cache, a stale serve followed by the next request's fresh"
+	@echo "                   answer, the answer a faulted shard degrades to), the"
 	@echo "                   streaming churn/soak/all-or-nothing tests in internal/stream"
 	@echo "                   and internal/shard, the refresh = rebuild property test,"
 	@echo "                   a tripped breaker surviving an engine swap,"
@@ -90,10 +92,12 @@ race:
 # Chaos: the fault-injection harness (internal/chaos) and the end-to-end
 # fidelity-ladder proofs that use it — a full attempt whose deadline
 # fires still warming the cache for the next request, the stale-answer
-# cache, breaker trip/recovery (an open breaker never reaching the
-# summarizer), a blown deadline or a failing summarizer answered from a
-# lower tier (never a 504 or a 500), zero unplanned 5xx under injected
-# failure, goroutine hygiene on shutdown,
+# cache and the next request's return to fresh once a fault clears,
+# breaker trip/recovery (an open breaker never reaching the summarizer),
+# a blown deadline or a failing summarizer answered from a lower tier
+# (never a 504 or a 500), the exact ranking a faulted shard's query
+# degrades to, zero unplanned 5xx under injected failure, goroutine
+# hygiene on shutdown,
 # the streaming soak (a fault-injected summarizer on every swapped-in
 # engine must never poison carried summaries), the whole-shard-set
 # swap under router load and its all-or-nothing publish, the root
@@ -109,10 +113,10 @@ race:
 # joined before it returns), and the
 # /updates ack, /search and /stats agreeing on the generation — always under
 # the race detector, since the interesting bugs here are races between
-# degradation, revalidation, swap and close.
+# degradation, detached builds, swap and close.
 chaos:
 	$(GO) test -race ./internal/chaos/
-	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|Reval|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker|PatchIndexesCanceledContext|CacheGetPutTTL|CacheLRUEviction|CacheConcurrent|WalksLadder|DeadlineDegrades|DeadlineWithNothingCached|TestDegraded|ResponsesReportGeneration' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
+	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|FaultedShard|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker|PatchIndexesCanceledContext|CacheGetPutTTL|CacheLRUEviction|CacheConcurrent|WalksLadder|DeadlineDegrades|DeadlineWithNothingCached|TestDegraded|ResponsesReportGeneration' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.

@@ -221,7 +221,7 @@ func buildApp(o options) (*app, error) {
 		return nil, err
 	}
 	// One registry spans every layer: engine (cache/singleflight/build
-	// durations), query path (truncations, revalidations), router,
+	// durations), query path (frontier truncations), router,
 	// streaming and HTTP. All families register at construction, so a
 	// scrape of an idle process already lists every metric name — the
 	// names README's metrics table documents.

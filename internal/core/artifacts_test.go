@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/summary"
 	"repro/internal/topics"
@@ -366,11 +367,16 @@ func TestCloseDrainsMappedEngine(t *testing.T) {
 }
 
 // A built (non-mapped) engine keeps the documented Close semantics:
-// cached summaries keep serving.
+// cached summaries keep serving — a planned query on a warm closed
+// engine is a full-tier cache hit.
 func TestCloseKeepsServingBuiltEngine(t *testing.T) {
 	eng := warmedEngine(t)
 	eng.Close()
-	if _, err := eng.Run(context.Background(), Query{Text: dataset.TagName(0), User: 1, K: 3, Fidelity: FidelityCached}); err != nil {
-		t.Errorf("cached query after Close on built engine: %v", err)
+	ans, err := eng.Run(context.Background(), Query{Text: dataset.TagName(0), User: 1, K: 3})
+	if err != nil {
+		t.Fatalf("planned query after Close on built engine: %v", err)
+	}
+	if out := ans.Outcome; out.Tier != plan.TierFull || !out.Complete {
+		t.Errorf("planned query after Close on built engine: outcome %+v, want a full/complete cache hit", out)
 	}
 }

@@ -226,14 +226,13 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 }
 
 // Close shuts down the engine's background work: it cancels the
-// lifecycle context bounding the shared singleflight summary builds and
-// the detached stale revalidations, so background work that no waiter
-// can cancel (by design — see Summarize) stops instead of outliving the
-// process's drain period, then waits for in-flight revalidation
-// goroutines to observe the cancellation and exit. Close is idempotent
-// and does not invalidate the cache: already-materialized summaries
-// keep serving, but cache misses after Close fail with
-// context.Canceled. Call it after the serving layer has drained.
+// lifecycle context bounding the shared singleflight summary builds, so
+// background work that no waiter can cancel (by design — see
+// Summarize) stops instead of outliving the process's drain period.
+// Close is idempotent and does not invalidate the cache:
+// already-materialized summaries keep serving, but cache misses after
+// Close fail with context.Canceled. Call it after the serving layer has
+// drained.
 //
 // That is the contract of a built engine (BuildIndexes, ShareIndexes),
 // whose indexes live on the heap. A loaded engine (LoadArtifacts) reads
@@ -243,10 +242,7 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 // unmapped memory.
 func (e *Engine) Close() {
 	e.stopLife()
-	e.ladder.Close()
 	if e.mapped {
-		// Order matters: the revalidation goroutines above acquire the
-		// gate too, so they must be fully drained before the gate closes.
 		e.gate.closeAndDrain()
 		e.unmapOnce.Do(func() {
 			for _, h := range e.handles {
@@ -279,7 +275,6 @@ func (e *Engine) Retire() {
 		e.gate.closeAndDrain()
 	}
 	e.stopLife()
-	e.ladder.Close()
 	if e.mapped {
 		e.unmapOnce.Do(func() {
 			for _, h := range e.handles {

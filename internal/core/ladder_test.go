@@ -3,9 +3,9 @@ package core_test
 // The fidelity-ladder table, run through one helper against both
 // backends of the query path: a single Engine and a 3-shard Router.
 // They share core.Ladder, so every case must hold on both — tier
-// selection under deadlines, degradation on build failure,
-// stale-while-revalidate convergence, the ErrUnavailable floor, pinned
-// fidelities and client-cancel surfacing.
+// selection under deadlines, degradation on build failure, stale serves
+// and the next request's convergence back to fresh, the ErrUnavailable
+// floor, pinned fidelity and client-cancel surfacing.
 
 import (
 	"context"
@@ -92,14 +92,6 @@ func (b *ladderBackend) warm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-}
-
-func (b *ladderBackend) cached() int {
-	n := 0
-	for _, eng := range b.engines {
-		n += eng.CachedSummaries(core.MethodLRW)
-	}
-	return n
 }
 
 func (b *ladderBackend) counter(name, label, value string) uint64 {
@@ -251,14 +243,38 @@ func ladderTable(t *testing.T, mk backendMaker) {
 	})
 
 	// A request whose deadline fires while its builds run, with an empty
-	// summary cache, serves the last-known-good answer, and the detached
-	// revalidation restores full fidelity.
+	// summary cache, serves the last-known-good answer. Nothing runs in
+	// the background for it: the builds the timed-out full attempt
+	// started finish once released, the next request's full attempt
+	// answers fresh and refreshes the entry, and a later failure serves
+	// that refreshed entry.
 	t.Run("StaleWhileRevalidate", func(t *testing.T) {
 		b := mk(t, true)
 		b.setSummarizer(summarizeFunc(okSummary))
 		fresh, err := b.Run(ctx, query)
 		if err != nil || fresh.Outcome.Tier != plan.TierFull {
 			t.Fatalf("seed search: %+v err=%v, want full", fresh.Outcome, err)
+		}
+		sameAsFresh := func(what string, ans core.Answer) {
+			t.Helper()
+			if len(ans.Results) != len(fresh.Results) {
+				t.Fatalf("%s answer has %d results, want %d", what, len(ans.Results), len(fresh.Results))
+			}
+			for i := range ans.Results {
+				if ans.Results[i] != fresh.Results[i] {
+					t.Fatalf("%s answer diverged at %d: %v vs %v", what, i, ans.Results[i], fresh.Results[i])
+				}
+			}
+		}
+		stale := func(what string, ans core.Answer, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: stale path errored: %v", what, err)
+			}
+			if out := ans.Outcome; out.Tier != plan.TierStale || !out.Complete {
+				t.Fatalf("%s: outcome = %+v, want stale/complete", what, out)
+			}
+			sameAsFresh(what, ans)
 		}
 
 		// Blow the cache away and hold every build past the deadline: the
@@ -278,38 +294,25 @@ func ladderTable(t *testing.T, mk backendMaker) {
 		defer cancel()
 		ans, err := b.Run(tight, query)
 		close(held)
-		if err != nil {
-			t.Fatalf("stale path errored: %v", err)
-		}
-		if out := ans.Outcome; out.Tier != plan.TierStale || !out.Complete {
-			t.Fatalf("outcome = %+v, want stale/complete", out)
-		}
-		if len(ans.Results) != len(fresh.Results) {
-			t.Fatalf("stale answer has %d results, want %d", len(ans.Results), len(fresh.Results))
-		}
-		for i := range ans.Results {
-			if ans.Results[i].Topic.ID != fresh.Results[i].Topic.ID {
-				t.Fatalf("stale answer diverged at %d: %v vs %v", i, ans.Results[i], fresh.Results[i])
-			}
-		}
+		stale("held builds", ans, err)
 
-		// The stale serve kicked exactly one detached revalidation; once the
-		// builds are released it must repopulate the summary cache.
-		revalOK := func() uint64 { return b.counter("pit_revalidations_total", "result", "ok") }
-		revalErr := func() uint64 { return b.counter("pit_revalidations_total", "result", "err") }
-		deadline := time.Now().Add(5 * time.Second)
-		for revalOK()+revalErr() == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("revalidation never completed")
-			}
-			time.Sleep(time.Millisecond)
+		// Once the builds are released, the next request's own full
+		// attempt answers fresh, bit for bit.
+		again, err := b.Run(ctx, query)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if revalOK() != 1 || revalErr() != 0 {
-			t.Fatalf("revalidations ok=%d err=%d, want exactly one success", revalOK(), revalErr())
+		if out := again.Outcome; out.Tier != plan.TierFull || !out.Complete {
+			t.Fatalf("after release: outcome = %+v, want full/complete", out)
 		}
-		if got := b.cached(); got < len(related) {
-			t.Fatalf("revalidation cached %d summaries, want >= %d", got, len(related))
-		}
+		sameAsFresh("after release", again)
+
+		// That request refreshed the last-known-good entry: with the cache
+		// gone again and every build failing, it is what serves.
+		b.invalidate(related...)
+		b.setSummarizer(failWith(fmt.Errorf("kernel down")))
+		ans, err = b.Run(ctx, query)
+		stale("failing builds", ans, err)
 	})
 
 	// Nothing cached at any fidelity is an explicit ErrUnavailable, not a
@@ -326,9 +329,11 @@ func ladderTable(t *testing.T, mk backendMaker) {
 		}
 	})
 
-	// A query that pins its fidelity stays on one rung: FidelityFull
-	// surfaces a build failure instead of degrading, FidelityCached
-	// answers from the cache and never builds.
+	// A query that pins FidelityFull stays on its rung and surfaces a
+	// build failure instead of degrading; the materialized rung a planned
+	// query degrades to answers from the cache and never builds — over a
+	// failing summarizer and a warm cache, a deadline already past when
+	// the request arrives fails the full attempt before it opens a session.
 	t.Run("PinnedFidelity", func(t *testing.T) {
 		injected := fmt.Errorf("kernel down")
 		strict := mk(t, true)
@@ -347,17 +352,21 @@ func ladderTable(t *testing.T, mk backendMaker) {
 		}))
 		b.warm(t)
 		warmCalls := calls.Load()
-		cached := query
-		cached.Fidelity = core.FidelityCached
-		ans, err := b.Run(ctx, cached)
+		b.setSummarizer(summarizeFunc(func(context.Context, topics.TopicID) (summary.Summary, error) {
+			calls.Add(1)
+			return summary.Summary{}, injected
+		}))
+		past, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+		defer cancel()
+		ans, err := b.Run(past, query)
 		if out := ans.Outcome; err != nil || out.Tier != plan.TierMaterialized || !out.Complete {
-			t.Fatalf("FidelityCached: %+v err=%v, want a complete materialized answer", out, err)
+			t.Fatalf("materialized rung: %+v err=%v, want a complete materialized answer", out, err)
 		}
 		if len(ans.Results) == 0 {
-			t.Fatal("FidelityCached returned no results from a warm cache")
+			t.Fatal("the materialized rung returned no results from a warm cache")
 		}
 		if got := calls.Load(); got != warmCalls {
-			t.Fatalf("FidelityCached ran %d builds on the query path", got-warmCalls)
+			t.Fatalf("the materialized rung ran %d builds on the query path", got-warmCalls)
 		}
 	})
 

@@ -7,6 +7,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/summary"
 	"repro/internal/topics"
 )
@@ -231,10 +233,15 @@ func diverseScenario(t *testing.T) (eng *Engine, user graph.NodeID, labels [4]st
 func TestCachedQueryAppliesLambda(t *testing.T) {
 	eng, user, labels := diverseScenario(t)
 	ctx := context.Background()
+	eng.SetSummarizer(MethodLRW, failSummarizer(fmt.Errorf("kernel down")))
 
-	// cached runs tag000 over materialized summaries only.
+	// cached runs tag000 as a planned query; the uncached topics' builds
+	// fail, so it degrades to the materialized summaries only.
 	cached := func(lambda float64) ([]TopicResult, bool, error) {
-		ans, err := eng.Run(ctx, Query{Text: "tag000", User: user, K: 2, Lambda: lambda, Fidelity: FidelityCached})
+		ans, err := eng.Run(ctx, Query{Text: "tag000", User: user, K: 2, Lambda: lambda})
+		if err == nil && ans.Outcome.Tier != plan.TierMaterialized {
+			t.Fatalf("lambda %g: tier %v, want materialized", lambda, ans.Outcome.Tier)
+		}
 		return ans.Results, ans.Outcome.Complete, err
 	}
 	plain, complete, err := cached(0)

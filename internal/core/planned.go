@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -35,11 +34,6 @@ type OpenRequest struct {
 	// building; topics without one are left out and reported through
 	// Opened.Complete. Otherwise missing summaries are built first.
 	Cached bool
-	// MayDegrade lets an opener that spreads the topics over several
-	// engines answer a build failure on one of them from that engine's
-	// materialized summaries (Opened.Degraded) instead of failing the
-	// open. Set for planned queries only.
-	MayDegrade bool
 }
 
 // Opened is a set of open search sessions that together hold the
@@ -48,9 +42,6 @@ type Opened struct {
 	Sessions []*search.Session
 	// Complete reports whether every requested topic is in a session.
 	Complete bool
-	// Degraded reports that part of a building open fell back to
-	// materialized summaries (see OpenRequest.MayDegrade).
-	Degraded bool
 	// Done closes the sessions and releases whatever the opener holds
 	// for them (query gates). st is the finished Drive's stats, nil when
 	// the sessions were never driven to completion. Call exactly once.
@@ -80,25 +71,15 @@ type HoldFunc func(ctx context.Context) (context.Context, Opener, func(), error)
 
 // Ladder runs queries for one backend. It owns the ladder state that
 // is about answers rather than summaries: the last-known-good answer
-// cache and the detached revalidations that refresh it.
+// cache, which every complete answer refreshes. It starts no goroutine.
 type Ladder struct {
 	hold  HoldFunc
 	stale *plan.Cache[string, staleAnswer]
 
-	// life bounds the detached revalidations; Close cancels it and
-	// waits for them.
-	life     context.Context
-	stop     context.CancelFunc
-	revalMu  sync.Mutex
-	revaling map[string]struct{} // guarded by revalMu
-	revalWG  sync.WaitGroup
-
 	// truncations counts expansion levels whose frontier was cut to
-	// MaxFrontier, from each finished drive's search.Stats; the
-	// revalidation counters count detached rebuilds by outcome. All nil
-	// without a registry.
-	truncations       *obs.Counter
-	revalOK, revalErr *obs.Counter
+	// MaxFrontier, from each finished drive's search.Stats; nil without
+	// a registry.
+	truncations *obs.Counter
 }
 
 // staleAnswer is a last-known-good entry: the ranking and the
@@ -118,35 +99,21 @@ const (
 	// materializedTimeout bounds the materialized-tier attempt, which
 	// runs detached from a request deadline that may already be blown.
 	materializedTimeout = 2 * time.Second
-	// revalidateTimeout bounds one detached stale revalidation.
-	revalidateTimeout = 30 * time.Second
 )
 
 // NewLadder wires the query path over the backend hold pins per
 // request. reg, when non-nil, receives
-// pit_search_frontier_truncations_total and pit_revalidations_total.
+// pit_search_frontier_truncations_total.
 func NewLadder(reg *obs.Registry, hold HoldFunc) *Ladder {
 	l := &Ladder{
-		hold:     hold,
-		stale:    plan.NewCache[string, staleAnswer](staleCapacity, staleTTL, nil),
-		revaling: map[string]struct{}{},
+		hold:  hold,
+		stale: plan.NewCache[string, staleAnswer](staleCapacity, staleTTL, nil),
 	}
-	l.life, l.stop = context.WithCancel(context.Background())
 	if reg != nil {
 		l.truncations = reg.Counter("pit_search_frontier_truncations_total",
 			"Expansion levels whose frontier exceeded MaxFrontier and was truncated best-first.")
-		reval := reg.CounterVec("pit_revalidations_total",
-			"Detached stale-answer revalidation rebuilds by outcome.", "result")
-		l.revalOK, l.revalErr = reval.With("ok"), reval.With("err")
 	}
 	return l
-}
-
-// Close cancels the detached revalidations and waits for them to exit.
-// Idempotent.
-func (l *Ladder) Close() {
-	l.stop()
-	l.revalWG.Wait()
 }
 
 // staleKey identifies one exact request — the stale cache granularity.
@@ -163,9 +130,9 @@ func (q Query) staleKey() string {
 // Error contract: request-level mistakes (ErrInvalidArgument,
 // ErrNotReady) and client disconnects surface immediately — degrading
 // a bad request would mask bugs, and nobody is listening for a hung-up
-// one. For a FidelityFull or FidelityCached query every failure
-// surfaces. For a planned one an error return means the whole ladder was
-// exhausted and is always ErrUnavailable-wrapped.
+// one. For a FidelityFull query every failure surfaces. For a planned
+// one an error return means the whole ladder was exhausted and is
+// always ErrUnavailable-wrapped.
 func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	none := Answer{Outcome: PlanOutcome{Tier: plan.TierUnavailable}}
 	ctx, backend, release, err := l.hold(ctx)
@@ -194,62 +161,49 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 		return ans, nil
 	}
 
-	planned := q.Fidelity == FidelityPlanned
-	// Only keyword queries have a last-known-good entry: an explicit
-	// topic set has no key to find it under.
-	cacheable := planned && q.Topics == nil
-
-	if q.Fidelity != FidelityCached {
-		// An open build breaker refuses here, inside the attempt, with
-		// ErrBuildsSuspended — never reaching the summarizer — and the
-		// planned request degrades as on any other build failure.
-		ans, err := l.attempt(ctx, backend, q, related, false)
-		if err == nil && servable(ans) {
-			// A degraded part with every topic cached still equals the
-			// full answer; a partial one must not become last-known-good.
-			if cacheable && ans.Outcome.Complete {
-				l.storeGood(q, ans)
-			}
-			return ans, nil
+	// An open build breaker refuses here, inside the attempt, with
+	// ErrBuildsSuspended — never reaching the summarizer — and the
+	// planned request degrades as on any other build failure.
+	ans, err := l.attempt(ctx, backend, q, related, false)
+	if err == nil {
+		// Only keyword queries have a last-known-good entry: an explicit
+		// topic set has no key to find it under.
+		if q.Fidelity == FidelityPlanned && q.Topics == nil {
+			l.storeGood(q, ans)
 		}
-		if err != nil && (!planned || !Degradable(ctx, err)) {
-			return none, err
-		}
+		return ans, nil
+	}
+	if q.Fidelity != FidelityPlanned || !degradable(ctx, err) {
+		return none, err
 	}
 
-	// Materialized tier. A planned request's own deadline may already
-	// be blown — that is exactly when this tier earns its keep — so it
-	// runs on a fresh, bounded budget detached from the request's
-	// cancellation.
-	mctx, cancel := ctx, context.CancelFunc(func() {})
-	if planned {
-		mctx, cancel = CachedContext(ctx)
-	}
-	ans, err := l.attempt(mctx, backend, q, related, true)
+	// Materialized tier. The request's own deadline may already be
+	// blown — that is exactly when this tier earns its keep — so it runs
+	// on a fresh, bounded budget detached from the request's
+	// cancellation. A partial answer serves when it ranks anything, but
+	// never becomes last-known-good.
+	mctx, cancel := cachedContext(ctx)
+	ans, err = l.attempt(mctx, backend, q, related, true)
 	cancel()
-	if err == nil && (!planned || servable(ans)) {
-		if cacheable && ans.Outcome.Complete {
+	if err == nil && (ans.Outcome.Complete || len(ans.Results) > 0) {
+		if q.Topics == nil && ans.Outcome.Complete {
 			// All q-related summaries were cached: this answer equals the
 			// full tier's and refreshes the last-known-good entry.
 			l.storeGood(q, ans)
 		}
 		return ans, nil
 	}
-	if !planned {
-		return none, err
-	}
 
-	// Stale tier: last-known-good answer for this exact request, plus a
-	// detached revalidation so repeated stale hits converge back to
-	// fresh answers once the fault clears.
-	if cacheable {
-		if cached, age, ok := l.stale.Get(q.staleKey()); ok {
-			l.revalidate(q)
+	// Stale tier: the last-known-good answer for this exact request. It
+	// runs nothing; once the fault clears, the next request's full
+	// attempt answers fresh and refreshes the entry.
+	if q.Topics == nil {
+		if cached, _, ok := l.stale.Get(q.staleKey()); ok {
 			out := make([]TopicResult, len(cached.results))
 			copy(out, cached.results)
 			return Answer{
 				Results:    out,
-				Outcome:    PlanOutcome{Tier: plan.TierStale, Complete: true, StaleAge: age},
+				Outcome:    PlanOutcome{Tier: plan.TierStale, Complete: true},
 				Generation: cached.generation,
 			}, nil
 		}
@@ -257,17 +211,9 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	return none, fmt.Errorf("%w: query %q has no materialized or stale answer", ErrUnavailable, q.Text)
 }
 
-// servable reports whether a planned attempt's answer is worth serving:
-// one that ran (even partly) on cached-only summaries must be complete
-// or at least non-empty, else the next tier down gets its turn.
-func servable(ans Answer) bool {
-	return ans.Outcome.Tier == plan.TierFull || ans.Outcome.Complete || len(ans.Results) > 0
-}
-
-// Degradable reports whether a failed building attempt may be answered
-// from a lower tier instead of surfacing err. Openers that degrade part
-// of a query on their own (OpenRequest.MayDegrade) apply the same rule.
-func Degradable(ctx context.Context, err error) bool {
+// degradable reports whether a failed full attempt may be answered
+// from a lower tier instead of surfacing err.
+func degradable(ctx context.Context, err error) bool {
 	if errors.Is(err, ErrInvalidArgument) || errors.Is(err, ErrNotReady) {
 		return false
 	}
@@ -277,21 +223,18 @@ func Degradable(ctx context.Context, err error) bool {
 	return !(errors.Is(err, context.Canceled) && ctx.Err() != nil)
 }
 
-// CachedContext derives the materialized tier's budget: bounded by
+// cachedContext derives the materialized tier's budget: bounded by
 // materializedTimeout and detached from ctx's cancellation.
-func CachedContext(ctx context.Context) (context.Context, context.CancelFunc) {
+func cachedContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.WithoutCancel(ctx), materializedTimeout)
 }
 
 // attempt is one tier's run: open sessions over related (building, or
 // cached-only), drive them through Algorithm 10, diversify when asked,
 // and hydrate the ranking into topic records. The answer's Tier is
-// materialized when any session ran on cached-only summaries.
+// materialized when the sessions ran on cached-only summaries.
 func (l *Ladder) attempt(ctx context.Context, backend Opener, q Query, related []topics.TopicID, cached bool) (Answer, error) {
-	o, err := backend.Open(ctx, OpenRequest{
-		Method: q.Method, Topics: related, User: q.User,
-		Cached: cached, MayDegrade: q.Fidelity == FidelityPlanned,
-	})
+	o, err := backend.Open(ctx, OpenRequest{Method: q.Method, Topics: related, User: q.User, Cached: cached})
 	if err != nil {
 		return Answer{}, err
 	}
@@ -299,7 +242,7 @@ func (l *Ladder) attempt(ctx context.Context, backend Opener, q Query, related [
 	defer func() { o.Done(stats) }()
 
 	ans := Answer{Outcome: PlanOutcome{Tier: plan.TierFull, Complete: o.Complete}, Generation: backend.Generation()}
-	if cached || o.Degraded {
+	if cached {
 		ans.Outcome.Tier = plan.TierMaterialized
 	}
 	total := 0
@@ -353,47 +296,4 @@ func (l *Ladder) storeGood(q Query, ans Answer) {
 	cp := make([]TopicResult, len(ans.Results))
 	copy(cp, ans.Results)
 	l.stale.Put(q.staleKey(), staleAnswer{results: cp, generation: ans.Generation})
-}
-
-// revalidate kicks one detached rebuild of q's stale entry,
-// deduplicated per request: a burst of stale hits on the same query
-// funds exactly one background rebuild. The rebuild runs on the
-// ladder's lifecycle (not the request) with its own timeout, goes
-// through the normal full tier — singleflight-deduplicated builds,
-// breaker checks included — and refreshes the stale entry on success.
-// It is a Run of its own, so it holds whatever generation serves when it
-// starts, never the one the request that kicked it holds.
-// Close cancels the lifecycle and waits for these goroutines.
-func (l *Ladder) revalidate(q Query) {
-	key := q.staleKey()
-	l.revalMu.Lock()
-	if _, inflight := l.revaling[key]; inflight {
-		l.revalMu.Unlock()
-		return
-	}
-	l.revaling[key] = struct{}{}
-	l.revalWG.Add(1)
-	l.revalMu.Unlock()
-	go func() {
-		defer func() {
-			l.revalMu.Lock()
-			delete(l.revaling, key)
-			l.revalMu.Unlock()
-			l.revalWG.Done()
-		}()
-		ctx, cancel := context.WithTimeout(l.life, revalidateTimeout)
-		defer cancel()
-		q.Fidelity, q.Trace = FidelityFull, false
-		ans, err := l.Run(ctx, q)
-		if err == nil {
-			l.storeGood(q, ans)
-		}
-		if l.revalOK != nil {
-			if err == nil {
-				l.revalOK.Inc()
-			} else {
-				l.revalErr.Inc()
-			}
-		}
-	}()
 }

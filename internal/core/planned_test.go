@@ -56,20 +56,23 @@ func plannedEngine(t *testing.T, breaker plan.BreakerConfig) (*Engine, *obs.Regi
 }
 
 // TestMaterializedSkippedCounterPinned is the satellite regression test:
-// every skipped topic of a materialized-only search increments
-// pit_materialized_skipped_topics_total exactly once.
+// every skipped topic of a materialized-rung search increments
+// pit_materialized_skipped_topics_total exactly once. A failing
+// summarizer sends the planned query down to that rung; the failed full
+// attempt skips nothing.
 func TestMaterializedSkippedCounterPinned(t *testing.T) {
 	eng, _ := plannedEngine(t, plan.BreakerConfig{})
 	related := eng.Space().Related("tag000")
 	if _, err := eng.Summarize(context.Background(), MethodLRW, related[0]); err != nil {
 		t.Fatal(err)
 	}
+	eng.SetSummarizer(MethodLRW, failSummarizer(fmt.Errorf("kernel down")))
 	want := uint64(len(related) - 1)
 
-	cached := Query{Text: "tag000", User: 3, K: 2, Fidelity: FidelityCached}
+	cached := Query{Text: "tag000", User: 3, K: 2}
 	ans, err := eng.Run(context.Background(), cached)
 	if err != nil || ans.Outcome.Complete || ans.Outcome.Tier != plan.TierMaterialized {
-		t.Fatalf("cached search: %+v err=%v, want partial materialized", ans.Outcome, err)
+		t.Fatalf("degraded search: %+v err=%v, want partial materialized", ans.Outcome, err)
 	}
 	if got := eng.met.materializedSkipped[MethodLRW].Value(); got != want {
 		t.Fatalf("skipped counter after a cached query = %d, want %d", got, want)

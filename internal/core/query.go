@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/plan"
@@ -22,10 +21,6 @@ const (
 	// FidelityFull is the exact search only: missing summaries are
 	// built, and any failure surfaces as the error.
 	FidelityFull
-	// FidelityCached never builds: it ranks whatever summaries are
-	// already materialized and reports through Outcome.Complete whether
-	// that was all of them.
-	FidelityCached
 )
 
 // Query is the one request type of the online path — what /search,
@@ -60,8 +55,6 @@ type PlanOutcome struct {
 	// (always true for full and stale answers; a materialized answer
 	// may be partial).
 	Complete bool
-	// StaleAge is the served answer's age when Tier == TierStale.
-	StaleAge time.Duration
 }
 
 // TopicResult is one ranked entry of a PIT-Search answer, carrying the

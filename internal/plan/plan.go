@@ -12,18 +12,19 @@
 //	materialized — already-cached summaries only: partial but cheap
 //	               (pure Γ lookups)
 //	stale        — the last-known-good answer for this exact request
-//	               from a bounded TTL cache, served while a detached
-//	               revalidation rebuilds it (stale-while-revalidate)
+//	               from a bounded TTL cache; nothing rebuilds it in the
+//	               background — the next request's full attempt does
 //	unavailable  — nothing cached at any fidelity: an explicit
 //	               503 + Retry-After, the only planned "no answer"
 //
 // Nothing is predicted: every planned request attempts the full tier,
 // and only a real failure — the deadline firing, a build error, a build
 // refused by the circuit breaker around summarizer builds (breaker.go)
-// — walks it down. A caller that needs the exact answer or a build-free
-// one says so per query (core.FidelityFull, core.FidelityCached). This
-// package owns the tiers, the breaker and the last-known-good cache
-// (stale.go), so they are unit-testable without an engine.
+// — walks it down, in one place (core.Ladder.Run): the materialized
+// rung is reached only by degrading. A caller that needs the exact
+// answer says so per query (core.FidelityFull). This package owns the
+// tiers, the breaker and the last-known-good cache (stale.go), so they
+// are unit-testable without an engine.
 package plan
 
 import "fmt"
@@ -38,8 +39,8 @@ const (
 	// TierMaterialized restricts the search to already-cached summaries.
 	TierMaterialized
 	// TierStale serves the last-known-good cached answer for the exact
-	// (method, query, user, k, lambda) request while a detached
-	// revalidation refreshes it.
+	// (method, query, user, k, lambda) request; the next complete answer
+	// to that request refreshes it.
 	TierStale
 	// TierUnavailable means no tier could produce an answer; the serving
 	// layer maps it to 503 + Retry-After.

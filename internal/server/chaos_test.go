@@ -247,10 +247,10 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 }
 
 // TestChaosShutdownNoGoroutineLeak: a chaotic run that exercises the
-// detached paths (stale serves with background revalidation, injected
-// latency raced against deadlines) must not leak goroutines once the
-// engine is closed — Close cancels the lifecycle and waits for every
-// revalidation worker.
+// detached paths (stale serves under a permanent outage, injected
+// latency raced against detached builds) must not leak goroutines once
+// the engine is closed — Close cancels the lifecycle that bounds every
+// detached build.
 func TestChaosShutdownNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 

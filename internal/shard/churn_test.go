@@ -184,7 +184,7 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 	set.Stop()
 	r.Close()
 	// Old engines were retired by the pipeline; give drains and
-	// detached revalidations a moment, then require the goroutine count
+	// detached builds a moment, then require the goroutine count
 	// back at (or under) the pre-churn baseline plus scheduler noise.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -196,6 +196,72 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 			t.Fatalf("goroutine growth: %d now vs %d before churn", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestFaultedShardAnswersFromCache pins the answer, not just the tier,
+// a planned query gets while one shard's summarizer is down: shard 2
+// fails every build after part of its tag004 slice is cached, so the
+// query answers materialized and incomplete, ranking exactly the
+// topics that were servable — every related topic of the healthy
+// shards (their builds ran during the failed full attempt) plus shard
+// 2's cached ones. The reference is a full-fidelity Run over that
+// explicit set with the fault lifted.
+func TestFaultedShardAnswersFromCache(t *testing.T) {
+	_, space := world()
+	ctx := context.Background()
+	const n, faultShard = 3, 2
+	r, engines := buildRouter(t, n, worldOptions())
+	defer closeEngines(engines)
+	part := r.Partitioner()
+
+	related := space.Related(dataset.TagName(4))
+	var owned []topics.TopicID
+	for _, id := range related {
+		if part.Owns(id) == faultShard {
+			owned = append(owned, id)
+		}
+	}
+	if len(owned) < 2 {
+		t.Fatalf("shard %d owns %d tag004 topics; need 2 to cache only part of them", faultShard, len(owned))
+	}
+	cached := owned[:len(owned)-1]
+	for _, id := range cached {
+		if _, err := engines[faultShard].Summarize(ctx, core.MethodLRW, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The servable set: related order, minus shard 2's uncached topic.
+	servable := make([]topics.TopicID, 0, len(related)-1)
+	for _, id := range related {
+		if id != owned[len(owned)-1] {
+			servable = append(servable, id)
+		}
+	}
+
+	broken := chaos.SummarizeFunc(func(context.Context, topics.TopicID) (summary.Summary, error) {
+		return summary.Summary{}, errors.New("summarizer down")
+	})
+	for _, user := range []graph.NodeID{3, 41, 117} {
+		for _, k := range []int{3, 0} {
+			engines[faultShard].SetSummarizer(core.MethodLRW, broken)
+			got, err := r.Run(ctx, core.Query{Text: dataset.TagName(4), User: user, K: k})
+			if err != nil {
+				t.Fatalf("user %d k=%d: %v, want a materialized answer", user, k, err)
+			}
+			if out := got.Outcome; out.Tier != plan.TierMaterialized || out.Complete {
+				t.Fatalf("user %d k=%d: outcome %+v, want partial materialized", user, k, out)
+			}
+			engines[faultShard].SetSummarizer(core.MethodLRW, nil)
+			want, err := r.Run(ctx, core.Query{Topics: servable, User: user, K: k, Fidelity: core.FidelityFull})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Results) == 0 {
+				t.Fatalf("user %d k=%d: the reference ranked nothing", user, k)
+			}
+			sameResults(t, "faulted shard", want.Ranking(), got.Ranking())
+		}
 	}
 }
 

@@ -57,12 +57,11 @@ func shardLabel(i int) string {
 // are resolved once at construction into plain slices, so the hot path
 // indexes an array instead of formatting label values.
 type routerMetrics struct {
-	fanout   *obs.Histogram   // shards actually scattered to per query
-	pruned   *obs.Counter     // shards dropped mid-scatter by the influence bound
-	merge    *obs.Histogram   // cross-shard merge time per query
-	rounds   *obs.Histogram   // expansion levels driven per query
-	latency  []*obs.Histogram // per-shard scatter time (open + expands)
-	degraded []*obs.Counter   // per-shard planned-ladder degradations
+	fanout  *obs.Histogram   // shards actually scattered to per query
+	pruned  *obs.Counter     // shards dropped mid-scatter by the influence bound
+	merge   *obs.Histogram   // cross-shard merge time per query
+	rounds  *obs.Histogram   // expansion levels driven per query
+	latency []*obs.Histogram // per-shard scatter time (open + expands)
 }
 
 // fanoutBuckets covers 1..16 shards engaged.
@@ -81,15 +80,12 @@ func newRouterMetrics(reg *obs.Registry, shards int) *routerMetrics {
 	}
 	lat := reg.HistogramVec("pit_shard_latency_seconds",
 		"Per-shard scatter time per routed query: session open plus every expansion level.", obs.DurationBuckets, "shard")
-	deg := reg.CounterVec("pit_shard_degraded_total",
-		"Planned queries on which this shard degraded to cached-only summaries while the rest answered at full fidelity.", "shard")
 	n := shards
 	if n > maxLabeledShards {
 		n = maxLabeledShards + 1 // one overflow cell shared past the cap
 	}
 	for i := 0; i < n; i++ {
 		m.latency = append(m.latency, lat.With(shardLabel(i)))
-		m.degraded = append(m.degraded, deg.With(shardLabel(i)))
 	}
 	return m
 }
@@ -120,11 +116,4 @@ func (m *routerMetrics) observeScatter(fanout int, st *search.Stats) {
 	m.rounds.Observe(float64(st.Depth))
 	m.merge.Observe(st.Merge.Seconds())
 	m.pruned.Add(uint64(st.Frozen))
-}
-
-func (m *routerMetrics) noteDegraded(i int) {
-	if m == nil {
-		return
-	}
-	m.degraded[m.cell(i)].Inc()
 }

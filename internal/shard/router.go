@@ -156,12 +156,8 @@ func (r *Router) pin(ctx context.Context) (context.Context, core.Opener, func(),
 	return ctx, scatter{r, gen}, release, err
 }
 
-// Close stops the ladder's detached revalidations, then closes every
-// engine of the generation serving now.
-func (r *Router) Close() {
-	r.ladder.Close()
-	r.gen().Close()
-}
+// Close closes every engine of the generation serving now.
+func (r *Router) Close() { r.gen().Close() }
 
 // Summarize routes a summarization to the topic's owning shard.
 func (r *Router) Summarize(ctx context.Context, m core.Method, t topics.TopicID) (summary.Summary, error) {
@@ -252,12 +248,11 @@ func (s scatter) Space() *topics.Space { return s.gen.Space() }
 func (s scatter) Generation() uint64   { return s.gen.ID }
 
 // Open scatters the open to every owning shard in parallel and gathers
-// one session per shard. Each shard walks its own two rungs when the
-// request allows it: a shard whose build path fails — breaker open,
-// summarizer fault, build timeout — degrades alone to its cached
-// summaries while the healthy shards keep answering at full fidelity,
-// so one tripped shard costs fidelity on its slice of the topic space,
-// never the whole query. On any other failure every opened session is
+// one session per shard. It waits for every shard, so a shard whose
+// build path fails — breaker open, summarizer fault — fails the open
+// only after the healthy shards' builds are done and cached: the
+// ladder's materialized rung, re-opening every shard cached-only, then
+// serves the healthy slices whole. On a failure every opened session is
 // closed and the lowest-shard error surfaces (deterministically, like
 // the single engine's first-error contract).
 func (s scatter) Open(ctx context.Context, req core.OpenRequest) (core.Opened, error) {
@@ -286,20 +281,6 @@ func (s scatter) Open(ctx context.Context, req core.OpenRequest) (core.Opened, e
 			sub := req
 			sub.Topics = parts[o.shard]
 			o.Opened, errs[j] = eng.Open(ctx, sub)
-			if errs[j] != nil && !sub.Cached && sub.MayDegrade && core.Degradable(ctx, errs[j]) {
-				// This shard's full tier is down; serve its slice from
-				// cache, on the materialized tier's detached budget so an
-				// already-blown request deadline still gets the degraded
-				// answer the tier exists for.
-				cached := sub
-				cached.Cached = true
-				octx, cancel := core.CachedContext(ctx)
-				if o.Opened, errs[j] = eng.Open(octx, cached); errs[j] == nil {
-					o.Degraded = true
-					r.met.noteDegraded(o.shard)
-				}
-				cancel()
-			}
 			o.took = time.Since(t0)
 		}()
 	}
@@ -309,7 +290,6 @@ func (s scatter) Open(ctx context.Context, req core.OpenRequest) (core.Opened, e
 	for _, o := range outs {
 		all.Sessions = append(all.Sessions, o.Sessions...)
 		all.Complete = all.Complete && o.Complete
-		all.Degraded = all.Degraded || o.Degraded
 	}
 	all.Done = func(st *search.Stats) {
 		for _, o := range outs {
