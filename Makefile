@@ -40,6 +40,9 @@ help:
 	@echo "                   and internal/shard, the refresh = rebuild property test,"
 	@echo "                   a tripped breaker surviving an engine swap,"
 	@echo "                   a canceled concurrent index patch,"
+	@echo "                   an open session holding the query gate until Done"
+	@echo "                   (OpenHoldsGateUntilDone), every shard's walks and Γ equal"
+	@echo "                   to shard 0's after every batch (ShardIndexesIdentical),"
 	@echo "                   the generation the /updates ack, /search and /stats report and"
 	@echo "                   the multi-key singleflight (DoMany) tests"
 	@echo "make vulncheck   - govulncheck when installed (best-effort)"
@@ -110,13 +113,17 @@ race:
 # PatchIndexes canceled before or while its walk and Γ patches run side
 # by side, or inside the walk scan, the walk re-sampling or a
 # Γ-enumeration worker (an error, nothing published, every goroutine
-# joined before it returns), and the
+# joined before it returns), an open search session holding its
+# engine's query gate until Done (a Retire drains behind it), every
+# shard's walks and Γ bit-identical to shard 0's after every streamed
+# batch (what one search session over every shard's summaries rests
+# on), and the
 # /updates ack, /search and /stats agreeing on the generation — always under
 # the race detector, since the interesting bugs here are races between
 # degradation, detached builds, swap and close.
 chaos:
 	$(GO) test -race ./internal/chaos/
-	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|FaultedShard|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker|PatchIndexesCanceledContext|CacheGetPutTTL|CacheLRUEviction|CacheConcurrent|WalksLadder|DeadlineDegrades|DeadlineWithNothingCached|TestDegraded|ResponsesReportGeneration' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
+	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|FaultedShard|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker|PatchIndexesCanceledContext|CacheGetPutTTL|CacheLRUEviction|CacheConcurrent|WalksLadder|DeadlineDegrades|DeadlineWithNothingCached|TestDegraded|ResponsesReportGeneration|OpenHoldsGateUntilDone|ShardIndexesIdentical' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.

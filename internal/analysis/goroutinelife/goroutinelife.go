@@ -29,8 +29,8 @@ import (
 )
 
 // scopeDirs are the concurrent serving-stack packages whose goroutines
-// Close must be able to wait on — internal/search included, since the
-// per-level parallel expansion of a scattered query runs in its driver.
+// Close must be able to wait on — internal/search included, so a
+// goroutine added to the search kernel meets the same rule.
 // The summarization kernels manage their own worker pools with local
 // WaitGroups and are covered transitively when these packages call them.
 var scopeDirs = []string{

@@ -538,53 +538,33 @@ func (e *Engine) Acquire(ctx context.Context) (*Generation, func(), error) {
 	return &Generation{Engines: []*Engine{e}}, release, nil
 }
 
-// Open implements Opener: one search session over req.Topics for
-// req.User, holding the query gate until Done. A building open
-// materializes cache misses first, in blocks through the engine's miss
-// path (deduplicated through the corpus singleflight); a cached open
-// takes what is materialized and counts the rest as skipped.
+// Open implements Opener: Generation.Open over this engine alone — one
+// search session over req.Topics for req.User, holding the query gate
+// until Done.
 func (e *Engine) Open(ctx context.Context, req OpenRequest) (Opened, error) {
-	ctx, release, err := e.acquire(ctx)
-	if err != nil {
-		return Opened{}, err
+	g := Generation{Engines: []*Engine{e}}
+	return g.Open(ctx, req, [][]topics.TopicID{req.Topics})
+}
+
+// summaries appends the summaries of ts under req.Method to dst, for a
+// search session. A building request materializes cache misses first,
+// in blocks through the engine's miss path (deduplicated through the
+// corpus singleflight); a cached request takes what is materialized and
+// counts the rest as skipped. dst must have room for len(ts) more.
+func (e *Engine) summaries(ctx context.Context, req OpenRequest, ts []topics.TopicID, dst []summary.Summary) ([]summary.Summary, error) {
+	if !req.Cached {
+		n := len(dst)
+		dst = dst[:n+len(ts)]
+		return dst, e.summarizeInto(ctx, req.Method, ts, dst[n:])
 	}
-	opened := false
-	defer func() {
-		if !opened {
-			release()
-		}
-	}()
-	if !req.Method.valid() {
-		return Opened{}, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, req.Method)
-	}
-	sums := make([]summary.Summary, 0, len(req.Topics))
-	if req.Cached {
-		for _, t := range req.Topics {
-			if s, ok := e.corpus.cached(cacheKey{req.Method, t}); ok {
-				sums = append(sums, s)
-			} else if e.met != nil {
-				e.met.materializedSkipped[req.Method].Inc()
-			}
-		}
-	} else {
-		sums = sums[:len(req.Topics)]
-		if err := e.summarizeInto(ctx, req.Method, req.Topics, sums); err != nil {
-			return Opened{}, err
+	for _, t := range ts {
+		if s, ok := e.corpus.cached(cacheKey{req.Method, t}); ok {
+			dst = append(dst, s)
+		} else if e.met != nil {
+			e.met.materializedSkipped[req.Method].Inc()
 		}
 	}
-	sess, err := e.idx.searcher.NewSession(ctx, req.User, sums)
-	if err != nil {
-		return Opened{}, err
-	}
-	opened = true
-	return Opened{
-		Sessions: []*search.Session{sess},
-		Complete: len(sums) == len(req.Topics),
-		Done: func(*search.Stats) {
-			sess.Close()
-			release()
-		},
-	}, nil
+	return dst, nil
 }
 
 // MaterializeTopics returns the summaries of the given topics under m,

@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/search"
+	"repro/internal/summary"
 	"repro/internal/topics"
 )
 
@@ -69,6 +73,89 @@ func (g *Generation) Hold(ctx context.Context) (context.Context, func(), error) 
 		releases = append(releases, release)
 	}
 	return ctx, releaseAll, nil
+}
+
+// Open opens one search session for req.User over the topics the
+// generation's engines own: parts[i] is engine i's share of req.Topics.
+// Each owner supplies its summaries — building or cached-only, as req
+// asks — and the session runs on engine 0's searcher over all of them,
+// in parts order. Every engine of a generation carries the same indexes,
+// and Algorithm 11's expansion depends only on the user and Γ, so the
+// session ranks exactly what one engine holding every topic would. The
+// generation stays held (Hold) until Done. Owners gather in parallel
+// when there is more than one, and Open waits for all of them: a failing
+// owner fails the open only after the healthy owners' builds are cached,
+// and the lowest-index error surfaces.
+func (g *Generation) Open(ctx context.Context, req OpenRequest, parts [][]topics.TopicID) (Opened, error) {
+	ctx, release, err := g.Hold(ctx)
+	if err != nil {
+		return Opened{}, err
+	}
+	sums, total, err := g.gather(ctx, req, parts)
+	var sess *search.Session
+	if err == nil {
+		sess, err = g.Engines[0].idx.searcher.NewSession(ctx, req.User, sums)
+	}
+	if err != nil {
+		release()
+		return Opened{}, err
+	}
+	return Opened{
+		Session:  sess,
+		Complete: len(sums) == total,
+		Done: func(*search.Stats) {
+			sess.Close()
+			release()
+		},
+	}, nil
+}
+
+// gather collects Open's summaries into one slice, each owner filling
+// its own stretch of it, and reports how many topics the parts hold.
+func (g *Generation) gather(ctx context.Context, req OpenRequest, parts [][]topics.TopicID) ([]summary.Summary, int, error) {
+	if !req.Method.valid() {
+		return nil, 0, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, req.Method)
+	}
+	total, owners := 0, 0
+	for _, ts := range parts {
+		if len(ts) > 0 {
+			total += len(ts)
+			owners++
+		}
+	}
+	buf := make([]summary.Summary, total)
+	got := make([][]summary.Summary, len(parts))
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	off := 0
+	for i, ts := range parts {
+		if len(ts) == 0 {
+			continue
+		}
+		dst := buf[off : off : off+len(ts)]
+		off += len(ts)
+		if owners == 1 {
+			got[i], errs[i] = g.Engines[i].summaries(ctx, req, ts, dst)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = g.Engines[i].summaries(ctx, req, ts, dst)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, total, err
+		}
+	}
+	// A cached-only owner may leave its stretch short: close the gaps.
+	n := 0
+	for _, sums := range got {
+		n += copy(buf[n:], sums)
+	}
+	return buf[:n], total, nil
 }
 
 // Retire retires every engine of a generation that a newer one has

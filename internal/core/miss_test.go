@@ -68,7 +68,7 @@ func TestTopicListedTwiceBuildsOnce(t *testing.T) {
 				return nil, err
 			}
 			defer o.Done(nil)
-			return o.Sessions[0].Summaries(), nil
+			return o.Session.Summaries(), nil
 		},
 		"WarmTopics": func(eng *Engine) ([]summary.Summary, error) {
 			return nil, eng.WarmTopics(ctx, MethodLRW, ts, WarmOptions{Workers: 2})

@@ -7,8 +7,8 @@ package core
 // or slow summarizer degrades answer fidelity instead of turning into
 // 5xx storms. Nothing is predicted: a full attempt whose deadline fires
 // has still started the builds the next request needs. Each attempt is
-// the same five steps: open sessions, search.Drive, diversify, hydrate,
-// close. The only thing a backend contributes is its HoldFunc: the
+// the same five steps: open a session, search.Drive, diversify,
+// hydrate, close. The only thing a backend contributes is its HoldFunc: the
 // Opener one request runs on, pinned for the whole request.
 
 import (
@@ -21,11 +21,10 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/search"
-	"repro/internal/summary"
 	"repro/internal/topics"
 )
 
-// OpenRequest asks an Opener for search sessions over Topics.
+// OpenRequest asks an Opener for a search session over Topics.
 type OpenRequest struct {
 	Method Method
 	Topics []topics.TopicID
@@ -36,21 +35,22 @@ type OpenRequest struct {
 	Cached bool
 }
 
-// Opened is a set of open search sessions that together hold the
-// requested topics (at most once each) for one user.
+// Opened is an open search session over the requested topics (at most
+// once each) for one user.
 type Opened struct {
-	Sessions []*search.Session
-	// Complete reports whether every requested topic is in a session.
+	Session *search.Session
+	// Complete reports whether every requested topic is in the session.
 	Complete bool
-	// Done closes the sessions and releases whatever the opener holds
-	// for them (query gates). st is the finished Drive's stats, nil when
-	// the sessions were never driven to completion. Call exactly once.
+	// Done closes the session and releases whatever the opener holds
+	// for it (query gates). st is the finished Drive's stats, nil when
+	// the session was never driven to completion. Call exactly once.
 	Done func(st *search.Stats)
 }
 
 // Opener is what an execution backend contributes to the query path:
-// the single engine opens one session, the shard router one per owning
-// shard of the generation the request holds.
+// one session over the request's topics — the single engine's own
+// summaries, or the shard router's gathered from every owning shard of
+// the generation the request holds (Generation.Open).
 type Opener interface {
 	// Graph and Space are the dataset the opener serves; the ladder
 	// validates users, resolves topics and hydrates results against them.
@@ -229,10 +229,10 @@ func cachedContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.WithoutCancel(ctx), materializedTimeout)
 }
 
-// attempt is one tier's run: open sessions over related (building, or
-// cached-only), drive them through Algorithm 10, diversify when asked,
+// attempt is one tier's run: open a session over related (building, or
+// cached-only), drive it through Algorithm 10, diversify when asked,
 // and hydrate the ranking into topic records. The answer's Tier is
-// materialized when the sessions ran on cached-only summaries.
+// materialized when the session ran on cached-only summaries.
 func (l *Ladder) attempt(ctx context.Context, backend Opener, q Query, related []topics.TopicID, cached bool) (Answer, error) {
 	o, err := backend.Open(ctx, OpenRequest{Method: q.Method, Topics: related, User: q.User, Cached: cached})
 	if err != nil {
@@ -245,10 +245,8 @@ func (l *Ladder) attempt(ctx context.Context, backend Opener, q Query, related [
 	if cached {
 		ans.Outcome.Tier = plan.TierMaterialized
 	}
-	total := 0
-	for _, ss := range o.Sessions {
-		total += len(ss.Summaries())
-	}
+	sums := o.Session.Summaries()
+	total := len(sums)
 	k := q.K
 	if k <= 0 || k > total {
 		k = total
@@ -265,7 +263,7 @@ func (l *Ladder) attempt(ctx context.Context, backend Opener, q Query, related [
 	if q.Trace {
 		ans.Trace = &search.Trace{}
 	}
-	res, st, err := search.Drive(ctx, o.Sessions, fetch, ans.Trace)
+	res, st, err := search.Drive(ctx, o.Session, fetch, ans.Trace)
 	if err != nil {
 		return Answer{}, err
 	}
@@ -274,10 +272,6 @@ func (l *Ladder) attempt(ctx context.Context, backend Opener, q Query, related [
 		l.truncations.Add(uint64(st.Truncated))
 	}
 	if q.Lambda > 0 {
-		sums := make([]summary.Summary, 0, total)
-		for _, ss := range o.Sessions {
-			sums = append(sums, ss.Summaries()...)
-		}
 		res = search.Diversify(res, sums, q.Lambda, k)
 	}
 	space := backend.Space()

@@ -1,8 +1,8 @@
 package core
 
 // Engine-internal ladder tests: the per-topic skipped-materialization
-// counter, the build breaker refusing the ladder's builds, and the one-
-// gate-per-request regression. The tier table itself runs against both
+// counter, the build breaker refusing the ladder's builds, the one-
+// gate-per-request regression and an open session's hold on the gate. The tier table itself runs against both
 // backends in ladder_test.go.
 
 import (
@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/search"
 	"repro/internal/summary"
 	"repro/internal/topics"
 )
@@ -253,5 +254,48 @@ func TestGateTokenNamesItsGate(t *testing.T) {
 	default:
 	}
 	releaseA()
+	<-retired
+}
+
+// TestOpenHoldsGateUntilDone pins DESIGN §10's gate contract for an
+// open session: Open holds the engine's query gate until Done, not
+// until it returns. A Retire racing the session must drain behind it —
+// the session still reads the engine's indexes until Done — and return
+// once Done has released the gate.
+func TestOpenHoldsGateUntilDone(t *testing.T) {
+	eng := builtEngine(t)
+	eng.EnableDrainGate()
+	ctx := context.Background()
+	o, err := eng.Open(ctx, OpenRequest{Method: MethodLRW, Topics: eng.Space().Related("tag001"), User: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := make(chan struct{})
+	go func() {
+		eng.Retire()
+		close(retired)
+	}()
+	for { // wait until the gate refuses new top-level holds
+		_, release, err := eng.Hold(ctx)
+		if err != nil {
+			break
+		}
+		release()
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-retired:
+		t.Fatal("Retire returned while an opened session was not Done")
+	default:
+	}
+	if _, _, err := search.Drive(ctx, o.Session, 3, nil); err != nil {
+		t.Fatalf("driving the held session: %v", err)
+	}
+	select {
+	case <-retired:
+		t.Fatal("Retire returned while an opened session was not Done")
+	default:
+	}
+	o.Done(nil)
 	<-retired
 }

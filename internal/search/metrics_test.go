@@ -61,7 +61,7 @@ func TestMetricsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := search.Drive(ctx, []*search.Session{ss}, q.K, nil)
+	_, st, err := search.Drive(ctx, ss, q.K, nil)
 	ss.Close()
 	if err != nil {
 		t.Fatal(err)

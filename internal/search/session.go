@@ -1,34 +1,28 @@
 // Search sessions: the one Algorithm 10 state machine.
 //
-// A Session is one slice of a single Algorithm 10 run, opened over some
-// of the q-related summaries and stepped one expansion level at a time
-// by Drive (drive.go). Drive owns the two quantities a slice cannot
-// compute alone — the k-th best score across *all* sessions and the
-// global undecided count — and feeds the k-th score back into prune
-// each round. Everything else (round-1 consumption, the frontier,
-// visited marking, per-level expansion) is topic-set independent: it
-// depends only on the user, Γ and the visited set, so every session's
-// frontier evolves identically whether the summaries are split 1 or 31
-// ways. A single engine opens one session over all of them; the shard
-// router opens one per owning shard. The byte-identity golden and the
-// N ∈ {1, 2, 7, 31} differential in internal/shard pin that any
-// partition of the summaries produces the same answer.
+// A Session is one Algorithm 10 run, opened over the q-related
+// summaries of a query and stepped one expansion level at a time by
+// Drive (drive.go): round-1 consumption, the frontier, visited marking
+// and per-level expansion live here; Drive ranks the topics, feeds the
+// k-th score back into prune and decides when to stop. Expansion
+// depends only on the user, Γ and the visited set, never on a topic, so
+// a query runs one session over all of its summaries however they were
+// gathered — the shard router collects each owning shard's summaries
+// and opens one session on them.
 package search
 
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/prob"
 	"repro/internal/summary"
 )
 
-// Session is an open TopK run. It is not safe for concurrent use; Drive
-// serializes rounds. The session lives in the searcher's pooled scratch
-// arena: Close must be called exactly once, and the session must not be
-// touched afterwards.
+// Session is an open TopK run. It is not safe for concurrent use. The
+// session lives in the searcher's pooled scratch arena: Close must be
+// called exactly once, and the session must not be touched afterwards.
 type Session struct {
 	s         *Searcher
 	sc        *scratch
@@ -39,7 +33,6 @@ type Session struct {
 	truncated int
 	gammaSize int // |Γ(user)|, for Trace
 	expanded  int // frontier size the last expand probed (after truncation)
-	busy      time.Duration
 }
 
 // NewSession opens a session for user over the given summaries: topic
@@ -92,14 +85,10 @@ func (s *Searcher) NewSession(ctx context.Context, user graph.NodeID, summaries 
 // them instead of going back to the cache.
 func (ss *Session) Summaries() []summary.Summary { return ss.sums }
 
-// ExpandTime reports the wall time this session has spent expanding —
-// the shard router's per-shard latency.
-func (ss *Session) ExpandTime() time.Duration { return ss.busy }
-
 // prune applies Algorithm 10's two pruning conditions (lines 17–20) with
-// the global k-th score and this session's own frontier bound: (1) no
-// remaining representatives, or (2) the upper bound W_r·maxEP + heap[t]
-// cannot reach the k-th score. depth is the expansion level the run is
+// the k-th score and the frontier bound: (1) no remaining
+// representatives, or (2) the upper bound W_r·maxEP + heap[t] cannot
+// reach the k-th score. depth is the expansion level the run is
 // at, recorded for Trace. No-op in exhaustive mode.
 func (ss *Session) prune(kth float64, depth int) {
 	if ss.s.opts.DisablePruning {
@@ -118,30 +107,10 @@ func (ss *Session) prune(kth float64, depth int) {
 	}
 }
 
-// alive reports whether any topic in this session could still change
-// rank: unpruned (or, exhaustively, with representative mass left). A
-// dead session's scores are final — consume skips pruned states — so
-// Drive stops expanding it: the slice is cancelled mid-run by the
-// influence bound.
-func (ss *Session) alive() bool {
-	for i := range ss.states {
-		st := &ss.states[i]
-		if ss.s.opts.DisablePruning {
-			if !prob.ApproxEq(st.wr, 0, 1e-15) {
-				return true
-			}
-		} else if !st.pruned {
-			return true
-		}
-	}
-	return false
-}
-
 // expand runs one level of Algorithm 11: truncate the frontier, probe Γ
 // for every frontier node, consume into surviving topics and assemble
 // the next frontier.
 func (ss *Session) expand(ctx context.Context) error {
-	t0 := time.Now()
 	untruncated := len(ss.cur)
 	ss.cur = ss.s.truncateFrontier(ss.cur)
 	if len(ss.cur) < untruncated {
@@ -153,7 +122,6 @@ func (ss *Session) expand(ctx context.Context) error {
 		return err
 	}
 	ss.cur, ss.spare = next, ss.cur
-	ss.busy += time.Since(t0)
 	return nil
 }
 

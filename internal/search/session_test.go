@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,8 +11,7 @@ import (
 	"repro/internal/topics"
 )
 
-// randomWorld builds a random weighted graph and summary set for
-// driver-equivalence tests.
+// randomWorld builds a random weighted graph and summary set.
 func randomWorld(t *testing.T, seed int64, nodes, numTopics int) (*Searcher, []summary.Summary) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -38,58 +36,6 @@ func randomWorld(t *testing.T, seed int64, nodes, numTopics int) (*Searcher, []s
 		sums[i] = summary.New(topics.TopicID(i), reps)
 	}
 	return newSearcher(t, ix, Options{MaxExpandDepth: 3, MaxFrontier: 32}), sums
-}
-
-// TestDrivePartitionInvariant drives sessions over arbitrary partitions
-// of the summary set and requires bit-identical results to the
-// one-session TopK — the property the shard router's exactness rests
-// on.
-func TestDrivePartitionInvariant(t *testing.T) {
-	ctx := context.Background()
-	for seed := int64(1); seed <= 5; seed++ {
-		s, sums := randomWorld(t, seed, 60, 12)
-		rng := rand.New(rand.NewSource(seed * 31))
-		for trial := 0; trial < 20; trial++ {
-			user := graph.NodeID(rng.Intn(60))
-			k := 1 + rng.Intn(len(sums))
-			want, err := s.TopK(ctx, user, sums, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Partition the summaries into 1..4 random groups.
-			parts := make([][]summary.Summary, 1+rng.Intn(4))
-			for _, sum := range sums {
-				i := rng.Intn(len(parts))
-				parts[i] = append(parts[i], sum)
-			}
-			var sessions []*Session
-			for _, part := range parts {
-				if len(part) == 0 {
-					continue
-				}
-				ss, err := s.NewSession(ctx, user, part)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sessions = append(sessions, ss)
-			}
-			got, _, err := Drive(ctx, sessions, k, nil)
-			for _, ss := range sessions {
-				ss.Close()
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed=%d trial=%d: %d results, want %d", seed, trial, len(got), len(want))
-			}
-			for i := range want {
-				if want[i].Topic != got[i].Topic || math.Float64bits(want[i].Score) != math.Float64bits(got[i].Score) {
-					t.Fatalf("seed=%d trial=%d result %d: got %+v want %+v", seed, trial, i, got[i], want[i])
-				}
-			}
-		}
-	}
 }
 
 func TestCountUndecided(t *testing.T) {
@@ -124,7 +70,7 @@ func TestSessionValidation(t *testing.T) {
 		t.Fatalf("empty summary set rejected: %v", err)
 	}
 	defer ss.Close()
-	if res, _, err := Drive(context.Background(), []*Session{ss}, 3, nil); err != nil || len(res) != 0 {
+	if res, _, err := Drive(context.Background(), ss, 3, nil); err != nil || len(res) != 0 {
 		t.Errorf("empty session: res=%v err=%v, want no results", res, err)
 	}
 }

@@ -118,10 +118,8 @@ type scratch struct {
 	// sess is the session handed out by NewSession: it lives in the
 	// arena so a warm TopK allocates nothing but its result slice.
 	sess Session
-	// ranked and live are Drive's cross-session scratch; Drive borrows
-	// the arena of the first session it is given.
+	// ranked is Drive's ranking scratch.
 	ranked []*topicState
-	live   []*Session
 }
 
 // getScratch fetches (or creates) a scratch arena sized for this query.
@@ -165,7 +163,6 @@ func (s *Searcher) getScratch(numTopics, totalReps int) *scratch {
 func (sc *scratch) dropRefs() {
 	clear(sc.states)
 	clear(sc.ranked)
-	clear(sc.live)
 	sc.sess = Session{}
 }
 
@@ -193,7 +190,7 @@ func (s *Searcher) TopK(ctx context.Context, user graph.NodeID, summaries []summ
 		return nil, err
 	}
 	defer ss.Close()
-	res, _, err := Drive(ctx, []*Session{ss}, k, nil)
+	res, _, err := Drive(ctx, ss, k, nil)
 	return res, err
 }
 

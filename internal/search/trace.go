@@ -53,33 +53,31 @@ func (s *Searcher) TopKTrace(ctx context.Context, user graph.NodeID, summaries [
 	}
 	defer ss.Close()
 	tr := &Trace{}
-	_, _, err = Drive(ctx, []*Session{ss}, k, tr)
+	_, _, err = Drive(ctx, ss, k, tr)
 	return tr, err
 }
 
 // fill records the final state of a driven run: per-topic traces in
-// session order, then each session's summary order.
-func (tr *Trace) fill(sessions []*Session, res []Result, depth int) {
+// the session's summary order.
+func (tr *Trace) fill(ss *Session, res []Result, depth int) {
 	tr.Results, tr.Depth = res, depth
-	tr.GammaSize = sessions[0].gammaSize
-	for _, ss := range sessions {
-		for i := range ss.states {
-			st := &ss.states[i]
-			consumed := 0
-			for _, c := range st.consumed {
-				if c {
-					consumed++
-				}
+	tr.GammaSize = ss.gammaSize
+	for i := range ss.states {
+		st := &ss.states[i]
+		consumed := 0
+		for _, c := range st.consumed {
+			if c {
+				consumed++
 			}
-			tr.Topics = append(tr.Topics, TopicTrace{
-				Topic:           st.id,
-				Score:           st.score,
-				ConsumedReps:    consumed,
-				TotalReps:       len(st.reps),
-				RemainingWeight: st.wr,
-				Pruned:          st.pruned,
-				PrunedAtDepth:   int(st.prunedAt),
-			})
 		}
+		tr.Topics = append(tr.Topics, TopicTrace{
+			Topic:           st.id,
+			Score:           st.score,
+			ConsumedReps:    consumed,
+			TotalReps:       len(st.reps),
+			RemainingWeight: st.wr,
+			Pruned:          st.pruned,
+			PrunedAtDepth:   int(st.prunedAt),
+		})
 	}
 }

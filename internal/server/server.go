@@ -33,10 +33,10 @@
 // engine as a context so expired requests stop burning CPU; a semaphore
 // (Config.MaxInflight) sheds excess load with 429 + Retry-After; and
 // /search runs through the engine's fidelity ladder
-// (a planned core.Query, DESIGN.md §13): a search that cannot afford or
-// cannot complete full-fidelity summarization degrades down the tier
-// ladder — materialized summaries only, then the last-known-good stale
-// answer — and answers 200 with "degraded": true and the serving tier
+// (a planned core.Query, DESIGN.md §13): a search whose full-fidelity
+// attempt fails or runs out of time degrades down the tier ladder —
+// materialized summaries only, then the last-known-good stale answer —
+// and answers 200 with "degraded": true and the serving tier
 // in the "tier" field and X-Pit-Tier header; only a request nothing
 // cached can answer gets 503 + Retry-After.
 //

@@ -12,13 +12,10 @@
 // shard count: the partition is applied when it is loaded
 // (LoadArtifacts), never stored.
 //
-// The Router merges per-shard top-k exactly: it opens one search
-// session per owning shard and search.Drive — the same round loop a
-// single engine uses — steps them level by level, sharing the global
-// k-th score so every shard applies Algorithm 10's pruning bound
-// against the same threshold the single engine would, and stops
-// expanding a shard the moment the bound proves none of its topics can
-// rise — pruned mid-scatter, never approximated. The golden and the
+// The Router answers exactly what one engine over every topic would: it
+// gathers the summaries of each owning shard — built or cached by that
+// shard's own corpus and summarizers — into one search session, which
+// search.Drive runs like any single engine's. The golden and the
 // differential test pin byte-identity with the single-engine ranking at
 // N ∈ {1, 2, 7, 31}.
 package shard

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -24,22 +23,19 @@ type Config struct {
 // Router is the scatter-gather front of a shard set. It runs queries
 // through the same core.Ladder a single engine does; what it
 // contributes is its hold — one generation of the shard set, loaded and
-// held once per request — and the scatter that opens a session on each
-// owning shard of it. All state it holds is routing state (the
-// partition, the generation source, metrics, the ladder's
-// last-known-good answers — a merged answer spans shards, so no single
-// engine ever held it); the serving state lives in the shard engines,
-// which a streaming deployment replaces a generation at a time
-// underneath it.
+// held once per request — and the scatter that gathers the summaries of
+// each owning shard of it into the request's one search session. All
+// state it holds is routing state (the partition, the generation
+// source, metrics, the ladder's last-known-good answers — an answer
+// spans shards, so no single engine ever held it); the serving state
+// lives in the shard engines, which a streaming deployment replaces a
+// generation at a time underneath it.
 //
-// Exactness: search.Drive steps one search.Session per owning shard
-// level by level, exchanging the global k-th score each round — the
-// per-shard frontier evolution is topic-independent and the pruning
-// predicate runs on the same float64 inputs the single engine's would,
-// so the merged ranking is byte-identical to a single engine over the
-// whole topic set (pinned by TestGoldenAnswers and
-// TestRouterMatchesSingleEngine). A shard all of whose topics the bound
-// prunes stops expanding mid-scatter.
+// Exactness: the session runs on shard 0's searcher over every owning
+// shard's summaries. Every shard carries the same indexes, and each
+// summary is the bytes the single engine builds for its topic, so the
+// ranking is byte-identical to a single engine over the whole topic set
+// (pinned by TestGoldenAnswers and TestRouterMatchesSingleEngine).
 type Router struct {
 	part   *Partitioner
 	gen    func() *core.Generation
@@ -66,7 +62,7 @@ func New(part *Partitioner, gen func() *core.Generation, cfg Config) (*Router, e
 	}
 	r := &Router{part: part, gen: gen}
 	if cfg.Metrics != nil {
-		r.met = newRouterMetrics(cfg.Metrics, part.Shards())
+		r.met = newRouterMetrics(cfg.Metrics)
 	}
 	r.ladder = core.NewLadder(cfg.Metrics, r.pin)
 	return r, nil
@@ -247,63 +243,28 @@ func (s scatter) Graph() *graph.Graph  { return s.gen.Graph() }
 func (s scatter) Space() *topics.Space { return s.gen.Space() }
 func (s scatter) Generation() uint64   { return s.gen.ID }
 
-// Open scatters the open to every owning shard in parallel and gathers
-// one session per shard. It waits for every shard, so a shard whose
-// build path fails — breaker open, summarizer fault — fails the open
-// only after the healthy shards' builds are done and cached: the
-// ladder's materialized rung, re-opening every shard cached-only, then
-// serves the healthy slices whole. On a failure every opened session is
-// closed and the lowest-shard error surfaces (deterministically, like
-// the single engine's first-error contract).
+// Open splits the request's topics by owning shard and opens one
+// session over every owner's summaries (core.Generation.Open): each
+// shard supplies its slice from its own corpus and build path, so a
+// shard whose build fails — breaker open, summarizer fault — fails the
+// open only after the healthy shards' builds are cached, and the
+// ladder's materialized rung then serves the healthy slices whole.
 func (s scatter) Open(ctx context.Context, req core.OpenRequest) (core.Opened, error) {
-	type opened struct {
-		core.Opened
-		shard int
-		took  time.Duration
+	parts := s.r.part.Split(req.Topics)
+	o, err := s.gen.Open(ctx, req, parts)
+	if err != nil {
+		return o, err
 	}
-	r := s.r
-	parts := r.part.Split(req.Topics)
-	outs := make([]opened, 0, len(parts))
-	for i, ts := range parts {
+	fanout := 0
+	for _, ts := range parts {
 		if len(ts) > 0 {
-			outs = append(outs, opened{shard: i})
+			fanout++
 		}
 	}
-	errs := make([]error, len(outs))
-	var wg sync.WaitGroup
-	for j := range outs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o := &outs[j]
-			t0 := time.Now()
-			eng := s.gen.Engines[o.shard]
-			sub := req
-			sub.Topics = parts[o.shard]
-			o.Opened, errs[j] = eng.Open(ctx, sub)
-			o.took = time.Since(t0)
-		}()
+	done := o.Done
+	o.Done = func(st *search.Stats) {
+		done(st)
+		s.r.met.observeScatter(fanout, st)
 	}
-	wg.Wait()
-
-	all := core.Opened{Complete: true}
-	for _, o := range outs {
-		all.Sessions = append(all.Sessions, o.Sessions...)
-		all.Complete = all.Complete && o.Complete
-	}
-	all.Done = func(st *search.Stats) {
-		for _, o := range outs {
-			if o.Done == nil {
-				continue // this shard's open failed
-			}
-			r.met.observeShard(o.shard, o.took+o.Sessions[0].ExpandTime())
-			o.Done(nil)
-		}
-		r.met.observeScatter(len(outs), st)
-	}
-	if err := firstError(errs); err != nil {
-		all.Done(nil)
-		return core.Opened{}, err
-	}
-	return all, nil
+	return o, nil
 }

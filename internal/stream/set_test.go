@@ -3,11 +3,14 @@ package stream
 // A batch is applied to the deployment, not to a shard: the tests here
 // run one pipeline over two shard engines and pin what a per-shard
 // pipeline could not promise — one clock reading, one published
-// generation, counters that cover every shard, and no partial publish.
+// generation, counters that cover every shard, no partial publish, and
+// the same indexes on every shard after every batch.
 
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -151,6 +154,69 @@ func TestSetOnApplySeesEveryShardSwapped(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Every shard patches its own copy of the indexes, yet a query runs one
+// search session on shard 0's Γ over every shard's summaries: that is
+// exact only while each shard's walks and Γ equal shard 0's bit for bit.
+// Pin it after every batch — edge-only batches (index patches) and one
+// that grows a node (a full build).
+func TestSetShardIndexesIdentical(t *testing.T) {
+	engines := testSet(t, 150, 13)
+	p, err := NewSet(engines, Config{BatchSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeSet(p)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(13))
+	nodes := engines[0].Graph().NumNodes()
+	for flush := 1; flush <= 5; flush++ {
+		if flush == 3 {
+			if err := p.GrowNodes(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Submit(Event{From: 2, To: graph.NodeID(nodes), Weight: 0.4}); err != nil {
+				t.Fatal(err)
+			}
+			nodes++
+		}
+		for i := 0; i < 6; i++ {
+			from, to := rng.Intn(nodes), rng.Intn(nodes)
+			if from == to {
+				continue
+			}
+			if err := p.Submit(Event{From: graph.NodeID(from), To: graph.NodeID(to), Weight: 0.1 + 0.8*rng.Float64()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		gen := p.Current()
+		if gen.ID != uint64(flush) {
+			t.Fatalf("flush %d published generation %d", flush, gen.ID)
+		}
+		l0, r0, n0, w0, h0, ro0, rs0 := gen.Engines[0].Walks().Raw()
+		th0, off0, src0, prop0, pot0 := gen.Engines[0].Prop().Raw()
+		for i, eng := range gen.Engines[1:] {
+			l, r, n, w, h, ro, rs := eng.Walks().Raw()
+			if l != l0 || r != r0 || n != n0 || !slices.Equal(w, w0) || !slices.EqualFunc(h, h0, sameBits) ||
+				!slices.Equal(ro, ro0) || !slices.Equal(rs, rs0) {
+				t.Fatalf("flush %d: shard %d's walk index differs from shard 0's", flush, i+1)
+			}
+			th, off, src, prop, pot := eng.Prop().Raw()
+			if math.Float64bits(th) != math.Float64bits(th0) || !slices.Equal(off, off0) || !slices.Equal(src, src0) ||
+				!sameBits(prop, prop0) || !slices.Equal(pot, pot0) {
+				t.Fatalf("flush %d: shard %d's Γ differs from shard 0's", flush, i+1)
+			}
+		}
+	}
+}
+
+// sameBits reports whether two float rows are equal bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // pit_stream_carried_summaries_total counts the deployment's carried
