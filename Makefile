@@ -25,8 +25,9 @@ help:
 	@echo "make bench-smoke - one-shot benchmark smoke: figure benchmarks plus the"
 	@echo "                   search/core/rcl/lrw/randwalk/propidx/dynamic/stream micro-benchmarks"
 	@echo "                   (lrw's SummarizeMany and core's ColdOpen time a 120-topic refill,"
-	@echo "                   stream's Flush one streamed batch, dynamic's Apply its graph"
-	@echo "                   splice), the benchmark harness's"
+	@echo "                   core's WarmSummaries the 1 200-topic warm-up per method at one"
+	@echo "                   worker and at GOMAXPROCS, stream's Flush one streamed batch,"
+	@echo "                   dynamic's Apply its graph splice), the benchmark harness's"
 	@echo "                   -smoke run, and pitserve -smoke at -shards 1 (the default) and 2,"
 	@echo "                   the second cold-starting from the artifacts the first saved"
 	@echo "                   (the metric family list is TestMetricFamiliesDocumented's, under make test)"
@@ -43,8 +44,9 @@ help:
 	@echo "                   an open session holding the query gate until Done"
 	@echo "                   (OpenHoldsGateUntilDone), every shard's walks and Γ equal"
 	@echo "                   to shard 0's after every batch (ShardIndexesIdentical),"
-	@echo "                   the generation the /updates ack, /search and /stats report and"
-	@echo "                   the multi-key singleflight (DoMany) tests"
+	@echo "                   the generation the /updates ack, /search and /stats report,"
+	@echo "                   a building open spreading its misses over every core"
+	@echo "                   (BuildingOpenFansOut) and the multi-key singleflight (DoMany) tests"
 	@echo "make vulncheck   - govulncheck when installed (best-effort)"
 
 build:
@@ -117,13 +119,15 @@ race:
 # engine's query gate until Done (a Retire drains behind it), every
 # shard's walks and Γ bit-identical to shard 0's after every streamed
 # batch (what one search session over every shard's summaries rests
-# on), and the
+# on), a building open spreading its misses over every core (each topic
+# built once, a serial engine's bits, the first error in topic order, a
+# cancel mid-fan-out leaving no goroutine), and the
 # /updates ack, /search and /stats agreeing on the generation — always under
 # the race detector, since the interesting bugs here are races between
 # degradation, detached builds, swap and close.
 chaos:
 	$(GO) test -race ./internal/chaos/
-	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|FaultedShard|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker|PatchIndexesCanceledContext|CacheGetPutTTL|CacheLRUEviction|CacheConcurrent|WalksLadder|DeadlineDegrades|DeadlineWithNothingCached|TestDegraded|ResponsesReportGeneration|OpenHoldsGateUntilDone|ShardIndexesIdentical' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
+	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|FaultedShard|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker|PatchIndexesCanceledContext|CacheGetPutTTL|CacheLRUEviction|CacheConcurrent|WalksLadder|DeadlineDegrades|DeadlineWithNothingCached|TestDegraded|ResponsesReportGeneration|OpenHoldsGateUntilDone|ShardIndexesIdentical|BuildingOpenFansOut' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.
@@ -134,9 +138,10 @@ bench:
 
 # Benchmark smoke: run the data_2k figure benchmarks and the online-path
 # and write-side (walk index, Γ, summarizer, the 120-topic refill:
-# lrw's BenchmarkSummarizeMany, core's BenchmarkColdOpen, one streamed
-# batch: stream's BenchmarkFlush, and its graph splice: dynamic's
-# BenchmarkApply) micro-benchmarks,
+# lrw's BenchmarkSummarizeMany, core's BenchmarkColdOpen, the 1 200-topic
+# warm-up per method at one worker and at GOMAXPROCS: core's
+# BenchmarkWarmSummaries, one streamed batch: stream's BenchmarkFlush,
+# and its graph splice: dynamic's BenchmarkApply) micro-benchmarks,
 # their data_350k sub-benchmarks included, exactly once (-benchtime 1x), plus
 # the benchmark harness's seconds-long -smoke run, to prove every
 # benchmark path still executes. No timing value — just "does it run". The pitserve -smoke

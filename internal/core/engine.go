@@ -147,15 +147,14 @@ type Engine struct {
 	// Set by BuildIndexes/LoadArtifacts/ShareIndexes and published by
 	// the ready flag: immutable — and therefore read without locks —
 	// once ready is true. idx is the shareable read-only unit
-	// (indexset.go); the summarizers stay per-engine because RCL owns
-	// mutable BFS scratch.
+	// (indexset.go); the summarizers are per-engine, built over its walk
+	// index, and both are safe for concurrent use.
 	idx    indexSet
 	lrwSum *lrw.Summarizer
 	rclSum *rcl.Summarizer
 
 	ready   atomic.Bool // true once BuildIndexes published the fields above
 	buildMu sync.Mutex  // serializes BuildIndexes
-	rclMu   sync.Mutex  // the RCL summarizer owns mutable BFS scratch
 
 	ovMu     sync.RWMutex
 	override map[Method]summary.Summarizer // guarded by ovMu
@@ -436,7 +435,7 @@ func (e *Engine) Summarize(ctx context.Context, m Method, t topics.TopicID) (sum
 		return summary.Summary{}, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, m)
 	}
 	var out [1]summary.Summary
-	if err := e.summarizeInto(ctx, m, []topics.TopicID{t}, out[:]); err != nil {
+	if err := e.summarizeInto(ctx, m, []topics.TopicID{t}, out[:], 1, nil); err != nil {
 		return summary.Summary{}, err
 	}
 	return out[0], nil
@@ -549,13 +548,14 @@ func (e *Engine) Open(ctx context.Context, req OpenRequest) (Opened, error) {
 // summaries appends the summaries of ts under req.Method to dst, for a
 // search session. A building request materializes cache misses first,
 // in blocks through the engine's miss path (deduplicated through the
-// corpus singleflight); a cached request takes what is materialized and
-// counts the rest as skipped. dst must have room for len(ts) more.
-func (e *Engine) summaries(ctx context.Context, req OpenRequest, ts []topics.TopicID, dst []summary.Summary) ([]summary.Summary, error) {
+// corpus singleflight) on up to builders goroutines; a cached request
+// takes what is materialized and counts the rest as skipped. dst must
+// have room for len(ts) more.
+func (e *Engine) summaries(ctx context.Context, req OpenRequest, ts []topics.TopicID, dst []summary.Summary, builders int) ([]summary.Summary, error) {
 	if !req.Cached {
 		n := len(dst)
 		dst = dst[:n+len(ts)]
-		return dst, e.summarizeInto(ctx, req.Method, ts, dst[n:])
+		return dst, e.summarizeInto(ctx, req.Method, ts, dst[n:], builders, nil)
 	}
 	for _, t := range ts {
 		if s, ok := e.corpus.cached(cacheKey{req.Method, t}); ok {
@@ -572,7 +572,8 @@ func (e *Engine) summaries(ctx context.Context, req OpenRequest, ts []topics.Top
 // (≤ 0: GOMAXPROCS, via clampWorkers). Concurrent builds of one topic —
 // within this call or across calls — collapse to one summarization via
 // the singleflight group. The result is indexed like the input; on
-// error the first failure observed is returned.
+// error the first failure in input order is returned, once every other
+// block has built.
 func (e *Engine) MaterializeTopics(ctx context.Context, m Method, ts []topics.TopicID, workers int) ([]summary.Summary, error) {
 	ctx, release, err := e.acquire(ctx)
 	if err != nil {
@@ -583,14 +584,7 @@ func (e *Engine) MaterializeTopics(ctx context.Context, m Method, ts []topics.To
 		return nil, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, m)
 	}
 	sums := make([]summary.Summary, len(ts))
-	if clampWorkers(workers, len(ts)) == 1 {
-		// Inline, not through the pool: a one-worker call over cached
-		// topics costs no goroutine and no closure.
-		err = e.summarizeInto(ctx, m, ts, sums)
-	} else {
-		err = e.summarizeChunks(ctx, m, ts, sums, workers, nil)
-	}
-	if err != nil {
+	if err := e.summarizeInto(ctx, m, ts, sums, workers, nil); err != nil {
 		return nil, err
 	}
 	return sums, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/graph"
@@ -85,7 +86,10 @@ func (g *Generation) Hold(ctx context.Context) (context.Context, func(), error) 
 // generation stays held (Hold) until Done. Owners gather in parallel
 // when there is more than one, and Open waits for all of them: a failing
 // owner fails the open only after the healthy owners' builds are cached,
-// and the lowest-index error surfaces.
+// and the lowest-index error surfaces. A building open's misses build on
+// every core: a lone owner gets GOMAXPROCS builders, each of N owners
+// GOMAXPROCS/N (at least one), so a request never runs more builders
+// than there are cores.
 func (g *Generation) Open(ctx context.Context, req OpenRequest, parts [][]topics.TopicID) (Opened, error) {
 	ctx, release, err := g.Hold(ctx)
 	if err != nil {
@@ -123,6 +127,7 @@ func (g *Generation) gather(ctx context.Context, req OpenRequest, parts [][]topi
 			owners++
 		}
 	}
+	builders := max(1, runtime.GOMAXPROCS(0)/max(owners, 1))
 	buf := make([]summary.Summary, total)
 	got := make([][]summary.Summary, len(parts))
 	errs := make([]error, len(parts))
@@ -135,13 +140,13 @@ func (g *Generation) gather(ctx context.Context, req OpenRequest, parts [][]topi
 		dst := buf[off : off : off+len(ts)]
 		off += len(ts)
 		if owners == 1 {
-			got[i], errs[i] = g.Engines[i].summaries(ctx, req, ts, dst)
+			got[i], errs[i] = g.Engines[i].summaries(ctx, req, ts, dst, builders)
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = g.Engines[i].summaries(ctx, req, ts, dst)
+			got[i], errs[i] = g.Engines[i].summaries(ctx, req, ts, dst, builders)
 		}()
 	}
 	wg.Wait()

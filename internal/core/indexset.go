@@ -139,10 +139,10 @@ func (e *Engine) publishIndexes(produce func() (indexSet, error)) error {
 }
 
 // installIndexes wires an indexSet into the engine and constructs the
-// per-engine summarizer pair over its walk index. The summarizers are
-// deliberately not part of the set: the RCL summarizer owns mutable
-// BFS scratch serialized by rclMu, so engines sharing one indexSet
-// still summarize in parallel — the point of partitioning the corpus.
+// per-engine summarizer pair over its walk index. Both summarizers are
+// safe for concurrent use — each call takes its own scratch arena from
+// the summarizer's pool — so engines sharing one indexSet, and the
+// builders of one engine, summarize in parallel.
 // The caller publishes with ready.Store(true) after this returns.
 func (e *Engine) installIndexes(idx indexSet) error {
 	lrwSum, err := lrw.New(e.g, e.space, idx.walks, e.opts.LRW)

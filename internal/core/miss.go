@@ -2,16 +2,17 @@ package core
 
 // The engine's one cache-miss path. Summarize, a building Open,
 // MaterializeTopics and WarmTopics all read through summarizeInto: one
-// cache lookup per topic, and the misses handed to the corpus flight in
-// blocks of up to lrw.Lanes topics, so LRW-A's built-in summarizer runs
-// Equation 5 for a whole block in one pass (DESIGN.md §12 "Four topics per
-// pass") while every other backend builds the block topic by topic.
+// cache lookup per topic, then the distinct misses handed to the corpus
+// flight in blocks of up to lrw.Lanes topics spread over the caller's
+// builders — every core, for a building Open — so LRW-A's built-in
+// summarizer runs Equation 5 for a whole block in one pass (DESIGN.md §12
+// "Four topics per pass") while every other backend builds the block
+// topic by topic.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/lrw"
@@ -20,15 +21,24 @@ import (
 	"repro/internal/topics"
 )
 
-// summarizeInto makes sums[i] ts[i]'s summary under m. Each topic costs
-// one cache lookup, served even when ctx is done. Misses gather, as
-// distinct topics, into a block that is built once it is full and again
-// at the end, so a topic listed twice is built once, and a topic listed
-// again after its block was built is a cache hit. The first error in ts
-// order is returned.
-func (e *Engine) summarizeInto(ctx context.Context, m Method, ts []topics.TopicID, sums []summary.Summary) error {
-	var block [lrw.Lanes]topics.TopicID
-	k, from := 0, 0 // block holds the distinct misses among ts[from:]
+// summarizeInto makes sums[i] ts[i]'s summary under m, in two phases.
+// First each topic costs one cache lookup, served even when ctx is done,
+// and the misses are collected as distinct topics, so a topic listed
+// twice is built once; a fully cached call ends there, having spawned
+// and allocated nothing. Then the misses are built in blocks through the
+// corpus flight on clampWorkers(workers, misses) goroutines of
+// forEachIndex, each block chunkSize topics. A failing block does not
+// stop the others — whatever builds is cached — and the error returned
+// is the first in ts order; a done ctx stops the hand-out of blocks.
+// done, when non-nil, is called with the number of ts positions each step
+// served: the hits once the lookups are over, then each block that built.
+func (e *Engine) summarizeInto(ctx context.Context, m Method, ts []topics.TopicID, sums []summary.Summary, workers int, done func(n int)) error {
+	var (
+		miss  []topics.TopicID       // the distinct misses, in ts order
+		index map[topics.TopicID]int // index[t] is t's position in miss
+		at    []int                  // at[i] indexes miss for a ts[i] that missed, -1 for a hit
+		hits  int
+	)
 	for i, t := range ts {
 		if !e.space.Valid(t) {
 			return fmt.Errorf("%w: unknown topic %d", ErrInvalidArgument, t)
@@ -38,59 +48,89 @@ func (e *Engine) summarizeInto(ctx context.Context, m Method, ts []topics.TopicI
 				e.met.cacheHits[m].Inc()
 			}
 			sums[i] = s
+			hits++
+			if at != nil {
+				at[i] = -1
+			}
 			continue
 		}
 		if e.met != nil {
 			e.met.cacheMisses[m].Inc()
 		}
-		if slices.Contains(block[:k], t) {
-			continue
-		}
-		if k == len(block) {
-			if err := e.fillBlock(ctx, m, block[:k], ts[from:i], sums[from:i]); err != nil {
-				return err
+		if at == nil {
+			at = make([]int, len(ts))
+			for j := range i {
+				at[j] = -1
 			}
-			k, from = 0, i
+			index = make(map[topics.TopicID]int)
 		}
-		block[k] = t
-		k++
+		j, seen := index[t]
+		if !seen {
+			j = len(miss)
+			index[t] = j
+			miss = append(miss, t)
+		}
+		at[i] = j
 	}
-	if k == 0 {
+	if done != nil && hits > 0 {
+		done(hits)
+	}
+	if miss == nil {
 		return nil
 	}
-	return e.fillBlock(ctx, m, block[:k], ts[from:], sums[from:])
-}
-
-// summarizeChunks is summarizeInto across up to workers goroutines
-// pulling chunks of ts from forEachIndex's cursor. done, when non-nil, is
-// called with each finished chunk's size.
-func (e *Engine) summarizeChunks(ctx context.Context, m Method, ts []topics.TopicID, sums []summary.Summary, workers int, done func(n int)) error {
-	size := chunkSize(len(ts), clampWorkers(workers, len(ts)))
-	return forEachIndex(ctx, (len(ts)+size-1)/size, workers, func(c int) error {
-		lo, hi := c*size, min((c+1)*size, len(ts))
-		if err := e.summarizeInto(ctx, m, ts[lo:hi], sums[lo:hi]); err != nil {
-			return err
+	w := clampWorkers(workers, len(miss))
+	size := chunkSize(len(miss), w)
+	blocks := (len(miss) + size - 1) / size
+	var served []int // served[b] counts the ts positions block b fills
+	if done != nil {
+		served = make([]int, blocks)
+		for _, j := range at {
+			if j >= 0 {
+				served[j/size]++
+			}
 		}
-		if done != nil {
-			done(hi - lo)
+	}
+	built := make([]summary.Summary, len(miss))
+	errs := make([]error, blocks)
+	err := forEachIndex(ctx, blocks, w, func(b int) error {
+		lo, hi := b*size, min((b+1)*size, len(miss))
+		errs[b] = e.fillBlock(ctx, m, miss[lo:hi], built[lo:hi])
+		if errs[b] == nil && done != nil {
+			done(served[b])
 		}
 		return nil
 	})
+	for _, blockErr := range errs {
+		if blockErr != nil {
+			return blockErr
+		}
+	}
+	if err != nil {
+		return err
+	}
+	for i, j := range at {
+		if j >= 0 {
+			sums[i] = built[j]
+		}
+	}
+	return nil
 }
 
-// chunkSize is how many topics a worker takes at a time: a block, but
-// never so many that the pool gets fewer than four chunks a worker — work
-// stealing balances uneven topics only across chunks, and a cancellation
-// strands at most the chunk each worker has in flight.
+// chunkSize is how many topics a builder takes at a time: a block of
+// lrw.Lanes, but never so many that the pool gets fewer than four blocks
+// a builder — work stealing balances uneven topics only across blocks,
+// and a cancellation strands at most the block each builder has in
+// flight.
 func chunkSize(n, workers int) int {
 	return min(max(n/(4*workers), 1), lrw.Lanes)
 }
 
 // fillBlock builds block — distinct topics of m that missed the cache —
-// through the corpus flight, then copies each summary to every position
-// of ts naming its topic. A topic another caller's flight built counts
-// one dedup wait; the builds this caller leads count in buildBlock.
-func (e *Engine) fillBlock(ctx context.Context, m Method, block, ts []topics.TopicID, sums []summary.Summary) error {
+// through the corpus flight into sums, sums[j] for block[j]. A topic
+// another caller's flight built counts one dedup wait; the builds this
+// caller leads count in buildBlock. The first error in block order is
+// returned.
+func (e *Engine) fillBlock(ctx context.Context, m Method, block []topics.TopicID, sums []summary.Summary) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -102,7 +142,7 @@ func (e *Engine) fillBlock(ctx context.Context, m Method, block, ts []topics.Top
 		e.buildBlock(ctx, m, keys, sums, errs)
 	})
 	var err error
-	for _, r := range res {
+	for j, r := range res {
 		if e.met != nil {
 			if r.Shared {
 				e.met.dedupWaits[m].Inc()
@@ -118,16 +158,9 @@ func (e *Engine) fillBlock(ctx context.Context, m Method, block, ts []topics.Top
 		if err == nil {
 			err = r.Err
 		}
+		sums[j] = r.Val
 	}
-	if err != nil {
-		return err
-	}
-	for i, t := range ts {
-		if j := slices.Index(block, t); j >= 0 {
-			sums[i] = res[j].Val
-		}
-	}
-	return nil
+	return err
 }
 
 // buildBlock is the flight leader's half of a block: keys are the topics
@@ -231,8 +264,5 @@ func (e *Engine) summarizeBackend(ctx context.Context, ov summary.Summarizer, k 
 	if ov != nil {
 		return ov.Summarize(ctx, k.t)
 	}
-	// The RCL summarizer owns mutable BFS state; serialize it.
-	e.rclMu.Lock()
-	defer e.rclMu.Unlock()
 	return e.rclSum.Summarize(ctx, k.t)
 }

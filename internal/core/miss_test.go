@@ -9,10 +9,16 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/summary"
 	"repro/internal/topics"
 )
@@ -191,6 +197,169 @@ func TestCachedBuildingOpenCostsNothingExtra(t *testing.T) {
 	if building, cached := testing.AllocsPerRun(50, open(false)), testing.AllocsPerRun(50, open(true)); building != cached {
 		t.Errorf("a fully cached building Open allocates %v, a cached Open %v", building, cached)
 	}
+}
+
+// wideWorld is smallWorld's graph under a 40-topic space, enough topics
+// for a building Open to spread its misses over several blocks a
+// builder.
+var wideWorld = sync.OnceValues(func() (*graph.Graph, *topics.Space) {
+	g, _ := smallWorld()
+	space, err := dataset.GenerateTopics(g, dataset.TopicConfig{
+		Tags: 8, TopicsPerTag: 5, MeanTopicNodes: 15, Locality: 0.7, Seed: 11,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return g, space
+})
+
+func wideEngine(t testing.TB) *Engine {
+	t.Helper()
+	g, space := wideWorld()
+	eng, err := New(g, space, Options{WalkL: 4, WalkR: 8, Theta: 0.02, Seed: 7, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.BuildIndexes(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	return eng
+}
+
+// TestBuildingOpenFansOut: with two or more cores, a building Open over
+// 36 invalidated topics — one of them listed twice — builds its misses
+// on several builders. Each topic builds once, with no dedup wait, and
+// the summaries and the answer are a serial engine's bits, under both
+// methods. A failing topic fails the open with the first error in topic
+// order, not the first one observed, once every other topic is cached;
+// a context canceled mid-fan-out returns context.Canceled and leaves no
+// goroutine behind.
+func TestBuildingOpenFansOut(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	ctx := context.Background()
+	const distinct = 36
+	ts := make([]topics.TopicID, 0, distinct+1)
+	for i := range distinct {
+		ts = append(ts, topics.TopicID(i))
+		if i == 5 {
+			ts = append(ts, 5) // listed twice, inside one block's reach
+		}
+	}
+	open := func(ctx context.Context, eng *Engine, m Method) ([]summary.Summary, error) {
+		o, err := eng.Open(ctx, OpenRequest{Method: m, Topics: ts, User: 3})
+		if err != nil {
+			return nil, err
+		}
+		defer o.Done(nil)
+		return o.Session.Summaries(), nil
+	}
+
+	for _, m := range []Method{MethodLRW, MethodRCL} {
+		t.Run(m.String(), func(t *testing.T) {
+			eng, ref := wideEngine(t), wideEngine(t)
+			if err := eng.WarmSummaries(ctx, m, WarmOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range ts {
+				eng.InvalidateTopic(id)
+			}
+			builds, waits := eng.met.builds[m].Value(), eng.met.dedupWaits[m].Value()
+			got, err := open(ctx, eng, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := eng.met.builds[m].Value() - builds; n != distinct {
+				t.Errorf("pit_summary_builds_total rose by %d, want %d", n, distinct)
+			}
+			if n := eng.met.dedupWaits[m].Value() - waits; n != 0 {
+				t.Errorf("%d dedup waits inside one open, want 0", n)
+			}
+			want := make([]summary.Summary, len(ts))
+			for i, id := range ts {
+				if want[i], err = ref.Summarize(ctx, m, id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if summary.Digest(got) != summary.Digest(want) {
+				t.Fatal("the fanned-out open's summaries differ from serial builds")
+			}
+			for _, id := range ts {
+				eng.InvalidateTopic(id)
+			}
+			q := Query{Method: m, Topics: allTopics(eng.Space())[:distinct], User: 3, K: 5, Fidelity: FidelityFull}
+			gotAns, err := eng.Run(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantAns, err := ref.Run(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotAns.Ranking(), wantAns.Ranking()) {
+				t.Fatalf("fanned-out answer %v, serial engine's %v", gotAns.Ranking(), wantAns.Ranking())
+			}
+		})
+	}
+
+	t.Run("first error in topic order", func(t *testing.T) {
+		eng := wideEngine(t)
+		low, high := errors.New("topic 20 failed"), errors.New("topic 30 failed")
+		var inflight, peak atomic.Int32
+		eng.SetSummarizer(MethodLRW, summarizeFunc(func(_ context.Context, id topics.TopicID) (summary.Summary, error) {
+			n := inflight.Add(1)
+			defer inflight.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			switch id {
+			case 20:
+				time.Sleep(20 * time.Millisecond) // topic 30 fails first
+				return summary.Summary{}, low
+			case 30:
+				return summary.Summary{}, high
+			}
+			return summary.New(id, nil), nil
+		}))
+		if _, err := open(ctx, eng, MethodLRW); !errors.Is(err, low) {
+			t.Fatalf("open over two failing topics returned %v, want topic 20's error", err)
+		}
+		if peak.Load() < 2 {
+			t.Error("no two topics built at once: the open did not fan out")
+		}
+		for _, id := range ts {
+			_, ok := eng.CachedSummary(MethodLRW, id)
+			if failing := id == 20 || id == 30; ok == failing {
+				t.Errorf("topic %d cached = %v after the open", id, ok)
+			}
+		}
+	})
+
+	t.Run("canceled mid-fan-out", func(t *testing.T) {
+		eng := wideEngine(t)
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		var calls atomic.Int32
+		eng.SetSummarizer(MethodLRW, summarizeFunc(func(_ context.Context, id topics.TopicID) (summary.Summary, error) {
+			if calls.Add(1) == 9 {
+				cancel()
+			}
+			return summary.New(id, nil), nil
+		}))
+		baseline := runtime.NumGoroutine()
+		if _, err := open(ctx, eng, MethodLRW); !errors.Is(err, context.Canceled) {
+			t.Fatalf("open canceled mid-fan-out returned %v, want context.Canceled", err)
+		}
+		if n := calls.Load(); n >= distinct {
+			t.Errorf("%d topics built after a cancel at the 9th, want the hand-out stopped", n)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("%d goroutines after the canceled open, %d before", n, baseline)
+		}
+	})
 }
 
 // BenchmarkColdOpen is the refill the first query of a tag pays after a

@@ -27,8 +27,9 @@ import (
 // clampWorkers resolves a requested pool size against a work-item count:
 // requested ≤ 0 defaults to GOMAXPROCS, the pool never exceeds the item
 // count, and the result is at least 1 (a degenerate pool runs serially).
-// Every engine fan-out — summary materialization, batch search, corpus
-// warm-up — sizes its pool through this one helper.
+// Every engine fan-out — the miss blocks of a building Open, summary
+// materialization, batch search, corpus warm-up — sizes its pool
+// through this one helper.
 func clampWorkers(requested, items int) int {
 	if requested <= 0 {
 		requested = runtime.GOMAXPROCS(0)
@@ -57,18 +58,32 @@ type WarmOptions struct {
 
 // forEachIndex calls fn(i) for every i in [0, n) on clampWorkers(workers,
 // n) goroutines that pull indexes from one atomic cursor (work stealing:
-// a worker that lands on a cheap item immediately takes the next one).
-// Every worker checks ctx before each item, and the first error observed
-// — ctx's or fn's — stops the hand-out and is what the call returns.
-// Every engine fan-out (corpus warm-up, topic materialization, the user
-// batch of RunMany) is this one pool.
+// a worker that lands on a cheap item immediately takes the next one); a
+// pool of one runs on the caller's goroutine. Every worker checks ctx
+// before each item, and the first error observed — ctx's or fn's — stops
+// the hand-out and is what the call returns. Every engine fan-out
+// (corpus warm-up, topic materialization, the miss blocks of a building
+// Open, the user batch of RunMany) is this one pool.
 func forEachIndex(ctx context.Context, n, workers int, fn func(i int) error) error {
 	var (
 		wg   sync.WaitGroup
 		next atomic.Int64
 		fail firstError
 	)
-	for w := clampWorkers(workers, n); w > 0; w-- {
+	w := clampWorkers(workers, n)
+	if w == 1 {
+		// Inline: a one-worker pool costs no goroutine.
+		for i := range n {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for ; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -108,20 +123,20 @@ func (e *Engine) WarmSummaries(ctx context.Context, m Method, opts WarmOptions) 
 
 // WarmTopics materializes the summaries of ts under m — the one
 // instrumented warm pool: a whole-corpus warm passes every topic, a
-// shard (shard.Router.WarmOwned) the topics it owns. Up to opts.Workers
-// goroutines pull the topics in chunks of up to a block and drive them
-// through the engine's miss path, i.e. the singleflight group and the
-// sharded cache: topics already materialized are skipped
-// at cache-hit cost, and a warm racing live cache misses collapses into
-// the same in-flight builds. Each warmed topic counts into
-// pit_warm_topics_total and opts.Progress; a completed run observes
-// pit_warm_duration_seconds.
+// shard (shard.Router.WarmOwned) the topics it owns. It is the engine's
+// miss path with up to opts.Workers builders, i.e. the singleflight group
+// and the sharded cache: topics already materialized are skipped at
+// cache-hit cost, the rest build in blocks of up to lrw.Lanes, and a
+// warm racing live cache misses collapses into the same in-flight
+// builds. Each warmed topic counts into pit_warm_topics_total and
+// opts.Progress; a completed run observes pit_warm_duration_seconds.
 //
-// Cancellation and errors follow the engine's pool conventions: ctx is
-// observed between topics by every worker (and inside the summarizers
+// Cancellation and errors follow the miss path's conventions: ctx is
+// observed between blocks by every builder (and inside the summarizers
 // themselves), a mid-run cancellation returns ctx.Err() while every
-// already-completed topic stays cached and valid, and any failure
-// surfaces as the first error observed.
+// already-completed topic stays cached and valid, and a failing topic
+// fails the warm with the first error in ts order once every other
+// block has built.
 func (e *Engine) WarmTopics(ctx context.Context, m Method, ts []topics.TopicID, opts WarmOptions) error {
 	ctx, release, err := e.acquire(ctx)
 	if err != nil {
@@ -139,7 +154,7 @@ func (e *Engine) WarmTopics(ctx context.Context, m Method, ts []topics.TopicID, 
 		progMu sync.Mutex // serializes opts.Progress calls
 		done   int        // guarded by progMu
 	)
-	err = e.summarizeChunks(ctx, m, ts, make([]summary.Summary, len(ts)), opts.Workers, func(n int) {
+	err = e.summarizeInto(ctx, m, ts, make([]summary.Summary, len(ts)), opts.Workers, func(n int) {
 		if e.met != nil {
 			e.met.warmTopics[m].Add(uint64(n))
 		}

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/summary"
 	"repro/internal/topics"
@@ -309,4 +310,55 @@ func ExampleEngine_WarmSummaries() {
 		},
 	})
 	// Output: corpus hot: 12/12 topics
+}
+
+// BenchmarkWarmSummaries times a whole-corpus warm of data_350k's 1 200
+// topics from a cold cache, per method, at one worker and at GOMAXPROCS.
+// At two or more cores the max run must beat the one-worker run for both
+// methods: an RCL-A warm that serialized its builds once ran slower at
+// two workers than at one.
+func BenchmarkWarmSummaries(b *testing.B) {
+	if testing.Short() {
+		b.Skip("data_350k build skipped under -short")
+	}
+	p, err := dataset.PresetByName("data_350k")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := p.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := New(ds.Graph, ds.Space, Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	if err := eng.BuildIndexes(ctx); err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range []struct {
+		name   string
+		method Method
+	}{{"lrw", MethodLRW}, {"rcl", MethodRCL}} {
+		for _, w := range []struct {
+			name    string
+			workers int
+		}{{"1", 1}, {"max", 0}} {
+			b.Run(m.name+"/workers="+w.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					for t := range ds.Space.NumTopics() {
+						eng.InvalidateTopic(topics.TopicID(t))
+					}
+					b.StartTimer()
+					if err := eng.WarmSummaries(ctx, m.method, WarmOptions{Workers: w.workers}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/warm")
+			})
+		}
+	}
 }

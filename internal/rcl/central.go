@@ -53,17 +53,16 @@ func Centrality(tr *graph.Traverser, v graph.NodeID, group []graph.NodeID, maxHo
 }
 
 // centrality computes the same closeness centrality as Centrality over
-// the summarizer's scratch arena: the pending set is an epoch-stamped
-// array, so the per-visit membership test is one word read instead of a
-// map probe and nothing is allocated. The distance accumulation order is
-// identical (BFS visit order), so the two always agree exactly — pinned
-// by TestCentralityMatchesArena.
-func (s *Summarizer) centrality(v graph.NodeID, group []graph.NodeID, maxHops int) float64 {
+// the scratch arena sc: the pending set is an epoch-stamped array, so the
+// per-visit membership test is one word read instead of a map probe, and
+// the bounded BFS runs on sc's own seen stamps and queue in
+// graph.Traverser's visit order, so nothing is allocated. The distance
+// accumulation order is identical, so the two always agree exactly —
+// pinned by TestCentralityMatchesArena.
+func (s *Summarizer) centrality(v graph.NodeID, group []graph.NodeID, maxHops int, sc *scratch) float64 {
 	if len(group) == 0 {
 		return 0
 	}
-	sc := s.sc
-	sc.ensureNodes(s.g.NumNodes())
 	epoch := sc.nextPendEpoch()
 	remaining := 0
 	for _, m := range group {
@@ -78,15 +77,37 @@ func (s *Summarizer) centrality(v graph.NodeID, group []graph.NodeID, maxHops in
 		remaining--
 	}
 	if remaining > 0 {
-		tr := s.tr
-		tr.Forward(v, maxHops, func(n graph.NodeID, d int) bool {
-			if sc.pendStamp[n] == epoch {
-				sc.pendStamp[n] = 0
+		seen := sc.nextSeenEpoch()
+		sc.seenStamp[v] = seen
+		q := append(sc.queue[:0], v)
+		// d is the hop distance of q[head:levelEnd]; a member found at d
+		// adds d, and the walk stops once every member is found.
+		for head, levelEnd, d := 0, 1, 0; head < len(q) && remaining > 0; head++ {
+			if head == levelEnd {
+				d++
+				levelEnd = len(q)
+				if d > maxHops {
+					break
+				}
+			}
+			u := q[head]
+			if sc.pendStamp[u] == epoch {
+				sc.pendStamp[u] = 0
 				totalDist += d
 				remaining--
 			}
-			return remaining > 0
-		})
+			if d == maxHops {
+				continue // children would exceed the bound
+			}
+			out, _ := s.g.OutNeighbors(u)
+			for _, w := range out {
+				if sc.seenStamp[w] != seen {
+					sc.seenStamp[w] = seen
+					q = append(q, w)
+				}
+			}
+		}
+		sc.queue = q
 	}
 	totalDist += remaining * (maxHops + 1)
 	if totalDist == 0 {
@@ -100,7 +121,7 @@ func (s *Summarizer) centrality(v graph.NodeID, group []graph.NodeID, maxHops in
 // candidate set is every node achieving the maximum vote count. The
 // centrality bound is 2L per §3.2 ("the maximal distance of any two nodes
 // in the group is limited to 2L").
-func (s *Summarizer) selectCentral(group []graph.NodeID) graph.NodeID {
+func (s *Summarizer) selectCentral(group []graph.NodeID, sc *scratch) graph.NodeID {
 	if len(group) == 0 {
 		return -1
 	}
@@ -110,8 +131,6 @@ func (s *Summarizer) selectCentral(group []graph.NodeID) graph.NodeID {
 	}
 	// Tally votes in the epoch-stamped arena: voteNodes records which
 	// entries are live this call, so reuse is O(votes cast).
-	sc := s.sc
-	sc.ensureNodes(s.g.NumNodes())
 	epoch := sc.nextVoteEpoch()
 	voteNodes := sc.voteNodes[:0]
 	cast := func(v graph.NodeID) {
@@ -151,13 +170,13 @@ func (s *Summarizer) selectCentral(group []graph.NodeID) graph.NodeID {
 	best := candidates[0]
 	bestScore := -1.0
 	for _, cand := range candidates {
-		score := s.centrality(cand, group, 2*opts.L)
+		score := s.centrality(cand, group, 2*opts.L, sc)
 		if score > bestScore {
 			best, bestScore = cand, score
 		}
 	}
 	if opts.RefineCentroid {
-		best, _ = s.refineCentroid(best, bestScore, group, 2*opts.L)
+		best, _ = s.refineCentroid(best, bestScore, group, 2*opts.L, sc)
 	}
 	return best
 }
@@ -168,14 +187,14 @@ func (s *Summarizer) selectCentral(group []graph.NodeID) graph.NodeID {
 // hill climbing over graph neighbors on the closeness-centrality surface.
 // Iterations are bounded to the group size so pathological plateaus
 // terminate.
-func (s *Summarizer) refineCentroid(best graph.NodeID, bestScore float64, group []graph.NodeID, maxHops int) (graph.NodeID, float64) {
+func (s *Summarizer) refineCentroid(best graph.NodeID, bestScore float64, group []graph.NodeID, maxHops int, sc *scratch) (graph.NodeID, float64) {
 	for step := 0; step <= len(group); step++ {
 		improved := false
 		out, _ := s.g.OutNeighbors(best)
 		in, _ := s.g.InNeighbors(best)
 		for _, nbrs := range [][]graph.NodeID{out, in} {
 			for _, cand := range nbrs {
-				if score := s.centrality(cand, group, maxHops); score > bestScore {
+				if score := s.centrality(cand, group, maxHops, sc); score > bestScore {
 					best, bestScore = cand, score
 					improved = true
 				}

@@ -21,6 +21,7 @@ func TestCentralityMatchesArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := graph.NewTraverser(g)
+	sc := s.arena()
 	rng := rand.New(rand.NewSource(41))
 	checked := 0
 	for ti := 0; ti < space.NumTopics(); ti++ {
@@ -42,7 +43,7 @@ func TestCentralityMatchesArena(t *testing.T) {
 				}
 				for _, maxHops := range []int{1, 4, 8} {
 					want := Centrality(tr, v, group, maxHops)
-					got := s.centrality(v, group, maxHops)
+					got := s.centrality(v, group, maxHops, sc)
 					if got != want {
 						t.Fatalf("topic %d v=%d |group|=%d maxHops=%d: arena %v, map %v",
 							ti, v, len(group), maxHops, got, want)
@@ -56,7 +57,7 @@ func TestCentralityMatchesArena(t *testing.T) {
 		t.Fatal("no centrality pairs checked")
 	}
 	// Empty-group behavior must match too.
-	if got, want := s.centrality(0, nil, 4), Centrality(tr, 0, nil, 4); got != want {
+	if got, want := s.centrality(0, nil, 4, sc), Centrality(tr, 0, nil, 4); got != want {
 		t.Fatalf("empty group: arena %v, map %v", got, want)
 	}
 }

@@ -90,25 +90,13 @@ func (gr *grouping) set(i, j int, l pairLabel) {
 // |V′|. Zero-degree nodes are never sampled (they can neither reach nor
 // be reached). The rng is consulted once per graph node regardless of
 // outcome, so the consumption sequence is independent of the sample.
-func (s *Summarizer) sampleNodes(rate float64, rng *rand.Rand) int {
-	sc := s.sc
+func (s *Summarizer) sampleNodes(rate float64, rng *rand.Rand, sc *scratch) int {
 	epoch := sc.nextSampleEpoch()
 	n := s.g.NumNodes()
 	if n == 0 {
 		return 0
 	}
-	if len(sc.degs) != n {
-		// Degrees and their sum are properties of the immutable graph:
-		// compute them once (same accumulation order as the previous
-		// per-call loop, so totalDeg is the identical float64).
-		sc.degs = make([]float64, n)
-		sc.totalDeg = 0
-		for v := 0; v < n; v++ {
-			sc.degs[v] = float64(s.g.Degree(graph.NodeID(v)))
-			sc.totalDeg += sc.degs[v]
-		}
-	}
-	totalDeg := sc.totalDeg
+	totalDeg := s.totalDeg
 	if prob.IsZero(totalDeg) {
 		return 0
 	}
@@ -118,7 +106,7 @@ func (s *Summarizer) sampleNodes(rate float64, rng *rand.Rand) int {
 	scale := target / totalDeg
 	size := 0
 	for v := 0; v < n; v++ {
-		p := scale * sc.degs[v]
+		p := scale * float64(s.degs[v])
 		if p > 1 {
 			p = 1
 		}
@@ -135,8 +123,7 @@ func (s *Summarizer) sampleNodes(rate float64, rng *rand.Rand) int {
 // bitsets over the dense sample positions, with popcounts in sc.counts.
 // Returns the signature width in words. The per-node loop checks ctx
 // every 256 nodes (the walk-index lists make it a heavy loop).
-func (s *Summarizer) buildSignatures(ctx context.Context, vt []graph.NodeID, sampleSize int) (int, error) {
-	sc := s.sc
+func (s *Summarizer) buildSignatures(ctx context.Context, vt []graph.NodeID, sampleSize int, sc *scratch) (int, error) {
 	words := (sampleSize + 63) / 64
 	sc.ensureSignatures(len(vt), words)
 	if sampleSize == 0 {
@@ -240,8 +227,7 @@ func buildGrouping(ctx context.Context, nodes []graph.NodeID, reach [][]graph.No
 // buildGroupingSig is buildGrouping over the scratch's bitset signatures:
 // the same pair decisions, with each intersection an AND + popcount over
 // `words` machine words instead of a sorted-slice merge.
-func (s *Summarizer) buildGroupingSig(ctx context.Context, nodes []graph.NodeID, sampleSize, words int, rng *rand.Rand) (*grouping, error) {
-	sc := s.sc
+func (s *Summarizer) buildGroupingSig(ctx context.Context, nodes []graph.NodeID, sampleSize, words int, rng *rand.Rand, sc *scratch) (*grouping, error) {
 	gr := &grouping{nodes: nodes, labels: sc.ensureLabels(len(nodes))}
 	if sampleSize == 0 {
 		return gr, nil // no evidence: nothing can be grouped
@@ -447,6 +433,14 @@ func noOverlapGrouping(gr *grouping, sets []nodeSet, cSize int, sc *scratch) [][
 // non-overlapping topic node groups. ctx is checked between and inside the
 // clustering stages; a done context aborts with ctx.Err().
 func (s *Summarizer) Cluster(ctx context.Context, t topics.TopicID) ([][]graph.NodeID, error) {
+	sc := s.arena()
+	defer s.arenas.Put(sc)
+	return s.cluster(ctx, t, sc)
+}
+
+// cluster is Cluster on the caller's arena; the groups it returns are
+// caller-owned (noOverlapGrouping), so they outlive the arena's next use.
+func (s *Summarizer) cluster(ctx context.Context, t topics.TopicID, sc *scratch) ([][]graph.NodeID, error) {
 	if !s.space.Valid(t) {
 		return nil, fmt.Errorf("rcl: unknown topic %d", t)
 	}
@@ -458,19 +452,18 @@ func (s *Summarizer) Cluster(ctx context.Context, t topics.TopicID) ([][]graph.N
 	opts.fill(s.walks.L, len(vt))
 	rng := rand.New(rand.NewSource(opts.Seed ^ int64(t)*0x9e3779b9))
 
-	s.sc.ensureNodes(s.g.NumNodes())
-	sampleSize := s.sampleNodes(opts.SampleRate, rng)
-	words, err := s.buildSignatures(ctx, vt, sampleSize)
+	sampleSize := s.sampleNodes(opts.SampleRate, rng, sc)
+	words, err := s.buildSignatures(ctx, vt, sampleSize, sc)
 	if err != nil {
 		return nil, err
 	}
-	gr, err := s.buildGroupingSig(ctx, vt, sampleSize, words, rng)
+	gr, err := s.buildGroupingSig(ctx, vt, sampleSize, words, rng, sc)
 	if err != nil {
 		return nil, err
 	}
-	sets, err := setEnumerationTree(ctx, gr, opts.MaxTreeNodes, s.sc)
+	sets, err := setEnumerationTree(ctx, gr, opts.MaxTreeNodes, sc)
 	if err != nil {
 		return nil, err
 	}
-	return noOverlapGrouping(gr, sets, opts.CSize, s.sc), nil
+	return noOverlapGrouping(gr, sets, opts.CSize, sc), nil
 }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/randwalk"
@@ -18,18 +19,26 @@ import (
 	"repro/internal/topics"
 )
 
-// Summarizer implements summary.Summarizer with the RCL-A method.
-// It is safe for sequential reuse across topics; create one per goroutine
-// for concurrent use (it owns a BFS traverser).
+// Summarizer implements summary.Summarizer with the RCL-A method. It is
+// safe for concurrent use: everything a summarization mutates — the
+// scratch arena, BFS state included — is one arena from the
+// summarizer's pool, held for the call, and each topic's RNG is seeded
+// by the topic alone, so a summary is the same bits whichever goroutine
+// builds it and whatever runs beside it.
 type Summarizer struct {
 	g     *graph.Graph
 	space *topics.Space
 	walks *randwalk.Index
-	tr    *graph.Traverser
 	opts  Options
-	// sc is the per-summarizer scratch arena (see scratch.go); it is what
-	// makes the Summarizer single-goroutine, together with tr.
-	sc *scratch
+	// degs[v] = Degree(v) and totalDeg their float64 sum: V′'s
+	// degree-proportional sampling weights, properties of the immutable
+	// graph computed once in New. A degree counts distinct neighbors, at
+	// most 2·|V|, so uint32 holds it and float64(degs[v]) is exact.
+	degs     []uint32
+	totalDeg float64
+	// arenas holds the scratch arenas (scratch.go) of the calls not in
+	// flight; the GC may drop them between calls.
+	arenas sync.Pool
 }
 
 var _ summary.Summarizer = (*Summarizer)(nil)
@@ -43,7 +52,21 @@ func New(g *graph.Graph, space *topics.Space, walks *randwalk.Index, opts Option
 	if walks.NumNodes() != g.NumNodes() {
 		return nil, fmt.Errorf("rcl: walk index built over %d nodes, graph has %d", walks.NumNodes(), g.NumNodes())
 	}
-	return &Summarizer{g: g, space: space, walks: walks, tr: graph.NewTraverser(g), opts: opts, sc: &scratch{}}, nil
+	s := &Summarizer{g: g, space: space, walks: walks, opts: opts, degs: make([]uint32, g.NumNodes())}
+	for v := range s.degs {
+		s.degs[v] = uint32(g.Degree(graph.NodeID(v)))
+		s.totalDeg += float64(s.degs[v])
+	}
+	s.arenas.New = func() any { return new(scratch) }
+	return s, nil
+}
+
+// arena takes a scratch arena sized for the graph from the pool; the
+// caller hands it back with s.arenas.Put once the call is done with it.
+func (s *Summarizer) arena() *scratch {
+	sc := s.arenas.Get().(*scratch)
+	sc.ensureNodes(s.g.NumNodes())
+	return sc
 }
 
 // Summarize runs the offline stage of Algorithm 5 for one topic: it
@@ -52,7 +75,9 @@ func New(g *graph.Graph, space *topics.Space, walks *randwalk.Index, opts Option
 // checked between the clustering stages and centroid selections; a done
 // context aborts with ctx.Err().
 func (s *Summarizer) Summarize(ctx context.Context, t topics.TopicID) (summary.Summary, error) {
-	groups, err := s.Cluster(ctx, t)
+	sc := s.arena()
+	defer s.arenas.Put(sc)
+	groups, err := s.cluster(ctx, t, sc)
 	if err != nil {
 		return summary.Summary{}, err
 	}
@@ -65,7 +90,7 @@ func (s *Summarizer) Summarize(ctx context.Context, t topics.TopicID) (summary.S
 		if err := ctx.Err(); err != nil {
 			return summary.Summary{}, err
 		}
-		central := s.selectCentral(grp)
+		central := s.selectCentral(grp, sc)
 		if central < 0 {
 			continue
 		}

@@ -437,7 +437,7 @@ func TestRefineCentroidImprovesOrKeeps(t *testing.T) {
 	group := []graph.NodeID{1, 2, 3}
 	tr := graph.NewTraverser(g)
 	startScore := Centrality(tr, 5, group, 6)
-	best, bestScore := s.refineCentroid(5, startScore, group, 6)
+	best, bestScore := s.refineCentroid(5, startScore, group, 6, s.arena())
 	if best != 0 {
 		t.Errorf("refinement ended at node %d, want hub 0", best)
 	}
@@ -446,7 +446,7 @@ func TestRefineCentroidImprovesOrKeeps(t *testing.T) {
 	}
 	// Starting at the optimum, refinement must stay there.
 	hubScore := Centrality(tr, 0, group, 6)
-	still, _ := s.refineCentroid(0, hubScore, group, 6)
+	still, _ := s.refineCentroid(0, hubScore, group, 6, s.arena())
 	if still != 0 {
 		t.Errorf("refinement moved away from the optimum to %d", still)
 	}

@@ -1,13 +1,14 @@
 package rcl
 
-// Per-summarizer scratch arena (PR 5). RCL-A's clustering touches three
-// kinds of state per topic: graph-node-sized lookups (sample membership,
-// centroid votes, centrality pending sets), topic-sized reachability
+// Scratch arena. RCL-A's clustering touches three kinds of state
+// per topic: graph-node-sized lookups (sample membership, centroid votes,
+// centrality pending sets and BFS marks), topic-sized reachability
 // signatures, and the SE-tree's candidate sets. All of it lives here,
-// epoch-stamped where membership must reset in O(1), so a Summarizer
-// re-used across a corpus allocates only what its results own. The
-// Summarizer contract is unchanged: sequential reuse only — the engine
-// serializes RCL builds behind its rclMu.
+// epoch-stamped where membership must reset in O(1), so an arena re-used
+// across a corpus allocates only what its results own. An arena serves
+// one call at a time: each Summarize or Cluster takes one from its
+// Summarizer's pool and puts it back when done, so concurrent calls never
+// share one.
 
 import (
 	"math/bits"
@@ -36,11 +37,6 @@ type scratch struct {
 	order   []int
 	taken   []bool
 	buckets []int
-	// Degree-proportional sampling weights: degs[v] = Degree(v) as float64
-	// and their sum, both properties of the immutable graph, computed once
-	// per Summarizer (degs is empty until the first Cluster call).
-	degs     []float64
-	totalDeg float64
 	// Centroid voting (Algorithm 4).
 	voteStamp  []uint32
 	votes      []int32
@@ -50,6 +46,11 @@ type scratch struct {
 	// Closeness-centrality pending set.
 	pendStamp []uint32
 	pendEpoch uint32
+	// Closeness-centrality BFS: seenStamp[v] == seenEpoch means v was
+	// queued this traversal.
+	seenStamp []uint32
+	seenEpoch uint32
+	queue     []graph.NodeID
 }
 
 // ensureNodes sizes every graph-node-indexed buffer for n nodes.
@@ -60,12 +61,14 @@ func (sc *scratch) ensureNodes(n int) {
 		sc.voteStamp = make([]uint32, n)
 		sc.votes = make([]int32, n)
 		sc.pendStamp = make([]uint32, n)
+		sc.seenStamp = make([]uint32, n)
 	}
 	sc.sampleStamp = sc.sampleStamp[:n]
 	sc.sampleIdx = sc.sampleIdx[:n]
 	sc.voteStamp = sc.voteStamp[:n]
 	sc.votes = sc.votes[:n]
 	sc.pendStamp = sc.pendStamp[:n]
+	sc.seenStamp = sc.seenStamp[:n]
 }
 
 // nextSampleEpoch advances the sample epoch, clearing stamps on uint32
@@ -95,6 +98,15 @@ func (sc *scratch) nextPendEpoch() uint32 {
 		sc.pendEpoch = 1
 	}
 	return sc.pendEpoch
+}
+
+func (sc *scratch) nextSeenEpoch() uint32 {
+	sc.seenEpoch++
+	if sc.seenEpoch == 0 {
+		clear(sc.seenStamp)
+		sc.seenEpoch = 1
+	}
+	return sc.seenEpoch
 }
 
 // ensureSignatures sizes and zeroes the signature matrix (vt rows of

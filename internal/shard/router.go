@@ -174,8 +174,6 @@ func (r *Router) Summarize(ctx context.Context, m core.Method, t topics.TopicID)
 // pit_warm_duration_seconds move exactly as a whole-corpus
 // WarmSummaries moves them; opts.Progress sees one serialized count
 // over the whole topic space, whichever shard a topic landed on.
-// Because each shard has its own RCL summarizer (and its own rclMu), N
-// shards warm N× as many RCL topics concurrently as one engine can.
 func (r *Router) WarmOwned(ctx context.Context, m core.Method, opts core.WarmOptions) error {
 	ctx, gen, release, err := r.hold(ctx)
 	if err != nil {
