@@ -31,12 +31,15 @@ help:
 	@echo "                   -smoke run, and pitserve -smoke at -shards 1 (the default) and 2,"
 	@echo "                   the second cold-starting from the artifacts the first saved"
 	@echo "                   (the metric family list is TestMetricFamiliesDocumented's, under make test)"
-	@echo "make fuzz        - storage artifact-parser fuzzers for 10s per target"
+	@echo "make fuzz        - every Fuzz* target for 10s each: the artifact, graph and topic"
+	@echo "                   parsers (storage FuzzLoad, graph/topics FuzzRead) and the"
+	@echo "                   /search and /updates request decoders (server FuzzSearchQuery,"
+	@echo "                   FuzzUpdates)"
 	@echo "make chaos       - fault-injection suite under -race: internal/chaos plus the"
-	@echo "                   ladder/breaker/stale-tier tests in plan, core, server and"
-	@echo "                   shard (a deadline shorter than a build still warming the"
-	@echo "                   cache, a stale serve followed by the next request's fresh"
-	@echo "                   answer, the answer a faulted shard degrades to), the"
+	@echo "                   ladder/breaker tests in plan, core, server and shard (a"
+	@echo "                   deadline shorter than a build still warming the cache for"
+	@echo "                   the next request, the 503 floor under a permanent outage,"
+	@echo "                   the answer a faulted shard degrades to), the"
 	@echo "                   streaming churn/soak/all-or-nothing tests in internal/stream"
 	@echo "                   and internal/shard, the refresh = rebuild property test,"
 	@echo "                   a tripped breaker surviving an engine swap,"
@@ -96,9 +99,9 @@ race:
 
 # Chaos: the fault-injection harness (internal/chaos) and the end-to-end
 # fidelity-ladder proofs that use it — a full attempt whose deadline
-# fires still warming the cache for the next request, the stale-answer
-# cache and the next request's return to fresh once a fault clears,
-# breaker trip/recovery (an open breaker never reaching the summarizer),
+# fires still warming the cache for the next request, the planned 503
+# when nothing is cached under a permanent outage, breaker
+# trip/recovery (an open breaker never reaching the summarizer),
 # a blown deadline or a failing summarizer answered from a lower tier
 # (never a 504 or a 500), the exact ranking a faulted shard's query
 # degrades to, zero unplanned 5xx under injected failure, goroutine
@@ -127,7 +130,7 @@ race:
 # degradation, detached builds, swap and close.
 chaos:
 	$(GO) test -race ./internal/chaos/
-	$(GO) test -race -run 'Chaos|Breaker|Planned|Stale|FaultedShard|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker|PatchIndexesCanceledContext|CacheGetPutTTL|CacheLRUEviction|CacheConcurrent|WalksLadder|DeadlineDegrades|DeadlineWithNothingCached|TestDegraded|ResponsesReportGeneration|OpenHoldsGateUntilDone|ShardIndexesIdentical|BuildingOpenFansOut' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
+	$(GO) test -race -run 'Chaos|Breaker|Planned|FaultedShard|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|SwapKeepsTrippedBreaker|PatchIndexesCanceledContext|WalksLadder|DeadlineDegrades|DeadlineWithNothingCached|TestDegraded|ResponsesReportGeneration|OpenHoldsGateUntilDone|ShardIndexesIdentical|BuildingOpenFansOut' . ./internal/plan/ ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.
@@ -160,12 +163,20 @@ bench-smoke:
 		$(GO) run ./cmd/pitserve -smoke -index-dir "$$d" && \
 		$(GO) run ./cmd/pitserve -smoke -shards 2 -index-dir "$$d"
 
-# Fuzz the artifact parser: hostile bytes through the v2 load path (the
-# only one; seeds include a retired gob-v1 prefix, which must be refused)
-# must produce wrapped `storage:` errors, never a panic or an unbounded
-# allocation. CI runs this budget on every push; longer local
-# sessions just raise -fuzztime.
+# Fuzz every decoder of untrusted input, 10 s per target (`go test -fuzz`
+# takes one target per run, so one line each): the v2 artifact load path
+# (the only one; seeds include a retired gob-v1 prefix, which must be
+# refused) must produce wrapped `storage:` errors, never a panic or an
+# unbounded allocation; the graph and topic text readers must never
+# panic and must round-trip what they parse; /search's query string and /updates' body
+# must never answer an unplanned 5xx, a 200 outside k ∈ [1, MaxK] or
+# λ ∈ [0, 1], or a 202 for an event stream's validation refuses. CI runs
+# this budget on every push; longer local sessions just raise -fuzztime.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/topics/
+	$(GO) test -run '^$$' -fuzz '^FuzzSearchQuery$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzUpdates$$' -fuzztime 10s ./internal/server/
 
 check: build fmt vet lint lint-audit race bench-smoke vulncheck

@@ -30,7 +30,7 @@
 // Searches are served through the fidelity ladder: every search attempts
 // the full search, and only a real failure — the deadline firing, a
 // failed or breaker-refused build — walks it down to materialized
-// summaries only, then a last-known-good answer, then an explicit 503.
+// summaries only, then an explicit 503.
 // A circuit breaker guards summary builds (five consecutive failures trip
 // it). The ladder has no flags. Every /search
 // response carries its serving tier in the X-Pit-Tier header (see

@@ -62,9 +62,9 @@ var (
 	// it (degrade to materialized); direct Summarize callers see it as a
 	// retryable condition.
 	ErrBuildsSuspended = errors.New("core: summary builds suspended")
-	// ErrUnavailable tags a planned request no tier could answer: full
-	// and materialized failed and nothing (or nothing fresh enough) was
-	// in the stale cache. An HTTP server should answer 503 + Retry-After.
+	// ErrUnavailable tags a planned request no tier could answer: the
+	// full attempt failed and the materialized one had nothing cached to
+	// rank. An HTTP server should answer 503 + Retry-After.
 	ErrUnavailable = errors.New("core: no fidelity tier available")
 )
 
@@ -177,9 +177,8 @@ type Engine struct {
 	met *engineMetrics
 
 	// The query path (planned.go) with this engine as its Opener, and
-	// the ladder state that is about summaries: one build breaker per
-	// method (nil when disabled; the engine that replaces this one at a
-	// swap inherits them, see PatchIndexes).
+	// one build breaker per method (nil when disabled; the engine that
+	// replaces this one at a swap inherits them, see PatchIndexes).
 	ladder   *Ladder
 	breakers [2]*plan.Breaker
 

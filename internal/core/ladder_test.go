@@ -3,14 +3,15 @@ package core_test
 // The fidelity-ladder table, run through one helper against both
 // backends of the query path: a single Engine and a 3-shard Router.
 // They share core.Ladder, so every case must hold on both — tier
-// selection under deadlines, degradation on build failure, stale serves
-// and the next request's convergence back to fresh, the ErrUnavailable
-// floor, pinned fidelity and client-cancel surfacing.
+// selection under deadlines, degradation on build failure, the
+// ErrUnavailable floor, pinned fidelity, client-cancel surfacing and a
+// timed-out request's builds answering the next request complete.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,6 +210,13 @@ func ladderTable(t *testing.T, mk backendMaker) {
 		if _, err := b.Run(ctx, bad); !errors.Is(err, core.ErrInvalidArgument) {
 			t.Errorf("bogus user: %v, want ErrInvalidArgument", err)
 		}
+		for _, lambda := range []float64{math.NaN(), 1.5, -0.1} {
+			bad = query
+			bad.Lambda = lambda
+			if _, err := b.Run(ctx, bad); !errors.Is(err, core.ErrInvalidArgument) {
+				t.Errorf("lambda %v: %v, want ErrInvalidArgument", lambda, err)
+			}
+		}
 		cold := mk(t, false)
 		if _, err := cold.Run(ctx, query); !errors.Is(err, core.ErrNotReady) {
 			t.Errorf("unbuilt backend: %v, want ErrNotReady", err)
@@ -240,79 +248,6 @@ func ladderTable(t *testing.T, mk backendMaker) {
 		if got := b.counter("pit_materialized_skipped_topics_total", "method", "lrw"); got != 1 {
 			t.Errorf("skipped counter = %d, want 1", got)
 		}
-	})
-
-	// A request whose deadline fires while its builds run, with an empty
-	// summary cache, serves the last-known-good answer. Nothing runs in
-	// the background for it: the builds the timed-out full attempt
-	// started finish once released, the next request's full attempt
-	// answers fresh and refreshes the entry, and a later failure serves
-	// that refreshed entry.
-	t.Run("StaleWhileRevalidate", func(t *testing.T) {
-		b := mk(t, true)
-		b.setSummarizer(summarizeFunc(okSummary))
-		fresh, err := b.Run(ctx, query)
-		if err != nil || fresh.Outcome.Tier != plan.TierFull {
-			t.Fatalf("seed search: %+v err=%v, want full", fresh.Outcome, err)
-		}
-		sameAsFresh := func(what string, ans core.Answer) {
-			t.Helper()
-			if len(ans.Results) != len(fresh.Results) {
-				t.Fatalf("%s answer has %d results, want %d", what, len(ans.Results), len(fresh.Results))
-			}
-			for i := range ans.Results {
-				if ans.Results[i] != fresh.Results[i] {
-					t.Fatalf("%s answer diverged at %d: %v vs %v", what, i, ans.Results[i], fresh.Results[i])
-				}
-			}
-		}
-		stale := func(what string, ans core.Answer, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("%s: stale path errored: %v", what, err)
-			}
-			if out := ans.Outcome; out.Tier != plan.TierStale || !out.Complete {
-				t.Fatalf("%s: outcome = %+v, want stale/complete", what, out)
-			}
-			sameAsFresh(what, ans)
-		}
-
-		// Blow the cache away and hold every build past the deadline: the
-		// full tier's deadline fires, nothing is materialized yet, and the
-		// ladder falls back to stale.
-		b.invalidate(related...)
-		held := make(chan struct{})
-		b.setSummarizer(summarizeFunc(func(ctx context.Context, id topics.TopicID) (summary.Summary, error) {
-			select {
-			case <-held:
-				return okSummary(ctx, id)
-			case <-ctx.Done():
-				return summary.Summary{}, ctx.Err()
-			}
-		}))
-		tight, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-		defer cancel()
-		ans, err := b.Run(tight, query)
-		close(held)
-		stale("held builds", ans, err)
-
-		// Once the builds are released, the next request's own full
-		// attempt answers fresh, bit for bit.
-		again, err := b.Run(ctx, query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out := again.Outcome; out.Tier != plan.TierFull || !out.Complete {
-			t.Fatalf("after release: outcome = %+v, want full/complete", out)
-		}
-		sameAsFresh("after release", again)
-
-		// That request refreshed the last-known-good entry: with the cache
-		// gone again and every build failing, it is what serves.
-		b.invalidate(related...)
-		b.setSummarizer(failWith(fmt.Errorf("kernel down")))
-		ans, err = b.Run(ctx, query)
-		stale("failing builds", ans, err)
 	})
 
 	// Nothing cached at any fidelity is an explicit ErrUnavailable, not a

@@ -3,10 +3,11 @@ package core
 // The one query path (DESIGN.md §10, §13). Ladder.Run is what
 // Engine.Run and shard.Router.Run both are: validate the Query, resolve
 // its q-related topics, attempt the full tier, then walk down on a real
-// failure — full → materialized → stale → ErrUnavailable — so a broken
-// or slow summarizer degrades answer fidelity instead of turning into
-// 5xx storms. Nothing is predicted: a full attempt whose deadline fires
-// has still started the builds the next request needs. Each attempt is
+// failure — full → materialized → ErrUnavailable — so a broken or slow
+// summarizer degrades answer fidelity instead of turning into 5xx
+// storms. Every answer is computed on the generation the request holds.
+// Nothing is predicted: a full attempt whose deadline fires has still
+// started the builds the next request needs. Each attempt is
 // the same five steps: open a session, search.Drive, diversify,
 // hydrate, close. The only thing a backend contributes is its HoldFunc: the
 // Opener one request runs on, pinned for the whole request.
@@ -69,12 +70,11 @@ type Opener interface {
 // the request is done).
 type HoldFunc func(ctx context.Context) (context.Context, Opener, func(), error)
 
-// Ladder runs queries for one backend. It owns the ladder state that
-// is about answers rather than summaries: the last-known-good answer
-// cache, which every complete answer refreshes. It starts no goroutine.
+// Ladder runs queries for one backend. It keeps no answers: all it
+// holds is the backend's hold and a metric handle, so every ladder over
+// the same backend answers alike. It starts no goroutine.
 type Ladder struct {
-	hold  HoldFunc
-	stale *plan.Cache[string, staleAnswer]
+	hold HoldFunc
 
 	// truncations counts expansion levels whose frontier was cut to
 	// MaxFrontier, from each finished drive's search.Stats; nil without
@@ -82,46 +82,20 @@ type Ladder struct {
 	truncations *obs.Counter
 }
 
-// staleAnswer is a last-known-good entry: the ranking and the
-// generation it was computed on.
-type staleAnswer struct {
-	results    []TopicResult
-	generation uint64
-}
-
-// The ladder's fixed budgets and sizes.
-const (
-	// staleCapacity bounds the last-known-good cache (LRU eviction).
-	staleCapacity = 4096
-	// staleTTL bounds how old a last-known-good answer may be and still
-	// serve on the stale tier.
-	staleTTL = 5 * time.Minute
-	// materializedTimeout bounds the materialized-tier attempt, which
-	// runs detached from a request deadline that may already be blown.
-	materializedTimeout = 2 * time.Second
-)
+// materializedTimeout bounds the materialized-tier attempt, which runs
+// detached from a request deadline that may already be blown.
+const materializedTimeout = 2 * time.Second
 
 // NewLadder wires the query path over the backend hold pins per
 // request. reg, when non-nil, receives
 // pit_search_frontier_truncations_total.
 func NewLadder(reg *obs.Registry, hold HoldFunc) *Ladder {
-	l := &Ladder{
-		hold:  hold,
-		stale: plan.NewCache[string, staleAnswer](staleCapacity, staleTTL, nil),
-	}
+	l := &Ladder{hold: hold}
 	if reg != nil {
 		l.truncations = reg.Counter("pit_search_frontier_truncations_total",
 			"Expansion levels whose frontier exceeded MaxFrontier and was truncated best-first.")
 	}
 	return l
-}
-
-// staleKey identifies one exact request — the stale cache granularity.
-// Lambda participates because a diversified ranking is not
-// interchangeable with a plain one; Fidelity and Trace do not, because
-// only planned answers are cached and a trace does not change them.
-func (q Query) staleKey() string {
-	return fmt.Sprintf("%d/%d/%d/%g/%s", q.Method, q.User, q.K, q.Lambda, q.Text)
 }
 
 // Run answers q on the backend its hold pins once, up front, for the
@@ -143,6 +117,9 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	none.Generation = backend.Generation()
 	if !q.Method.valid() {
 		return none, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, q.Method)
+	}
+	if !(q.Lambda >= 0 && q.Lambda <= 1) { // NaN fails both comparisons
+		return none, fmt.Errorf("%w: lambda %v outside [0, 1]", ErrInvalidArgument, q.Lambda)
 	}
 	if !backend.Graph().Valid(q.User) {
 		return none, fmt.Errorf("%w: user %d outside the graph", ErrInvalidArgument, q.User)
@@ -166,11 +143,6 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	// planned request degrades as on any other build failure.
 	ans, err := l.attempt(ctx, backend, q, related, false)
 	if err == nil {
-		// Only keyword queries have a last-known-good entry: an explicit
-		// topic set has no key to find it under.
-		if q.Fidelity == FidelityPlanned && q.Topics == nil {
-			l.storeGood(q, ans)
-		}
 		return ans, nil
 	}
 	if q.Fidelity != FidelityPlanned || !degradable(ctx, err) {
@@ -180,35 +152,14 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	// Materialized tier. The request's own deadline may already be
 	// blown — that is exactly when this tier earns its keep — so it runs
 	// on a fresh, bounded budget detached from the request's
-	// cancellation. A partial answer serves when it ranks anything, but
-	// never becomes last-known-good.
+	// cancellation. A partial answer serves when it ranks anything.
 	mctx, cancel := cachedContext(ctx)
 	ans, err = l.attempt(mctx, backend, q, related, true)
 	cancel()
 	if err == nil && (ans.Outcome.Complete || len(ans.Results) > 0) {
-		if q.Topics == nil && ans.Outcome.Complete {
-			// All q-related summaries were cached: this answer equals the
-			// full tier's and refreshes the last-known-good entry.
-			l.storeGood(q, ans)
-		}
 		return ans, nil
 	}
-
-	// Stale tier: the last-known-good answer for this exact request. It
-	// runs nothing; once the fault clears, the next request's full
-	// attempt answers fresh and refreshes the entry.
-	if q.Topics == nil {
-		if cached, _, ok := l.stale.Get(q.staleKey()); ok {
-			out := make([]TopicResult, len(cached.results))
-			copy(out, cached.results)
-			return Answer{
-				Results:    out,
-				Outcome:    PlanOutcome{Tier: plan.TierStale, Complete: true},
-				Generation: cached.generation,
-			}, nil
-		}
-	}
-	return none, fmt.Errorf("%w: query %q has no materialized or stale answer", ErrUnavailable, q.Text)
+	return none, fmt.Errorf("%w: query %q has no materialized answer", ErrUnavailable, q.Text)
 }
 
 // degradable reports whether a failed full attempt may be answered
@@ -280,14 +231,4 @@ func (l *Ladder) attempt(ctx context.Context, backend Opener, q Query, related [
 		ans.Results[i] = TopicResult{Topic: space.Topic(r.Topic), Score: r.Score}
 	}
 	return ans, nil
-}
-
-// storeGood records a full-fidelity (or provably equivalent) answer as
-// the last-known-good result for its exact request. The slice is copied
-// both ways (here and on the stale serve) so cached entries never alias
-// caller-visible memory.
-func (l *Ladder) storeGood(q Query, ans Answer) {
-	cp := make([]TopicResult, len(ans.Results))
-	copy(cp, ans.Results)
-	l.stale.Put(q.staleKey(), staleAnswer{results: cp, generation: ans.Generation})
 }

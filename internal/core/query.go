@@ -15,7 +15,7 @@ type Fidelity int
 
 const (
 	// FidelityPlanned walks the whole ladder: it attempts the full tier
-	// and failures degrade full → materialized → stale.
+	// and failures degrade full → materialized → ErrUnavailable.
 	// The zero value, and what the serving layer sends.
 	FidelityPlanned Fidelity = iota
 	// FidelityFull is the exact search only: missing summaries are
@@ -24,9 +24,8 @@ const (
 )
 
 // Query is the one request type of the online path — what /search,
-// /subscribe, the stale cache, cmd/pitsearch and library callers all
-// speak. The zero Fidelity and Lambda give a planned, undiversified
-// top-K.
+// /subscribe, cmd/pitsearch and library callers all speak. The zero
+// Fidelity and Lambda give a planned, undiversified top-K.
 type Query struct {
 	Method Method
 	// Text is the keyword query; its q-related topics are
@@ -39,7 +38,8 @@ type Query struct {
 	// K ≤ 0 (or beyond the topic count) ranks every related topic.
 	K int
 	// Lambda > 0 re-ranks by representative-overlap diversification
-	// (search.Diversify) over a 3K over-fetched candidate list.
+	// (search.Diversify) over a 3K over-fetched candidate list; Run
+	// refuses a Lambda outside [0, 1] (NaN included).
 	Lambda   float64
 	Fidelity Fidelity
 	// Trace asks for Answer.Trace.
@@ -52,8 +52,8 @@ type PlanOutcome struct {
 	// TierUnavailable alongside ErrUnavailable).
 	Tier plan.Tier
 	// Complete reports whether every q-related topic contributed
-	// (always true for full and stale answers; a materialized answer
-	// may be partial).
+	// (always true for a full answer; a materialized answer may be
+	// partial).
 	Complete bool
 }
 
@@ -71,13 +71,12 @@ type Answer struct {
 	// response with it and must not guess.
 	Outcome PlanOutcome
 	// Trace holds the Algorithm 10/11 diagnostics of the run that
-	// produced Results when Query.Trace was set (nil for a stale
-	// answer, which ran nothing). With Lambda > 0 its Results are the
-	// over-fetched candidates before the re-rank.
+	// produced Results when Query.Trace was set. With Lambda > 0 its
+	// Results are the over-fetched candidates before the re-rank.
 	Trace *search.Trace
-	// Generation is the ID of the deployment generation the answer was
-	// computed on: a stale answer's is the one it was computed on, not
-	// the one serving now; an engine on its own is generation 0.
+	// Generation is the ID of the deployment generation the request
+	// held, which every tier computes its answer on; an engine on its
+	// own is generation 0.
 	Generation uint64
 }
 

@@ -11,11 +11,8 @@
 //	               exact online algorithm (Algorithms 10–11)
 //	materialized — already-cached summaries only: partial but cheap
 //	               (pure Γ lookups)
-//	stale        — the last-known-good answer for this exact request
-//	               from a bounded TTL cache; nothing rebuilds it in the
-//	               background — the next request's full attempt does
-//	unavailable  — nothing cached at any fidelity: an explicit
-//	               503 + Retry-After, the only planned "no answer"
+//	unavailable  — nothing cached: an explicit 503 + Retry-After, the
+//	               only planned "no answer"
 //
 // Nothing is predicted: every planned request attempts the full tier,
 // and only a real failure — the deadline firing, a build error, a build
@@ -23,8 +20,9 @@
 // — walks it down, in one place (core.Ladder.Run): the materialized
 // rung is reached only by degrading. A caller that needs the exact
 // answer says so per query (core.FidelityFull). This package owns the
-// tiers, the breaker and the last-known-good cache (stale.go), so they
-// are unit-testable without an engine.
+// tiers and the breaker, so they are unit-testable without an engine.
+// It keeps no answers: every tier answers from the generation the
+// request holds.
 package plan
 
 import "fmt"
@@ -38,18 +36,15 @@ const (
 	TierFull Tier = iota
 	// TierMaterialized restricts the search to already-cached summaries.
 	TierMaterialized
-	// TierStale serves the last-known-good cached answer for the exact
-	// (method, query, user, k, lambda) request; the next complete answer
-	// to that request refreshes it.
-	TierStale
 	// TierUnavailable means no tier could produce an answer; the serving
 	// layer maps it to 503 + Retry-After.
 	TierUnavailable
 )
 
 // Tiers lists every tier in ladder order — handy for pre-registering
-// metric children so tier counters expose before first use.
-var Tiers = []Tier{TierFull, TierMaterialized, TierStale, TierUnavailable}
+// metric children so tier counters expose before first use. It is an
+// array, so len(Tiers) is a constant that sizes per-tier tables.
+var Tiers = [...]Tier{TierFull, TierMaterialized, TierUnavailable}
 
 // String returns the tier's wire name (the X-Pit-Tier header value and
 // the pit_search_tier_total label).
@@ -59,8 +54,6 @@ func (t Tier) String() string {
 		return "full"
 	case TierMaterialized:
 		return "materialized"
-	case TierStale:
-		return "stale"
 	case TierUnavailable:
 		return "unavailable"
 	default:

@@ -6,7 +6,6 @@ func TestTierAndPolicyStrings(t *testing.T) {
 	want := map[Tier]string{
 		TierFull:         "full",
 		TierMaterialized: "materialized",
-		TierStale:        "stale",
 		TierUnavailable:  "unavailable",
 	}
 	for tier, s := range want {
@@ -14,7 +13,7 @@ func TestTierAndPolicyStrings(t *testing.T) {
 			t.Errorf("Tier(%d).String() = %q, want %q", int(tier), got, s)
 		}
 	}
-	if len(Tiers) != 4 {
-		t.Fatalf("Tiers has %d entries, want 4", len(Tiers))
+	if len(Tiers) != 3 {
+		t.Fatalf("Tiers has %d entries, want 3", len(Tiers))
 	}
 }

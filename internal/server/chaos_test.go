@@ -247,36 +247,35 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 }
 
 // TestChaosShutdownNoGoroutineLeak: a chaotic run that exercises the
-// detached paths (stale serves under a permanent outage, injected
-// latency raced against detached builds) must not leak goroutines once
-// the engine is closed — Close cancels the lifecycle that bounds every
-// detached build.
+// detached paths (503s under a permanent outage with nothing cached,
+// injected latency raced against detached builds) must not leak
+// goroutines once the engine is closed — Close cancels the lifecycle
+// that bounds every detached build.
 func TestChaosShutdownNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	srv, eng, cs, _ := chaosHarness(t, plan.BreakerConfig{}, chaos.Config{})
 
-	// Seed the stale cache with a last-known-good answer via a clean
-	// full-tier request, then break every rebuild.
+	// One clean full-tier request, then break every rebuild: with every
+	// topic invalidated there is nothing cached to degrade to, and the
+	// ladder keeps no answers, so each request is the planned 503.
 	if code, _, resp := chaosGet(t, srv, "/search?q=tag000&user=3&k=6"); code != http.StatusOK || resp.Tier != "full" {
 		t.Fatalf("seed request = %d tier %q, want 200 full", code, resp.Tier)
 	}
 	cs.SetConfig(chaos.Config{PermanentOutage: true, Latency: 2 * time.Millisecond})
 
-	for i := 0; i < 50; i++ {
+	const outage = 50
+	for i := 0; i < outage; i++ {
 		for id := topics.TopicID(0); id < faultTopics; id++ {
 			eng.InvalidateTopic(id)
 		}
-		code, headerTier, resp := chaosGet(t, srv, "/search?q=tag000&user=3&k=6")
-		if code != http.StatusOK || resp.Tier != "stale" {
-			t.Fatalf("request %d under outage = %d tier %q, want 200 stale", i, code, resp.Tier)
-		}
-		if headerTier != resp.Tier {
-			t.Fatalf("request %d: X-Pit-Tier %q != body tier %q", i, headerTier, resp.Tier)
+		code, headerTier, _ := chaosGet(t, srv, "/search?q=tag000&user=3&k=6")
+		if code != http.StatusServiceUnavailable || headerTier != plan.TierUnavailable.String() {
+			t.Fatalf("request %d under outage = %d X-Pit-Tier %q, want 503 unavailable", i, code, headerTier)
 		}
 	}
-	if got := srv.met.tiers[plan.TierStale].Value(); got == 0 {
-		t.Error("stale serves were not counted under the stale tier")
+	if got := srv.met.tiers[plan.TierUnavailable].Value(); got != outage {
+		t.Errorf(`tier{unavailable} = %d, want %d`, got, outage)
 	}
 
 	eng.Close() // idempotent with the t.Cleanup close

@@ -32,7 +32,7 @@ type serverMetrics struct {
 	// eagerly per tier: the hot path is one atomic add, and every tier
 	// exposes from the first scrape. Summing the children equals the
 	// number of planned /search requests that got past validation.
-	tiers [4]*obs.Counter // indexed by plan.Tier
+	tiers [len(plan.Tiers)]*obs.Counter // indexed by plan.Tier
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {

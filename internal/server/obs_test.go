@@ -223,8 +223,8 @@ func TestDegradedAndClientClosedCounters(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("degraded search = %d, want 200: %s", rec.Code, rec.Body)
 	}
-	if got := srv.met.tiers[plan.TierMaterialized].Value() + srv.met.tiers[plan.TierStale].Value(); got != 1 {
-		t.Errorf(`tier{materialized}+tier{stale} = %d, want 1`, got)
+	if got := srv.met.tiers[plan.TierMaterialized].Value(); got != 1 {
+		t.Errorf(`tier{materialized} = %d, want 1`, got)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

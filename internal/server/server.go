@@ -20,7 +20,8 @@
 // swaps — including the retry of a request whose generation retired
 // under it — is the backend's job (shard.Router does it once per
 // request, at the hold), never a handler's. /search reports the
-// generation its answer was computed on in the X-Pit-Generation header;
+// generation the request held, which every tier computes its answer
+// on, in the X-Pit-Generation header;
 // /stats reads every field from one held generation and reports its ID.
 // /subscribe bypasses the request deadline and the in-flight limiter —
 // it is a long-lived event stream with its own bound
@@ -34,11 +35,10 @@
 // (Config.MaxInflight) sheds excess load with 429 + Retry-After; and
 // /search runs through the engine's fidelity ladder
 // (a planned core.Query, DESIGN.md §13): a search whose full-fidelity
-// attempt fails or runs out of time degrades down the tier ladder —
-// materialized summaries only, then the last-known-good stale answer —
-// and answers 200 with "degraded": true and the serving tier
-// in the "tier" field and X-Pit-Tier header; only a request nothing
-// cached can answer gets 503 + Retry-After.
+// attempt fails or runs out of time degrades to materialized summaries
+// only and answers 200 with "degraded": true and the serving tier in the
+// "tier" field and X-Pit-Tier header; only a request nothing cached can
+// answer gets 503 + Retry-After.
 //
 // All handlers are read-only against the backend and safe for concurrent
 // use. The backend's indexes may be built after New: until MarkReady is
@@ -94,14 +94,14 @@ type SearchResponse struct {
 	Method  string         `json:"method"`
 	K       int            `json:"k"`
 	Results []SearchResult `json:"results"`
-	// Tier is the fidelity tier that served the answer ("full",
-	// "materialized" or "stale") — always present and always matching
-	// the X-Pit-Tier response header.
+	// Tier is the fidelity tier that served the answer ("full" or
+	// "materialized") — always present and always matching the
+	// X-Pit-Tier response header.
 	Tier string `json:"tier"`
 	// Degraded is set when the answer was served below full fidelity
-	// (tier != "full"): materialized summaries only, or a stale
-	// last-known-good result — a partial or older answer instead of an
-	// error (resource-constrained graceful degradation).
+	// (tier != "full"): materialized summaries only — a possibly partial
+	// answer instead of an error (resource-constrained graceful
+	// degradation).
 	Degraded bool `json:"degraded,omitempty"`
 }
 
@@ -174,9 +174,9 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxInflight bounds concurrently served API requests; excess requests
 	// are shed immediately with 429 + Retry-After. Zero disables shedding.
-	// Degradation budgets (the materialized-tier timeout, the stale TTL,
-	// the breaker) belong to the engine's query path, which owns the
-	// ladder; the server only annotates what it served.
+	// Degradation budgets (the materialized-tier timeout, the breaker)
+	// belong to the engine's query path, which owns the ladder; the
+	// server only annotates what it served.
 	MaxInflight int
 	// Logger receives access-log, panic and encode-failure lines
 	// (default log.Default()).
@@ -519,7 +519,7 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request) (core.Query,
 	}
 	if ls := r.URL.Query().Get("lambda"); ls != "" {
 		q.Lambda, err = strconv.ParseFloat(ls, 64)
-		if err != nil || q.Lambda < 0 || q.Lambda > 1 {
+		if err != nil || !(q.Lambda >= 0 && q.Lambda <= 1) { // NaN fails both comparisons
 			s.writeErr(w, r, http.StatusBadRequest, "bad lambda %q (want 0..1)", ls)
 			return q, false
 		}
@@ -540,10 +540,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The fidelity ladder owns degradation: full search,
-	// then materialized-only, then the stale last-known-good answer,
-	// then an explicit 503. The server's job is only to annotate what
-	// actually served the response.
+	// The fidelity ladder owns degradation: full search, then
+	// materialized-only, then an explicit 503. The server's job is only
+	// to annotate what actually served the response.
 	ans, err := s.eng.Run(r.Context(), q)
 	if err != nil {
 		s.failSearch(w, r, err)
@@ -593,7 +592,8 @@ func (s *Server) failSearch(w http.ResponseWriter, r *http.Request, err error) {
 		w.Header().Set("Retry-After", "5")
 		s.writeErr(w, r, http.StatusServiceUnavailable, "indexes are still building")
 	case errors.Is(err, core.ErrUnavailable):
-		// The one planned 5xx: no tier — not even stale — could answer.
+		// The one planned 5xx: neither the full nor the materialized
+		// tier could answer.
 		w.Header().Set(tierHeader, plan.TierUnavailable.String())
 		w.Header().Set("Retry-After", "1")
 		s.met.tierServed(plan.TierUnavailable)

@@ -13,6 +13,16 @@ import (
 )
 
 var testServer = sync.OnceValues(func() (*Server, error) {
+	eng, err := smallEngine()
+	if err != nil {
+		return nil, err
+	}
+	return New(eng, Config{MaxK: 50})
+})
+
+// smallEngine builds the package's small test engine: 500 users, four
+// tags of five topics, indexes built.
+func smallEngine() (*core.Engine, error) {
 	g, err := dataset.GenerateGraph(dataset.GraphConfig{
 		Nodes: 500, MinOutDegree: 2, MaxOutDegree: 8, Seed: 31,
 	})
@@ -32,8 +42,8 @@ var testServer = sync.OnceValues(func() (*Server, error) {
 	if err := eng.BuildIndexes(context.Background()); err != nil {
 		return nil, err
 	}
-	return New(eng, Config{MaxK: 50})
-})
+	return eng, nil
+}
 
 func get(t *testing.T, path string) *httptest.ResponseRecorder {
 	t.Helper()
@@ -271,7 +281,7 @@ func TestSearchWithLambda(t *testing.T) {
 	if len(resp.Results) == 0 {
 		t.Error("no diversified results")
 	}
-	for _, bad := range []string{"x", "-0.5", "1.5"} {
+	for _, bad := range []string{"x", "-0.5", "1.5", "NaN"} {
 		if rec := get(t, "/search?q=tag000&user=5&lambda="+bad); rec.Code != http.StatusBadRequest {
 			t.Errorf("lambda=%s accepted: %d", bad, rec.Code)
 		}

@@ -362,71 +362,3 @@ func TestRouterFollowsGrownGraph(t *testing.T) {
 		t.Fatalf("user beyond the grown graph: %v, want ErrInvalidArgument", err)
 	}
 }
-
-// TestStaleAnswerSurvivesSwap: the last-known-good answer cache belongs
-// to the router's ladder, which outlives engine swaps, so at one shard —
-// the default deployment — an answer served before a flush is still
-// there to degrade to after it. The swapped-in engine's summarizer fails
-// every build and the batch invalidated the query's summaries, so only
-// the stale tier can answer; a ladder born with the fresh engine (a bare
-// Pipeline.Engine().Run) has nothing to serve and is ErrUnavailable.
-func TestStaleAnswerSurvivesSwap(t *testing.T) {
-	g, space := world()
-	ctx := context.Background()
-	engines, err := shard.BuildEngines(ctx, g, space, worldOptions(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := shard.NewPartitioner(space, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	broken := chaos.SummarizeFunc(func(context.Context, topics.TopicID) (summary.Summary, error) {
-		return summary.Summary{}, errors.New("summarizer down")
-	})
-	set, err := stream.NewSet(engines, stream.Config{
-		BatchSize:     1 << 20,
-		PrepareEngine: func(_ int, e *core.Engine) { e.SetSummarizer(core.MethodLRW, broken) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Stop()
-	r, err := shard.New(part, set.Current, shard.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	q := core.Query{Text: dataset.TagName(0), User: 5, K: 5}
-	before, err := r.Run(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.Outcome.Tier != plan.TierFull || len(before.Results) == 0 {
-		t.Fatalf("before the swap: tier %v, %d results; want a non-empty full answer", before.Outcome.Tier, len(before.Results))
-	}
-
-	// Re-weight edges next to the queried user: the refresh drops the
-	// nearby summaries instead of carrying them.
-	if err := set.Submit(stream.Event{From: 3, To: 5, Weight: 0.9}, stream.Event{From: 5, To: 41, Weight: 0.8}); err != nil {
-		t.Fatal(err)
-	}
-	if err := set.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if r.Engine(0) == engines[0] {
-		t.Fatal("the flush did not swap the engine")
-	}
-	if _, err := r.Engine(0).Run(ctx, q); !errors.Is(err, core.ErrUnavailable) {
-		t.Fatalf("the fresh engine's own ladder: %v, want ErrUnavailable (nothing cached, builds fail)", err)
-	}
-	after, err := r.Run(ctx, q)
-	if err != nil {
-		t.Fatalf("after the swap: %v, want the stale answer", err)
-	}
-	if after.Outcome.Tier != plan.TierStale {
-		t.Fatalf("after the swap: tier %v, want stale", after.Outcome.Tier)
-	}
-	sameResults(t, "stale after swap", before.Ranking(), after.Ranking())
-}

@@ -26,10 +26,8 @@ type Config struct {
 // held once per request — and the scatter that gathers the summaries of
 // each owning shard of it into the request's one search session. All
 // state it holds is routing state (the partition, the generation
-// source, metrics, the ladder's last-known-good answers — an answer
-// spans shards, so no single engine ever held it); the serving state
-// lives in the shard engines, which a streaming deployment replaces a
-// generation at a time underneath it.
+// source, metrics); the serving state lives in the shard engines, which
+// a streaming deployment replaces a generation at a time underneath it.
 //
 // Exactness: the session runs on shard 0's searcher over every owning
 // shard's summaries. Every shard carries the same indexes, and each
