@@ -13,7 +13,8 @@ all: check
 
 help:
 	@echo "make check       - full pre-merge gate (build fmt vet lint lint-audit race bench-smoke vulncheck)"
-	@echo "make build       - compile all packages"
+	@echo "make build       - compile all packages, for this machine and for arm64 (whose"
+	@echo "                   portable Go Equation 5 kernel is also vetted there)"
 	@echo "make test        - run the test suite"
 	@echo "make race        - run the test suite under the race detector"
 	@echo "make fmt         - fail if any file needs gofmt"
@@ -25,6 +26,8 @@ help:
 	@echo "make bench-smoke - one-shot benchmark smoke: figure benchmarks plus the"
 	@echo "                   search/core/rcl/lrw/randwalk/propidx/dynamic/stream micro-benchmarks"
 	@echo "                   (lrw's SummarizeMany and core's ColdOpen time a 120-topic refill,"
+	@echo "                   lrw's Propagate4 one Equation 5 iteration per kernel, go and avx,"
+	@echo "                   in ns per in-edge,"
 	@echo "                   core's WarmSummaries the 1 200-topic warm-up per method at one"
 	@echo "                   worker and at GOMAXPROCS, stream's Flush one streamed batch,"
 	@echo "                   dynamic's Apply its graph splice), the benchmark harness's"
@@ -52,8 +55,14 @@ help:
 	@echo "                   (BuildingOpenFansOut) and the multi-key singleflight (DoMany) tests"
 	@echo "make vulncheck   - govulncheck when installed (best-effort)"
 
+# build also cross-compiles for arm64, where propagate4 runs its portable
+# Go kernel instead of the amd64 assembly one (internal/lrw), and vets
+# that package there, so the portable path cannot rot unseen. The
+# amd64 vet run checks the assembly's frame (asmdecl).
 build:
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/lrw/
 
 test:
 	$(GO) test ./...
@@ -140,8 +149,9 @@ bench:
 	$(GO) run ./benchmark -selfcheck
 
 # Benchmark smoke: run the data_2k figure benchmarks and the online-path
-# and write-side (walk index, Γ, summarizer, the 120-topic refill:
-# lrw's BenchmarkSummarizeMany, core's BenchmarkColdOpen, the 1 200-topic
+# and write-side (walk index, Γ, summarizer, each four-lane Equation 5
+# kernel per in-edge: lrw's BenchmarkPropagate4/{go,avx}, the 120-topic
+# refill: lrw's BenchmarkSummarizeMany, core's BenchmarkColdOpen, the 1 200-topic
 # warm-up per method at one worker and at GOMAXPROCS: core's
 # BenchmarkWarmSummaries, one streamed batch: stream's BenchmarkFlush,
 # and its graph splice: dynamic's BenchmarkApply) micro-benchmarks,

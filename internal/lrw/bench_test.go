@@ -8,6 +8,7 @@ package lrw
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -115,6 +116,41 @@ func BenchmarkScores(b *testing.B) {
 			if _, err := scoresInto(context.Background(), g, walks, space.Nodes(topics.TopicID(i%total)), Options{}, sc); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// BenchmarkPropagate4 is one four-lane Equation 5 iteration through each
+// kernel — propagate4Go and, where the CPU has AVX, propagate4AVX — over
+// the first Lanes topics' priors, reported per in-edge: the unit both
+// kernels' inner loops step by.
+func BenchmarkPropagate4(b *testing.B) {
+	benchWorlds(b, func(b *testing.B, g *graph.Graph, space *topics.Space, walks *randwalk.Index) {
+		var p plan
+		if err := p.ensure(context.Background(), g, walks); err != nil {
+			b.Fatal(err)
+		}
+		n := g.NumNodes()
+		pStar := make([][Lanes]float64, n)
+		for j := 0; j < Lanes && j < space.NumTopics(); j++ {
+			vt := space.Nodes(topics.TopicID(j))
+			for _, v := range vt {
+				pStar[v][j] = 1 / float64(len(vt))
+			}
+		}
+		for _, k := range []kernel4{{"go", (*plan).propagate4Go}, {"avx", (*plan).propagate4AVX}} {
+			b.Run(k.name, func(b *testing.B) {
+				if k.name == "avx" && !haveAVX {
+					b.Skip("this CPU has no AVX")
+				}
+				prev, cur := slices.Clone(pStar), make([][Lanes]float64, n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k.run(&p, 1+i%walks.L, 0.15, pStar, prev, cur)
+					prev, cur = cur, prev
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
+			})
 		}
 	})
 }

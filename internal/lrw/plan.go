@@ -189,14 +189,45 @@ func (p *plan) propagate(i int, lambda float64, pStar, prev, cur []float64) {
 }
 
 // propagate4 is propagate for Lanes topics at once: lane j of pStar, prev
-// and cur is topic j's vector. The plan's src and coef stream once for all
+// and cur is topic j's vector. It runs the AVX kernel where the CPU has one
+// and propagate4Go everywhere else; both write the same bits.
+func (p *plan) propagate4(i int, lambda float64, pStar, prev, cur [][Lanes]float64) {
+	if haveAVX {
+		p.propagate4AVX(i, lambda, pStar, prev, cur)
+		return
+	}
+	p.propagate4Go(i, lambda, pStar, prev, cur)
+}
+
+// propagate4AVX is propagate4Go with each in-degree class handed to the
+// assembly kernel propagateClass4, which holds a node's four lanes in one
+// 256-bit register: one broadcast coefficient times one prev row added per
+// in-edge, in the plan's order, then (1−λ)·P* + λ·acc clamped by two
+// compare-and-blend steps. Multiply and add are per lane and unfused, so
+// every lane is propagate4Go's bits (DESIGN.md §12 "Four topics per pass").
+// The kernel checks every index it reads against its slice and refuses
+// rather than read past one; the refusal panics here as a bounds check
+// would in propagate4Go.
+func (p *plan) propagate4AVX(i int, lambda float64, pStar, prev, cur [][Lanes]float64) {
+	nodes, src, coef := p.nodes, p.src, p.coef[i-1]
+	for _, c := range p.classes {
+		if !propagateClass4(int(c.deg), lambda, nodes[:c.count], src, coef, pStar, prev, cur) {
+			panic("lrw: propagation plan indexes outside its vectors")
+		}
+		span := int(c.deg) * int(c.count)
+		nodes, src, coef = nodes[c.count:], src[span:], coef[span:]
+	}
+}
+
+// propagate4Go is the portable four-lane kernel, and the oracle the AVX
+// one is tested against. The plan's src and coef stream once for all
 // four, each in-edge gathers one 32-byte prev row, and the four sums are
 // independent add chains. Per lane it is propagate term for term — the same
 // coefficient times the same prev value added in the same order to an
 // accumulator starting at 0, then the same Clamp01 expression — so lane j
 // holds the bits propagate computes for topic j alone (DESIGN.md §12 "Four
 // topics per pass").
-func (p *plan) propagate4(i int, lambda float64, pStar, prev, cur [][Lanes]float64) {
+func (p *plan) propagate4Go(i int, lambda float64, pStar, prev, cur [][Lanes]float64) {
 	nodes, src, coef := p.nodes, p.src, p.coef[i-1]
 	for _, c := range p.classes {
 		deg := int(c.deg)

@@ -220,9 +220,11 @@ func zooTopics(rng *rand.Rand, g *graph.Graph) [][]graph.NodeID {
 // with other weights, and the first graph under a second walk index — so
 // topic-free state kept from the previous pair shows up as a wrong bit.
 // Every seed's topics then go through the block path in blocks of 1, 2, 3
-// and 4 (checkBlocks), with an empty topic and one topic in two lanes.
+// and 4 (checkBlocks), with an empty topic and one topic in two lanes, and
+// through every four-lane kernel the CPU runs.
 func TestPlanEqualsReference(t *testing.T) {
 	ctx := context.Background()
+	kernels := kernels4(t)
 	sc := new(scratch)
 	var sawSource, sawSink, sawIsolated, sawLoneHub, sawSharedMax, sawSingleNode, sawTwoComponents bool
 	graphs := 0
@@ -341,7 +343,7 @@ func TestPlanEqualsReference(t *testing.T) {
 		seq = append(seq, 0)
 		for wi, w := range worlds {
 			for size := 1; size <= Lanes; size++ {
-				checkBlocks(t, fmt.Sprintf("seed %d world %d blocks of %d", seed, wi, size), w, space, seq, size, opts[(wi+size)%2], sc)
+				checkBlocks(t, fmt.Sprintf("seed %d world %d blocks of %d", seed, wi, size), w, space, seq, size, opts[(wi+size)%2], sc, kernels)
 			}
 		}
 	}
@@ -362,10 +364,11 @@ func TestPlanEqualsReference(t *testing.T) {
 // checkBlocks runs seq through the block path on sc in chunks of size
 // topics. Per chunk, the topics with nodes go through one scoresLanes
 // pass, and each lane must hold referenceScores' bits, select the
-// reference representative order, and leave the unused lanes zero; then
+// reference representative order, and leave the unused lanes zero; the
+// same pass replayed through each of kernels must hold the same bits; then
 // summarizeBlock over the whole chunk must return the reference summary
 // for every topic, empty ones included.
-func checkBlocks(t *testing.T, where string, w zooWorld, space *topics.Space, seq []topics.TopicID, size int, opt Options, sc *scratch) {
+func checkBlocks(t *testing.T, where string, w zooWorld, space *topics.Space, seq []topics.TopicID, size int, opt Options, sc *scratch, kernels []kernel4) {
 	t.Helper()
 	ctx := context.Background()
 	opt.fill()
@@ -382,6 +385,10 @@ func checkBlocks(t *testing.T, where string, w zooWorld, space *topics.Space, se
 			if err != nil {
 				t.Fatal(err)
 			}
+			replays := make([][][Lanes]float64, len(kernels))
+			for ki, k := range kernels {
+				replays[ki] = replayLanes(k, &sc.plan, w.walks.L, opt.Lambda, sc.pStar4)
+			}
 			col := make([]float64, w.g.NumNodes())
 			for j, vt := range vts {
 				want := referenceScores(w.g, w.walks, vt, opt)
@@ -389,6 +396,12 @@ func checkBlocks(t *testing.T, where string, w zooWorld, space *topics.Space, se
 					if col[v] = lanes[v][j]; math.Float64bits(col[v]) != math.Float64bits(want[v]) {
 						t.Fatalf("%s, chunk at %d lane %d node %d: got %x (%g), want %x (%g)",
 							where, lo, j, v, math.Float64bits(col[v]), col[v], math.Float64bits(want[v]), want[v])
+					}
+					for ki, k := range kernels {
+						if got := replays[ki][v][j]; math.Float64bits(got) != math.Float64bits(want[v]) {
+							t.Fatalf("%s, chunk at %d lane %d node %d, %s kernel: got %x (%g), want %x (%g)",
+								where, lo, j, v, k.name, math.Float64bits(got), got, math.Float64bits(want[v]), want[v])
+						}
 					}
 				}
 				reps, err := selectReps(ctx, col, len(vt), opt, sc)

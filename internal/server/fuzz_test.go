@@ -127,10 +127,8 @@ func FuzzUpdates(f *testing.F) {
 		if rec.Code != http.StatusAccepted {
 			return
 		}
-		// Decode the body the way the handler does: one value, leaving
-		// whatever follows it unread.
-		var req UpdateRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		req, err := decodeUpdate(bytes.NewReader(body))
+		if err != nil {
 			t.Fatalf("%q: 202 for a body that does not decode: %v", body, err)
 		}
 		nodes := eng.Graph().NumNodes() + req.NewNodes

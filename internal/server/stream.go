@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -19,7 +20,9 @@ import (
 )
 
 // maxUpdateBody bounds a POST /updates payload (1 MiB ≈ 20k events) so
-// a hostile client cannot balloon the decoder.
+// a hostile client cannot balloon the decoder. The growth a body may ask
+// for is bounded by stream.Pipeline.GrowNodes: one batch at most doubles
+// the graph.
 const maxUpdateBody = 1 << 20
 
 // sseWriteTimeout bounds each individual SSE write; a client that stops
@@ -69,10 +72,8 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	if !s.requireReady(w, r) {
 		return
 	}
-	var req UpdateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeUpdate(http.MaxBytesReader(w, r.Body, maxUpdateBody))
+	if err != nil {
 		s.writeErr(w, r, http.StatusBadRequest, "bad update payload: %v", err)
 		return
 	}
@@ -107,6 +108,21 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		Pending:  p.PendingEvents(),
 		Swaps:    p.Swaps(),
 	})
+}
+
+// decodeUpdate reads one UpdateRequest from body: a single JSON object
+// with no unknown field and nothing after it but whitespace.
+func decodeUpdate(body io.Reader) (UpdateRequest, error) {
+	var req UpdateRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return UpdateRequest{}, err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return UpdateRequest{}, errors.New("data after the update object")
+	}
+	return req, nil
 }
 
 // failUpdate maps a rejected submission: 503 when the pipeline is

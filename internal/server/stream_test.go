@@ -308,6 +308,43 @@ func TestUpdatesValidation(t *testing.T) {
 	}
 }
 
+// A body is one update object and nothing after it but whitespace, and its
+// new_nodes may at most double the published graph (three nodes here): the
+// rest is a 400 that queues nothing.
+func TestUpdatesRefusesTrailingDataAndRunawayGrowth(t *testing.T) {
+	ts, pipe := streamHarnessOver(t, Config{}, stream.Config{BatchSize: 1 << 20, MaxAge: time.Hour}, sameGeneration)
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/updates", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, body := range []string{
+		`{"updates":[{"from":1,"to":2,"weight":0.5}]} trailing garbage`,
+		`{"updates":[{"from":1,"to":2,"weight":0.5}]}{"updates":[]}`,
+		`{"updates":[{"from":1,"to":2,"weight":0.5}]} 7`,
+		`{"new_nodes":1000000000}`,
+		`{"new_nodes":4}`,
+		`{"new_nodes":9223372036854775807,"updates":[{"from":2147483647,"to":0,"weight":1}]}`,
+	} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", body, code)
+		}
+	}
+	if n := pipe.PendingEvents(); n != 0 {
+		t.Fatalf("%d events pending after refused bodies, want 0", n)
+	}
+	if code := post("{\"new_nodes\":3,\"updates\":[{\"from\":5,\"to\":0,\"weight\":0.5}]} \n"); code != http.StatusAccepted {
+		t.Fatalf("growth to double the graph, trailing whitespace: status = %d, want 202", code)
+	}
+	if code := post(`{"new_nodes":1}`); code != http.StatusBadRequest {
+		t.Fatalf("growth past double the graph: status = %d, want 400", code)
+	}
+}
+
 // A server without a pipeline keeps its exact pre-streaming surface:
 // the streaming routes do not exist.
 func TestStreamingRoutesAbsentWithoutPipeline(t *testing.T) {

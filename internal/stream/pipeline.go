@@ -146,7 +146,9 @@ func (p *Pipeline) Submit(events ...Event) error {
 
 // GrowNodes schedules n fresh node IDs, appended after the current
 // maximum, for the next batch. Events referencing the new IDs may be
-// submitted immediately.
+// submitted immediately. The growth pending for one batch may not exceed
+// the published graph's node count, so a flush at most doubles the graph;
+// a request past that is refused whole.
 func (p *Pipeline) GrowNodes(n int) error {
 	if err := p.life.Err(); err != nil {
 		return fmt.Errorf("stream: pipeline stopped: %w", err)
@@ -154,7 +156,13 @@ func (p *Pipeline) GrowNodes(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("stream: GrowNodes(%d): need a positive count", n)
 	}
+	published := p.Current().Graph().NumNodes()
 	p.mu.Lock()
+	if n > published-p.newNodes {
+		pending := p.newNodes
+		p.mu.Unlock()
+		return fmt.Errorf("stream: GrowNodes(%d) beside %d pending would more than double the graph's %d nodes", n, pending, published)
+	}
 	p.nodes += n
 	p.newNodes += n
 	if p.oldest.IsZero() {

@@ -187,6 +187,42 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// The node growth pending for one batch may reach the published graph's
+// node count and no further, so one flush at most doubles the graph; a
+// refused request adds nothing, and the published graph's growth raises
+// the cap.
+func TestGrowNodesAtMostDoubles(t *testing.T) {
+	eng := testEngine(t, 100, 3)
+	p, err := NewSet([]*core.Engine{eng}, Config{BatchSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeSet(p)
+	for _, c := range []struct {
+		n  int
+		ok bool
+	}{{1_000_000_000, false}, {math.MaxInt, false}, {60, true}, {41, false}, {40, true}, {1, false}} {
+		if err := p.GrowNodes(c.n); (err == nil) != c.ok {
+			t.Fatalf("GrowNodes(%d) = %v, want accepted %v", c.n, err, c.ok)
+		}
+	}
+	if err := p.Submit(Event{From: 0, To: 199, Weight: 0.5}); err != nil {
+		t.Fatalf("event on the last granted node: %v", err)
+	}
+	if err := p.Submit(Event{From: 0, To: 200, Weight: 0.5}); err == nil {
+		t.Fatal("event past the granted nodes accepted")
+	}
+	if err := p.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Current().Graph().NumNodes(); got != 200 {
+		t.Fatalf("graph after the flush has %d nodes, want 200", got)
+	}
+	if err := p.GrowNodes(200); err != nil {
+		t.Fatalf("GrowNodes(200) on a 200-node graph: %v", err)
+	}
+}
+
 // A flush takes the accepted node growth into its batch before it
 // publishes the grown graph. An event for a grown node submitted in that
 // window — here from PrepareEngine, after the rebuild and before the
