@@ -29,12 +29,10 @@
 //
 // Searches are served through the fidelity ladder: every search attempts
 // the full search, and only a real failure — the deadline firing, a
-// failed or breaker-refused build — walks it down to materialized
-// summaries only, then an explicit 503.
-// A circuit breaker guards summary builds (five consecutive failures trip
-// it). The ladder has no flags. Every /search
-// response carries its serving tier in the X-Pit-Tier header (see
-// DESIGN.md §13). README's Operations section lists every flag.
+// failed build — walks it down to materialized summaries only, then an
+// explicit 503. The ladder has no flags. Every /search response carries
+// its serving tier in the X-Pit-Tier header (see DESIGN.md §13).
+// README's Operations section lists every flag.
 //
 // -stream-batch > 0 turns the static-index server into a continuously
 // updating one (DESIGN.md §15): POST /updates feeds edge events into a
@@ -79,7 +77,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/stream"
@@ -231,9 +228,6 @@ func buildApp(o options) (*app, error) {
 	for i := range engines {
 		engines[i], err = core.New(g, sp, core.Options{
 			WalkL: o.walkL, WalkR: o.walkR, Theta: o.theta, Seed: o.seed, Metrics: reg,
-			// Five consecutive build failures suspend builds; the
-			// cooldowns are the breaker's defaults (1s doubling to 30s).
-			Breaker: plan.BreakerConfig{Threshold: 5},
 		})
 		if err != nil {
 			return nil, err

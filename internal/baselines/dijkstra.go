@@ -124,7 +124,7 @@ func (d *Dijkstra) pathInfluence(src, user graph.NodeID) float64 {
 			if prob.IsZero(d.dist[y]) {
 				continue // neighbor cannot reach the user
 			}
-			dev := prefix * ws[k] * d.dist[y]
+			dev := float64(prefix * ws[k] * d.dist[y])
 			total += dev
 			deviations++
 			if deviations >= d.maxDeviations {

@@ -69,7 +69,7 @@ func (m *Matrix) Influence(t topics.TopicID, user graph.NodeID) float64 {
 			}
 			nbrs, ws := m.g.OutNeighbors(graph.NodeID(u))
 			for k, v := range nbrs {
-				m.next[v] += xu * ws[k]
+				m.next[v] += float64(xu * ws[k])
 			}
 		}
 		total += m.next[user]

@@ -7,10 +7,12 @@
 //
 // The point is falsifiability: the fidelity ladder's claims ("under
 // 30% summarizer failure the server keeps answering from lower tiers
-// with zero unplanned 5xx"; "the breaker trips, backs off, and recovers
-// through a half-open probe") are only worth stating if a harness can
-// break the kernel on demand and watch the ladder hold. Chaos wrappers
-// live in _test binaries; the package has no production callers.
+// with zero unplanned 5xx"; "a permanent outage is retried by each
+// request, one build per topic at a time, and a healed kernel serves
+// full fidelity on the next request") are only worth stating if a
+// harness can break the kernel on demand and watch the ladder hold.
+// Chaos wrappers live in _test binaries; the package has no production
+// callers.
 package chaos
 
 import (
@@ -32,7 +34,7 @@ var (
 	// failures — the kind a retry or a lower tier should absorb.
 	ErrTransient = errors.New("chaos: injected transient failure")
 	// ErrPermanent is the error returned while PermanentOutage is set —
-	// the kind that should trip the breaker.
+	// the kind every retry hits until the outage heals.
 	ErrPermanent = errors.New("chaos: injected permanent outage")
 )
 
@@ -48,14 +50,13 @@ type Config struct {
 	// ErrTransient.
 	FailRate float64
 	// PanicRate is the probability in [0,1] that a call panics —
-	// exercising the singleflight recovery and breaker bookkeeping
-	// paths.
+	// exercising the singleflight recovery path.
 	PanicRate float64
 	// Latency is added before the inner call, observing ctx cancellation
 	// while waiting (a slow kernel must still be a cancelable kernel).
 	Latency time.Duration
 	// PermanentOutage makes every call fail with ErrPermanent until a
-	// SetConfig heals it — the breaker-trip scenario.
+	// SetConfig heals it — the outage-then-heal scenario.
 	PermanentOutage bool
 	// Target, when set, limits injection to topics it returns true for;
 	// other topics pass straight through to the inner summarizer.

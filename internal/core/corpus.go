@@ -15,10 +15,10 @@ import (
 // assigns it, while the indexes underneath are shared or hydrated
 // per shard (internal/shard).
 //
-// The corpus itself is policy-free: breakers, metrics and the actual
-// summarizer call live in the build closure the engine passes to
-// materialize, so the generation dance below stays reusable across
-// serving configurations.
+// The corpus itself is policy-free: metrics and the actual summarizer
+// call live in the build closure the engine passes to materialize, so
+// the generation dance below stays reusable across serving
+// configurations.
 type corpus struct {
 	cache  sumCache
 	flight singleflight.Group[cacheKey, summary.Summary]

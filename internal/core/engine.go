@@ -35,7 +35,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lrw"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/propidx"
 	"repro/internal/randwalk"
 	"repro/internal/rcl"
@@ -56,12 +55,6 @@ var (
 	// ErrNotReady tags use-before-BuildIndexes: the engine exists but its
 	// offline indexes are not built yet. An HTTP server should answer 503.
 	ErrNotReady = errors.New("core: engine not ready")
-	// ErrBuildsSuspended tags summary builds refused because the method's
-	// circuit breaker is open: the kernel is failing and the engine is
-	// shedding build load while it backs off. The fidelity ladder absorbs
-	// it (degrade to materialized); direct Summarize callers see it as a
-	// retryable condition.
-	ErrBuildsSuspended = errors.New("core: summary builds suspended")
 	// ErrUnavailable tags a planned request no tier could answer: the
 	// full attempt failed and the materialized one had nothing cached to
 	// rank. An HTTP server should answer 503 + Retry-After.
@@ -114,11 +107,6 @@ type Options struct {
 	// index durations, frontier truncations. Nil disables
 	// instrumentation at zero cost.
 	Metrics *obs.Registry
-	// Breaker configures the per-method circuit breaker around summary
-	// builds: while it is open a cache miss fails with
-	// ErrBuildsSuspended, which the fidelity ladder behind Run degrades
-	// on. The zero value disables it.
-	Breaker plan.BreakerConfig
 }
 
 func (o *Options) fill() {
@@ -176,11 +164,8 @@ type Engine struct {
 	// checks are branch-predictable no-ops in the disabled case).
 	met *engineMetrics
 
-	// The query path (planned.go) with this engine as its Opener, and
-	// one build breaker per method (nil when disabled; the engine that
-	// replaces this one at a swap inherits them, see PatchIndexes).
-	ladder   *Ladder
-	breakers [2]*plan.Breaker
+	// The query path (planned.go) with this engine as its Opener.
+	ladder *Ladder
 
 	// Artifact-backed state (artifacts.go). handles own the file
 	// mappings behind LoadArtifacts-restored indexes and mapped marks
@@ -213,11 +198,6 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 	e.corpus.init(e.life)
 	if opts.Metrics != nil {
 		e.met = newEngineMetrics(opts.Metrics)
-	}
-	for _, m := range []Method{MethodLRW, MethodRCL} {
-		bcfg := opts.Breaker
-		bcfg.OnStateChange = e.met.breakerHook(m)
-		e.breakers[m] = plan.NewBreaker(bcfg)
 	}
 	e.ladder = NewLadder(opts.Metrics, e.hold)
 	return e, nil
@@ -438,15 +418,6 @@ func (e *Engine) Summarize(ctx context.Context, m Method, t topics.TopicID) (sum
 		return summary.Summary{}, err
 	}
 	return out[0], nil
-}
-
-// BreakerState returns the current build-breaker state for m (Closed
-// when the breaker is disabled).
-func (e *Engine) BreakerState(m Method) plan.State {
-	if !m.valid() {
-		return plan.Closed
-	}
-	return e.breakers[m].State()
 }
 
 // MaterializeAll pre-computes and caches summaries for every topic in the

@@ -91,11 +91,8 @@ func patchIndexSet(ctx context.Context, old indexSet, oldG, g *graph.Graph, opts
 // The result is bit-identical to a build; where a patch cannot promise
 // that cheaply (node growth, other options, indexes loaded from an
 // artifact directory) the index concerned is built and the stats say so.
-// old is only read and keeps serving. The engine also takes over old's
-// build breakers: a swap changes the graph, not the health of the
-// summarizer, so a tripped breaker stays tripped with its backoff. Like
-// BuildIndexes it observes pit_index_build_duration_seconds once and is
-// a no-op on a ready engine.
+// old is only read and keeps serving. Like BuildIndexes it observes
+// pit_index_build_duration_seconds once and is a no-op on a ready engine.
 func (e *Engine) PatchIndexes(ctx context.Context, old *Engine) (PatchStats, error) {
 	if old == nil {
 		return PatchStats{}, fmt.Errorf("core: PatchIndexes: nil source engine")
@@ -106,7 +103,6 @@ func (e *Engine) PatchIndexes(ctx context.Context, old *Engine) (PatchStats, err
 	var stats PatchStats
 	err := e.publishIndexes(func() (idx indexSet, err error) {
 		idx, stats, err = patchIndexSet(ctx, old.idx, old.g, e.g, e.opts)
-		e.breakers = old.breakers
 		return idx, err
 	})
 	return stats, err
@@ -162,11 +158,11 @@ func (e *Engine) installIndexes(idx indexSet) error {
 // indexSet of src instead of rebuilding walks and propagation rows —
 // how a multi-shard deployment stands up N engines over one dataset
 // with one index build. The shared indexes are immutable so the
-// aliasing is safe; summarizers, corpus, breakers and lifecycle stay
-// per-engine. src must be ready and built, not loaded: an engine
-// restored by LoadArtifacts refuses to share, because its mappings'
-// lifetime is bound to src's Close and a sharing engine would fault
-// after src unmaps — each engine loads the artifact directory itself.
+// aliasing is safe; summarizers, corpus and lifecycle stay per-engine.
+// src must be ready and built, not loaded: an engine restored by
+// LoadArtifacts refuses to share, because its mappings' lifetime is
+// bound to src's Close and a sharing engine would fault after src
+// unmaps — each engine loads the artifact directory itself.
 func (e *Engine) ShareIndexes(src *Engine) error {
 	if src == nil {
 		return fmt.Errorf("core: ShareIndexes: nil source engine")

@@ -8,10 +8,7 @@ package core
 // Method-indexed arrays — so the hot path pays one atomic add per
 // event and never allocates.
 
-import (
-	"repro/internal/obs"
-	"repro/internal/plan"
-)
+import "repro/internal/obs"
 
 // Label is the method's metric label value ("lrw" / "rcl"), shared by
 // every family partitioned by method.
@@ -58,13 +55,6 @@ type engineMetrics struct {
 	// materialized-only search paths because no summary was cached —
 	// the per-topic visibility of partial (degraded) answers.
 	materializedSkipped [2]*obs.Counter
-	// buildsSuspended counts builds refused because the method's circuit
-	// breaker was open; breakerTrips counts closed→open transitions;
-	// breakerState exposes the current state (0 closed, 1 half-open,
-	// 2 open) as a gauge.
-	buildsSuspended [2]*obs.Counter
-	breakerTrips    [2]*obs.Counter
-	breakerState    [2]*obs.Gauge
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
@@ -80,12 +70,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		"Topics completed by summary warm-up runs (WarmSummaries, WarmTopics).", "method")
 	skipped := reg.CounterVec("pit_materialized_skipped_topics_total",
 		"Q-related topics skipped by materialized-only searches because no summary was cached.", "method")
-	suspended := reg.CounterVec("pit_summary_builds_suspended_total",
-		"Summary builds refused because the method's circuit breaker was open.", "method")
-	trips := reg.CounterVec("pit_breaker_trips_total",
-		"Build circuit-breaker trips (closed/half-open to open transitions).", "method")
-	state := reg.GaugeVec("pit_breaker_state",
-		"Build circuit-breaker state: 0 closed, 1 half-open, 2 open.", "method")
 	m := &engineMetrics{
 		buildsCanceled: reg.Counter("pit_summary_builds_canceled_total",
 			"Summary builds canceled by Engine.Close (shutdown racing a cache miss)."),
@@ -107,28 +91,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		m.dedupWaits[method] = waits.With(l)
 		m.warmTopics[method] = warm.With(l)
 		m.materializedSkipped[method] = skipped.With(l)
-		m.buildsSuspended[method] = suspended.With(l)
-		m.breakerTrips[method] = trips.With(l)
-		m.breakerState[method] = state.With(l)
 	}
 	return m
-}
-
-// breakerHook is method m's build-breaker OnStateChange: it keeps the
-// state gauge current and counts trips. It captures the two metric
-// handles and nothing else — the engine that replaces this one at a swap
-// inherits the breaker (PatchIndexes), so a hook holding an engine would
-// keep every retired one reachable. nil when instrumentation is off.
-// Called with the breaker's lock held.
-func (em *engineMetrics) breakerHook(m Method) func(from, to plan.State) {
-	if em == nil {
-		return nil
-	}
-	state, trips := em.breakerState[m], em.breakerTrips[m]
-	return func(_, to plan.State) {
-		state.Set(int64(to))
-		if to == plan.Open {
-			trips.Inc()
-		}
-	}
 }

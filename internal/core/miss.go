@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/lrw"
-	"repro/internal/plan"
 	"repro/internal/summary"
 	"repro/internal/topics"
 )
@@ -165,65 +164,26 @@ func (e *Engine) fillBlock(ctx context.Context, m Method, block []topics.TopicID
 
 // buildBlock is the flight leader's half of a block: keys are the topics
 // of m still missing after the corpus's in-flight recheck, and it writes
-// sums[i] and errs[i] for keys[i]. The breaker is consulted only here, one
-// Allow per topic, so a half-open probe slot is consumed exclusively by a
-// topic that will actually build and report its outcome; a refused topic
-// fails with ErrBuildsSuspended. The built-in LRW-A summarizer takes the
-// admitted topics as one run; RCL-A and override backends build them one
-// at a time, Allow before each. Each key counts one build: a topic a
-// racing fill installed between the caller's lookup and the flight's
-// recheck never gets here, so no topic counts twice.
+// sums[i] and errs[i] for keys[i]. The built-in LRW-A summarizer takes
+// the block as one run; RCL-A and override backends build it one topic
+// at a time. A failed topic is not remembered: the next request that
+// misses it builds it again, at most one build per topic at a time
+// through the corpus flight, and a panic reaches the flight's recovery.
+// Each key counts one build: a topic a racing fill installed between the
+// caller's lookup and the flight's recheck never gets here, so no topic
+// counts twice. Each built topic observes its share of the block's wall
+// time in pit_summary_build_duration_seconds, so the histogram counts
+// topics and prices one topic whether it was built alone or in a block
+// of lrw.Lanes.
 func (e *Engine) buildBlock(ctx context.Context, m Method, keys []cacheKey, sums []summary.Summary, errs []error) {
 	if e.met != nil {
 		e.met.builds[m].Add(uint64(len(keys)))
 	}
-	br := e.breakers[m]
 	e.ovMu.RLock()
 	ov := e.override[m]
 	e.ovMu.RUnlock()
-	lanes := ov == nil && m == MethodLRW
-	for i := 0; i < len(keys); {
-		// A run ends at the first refusal. The refused topic asks again
-		// once the run has reported: a half-open probe's outcome decides
-		// whether its siblings build, as it did when each was its own call.
-		j := i
-		for j < len(keys) && (lanes || j == i) && br.Allow() {
-			j++
-		}
-		if j == i {
-			if e.met != nil {
-				e.met.buildsSuspended[m].Inc()
-			}
-			errs[i] = fmt.Errorf("%w: %v build breaker open", ErrBuildsSuspended, m)
-			i++
-			continue
-		}
-		e.buildRecorded(ctx, lanes, ov, keys[i:j], sums[i:j], errs[i:j], br)
-		i = j
-	}
-}
-
-// buildRecorded builds one admitted run and reports each topic's outcome
-// to the breaker — exactly once, panic included: every Allow consumed a
-// probe slot the breaker gets back only through OnSuccess/OnFailure, so a
-// panicking kernel must count as a failure for every topic not yet
-// reported before the panic continues up into the singleflight recovery.
-// Cancellations caused by engine shutdown are neutral: a drained process
-// says nothing about kernel health. Each built topic observes its share
-// of the run's wall time in pit_summary_build_duration_seconds, so the
-// histogram counts topics and prices one topic whether it was built alone
-// or in a block of lrw.Lanes. lanes selects
-// the built-in LRW-A summarizer's SummarizeMany; otherwise the run is one
-// topic for summarizeBackend.
-func (e *Engine) buildRecorded(ctx context.Context, lanes bool, ov summary.Summarizer, keys []cacheKey, sums []summary.Summary, errs []error, br *plan.Breaker) {
-	reported := 0
-	defer func() {
-		for ; reported < len(keys); reported++ {
-			br.OnFailure()
-		}
-	}()
 	start := time.Now()
-	if lanes {
+	if ov == nil && m == MethodLRW {
 		ts := make([]topics.TopicID, len(keys))
 		for i, k := range keys {
 			ts[i] = k.t
@@ -241,20 +201,14 @@ func (e *Engine) buildRecorded(ctx context.Context, lanes bool, ov summary.Summa
 			sums[i], errs[i] = e.summarizeBackend(ctx, ov, k)
 		}
 	}
+	if e.met == nil {
+		return
+	}
 	share := time.Since(start).Seconds() / float64(len(keys))
 	for _, err := range errs {
-		switch {
-		case err == nil:
-			br.OnSuccess()
-			if e.met != nil {
-				e.met.buildDur.Observe(share)
-			}
-		case errors.Is(err, context.Canceled) && e.life.Err() != nil:
-			// Shutdown, not a kernel fault: leave the breaker untouched.
-		default:
-			br.OnFailure()
+		if err == nil {
+			e.met.buildDur.Observe(share)
 		}
-		reported++
 	}
 }
 

@@ -138,9 +138,6 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 		return ans, nil
 	}
 
-	// An open build breaker refuses here, inside the attempt, with
-	// ErrBuildsSuspended — never reaching the summarizer — and the
-	// planned request degrades as on any other build failure.
 	ans, err := l.attempt(ctx, backend, q, related, false)
 	if err == nil {
 		return ans, nil

@@ -1,9 +1,9 @@
 package core
 
 // Engine-internal ladder tests: the per-topic skipped-materialization
-// counter, the build breaker refusing the ladder's builds, the one-
-// gate-per-request regression and an open session's hold on the gate. The tier table itself runs against both
-// backends in ladder_test.go.
+// counter, the one-gate-per-request regression and an open session's
+// hold on the gate. The tier table itself runs against both backends in
+// ladder_test.go.
 
 import (
 	"context"
@@ -25,13 +25,6 @@ func dummySum(t topics.TopicID) summary.Summary {
 	return summary.New(t, []summary.WeightedNode{{Node: 1, Weight: 0.5}})
 }
 
-// okSummarizer always succeeds instantly.
-func okSummarizer() summarizeFunc {
-	return func(_ context.Context, t topics.TopicID) (summary.Summary, error) {
-		return dummySum(t), nil
-	}
-}
-
 // failSummarizer always fails.
 func failSummarizer(err error) summarizeFunc {
 	return func(context.Context, topics.TopicID) (summary.Summary, error) {
@@ -40,12 +33,11 @@ func failSummarizer(err error) summarizeFunc {
 }
 
 // plannedEngine builds an engine over the shared smallWorld dataset
-// with a metrics registry and the given build breaker.
-func plannedEngine(t *testing.T, breaker plan.BreakerConfig) (*Engine, *obs.Registry) {
+// with a metrics registry.
+func plannedEngine(t *testing.T) *Engine {
 	t.Helper()
 	g, space := smallWorld()
-	reg := obs.NewRegistry()
-	eng, err := New(g, space, Options{WalkL: 4, WalkR: 8, Theta: 0.02, Seed: 7, Metrics: reg, Breaker: breaker})
+	eng, err := New(g, space, Options{WalkL: 4, WalkR: 8, Theta: 0.02, Seed: 7, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +45,7 @@ func plannedEngine(t *testing.T, breaker plan.BreakerConfig) (*Engine, *obs.Regi
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	return eng, reg
+	return eng
 }
 
 // TestMaterializedSkippedCounterPinned is the satellite regression test:
@@ -62,7 +54,7 @@ func plannedEngine(t *testing.T, breaker plan.BreakerConfig) (*Engine, *obs.Regi
 // summarizer sends the planned query down to that rung; the failed full
 // attempt skips nothing.
 func TestMaterializedSkippedCounterPinned(t *testing.T) {
-	eng, _ := plannedEngine(t, plan.BreakerConfig{})
+	eng := plannedEngine(t)
 	related := eng.Space().Related("tag000")
 	if _, err := eng.Summarize(context.Background(), MethodLRW, related[0]); err != nil {
 		t.Fatal(err)
@@ -88,75 +80,6 @@ func TestMaterializedSkippedCounterPinned(t *testing.T) {
 	}
 }
 
-// TestBreakerTripsSuspendsAndRecovers: consecutive build failures trip
-// the breaker (suspending further builds with ErrBuildsSuspended, so a
-// planned query degrades without reaching the summarizer), and a
-// successful half-open probe closes it again.
-func TestBreakerTripsSuspendsAndRecovers(t *testing.T) {
-	eng, _ := plannedEngine(t, plan.BreakerConfig{Threshold: 2, Cooldown: 20 * time.Millisecond, MaxCooldown: 40 * time.Millisecond, Jitter: 0.01})
-	related := eng.Space().Related("tag000")
-	injected := fmt.Errorf("kernel down")
-	eng.SetSummarizer(MethodLRW, failSummarizer(injected))
-
-	// Two distinct-topic failures reach the threshold.
-	for i := 0; i < 2; i++ {
-		if _, err := eng.Summarize(context.Background(), MethodLRW, related[i%len(related)]); !errors.Is(err, injected) {
-			t.Fatalf("failure %d: %v", i, err)
-		}
-	}
-	if st := eng.BreakerState(MethodLRW); st != plan.Open {
-		t.Fatalf("state after threshold = %v, want open", st)
-	}
-	if _, err := eng.Summarize(context.Background(), MethodLRW, related[0]); !errors.Is(err, ErrBuildsSuspended) {
-		t.Fatalf("open-breaker build err = %v, want ErrBuildsSuspended", err)
-	}
-	if eng.met.breakerTrips[MethodLRW].Value() != 1 {
-		t.Fatalf("trips = %d, want 1", eng.met.breakerTrips[MethodLRW].Value())
-	}
-	if eng.met.buildsSuspended[MethodLRW].Value() != 1 {
-		t.Fatalf("suspended = %d, want 1", eng.met.buildsSuspended[MethodLRW].Value())
-	}
-
-	// While open, the full tier's builds are refused before the
-	// summarizer: the planned query finds nothing materialized and
-	// nothing stale, and every refusal is counted.
-	var calls atomic.Int32
-	eng.SetSummarizer(MethodLRW, summarizeFunc(func(context.Context, topics.TopicID) (summary.Summary, error) {
-		calls.Add(1)
-		return summary.Summary{}, injected
-	}))
-	suspended := eng.met.buildsSuspended[MethodLRW].Value()
-	query := Query{Text: "tag000", User: 3, K: 2}
-	ans, err := eng.Run(context.Background(), query)
-	if !errors.Is(err, ErrUnavailable) || ans.Outcome.Tier != plan.TierUnavailable {
-		t.Fatalf("open-breaker plan: out=%+v err=%v, want unavailable", ans.Outcome, err)
-	}
-	if n := calls.Load(); n != 0 {
-		t.Fatalf("open-breaker plan made %d summarizer calls, want 0", n)
-	}
-	if got := eng.met.buildsSuspended[MethodLRW].Value(); got <= suspended {
-		t.Fatalf("suspended = %d after the open-breaker plan, want > %d", got, suspended)
-	}
-
-	// Heal the kernel, wait out the cooldown: the half-open probe closes
-	// the breaker and full fidelity returns.
-	eng.SetSummarizer(MethodLRW, okSummarizer())
-	time.Sleep(50 * time.Millisecond)
-	if st := eng.BreakerState(MethodLRW); st != plan.HalfOpen {
-		t.Fatalf("state after cooldown = %v, want half-open", st)
-	}
-	ans, err = eng.Run(context.Background(), query)
-	if err != nil || ans.Outcome.Tier != plan.TierFull {
-		t.Fatalf("post-heal plan: out=%+v err=%v, want full", ans.Outcome, err)
-	}
-	if len(ans.Results) == 0 {
-		t.Fatal("post-heal plan returned no results")
-	}
-	if st := eng.BreakerState(MethodLRW); st != plan.Closed {
-		t.Fatalf("state after successful probe = %v, want closed", st)
-	}
-}
-
 // TestRunHoldsGateAcrossRerank is the regression test for the per-call
 // gate: a diversified search used to take and release the query gate
 // for the search and again for every result's re-rank lookup, so an
@@ -165,7 +88,7 @@ func TestBreakerTripsSuspendsAndRecovers(t *testing.T) {
 // begins mid-request waits, and the request either completes or was
 // refused before any work.
 func TestRunHoldsGateAcrossRerank(t *testing.T) {
-	eng, _ := plannedEngine(t, plan.BreakerConfig{})
+	eng := plannedEngine(t)
 	eng.EnableDrainGate()
 	var (
 		builds  atomic.Int32

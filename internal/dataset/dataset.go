@@ -109,7 +109,7 @@ func GenerateGraph(cfg GraphConfig) (*graph.Graph, error) {
 		parts := make([]float64, len(targets[u]))
 		sum := 0.0
 		for i := range parts {
-			parts[i] = 0.1 + rng.Float64()
+			parts[i] = 0.1 + float64(rng.Float64())
 			sum += parts[i]
 		}
 		for i, v := range targets[u] {

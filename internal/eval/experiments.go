@@ -366,7 +366,7 @@ func (r *Runner) spaceCost(id string, paperReps int) (Table, error) {
 			}
 			// BaseMatrix's true footprint is its dense vectors, which are
 			// pre-allocated; charge them explicitly like the paper does.
-			row = append(row, fmt.Sprintf("%.1f", m.allocKB+float64(e.matrix.MemoryBytes())/1024))
+			row = append(row, fmt.Sprintf("%.1f", m.allocKB+float64(float64(e.matrix.MemoryBytes())/1024)))
 		} else {
 			row = append(row, "-")
 		}

@@ -69,7 +69,7 @@ func ExactSummarized(g *graph.Graph, sum summary.Summary, v graph.NodeID, opt Op
 		if rep.Weight == 0 {
 			continue
 		}
-		total += rep.Weight * PathSum(g, rep.Node, v, opt)
+		total += float64(rep.Weight * PathSum(g, rep.Node, v, opt))
 	}
 	return total, nil
 }
@@ -99,7 +99,7 @@ func (e *pathEnum) walk(node graph.NodeID, prob float64, depth int) {
 	}
 	nbrs, ws := e.g.OutNeighbors(node)
 	for k, next := range nbrs {
-		p := prob * ws[k]
+		p := float64(prob * ws[k])
 		if e.opt.MinProb > 0 && p < e.opt.MinProb {
 			continue
 		}

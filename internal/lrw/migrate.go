@@ -135,7 +135,7 @@ func migrateInto(ctx context.Context, t topics.TopicID, walks *randwalk.Index, v
 			continue // topic node absorbed by nobody: its mass stays unmigrated
 		}
 		for j := range reps {
-			weights[j] += row[j] * invVt
+			weights[j] += float64(row[j] * invVt)
 		}
 	}
 

@@ -205,7 +205,7 @@ func selectReps(ctx context.Context, scores []float64, topicNodes int, opt Optio
 	n := len(scores)
 	repCount := opt.RepCount
 	if repCount <= 0 {
-		repCount = int(opt.Mu*float64(topicNodes) + 0.999999)
+		repCount = int(float64(opt.Mu*float64(topicNodes)) + 0.999999)
 	}
 	if repCount < 1 {
 		repCount = 1

@@ -132,7 +132,7 @@ func (p *plan) fill(i int, g *graph.Graph, walks *randwalk.Index) {
 		nbrs, ws := g.OutNeighbors(graph.NodeID(u))
 		sum := 0.0
 		for k, w := range nbrs {
-			sum += ws[k] * hPlus[w] //pitlint:ignore probinvariant D_T is a normalizing denominator, not a probability; the transition built from it is clamped at use
+			sum += float64(ws[k] * hPlus[w]) //pitlint:ignore probinvariant D_T is a normalizing denominator, not a probability; the transition built from it is clamped at use
 		}
 		d[u] = sum
 	}
@@ -175,14 +175,14 @@ func (p *plan) propagate(i int, lambda float64, pStar, prev, cur []float64) {
 			acc := 0.0
 			us := src[:deg]
 			for k, w := range coef[:deg] {
-				acc += w * prev[us[k]]
+				acc += float64(w * prev[us[k]])
 			}
 			src, coef = src[deg:], coef[deg:]
 			// The reinforced transition is row-substochastic (each
 			// coefficient is ≤ 1, see above), so the rank vector stays a
 			// distribution; Clamp01 only strips accumulated rounding noise
 			// at the boundaries.
-			cur[v] = prob.Clamp01((1-lambda)*pStar[v] + lambda*acc)
+			cur[v] = prob.Clamp01(float64((1-lambda)*pStar[v]) + float64(lambda*acc))
 		}
 		nodes = nodes[c.count:]
 	}
@@ -238,17 +238,17 @@ func (p *plan) propagate4Go(i int, lambda float64, pStar, prev, cur [][Lanes]flo
 			us := src[:deg]
 			for k, w := range coef[:deg] {
 				x := &prev[us[k]]
-				a0 += w * x[0]
-				a1 += w * x[1]
-				a2 += w * x[2]
-				a3 += w * x[3]
+				a0 += float64(w * x[0])
+				a1 += float64(w * x[1])
+				a2 += float64(w * x[2])
+				a3 += float64(w * x[3])
 			}
 			src, coef = src[deg:], coef[deg:]
 			ps, out := &pStar[v], &cur[v]
-			out[0] = prob.Clamp01((1-lambda)*ps[0] + lambda*a0)
-			out[1] = prob.Clamp01((1-lambda)*ps[1] + lambda*a1)
-			out[2] = prob.Clamp01((1-lambda)*ps[2] + lambda*a2)
-			out[3] = prob.Clamp01((1-lambda)*ps[3] + lambda*a3)
+			out[0] = prob.Clamp01(float64((1-lambda)*ps[0]) + float64(lambda*a0))
+			out[1] = prob.Clamp01(float64((1-lambda)*ps[1]) + float64(lambda*a1))
+			out[2] = prob.Clamp01(float64((1-lambda)*ps[2]) + float64(lambda*a2))
+			out[3] = prob.Clamp01(float64((1-lambda)*ps[3]) + float64(lambda*a3))
 		}
 		nodes = nodes[c.count:]
 	}

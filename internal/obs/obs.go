@@ -341,8 +341,8 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return c
 }
 
-// GaugeVec is a gauge family partitioned by label values (e.g. circuit
-// breaker state by summarization method).
+// GaugeVec is a gauge family partitioned by label values (e.g. a level
+// per summarization method).
 type GaugeVec struct {
 	labels []string
 	mu     sync.RWMutex

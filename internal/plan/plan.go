@@ -1,11 +1,11 @@
-// Package plan holds the state machines behind the serving stack's
-// graceful degradation. The paper's whole premise is that summaries
-// trade a bounded amount of precision for large latency wins; the
-// fidelity ladder (core.Ladder.Run) generalizes the single degradation
-// step of the earlier serving work (deadline → materialized-only) into
-// staged tiers that serve the best answer a failing request still has
-// instead of failing (cf. "Topic-Based Influence Computation in Social
-// Networks under Resource Constraints", arXiv 1801.02198):
+// Package plan names the rungs of the serving stack's fidelity ladder.
+// The paper's whole premise is that summaries trade a bounded amount of
+// precision for large latency wins; the ladder (core.Ladder.Run) turns
+// the single degradation step of the earlier serving work (deadline →
+// materialized-only) into staged tiers that serve the best answer a
+// failing request still has instead of failing (cf. "Topic-Based
+// Influence Computation in Social Networks under Resource Constraints",
+// arXiv 1801.02198):
 //
 //	full         — on-demand summarization + top-k search, the paper's
 //	               exact online algorithm (Algorithms 10–11)
@@ -15,14 +15,12 @@
 //	               only planned "no answer"
 //
 // Nothing is predicted: every planned request attempts the full tier,
-// and only a real failure — the deadline firing, a build error, a build
-// refused by the circuit breaker around summarizer builds (breaker.go)
-// — walks it down, in one place (core.Ladder.Run): the materialized
-// rung is reached only by degrading. A caller that needs the exact
-// answer says so per query (core.FidelityFull). This package owns the
-// tiers and the breaker, so they are unit-testable without an engine.
-// It keeps no answers: every tier answers from the generation the
-// request holds.
+// and only a real failure — the deadline firing, a build error — walks
+// it down, in one place (core.Ladder.Run): the materialized rung is
+// reached only by degrading. A caller that needs the exact answer says
+// so per query (core.FidelityFull). The package holds the tier enum and
+// nothing else; it keeps no answers, so every tier answers from the
+// generation the request holds.
 package plan
 
 import "fmt"

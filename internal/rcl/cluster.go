@@ -175,8 +175,8 @@ func intersectionSize(a, b []graph.NodeID) int {
 // reach sizes, inv = 1/|V′|. The rng is consumed exactly when Rule 3
 // fires, so every grouping implementation replays the same sequence.
 func pairDecision(common, sizeI, sizeJ int, inv float64, rng *rand.Rand) pairLabel {
-	gPlus := float64(common) * inv
-	gMinus := float64(sizeI-common+sizeJ-common) * inv
+	gPlus := float64(float64(common) * inv)
+	gMinus := float64(float64(sizeI-common+sizeJ-common) * inv)
 	gStar := 1 - gPlus - gMinus
 	switch {
 	// Rule 1: clearly in.

@@ -44,7 +44,7 @@ func Diversify(results []Result, summaries []summary.Summary, lambda float64, k 
 	for len(out) < k && len(remaining) > 0 {
 		bestIdx, bestScore := 0, -1.0
 		for i, r := range remaining {
-			adjusted := r.Score * (1 - lambda*overlapWith(byTopic[r.Topic], covered))
+			adjusted := float64(r.Score * (1 - float64(lambda*overlapWith(byTopic[r.Topic], covered))))
 			if adjusted > bestScore || (prob.ApproxEq(adjusted, bestScore, 0) && r.Topic < remaining[bestIdx].Topic) {
 				bestIdx, bestScore = i, adjusted
 			}

@@ -100,7 +100,7 @@ func (ss *Session) prune(kth float64, depth int) {
 		if st.pruned {
 			continue
 		}
-		if prob.ApproxEq(st.wr, 0, 1e-15) || kth >= st.wr*maxEP+st.score {
+		if prob.ApproxEq(st.wr, 0, 1e-15) || kth >= float64(st.wr*maxEP)+st.score {
 			st.pruned = true
 			st.prunedAt = int32(depth)
 		}

@@ -235,7 +235,7 @@ func (s *Searcher) consume(st *topicState, srcs []graph.NodeID, props []float64,
 			}
 			if j := findNode(srcs, st.reps[i].Node); j >= 0 {
 				st.consumed[i] = true
-				st.score += acc * props[j] * st.reps[i].Weight
+				st.score += float64(acc * props[j] * st.reps[i].Weight)
 				st.wr -= st.reps[i].Weight
 			}
 		}
@@ -250,7 +250,7 @@ func (s *Searcher) consume(st *topicState, srcs []graph.NodeID, props []float64,
 			default:
 				if !st.consumed[i] {
 					st.consumed[i] = true
-					st.score += acc * props[j] * st.reps[i].Weight
+					st.score += float64(acc * props[j] * st.reps[i].Weight)
 					st.wr -= st.reps[i].Weight
 				}
 				i++

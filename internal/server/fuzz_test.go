@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/plan"
 	"repro/internal/stream"
 )
@@ -78,11 +79,12 @@ func FuzzSearchQuery(f *testing.F) {
 var updatesEngine = sync.OnceValues(smallEngine)
 
 // FuzzUpdates: whatever the /updates body holds, the answer is no 5xx,
-// and a 202 only when every event names two distinct nodes of the grown
-// graph and carries a weight in [0, 1] (stream's validateEvent rules).
-// Each input gets a fresh pipeline that is never started, so nothing is
-// applied and the node count the events are checked against is the
-// graph's plus the body's new_nodes.
+// a 202 only when every event names two distinct nodes of the grown
+// graph and carries a weight in [0, 1] (stream's validateEvent rules),
+// and any other answer admits nothing: no pending event, no pending
+// growth, the node range unchanged. Each input gets a fresh pipeline
+// that is never started, so nothing is applied and the node count the
+// events are checked against is the graph's plus the body's new_nodes.
 func FuzzUpdates(f *testing.F) {
 	for _, seed := range []string{
 		`{"updates":[{"from":3,"to":4,"weight":0.5}]}`,
@@ -100,6 +102,10 @@ func FuzzUpdates(f *testing.F) {
 		`{"new_nodes":-1}`,
 		`{"updates":[{"from":3,"to":4,"weight":0.5}]} trailing`,
 		`{}`, `null`, `[]`, ``,
+		`{"new_nodes":1,"updates":[{"from":3,"to":3,"weight":0.5}]}`,
+		`{"new_nodes":1,"updates":[{"from":3,"to":500,"weight":0.5},{"from":3,"to":501,"weight":0.5}]}`,
+		`{"new_nodes":500,"updates":[{"from":3,"to":999,"weight":0.5}]}`,
+		`{"new_nodes":501,"updates":[{"from":3,"to":4,"weight":0.5}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -125,6 +131,18 @@ func FuzzUpdates(f *testing.F) {
 			t.Fatalf("%q: %d: %s", body, rec.Code, rec.Body)
 		}
 		if rec.Code != http.StatusAccepted {
+			// Refused whole: the full doubling can still be granted, and
+			// an event on the first node past the graph is still refused.
+			published := eng.Graph().NumNodes()
+			if n := p.PendingEvents(); n != 0 {
+				t.Fatalf("%q: %d: %d events pending", body, rec.Code, n)
+			}
+			if err := p.Update(0, stream.Event{From: 0, To: graph.NodeID(published), Weight: 0.5}); err == nil {
+				t.Fatalf("%q: %d: the node range grew", body, rec.Code)
+			}
+			if err := p.Update(published); err != nil {
+				t.Fatalf("%q: %d: growth left pending: %v", body, rec.Code, err)
+			}
 			return
 		}
 		req, err := decodeUpdate(bytes.NewReader(body))

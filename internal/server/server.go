@@ -148,13 +148,12 @@ type Backend interface {
 }
 
 // StreamBackend is the update surface behind POST /updates: the one
-// stream.Pipeline above the deployment's shard set. Events are validated
-// and queued once; PendingEvents and Swaps describe the deployment —
+// stream.Pipeline above the deployment's shard set. A request's growth
+// and events are validated and queued once, together or not at all; PendingEvents and Swaps describe the deployment —
 // Swaps is the ID of the generation serving now: it moves once per
 // batch, after every shard serves it.
 type StreamBackend interface {
-	Submit(events ...stream.Event) error
-	GrowNodes(n int) error
+	Update(newNodes int, events ...stream.Event) error
 	PendingEvents() int
 	Swaps() uint64
 }
@@ -174,9 +173,9 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxInflight bounds concurrently served API requests; excess requests
 	// are shed immediately with 429 + Retry-After. Zero disables shedding.
-	// Degradation budgets (the materialized-tier timeout, the breaker)
-	// belong to the engine's query path, which owns the ladder; the
-	// server only annotates what it served.
+	// The materialized tier's timeout belongs to the engine's query
+	// path, which owns the ladder; the server only annotates what it
+	// served.
 	MaxInflight int
 	// Logger receives access-log, panic and encode-failure lines
 	// (default log.Default()).

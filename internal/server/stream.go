@@ -21,7 +21,7 @@ import (
 
 // maxUpdateBody bounds a POST /updates payload (1 MiB ≈ 20k events) so
 // a hostile client cannot balloon the decoder. The growth a body may ask
-// for is bounded by stream.Pipeline.GrowNodes: one batch at most doubles
+// for is bounded by stream.Pipeline.Update: one batch at most doubles
 // the graph.
 const maxUpdateBody = 1 << 20
 
@@ -77,30 +77,18 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusBadRequest, "bad update payload: %v", err)
 		return
 	}
-	if req.NewNodes < 0 {
-		s.writeErr(w, r, http.StatusBadRequest, "negative new_nodes")
-		return
-	}
 	if len(req.Updates) == 0 && req.NewNodes == 0 {
 		s.writeErr(w, r, http.StatusBadRequest, "empty update: no events, no new nodes")
 		return
 	}
-	p := s.cfg.Stream
-	if req.NewNodes > 0 {
-		if err := p.GrowNodes(req.NewNodes); err != nil {
-			s.failUpdate(w, r, err)
-			return
-		}
+	evs := make([]stream.Event, len(req.Updates))
+	for i, u := range req.Updates {
+		evs[i] = stream.Event{From: graph.NodeID(u.From), To: graph.NodeID(u.To), Weight: u.Weight}
 	}
-	if len(req.Updates) > 0 {
-		evs := make([]stream.Event, len(req.Updates))
-		for i, u := range req.Updates {
-			evs[i] = stream.Event{From: graph.NodeID(u.From), To: graph.NodeID(u.To), Weight: u.Weight}
-		}
-		if err := p.Submit(evs...); err != nil {
-			s.failUpdate(w, r, err)
-			return
-		}
+	p := s.cfg.Stream
+	if err := p.Update(req.NewNodes, evs...); err != nil {
+		s.failUpdate(w, r, err)
+		return
 	}
 	s.writeJSON(w, r, http.StatusAccepted, UpdateResponse{
 		Accepted: len(req.Updates),

@@ -345,6 +345,35 @@ func TestUpdatesRefusesTrailingDataAndRunawayGrowth(t *testing.T) {
 	}
 }
 
+// A refused body queues nothing, its growth included: a 400 for a self
+// loop beside new_nodes leaves the node range where it was, so a later
+// event naming the node it would have added is refused too, and the
+// whole doubling is still there to be granted.
+func TestUpdatesRefusedGrowthQueuesNothing(t *testing.T) {
+	ts, pipe := streamHarnessOver(t, Config{}, stream.Config{BatchSize: 1 << 20, MaxAge: time.Hour}, sameGeneration)
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/updates", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(`{"new_nodes":1,"updates":[{"from":1,"to":1,"weight":0.5}]}`); code != http.StatusBadRequest {
+		t.Fatalf("growth beside a self loop: status = %d, want 400", code)
+	}
+	if code := post(`{"updates":[{"from":1,"to":3,"weight":0.5}]}`); code != http.StatusBadRequest {
+		t.Fatalf("event on the node a refused body would have added: status = %d, want 400", code)
+	}
+	if n := pipe.PendingEvents(); n != 0 {
+		t.Fatalf("%d events pending after refused bodies, want 0", n)
+	}
+	if code := post(`{"new_nodes":3}`); code != http.StatusAccepted {
+		t.Fatalf("growth to double the graph after a refused growth: status = %d, want 202", code)
+	}
+}
+
 // A server without a pipeline keeps its exact pre-streaming surface:
 // the streaming routes do not exist.
 func TestStreamingRoutesAbsentWithoutPipeline(t *testing.T) {

@@ -242,9 +242,9 @@ func (s scatter) Generation() uint64   { return s.gen.ID }
 // Open splits the request's topics by owning shard and opens one
 // session over every owner's summaries (core.Generation.Open): each
 // shard supplies its slice from its own corpus and build path, so a
-// shard whose build fails — breaker open, summarizer fault — fails the
-// open only after the healthy shards' builds are cached, and the
-// ladder's materialized rung then serves the healthy slices whole.
+// shard whose summarizer fails fails the open only after the healthy
+// shards' builds are cached, and the ladder's materialized rung then
+// serves the healthy slices whole.
 func (s scatter) Open(ctx context.Context, req core.OpenRequest) (core.Opened, error) {
 	parts := s.r.part.Split(req.Topics)
 	o, err := s.gen.Open(ctx, req, parts)

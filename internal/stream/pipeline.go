@@ -15,10 +15,10 @@ import (
 
 // Pipeline owns the deployment's current generation — one engine per
 // shard, all over the same graph — and the one pending event batch. One
-// background goroutine (Start) applies batches; Submit/GrowNodes are
-// safe for concurrent use. Flushes are serialized: there is never more
-// than one batch being rebuilt, so a burst of events coalesces into the
-// next batch instead of queueing rebuilds.
+// background goroutine (Start) applies batches; Update is safe for
+// concurrent use. Flushes are serialized: there is never more than one
+// batch being rebuilt, so a burst of events coalesces into the next
+// batch instead of queueing rebuilds.
 type Pipeline struct {
 	cfg Config
 	cur atomic.Pointer[core.Generation]
@@ -102,22 +102,42 @@ func (p *Pipeline) PendingEvents() int {
 	return len(p.pending)
 }
 
-// Submit appends events to the pending batch, stamping zero observation
-// times with the current clock. It validates each event against the
-// grown node range up front — a rejected event fails the whole call and
-// enqueues nothing. Reaching BatchSize wakes the background loop.
-func (p *Pipeline) Submit(events ...Event) error {
+// Update admits one update: newNodes fresh node IDs, appended after the
+// current maximum, and events for the pending batch, whose zero
+// observation times are stamped with the current clock. The events are
+// validated against the node range the growth makes, so they may name
+// the new IDs already. The growth pending for one batch may not exceed
+// the published graph's node count, so a flush at most doubles the
+// graph. It is all or nothing: a refused growth or event fails the whole
+// call, and the pending batch, its growth and the node range are as
+// before. Reaching BatchSize, or pending growth, wakes the background
+// loop.
+func (p *Pipeline) Update(newNodes int, events ...Event) error {
 	if err := p.life.Err(); err != nil {
 		return fmt.Errorf("stream: pipeline stopped: %w", err)
 	}
+	if newNodes < 0 {
+		return fmt.Errorf("stream: %d new nodes: need a count >= 0", newNodes)
+	}
+	published := p.Current().Graph().NumNodes()
 	now := p.cfg.Clock()
 
 	p.mu.Lock()
+	if newNodes > published-p.newNodes {
+		pending := p.newNodes
+		p.mu.Unlock()
+		return fmt.Errorf("stream: %d new nodes beside %d pending would more than double the graph's %d nodes", newNodes, pending, published)
+	}
 	for _, ev := range events {
-		if err := validateEvent(ev, p.nodes); err != nil {
+		if err := validateEvent(ev, p.nodes+newNodes); err != nil {
 			p.mu.Unlock()
 			return err
 		}
+	}
+	p.nodes += newNodes
+	p.newNodes += newNodes
+	if newNodes > 0 && p.oldest.IsZero() {
+		p.oldest = now
 	}
 	for _, ev := range events {
 		if ev.At.IsZero() {
@@ -135,43 +155,22 @@ func (p *Pipeline) Submit(events ...Event) error {
 		p.met.submitted.Add(uint64(len(events)))
 		p.met.pending.Set(int64(n))
 	}
-	// Wake on a full batch (immediate flush) and on the first events
-	// after an idle stretch — the loop sleeps unarmed when nothing is
-	// pending and must wake to arm the MaxAge timer.
-	if n >= p.cfg.BatchSize || n == len(events) {
+	// Wake on growth and on a full batch (immediate flush), and on the
+	// first events after an idle stretch — the loop sleeps unarmed when
+	// nothing is pending and must wake to arm the MaxAge timer.
+	if newNodes > 0 || n >= p.cfg.BatchSize || n == len(events) {
 		p.wake()
 	}
 	return nil
 }
 
-// GrowNodes schedules n fresh node IDs, appended after the current
-// maximum, for the next batch. Events referencing the new IDs may be
-// submitted immediately. The growth pending for one batch may not exceed
-// the published graph's node count, so a flush at most doubles the graph;
-// a request past that is refused whole.
-func (p *Pipeline) GrowNodes(n int) error {
-	if err := p.life.Err(); err != nil {
-		return fmt.Errorf("stream: pipeline stopped: %w", err)
-	}
-	if n <= 0 {
-		return fmt.Errorf("stream: GrowNodes(%d): need a positive count", n)
-	}
-	published := p.Current().Graph().NumNodes()
-	p.mu.Lock()
-	if n > published-p.newNodes {
-		pending := p.newNodes
-		p.mu.Unlock()
-		return fmt.Errorf("stream: GrowNodes(%d) beside %d pending would more than double the graph's %d nodes", n, pending, published)
-	}
-	p.nodes += n
-	p.newNodes += n
-	if p.oldest.IsZero() {
-		p.oldest = p.cfg.Clock()
-	}
-	p.mu.Unlock()
-	p.wake()
-	return nil
-}
+// Submit is Update with no growth. It stays because frozen
+// benchmark/trace.go calls it.
+func (p *Pipeline) Submit(events ...Event) error { return p.Update(0, events...) }
+
+// GrowNodes is Update with no events, for a caller that grows the graph
+// on its own.
+func (p *Pipeline) GrowNodes(n int) error { return p.Update(n) }
 
 // wake nudges the run loop without blocking; a pending nudge coalesces.
 func (p *Pipeline) wake() {

@@ -17,12 +17,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/plan"
-	"repro/internal/summary"
 	"repro/internal/topics"
 )
 
@@ -254,66 +251,6 @@ func TestSetCountsCarriedOnEveryShard(t *testing.T) {
 	}
 	if swaps := reg.Counter("pit_stream_engine_swaps_total", "").Value(); swaps != 1 {
 		t.Errorf("pit_stream_engine_swaps_total = %d after one batch on 2 shards, want 1", swaps)
-	}
-}
-
-// A swap changes the graph, not the health of the summarizer: every
-// fresh shard engine takes over its predecessor's build breaker, tripped
-// and with its backoff, and pit_breaker_state keeps saying so. A fresh
-// breaker per swap would re-probe a failing kernel Threshold times per
-// flush per shard, and its cooldown would never grow.
-func TestSwapKeepsTrippedBreaker(t *testing.T) {
-	ctx := context.Background()
-	reg := obs.NewRegistry()
-	warm := testEngine(t, 100, 3)
-	defer warm.Close()
-	opts := warm.Options()
-	opts.Metrics = reg
-	opts.Breaker = plan.BreakerConfig{Threshold: 2, Cooldown: time.Minute}
-	broken := chaos.SummarizeFunc(func(context.Context, topics.TopicID) (summary.Summary, error) {
-		return summary.Summary{}, errors.New("kernel down")
-	})
-	engines := make([]*core.Engine, 2)
-	for i := range engines {
-		eng, err := core.New(warm.Graph(), warm.Space(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.ShareIndexes(warm); err != nil {
-			t.Fatal(err)
-		}
-		eng.SetSummarizer(core.MethodLRW, broken)
-		for ti := range opts.Breaker.Threshold {
-			if _, err := eng.Summarize(ctx, core.MethodLRW, topics.TopicID(ti)); err == nil {
-				t.Fatal("a broken summarizer built a summary")
-			}
-		}
-		if got := eng.BreakerState(core.MethodLRW); got != plan.Open {
-			t.Fatalf("shard %d breaker after %d failures = %v, want open", i, opts.Breaker.Threshold, got)
-		}
-		engines[i] = eng
-	}
-	p, err := NewSet(engines, Config{BatchSize: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeSet(p)
-	if err := p.Submit(Event{From: 1, To: 2, Weight: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for i, eng := range p.Current().Engines {
-		if eng == engines[i] {
-			t.Fatalf("shard %d was not swapped", i)
-		}
-		if got := eng.BreakerState(core.MethodLRW); got != plan.Open {
-			t.Errorf("shard %d breaker after the swap = %v, want open", i, got)
-		}
-	}
-	if got := reg.GaugeVec("pit_breaker_state", "", "method").With("lrw").Value(); got != int64(plan.Open) {
-		t.Errorf(`pit_breaker_state{method="lrw"} = %d after the swap, want %d (open)`, got, plan.Open)
 	}
 }
 

@@ -5,8 +5,8 @@
 // the missing event surface, in the spirit of influential-user
 // subscription over time-decaying social streams (arXiv 1802.05305):
 //
-//   - callers Submit ordered edge events (upserts and deletes) and
-//     GrowNodes for new users;
+//   - callers Update with ordered edge events (upserts and deletes) and
+//     new users, admitted together or not at all;
 //   - the pipeline coalesces them into a dynamic.Batch, flushing when
 //     the batch reaches Config.BatchSize events or the oldest pending
 //     event reaches Config.MaxAge;
