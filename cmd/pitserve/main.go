@@ -44,12 +44,12 @@
 //
 // Serving is always partitioned (DESIGN.md §16): the summary corpus is
 // split across -shards N engines (default 1) by stable topic hash, and
-// every query runs through the scatter-gather router over the owning
-// shards with bound-based shard pruning — byte-identical answers at any
-// N, independent failure domains for N > 1. -index-dir is the dataset's
-// artifact directory and knows nothing of N: a populated one (written by
-// `datagen -index-dir`, `pitsearch -index-dir` or a pitserve of any
-// width) cold-starts the shards, each mapping the same files and keeping
+// every query runs through the scatter-gather router, which gathers the
+// owning shards' summaries into one search session — byte-identical
+// answers at any N, independent failure domains for N > 1. -index-dir is
+// the dataset's artifact directory and knows nothing of N: a populated one
+// (written by `datagen -index-dir`, `pitsearch -index-dir` or a pitserve
+// of any width) cold-starts the shards, each mapping the same files and keeping
 // the summaries it owns; otherwise indexes are built once, shared by all
 // shards, and saved back as those same files. With streaming on, one
 // pipeline above the shard set applies every batch once — one graph, one

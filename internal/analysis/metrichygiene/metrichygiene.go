@@ -46,11 +46,11 @@ var scopeDirs = []string{
 
 var registrationMethods = map[string]bool{
 	"Counter": true, "Gauge": true, "Histogram": true,
-	"CounterVec": true, "GaugeVec": true, "HistogramVec": true,
+	"CounterVec": true, "HistogramVec": true,
 }
 
 var vecTypes = map[string]bool{
-	"CounterVec": true, "GaugeVec": true, "HistogramVec": true,
+	"CounterVec": true, "HistogramVec": true,
 }
 
 var Analyzer = &analysis.Analyzer{

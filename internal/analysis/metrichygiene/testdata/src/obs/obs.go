@@ -18,10 +18,6 @@ type CounterVec struct{}
 
 func (*CounterVec) With(values ...string) *Counter { return nil }
 
-type GaugeVec struct{}
-
-func (*GaugeVec) With(values ...string) *Gauge { return nil }
-
 type HistogramVec struct{}
 
 func (*HistogramVec) With(values ...string) *Histogram { return nil }
@@ -34,7 +30,6 @@ func (*Registry) Histogram(name, help string, buckets []float64) *Histogram {
 func (*Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return nil
 }
-func (*Registry) GaugeVec(name, help string, labels ...string) *GaugeVec { return nil }
 func (*Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	return nil
 }

@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -60,6 +61,11 @@ func Read(r io.Reader) (*Graph, error) {
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad node count %q", lineNo, fields[1])
+			}
+			// A NodeID is an int32, so no edge could name a node past this
+			// count, and Build would size its arrays by it all the same.
+			if n > math.MaxInt32 {
+				return nil, fmt.Errorf("graph: line %d: node count %d exceeds %d, the most an int32 NodeID can name", lineNo, n, math.MaxInt32)
 			}
 			b = NewBuilder(n)
 			continue

@@ -73,6 +73,16 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestReadRefusesHugeNodeCount: a header no NodeID can reach is refused by
+// its line before any array is sized by it (this one asked Build for
+// ≈ 700 GB).
+func TestReadRefusesHugeNodeCount(t *testing.T) {
+	_, err := Read(strings.NewReader("# a comment first\nnodes 177777777000\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("Read(nodes 177777777000) = %v, want an error naming line 2", err)
+	}
+}
+
 func TestWriteEmptyGraph(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, NewBuilder(0).Build()); err != nil {

@@ -155,10 +155,15 @@ func TestSummarizationErrorDecreasesWithMoreReps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vt := space.Nodes(tid)
 	errorFor := func(repCount int) float64 {
-		reps := lrw.RepNodes(g, walks, vt, lrw.Options{RepCount: repCount, Lambda: 0.5})
-		sum := lrw.MigrateInfluence(tid, walks, vt, reps)
+		s, err := lrw.New(g, space, walks, lrw.Options{RepCount: repCount, Lambda: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := s.Summarize(context.Background(), tid)
+		if err != nil {
+			t.Fatal(err)
+		}
 		total := 0.0
 		for v := 0; v < g.NumNodes(); v++ {
 			e, err := SummarizationError(g, space, sum, graph.NodeID(v), Options{MaxHops: 5})

@@ -72,11 +72,10 @@ func (s *Summarizer) summarizeInto(ctx context.Context, ts []topics.TopicID, out
 
 // summarizeBlock summarizes ts on one scratch, out[i] becoming ts[i]'s
 // summary. A topic without nodes needs no kernel; the others share
-// Equation 5 passes Lanes at a time, and a lone one left over runs the
-// scalar kernel (a 4-lane pass costs about two scalar ones whatever its
-// occupancy). The scratch serves every stage: selection returns reps
-// aliasing it, and migrateInto only reads reps while filling buffers the
-// ranking no longer needs. On an error out holds nothing usable.
+// Equation 5 passes Lanes at a time, a lone one left over in a pass of its
+// own. The scratch serves every stage: selection returns reps aliasing it,
+// and migrateInto only reads reps while filling buffers the ranking no
+// longer needs. On an error out holds nothing usable.
 func summarizeBlock(ctx context.Context, g *graph.Graph, space *topics.Space, walks *randwalk.Index, ts []topics.TopicID, opt Options, sc *scratch, out []summary.Summary) error {
 	opt.fill()
 	// The topics sharing the next pass: lane j is ts[at[j]], with nodes vts[j].
@@ -109,28 +108,17 @@ func summarizeBlock(ctx context.Context, g *graph.Graph, space *topics.Space, wa
 
 // summarizeLanes summarizes the topics ts[at[0]], ts[at[1]], … with nodes
 // vts[0], vts[1], … into the matching out slots from one Equation 5 pass.
-// Each lane's scores are copied out into sc.prev, the n-vector selectReps
+// Each lane's scores are copied out into sc.scores, the n-vector selectReps
 // and migrateInto read, so neither knows it ran in a block.
 func summarizeLanes(ctx context.Context, g *graph.Graph, walks *randwalk.Index, ts []topics.TopicID, at []int, vts [][]graph.NodeID, opt Options, sc *scratch, out []summary.Summary) error {
-	var lanes [][Lanes]float64
-	if len(at) > 1 {
-		var err error
-		if lanes, err = scoresLanes(ctx, g, walks, vts, opt, sc); err != nil {
-			return err
-		}
+	lanes, err := scoresLanes(ctx, g, walks, vts, opt, sc)
+	if err != nil {
+		return err
 	}
 	for j, i := range at {
-		var scores []float64
-		if lanes == nil {
-			var err error
-			if scores, err = scoresInto(ctx, g, walks, vts[j], opt, sc); err != nil {
-				return err
-			}
-		} else {
-			scores = sc.prev
-			for v := range scores {
-				scores[v] = lanes[v][j]
-			}
+		scores := sc.scores
+		for v := range scores {
+			scores[v] = lanes[v][j]
 		}
 		reps, err := selectReps(ctx, scores, len(vts[j]), opt, sc)
 		if err != nil {

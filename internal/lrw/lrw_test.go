@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -44,6 +45,25 @@ func buildWalks(t testing.TB, g *graph.Graph, L, R int) *randwalk.Index {
 		t.Fatal(err)
 	}
 	return ix
+}
+
+// lone ranks vt the way summarizeBlock ranks a topic alone in its pass —
+// lane 0 of one scoresLanes pass, copied out — and returns those scores and
+// the representatives selectReps picks from them; nil for an empty topic
+// or graph.
+func lone(g *graph.Graph, walks *randwalk.Index, vt []graph.NodeID, opt Options) ([]float64, []graph.NodeID) {
+	if g.NumNodes() == 0 || len(vt) == 0 {
+		return nil, nil
+	}
+	opt.fill()
+	sc := getScratch()
+	defer putScratch(sc)
+	lanes, _ := scoresLanes(context.Background(), g, walks, [][]graph.NodeID{vt}, opt, sc)
+	for v := range sc.scores {
+		sc.scores[v] = lanes[v][0]
+	}
+	reps, _ := selectReps(context.Background(), sc.scores, len(vt), opt, sc)
+	return slices.Clone(sc.scores), slices.Clone(reps)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -97,9 +117,9 @@ func TestSummarizeEmptyTopic(t *testing.T) {
 func TestRepNodesRanksHubFirst(t *testing.T) {
 	g, space, tid := hubGraph(t)
 	walks := buildWalks(t, g, 4, 16)
-	reps := RepNodes(g, walks, space.Nodes(tid), Options{RepCount: 3})
+	_, reps := lone(g, walks, space.Nodes(tid), Options{RepCount: 3})
 	if len(reps) != 3 {
-		t.Fatalf("RepNodes returned %d nodes, want 3", len(reps))
+		t.Fatalf("selected %d representatives, want 3", len(reps))
 	}
 	// Hub node 0 receives reinforced rank from all six topic nodes and
 	// must be among the top representatives.
@@ -131,7 +151,7 @@ func TestRepNodesCountSelection(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			reps := RepNodes(g, walks, vt, tc.opt)
+			_, reps := lone(g, walks, vt, tc.opt)
 			if len(reps) != tc.want {
 				t.Errorf("got %d reps, want %d", len(reps), tc.want)
 			}
@@ -142,20 +162,20 @@ func TestRepNodesCountSelection(t *testing.T) {
 func TestRepNodesEmptyInputs(t *testing.T) {
 	g, space, tid := hubGraph(t)
 	walks := buildWalks(t, g, 3, 4)
-	if got := RepNodes(g, walks, nil, Options{}); got != nil {
-		t.Errorf("RepNodes(no topic nodes) = %v, want nil", got)
+	if _, got := lone(g, walks, nil, Options{}); got != nil {
+		t.Errorf("representatives of no topic nodes = %v, want nil", got)
 	}
 	empty := graph.NewBuilder(0).Build()
 	emptyWalks := buildWalks(t, empty, 2, 2)
-	if got := RepNodes(empty, emptyWalks, space.Nodes(tid), Options{}); got != nil {
-		t.Errorf("RepNodes(empty graph) = %v, want nil", got)
+	if _, got := lone(empty, emptyWalks, space.Nodes(tid), Options{}); got != nil {
+		t.Errorf("representatives on an empty graph = %v, want nil", got)
 	}
 }
 
 func TestScoresFiniteNonNegative(t *testing.T) {
 	g, space, tid := hubGraph(t)
 	walks := buildWalks(t, g, 4, 8)
-	scores := Scores(g, walks, space.Nodes(tid), Options{})
+	scores, _ := lone(g, walks, space.Nodes(tid), Options{})
 	for v, s := range scores {
 		if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
 			t.Fatalf("score[%d] = %v", v, s)
@@ -168,7 +188,7 @@ func TestScoresTopicPriorMatters(t *testing.T) {
 	// (1−λ) and others ~0.
 	g, space, tid := hubGraph(t)
 	walks := buildWalks(t, g, 3, 8)
-	scores := Scores(g, walks, space.Nodes(tid), Options{Lambda: 0.01})
+	scores, _ := lone(g, walks, space.Nodes(tid), Options{Lambda: 0.01})
 	vt := space.Nodes(tid)
 	isTopic := map[graph.NodeID]bool{}
 	for _, v := range vt {
@@ -193,7 +213,7 @@ func TestMigrateInfluenceBasics(t *testing.T) {
 	g, space, tid := hubGraph(t)
 	walks := buildWalks(t, g, 4, 16)
 	vt := space.Nodes(tid)
-	reps := RepNodes(g, walks, vt, Options{RepCount: 3})
+	_, reps := lone(g, walks, vt, Options{RepCount: 3})
 	sum := MigrateInfluence(tid, walks, vt, reps)
 	if err := sum.Validate(); err != nil {
 		t.Fatalf("invalid summary: %v", err)
@@ -327,6 +347,6 @@ func BenchmarkRepNodes(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RepNodes(g, walks, vt, Options{RepCount: 50})
+		lone(g, walks, vt, Options{RepCount: 50})
 	}
 }

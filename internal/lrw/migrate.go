@@ -21,28 +21,22 @@ import (
 )
 
 // MigrateInfluence is Algorithm 8. vt is the topic node set V_t; reps is
-// the representative set V_{r,t} selected by RepNodes. It returns the
+// the representative set V_{r,t} that Algorithm 7 selected. It returns the
 // weighted representative set as a Summary; representatives that absorb no
 // topic node keep weight 0 and are retained (the search layer treats their
 // remaining mass through the W_r bound).
 func MigrateInfluence(t topics.TopicID, walks *randwalk.Index, vt, reps []graph.NodeID) summary.Summary {
-	sum, _ := migrateInfluenceCtx(context.Background(), t, walks, vt, reps)
-	return sum
-}
-
-// migrateInfluenceCtx is MigrateInfluence with cooperative cancellation:
-// ctx is checked between absorbing-walk rows (one row per topic node /
-// representative, R walks each).
-func migrateInfluenceCtx(ctx context.Context, t topics.TopicID, walks *randwalk.Index, vt, reps []graph.NodeID) (summary.Summary, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	return migrateInto(ctx, t, walks, vt, reps, sc)
+	sum, _ := migrateInto(context.Background(), t, walks, vt, reps, sc)
+	return sum
 }
 
 // migrateInto is the migration kernel on pooled scratch. The absorbing-
 // state lookups (is this walk node a representative / topic node?) run
 // against epoch-stamped dense-position arrays instead of maps: one array
-// read per walk step, no hashing.
+// read per walk step, no hashing. ctx is checked between absorbing-walk
+// rows (one row per topic node / representative, R walks each).
 func migrateInto(ctx context.Context, t topics.TopicID, walks *randwalk.Index, vt, reps []graph.NodeID, sc *scratch) (summary.Summary, error) {
 	if len(vt) == 0 || len(reps) == 0 {
 		return summary.New(t, nil), nil

@@ -51,53 +51,29 @@ func (o *Options) fill() {
 // always dominate it.
 const hFloor = 1e-9
 
-// Scores computes the final diversified PageRank vector of Equation 5:
+// scoresLanes computes the final diversified PageRank vector of Equation 5
+// for up to Lanes topics in one pass:
 //
 //	P_{T+1}(v) = (1−λ)·P*(v) + λ·Σ_{(u,v)∈E} P0(u,v)·N_T(v)/D_T(u) · P_T(u)
 //
 // run for the walk index's L iterations, with N_T(v) = H[T][v] (the sampled
 // time-variant visiting frequency) and P*(v) the uniform topic prior over
-// vt. The returned slice has one score per graph node.
-func Scores(g *graph.Graph, walks *randwalk.Index, vt []graph.NodeID, opt Options) []float64 {
-	scores, _ := scoresCtx(context.Background(), g, walks, vt, opt)
-	return scores
-}
-
-// scoresCtx is Scores with cooperative cancellation: ctx is checked
-// between the O(n·deg) iterations. The returned slice is owned
-// by the caller (the kernel itself runs on pooled scratch).
-func scoresCtx(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vt []graph.NodeID, opt Options) ([]float64, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	res, err := scoresInto(ctx, g, walks, vt, opt, sc)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(res))
-	copy(out, res)
-	return out, nil
-}
-
-// scoresInto is the PageRank kernel proper. The result aliases sc's
-// ping-pong state and is valid until sc is reused or returned to the
-// pool; callers that outlive the scratch must copy it out.
-func scoresInto(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vt []graph.NodeID, opt Options, sc *scratch) ([]float64, error) {
+// vts[j]. Lane j of the result is vts[j]'s score per graph node, whatever
+// shares the pass, and lanes past len(vts) stay zero. Every vts[j] must be
+// non-empty; ctx is checked between iterations. The result aliases sc's
+// lane buffers, valid until sc is reused or returned to the pool.
+func scoresLanes(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vts [][]graph.NodeID, opt Options, sc *scratch) ([][Lanes]float64, error) {
 	opt.fill()
 	n := g.NumNodes()
 	sc.ensureNodes(n)
-	if n == 0 || len(vt) == 0 {
-		clear(sc.prev)
-		return sc.prev, nil
-	}
-
-	// PStar: the topic-prior jump distribution, 1/|V_t| on topic nodes.
 	pStar := sc.pStar
 	clear(pStar)
-	prior := 1.0 / float64(len(vt))
-	for _, v := range vt {
-		pStar[v] = prior
+	for j, vt := range vts {
+		prior := 1.0 / float64(len(vt))
+		for _, v := range vt {
+			pStar[v][j] = prior
+		}
 	}
-
 	// Algorithm 7 line 9 literally sets PR[v].previous ← 1, but with n
 	// nodes that injects total mass n while the personalization term
 	// (1−λ)·P* injects mass (1−λ): at any realistic n the topic prior is
@@ -110,42 +86,9 @@ func scoresInto(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vt [
 	// neither buffer needs clearing between pooled reuses.
 	prev, cur := sc.prev, sc.cur
 	copy(prev, pStar)
-
 	// Everything in the propagation term but prev depends on the iteration
 	// and the edge only, so it comes from the scratch's per-(graph, walks)
 	// plan, built once and shared by every topic this scratch summarizes.
-	if err := sc.plan.ensure(ctx, g, walks); err != nil {
-		return nil, err
-	}
-	for i := 1; i <= walks.L; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sc.plan.propagate(i, opt.Lambda, pStar, prev, cur)
-		prev, cur = cur, prev
-	}
-	return prev, nil
-}
-
-// scoresLanes is scoresInto for up to Lanes topics in one pass: lane j of
-// the result is vts[j]'s score vector, bit for bit, and lanes past
-// len(vts) stay zero. Every vts[j] must be non-empty. The result aliases
-// sc's lane buffers, valid until sc is reused or returned to the pool.
-func scoresLanes(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vts [][]graph.NodeID, opt Options, sc *scratch) ([][Lanes]float64, error) {
-	opt.fill()
-	n := g.NumNodes()
-	sc.ensureNodes(n)
-	sc.ensureLanes(n)
-	pStar := sc.pStar4
-	clear(pStar)
-	for j, vt := range vts {
-		prior := 1.0 / float64(len(vt))
-		for _, v := range vt {
-			pStar[v][j] = prior
-		}
-	}
-	prev, cur := sc.prev4, sc.cur4
-	copy(prev, pStar)
 	if err := sc.plan.ensure(ctx, g, walks); err != nil {
 		return nil, err
 	}
@@ -159,46 +102,10 @@ func scoresLanes(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vts
 	return prev, nil
 }
 
-// RepNodes is Algorithm 7: rank every node by the diversified PageRank of
-// Equation 5 and return the top-scored nodes, highest first. The selected
-// count is opt.RepCount if positive, else ⌈μ·|V_t|⌉ (minimum 1), capped at
-// the number of graph nodes.
-func RepNodes(g *graph.Graph, walks *randwalk.Index, vt []graph.NodeID, opt Options) []graph.NodeID {
-	reps, _ := repNodesCtx(context.Background(), g, walks, vt, opt)
-	return reps
-}
-
-// repNodesCtx is RepNodes with cooperative cancellation (see scoresCtx).
-// The returned slice is owned by the caller.
-func repNodesCtx(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vt []graph.NodeID, opt Options) ([]graph.NodeID, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	reps, err := repNodesInto(ctx, g, walks, vt, opt, sc)
-	if err != nil || reps == nil {
-		return nil, err
-	}
-	out := make([]graph.NodeID, len(reps))
-	copy(out, reps)
-	return out, nil
-}
-
-// repNodesInto ranks on pooled scratch; the returned slice aliases
-// sc.order and is valid until sc is reused or returned to the pool.
-func repNodesInto(ctx context.Context, g *graph.Graph, walks *randwalk.Index, vt []graph.NodeID, opt Options, sc *scratch) ([]graph.NodeID, error) {
-	opt.fill()
-	n := g.NumNodes()
-	if n == 0 || len(vt) == 0 {
-		return nil, nil
-	}
-	scores, err := scoresInto(ctx, g, walks, vt, opt, sc)
-	if err != nil {
-		return nil, err
-	}
-	return selectReps(ctx, scores, len(vt), opt, sc)
-}
-
 // selectReps is Algorithm 7's cut over one score per graph node for a
-// topic of topicNodes nodes; opt must be filled. The returned slice aliases
+// topic of topicNodes nodes: the top-scored nodes, highest first. The
+// selected count is opt.RepCount if positive, else ⌈μ·|V_t|⌉ (minimum 1),
+// capped at the number of graph nodes; opt must be filled. The returned slice aliases
 // sc.order (sized by ensureNodes) and is valid until sc is reused or
 // returned to the pool.
 func selectReps(ctx context.Context, scores []float64, topicNodes int, opt Options, sc *scratch) ([]graph.NodeID, error) {

@@ -84,7 +84,7 @@ func (p *plan) ensure(ctx context.Context, g *graph.Graph, walks *randwalk.Index
 	return nil
 }
 
-// layout orders g's nodes and in-edges for propagate: a counting sort by
+// layout orders g's nodes and in-edges for propagate4: a counting sort by
 // in-degree (always below n) that keeps ids ascending inside a class.
 func (p *plan) layout(g *graph.Graph) {
 	n := g.NumNodes()
@@ -158,39 +158,13 @@ func (p *plan) fill(i int, g *graph.Graph, walks *randwalk.Index) {
 	}
 }
 
-// propagate is one iteration of Equation 5 for one topic: cur ← (1−λ)·P* +
-// λ·(coefficients of iteration i)·prev. Each node's sum adds its in-edges
-// in the graph's order and nodes are independent of one another, so the
-// order nodes are visited in does not reach the result.
-func (p *plan) propagate(i int, lambda float64, pStar, prev, cur []float64) {
-	nodes, src, coef := p.nodes, p.src, p.coef[i-1]
-	for _, c := range p.classes {
-		deg := int(c.deg)
-		for _, v := range nodes[:c.count] {
-			// No skip for prev[u] = 0: that term is exactly +0.0 (the
-			// coefficient is in [0,1] because D_i(u) sums its numerator
-			// over all of u's out-edges), the additive identity for the
-			// non-negative acc, and a branch on it mispredicts across every
-			// mid-iteration frontier.
-			acc := 0.0
-			us := src[:deg]
-			for k, w := range coef[:deg] {
-				acc += float64(w * prev[us[k]])
-			}
-			src, coef = src[deg:], coef[deg:]
-			// The reinforced transition is row-substochastic (each
-			// coefficient is ≤ 1, see above), so the rank vector stays a
-			// distribution; Clamp01 only strips accumulated rounding noise
-			// at the boundaries.
-			cur[v] = prob.Clamp01(float64((1-lambda)*pStar[v]) + float64(lambda*acc))
-		}
-		nodes = nodes[c.count:]
-	}
-}
-
-// propagate4 is propagate for Lanes topics at once: lane j of pStar, prev
-// and cur is topic j's vector. It runs the AVX kernel where the CPU has one
-// and propagate4Go everywhere else; both write the same bits.
+// propagate4 is one iteration of Equation 5 for Lanes topics at once:
+// cur ← (1−λ)·P* + λ·(coefficients of iteration i)·prev, lane j of pStar,
+// prev and cur being topic j's vector. Each node's sum adds its in-edges in
+// the graph's order and nodes are independent of one another, so the order
+// nodes are visited in does not reach the result. It runs the AVX kernel
+// where the CPU has one and propagate4Go everywhere else; both write the
+// same bits.
 func (p *plan) propagate4(i int, lambda float64, pStar, prev, cur [][Lanes]float64) {
 	if haveAVX {
 		p.propagate4AVX(i, lambda, pStar, prev, cur)
@@ -222,18 +196,21 @@ func (p *plan) propagate4AVX(i int, lambda float64, pStar, prev, cur [][Lanes]fl
 // propagate4Go is the portable four-lane kernel, and the oracle the AVX
 // one is tested against. The plan's src and coef stream once for all
 // four, each in-edge gathers one 32-byte prev row, and the four sums are
-// independent add chains. Per lane it is propagate term for term — the same
-// coefficient times the same prev value added in the same order to an
-// accumulator starting at 0, then the same Clamp01 expression — so lane j
-// holds the bits propagate computes for topic j alone (DESIGN.md §12 "Four
-// topics per pass").
+// independent add chains. Lane j adds topic j's terms alone — each
+// coefficient times its prev value, in the plan's order, to an accumulator
+// starting at 0 — so a lane holds the same bits whatever shares the pass
+// (DESIGN.md §12 "Four topics per pass").
 func (p *plan) propagate4Go(i int, lambda float64, pStar, prev, cur [][Lanes]float64) {
 	nodes, src, coef := p.nodes, p.src, p.coef[i-1]
 	for _, c := range p.classes {
 		deg := int(c.deg)
 		for _, v := range nodes[:c.count] {
 			// Four named accumulators, not an array: the compiler keeps these
-			// in registers, an indexed array in memory.
+			// in registers, an indexed array in memory. No skip for
+			// prev[u] = 0: that term is exactly +0.0 (the coefficient is in
+			// [0,1] because D_i(u) sums its numerator over all of u's
+			// out-edges), the additive identity for the non-negative acc, and
+			// a branch on it mispredicts across every mid-iteration frontier.
 			var a0, a1, a2, a3 float64
 			us := src[:deg]
 			for k, w := range coef[:deg] {
@@ -244,6 +221,10 @@ func (p *plan) propagate4Go(i int, lambda float64, pStar, prev, cur [][Lanes]flo
 				a3 += float64(w * x[3])
 			}
 			src, coef = src[deg:], coef[deg:]
+			// The reinforced transition is row-substochastic (each
+			// coefficient is ≤ 1, see above), so the rank vector stays a
+			// distribution; Clamp01 only strips accumulated rounding noise
+			// at the boundaries.
 			ps, out := &pStar[v], &cur[v]
 			out[0] = prob.Clamp01(float64((1-lambda)*ps[0]) + float64(lambda*a0))
 			out[1] = prob.Clamp01(float64((1-lambda)*ps[1]) + float64(lambda*a1))

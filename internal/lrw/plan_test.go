@@ -33,14 +33,9 @@ func (c *countdownCtx) Err() error {
 
 // summarizeOn is Summarizer.Summarize on a scratch the test owns.
 func summarizeOn(ctx context.Context, g *graph.Graph, space *topics.Space, walks *randwalk.Index, t topics.TopicID, sc *scratch) (summary.Summary, error) {
-	vt := space.Nodes(t)
-	var opt Options
-	opt.fill()
-	reps, err := repNodesInto(ctx, g, walks, vt, opt, sc)
-	if err != nil {
-		return summary.Summary{}, err
-	}
-	return migrateInto(ctx, t, walks, vt, reps, sc)
+	var out [1]summary.Summary
+	err := summarizeBlock(ctx, g, space, walks, []topics.TopicID{t}, Options{}, sc, out[:])
+	return out[0], err
 }
 
 // TestCancellationLeavesScratchUsable cancels one summarization at every
@@ -90,8 +85,8 @@ func TestCancellationLeavesScratchUsable(t *testing.T) {
 		}
 	}
 
-	// The same for a block of every topic — two 4-lane passes and a lone
-	// scalar one — cancelled at each of its checks in turn: it returns no
+	// The same for a block of every topic — two 4-lane passes and a
+	// one-lane one — cancelled at each of its checks in turn: it returns no
 	// summary at all, and the scratch still yields the golden digest, by
 	// block and topic by topic.
 	all := make([]topics.TopicID, space.NumTopics())
@@ -162,18 +157,25 @@ func TestRekeyAllocatesNothing(t *testing.T) {
 	}
 	bg := context.Background()
 	sc := new(scratch)
-	vt := space.Nodes(0)
-	rekey := func() {
-		if _, err := scoresInto(bg, g, walks, vt, Options{}, sc); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := scoresInto(bg, g2, walks2, vt, Options{}, sc); err != nil {
-			t.Fatal(err)
-		}
+	// A lone topic's pass and a full block's: the lane buffers are the same.
+	block := []topics.TopicID{0, 1, 2, 3}
+	vts := make([][]graph.NodeID, len(block))
+	for j, ti := range block {
+		vts[j] = space.Nodes(ti)
 	}
-	rekey()
-	if allocs := testing.AllocsPerRun(20, rekey); allocs != 0 {
-		t.Errorf("re-keying a warm scratch between two pairs of equal size = %v allocs, want 0", allocs)
+	for _, lanes := range [][][]graph.NodeID{vts[:1], vts} {
+		rekey := func() {
+			if _, err := scoresLanes(bg, g, walks, lanes, Options{}, sc); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := scoresLanes(bg, g2, walks2, lanes, Options{}, sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rekey()
+		if allocs := testing.AllocsPerRun(20, rekey); allocs != 0 {
+			t.Errorf("re-keying a warm scratch's %d lane(s) between two pairs of equal size = %v allocs, want 0", len(lanes), allocs)
+		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := summarizeOn(bg, g, space, walks, 0, sc); err != nil {
@@ -182,25 +184,6 @@ func TestRekeyAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 2 {
 		t.Errorf("warm summarization = %v allocs, want 2 (the weighted reps and the summary's copy)", allocs)
-	}
-
-	// The lane buffers obey the same two rules.
-	block := []topics.TopicID{0, 1, 2, 3}
-	vts := make([][]graph.NodeID, len(block))
-	for j, ti := range block {
-		vts[j] = space.Nodes(ti)
-	}
-	rekeyLanes := func() {
-		if _, err := scoresLanes(bg, g, walks, vts, Options{}, sc); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := scoresLanes(bg, g2, walks2, vts, Options{}, sc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rekeyLanes()
-	if allocs := testing.AllocsPerRun(20, rekeyLanes); allocs != 0 {
-		t.Errorf("re-keying a warm scratch's lanes between two pairs of equal size = %v allocs, want 0", allocs)
 	}
 	out := make([]summary.Summary, len(block))
 	allocs = testing.AllocsPerRun(20, func() {

@@ -1,9 +1,9 @@
 package lrw
 
 // Pooled per-call scratch (PR 5). One LRW summarization needs three
-// n-sized float vectors (the topic prior and the PageRank ping-pong
-// state) — a block of topics the same three with Lanes interleaved
-// lanes — Equation 5's propagation plan, an n-sized ranking permutation,
+// n-sized vectors of Lanes interleaved floats (the topic priors and the
+// PageRank ping-pong state of a block of topics), one lane's scores copied
+// out, Equation 5's propagation plan, an n-sized ranking permutation,
 // dense position lookups for the migration matrix, and the matrix itself.
 // Allocating those per topic made the offline warm-up allocation-bound, so
 // they live in a sync.Pool: the Summarizer is documented safe for
@@ -21,17 +21,17 @@ import (
 )
 
 type scratch struct {
-	// Graph-node-sized vectors for scoresInto. A block's lanes are read
-	// back one at a time through prev (see summarizeBlock).
-	pStar, prev, cur []float64
-	// The same three vectors for a block of up to Lanes topics, lanes
-	// interleaved: prev4[v][j] is topic j's P_i(v).
-	pStar4, prev4, cur4 [][Lanes]float64
+	// Graph-node-sized vectors for scoresLanes, lanes interleaved:
+	// prev[v][j] is topic j's P_i(v).
+	pStar, prev, cur [][Lanes]float64
+	// scores is one lane copied out of prev, the vector selectReps and
+	// migrateInto read (see summarizeLanes).
+	scores []float64
 	// Equation 5's topic-free half, built once per (graph, walks) and
 	// shared by every topic this scratch summarizes; it stays valid across
 	// Put (see putScratch).
 	plan plan
-	// order is the ranking buffer repNodesInto selects into.
+	// order is the ranking buffer selectReps selects into.
 	order []graph.NodeID
 	// Epoch-stamped dense positions for migrateInto. Topic and
 	// representative sets may overlap, so each has its own stamp array.
@@ -55,33 +55,23 @@ func putScratch(sc *scratch) {
 
 // ensureNodes sizes every graph-node-indexed buffer for n nodes.
 func (sc *scratch) ensureNodes(n int) {
-	if cap(sc.pStar) < n {
-		sc.pStar = make([]float64, n)
-		sc.prev = make([]float64, n)
-		sc.cur = make([]float64, n)
+	if cap(sc.scores) < n {
+		sc.scores = make([]float64, n)
 		sc.order = make([]graph.NodeID, n)
 		sc.topicStamp = make([]uint32, n)
 		sc.repStamp = make([]uint32, n)
 		sc.topicPos = make([]int32, n)
 		sc.repPos = make([]int32, n)
 	}
-	sc.pStar = sc.pStar[:n]
-	sc.prev = sc.prev[:n]
-	sc.cur = sc.cur[:n]
+	sc.scores = sc.scores[:n]
 	sc.order = sc.order[:n]
 	sc.topicStamp = sc.topicStamp[:n]
 	sc.repStamp = sc.repStamp[:n]
 	sc.topicPos = sc.topicPos[:n]
 	sc.repPos = sc.repPos[:n]
-}
-
-// ensureLanes sizes the block buffers for n nodes. They are separate from
-// ensureNodes so a scratch that only ever summarizes lone topics never
-// holds them.
-func (sc *scratch) ensureLanes(n int) {
-	sc.pStar4 = resize(sc.pStar4, n)
-	sc.prev4 = resize(sc.prev4, n)
-	sc.cur4 = resize(sc.cur4, n)
+	sc.pStar = resize(sc.pStar, n)
+	sc.prev = resize(sc.prev, n)
+	sc.cur = resize(sc.cur, n)
 }
 
 // nextTopicEpoch advances the topic-position epoch, handling uint32

@@ -68,10 +68,6 @@ func (f *family) write(w *bufio.Writer) error {
 		for _, ch := range f.cvec.children() {
 			fmt.Fprintf(w, "%s{%s} %d\n", f.name, ch.labels, ch.c.Value())
 		}
-	case f.gvec != nil:
-		for _, ch := range f.gvec.children() {
-			fmt.Fprintf(w, "%s{%s} %d\n", f.name, ch.labels, ch.g.Value())
-		}
 	case f.hvec != nil:
 		for _, ch := range f.hvec.children() {
 			writeHistogram(w, f.name, ch.labels, ch.h)
@@ -118,22 +114,6 @@ func (v *CounterVec) children() []counterChild {
 	out := make([]counterChild, 0, len(v.m))
 	for key, c := range v.m {
 		out = append(out, counterChild{labels: renderLabels(v.labels, key), c: c})
-	}
-	v.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].labels < out[j].labels })
-	return out
-}
-
-type gaugeChild struct {
-	labels string
-	g      *Gauge
-}
-
-func (v *GaugeVec) children() []gaugeChild {
-	v.mu.RLock()
-	out := make([]gaugeChild, 0, len(v.m))
-	for key, g := range v.m {
-		out = append(out, gaugeChild{labels: renderLabels(v.labels, key), g: g})
 	}
 	v.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].labels < out[j].labels })

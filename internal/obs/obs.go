@@ -180,7 +180,6 @@ type family struct {
 	gauge   *Gauge
 	hist    *Histogram
 	cvec    *CounterVec
-	gvec    *GaugeVec
 	hvec    *HistogramVec
 }
 
@@ -339,50 +338,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	c = &Counter{}
 	v.m[key] = c
 	return c
-}
-
-// GaugeVec is a gauge family partitioned by label values (e.g. a level
-// per summarization method).
-type GaugeVec struct {
-	labels []string
-	mu     sync.RWMutex
-	m      map[string]*Gauge
-}
-
-// GaugeVec returns the registered labeled gauge family, creating it on
-// first use.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	checkName(name)
-	checkLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f := r.lookup(name, kindGauge, labels); f != nil {
-		return f.gvec
-	}
-	v := &GaugeVec{labels: append([]string(nil), labels...), m: map[string]*Gauge{}}
-	r.fams[name] = &family{name: name, help: help, kind: kindGauge, labels: v.labels, gvec: v}
-	return v
-}
-
-// With returns the child gauge for the label values (in declaration
-// order), creating it on first use. The returned handle is lock-free
-// and may be cached.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	key := childKey(v.labels, values)
-	v.mu.RLock()
-	g, ok := v.m[key]
-	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok := v.m[key]; ok {
-		return g
-	}
-	g = &Gauge{}
-	v.m[key] = g
-	return g
 }
 
 // HistogramVec is a histogram family partitioned by label values. All

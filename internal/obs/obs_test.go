@@ -277,35 +277,3 @@ func TestObservePathsAllocFree(t *testing.T) {
 		t.Errorf("observe paths allocate %v per op, want 0", allocs)
 	}
 }
-
-// TestGaugeVec: labeled gauges resolve idempotently and render in the
-// exposition sorted by label value.
-func TestGaugeVec(t *testing.T) {
-	r := NewRegistry()
-	v := r.GaugeVec("gv_state", "x", "method")
-	v.With("lrw").Set(2)
-	v.With("rcl").Set(1)
-	if v.With("lrw") != v.With("lrw") {
-		t.Error("GaugeVec.With not idempotent")
-	}
-	if r.GaugeVec("gv_state", "x", "method") != v {
-		t.Error("GaugeVec registration not idempotent")
-	}
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE gv_state gauge",
-		`gv_state{method="lrw"} 2`,
-		`gv_state{method="rcl"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Index(out, `method="lrw"`) > strings.Index(out, `method="rcl"`) {
-		t.Error("gauge vec children not sorted by label value")
-	}
-}
