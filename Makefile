@@ -28,6 +28,7 @@ help:
 	@echo "make bench-smoke - one-shot benchmark smoke: figure benchmarks plus the"
 	@echo "                   search/core/rcl/lrw/randwalk/propidx/dynamic/stream micro-benchmarks"
 	@echo "                   (lrw's SummarizeMany and core's ColdOpen time a 120-topic refill,"
+	@echo "                   core's ColdOpenRCL the same refill on RCL-A summaries,"
 	@echo "                   lrw's Propagate4 one Equation 5 iteration per kernel, go and avx,"
 	@echo "                   in ns per in-edge,"
 	@echo "                   core's WarmSummaries the 1 200-topic warm-up per method at one"
@@ -164,7 +165,8 @@ bench:
 # Benchmark smoke: run the data_2k figure benchmarks and the online-path
 # and write-side (walk index, Γ, summarizer, each four-lane Equation 5
 # kernel per in-edge: lrw's BenchmarkPropagate4/{go,avx}, the 120-topic
-# refill: lrw's BenchmarkSummarizeMany, core's BenchmarkColdOpen, the 1 200-topic
+# refill: lrw's BenchmarkSummarizeMany, core's BenchmarkColdOpen, and on
+# RCL-A summaries core's BenchmarkColdOpenRCL, the 1 200-topic
 # warm-up per method at one worker and at GOMAXPROCS: core's
 # BenchmarkWarmSummaries, one streamed batch: stream's BenchmarkFlush,
 # and its graph splice: dynamic's BenchmarkApply) micro-benchmarks,

@@ -366,7 +366,13 @@ func TestBuildingOpenFansOut(t *testing.T) {
 // swap, minus HTTP and the search itself: a building Open over the tag's
 // 120 topics on data_350k with every one of them invalidated — lookups,
 // blocks through the corpus flight, SummarizeMany, installation.
-func BenchmarkColdOpen(b *testing.B) {
+func BenchmarkColdOpen(b *testing.B) { benchColdOpen(b, MethodLRW) }
+
+// BenchmarkColdOpenRCL is BenchmarkColdOpen with RCL-A summaries: the
+// in-process twin of tag_rcl's refill, one rcl.Summarize per topic.
+func BenchmarkColdOpenRCL(b *testing.B) { benchColdOpen(b, MethodRCL) }
+
+func benchColdOpen(b *testing.B, method Method) {
 	if testing.Short() {
 		b.Skip("data_350k build skipped under -short")
 	}
@@ -396,7 +402,7 @@ func BenchmarkColdOpen(b *testing.B) {
 			eng.InvalidateTopic(t)
 		}
 		b.StartTimer()
-		o, err := eng.Open(ctx, OpenRequest{Method: MethodLRW, Topics: ts, User: 0})
+		o, err := eng.Open(ctx, OpenRequest{Method: method, Topics: ts, User: 0})
 		if err != nil {
 			b.Fatal(err)
 		}

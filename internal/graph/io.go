@@ -10,16 +10,22 @@ package graph
 //	...
 //
 // The "nodes" header must precede the first edge so loaders can size the
-// Builder once.
+// Builder once. Read refuses a count above maxReadNodes.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 )
+
+// maxReadNodes is the largest "nodes" count Read accepts. Build sizes
+// three int32 arrays by the count before any edge is read, so an
+// unchecked header is an allocation request of 12 bytes a node: this
+// bound keeps that under 1 GB while sitting far above the paper's
+// largest dataset (≈ 3 M nodes).
+const maxReadNodes = 1 << 26
 
 // Write serializes g to w in the TSV edge-list format.
 func Write(w io.Writer, g *Graph) error {
@@ -62,10 +68,8 @@ func Read(r io.Reader) (*Graph, error) {
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad node count %q", lineNo, fields[1])
 			}
-			// A NodeID is an int32, so no edge could name a node past this
-			// count, and Build would size its arrays by it all the same.
-			if n > math.MaxInt32 {
-				return nil, fmt.Errorf("graph: line %d: node count %d exceeds %d, the most an int32 NodeID can name", lineNo, n, math.MaxInt32)
+			if n > maxReadNodes {
+				return nil, fmt.Errorf("graph: line %d: node count %d exceeds %d, the most Read accepts", lineNo, n, maxReadNodes)
 			}
 			b = NewBuilder(n)
 			continue

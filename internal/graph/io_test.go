@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -73,13 +75,23 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
-// TestReadRefusesHugeNodeCount: a header no NodeID can reach is refused by
-// its line before any array is sized by it (this one asked Build for
-// ≈ 700 GB).
+// TestReadRefusesHugeNodeCount: a header past maxReadNodes is refused by
+// its line before any array is sized by it. The first input is past any
+// int32 NodeID (it asked Build for ≈ 700 GB); the second, found by
+// FuzzRead and kept as its seed, is a valid int32 that asked for three
+// 7.1 GB arrays.
 func TestReadRefusesHugeNodeCount(t *testing.T) {
-	_, err := Read(strings.NewReader("# a comment first\nnodes 177777777000\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("Read(nodes 177777777000) = %v, want an error naming line 2", err)
+	for _, header := range []string{"nodes 177777777000", "nodes 1777777000", fmt.Sprintf("nodes %d", maxReadNodes+1)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(strings.NewReader("# a comment first\n" + header + "\n"))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("Read(%s) = %v, want an error naming line 2", header, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("Read(%s) allocated %d bytes before refusing it", header, grew)
+		}
 	}
 }
 

@@ -13,52 +13,16 @@ import (
 	"repro/internal/graph"
 )
 
-// Centrality computes the closeness centrality of candidate v for the
+// centrality computes the closeness centrality of candidate v for the
 // topic node group (Definition 3): |V_g| / Σ_j distance(v, v_j). Distances
 // are minimal directed hop counts bounded by maxHops; unreachable members
 // are penalized with maxHops+1 so that candidates covering more of the
 // group always win. A candidate that reaches no member has centrality
-// |V_g|/(|V_g|·(maxHops+1)), the floor.
-func Centrality(tr *graph.Traverser, v graph.NodeID, group []graph.NodeID, maxHops int) float64 {
-	if len(group) == 0 {
-		return 0
-	}
-	pending := make(map[graph.NodeID]bool, len(group))
-	for _, m := range group {
-		pending[m] = true
-	}
-	totalDist := 0
-	found := 0
-	if pending[v] {
-		delete(pending, v) // distance(v, v) = 0 contributes nothing
-		found++
-	}
-	if len(pending) > 0 {
-		tr.Forward(v, maxHops, func(n graph.NodeID, d int) bool {
-			if pending[n] {
-				delete(pending, n)
-				totalDist += d
-				found++
-			}
-			return len(pending) > 0
-		})
-	}
-	totalDist += len(pending) * (maxHops + 1)
-	if totalDist == 0 {
-		// v is the only group member and is at distance zero from the
-		// whole group; treat as maximal centrality.
-		return float64(len(group))
-	}
-	return float64(len(group)) / float64(totalDist)
-}
-
-// centrality computes the same closeness centrality as Centrality over
-// the scratch arena sc: the pending set is an epoch-stamped array, so the
-// per-visit membership test is one word read instead of a map probe, and
-// the bounded BFS runs on sc's own seen stamps and queue in
-// graph.Traverser's visit order, so nothing is allocated. The distance
-// accumulation order is identical, so the two always agree exactly —
-// pinned by TestCentralityMatchesArena.
+// |V_g|/(|V_g|·(maxHops+1)), the floor. It runs on the scratch arena sc:
+// the pending set is an epoch-stamped array and the bounded BFS runs on
+// sc's own seen stamps and queue in graph.Traverser's visit order, so
+// nothing is allocated. TestCentralityMatchesArena pins it bit for bit
+// to a map-based graph.Traverser oracle.
 func (s *Summarizer) centrality(v graph.NodeID, group []graph.NodeID, maxHops int, sc *scratch) float64 {
 	if len(group) == 0 {
 		return 0

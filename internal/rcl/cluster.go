@@ -10,7 +10,9 @@ package rcl
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/prob"
@@ -63,26 +65,101 @@ func (o *Options) fill(walkL, vt int) {
 	}
 }
 
-// pairLabel is the grouping decision for one topic-node pair.
+// pairLabel is Algorithm 1's verdict on one topic-node pair before any
+// coin is flipped.
 type pairLabel uint8
 
 const (
-	labelUnset   pairLabel = iota // no rule fired: treated as not grouped
-	labelGrouped                  // Rule 1 or a successful Rule 3 coin flip
-	labelSplit                    // Rule 2 or a failed Rule 3 coin flip
+	labelUnset   pairLabel = iota // no rule fires: treated as not grouped
+	labelGrouped                  // Rule 1: grouped
+	labelSplit                    // Rule 2: not grouped
+	labelRule3                    // Rule 3: grouped when one draw is ≤ its probability
 )
 
-// grouping holds the pairwise GPLabel matrix over V_t, addressed by
-// positions in the topic-node slice (not node IDs).
-type grouping struct {
-	nodes  []graph.NodeID
-	labels []pairLabel // row-major |V_t|×|V_t|, symmetric
+// pairRules is Rules 1–3 of Algorithm 1 over one sample V′. A pair's
+// label depends only on its shared count c = |V_{u,L} ∩ V_{v,L} ∩ V′|,
+// the sum a+b of the two nodes' counts |V_{u,L} ∩ V′| + |V_{v,L} ∩ V′|,
+// and |V′|, so the pair pass reads nothing else.
+type pairRules struct {
+	size int     // |V′|
+	inv  float64 // 1/|V′|
 }
 
-func (gr *grouping) at(i, j int) pairLabel { return gr.labels[i*len(gr.nodes)+j] }
-func (gr *grouping) set(i, j int, l pairLabel) {
-	gr.labels[i*len(gr.nodes)+j] = l
-	gr.labels[j*len(gr.nodes)+i] = l
+func newPairRules(sampleSize int) pairRules {
+	return pairRules{size: sampleSize, inv: 1.0 / float64(sampleSize)}
+}
+
+// classify labels a pair with shared count common and count sum sum, and
+// gives Rule 3's grouping probability GP+/(1−GP−) with labelRule3. It
+// draws nothing: decide flips Rule 3's coin.
+func (r pairRules) classify(common, sum int) (pairLabel, float64) {
+	if r.size == 0 {
+		return labelUnset, 0 // no evidence: nothing can be grouped
+	}
+	gPlus := float64(float64(common) * r.inv)
+	gMinus := float64(float64(sum-2*common) * r.inv)
+	gStar := 1 - gPlus - gMinus
+	switch {
+	// Rule 1: clearly in.
+	case gPlus >= gMinus && gPlus >= gStar:
+		return labelGrouped, 0
+	// Rule 2: clearly out.
+	case gMinus >= gPlus && gMinus >= gStar:
+		return labelSplit, 0
+	// Rule 3: undecided; group with probability GP+/(1−GP−).
+	case gPlus >= gMinus && gPlus < gStar:
+		pr := 0.0
+		if 1-gMinus > 0 {
+			pr = gPlus / (1 - gMinus)
+		}
+		return labelRule3, pr
+	default:
+		// GP* dominates and GP− > GP+: no rule fires; leave unset,
+		// which the tree treats as not groupable.
+		return labelUnset, 0
+	}
+}
+
+// zeroFires appends the sums s ≤ maxSum at which a pair sharing no
+// sampled node is grouped or flips a coin: the count buckets the pair
+// pass visits beside the pairs that share one.
+func (r pairRules) zeroFires(maxSum int, fire []int) []int {
+	for s := 0; s <= maxSum; s++ {
+		if l, _ := r.classify(0, s); l == labelGrouped || l == labelRule3 {
+			fire = append(fire, s)
+		}
+	}
+	return fire
+}
+
+// decide reports whether a pair labelled l, with Rule 3 probability pr,
+// is grouped: Rule 1 always, Rule 3 when one rng.Float64() is ≤ pr. The
+// rng is consumed exactly when l is Rule 3.
+func decide(l pairLabel, pr float64, rng *rand.Rand) bool {
+	switch l {
+	case labelGrouped:
+		return true
+	case labelRule3:
+		return rng.Float64() <= pr
+	}
+	return false
+}
+
+// grouping is Algorithm 1's grouped relation (GPLabel = 1) over V_t,
+// addressed by positions in the topic-node slice (not node IDs): the
+// partners of i are to[off[i]:off[i+1]], the j > i it groups with,
+// increasing. A pair outside it is split or unset, which the SE-tree
+// treats alike.
+type grouping struct {
+	nodes []graph.NodeID
+	off   []int32 // len(nodes)+1 row offsets into to
+	to    []int32
+}
+
+// groups reports whether i < j are grouped.
+func (gr *grouping) groups(i, j int) bool {
+	_, ok := slices.BinarySearch(gr.to[gr.off[i]:gr.off[i+1]], int32(j))
+	return ok
 }
 
 // sampleNodes draws a degree-proportional sample V′ of about rate·|V|
@@ -152,97 +229,42 @@ func (s *Summarizer) buildSignatures(ctx context.Context, vt []graph.NodeID, sam
 	return words, nil
 }
 
-// intersectionSize counts common elements of two sorted slices.
-func intersectionSize(a, b []graph.NodeID) int {
-	i, j, count := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			count++
-			i++
-			j++
-		}
-	}
-	return count
-}
-
-// pairDecision applies Rules 1–3 of Algorithm 1 to one topic-node pair:
-// common is |V_{u,L} ∩ V_{v,L} ∩ V′|, sizeI/sizeJ the per-node sample
-// reach sizes, inv = 1/|V′|. The rng is consumed exactly when Rule 3
-// fires, so every grouping implementation replays the same sequence.
-func pairDecision(common, sizeI, sizeJ int, inv float64, rng *rand.Rand) pairLabel {
-	gPlus := float64(float64(common) * inv)
-	gMinus := float64(float64(sizeI-common+sizeJ-common) * inv)
-	gStar := 1 - gPlus - gMinus
-	switch {
-	// Rule 1: clearly in.
-	case gPlus >= gMinus && gPlus >= gStar:
-		return labelGrouped
-	// Rule 2: clearly out.
-	case gMinus >= gPlus && gMinus >= gStar:
-		return labelSplit
-	// Rule 3: undecided; group with probability GP+/(1−GP−).
-	case gPlus >= gMinus && gPlus < gStar:
-		pr := 0.0
-		if 1-gMinus > 0 {
-			pr = gPlus / (1 - gMinus)
-		}
-		if rng.Float64() <= pr {
-			return labelGrouped
-		}
-		return labelSplit
-	default:
-		// GP* dominates and GP− > GP+: no rule fires; leave unset,
-		// which the tree treats as not groupable.
-		return labelUnset
-	}
-}
-
-// buildGrouping runs Algorithm 1's pair-labeling over the topic nodes.
-// sampleSize is |V′|; reach[i] is V_{u_i,L} ∩ V′ for topic node i. The
-// O(|V_t|²) pair loop checks ctx once per row. This slice-based variant
-// backs the unit tests; the summarization path uses buildGroupingSig.
-func buildGrouping(ctx context.Context, nodes []graph.NodeID, reach [][]graph.NodeID, sampleSize int, rng *rand.Rand) (*grouping, error) {
-	gr := &grouping{nodes: nodes, labels: make([]pairLabel, len(nodes)*len(nodes))}
-	if sampleSize == 0 {
-		return gr, nil // no evidence: nothing can be grouped
-	}
-	inv := 1.0 / float64(sampleSize)
-	for i := range nodes {
+// buildGrouping runs Algorithm 1's pair labelling over the topic nodes
+// and returns the grouped relation. Row i decides, in increasing j, only
+// the pairs that can group or draw: those sharing a sampled node, found
+// through the topic's postings, and those whose count bucket is grouped
+// or Rule 3 at c = 0 (zeroFires). Every other pair shares nothing and is
+// split or unset, so skipping it changes no label and no draw: the rng
+// is consumed exactly as a pass over every pair consumes it. The pass
+// checks ctx once per row.
+func buildGrouping(ctx context.Context, nodes []graph.NodeID, sampleSize, words int, rng *rand.Rand, sc *scratch) (*grouping, error) {
+	n := len(nodes)
+	rules := newPairRules(sampleSize)
+	maxCount := sc.indexSignatures(n, words, sampleSize)
+	sc.fire = rules.zeroFires(2*maxCount, sc.fire[:0])
+	sc.groupOff = resize(sc.groupOff, n+1)
+	sc.groupOff[0] = 0
+	gr := &grouping{nodes: nodes, off: sc.groupOff, to: sc.groupTo[:0]}
+	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for j := i + 1; j < len(nodes); j++ {
-			common := intersectionSize(reach[i], reach[j])
-			gr.set(i, j, pairDecision(common, len(reach[i]), len(reach[j]), inv, rng))
+		sc.markPartners(i, words)
+		a := sc.counts[i]
+		for w := (i + 1) >> 6; w < len(sc.marks); w++ {
+			for x := sc.marks[w]; x != 0; x &= x - 1 {
+				j := w<<6 | bits.TrailingZeros64(x)
+				l, pr := rules.classify(int(sc.shared[j]), a+sc.counts[j])
+				sc.shared[j] = 0
+				if decide(l, pr, rng) {
+					gr.to = append(gr.to, int32(j))
+				}
+			}
+			sc.marks[w] = 0
 		}
+		gr.off[i+1] = int32(len(gr.to))
 	}
-	return gr, nil
-}
-
-// buildGroupingSig is buildGrouping over the scratch's bitset signatures:
-// the same pair decisions, with each intersection an AND + popcount over
-// `words` machine words instead of a sorted-slice merge.
-func (s *Summarizer) buildGroupingSig(ctx context.Context, nodes []graph.NodeID, sampleSize, words int, rng *rand.Rand, sc *scratch) (*grouping, error) {
-	gr := &grouping{nodes: nodes, labels: sc.ensureLabels(len(nodes))}
-	if sampleSize == 0 {
-		return gr, nil // no evidence: nothing can be grouped
-	}
-	inv := 1.0 / float64(sampleSize)
-	for i := range nodes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sigI := sc.sigWords[i*words : (i+1)*words]
-		for j := i + 1; j < len(nodes); j++ {
-			common := sigCommon(sigI, sc.sigWords[j*words:(j+1)*words])
-			gr.set(i, j, pairDecision(common, sc.counts[i], sc.counts[j], inv, rng))
-		}
-	}
+	sc.groupTo = gr.to
 	return gr, nil
 }
 
@@ -264,10 +286,10 @@ func setEnumerationTree(ctx context.Context, gr *grouping, maxNodes int, sc *scr
 		sc.resetSets()
 		level, nextBuf, all = sc.hdrA[:0], sc.hdrB[:0], sc.sets[:0]
 	}
-	for i := 0; i < n; i++ { //pitlint:ignore ctxloop |V_t|-bounded singleton allocation pass; ctx is checked at the top of every SE-tree level below
-		one := sc.allocSet(1)
-		one[0] = i
-		level = append(level, one)
+	ones := sc.allocSet(n)
+	for i := range ones {
+		ones[i] = i
+		level = append(level, ones[i:i+1:i+1])
 	}
 	all = append(all, level...)
 	budget := maxNodes - n
@@ -276,31 +298,14 @@ func setEnumerationTree(ctx context.Context, gr *grouping, maxNodes int, sc *scr
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		next := nextBuf[:0]
-	outer:
-		for xi := 0; xi < len(level) && budget > 0; xi++ {
-			sx := level[xi]
-			// Right siblings share all but the last element.
-			for yi := xi + 1; yi < len(level) && budget > 0; yi++ {
-				sy := level[yi]
-				if !sameButLast(sx, sy) {
-					continue
-				}
-				add := sy[len(sy)-1]
-				if !groupsWithAll(gr, sx, add) {
-					continue
-				}
-				merged := sc.allocSet(len(sx) + 1)
-				copy(merged, sx)
-				merged[len(sx)] = add
-				next = append(next, merged)
-				all = append(all, merged)
-				budget--
-				if budget <= 0 {
-					break outer
-				}
-			}
+		var next []nodeSet
+		if len(level[0]) == 1 {
+			next = appendPairs(nextBuf[:0], gr, budget, sc)
+		} else {
+			next = appendMerges(nextBuf[:0], level, gr, budget, sc)
 		}
+		all = append(all, next...)
+		budget -= len(next)
 		// Ping-pong the header buffers: the finished level's backing
 		// becomes next round's append target.
 		level, nextBuf = next, level[:0]
@@ -312,6 +317,49 @@ func setEnumerationTree(ctx context.Context, gr *grouping, maxNodes int, sc *scr
 		sc.hdrA, sc.hdrB = level[:0], nextBuf[:0]
 	}
 	return all, nil
+}
+
+// appendPairs is the SE-tree's second level. Every singleton is every
+// other's sibling, so merging them in order yields the grouped pairs in
+// (i, j) order: the first budget of them are the level.
+func appendPairs(next []nodeSet, gr *grouping, budget int, sc *scratch) []nodeSet {
+	k := min(budget, len(gr.to))
+	flat := sc.allocSet(2 * k)
+	for p, i := 0, 0; p < k; p++ {
+		for int(gr.off[i+1]) <= p {
+			i++
+		}
+		pair := flat[2*p : 2*p+2 : 2*p+2]
+		pair[0], pair[1] = i, int(gr.to[p])
+		next = append(next, pair)
+	}
+	return next
+}
+
+// appendMerges is one SE-tree level past the pairs, at most budget sets.
+// A level lists each parent's children together and in order, so a set's
+// right siblings directly follow it, and the scan stops at the first set
+// that is not one.
+func appendMerges(next, level []nodeSet, gr *grouping, budget int, sc *scratch) []nodeSet {
+	for xi, sx := range level {
+		for _, sy := range level[xi+1:] {
+			if !sameButLast(sx, sy) {
+				break
+			}
+			add := sy[len(sy)-1]
+			if !groupsWithAll(gr, sx, add) {
+				continue
+			}
+			merged := sc.allocSet(len(sx) + 1)
+			copy(merged, sx)
+			merged[len(sx)] = add
+			next = append(next, merged)
+			if len(next) == budget {
+				return next
+			}
+		}
+	}
+	return next
 }
 
 // sameButLast reports whether a and b share their first len−1 elements
@@ -329,10 +377,10 @@ func sameButLast(a, b nodeSet) bool {
 }
 
 // groupsWithAll is CHECK_GROUPING: the candidate element must have
-// GPLabel = 1 with every member of the set.
+// GPLabel = 1 with every member of the set (each member precedes it).
 func groupsWithAll(gr *grouping, s nodeSet, cand int) bool {
 	for _, m := range s {
-		if gr.at(m, cand) != labelGrouped {
+		if !gr.groups(m, cand) {
 			return false
 		}
 	}
@@ -434,7 +482,7 @@ func noOverlapGrouping(gr *grouping, sets []nodeSet, cSize int, sc *scratch) [][
 // clustering stages; a done context aborts with ctx.Err().
 func (s *Summarizer) Cluster(ctx context.Context, t topics.TopicID) ([][]graph.NodeID, error) {
 	sc := s.arena()
-	defer s.arenas.Put(sc)
+	defer s.release(sc)
 	return s.cluster(ctx, t, sc)
 }
 
@@ -450,14 +498,14 @@ func (s *Summarizer) cluster(ctx context.Context, t topics.TopicID, sc *scratch)
 	}
 	opts := s.opts
 	opts.fill(s.walks.L, len(vt))
-	rng := rand.New(rand.NewSource(opts.Seed ^ int64(t)*0x9e3779b9))
+	rng := sc.reseed(opts.Seed ^ int64(t)*0x9e3779b9)
 
 	sampleSize := s.sampleNodes(opts.SampleRate, rng, sc)
 	words, err := s.buildSignatures(ctx, vt, sampleSize, sc)
 	if err != nil {
 		return nil, err
 	}
-	gr, err := s.buildGroupingSig(ctx, vt, sampleSize, words, rng, sc)
+	gr, err := buildGrouping(ctx, vt, sampleSize, words, rng, sc)
 	if err != nil {
 		return nil, err
 	}

@@ -62,11 +62,16 @@ func New(g *graph.Graph, space *topics.Space, walks *randwalk.Index, opts Option
 }
 
 // arena takes a scratch arena sized for the graph from the pool; the
-// caller hands it back with s.arenas.Put once the call is done with it.
+// caller hands it back with release once the call is done with it.
 func (s *Summarizer) arena() *scratch {
 	sc := s.arenas.Get().(*scratch)
 	sc.ensureNodes(s.g.NumNodes())
 	return sc
+}
+
+// release returns an arena to the pool.
+func (s *Summarizer) release(sc *scratch) {
+	s.arenas.Put(sc) //pitlint:ignore poolsafe rng is the arena's own generator, reseeded per topic; it references nothing outside the arena
 }
 
 // Summarize runs the offline stage of Algorithm 5 for one topic: it
@@ -76,7 +81,7 @@ func (s *Summarizer) arena() *scratch {
 // context aborts with ctx.Err().
 func (s *Summarizer) Summarize(ctx context.Context, t topics.TopicID) (summary.Summary, error) {
 	sc := s.arena()
-	defer s.arenas.Put(sc)
+	defer s.release(sc)
 	groups, err := s.cluster(ctx, t, sc)
 	if err != nil {
 		return summary.Summary{}, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -255,30 +256,39 @@ func TestCentralityDefinition(t *testing.T) {
 	tr := graph.NewTraverser(g)
 	group := []graph.NodeID{1, 2, 3}
 	// node 0 reaches each member in 1 hop: C = 3/3 = 1
-	if got := Centrality(tr, 0, group, 4); math.Abs(got-1) > 1e-12 {
+	if got := mapCentrality(tr, 0, group, 4); math.Abs(got-1) > 1e-12 {
 		t.Errorf("Centrality(0) = %v, want 1", got)
 	}
 	// node 4 reaches each member in 2 hops: C = 3/6 = 0.5
-	if got := Centrality(tr, 4, group, 4); math.Abs(got-0.5) > 1e-12 {
+	if got := mapCentrality(tr, 4, group, 4); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Centrality(4) = %v, want 0.5", got)
 	}
 	// node 1 is itself a member (distance 0) and reaches neither 2 nor 3:
 	// C = 3/(2*(4+1)) = 0.3 with maxHops=4
-	if got := Centrality(tr, 1, group, 4); math.Abs(got-0.3) > 1e-12 {
+	if got := mapCentrality(tr, 1, group, 4); math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("Centrality(1) = %v, want 0.3", got)
 	}
 	// member of its own group counts distance 0
-	if got := Centrality(tr, 1, []graph.NodeID{1}, 4); got != 1 {
+	if got := mapCentrality(tr, 1, []graph.NodeID{1}, 4); got != 1 {
 		t.Errorf("Centrality(singleton self) = %v, want 1", got)
 	}
-	if got := Centrality(tr, 0, nil, 4); got != 0 {
+	if got := mapCentrality(tr, 0, nil, 4); got != 0 {
 		t.Errorf("Centrality(empty group) = %v, want 0", got)
 	}
 }
 
+// sharedCount counts the elements of a that b holds too.
+func sharedCount(a, b []graph.NodeID) int {
+	c := 0
+	for _, x := range a {
+		if slices.Contains(b, x) {
+			c++
+		}
+	}
+	return c
+}
+
 func TestGroupingRules(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	nodes := []graph.NodeID{10, 20}
 	cases := []struct {
 		name       string
 		a, b       []graph.NodeID // reach sets within the sample
@@ -309,8 +319,8 @@ func TestGroupingRules(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			gr, _ := buildGrouping(context.Background(), nodes, [][]graph.NodeID{tc.a, tc.b}, tc.sampleSize, rng)
-			if got := gr.at(0, 1); got != tc.want {
+			got, _ := newPairRules(tc.sampleSize).classify(sharedCount(tc.a, tc.b), len(tc.a)+len(tc.b))
+			if got != tc.want {
 				t.Errorf("label = %d, want %d", got, tc.want)
 			}
 		})
@@ -319,14 +329,16 @@ func TestGroupingRules(t *testing.T) {
 
 func TestGroupingRule3Probabilistic(t *testing.T) {
 	// GP+ = 0.2, GP- = 0, GP* = 0.8 → Rule 3 with Pr = 0.2/1.0 = 0.2.
-	nodes := []graph.NodeID{10, 20}
 	reach := [][]graph.NodeID{{1}, {1}}
+	l, pr := newPairRules(5).classify(sharedCount(reach[0], reach[1]), len(reach[0])+len(reach[1]))
+	if l != labelRule3 {
+		t.Fatalf("label = %d, want Rule 3 (%d)", l, labelRule3)
+	}
 	grouped := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
-		gr, _ := buildGrouping(context.Background(), nodes, reach, 5, rng)
-		if gr.at(0, 1) == labelGrouped {
+		if decide(l, pr, rng) {
 			grouped++
 		}
 	}
@@ -336,6 +348,21 @@ func TestGroupingRule3Probabilistic(t *testing.T) {
 	}
 }
 
+// groupingOf builds the grouped relation over nodes that the pair pass
+// would hold for the predicate, deciding pairs in (i, j) order.
+func groupingOf(nodes []graph.NodeID, groups func(i, j int) bool) *grouping {
+	gr := &grouping{nodes: nodes, off: make([]int32, len(nodes)+1)}
+	for i := range nodes {
+		for j := i + 1; j < len(nodes); j++ {
+			if groups(i, j) {
+				gr.to = append(gr.to, int32(j))
+			}
+		}
+		gr.off[i+1] = int32(len(gr.to))
+	}
+	return gr
+}
+
 func TestSetEnumerationTreeRespectsCap(t *testing.T) {
 	// Fully groupable 6-clique of topic nodes: unlimited enumeration
 	// would create 2^6 sets; the cap must bound it.
@@ -343,12 +370,7 @@ func TestSetEnumerationTreeRespectsCap(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = graph.NodeID(i)
 	}
-	gr := &grouping{nodes: nodes, labels: make([]pairLabel, 36)}
-	for i := 0; i < 6; i++ {
-		for j := i + 1; j < 6; j++ {
-			gr.set(i, j, labelGrouped)
-		}
-	}
+	gr := groupingOf(nodes, func(i, j int) bool { return true })
 	sets, _ := setEnumerationTree(context.Background(), gr, 10, nil)
 	if len(sets) > 10 {
 		t.Errorf("cap violated: %d sets", len(sets))
@@ -357,6 +379,55 @@ func TestSetEnumerationTreeRespectsCap(t *testing.T) {
 	// All 2^6−1 non-empty subsets are groupable.
 	if len(full) != 63 {
 		t.Errorf("full enumeration produced %d sets, want 63", len(full))
+	}
+}
+
+// TestSetEnumerationTreeMatchesSiblingScan: on random relations and
+// budgets, the tree equals Algorithm 2 read literally — every level
+// built by scanning all later sets of the level for siblings, each
+// candidate checked against every member — set for set and in order.
+func TestSetEnumerationTreeMatchesSiblingScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(14)
+		density := rng.Float64()
+		nodes := make([]graph.NodeID, n)
+		in := make([][]bool, n)
+		for i := range in {
+			in[i] = make([]bool, n)
+			for j := i + 1; j < n; j++ {
+				in[i][j] = rng.Float64() < density
+			}
+		}
+		maxNodes := n + rng.Intn(4*n+8)
+		var want, level []nodeSet
+		for i := 0; i < n; i++ {
+			level = append(level, nodeSet{i})
+		}
+		want = append(want, level...)
+		for budget := maxNodes - n; len(level) > 1 && budget > 0; {
+			var next []nodeSet
+			for xi := 0; xi < len(level) && budget > 0; xi++ {
+				for yi := xi + 1; yi < len(level) && budget > 0; yi++ {
+					sx, sy := level[xi], level[yi]
+					add := sy[len(sy)-1]
+					if !sameButLast(sx, sy) || slices.ContainsFunc(sx, func(m int) bool { return !in[m][add] }) {
+						continue
+					}
+					next = append(next, append(slices.Clone(sx), add))
+					budget--
+				}
+			}
+			want = append(want, next...)
+			level = next
+		}
+		got, err := setEnumerationTree(context.Background(), groupingOf(nodes, func(i, j int) bool { return in[i][j] }), maxNodes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("trial %d (n=%d, maxNodes=%d): tree %v, want %v", trial, n, maxNodes, got, want)
+		}
 	}
 }
 
@@ -370,12 +441,7 @@ func TestNoOverlapGroupingPartitions(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = graph.NodeID(i * 3)
 		}
-		gr := &grouping{nodes: nodes, labels: make([]pairLabel, n*n)}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				gr.set(i, j, pairLabel(rng.Intn(3)))
-			}
-		}
+		gr := groupingOf(nodes, func(i, j int) bool { return pairLabel(rng.Intn(3)) == labelGrouped })
 		sets, _ := setEnumerationTree(context.Background(), gr, 200, nil)
 		groups := noOverlapGrouping(gr, sets, 1+rng.Intn(4), nil)
 		seen := map[graph.NodeID]int{}
@@ -436,7 +502,7 @@ func TestRefineCentroidImprovesOrKeeps(t *testing.T) {
 	}
 	group := []graph.NodeID{1, 2, 3}
 	tr := graph.NewTraverser(g)
-	startScore := Centrality(tr, 5, group, 6)
+	startScore := mapCentrality(tr, 5, group, 6)
 	best, bestScore := s.refineCentroid(5, startScore, group, 6, s.arena())
 	if best != 0 {
 		t.Errorf("refinement ended at node %d, want hub 0", best)
@@ -445,7 +511,7 @@ func TestRefineCentroidImprovesOrKeeps(t *testing.T) {
 		t.Errorf("refinement did not improve: %v -> %v", startScore, bestScore)
 	}
 	// Starting at the optimum, refinement must stay there.
-	hubScore := Centrality(tr, 0, group, 6)
+	hubScore := mapCentrality(tr, 0, group, 6)
 	still, _ := s.refineCentroid(0, hubScore, group, 6, s.arena())
 	if still != 0 {
 		t.Errorf("refinement moved away from the optimum to %d", still)
