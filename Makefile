@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all help build test check fmt vet lint lint-audit vulncheck race bench bench-smoke chaos fuzz
+.PHONY: all help build test check fmt vet lint lint-audit vulncheck race bench bench-smoke chaos stress fuzz
 
 all: check
 
@@ -56,6 +56,12 @@ help:
 	@echo "                   the generation the /updates ack, /search and /stats report,"
 	@echo "                   a building open spreading its misses over every core"
 	@echo "                   (BuildingOpenFansOut) and the multi-key singleflight (DoMany) tests"
+	@echo "make stress      - the handshake-driven concurrency tests in core 200 times each:"
+	@echo "                   a building open fanning out (BuildingOpenFansOut) and the"
+	@echo "                   query gate held by an open session, a Run and a nested hold"
+	@echo "                   while Retire drains (OpenHoldsGateUntilDone,"
+	@echo "                   RetireDrainsBuiltEngine, RunHoldsGateAcrossRerank,"
+	@echo "                   GateTokenNamesItsGate)"
 	@echo "make vulncheck   - govulncheck when installed (best-effort)"
 
 # build also cross-compiles for arm64, where propagate4 runs its portable
@@ -154,6 +160,17 @@ race:
 chaos:
 	$(GO) test -race ./internal/chaos/
 	$(GO) test -race -run 'Chaos|Planned|FaultedShard|Soak|Churn|AllOrNothing|RefreshEqualsRebuild|DoMany|SeesOneGeneration|PatchIndexesCanceledContext|WalksLadder|DeadlineDegrades|DeadlineWithNothingCached|TestDegraded|ResponsesReportGeneration|OpenHoldsGateUntilDone|ShardIndexesIdentical|BuildingOpenFansOut' . ./internal/core/ ./internal/server/ ./internal/stream/ ./internal/shard/ ./internal/singleflight/
+
+# Stress: the concurrency tests whose overlaps and cancellations are
+# made by handshakes between goroutines, not by timing, 200 times each —
+# a building open spreading its misses over every core (overlapping
+# builds, the first error in topic order, a cancel stopping the
+# hand-out) and the query gate a Retire drains behind (an open session
+# until Done, a Run on a built engine, a Run across its re-rank, a
+# nested hold under its own engine's token). A red run here is a race
+# one tier-1 pass would meet about once in a hundred.
+stress:
+	$(GO) test -count=200 -run '^(TestBuildingOpenFansOut|TestOpenHoldsGateUntilDone|TestRetireDrainsBuiltEngine|TestRunHoldsGateAcrossRerank|TestGateTokenNamesItsGate)$$' ./internal/core/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.

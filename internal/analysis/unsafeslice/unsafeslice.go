@@ -43,7 +43,8 @@ var Analyzer = &analysis.Analyzer{
 		"Flags imports of unsafe and direct syscall.Mmap/Munmap calls outside\n" +
 		"internal/storage, whose views own the zero-copy reinterpretation\n" +
 		"invariants (size/alignment/endianness checks, CRC-verified input,\n" +
-		"drain-gated unmap). Route byte reinterpretation through those views.",
+		"an unmap only after the query-gate drain). Route byte reinterpretation\n" +
+		"through those views.",
 	Run: run,
 }
 

@@ -9,11 +9,11 @@ package core
 //
 // The restored indexes are zero-copy views into read-only file mappings
 // (internal/storage's one format), which gives a loaded engine a
-// different shutdown contract from a built one: Close must drain
-// in-flight queries through the query gate (gate.go) before releasing
-// the mappings, and queries arriving after Close fail with ErrNotReady
-// instead of reading unmapped memory. A built engine owns its indexes on
-// the heap and keeps serving its cache after Close.
+// different Close from a built one: it drains in-flight queries through
+// the query gate (gate.go) before releasing the mappings, and queries
+// arriving after Close fail with ErrNotReady instead of reading
+// unmapped memory. A built engine owns its indexes on the heap and
+// keeps serving its cache after Close. Retire drains either.
 
 import (
 	"errors"

@@ -15,14 +15,18 @@
 // top-k search; a canceled or expired context stops the work early with
 // ctx.Err() instead of burning CPU.
 //
-// Concurrency design (PR 3): the online read path is lock-free for
-// readers. Readiness is an atomic flag that publishes the immutable
-// indexes, the summary cache is sharded with per-shard RWMutexes
-// (sumcache.go), and cache misses deduplicate through a singleflight
-// group so a thundering herd of identical queries triggers exactly one
-// summarization. The remaining mutexes serialize only what is truly
-// mutable: index construction, the RCL summarizer's BFS scratch, and
-// the fault-injection override table.
+// Concurrency design: every online read holds the generation it runs
+// on — each of its engines' query gates (gate.go) — from the first step
+// to the last, so a Retire (an engine swap) or a mapped engine's Close
+// drains behind it; nested calls on a held engine ride the outer hold.
+// Behind the gate, reads take no engine-wide lock: readiness is an
+// atomic flag that publishes the immutable indexes, the summary cache
+// is sharded with per-shard RWMutexes (sumcache.go), and cache misses
+// go through a multi-key singleflight group, so a thundering herd of
+// identical queries triggers exactly one summarization per topic. The
+// summarizers take their scratch from pools, one per call. The
+// remaining mutexes serialize only what is truly mutable: index
+// construction and the fault-injection override table.
 package core
 
 import (
@@ -164,20 +168,21 @@ type Engine struct {
 	// checks are branch-predictable no-ops in the disabled case).
 	met *engineMetrics
 
-	// The query path (planned.go) with this engine as its Opener.
+	// The query path (planned.go) over this engine alone: Static(e).
 	ladder *Ladder
+
+	// gate admits every online entry point, so Retire — and Close on a
+	// mapped engine — can drain in-flight queries (gate.go).
+	gate queryGate
 
 	// Artifact-backed state (artifacts.go). handles own the file
 	// mappings behind LoadArtifacts-restored indexes and mapped marks
-	// such a loaded engine: every online entry point holds the query
-	// gate so Close can drain in-flight queries before releasing the
-	// mappings. Both are written before ready is published and immutable
-	// afterwards. unmapOnce makes the release idempotent across
-	// concurrent Close calls.
+	// such a loaded engine, whose Close drains the gate before releasing
+	// the mappings. Both are written before ready is published and
+	// immutable afterwards. unmapOnce makes the release idempotent
+	// across concurrent Close and Retire calls.
 	handles   []*storage.Handle
 	mapped    bool
-	gated     bool
-	gate      queryGate
 	unmapOnce sync.Once
 }
 
@@ -199,7 +204,7 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 	if opts.Metrics != nil {
 		e.met = newEngineMetrics(opts.Metrics)
 	}
-	e.ladder = NewLadder(opts.Metrics, e.hold)
+	e.ladder = NewLadder(opts.Metrics, Static(e), nil)
 	return e, nil
 }
 
@@ -222,23 +227,9 @@ func (e *Engine) Close() {
 	e.stopLife()
 	if e.mapped {
 		e.gate.closeAndDrain()
-		e.unmapOnce.Do(func() {
-			for _, h := range e.handles {
-				h.Close()
-			}
-		})
+		e.unmap()
 	}
 }
-
-// EnableDrainGate routes every online entry point through the query
-// gate even when the indexes are heap-owned (mapped engines always
-// gate). The streaming pipeline calls it on each engine before
-// publishing it, so Retire can refuse new queries and drain in-flight
-// ones during an engine swap. The flag is read without synchronization
-// once the engine serves traffic, so it must be set before the engine
-// is shared; publication through an atomic pointer (the swap) provides
-// the necessary happens-before edge.
-func (e *Engine) EnableDrainGate() { e.gated = true }
 
 // Retire shuts down an engine that has been replaced by a newer one in
 // an engine swap. Unlike Close, it drains FIRST and cancels the
@@ -246,28 +237,31 @@ func (e *Engine) EnableDrainGate() { e.gated = true }
 // full fidelity (their cache-miss builds still run under a live
 // lifecycle context) instead of failing mid-flight with a canceled
 // build. New top-level queries racing the retirement get ErrNotReady;
-// the caller routes them to the replacement engine. Idempotent, like
-// Close, and safe to follow with Close.
+// the caller routes them to the replacement engine. Any engine retires
+// so, built or loaded. Idempotent, like Close, and safe to follow with
+// Close.
 func (e *Engine) Retire() {
-	if e.mapped || e.gated {
-		e.gate.closeAndDrain()
-	}
+	e.gate.closeAndDrain()
 	e.stopLife()
 	if e.mapped {
-		e.unmapOnce.Do(func() {
-			for _, h := range e.handles {
-				h.Close()
-			}
-		})
+		e.unmap()
 	}
+}
+
+// unmap releases a loaded engine's file mappings, once.
+func (e *Engine) unmap() {
+	e.unmapOnce.Do(func() {
+		for _, h := range e.handles {
+			h.Close()
+		}
+	})
 }
 
 // Hold registers a top-level read against the engine's query gate and
 // returns a release func. Readers of index state outside the query
 // entry points hold the gate so a concurrent Retire/Close cannot unmap
-// under the read. On engines that neither map files nor gate
-// (EnableDrainGate), it is free. The returned context carries this
-// gate's token, so nested calls on this engine do not re-acquire.
+// under the read. The returned context carries this gate's token, so
+// nested calls on this engine do not re-acquire.
 func (e *Engine) Hold(ctx context.Context) (context.Context, func(), error) {
 	return e.acquire(ctx)
 }
@@ -337,18 +331,13 @@ func (e *Engine) requireIndexes() error {
 type gateTokenKey struct{ gate *queryGate }
 
 // acquire is the entry gate of every online query path: it checks
-// readiness and, when the indexes are views into file mappings,
-// registers the query with the gate so Close cannot unmap under it.
-// Callers must thread the returned context into nested work and call
-// release when the query finishes (it is never nil on success). Engines
-// with heap-owned indexes skip the gate entirely, preserving the
-// original lock-free entry.
+// readiness and registers the query with the gate, so Retire (and a
+// mapped engine's Close) drains behind it. Callers must thread the
+// returned context into nested work and call release when the query
+// finishes (it is never nil on success).
 func (e *Engine) acquire(ctx context.Context) (context.Context, func(), error) {
 	if err := e.requireIndexes(); err != nil {
 		return ctx, nil, err
-	}
-	if !e.mapped && !e.gated {
-		return ctx, func() {}, nil
 	}
 	token := gateTokenKey{&e.gate}
 	if ctx.Value(token) != nil {
@@ -475,44 +464,21 @@ func (e *Engine) validateSummaries(sums []summary.Summary) error {
 	return nil
 }
 
-// Run answers q through the one query path (planned.go) with this
-// engine as the backend. It holds the query gate for the whole request:
-// a concurrent Retire/Close drains behind it, and nothing the request
-// nests — builds, the search, the diversification re-rank — can lose
-// the engine half way.
+// Run answers q through the one query path (planned.go) on this
+// engine's one-engine generation. It holds the query gate for the whole
+// request: a concurrent Retire/Close drains behind it, and nothing the
+// request nests — builds, the search, the diversification re-rank — can
+// lose the engine half way.
 func (e *Engine) Run(ctx context.Context, q Query) (Answer, error) {
 	return e.ladder.Run(ctx, q)
 }
 
-// hold is the engine's HoldFunc: the engine itself, under its query
-// gate.
-func (e *Engine) hold(ctx context.Context) (context.Context, Opener, func(), error) {
-	ctx, release, err := e.acquire(ctx)
-	return ctx, e, release, err
-}
-
-// Generation implements Opener: an engine on its own is a static
-// deployment, generation 0. Deployments that swap engines number their
-// generations in Generation.ID.
-func (e *Engine) Generation() uint64 { return 0 }
-
-// Acquire holds the engine's query gate and returns it as the
-// generation it serves on its own — the whole-deployment hold of a
-// single engine (see shard.Router.Acquire).
+// Acquire holds the engine's query gate and returns the generation it
+// serves on its own — the whole-deployment hold of a single engine (see
+// shard.Router.Acquire).
 func (e *Engine) Acquire(ctx context.Context) (*Generation, func(), error) {
-	_, release, err := e.acquire(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Generation{Engines: []*Engine{e}}, release, nil
-}
-
-// Open implements Opener: Generation.Open over this engine alone — one
-// search session over req.Topics for req.User, holding the query gate
-// until Done.
-func (e *Engine) Open(ctx context.Context, req OpenRequest) (Opened, error) {
-	g := Generation{Engines: []*Engine{e}}
-	return g.Open(ctx, req, [][]topics.TopicID{req.Topics})
+	_, gen, release, err := e.ladder.Hold(ctx)
+	return gen, release, err
 }
 
 // summaries appends the summaries of ts under req.Method to dst, for a

@@ -1,11 +1,12 @@
 package core
 
-// queryGate drains in-flight queries before the engine unmaps
-// artifact-backed indexes. When an engine's indexes are views into a
-// read-only file mapping (a LoadArtifacts-restored engine), Close must
-// not munmap while a query still dereferences them — the reader would
-// fault. Every online entry point acquires the gate for its duration;
-// Close flips it closed and blocks until the in-flight count drains.
+// queryGate drains an engine's in-flight queries: every engine's
+// Retire (an engine swap) refuses new queries and waits for the ones it
+// admitted before cancelling their builds, and a loaded engine's Close
+// waits before it munmaps the file mappings its indexes are views into
+// (a reader would fault). Every online entry point of every engine
+// acquires the gate for its duration; closeAndDrain flips it closed and
+// blocks until the in-flight count drains.
 //
 // Engine entry points nest (Search → SearchTopics → Summarize), so the
 // gate is acquired only at the outermost boundary: Engine.acquire tags

@@ -25,10 +25,40 @@ type Generation struct {
 }
 
 // Static is the generation source of a deployment that never swaps:
-// generation 0 over engines.
+// generation 0 over engines. An engine on its own is the one-engine
+// case: Engine.Run runs on Static(e).
 func Static(engines ...*Engine) func() *Generation {
 	g := &Generation{Engines: engines}
 	return func() *Generation { return g }
+}
+
+// Assign returns the owning engine of topic t in a generation of n
+// engines: FNV-1a over the topic ID's little-endian bytes, reduced
+// mod n. It is the stable hash Generation.Open splits a request by, and
+// the one a shard set's partition and artifact load place summaries by.
+func Assign(t topics.TopicID, n int) int {
+	h := uint32(2166136261)
+	x := uint32(t)
+	for i := 0; i < 4; i++ {
+		h ^= x & 0xff
+		h *= 16777619
+		x >>= 8
+	}
+	return int(h % uint32(n))
+}
+
+// Split partitions ts by owning engine among n (Assign), preserving the
+// input order within each part. With one engine the one part is ts.
+func Split(ts []topics.TopicID, n int) [][]topics.TopicID {
+	if n == 1 {
+		return [][]topics.TopicID{ts}
+	}
+	parts := make([][]topics.TopicID, n)
+	for _, t := range ts {
+		s := Assign(t, n)
+		parts[s] = append(parts[s], t)
+	}
+	return parts
 }
 
 // Graph returns the social graph the generation serves (every shard
@@ -76,26 +106,25 @@ func (g *Generation) Hold(ctx context.Context) (context.Context, func(), error) 
 	return ctx, releaseAll, nil
 }
 
-// Open opens one search session for req.User over the topics the
-// generation's engines own: parts[i] is engine i's share of req.Topics.
-// Each owner supplies its summaries — building or cached-only, as req
-// asks — and the session runs on engine 0's searcher over all of them,
-// in parts order. Every engine of a generation carries the same indexes,
-// and Algorithm 11's expansion depends only on the user and Γ, so the
-// session ranks exactly what one engine holding every topic would. The
-// generation stays held (Hold) until Done. Owners gather in parallel
-// when there is more than one, and Open waits for all of them: a failing
-// owner fails the open only after the healthy owners' builds are cached,
-// and the lowest-index error surfaces. A building open's misses build on
-// every core: a lone owner gets GOMAXPROCS builders, each of N owners
-// GOMAXPROCS/N (at least one), so a request never runs more builders
-// than there are cores.
-func (g *Generation) Open(ctx context.Context, req OpenRequest, parts [][]topics.TopicID) (Opened, error) {
+// Open opens one search session for req.User over req.Topics, each
+// topic's summary supplied by its owning engine (Assign) — building or
+// cached-only, as req asks — and runs it on engine 0's searcher over
+// all of them, in engine order. Every engine of a generation carries
+// the same indexes, and Algorithm 11's expansion depends only on the
+// user and Γ, so the session ranks exactly what one engine holding
+// every topic would. The generation stays held (Hold) until Done.
+// Owners gather in parallel when there is more than one, and Open waits
+// for all of them: a failing owner fails the open only after the
+// healthy owners' builds are cached, and the lowest-index error
+// surfaces. A building open's misses build on every core: a lone owner
+// gets GOMAXPROCS builders, each of N owners GOMAXPROCS/N (at least
+// one), so a request never runs more builders than there are cores.
+func (g *Generation) Open(ctx context.Context, req OpenRequest) (Opened, error) {
 	ctx, release, err := g.Hold(ctx)
 	if err != nil {
 		return Opened{}, err
 	}
-	sums, total, err := g.gather(ctx, req, parts)
+	sums, owners, err := g.gather(ctx, req)
 	var sess *search.Session
 	if err == nil {
 		sess, err = g.Engines[0].idx.searcher.NewSession(ctx, req.User, sums)
@@ -106,8 +135,9 @@ func (g *Generation) Open(ctx context.Context, req OpenRequest, parts [][]topics
 	}
 	return Opened{
 		Session:  sess,
-		Complete: len(sums) == total,
-		Done: func(*search.Stats) {
+		Complete: len(sums) == len(req.Topics),
+		Owners:   owners,
+		Done: func() {
 			sess.Close()
 			release()
 		},
@@ -115,20 +145,21 @@ func (g *Generation) Open(ctx context.Context, req OpenRequest, parts [][]topics
 }
 
 // gather collects Open's summaries into one slice, each owner filling
-// its own stretch of it, and reports how many topics the parts hold.
-func (g *Generation) gather(ctx context.Context, req OpenRequest, parts [][]topics.TopicID) ([]summary.Summary, int, error) {
+// its own stretch of it, and reports how many engines own a requested
+// topic.
+func (g *Generation) gather(ctx context.Context, req OpenRequest) ([]summary.Summary, int, error) {
 	if !req.Method.valid() {
 		return nil, 0, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, req.Method)
 	}
-	total, owners := 0, 0
+	parts := Split(req.Topics, len(g.Engines))
+	owners := 0
 	for _, ts := range parts {
 		if len(ts) > 0 {
-			total += len(ts)
 			owners++
 		}
 	}
 	builders := max(1, runtime.GOMAXPROCS(0)/max(owners, 1))
-	buf := make([]summary.Summary, total)
+	buf := make([]summary.Summary, len(req.Topics))
 	got := make([][]summary.Summary, len(parts))
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
@@ -152,7 +183,7 @@ func (g *Generation) gather(ctx context.Context, req OpenRequest, parts [][]topi
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, total, err
+			return nil, owners, err
 		}
 	}
 	// A cached-only owner may leave its stretch short: close the gaps.
@@ -160,7 +191,7 @@ func (g *Generation) gather(ctx context.Context, req OpenRequest, parts [][]topi
 	for _, sums := range got {
 		n += copy(buf[n:], sums)
 	}
-	return buf[:n], total, nil
+	return buf[:n], owners, nil
 }
 
 // Retire retires every engine of a generation that a newer one has

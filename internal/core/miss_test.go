@@ -69,11 +69,11 @@ func TestTopicListedTwiceBuildsOnce(t *testing.T) {
 			return eng.MaterializeTopics(ctx, MethodLRW, ts, 2)
 		},
 		"Open": func(eng *Engine) ([]summary.Summary, error) {
-			o, err := eng.Open(ctx, OpenRequest{Method: MethodLRW, Topics: ts, User: 3})
+			o, err := Static(eng)().Open(ctx, OpenRequest{Method: MethodLRW, Topics: ts, User: 3})
 			if err != nil {
 				return nil, err
 			}
-			defer o.Done(nil)
+			defer o.Done()
 			return o.Session.Summaries(), nil
 		},
 		"WarmTopics": func(eng *Engine) ([]summary.Summary, error) {
@@ -179,11 +179,11 @@ func TestCachedBuildingOpenCostsNothingExtra(t *testing.T) {
 	ts := eng.Space().Related("tag001")
 	open := func(cached bool) func() {
 		return func() {
-			o, err := eng.Open(ctx, OpenRequest{Method: MethodLRW, Topics: ts, User: 5, Cached: cached})
+			o, err := Static(eng)().Open(ctx, OpenRequest{Method: MethodLRW, Topics: ts, User: 5, Cached: cached})
 			if err != nil {
 				t.Fatal(err)
 			}
-			o.Done(nil)
+			o.Done()
 		}
 	}
 	hits := eng.met.cacheHits[MethodLRW].Value()
@@ -233,8 +233,9 @@ func wideEngine(t testing.TB) *Engine {
 // the summaries and the answer are a serial engine's bits, under both
 // methods. A failing topic fails the open with the first error in topic
 // order, not the first one observed, once every other topic is cached;
-// a context canceled mid-fan-out returns context.Canceled and leaves no
-// goroutine behind.
+// a context canceled mid-fan-out returns context.Canceled, stops the
+// hand-out and leaves no goroutine behind. Overlap and cancellation are
+// made by handshakes between builds, not by timing.
 func TestBuildingOpenFansOut(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	ctx := context.Background()
@@ -247,11 +248,11 @@ func TestBuildingOpenFansOut(t *testing.T) {
 		}
 	}
 	open := func(ctx context.Context, eng *Engine, m Method) ([]summary.Summary, error) {
-		o, err := eng.Open(ctx, OpenRequest{Method: m, Topics: ts, User: 3})
+		o, err := Static(eng)().Open(ctx, OpenRequest{Method: m, Topics: ts, User: 3})
 		if err != nil {
 			return nil, err
 		}
-		defer o.Done(nil)
+		defer o.Done()
 		return o.Session.Summaries(), nil
 	}
 
@@ -306,6 +307,18 @@ func TestBuildingOpenFansOut(t *testing.T) {
 		eng := wideEngine(t)
 		low, high := errors.New("topic 20 failed"), errors.New("topic 30 failed")
 		var inflight, peak atomic.Int32
+		// Topics 20 and 30 sit in different blocks. Each build waits for
+		// the other: topic 30's until topic 20's has started, topic 20's
+		// until topic 30's has failed. So the two overlap, whichever a
+		// builder reaches first, and topic 30 fails first.
+		entered20, failed30 := make(chan struct{}), make(chan struct{})
+		await := func(ch <-chan struct{}, what string) {
+			select {
+			case <-ch:
+			case <-time.After(5 * time.Second):
+				t.Errorf("waited 5s for %s: the open did not fan out", what)
+			}
+		}
 		eng.SetSummarizer(MethodLRW, summarizeFunc(func(_ context.Context, id topics.TopicID) (summary.Summary, error) {
 			n := inflight.Add(1)
 			defer inflight.Add(-1)
@@ -313,9 +326,12 @@ func TestBuildingOpenFansOut(t *testing.T) {
 			}
 			switch id {
 			case 20:
-				time.Sleep(20 * time.Millisecond) // topic 30 fails first
+				close(entered20)
+				await(failed30, "topic 30's build")
 				return summary.Summary{}, low
 			case 30:
+				defer close(failed30)
+				await(entered20, "topic 20's build")
 				return summary.Summary{}, high
 			}
 			return summary.New(id, nil), nil
@@ -338,10 +354,25 @@ func TestBuildingOpenFansOut(t *testing.T) {
 		eng := wideEngine(t)
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		var calls atomic.Int32
+		var (
+			calls    atomic.Int32
+			stuck    atomic.Bool
+			canceled = make(chan struct{})
+		)
+		// The 9th build cancels. The scheduler may run that build late,
+		// so every later one waits until the cancel has happened: until
+		// then the other builder could hand out and build every block.
 		eng.SetSummarizer(MethodLRW, summarizeFunc(func(_ context.Context, id topics.TopicID) (summary.Summary, error) {
-			if calls.Add(1) == 9 {
+			switch n := calls.Add(1); {
+			case n == 9:
 				cancel()
+				close(canceled)
+			case n > 9:
+				select {
+				case <-canceled:
+				case <-time.After(5 * time.Second):
+					stuck.Store(true)
+				}
 			}
 			return summary.New(id, nil), nil
 		}))
@@ -349,15 +380,20 @@ func TestBuildingOpenFansOut(t *testing.T) {
 		if _, err := open(ctx, eng, MethodLRW); !errors.Is(err, context.Canceled) {
 			t.Fatalf("open canceled mid-fan-out returned %v, want context.Canceled", err)
 		}
-		if n := calls.Load(); n >= distinct {
-			t.Errorf("%d topics built after a cancel at the 9th, want the hand-out stopped", n)
-		}
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		if n := runtime.NumGoroutine(); n > baseline {
 			t.Fatalf("%d goroutines after the canceled open, %d before", n, baseline)
+		}
+		// Counted once every build the open started has returned: a
+		// waiter hangs up at once, but its led build runs on.
+		if n := calls.Load(); n >= distinct {
+			t.Errorf("%d topics built after a cancel at the 9th, want the hand-out stopped", n)
+		}
+		if stuck.Load() {
+			t.Fatal("a build waited 5s for the 9th build's cancel")
 		}
 	})
 }
@@ -402,11 +438,11 @@ func benchColdOpen(b *testing.B, method Method) {
 			eng.InvalidateTopic(t)
 		}
 		b.StartTimer()
-		o, err := eng.Open(ctx, OpenRequest{Method: method, Topics: ts, User: 0})
+		o, err := Static(eng)().Open(ctx, OpenRequest{Method: method, Topics: ts, User: 0})
 		if err != nil {
 			b.Fatal(err)
 		}
-		o.Done(nil)
+		o.Done()
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/tag")
 	b.ReportMetric(float64(len(ts)), "topics")

@@ -9,8 +9,9 @@ package core
 // Nothing is predicted: a full attempt whose deadline fires has still
 // started the builds the next request needs. Each attempt is
 // the same five steps: open a session, search.Drive, diversify,
-// hydrate, close. The only thing a backend contributes is its HoldFunc: the
-// Opener one request runs on, pinned for the whole request.
+// hydrate, close. The only thing a deployment contributes is its
+// generation source: the ladder holds the generation serving now for
+// the whole request, and every tier opens on it (Generation.Open).
 
 import (
 	"context"
@@ -25,7 +26,7 @@ import (
 	"repro/internal/topics"
 )
 
-// OpenRequest asks an Opener for a search session over Topics.
+// OpenRequest asks a Generation for a search session over Topics.
 type OpenRequest struct {
 	Method Method
 	Topics []topics.TopicID
@@ -42,39 +43,24 @@ type Opened struct {
 	Session *search.Session
 	// Complete reports whether every requested topic is in the session.
 	Complete bool
-	// Done closes the session and releases whatever the opener holds
-	// for it (query gates). st is the finished Drive's stats, nil when
-	// the session was never driven to completion. Call exactly once.
-	Done func(st *search.Stats)
+	// Owners is how many of the generation's engines own a requested
+	// topic, and so supplied summaries to the session.
+	Owners int
+	// Done closes the session and releases the generation's hold on
+	// it. Call exactly once.
+	Done func()
 }
 
-// Opener is what an execution backend contributes to the query path:
-// one session over the request's topics — the single engine's own
-// summaries, or the shard router's gathered from every owning shard of
-// the generation the request holds (Generation.Open).
-type Opener interface {
-	// Graph and Space are the dataset the opener serves; the ladder
-	// validates users, resolves topics and hydrates results against them.
-	Graph() *graph.Graph
-	Space() *topics.Space
-	// Generation is the ID of the deployment generation the opener
-	// serves (0 for an engine on its own).
-	Generation() uint64
-	Open(ctx context.Context, req OpenRequest) (Opened, error)
-}
-
-// HoldFunc pins a backend for one Run: it returns the Opener every step
-// of the request uses — so one request sees one dataset and one set of
-// engines from user validation to hydration — the context carrying its
-// query-gate tokens, and the release of those gates (called once, when
-// the request is done).
-type HoldFunc func(ctx context.Context) (context.Context, Opener, func(), error)
-
-// Ladder runs queries for one backend. It keeps no answers: all it
-// holds is the backend's hold and a metric handle, so every ladder over
-// the same backend answers alike. It starts no goroutine.
+// Ladder runs queries for one deployment. It keeps no answers: all it
+// holds is the deployment's generation source and its metric hooks, so
+// every ladder over the same source answers alike. It starts no
+// goroutine.
 type Ladder struct {
-	hold HoldFunc
+	gen func() *Generation
+
+	// drove, when non-nil, sees every finished drive: the owning
+	// engines its session gathered from and the drive's stats.
+	drove func(owners int, st search.Stats)
 
 	// truncations counts expansion levels whose frontier was cut to
 	// MaxFrontier, from each finished drive's search.Stats; nil without
@@ -86,11 +72,13 @@ type Ladder struct {
 // detached from a request deadline that may already be blown.
 const materializedTimeout = 2 * time.Second
 
-// NewLadder wires the query path over the backend hold pins per
-// request. reg, when non-nil, receives
-// pit_search_frontier_truncations_total.
-func NewLadder(reg *obs.Registry, hold HoldFunc) *Ladder {
-	l := &Ladder{hold: hold}
+// NewLadder wires the query path over a deployment's generations: gen
+// returns the one serving now (Static for a deployment that never
+// swaps). reg, when non-nil, receives
+// pit_search_frontier_truncations_total; drove, when non-nil, sees
+// every finished drive.
+func NewLadder(reg *obs.Registry, gen func() *Generation, drove func(owners int, st search.Stats)) *Ladder {
+	l := &Ladder{gen: gen, drove: drove}
 	if reg != nil {
 		l.truncations = reg.Counter("pit_search_frontier_truncations_total",
 			"Expansion levels whose frontier exceeded MaxFrontier and was truncated best-first.")
@@ -98,8 +86,31 @@ func NewLadder(reg *obs.Registry, hold HoldFunc) *Ladder {
 	return l
 }
 
-// Run answers q on the backend its hold pins once, up front, for the
-// whole request.
+// Hold loads the generation serving now and holds it — every engine's
+// query gate — until release, so its retirement drains behind the
+// caller; the returned context carries the held gates' tokens. It is
+// the one place that follows generation swaps: a hold refused because
+// the generation was retired between the load and the hold re-loads
+// and tries again. Each retry needs another publish, so the loop ends;
+// a re-load that returns the same generation means genuinely not
+// ready, and the error surfaces.
+func (l *Ladder) Hold(ctx context.Context) (context.Context, *Generation, func(), error) {
+	gen := l.gen()
+	for {
+		held, release, err := gen.Hold(ctx)
+		if err == nil || !errors.Is(err, ErrNotReady) {
+			return held, gen, release, err
+		}
+		cur := l.gen()
+		if cur == gen {
+			return ctx, nil, nil, err
+		}
+		gen = cur
+	}
+}
+
+// Run answers q on the generation Hold loads and holds once, up front,
+// for the whole request.
 //
 // Error contract: request-level mistakes (ErrInvalidArgument,
 // ErrNotReady) and client disconnects surface immediately — degrading
@@ -109,24 +120,24 @@ func NewLadder(reg *obs.Registry, hold HoldFunc) *Ladder {
 // always ErrUnavailable-wrapped.
 func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	none := Answer{Outcome: PlanOutcome{Tier: plan.TierUnavailable}}
-	ctx, backend, release, err := l.hold(ctx)
+	ctx, gen, release, err := l.Hold(ctx)
 	if err != nil {
 		return none, err
 	}
 	defer release()
-	none.Generation = backend.Generation()
+	none.Generation = gen.ID
 	if !q.Method.valid() {
 		return none, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, q.Method)
 	}
 	if !(q.Lambda >= 0 && q.Lambda <= 1) { // NaN fails both comparisons
 		return none, fmt.Errorf("%w: lambda %v outside [0, 1]", ErrInvalidArgument, q.Lambda)
 	}
-	if !backend.Graph().Valid(q.User) {
+	if !gen.Graph().Valid(q.User) {
 		return none, fmt.Errorf("%w: user %d outside the graph", ErrInvalidArgument, q.User)
 	}
 	related := q.Topics
 	if related == nil {
-		related = backend.Space().Related(q.Text)
+		related = gen.Space().Related(q.Text)
 	}
 	if len(related) == 0 {
 		// An empty topic set is a complete full-fidelity answer — there is
@@ -138,7 +149,7 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 		return ans, nil
 	}
 
-	ans, err := l.attempt(ctx, backend, q, related, false)
+	ans, err := l.attempt(ctx, gen, q, related, false)
 	if err == nil {
 		return ans, nil
 	}
@@ -151,7 +162,7 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	// on a fresh, bounded budget detached from the request's
 	// cancellation. A partial answer serves when it ranks anything.
 	mctx, cancel := cachedContext(ctx)
-	ans, err = l.attempt(mctx, backend, q, related, true)
+	ans, err = l.attempt(mctx, gen, q, related, true)
 	cancel()
 	if err == nil && (ans.Outcome.Complete || len(ans.Results) > 0) {
 		return ans, nil
@@ -181,15 +192,14 @@ func cachedContext(ctx context.Context) (context.Context, context.CancelFunc) {
 // cached-only), drive it through Algorithm 10, diversify when asked,
 // and hydrate the ranking into topic records. The answer's Tier is
 // materialized when the session ran on cached-only summaries.
-func (l *Ladder) attempt(ctx context.Context, backend Opener, q Query, related []topics.TopicID, cached bool) (Answer, error) {
-	o, err := backend.Open(ctx, OpenRequest{Method: q.Method, Topics: related, User: q.User, Cached: cached})
+func (l *Ladder) attempt(ctx context.Context, gen *Generation, q Query, related []topics.TopicID, cached bool) (Answer, error) {
+	o, err := gen.Open(ctx, OpenRequest{Method: q.Method, Topics: related, User: q.User, Cached: cached})
 	if err != nil {
 		return Answer{}, err
 	}
-	var stats *search.Stats
-	defer func() { o.Done(stats) }()
+	defer o.Done()
 
-	ans := Answer{Outcome: PlanOutcome{Tier: plan.TierFull, Complete: o.Complete}, Generation: backend.Generation()}
+	ans := Answer{Outcome: PlanOutcome{Tier: plan.TierFull, Complete: o.Complete}, Generation: gen.ID}
 	if cached {
 		ans.Outcome.Tier = plan.TierMaterialized
 	}
@@ -215,14 +225,16 @@ func (l *Ladder) attempt(ctx context.Context, backend Opener, q Query, related [
 	if err != nil {
 		return Answer{}, err
 	}
-	stats = &st
 	if l.truncations != nil && st.Truncated > 0 {
 		l.truncations.Add(uint64(st.Truncated))
+	}
+	if l.drove != nil {
+		l.drove(o.Owners, st)
 	}
 	if q.Lambda > 0 {
 		res = search.Diversify(res, sums, q.Lambda, k)
 	}
-	space := backend.Space()
+	space := gen.Space()
 	ans.Results = make([]TopicResult, len(res))
 	for i, r := range res {
 		ans.Results[i] = TopicResult{Topic: space.Topic(r.Topic), Score: r.Score}

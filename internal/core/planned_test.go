@@ -1,14 +1,16 @@
 package core
 
 // Engine-internal ladder tests: the per-topic skipped-materialization
-// counter, the one-gate-per-request regression and an open session's
-// hold on the gate. The tier table itself runs against both backends in
+// counter, the one-gate-per-request regression, a built engine's
+// Retire draining its in-flight Run, and an open session's hold on the
+// gate. The tier table itself runs against both backends in
 // ladder_test.go.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -89,7 +91,6 @@ func TestMaterializedSkippedCounterPinned(t *testing.T) {
 // refused before any work.
 func TestRunHoldsGateAcrossRerank(t *testing.T) {
 	eng := plannedEngine(t)
-	eng.EnableDrainGate()
 	var (
 		builds  atomic.Int32
 		retired = make(chan struct{})
@@ -131,6 +132,67 @@ func TestRunHoldsGateAcrossRerank(t *testing.T) {
 	}
 }
 
+// TestRetireDrainsBuiltEngine: every engine gates, with no opt-in.
+// Retire on a built (heap) engine waits for a Run admitted before it —
+// which completes at full fidelity — and afterwards the engine refuses
+// with ErrNotReady before any build.
+func TestRetireDrainsBuiltEngine(t *testing.T) {
+	eng := plannedEngine(t)
+	var builds atomic.Int32
+	entered, proceed := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(proceed) })
+	t.Cleanup(release)
+	eng.SetSummarizer(MethodLRW, summarizeFunc(func(_ context.Context, id topics.TopicID) (summary.Summary, error) {
+		if builds.Add(1) == 1 {
+			close(entered)
+			<-proceed
+		}
+		return dummySum(id), nil
+	}))
+	type result struct {
+		ans Answer
+		err error
+	}
+	ran := make(chan result, 1)
+	go func() {
+		ans, err := eng.Run(context.Background(), Query{Text: "tag000", User: 3, K: 2, Fidelity: FidelityFull})
+		ran <- result{ans, err}
+	}()
+	<-entered
+
+	retired := make(chan struct{})
+	go func() {
+		eng.Retire()
+		close(retired)
+	}()
+	for { // wait until the gate refuses new top-level holds
+		select {
+		case <-retired:
+			t.Fatal("Retire returned while a Run was in flight")
+		default:
+		}
+		_, held, err := eng.Hold(context.Background())
+		if err != nil {
+			break
+		}
+		held()
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	res := <-ran
+	if res.err != nil || len(res.ans.Results) != 2 {
+		t.Fatalf("Run admitted before the retirement: %d results, err %v; want a complete answer", len(res.ans.Results), res.err)
+	}
+	<-retired
+	before := builds.Load()
+	if _, err := eng.Run(context.Background(), Query{Text: "tag001", User: 3, K: 2}); !errors.Is(err, ErrNotReady) {
+		t.Fatalf("retired engine: %v, want ErrNotReady", err)
+	}
+	if builds.Load() != before {
+		t.Fatal("retired engine ran a build")
+	}
+}
+
 // TestGateTokenNamesItsGate: the context Hold returns marks that
 // engine's gate as held, and no other's. A retired engine must refuse a
 // hold made under another engine's token — skipping its gate would let
@@ -139,8 +201,6 @@ func TestRunHoldsGateAcrossRerank(t *testing.T) {
 func TestGateTokenNamesItsGate(t *testing.T) {
 	a, b := builtEngine(t), builtEngine(t)
 	defer b.Close()
-	a.EnableDrainGate()
-	b.EnableDrainGate()
 	ctxA, releaseA, err := a.Hold(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -187,9 +247,8 @@ func TestGateTokenNamesItsGate(t *testing.T) {
 // once Done has released the gate.
 func TestOpenHoldsGateUntilDone(t *testing.T) {
 	eng := builtEngine(t)
-	eng.EnableDrainGate()
 	ctx := context.Background()
-	o, err := eng.Open(ctx, OpenRequest{Method: MethodLRW, Topics: eng.Space().Related("tag001"), User: 3})
+	o, err := Static(eng)().Open(ctx, OpenRequest{Method: MethodLRW, Topics: eng.Space().Related("tag001"), User: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +278,6 @@ func TestOpenHoldsGateUntilDone(t *testing.T) {
 		t.Fatal("Retire returned while an opened session was not Done")
 	default:
 	}
-	o.Done(nil)
+	o.Done()
 	<-retired
 }

@@ -23,13 +23,9 @@ func newRouterMetrics(reg *obs.Registry) *routerMetrics {
 	}
 }
 
-// observeScatter records one routed query whose drive completed: the
-// shards it gathered summaries from and its expansion levels. st is nil
-// for an abandoned attempt.
-func (m *routerMetrics) observeScatter(fanout int, st *search.Stats) {
-	if m == nil || st == nil {
-		return
-	}
+// observe records one routed query whose drive completed: the shards
+// it gathered summaries from and its expansion levels.
+func (m *routerMetrics) observe(fanout int, st search.Stats) {
 	m.fanout.Observe(float64(fanout))
 	m.rounds.Observe(float64(st.Depth))
 }

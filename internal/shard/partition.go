@@ -23,22 +23,9 @@ package shard
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/topics"
 )
-
-// Assign returns the owning shard of topic t among n shards: FNV-1a
-// over the topic ID's little-endian bytes, reduced mod n — the stable
-// hash the artifact load and the router both use.
-func Assign(t topics.TopicID, n int) int {
-	h := uint32(2166136261)
-	x := uint32(t)
-	for i := 0; i < 4; i++ {
-		h ^= x & 0xff
-		h *= 16777619
-		x >>= 8
-	}
-	return int(h % uint32(n))
-}
 
 // Partitioner is a fixed topic→shard assignment over a topic space.
 type Partitioner struct {
@@ -59,7 +46,7 @@ func NewPartitioner(space *topics.Space, n int) (*Partitioner, error) {
 	p := &Partitioner{n: n, owned: make([][]topics.TopicID, n)}
 	for t := 0; t < space.NumTopics(); t++ {
 		id := topics.TopicID(t)
-		s := Assign(id, n)
+		s := core.Assign(id, n)
 		p.owned[s] = append(p.owned[s], id)
 	}
 	return p, nil
@@ -69,19 +56,8 @@ func NewPartitioner(space *topics.Space, n int) (*Partitioner, error) {
 func (p *Partitioner) Shards() int { return p.n }
 
 // Owns reports the owning shard of t.
-func (p *Partitioner) Owns(t topics.TopicID) int { return Assign(t, p.n) }
+func (p *Partitioner) Owns(t topics.TopicID) int { return core.Assign(t, p.n) }
 
 // Owned returns shard i's topics, ascending. The slice is shared; do
 // not mutate.
 func (p *Partitioner) Owned(i int) []topics.TopicID { return p.owned[i] }
-
-// Split partitions ts by owning shard, preserving the input order
-// within each part — the scatter step of a query's q-related set.
-func (p *Partitioner) Split(ts []topics.TopicID) [][]topics.TopicID {
-	parts := make([][]topics.TopicID, p.n)
-	for _, t := range ts {
-		s := Assign(t, p.n)
-		parts[s] = append(parts[s], t)
-	}
-	return parts
-}

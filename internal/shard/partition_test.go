@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/topics"
 )
@@ -27,7 +28,7 @@ func TestPartitionerCoversEveryTopicOnce(t *testing.T) {
 				if p.Owns(id) != i {
 					t.Fatalf("n=%d: topic %d in Owned(%d) but Owns says %d", n, id, i, p.Owns(id))
 				}
-				if shard.Assign(id, n) != i {
+				if core.Assign(id, n) != i {
 					t.Fatalf("n=%d: Owned/Assign disagree for topic %d", n, id)
 				}
 			}
@@ -50,7 +51,7 @@ func TestSplitPreservesOrderWithinShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := []topics.TopicID{9, 1, 14, 3, 0, 7, 11}
-	parts := p.Split(ts)
+	parts := core.Split(ts, 3)
 	if len(parts) != 3 {
 		t.Fatalf("got %d parts", len(parts))
 	}
@@ -72,6 +73,58 @@ func TestSplitPreservesOrderWithinShards(t *testing.T) {
 	}
 	if total != len(ts) {
 		t.Fatalf("split lost topics: %d of %d", total, len(ts))
+	}
+}
+
+// TestRouterObservesEachDrive: pit_shard_rounds observes once per
+// routed query whose drive completed, with the drive's depth, and
+// pit_shard_scatter_fanout the number of shards owning its q-related
+// topics; a query with none drives nothing and observes nothing.
+func TestRouterObservesEachDrive(t *testing.T) {
+	g, space := world()
+	ctx := context.Background()
+	const n = 4
+	engines, err := shard.BuildEngines(ctx, g, space, worldOptions(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeEngines(engines)
+	part, err := shard.NewPartitioner(space, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	r, err := shard.New(part, core.Static(engines...), shard.Config{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fanout := reg.Histogram("pit_shard_scatter_fanout", "", []float64{1})
+	rounds := reg.Histogram("pit_shard_rounds", "", []float64{1})
+
+	queries := [][]topics.TopicID{{0}, {0, 1, 2, 3, 4, 5, 6, 7}, part.Owned(2), {}}
+	wantFanout, wantRounds := 0, 0
+	for _, ts := range queries {
+		owners := map[int]bool{}
+		for _, id := range ts {
+			owners[part.Owns(id)] = true
+		}
+		ans, err := r.Run(ctx, core.Query{Topics: ts, User: 5, K: 3, Trace: true, Fidelity: core.FidelityFull})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ts) > 0 {
+			wantFanout += len(owners)
+			wantRounds += ans.Trace.Depth
+		}
+	}
+	if got, want := rounds.Count(), uint64(3); got != want {
+		t.Errorf("pit_shard_rounds observed %d times, want %d", got, want)
+	}
+	if got := rounds.Sum(); got != float64(wantRounds) {
+		t.Errorf("pit_shard_rounds sums %v levels, the drives' traces %d", got, wantRounds)
+	}
+	if got := fanout.Sum(); got != float64(wantFanout) {
+		t.Errorf("pit_shard_scatter_fanout sums %v shards, the queries' owners %d", got, wantFanout)
 	}
 }
 

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -21,13 +20,14 @@ type Config struct {
 }
 
 // Router is the scatter-gather front of a shard set. It runs queries
-// through the same core.Ladder a single engine does; what it
-// contributes is its hold — one generation of the shard set, loaded and
-// held once per request — and the scatter that gathers the summaries of
-// each owning shard of it into the request's one search session. All
-// state it holds is routing state (the partition, the generation
-// source, metrics); the serving state lives in the shard engines, which
-// a streaming deployment replaces a generation at a time underneath it.
+// through the same core.Ladder a single engine does, over the
+// deployment's generation source: the ladder loads and holds one
+// generation of the shard set per request, and its Generation.Open
+// gathers the summaries of each owning shard into the request's one
+// search session. All state the router holds is routing state (the
+// partition, the generation source, the ladder); the serving state
+// lives in the shard engines, which a streaming deployment replaces a
+// generation at a time underneath it.
 //
 // Exactness: the session runs on shard 0's searcher over every owning
 // shard's summaries. Every shard carries the same indexes, and each
@@ -37,7 +37,6 @@ type Config struct {
 type Router struct {
 	part   *Partitioner
 	gen    func() *core.Generation
-	met    *routerMetrics
 	ladder *core.Ladder
 }
 
@@ -58,12 +57,11 @@ func New(part *Partitioner, gen func() *core.Generation, cfg Config) (*Router, e
 			return nil, fmt.Errorf("shard: shard %d has no engine", i)
 		}
 	}
-	r := &Router{part: part, gen: gen}
+	var drove func(int, search.Stats)
 	if cfg.Metrics != nil {
-		r.met = newRouterMetrics(cfg.Metrics)
+		drove = newRouterMetrics(cfg.Metrics).observe
 	}
-	r.ladder = core.NewLadder(cfg.Metrics, r.pin)
-	return r, nil
+	return &Router{part: part, gen: gen, ladder: core.NewLadder(cfg.Metrics, gen, drove)}, nil
 }
 
 // NewRouter is New over static engine sources, each resolved once into
@@ -116,38 +114,12 @@ func (r *Router) Ready() bool {
 func (r *Router) CachedSummaries(m core.Method) int { return r.gen().CachedSummaries(m) }
 
 // Acquire holds the generation serving now — every shard's query gate —
-// until release, so its retirement drains behind the caller. It is the
-// one place that follows engine swaps: a hold refused because the
-// generation was retired between the load and the hold re-loads and
-// tries again. Each retry needs another publish, so the loop ends; a
-// re-load that returns the same generation means genuinely not ready,
-// and the error surfaces.
+// until release, so its retirement drains behind the caller. Like every
+// read of the router, it follows engine swaps through the ladder's one
+// hold (core.Ladder.Hold).
 func (r *Router) Acquire(ctx context.Context) (*core.Generation, func(), error) {
-	_, gen, release, err := r.hold(ctx)
+	_, gen, release, err := r.ladder.Hold(ctx)
 	return gen, release, err
-}
-
-// hold is Acquire plus the context carrying the held gates' tokens.
-func (r *Router) hold(ctx context.Context) (context.Context, *core.Generation, func(), error) {
-	gen := r.gen()
-	for {
-		held, release, err := gen.Hold(ctx)
-		if err == nil || !errors.Is(err, core.ErrNotReady) {
-			return held, gen, release, err
-		}
-		cur := r.gen()
-		if cur == gen {
-			return ctx, nil, nil, err
-		}
-		gen = cur
-	}
-}
-
-// pin is the router's core.HoldFunc: the scatter over the generation
-// the request holds.
-func (r *Router) pin(ctx context.Context) (context.Context, core.Opener, func(), error) {
-	ctx, gen, release, err := r.hold(ctx)
-	return ctx, scatter{r, gen}, release, err
 }
 
 // Close closes every engine of the generation serving now.
@@ -155,7 +127,7 @@ func (r *Router) Close() { r.gen().Close() }
 
 // Summarize routes a summarization to the topic's owning shard.
 func (r *Router) Summarize(ctx context.Context, m core.Method, t topics.TopicID) (summary.Summary, error) {
-	ctx, gen, release, err := r.hold(ctx)
+	ctx, gen, release, err := r.ladder.Hold(ctx)
 	if err != nil {
 		return summary.Summary{}, err
 	}
@@ -173,7 +145,7 @@ func (r *Router) Summarize(ctx context.Context, m core.Method, t topics.TopicID)
 // WarmSummaries moves them; opts.Progress sees one serialized count
 // over the whole topic space, whichever shard a topic landed on.
 func (r *Router) WarmOwned(ctx context.Context, m core.Method, opts core.WarmOptions) error {
-	ctx, gen, release, err := r.hold(ctx)
+	ctx, gen, release, err := r.ladder.Hold(ctx)
 	if err != nil {
 		return err
 	}
@@ -226,41 +198,4 @@ func (r *Router) Run(ctx context.Context, q core.Query) (core.Answer, error) {
 func (r *Router) SearchTopics(ctx context.Context, m core.Method, related []topics.TopicID, user graph.NodeID, k int) ([]search.Result, error) {
 	ans, err := r.Run(ctx, core.Query{Method: m, Topics: related, User: user, K: k, Fidelity: core.FidelityFull})
 	return ans.Ranking(), err
-}
-
-// scatter is the router's core.Opener over the one generation a
-// request holds: every read of the request goes to its engines.
-type scatter struct {
-	r   *Router
-	gen *core.Generation
-}
-
-func (s scatter) Graph() *graph.Graph  { return s.gen.Graph() }
-func (s scatter) Space() *topics.Space { return s.gen.Space() }
-func (s scatter) Generation() uint64   { return s.gen.ID }
-
-// Open splits the request's topics by owning shard and opens one
-// session over every owner's summaries (core.Generation.Open): each
-// shard supplies its slice from its own corpus and build path, so a
-// shard whose summarizer fails fails the open only after the healthy
-// shards' builds are cached, and the ladder's materialized rung then
-// serves the healthy slices whole.
-func (s scatter) Open(ctx context.Context, req core.OpenRequest) (core.Opened, error) {
-	parts := s.r.part.Split(req.Topics)
-	o, err := s.gen.Open(ctx, req, parts)
-	if err != nil {
-		return o, err
-	}
-	fanout := 0
-	for _, ts := range parts {
-		if len(ts) > 0 {
-			fanout++
-		}
-	}
-	done := o.Done
-	o.Done = func(st *search.Stats) {
-		done(st)
-		s.r.met.observeScatter(fanout, st)
-	}
-	return o, nil
 }

@@ -66,7 +66,7 @@ const retiredManifest = "shard-manifest.json"
 // belongs to the dataset, not to a shard count: every engine opens the
 // same files itself, in parallel (read-only mappings of one file share
 // its pages, and each engine keeps its own handles and Close/Retire
-// drain), and preloads only the summaries Assign gives it — so whatever
+// drain), and preloads only the summaries core.Assign gives it — so whatever
 // wrote the directory (core.WriteArtifacts over one engine or over a
 // shard set of any width: the bytes are the same), it serves any
 // len(engines). The dataset checks are core's (index node counts, every
@@ -95,7 +95,7 @@ func LoadArtifacts(ctx context.Context, engines []*core.Engine, dir string) (boo
 				errs[i] = err
 				return
 			}
-			owns := func(t topics.TopicID) bool { return Assign(t, n) == i }
+			owns := func(t topics.TopicID) bool { return core.Assign(t, n) == i }
 			if err := engines[i].LoadOwnedArtifacts(dir, owns); err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			}

@@ -37,7 +37,7 @@ var hostLittleEndian = func() bool {
 // mirrors: WeightedNode is 16 bytes with Node at offset 0 and Weight at
 // offset 8 (int32, 4 bytes padding, float64). Go guarantees field order
 // and alignment but not padding placement in general, so the zero-copy
-// view is gated on this check and falls back to copying otherwise.
+// view depends on this check and falls back to copying otherwise.
 var weightedNodeLayoutOK = unsafe.Sizeof(summary.WeightedNode{}) == 16 &&
 	unsafe.Offsetof(summary.WeightedNode{}.Node) == 0 &&
 	unsafe.Offsetof(summary.WeightedNode{}.Weight) == 8

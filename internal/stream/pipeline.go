@@ -41,8 +41,7 @@ type Pipeline struct {
 
 // NewSet wires one pipeline over a deployment's shard engines (N ≥ 1,
 // all over one graph and topic space; a single engine is a 1-shard
-// set). It enables the engines' drain gates, so it must be called before
-// they serve traffic. Start begins background flushing; without Start,
+// set). Start begins background flushing; without Start,
 // batches apply only via explicit Flush calls.
 func NewSet(engines []*core.Engine, cfg Config) (*Pipeline, error) {
 	if len(engines) == 0 {
@@ -64,7 +63,6 @@ func NewSet(engines []*core.Engine, cfg Config) (*Pipeline, error) {
 		if eng == nil {
 			return nil, fmt.Errorf("stream: nil engine (shard %d)", i)
 		}
-		eng.EnableDrainGate()
 	}
 	p := &Pipeline{cfg: cfg, nodes: engines[0].Graph().NumNodes(), kick: make(chan struct{}, 1)}
 	p.cur.Store(&core.Generation{Engines: engines})
@@ -315,15 +313,14 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 		}
 		return fmt.Errorf("stream: refresh (batch of %d): %w", len(events), err)
 	}
-	for i, eng := range fresh {
-		if p.cfg.PrepareEngine != nil {
+	if p.cfg.PrepareEngine != nil {
+		for i, eng := range fresh {
 			p.cfg.PrepareEngine(i, eng)
 		}
-		eng.EnableDrainGate()
 	}
-	// Publish: the one Store is the happens-before edge that makes every
-	// fresh engine's gated flag (and everything the rebuild wrote)
-	// visible to readers loading the generation.
+	// Publish: the one Store is the happens-before edge that makes
+	// everything the rebuild (and PrepareEngine) wrote visible to readers
+	// loading the generation.
 	gen := &core.Generation{ID: old.ID + 1, Engines: fresh}
 	p.cur.Store(gen)
 	lag := p.cfg.Clock().Sub(oldest)

@@ -25,7 +25,8 @@
 // Readers follow the deployment through Pipeline.Current, loading one
 // generation per request and holding it; a reader that loses the swap
 // race (loaded the old generation, found a gate closed) gets
-// core.ErrNotReady and retries on the new one — shard.Router does.
+// core.ErrNotReady and retries on the new one — core.Ladder.Hold, under
+// shard.Router, does.
 package stream
 
 import (
