@@ -56,12 +56,14 @@ help:
 	@echo "                   the generation the /updates ack, /search and /stats report,"
 	@echo "                   a building open spreading its misses over every core"
 	@echo "                   (BuildingOpenFansOut) and the multi-key singleflight (DoMany) tests"
-	@echo "make stress      - the handshake-driven concurrency tests in core 200 times each:"
+	@echo "make stress      - the handshake-driven concurrency tests 200 times each: in core,"
 	@echo "                   a building open fanning out (BuildingOpenFansOut) and the"
 	@echo "                   query gate held by an open session, a Run and a nested hold"
 	@echo "                   while Retire drains (OpenHoldsGateUntilDone,"
 	@echo "                   RetireDrainsBuiltEngine, RunHoldsGateAcrossRerank,"
-	@echo "                   GateTokenNamesItsGate)"
+	@echo "                   GateTokenNamesItsGate); in singleflight, every caller joining"
+	@echo "                   one flight and a waiter canceled while joined (DoDeduplicates,"
+	@echo "                   WaiterCancellationDoesNotAbortCall)"
 	@echo "make vulncheck   - govulncheck when installed (best-effort)"
 
 # build also cross-compiles for arm64, where propagate4 runs its portable
@@ -167,10 +169,12 @@ chaos:
 # builds, the first error in topic order, a cancel stopping the
 # hand-out) and the query gate a Retire drains behind (an open session
 # until Done, a Run on a built engine, a Run across its re-rank, a
-# nested hold under its own engine's token). A red run here is a race
+# nested hold under its own engine's token), and singleflight's joins
+# (every caller on one flight before its gate opens, a waiter canceled
+# only once it has joined). A red run here is a race
 # one tier-1 pass would meet about once in a hundred.
 stress:
-	$(GO) test -count=200 -run '^(TestBuildingOpenFansOut|TestOpenHoldsGateUntilDone|TestRetireDrainsBuiltEngine|TestRunHoldsGateAcrossRerank|TestGateTokenNamesItsGate)$$' ./internal/core/
+	$(GO) test -count=200 -run '^(TestBuildingOpenFansOut|TestOpenHoldsGateUntilDone|TestRetireDrainsBuiltEngine|TestRunHoldsGateAcrossRerank|TestGateTokenNamesItsGate|TestDoDeduplicates|TestWaiterCancellationDoesNotAbortCall)$$' ./internal/core/ ./internal/singleflight/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.

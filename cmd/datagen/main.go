@@ -43,28 +43,24 @@ func main() {
 		perTag    = flag.Int("topics-per-tag", 10, "topics per tag")
 		topicSize = flag.Int("topic-size", 30, "mean topic node count")
 		locality  = flag.Float64("locality", 0.7, "fraction of topic nodes drawn from one community")
-		seed      = flag.Int64("seed", 1, "RNG seed")
 		graphOut  = flag.String("graph", "graph.tsv", "output path for the graph")
 		topicsOut = flag.String("topics", "topics.tsv", "output path for the topic space")
 		stats     = flag.Bool("stats", false, "print structural statistics of the generated graph")
-		indexDir  = flag.String("index-dir", "", "also build the offline indexes and save them as an artifact directory")
-		theta     = flag.Float64("theta", 0.01, "propagation-index threshold θ (with -index-dir)")
-		walkL     = flag.Int("L", 6, "random-walk length L (with -index-dir)")
-		walkR     = flag.Int("R", 16, "random walks per node R (with -index-dir)")
-		warm      = flag.String("warm", "", "comma-separated summary methods to materialize into the artifacts: lrw, rcl (with -index-dir)")
+		icfg      indexConfig
 	)
+	flag.StringVar(&icfg.dir, "index-dir", "", "also build the offline indexes and save them as an artifact directory")
+	flag.StringVar(&icfg.warm, "warm", "", "comma-separated summary methods to materialize into the artifacts: lrw, rcl (with -index-dir)")
+	// -seed seeds the dataset too; -L, -R and -theta apply with -index-dir.
+	icfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	if err := run(*preset, *scale, dataset.GraphConfig{
 		Nodes: *nodes, MinOutDegree: *minDeg, MaxOutDegree: *maxDeg,
-		PreferentialBias: *bias, Seed: *seed,
+		PreferentialBias: *bias, Seed: icfg.Seed,
 	}, dataset.TopicConfig{
 		Tags: *tags, TopicsPerTag: *perTag, MeanTopicNodes: *topicSize,
-		Locality: *locality, Seed: *seed + 1,
-	}, *graphOut, *topicsOut, *stats, indexConfig{
-		dir: *indexDir, theta: *theta,
-		walkL: *walkL, walkR: *walkR, seed: *seed, warm: *warm,
-	}); err != nil {
+		Locality: *locality, Seed: icfg.Seed + 1,
+	}, *graphOut, *topicsOut, *stats, icfg); err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)
 	}
@@ -72,12 +68,10 @@ func main() {
 
 // indexConfig carries the optional offline-index-build step's parameters.
 type indexConfig struct {
-	dir   string
-	theta float64
-	walkL int
-	walkR int
-	seed  int64
-	warm  string
+	dir  string
+	warm string
+	// The engine's -L, -R, -theta and -seed, bound by core.
+	core.Options
 }
 
 // warmMethods parses the -warm list into engine methods.
@@ -87,19 +81,19 @@ func (c indexConfig) warmMethods() ([]core.Method, error) {
 	}
 	var ms []core.Method
 	for _, name := range strings.Split(c.warm, ",") {
-		switch strings.TrimSpace(name) {
-		case "lrw":
-			ms = append(ms, core.MethodLRW)
-		case "rcl":
-			ms = append(ms, core.MethodRCL)
-		default:
-			return nil, fmt.Errorf("-warm: unknown method %q (want lrw or rcl)", name)
+		m, err := core.ParseMethod(strings.TrimSpace(name))
+		if err != nil {
+			return nil, fmt.Errorf("-warm: %w", err)
 		}
+		ms = append(ms, m)
 	}
 	return ms, nil
 }
 
 func run(preset string, scale float64, gcfg dataset.GraphConfig, tcfg dataset.TopicConfig, graphOut, topicsOut string, printStats bool, icfg indexConfig) error {
+	if err := icfg.CheckFlags(); err != nil {
+		return err
+	}
 	warmMs, err := icfg.warmMethods()
 	if err != nil {
 		return err
@@ -161,9 +155,7 @@ func run(preset string, scale float64, gcfg dataset.GraphConfig, tcfg dataset.To
 // index, optional full-corpus summary materialization — and persists the
 // result so serving processes cold-start instead of rebuilding.
 func buildArtifacts(g *graph.Graph, sp *topics.Space, icfg indexConfig, warmMs []core.Method) error {
-	eng, err := core.New(g, sp, core.Options{
-		WalkL: icfg.walkL, WalkR: icfg.walkR, Theta: icfg.theta, Seed: icfg.seed,
-	})
+	eng, err := core.New(g, sp, icfg.Options)
 	if err != nil {
 		return err
 	}
@@ -173,7 +165,7 @@ func buildArtifacts(g *graph.Graph, sp *topics.Space, icfg indexConfig, warmMs [
 		return err
 	}
 	log.Printf("indexes built in %v (L=%d R=%d θ=%g)",
-		time.Since(start).Round(time.Millisecond), icfg.walkL, icfg.walkR, icfg.theta)
+		time.Since(start).Round(time.Millisecond), icfg.WalkL, icfg.WalkR, icfg.Theta)
 	for _, m := range warmMs {
 		start = time.Now()
 		if err := eng.WarmSummaries(context.Background(), m, core.WarmOptions{}); err != nil {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -13,7 +15,7 @@ import (
 
 // testIdx is the no-persistence index config most tests use.
 func testIdx() indexConfig {
-	return indexConfig{theta: 0.01, walkL: 4, walkR: 8, seed: 1}
+	return indexConfig{Options: core.Options{Theta: 0.01, WalkL: 4, WalkR: 8, Seed: 1}}
 }
 
 func TestRunWithExplicitConfig(t *testing.T) {
@@ -82,6 +84,27 @@ func TestRunErrors(t *testing.T) {
 	badWarm.warm = "lrw,zzz"
 	if err := run("", 1, good, dataset.TopicConfig{Tags: 1, TopicsPerTag: 1, MeanTopicNodes: 4}, gp, tp, false, badWarm); err == nil {
 		t.Error("invalid warm method accepted")
+	}
+}
+
+// TestRunRefusesOutOfRangeEngineFlags: -theta outside (0, 1) and a -L or
+// -R below one are errors naming the flag, not a silent fallback to the
+// defaults.
+func TestRunRefusesOutOfRangeEngineFlags(t *testing.T) {
+	dir := t.TempDir()
+	good := dataset.GraphConfig{Nodes: 50, MinOutDegree: 1, MaxOutDegree: 3, Seed: 1}
+	tcfg := dataset.TopicConfig{Tags: 1, TopicsPerTag: 1, MeanTopicNodes: 4}
+	for _, args := range [][]string{{"-theta", "1.5"}, {"-theta", "0"}, {"-L", "-1"}, {"-R", "0"}} {
+		icfg := indexConfig{dir: filepath.Join(dir, "idx")}
+		fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
+		icfg.RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		err := run("", 1, good, tcfg, filepath.Join(dir, "g.tsv"), filepath.Join(dir, "t.tsv"), false, icfg)
+		if err == nil || !strings.Contains(err.Error(), args[0]+":") {
+			t.Errorf("run with %v = %v, want an error naming %s", args, err, args[0])
+		}
 	}
 }
 

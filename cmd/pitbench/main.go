@@ -19,36 +19,39 @@ import (
 	"repro/internal/eval"
 )
 
-func main() {
-	var (
-		exp     = flag.String("exp", "all", `experiment to run ("fig4".."fig16", "figS1".."figS3", or "all")`)
-		scale   = flag.Float64("scale", 1, "dataset scale factor (1 = laptop-scale defaults)")
-		queries = flag.Int("queries", 3, "tag queries per experiment")
-		users   = flag.Int("users", 3, "query users per query")
-		walkL   = flag.Int("L", 6, "random-walk length L")
-		walkR   = flag.Int("R", 16, "random walks per node R")
-		theta   = flag.Float64("theta", 0.02, "propagation threshold θ")
-		seed    = flag.Int64("seed", 1, "RNG seed")
-		mdOut   = flag.String("markdown", "", "also write the results as a Markdown report to this file")
-	)
-	flag.Parse()
+// options carries every flag, so the command line is parseable from
+// tests.
+type options struct {
+	exp, mdOut string
+	cfg        eval.Config
+}
 
-	cfg := eval.Config{
-		Scale:   *scale,
-		Queries: *queries,
-		Users:   *users,
-		WalkL:   *walkL,
-		WalkR:   *walkR,
-		Theta:   *theta,
-		Seed:    *seed,
-	}
-	if err := run(*exp, cfg, *mdOut); err != nil {
+// registerFlags binds every pitbench flag to a field of o. An absent
+// flag leaves o.cfg at eval.DefaultConfig.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	o.cfg = eval.DefaultConfig()
+	fs.StringVar(&o.exp, "exp", "all", `experiment to run ("fig4".."fig16", "figS1".."figS3", or "all")`)
+	fs.Float64Var(&o.cfg.Scale, "scale", o.cfg.Scale, "dataset scale factor (1 = laptop-scale defaults)")
+	fs.IntVar(&o.cfg.Queries, "queries", o.cfg.Queries, "tag queries per experiment")
+	fs.IntVar(&o.cfg.Users, "users", o.cfg.Users, "query users per query")
+	o.cfg.RegisterFlags(fs)
+	fs.StringVar(&o.mdOut, "markdown", "", "also write the results as a Markdown report to this file")
+}
+
+func main() {
+	var o options
+	registerFlags(flag.CommandLine, &o)
+	flag.Parse()
+	if err := run(o.exp, o.cfg, o.mdOut); err != nil {
 		fmt.Fprintln(os.Stderr, "pitbench:", err)
 		os.Exit(1)
 	}
 }
 
 func run(exp string, cfg eval.Config, mdOut string) error {
+	if err := cfg.CheckFlags(); err != nil {
+		return err
+	}
 	runner := eval.NewRunner(cfg)
 	var ids []string
 	if exp == "all" {

@@ -21,60 +21,64 @@ import (
 	"repro/internal/graph"
 )
 
-func main() {
-	var (
-		preset    = flag.String("preset", "data_2k", "dataset preset (ignored when -graph/-topics are given)")
-		scale     = flag.Float64("scale", 1, "preset scale factor")
-		graphIn   = flag.String("graph", "", "graph TSV file (with -topics, replaces the preset)")
-		topicsIn  = flag.String("topics", "", "topic-space TSV file")
-		method    = flag.String("method", "lrw", "summarization method: lrw or rcl")
-		query     = flag.String("query", "tag000", "keyword query")
-		user      = flag.Int("user", 0, "query user node ID")
-		k         = flag.Int("k", 10, "number of topics to return")
-		theta     = flag.Float64("theta", 0.01, "propagation-index threshold θ")
-		walkL     = flag.Int("L", 6, "random-walk length L")
-		walkR     = flag.Int("R", 16, "random walks per node R")
-		seed      = flag.Int64("seed", 1, "RNG seed")
-		quietFlag = flag.Bool("quiet", false, "print only the result rows")
-		diversity = flag.Float64("diversity", 0, "diversification strength λ ∈ [0,1] (0 = plain ranking)")
-		trace     = flag.Bool("trace", false, "print search diagnostics (pruning, expansion, rep consumption)")
-		warm      = flag.Bool("warm", false, "warm every topic summary before searching (batch/eval runs)")
-		indexDir  = flag.String("index-dir", "", "artifact directory: load prebuilt indexes from it when populated, save freshly built ones into it otherwise")
-	)
-	flag.Parse()
+// config carries every flag, so run is callable from tests.
+type config struct {
+	preset, graphIn, topicsIn string
+	scale                     float64
+	method, query             string
+	user, k                   int
+	quiet, trace, warm        bool
+	diversity                 float64
+	indexDir                  string
+	// The engine's -L, -R, -theta and -seed, bound by core.
+	core.Options
+}
 
-	if err := run(*preset, *scale, *graphIn, *topicsIn, *method, *query, *user, *k,
-		*theta, *walkL, *walkR, *seed, *quietFlag, *diversity, *trace, *warm,
-		*indexDir); err != nil {
+// registerFlags binds every pitsearch flag to a field of c.
+func registerFlags(fs *flag.FlagSet, c *config) {
+	fs.StringVar(&c.preset, "preset", "data_2k", "dataset preset (ignored when -graph/-topics are given)")
+	fs.Float64Var(&c.scale, "scale", 1, "preset scale factor")
+	fs.StringVar(&c.graphIn, "graph", "", "graph TSV file (with -topics, replaces the preset)")
+	fs.StringVar(&c.topicsIn, "topics", "", "topic-space TSV file")
+	fs.StringVar(&c.method, "method", "lrw", "summarization method: lrw or rcl")
+	fs.StringVar(&c.query, "query", "tag000", "keyword query")
+	fs.IntVar(&c.user, "user", 0, "query user node ID")
+	fs.IntVar(&c.k, "k", 10, "number of topics to return")
+	c.Options.RegisterFlags(fs)
+	fs.BoolVar(&c.quiet, "quiet", false, "print only the result rows")
+	fs.Float64Var(&c.diversity, "diversity", 0, "diversification strength λ ∈ [0,1] (0 = plain ranking)")
+	fs.BoolVar(&c.trace, "trace", false, "print search diagnostics (pruning, expansion, rep consumption)")
+	fs.BoolVar(&c.warm, "warm", false, "warm every topic summary before searching (batch/eval runs)")
+	fs.StringVar(&c.indexDir, "index-dir", "", "artifact directory: load prebuilt indexes from it when populated, save freshly built ones into it otherwise")
+}
+
+func main() {
+	var c config
+	registerFlags(flag.CommandLine, &c)
+	flag.Parse()
+	if err := run(c); err != nil {
 		fmt.Fprintln(os.Stderr, "pitsearch:", err)
 		os.Exit(1)
 	}
 }
 
-func run(preset string, scale float64, graphIn, topicsIn, method, query string,
-	user, k int, theta float64, walkL, walkR int, seed int64, quiet bool,
-	diversity float64, trace, warm bool, indexDir string) error {
-
-	g, sp, err := dataset.LoadPresetOrFiles(preset, scale, graphIn, topicsIn)
+func run(c config) error {
+	if err := c.CheckFlags(); err != nil {
+		return err
+	}
+	m, err := core.ParseMethod(c.method)
 	if err != nil {
 		return err
 	}
-	var m core.Method
-	switch method {
-	case "lrw":
-		m = core.MethodLRW
-	case "rcl":
-		m = core.MethodRCL
-	default:
-		return fmt.Errorf("unknown method %q (want lrw or rcl)", method)
+	g, sp, err := dataset.LoadPresetOrFiles(c.preset, c.scale, c.graphIn, c.topicsIn)
+	if err != nil {
+		return err
 	}
-	if user < 0 || user >= g.NumNodes() {
-		return fmt.Errorf("user %d outside graph (0..%d)", user, g.NumNodes()-1)
+	if c.user < 0 || c.user >= g.NumNodes() {
+		return fmt.Errorf("user %d outside graph (0..%d)", c.user, g.NumNodes()-1)
 	}
 
-	eng, err := core.New(g, sp, core.Options{
-		WalkL: walkL, WalkR: walkR, Theta: theta, Seed: seed,
-	})
+	eng, err := core.New(g, sp, c.Options)
 	if err != nil {
 		return err
 	}
@@ -83,9 +87,9 @@ func run(preset string, scale float64, graphIn, topicsIn, method, query string,
 	// warm, so saved artifacts include the materialized summaries).
 	loaded := false
 	start := time.Now()
-	if indexDir != "" && core.ArtifactsExist(indexDir) {
-		if err := eng.LoadArtifacts(indexDir); err != nil {
-			return fmt.Errorf("load artifacts from %s: %w", indexDir, err)
+	if c.indexDir != "" && core.ArtifactsExist(c.indexDir) {
+		if err := eng.LoadArtifacts(c.indexDir); err != nil {
+			return fmt.Errorf("load artifacts from %s: %w", c.indexDir, err)
 		}
 		loaded = true
 	} else if err := eng.BuildIndexes(context.Background()); err != nil {
@@ -98,7 +102,7 @@ func run(preset string, scale float64, graphIn, topicsIn, method, query string,
 	// shape, where one process answers many queries and the per-topic
 	// summarization cost must not land on the first search of each topic.
 	var warmTime time.Duration
-	if warm {
+	if c.warm {
 		start = time.Now()
 		if err := eng.WarmSummaries(context.Background(), m, core.WarmOptions{}); err != nil {
 			return err
@@ -106,16 +110,16 @@ func run(preset string, scale float64, graphIn, topicsIn, method, query string,
 		warmTime = time.Since(start)
 	}
 
-	if indexDir != "" && !loaded {
-		if err := core.WriteArtifacts(indexDir, eng); err != nil {
-			return fmt.Errorf("save artifacts to %s: %w", indexDir, err)
+	if c.indexDir != "" && !loaded {
+		if err := core.WriteArtifacts(c.indexDir, eng); err != nil {
+			return fmt.Errorf("save artifacts to %s: %w", c.indexDir, err)
 		}
 	}
 
 	start = time.Now()
 	ans, err := eng.Run(context.Background(), core.Query{
-		Method: m, Text: query, User: graph.NodeID(user), K: k, Lambda: diversity,
-		Fidelity: core.FidelityFull, Trace: trace,
+		Method: m, Text: c.query, User: graph.NodeID(c.user), K: c.k, Lambda: c.diversity,
+		Fidelity: core.FidelityFull, Trace: c.trace,
 	})
 	if err != nil {
 		return err
@@ -123,17 +127,17 @@ func run(preset string, scale float64, graphIn, topicsIn, method, query string,
 	res := ans.Results
 	searchTime := time.Since(start)
 
-	if !quiet {
+	if !c.quiet {
 		fmt.Printf("dataset: %d users, %d links, %d topics\n", g.NumNodes(), g.NumEdges(), sp.NumTopics())
-		if warm {
+		if c.warm {
 			fmt.Printf("warmed %d topic summaries in %v\n", sp.NumTopics(), warmTime.Round(time.Millisecond))
 		}
 		how := "built"
 		if loaded {
-			how = "loaded from " + indexDir
+			how = "loaded from " + c.indexDir
 		}
 		fmt.Printf("indexes %s in %v; %s search for %q (user %d) in %v\n",
-			how, buildTime.Round(time.Millisecond), m, query, user, searchTime.Round(time.Microsecond))
+			how, buildTime.Round(time.Millisecond), m, c.query, c.user, searchTime.Round(time.Microsecond))
 	}
 	if len(res) == 0 {
 		fmt.Println("no topics match the query")

@@ -92,9 +92,6 @@ type options struct {
 	addr            string
 	opsAddr         string
 	smoke           bool
-	theta           float64
-	walkL, walkR    int
-	seed            int64
 	maxK            int
 	warmSummaries   string
 	warmWorkers     int
@@ -106,6 +103,8 @@ type options struct {
 	streamMaxAge    time.Duration
 	decayHalfLife   time.Duration
 	shards          int
+	// The engine's -L, -R, -theta and -seed, bound by core.
+	core.Options
 }
 
 // warmMethods resolves the -warm-summaries flag into the methods to
@@ -114,14 +113,14 @@ func (o options) warmMethods() ([]core.Method, error) {
 	switch o.warmSummaries {
 	case "":
 		return nil, nil
-	case "lrw":
-		return []core.Method{core.MethodLRW}, nil
-	case "rcl":
-		return []core.Method{core.MethodRCL}, nil
 	case "all":
 		return []core.Method{core.MethodLRW, core.MethodRCL}, nil
 	}
-	return nil, fmt.Errorf("-warm-summaries: unknown selection %q (want lrw, rcl or all)", o.warmSummaries)
+	m, err := core.ParseMethod(o.warmSummaries)
+	if err != nil {
+		return nil, fmt.Errorf("-warm-summaries: unknown selection %q (want lrw, rcl or all)", o.warmSummaries)
+	}
+	return []core.Method{m}, nil
 }
 
 // app is the wired-but-not-yet-ready server: the dataset is loaded and
@@ -162,10 +161,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.opsAddr, "ops-addr", "", "operational listener address for /metrics and /debug/pprof (empty disables)")
 	fs.BoolVar(&o.smoke, "smoke", false, "one-shot smoke run: serve on ephemeral ports, issue searches, verify /metrics, exit")
-	fs.Float64Var(&o.theta, "theta", 0.01, "propagation-index threshold θ")
-	fs.IntVar(&o.walkL, "L", 6, "random-walk length L")
-	fs.IntVar(&o.walkR, "R", 16, "random walks per node R")
-	fs.Int64Var(&o.seed, "seed", 1, "RNG seed")
+	o.Options.RegisterFlags(fs)
 	fs.IntVar(&o.maxK, "max-k", 100, "maximum k a request may ask for")
 	fs.StringVar(&o.warmSummaries, "warm-summaries", "", "warm the whole summary corpus before /readyz flips: lrw, rcl or all (empty disables)")
 	fs.IntVar(&o.warmWorkers, "warm-workers", 0, "worker pool size for the summary warm-up (≤0: GOMAXPROCS)")
@@ -210,6 +206,9 @@ func buildApp(o options) (*app, error) {
 	if o.shards < 1 {
 		return nil, fmt.Errorf("-shards: need at least 1 shard, got %d", o.shards)
 	}
+	if err := o.CheckFlags(); err != nil {
+		return nil, err
+	}
 	if _, err := o.warmMethods(); err != nil {
 		return nil, err // reject a bad -warm-summaries before loading data
 	}
@@ -225,10 +224,10 @@ func buildApp(o options) (*app, error) {
 	reg := obs.NewRegistry()
 	a := &app{opts: o, reg: reg}
 	engines := make([]*core.Engine, o.shards)
+	eo := o.Options
+	eo.Metrics = reg
 	for i := range engines {
-		engines[i], err = core.New(g, sp, core.Options{
-			WalkL: o.walkL, WalkR: o.walkR, Theta: o.theta, Seed: o.seed, Metrics: reg,
-		})
+		engines[i], err = core.New(g, sp, eo)
 		if err != nil {
 			return nil, err
 		}
@@ -478,7 +477,7 @@ func drainAndStop(hs *http.Server, timeout time.Duration) error {
 // (against README's table); the smoke only asks for a non-empty one.
 func runSmoke(o options) error {
 	o.scale = 0.1
-	o.walkL, o.walkR = 4, 8
+	o.WalkL, o.WalkR = 4, 8
 	// Exercise the offline warm pipeline end to end so the smoke fails
 	// if the warm-up path unwires.
 	if o.warmSummaries == "" {

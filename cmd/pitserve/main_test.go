@@ -27,10 +27,11 @@ import (
 func testOptions() options {
 	return options{
 		preset: "data_2k", scale: 0.1,
-		theta: 0.01, walkL: 4, walkR: 8, seed: 1, maxK: 20,
+		maxK:           20,
 		requestTimeout: 5 * time.Second, maxInflight: 16,
 		shutdownTimeout: time.Second,
 		shards:          1,
+		Options:         core.Options{Theta: 0.01, WalkL: 4, WalkR: 8, Seed: 1},
 	}
 }
 
@@ -118,7 +119,7 @@ func TestReadinessGatesAPI(t *testing.T) {
 func TestPrepareMaterialize(t *testing.T) {
 	o := testOptions()
 	o.scale = 0.05
-	o.walkL, o.walkR = 3, 4
+	o.WalkL, o.WalkR = 3, 4
 	o.warmSummaries = "lrw"
 	a, err := buildApp(o)
 	if err != nil {
@@ -195,7 +196,7 @@ func TestBuildAppRejectsBadWarmSelector(t *testing.T) {
 func TestPrepareWarmsBothMethods(t *testing.T) {
 	o := testOptions()
 	o.scale = 0.05
-	o.walkL, o.walkR = 3, 4
+	o.WalkL, o.WalkR = 3, 4
 	o.warmSummaries = "all"
 	a, err := buildApp(o)
 	if err != nil {
@@ -450,7 +451,7 @@ func TestPrepareColdStartsFromArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	o := testOptions()
 	o.scale = 0.05
-	o.walkL, o.walkR = 3, 4
+	o.WalkL, o.WalkR = 3, 4
 	o.warmSummaries = "lrw"
 	o.indexDir = dir
 
@@ -528,7 +529,7 @@ func TestPrepareRefusesNonV2Artifacts(t *testing.T) {
 	}
 	o := testOptions()
 	o.scale = 0.05
-	o.walkL, o.walkR = 3, 4
+	o.WalkL, o.WalkR = 3, 4
 
 	t.Run("index-dir", func(t *testing.T) {
 		o := o
@@ -645,7 +646,7 @@ func TestWarmMetricsAtAnyShardCount(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		o := testOptions()
 		o.scale = 0.05
-		o.walkL, o.walkR = 3, 4
+		o.WalkL, o.WalkR = 3, 4
 		o.warmSummaries = "lrw"
 		o.shards = n
 		a, err := buildApp(o)
@@ -836,7 +837,7 @@ func startAt(t *testing.T, o options, n int, dir string) (*app, error) {
 func TestIndexDirLayouts(t *testing.T) {
 	base := testOptions()
 	base.scale = 0.05
-	base.walkL, base.walkR = 3, 4
+	base.WalkL, base.WalkR = 3, 4
 	base.warmSummaries = "lrw"
 	start := func(n int, dir string) (*app, error) { return startAt(t, base, n, dir) }
 	// A cold start from artifacts installs indexes (counted like a build)
@@ -927,7 +928,7 @@ func TestIndexDirLayouts(t *testing.T) {
 func TestArtifactDirIndependentOfShardCount(t *testing.T) {
 	base := testOptions()
 	base.scale = 0.05
-	base.walkL, base.walkR = 3, 4
+	base.WalkL, base.WalkR = 3, 4
 	base.warmSummaries = "all"
 	ctx := context.Background()
 	start := func(n int, dir string) *app {
@@ -967,7 +968,7 @@ func TestArtifactDirIndependentOfShardCount(t *testing.T) {
 	start(3, byThree)
 	// datagen's path: one engine over the same dataset and options holds
 	// the whole warmed corpus and writes it.
-	whole, err := core.New(fresh.router.Graph(), fresh.router.Space(), core.Options{WalkL: base.walkL, WalkR: base.walkR, Theta: base.theta, Seed: base.seed})
+	whole, err := core.New(fresh.router.Graph(), fresh.router.Space(), base.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1020,6 +1021,27 @@ func TestBuildAppRejectsZeroShards(t *testing.T) {
 	o.shards = 0
 	if _, err := buildApp(o); err == nil || !strings.Contains(err.Error(), "-shards") {
 		t.Fatalf("buildApp with -shards 0 = %v, want an error naming the flag", err)
+	}
+}
+
+// TestBuildAppRefusesOutOfRangeEngineFlags: -theta outside (0, 1) and a
+// -L or -R below one are flag errors naming the flag, before dataset
+// generation — not a silent fallback to the defaults.
+func TestBuildAppRefusesOutOfRangeEngineFlags(t *testing.T) {
+	for _, args := range [][]string{{"-theta", "1.5"}, {"-theta", "0"}, {"-L", "-1"}, {"-R", "0"}} {
+		var o options
+		fs := flag.NewFlagSet("pitserve", flag.ContinueOnError)
+		registerFlags(fs, &o)
+		if err := fs.Parse(append([]string{"-scale", "0.05"}, args...)); err != nil {
+			t.Fatal(err)
+		}
+		a, err := buildApp(o)
+		if err == nil {
+			a.closeEngine()
+		}
+		if err == nil || !strings.Contains(err.Error(), args[0]+":") {
+			t.Errorf("buildApp with %v = %v, want an error naming %s", args, err, args[0])
+		}
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 // WaitGroups and are covered transitively when these packages call them.
 var scopeDirs = []string{
 	"internal/core",
-	"internal/plan",
 	"internal/search",
 	"internal/server",
 	"internal/chaos",
@@ -47,7 +46,7 @@ var scopeDirs = []string{
 var Analyzer = &analysis.Analyzer{
 	Name: "goroutinelife",
 	Doc: "goroutinelife: every goroutine must be waitable (WaitGroup) or lifecycle-cancelable (context)\n\n" +
-		"Flags go statements in internal/{core,plan,search,server,chaos,stream,subscribe,shard} whose goroutine neither\n" +
+		"Flags go statements in internal/{core,search,server,chaos,stream,subscribe,shard} whose goroutine neither\n" +
 		"completes a sync.WaitGroup Add/Done pair nor observes a context, so Engine.Close\n" +
 		"and server drain cannot wait for or stop it. Spawning an imported function directly\n" +
 		"is always a finding: spawn a literal that owns the WaitGroup or ctx.",

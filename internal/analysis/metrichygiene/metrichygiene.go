@@ -15,7 +15,7 @@
 // makes metric cardinality grow with traffic until the scrape, and the
 // process, fall over. A With(...) argument passes when it is provably
 // bounded: a constant; a String() call on an integer-underlying named
-// type (an enum stringer, e.g. plan.Tier.String); a call to a
+// type (an enum stringer, e.g. core.Tier.String); a call to a
 // same-package function all of whose returns are constants (the
 // metricLabel idiom); or a local variable assigned only from such
 // expressions. Everything else — parameters, struct fields, sprintf of
@@ -36,7 +36,6 @@ import (
 // itself (which implements the registry) is deliberately out of scope.
 var scopeDirs = []string{
 	"internal/core",
-	"internal/plan",
 	"internal/search",
 	"internal/server",
 	"internal/chaos",

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/summary"
 	"repro/internal/topics"
@@ -376,7 +375,7 @@ func TestCloseKeepsServingBuiltEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("planned query after Close on built engine: %v", err)
 	}
-	if out := ans.Outcome; out.Tier != plan.TierFull || !out.Complete {
+	if out := ans.Outcome; out.Tier != TierFull || !out.Complete {
 		t.Errorf("planned query after Close on built engine: outcome %+v, want a full/complete cache hit", out)
 	}
 }

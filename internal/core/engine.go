@@ -32,6 +32,7 @@ package core
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -90,6 +91,17 @@ func (m Method) String() string {
 // valid reports whether m names a known summarization method.
 func (m Method) valid() bool { return m == MethodLRW || m == MethodRCL }
 
+// ParseMethod returns the method whose Label is name ("lrw" or "rcl"):
+// the one spelling every command line and the HTTP API accept.
+func ParseMethod(name string) (Method, error) {
+	for _, m := range []Method{MethodLRW, MethodRCL} {
+		if m.Label() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown method %q (want lrw or rcl)", name)
+}
+
 // Options configures an Engine. The zero value gives the paper's default
 // parameters at laptop scale.
 type Options struct {
@@ -126,6 +138,33 @@ func (o *Options) fill() {
 	if o.RCL.Seed == 0 {
 		o.RCL.Seed = o.Seed
 	}
+}
+
+// RegisterFlags binds -L, -R, -theta and -seed on fs to o: the one
+// stated configuration every command runs at. Their defaults are those a
+// zero Options runs at, with seed 1. Call CheckFlags after fs.Parse.
+func (o *Options) RegisterFlags(fs *flag.FlagSet) {
+	var d Options
+	d.fill()
+	fs.Float64Var(&o.Theta, "theta", d.Theta, "propagation-index threshold θ")
+	fs.IntVar(&o.WalkL, "L", d.WalkL, "random-walk length L")
+	fs.IntVar(&o.WalkR, "R", d.WalkR, "random walks per node R")
+	fs.Int64Var(&o.Seed, "seed", 1, "RNG seed")
+}
+
+// CheckFlags refuses what RegisterFlags bound out of range, naming the
+// flag. Unlike a zero Options field, which New fills with its default,
+// a value given on a command line is never replaced silently.
+func (o Options) CheckFlags() error {
+	switch {
+	case !(o.Theta > 0 && o.Theta < 1): // NaN fails both comparisons
+		return fmt.Errorf("-theta: want 0 < θ < 1, got %v", o.Theta)
+	case o.WalkL < 1:
+		return fmt.Errorf("-L: want a walk length of at least 1, got %d", o.WalkL)
+	case o.WalkR < 1:
+		return fmt.Errorf("-R: want at least 1 walk per node, got %d", o.WalkR)
+	}
+	return nil
 }
 
 // Engine owns the graph, topic space, both offline indexes, the two

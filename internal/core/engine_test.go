@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -106,6 +107,57 @@ func TestMethodString(t *testing.T) {
 	}
 	if !strings.HasPrefix(Method(9).String(), "Method(") {
 		t.Errorf("unknown method string: %v", Method(9))
+	}
+}
+
+func TestParseMethod(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Method
+		ok   bool
+	}{
+		{"lrw", MethodLRW, true},
+		{"rcl", MethodRCL, true},
+		{"", 0, false},
+		{"LRW", 0, false},
+		{"all", 0, false},
+		{"lrw,rcl", 0, false},
+	} {
+		got, err := ParseMethod(tc.name)
+		switch {
+		case tc.ok && (err != nil || got != tc.want):
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.name))):
+			t.Errorf("ParseMethod(%q) = %v, %v; want an error naming %q", tc.name, got, err, tc.name)
+		}
+	}
+}
+
+// TestRegisterFlags: the bound defaults are what a zero Options runs at
+// (seed 1), and CheckFlags refuses each out-of-range value by its flag.
+func TestRegisterFlags(t *testing.T) {
+	var o Options
+	fs := flag.NewFlagSet("core", flag.ContinueOnError)
+	o.RegisterFlags(fs)
+	want := Options{Seed: 1}
+	want.fill()
+	want.RCL.Seed = 0 // New derives it from the bound -seed
+	if !reflect.DeepEqual(o, want) {
+		t.Errorf("bound defaults %+v, want the filled zero Options %+v", o, want)
+	}
+	if err := o.CheckFlags(); err != nil {
+		t.Errorf("defaults refused: %v", err)
+	}
+	for _, args := range [][]string{{"-theta", "1.5"}, {"-theta", "1"}, {"-theta", "0"}, {"-theta", "NaN"}, {"-L", "0"}, {"-R", "-1"}} {
+		var o Options
+		fs := flag.NewFlagSet("core", flag.ContinueOnError)
+		o.RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.CheckFlags(); err == nil || !strings.HasPrefix(err.Error(), args[0]+":") {
+			t.Errorf("CheckFlags after %v = %v, want an error naming %s", args, err, args[0])
+		}
 	}
 }
 

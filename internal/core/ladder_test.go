@@ -21,7 +21,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/shard"
 	"repro/internal/summary"
 	"repro/internal/topics"
@@ -183,7 +182,7 @@ func ladderTable(t *testing.T, mk backendMaker) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out := ans.Outcome; out.Tier != plan.TierFull || !out.Complete {
+		if out := ans.Outcome; out.Tier != core.TierFull || !out.Complete {
 			t.Fatalf("outcome = %+v, want full/complete", out)
 		}
 		if len(ans.Results) != 2 {
@@ -193,7 +192,7 @@ func ladderTable(t *testing.T, mk backendMaker) {
 		empty := query
 		empty.Text = "no-such-tag"
 		ans, err = b.Run(ctx, empty)
-		if err != nil || len(ans.Results) != 0 || ans.Outcome.Tier != plan.TierFull || !ans.Outcome.Complete {
+		if err != nil || len(ans.Results) != 0 || ans.Outcome.Tier != core.TierFull || !ans.Outcome.Complete {
 			t.Fatalf("empty query: %+v err=%v, want empty full answer", ans, err)
 		}
 	})
@@ -239,7 +238,7 @@ func ladderTable(t *testing.T, mk backendMaker) {
 		if err != nil {
 			t.Fatalf("planned search errored instead of degrading: %v", err)
 		}
-		if out := ans.Outcome; out.Tier != plan.TierMaterialized || out.Complete {
+		if out := ans.Outcome; out.Tier != core.TierMaterialized || out.Complete {
 			t.Fatalf("outcome = %+v, want partial materialized", out)
 		}
 		if len(ans.Results) != len(related)-1 {
@@ -259,7 +258,7 @@ func ladderTable(t *testing.T, mk backendMaker) {
 		if !errors.Is(err, core.ErrUnavailable) {
 			t.Fatalf("err = %v, want ErrUnavailable", err)
 		}
-		if ans.Outcome.Tier != plan.TierUnavailable {
+		if ans.Outcome.Tier != core.TierUnavailable {
 			t.Fatalf("tier = %v, want unavailable", ans.Outcome.Tier)
 		}
 	})
@@ -294,7 +293,7 @@ func ladderTable(t *testing.T, mk backendMaker) {
 		past, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
 		defer cancel()
 		ans, err := b.Run(past, query)
-		if out := ans.Outcome; err != nil || out.Tier != plan.TierMaterialized || !out.Complete {
+		if out := ans.Outcome; err != nil || out.Tier != core.TierMaterialized || !out.Complete {
 			t.Fatalf("materialized rung: %+v err=%v, want a complete materialized answer", out, err)
 		}
 		if len(ans.Results) == 0 {

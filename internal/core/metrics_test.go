@@ -16,7 +16,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/summary"
 	"repro/internal/topics"
 )
@@ -239,7 +238,7 @@ func TestCachedQueryAppliesLambda(t *testing.T) {
 	// fail, so it degrades to the materialized summaries only.
 	cached := func(lambda float64) ([]TopicResult, bool, error) {
 		ans, err := eng.Run(ctx, Query{Text: "tag000", User: user, K: 2, Lambda: lambda})
-		if err == nil && ans.Outcome.Tier != plan.TierMaterialized {
+		if err == nil && ans.Outcome.Tier != TierMaterialized {
 			t.Fatalf("lambda %g: tier %v, want materialized", lambda, ans.Outcome.Tier)
 		}
 		return ans.Results, ans.Outcome.Complete, err

@@ -21,10 +21,46 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/search"
 	"repro/internal/topics"
 )
+
+// Tier is one rung of the fidelity ladder, ordered from highest
+// fidelity (TierFull) to no answer at all (TierUnavailable). Every
+// request attempts TierFull; only a real failure walks it down.
+type Tier int
+
+const (
+	// TierFull is the exact online search with on-demand summarization
+	// (Algorithms 10–11).
+	TierFull Tier = iota
+	// TierMaterialized restricts the search to already-cached summaries:
+	// partial but cheap (pure Γ lookups).
+	TierMaterialized
+	// TierUnavailable means no tier could produce an answer; the serving
+	// layer maps it to 503 + Retry-After.
+	TierUnavailable
+)
+
+// Tiers lists every tier in ladder order — handy for pre-registering
+// metric children so tier counters expose before first use. It is an
+// array, so len(Tiers) is a constant that sizes per-tier tables.
+var Tiers = [...]Tier{TierFull, TierMaterialized, TierUnavailable}
+
+// String returns the tier's wire name (the X-Pit-Tier header value and
+// the pit_search_tier_total label).
+func (t Tier) String() string {
+	switch t {
+	case TierFull:
+		return "full"
+	case TierMaterialized:
+		return "materialized"
+	case TierUnavailable:
+		return "unavailable"
+	default:
+		return fmt.Sprintf("Tier(%d)", int(t))
+	}
+}
 
 // OpenRequest asks a Generation for a search session over Topics.
 type OpenRequest struct {
@@ -119,7 +155,7 @@ func (l *Ladder) Hold(ctx context.Context) (context.Context, *Generation, func()
 // one an error return means the whole ladder was exhausted and is
 // always ErrUnavailable-wrapped.
 func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
-	none := Answer{Outcome: PlanOutcome{Tier: plan.TierUnavailable}}
+	none := Answer{Outcome: PlanOutcome{Tier: TierUnavailable}}
 	ctx, gen, release, err := l.Hold(ctx)
 	if err != nil {
 		return none, err
@@ -142,7 +178,7 @@ func (l *Ladder) Run(ctx context.Context, q Query) (Answer, error) {
 	if len(related) == 0 {
 		// An empty topic set is a complete full-fidelity answer — there is
 		// nothing to degrade.
-		ans := Answer{Outcome: PlanOutcome{Tier: plan.TierFull, Complete: true}, Generation: none.Generation}
+		ans := Answer{Outcome: PlanOutcome{Tier: TierFull, Complete: true}, Generation: none.Generation}
 		if q.Trace {
 			ans.Trace = &search.Trace{}
 		}
@@ -199,9 +235,9 @@ func (l *Ladder) attempt(ctx context.Context, gen *Generation, q Query, related 
 	}
 	defer o.Done()
 
-	ans := Answer{Outcome: PlanOutcome{Tier: plan.TierFull, Complete: o.Complete}, Generation: gen.ID}
+	ans := Answer{Outcome: PlanOutcome{Tier: TierFull, Complete: o.Complete}, Generation: gen.ID}
 	if cached {
-		ans.Outcome.Tier = plan.TierMaterialized
+		ans.Outcome.Tier = TierMaterialized
 	}
 	sums := o.Session.Summaries()
 	total := len(sums)

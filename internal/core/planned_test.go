@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/search"
 	"repro/internal/summary"
 	"repro/internal/topics"
@@ -66,7 +65,7 @@ func TestMaterializedSkippedCounterPinned(t *testing.T) {
 
 	cached := Query{Text: "tag000", User: 3, K: 2}
 	ans, err := eng.Run(context.Background(), cached)
-	if err != nil || ans.Outcome.Complete || ans.Outcome.Tier != plan.TierMaterialized {
+	if err != nil || ans.Outcome.Complete || ans.Outcome.Tier != TierMaterialized {
 		t.Fatalf("degraded search: %+v err=%v, want partial materialized", ans.Outcome, err)
 	}
 	if got := eng.met.materializedSkipped[MethodLRW].Value(); got != want {
@@ -280,4 +279,20 @@ func TestOpenHoldsGateUntilDone(t *testing.T) {
 	}
 	o.Done()
 	<-retired
+}
+
+func TestTierAndPolicyStrings(t *testing.T) {
+	want := map[Tier]string{
+		TierFull:         "full",
+		TierMaterialized: "materialized",
+		TierUnavailable:  "unavailable",
+	}
+	for tier, s := range want {
+		if got := tier.String(); got != s {
+			t.Errorf("Tier(%d).String() = %q, want %q", int(tier), got, s)
+		}
+	}
+	if len(Tiers) != 3 {
+		t.Fatalf("Tiers has %d entries, want 3", len(Tiers))
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/plan"
 	"repro/internal/search"
 	"repro/internal/topics"
 )
@@ -50,7 +49,7 @@ type Query struct {
 type PlanOutcome struct {
 	// Tier is the fidelity tier that produced the answer (or
 	// TierUnavailable alongside ErrUnavailable).
-	Tier plan.Tier
+	Tier Tier
 	// Complete reports whether every q-related topic contributed
 	// (always true for a full answer; a materialized answer may be
 	// partial).

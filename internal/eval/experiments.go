@@ -409,11 +409,10 @@ func (r *Runner) Fig15() (Table, error) {
 	}
 
 	for _, rate := range []float64{0.01, 0.05, 0.10} {
-		sum, err := core.New(e.ds.Graph, e.ds.Space, core.Options{
-			WalkL: r.cfg.WalkL, WalkR: r.cfg.WalkR, Theta: r.cfg.Theta, Seed: r.cfg.Seed,
-			RCL: rclOptionsWithRate(r.cfg.repsFor(paperRepBase), r.cfg.Seed, rate),
-			LRW: lrwOptions(r.cfg.repsFor(paperRepBase)),
-		})
+		opts := r.cfg.Options
+		opts.RCL = rclOptionsWithRate(r.cfg.repsFor(paperRepBase), r.cfg.Seed, rate)
+		opts.LRW = lrwOptions(r.cfg.repsFor(paperRepBase))
+		sum, err := core.New(e.ds.Graph, e.ds.Space, opts)
 		if err != nil {
 			return Table{}, err
 		}
@@ -431,10 +430,10 @@ func (r *Runner) Fig15() (Table, error) {
 
 	for _, paperR := range []int{100, 200, 300} {
 		ourR := maxI(4, int(float64(paperR)*r.cfg.RepScale*4)) // R scales like reps but stays ≥ 4
-		sum, err := core.New(e.ds.Graph, e.ds.Space, core.Options{
-			WalkL: r.cfg.WalkL, WalkR: ourR, Theta: r.cfg.Theta, Seed: r.cfg.Seed,
-			LRW: lrwOptions(r.cfg.repsFor(paperRepBase)),
-		})
+		opts := r.cfg.Options
+		opts.WalkR = ourR
+		opts.LRW = lrwOptions(r.cfg.repsFor(paperRepBase))
+		sum, err := core.New(e.ds.Graph, e.ds.Space, opts)
 		if err != nil {
 			return Table{}, err
 		}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"runtime"
 	"sort"
@@ -26,30 +27,23 @@ type Config struct {
 	Scale float64
 	// Queries and Users size the workload (paper: 100 tags × 50 users).
 	Queries, Users int
-	// WalkL/WalkR are Algorithm 6 parameters (paper: L=6, R≈200; our
-	// default R=16 keeps index memory proportional at laptop scale).
-	WalkL, WalkR int
-	// Theta is the propagation-index threshold θ.
-	Theta float64
 	// RepScale maps the paper's representative-node counts to ours:
 	// ours = paper × RepScale (default 0.05, so the paper's 1000 → 50).
 	RepScale float64
-	Seed     int64
+	// Options carries Algorithm 6's L and R, θ and the seed (paper: L=6,
+	// R≈200; core's R=16 keeps index memory proportional at laptop
+	// scale). Every engine an experiment builds starts from it.
+	core.Options
 }
 
 // DefaultConfig returns the full laptop-scale configuration used by
-// cmd/pitbench and the root benchmarks.
+// cmd/pitbench and the root benchmarks. Its engine parameters are core's
+// stated configuration: binding core's flags onto a throwaway set writes
+// their defaults.
 func DefaultConfig() Config {
-	return Config{
-		Scale:    1,
-		Queries:  3,
-		Users:    3,
-		WalkL:    6,
-		WalkR:    16,
-		Theta:    0.005,
-		RepScale: 0.05,
-		Seed:     1,
-	}
+	c := Config{Scale: 1, Queries: 3, Users: 3, RepScale: 0.05}
+	c.RegisterFlags(flag.NewFlagSet("eval", flag.ContinueOnError))
+	return c
 }
 
 // TestConfig returns a miniature configuration for fast unit tests.
@@ -148,14 +142,11 @@ func (r *Runner) environment(presetName string, walkL, repCount int) (*env, erro
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.New(ds.Graph, ds.Space, core.Options{
-		WalkL: walkL,
-		WalkR: r.cfg.WalkR,
-		Theta: r.cfg.Theta,
-		Seed:  r.cfg.Seed,
-		RCL:   rclOptions(repCount, r.cfg.Seed),
-		LRW:   lrwOptions(repCount),
-	})
+	opts := r.cfg.Options
+	opts.WalkL = walkL
+	opts.RCL = rclOptions(repCount, r.cfg.Seed)
+	opts.LRW = lrwOptions(repCount)
+	eng, err := core.New(ds.Graph, ds.Space, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/summary"
 	"repro/internal/topics"
 )
@@ -144,13 +143,13 @@ func TestChaosSteadyServiceUnderTransientFailure(t *testing.T) {
 	// The server's tier counters must account for exactly the planned
 	// requests, and agree with what the client saw.
 	var sum uint64
-	for _, tier := range plan.Tiers {
+	for _, tier := range core.Tiers {
 		sum += srv.met.tiers[tier].Value()
 	}
 	if sum != requests {
 		t.Errorf("tier counters sum = %d, want %d", sum, requests)
 	}
-	if got := srv.met.tiers[plan.TierFull].Value(); got != uint64(served["full"]) {
+	if got := srv.met.tiers[core.TierFull].Value(); got != uint64(served["full"]) {
 		t.Errorf("full-tier counter = %d, client saw %d", got, served["full"])
 	}
 	for _, code := range []string{"500", "502", "503", "504"} {
@@ -192,7 +191,7 @@ func TestChaosShutdownNoGoroutineLeak(t *testing.T) {
 		}
 		before := cs.Stats().Calls
 		code, headerTier, _ := chaosGet(t, srv, "/search?q=tag000&user=3&k=6")
-		if code != http.StatusServiceUnavailable || headerTier != plan.TierUnavailable.String() {
+		if code != http.StatusServiceUnavailable || headerTier != core.TierUnavailable.String() {
 			t.Fatalf("request %d under outage = %d X-Pit-Tier %q, want 503 unavailable", i, code, headerTier)
 		}
 		// A failed build is not remembered, so the request retried its
@@ -201,7 +200,7 @@ func TestChaosShutdownNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("request %d under outage made %d summarizer calls, want 1..%d", i, calls, related)
 		}
 	}
-	if got := srv.met.tiers[plan.TierUnavailable].Value(); got != outage {
+	if got := srv.met.tiers[core.TierUnavailable].Value(); got != outage {
 		t.Errorf(`tier{unavailable} = %d, want %d`, got, outage)
 	}
 

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/plan"
 	"repro/internal/stream"
 )
 
@@ -52,7 +51,7 @@ func FuzzSearchQuery(f *testing.F) {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?"+v.Encode(), nil))
 		switch {
-		case rec.Code == http.StatusServiceUnavailable && rec.Header().Get(tierHeader) == plan.TierUnavailable.String():
+		case rec.Code == http.StatusServiceUnavailable && rec.Header().Get(tierHeader) == core.TierUnavailable.String():
 			// The ladder's planned "no tier can answer".
 		case rec.Code >= 500:
 			t.Fatalf("%s: unplanned %d: %s", v.Encode(), rec.Code, rec.Body)

@@ -11,8 +11,8 @@ package server
 import (
 	"strconv"
 
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/plan"
 )
 
 // serverMetrics holds the server's obs handles. A Server always has one:
@@ -32,7 +32,7 @@ type serverMetrics struct {
 	// eagerly per tier: the hot path is one atomic add, and every tier
 	// exposes from the first scrape. Summing the children equals the
 	// number of planned /search requests that got past validation.
-	tiers [len(plan.Tiers)]*obs.Counter // indexed by plan.Tier
+	tiers [len(core.Tiers)]*obs.Counter // indexed by core.Tier
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -48,14 +48,14 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	}
 	tiers := reg.CounterVec("pit_search_tier_total",
 		"Planned /search requests by the fidelity tier that served (or refused) them.", "tier")
-	for _, t := range plan.Tiers {
+	for _, t := range core.Tiers {
 		m.tiers[t] = tiers.With(t.String())
 	}
 	return m
 }
 
 // tierServed records one planned search outcome.
-func (m *serverMetrics) tierServed(t plan.Tier) { m.tiers[t].Inc() }
+func (m *serverMetrics) tierServed(t core.Tier) { m.tiers[t].Inc() }
 
 // observe records one finished request. Route cardinality is bounded by
 // routeLabel; the status-code label is the final code from the recorder.

@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/summary"
 	"repro/internal/topics"
 )
@@ -223,7 +222,7 @@ func TestDegradedAndClientClosedCounters(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("degraded search = %d, want 200: %s", rec.Code, rec.Body)
 	}
-	if got := srv.met.tiers[plan.TierMaterialized].Value(); got != 1 {
+	if got := srv.met.tiers[core.TierMaterialized].Value(); got != 1 {
 		t.Errorf(`tier{materialized} = %d, want 1`, got)
 	}
 
@@ -314,7 +313,7 @@ func TestDegradedDiversifiedKeepsLambda(t *testing.T) {
 		t.Errorf("degraded diversified top-2 = [%s %s], want [%s %s] (lambda re-rank lost?)",
 			resp.Results[0].Topic, resp.Results[1].Topic, label(0), label(2))
 	}
-	if got := srv.met.tiers[plan.TierMaterialized].Value(); got != 1 {
+	if got := srv.met.tiers[core.TierMaterialized].Value(); got != 1 {
 		t.Errorf(`tier{materialized} = %d, want 1`, got)
 	}
 }

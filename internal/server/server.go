@@ -61,7 +61,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/stream"
 	"repro/internal/subscribe"
 	"repro/internal/topics"
@@ -508,13 +507,11 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request) (core.Query,
 	if q.K > s.cfg.MaxK {
 		q.K = s.cfg.MaxK
 	}
-	switch r.URL.Query().Get("method") {
-	case "", "lrw":
-	case "rcl":
-		q.Method = core.MethodRCL
-	default:
-		s.writeErr(w, r, http.StatusBadRequest, "unknown method %q (want lrw or rcl)", r.URL.Query().Get("method"))
-		return q, false
+	if name := r.URL.Query().Get("method"); name != "" {
+		if q.Method, err = core.ParseMethod(name); err != nil {
+			s.writeErr(w, r, http.StatusBadRequest, "%v", err)
+			return q, false
+		}
 	}
 	if ls := r.URL.Query().Get("lambda"); ls != "" {
 		q.Lambda, err = strconv.ParseFloat(ls, 64)
@@ -558,7 +555,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		K:        q.K,
 		Results:  searchRows(ans.Results),
 		Tier:     tier.String(),
-		Degraded: tier != plan.TierFull,
+		Degraded: tier != core.TierFull,
 	})
 }
 
@@ -593,9 +590,9 @@ func (s *Server) failSearch(w http.ResponseWriter, r *http.Request, err error) {
 	case errors.Is(err, core.ErrUnavailable):
 		// The one planned 5xx: neither the full nor the materialized
 		// tier could answer.
-		w.Header().Set(tierHeader, plan.TierUnavailable.String())
+		w.Header().Set(tierHeader, core.TierUnavailable.String())
 		w.Header().Set("Retry-After", "1")
-		s.met.tierServed(plan.TierUnavailable)
+		s.met.tierServed(core.TierUnavailable)
 		s.writeErr(w, r, http.StatusServiceUnavailable, "no fidelity tier can answer: %v", err)
 	case errors.Is(err, context.Canceled):
 		// The client disconnected; nobody is reading the body, but the

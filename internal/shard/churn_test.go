@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/plan"
 	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/summary"
@@ -158,7 +157,7 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: targeted query errored instead of degrading: %v", round, err)
 		}
-		if ans.Outcome.Tier == plan.TierMaterialized {
+		if ans.Outcome.Tier == core.TierMaterialized {
 			degradedSeen.Add(1)
 		}
 	}
@@ -249,7 +248,7 @@ func TestFaultedShardAnswersFromCache(t *testing.T) {
 			if err != nil {
 				t.Fatalf("user %d k=%d: %v, want a materialized answer", user, k, err)
 			}
-			if out := got.Outcome; out.Tier != plan.TierMaterialized || out.Complete {
+			if out := got.Outcome; out.Tier != core.TierMaterialized || out.Complete {
 				t.Fatalf("user %d k=%d: outcome %+v, want partial materialized", user, k, out)
 			}
 			engines[faultShard].SetSummarizer(core.MethodLRW, nil)

@@ -22,26 +22,22 @@ func TestDoDeduplicates(t *testing.T) {
 	var wg sync.WaitGroup
 	vals := make([]int, workers)
 	errs := make([]error, workers)
-	started := make(chan struct{}, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			started <- struct{}{}
 			vals[w], errs[w], _ = g.Do(context.Background(), "k", func(context.Context) (int, error) {
 				<-gate // hold the flight open until all workers joined
 				return int(calls.Add(1)), nil
 			})
 		}(w)
 	}
-	for w := 0; w < workers; w++ {
-		<-started
+	// The first worker holds the flight open at the gate; once every
+	// other one has joined it, releasing the gate lets the one shared
+	// call finish.
+	for g.Stats().DedupedWaits < workers-1 {
+		time.Sleep(time.Millisecond)
 	}
-	// Every worker has signaled; give the scheduler a moment so they all
-	// block inside Do (between the signal and Do there is straight-line
-	// code only) while the first holds the flight open at the gate. Then
-	// releasing the gate lets the one shared call finish.
-	time.Sleep(50 * time.Millisecond)
 	close(gate)
 	wg.Wait()
 	if got := calls.Load(); got != 1 {
@@ -89,7 +85,9 @@ func TestWaiterCancellationDoesNotAbortCall(t *testing.T) {
 	// Impatient waiter joins, then its context is canceled.
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(10 * time.Millisecond)
+		for g.Stats().DedupedWaits == 0 {
+			time.Sleep(time.Millisecond)
+		}
 		cancel()
 	}()
 	_, err, shared := g.Do(ctx, "k", func(context.Context) (string, error) {
