@@ -61,7 +61,10 @@ help:
 	@echo "                   query gate held by an open session, a Run and a nested hold"
 	@echo "                   while Retire drains (OpenHoldsGateUntilDone,"
 	@echo "                   RetireDrainsBuiltEngine, RunHoldsGateAcrossRerank,"
-	@echo "                   GateTokenNamesItsGate); in singleflight, every caller joining"
+	@echo "                   GateTokenNamesItsGate), a herd joining one summary build and a"
+	@echo "                   waiter canceled once joined (SummarizeSingleFlight,"
+	@echo "                   MetricsDedupWaits, SummarizeWaiterCancellationKeepsBuild);"
+	@echo "                   in singleflight, every caller joining"
 	@echo "                   one flight and a waiter canceled while joined (DoDeduplicates,"
 	@echo "                   WaiterCancellationDoesNotAbortCall)"
 	@echo "make vulncheck   - govulncheck when installed (best-effort)"
@@ -169,12 +172,14 @@ chaos:
 # builds, the first error in topic order, a cancel stopping the
 # hand-out) and the query gate a Retire drains behind (an open session
 # until Done, a Run on a built engine, a Run across its re-rank, a
-# nested hold under its own engine's token), and singleflight's joins
+# nested hold under its own engine's token), the engine's summary builds
+# (a herd joining one build before its gate opens, counted once, and a
+# waiter canceled only once it has joined), and singleflight's joins
 # (every caller on one flight before its gate opens, a waiter canceled
 # only once it has joined). A red run here is a race
 # one tier-1 pass would meet about once in a hundred.
 stress:
-	$(GO) test -count=200 -run '^(TestBuildingOpenFansOut|TestOpenHoldsGateUntilDone|TestRetireDrainsBuiltEngine|TestRunHoldsGateAcrossRerank|TestGateTokenNamesItsGate|TestDoDeduplicates|TestWaiterCancellationDoesNotAbortCall)$$' ./internal/core/ ./internal/singleflight/
+	$(GO) test -count=200 -run '^(TestBuildingOpenFansOut|TestOpenHoldsGateUntilDone|TestRetireDrainsBuiltEngine|TestRunHoldsGateAcrossRerank|TestGateTokenNamesItsGate|TestSummarizeSingleFlight|TestMetricsDedupWaits|TestSummarizeWaiterCancellationKeepsBuild|TestDoDeduplicates|TestWaiterCancellationDoesNotAbortCall)$$' ./internal/core/ ./internal/singleflight/
 
 # The repo's benchmark is benchmark/ (declared in BENCHMARK.json): it
 # boots the real pitserve on loopback and measures it end to end.

@@ -27,7 +27,11 @@ var benchRunner = sync.OnceValue(func() *eval.Runner {
 			cfg.Scale = v
 		}
 	}
-	return eval.NewRunner(cfg)
+	r, err := eval.NewRunner(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
 })
 
 func benchFigure(b *testing.B, id string) {

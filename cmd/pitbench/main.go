@@ -52,7 +52,10 @@ func run(exp string, cfg eval.Config, mdOut string) error {
 	if err := cfg.CheckFlags(); err != nil {
 		return err
 	}
-	runner := eval.NewRunner(cfg)
+	runner, err := eval.NewRunner(cfg)
+	if err != nil {
+		return err
+	}
 	var ids []string
 	if exp == "all" {
 		for _, e := range eval.Experiments() {
@@ -61,21 +64,22 @@ func run(exp string, cfg eval.Config, mdOut string) error {
 	} else {
 		ids = []string{exp}
 	}
+	results := make([]eval.Result, 0, len(ids))
 	for _, id := range ids {
 		start := time.Now()
 		table, err := runner.Run(id)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
+		res := eval.Result{Table: table, Took: time.Since(start)}
+		results = append(results, res)
 		fmt.Println(table.Format())
-		fmt.Printf("(%s regenerated in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s regenerated in %v)\n\n", id, res.Took.Round(time.Millisecond))
 	}
 	if mdOut != "" {
-		// Re-renders from cached environments, so this is cheap.
-		report, err := runner.Report(ids)
-		if err != nil {
-			return err
-		}
+		// Rendered from the tables and times of the pass above: nothing
+		// runs twice.
+		report := eval.RenderReport(runner.Config(), results)
 		if err := os.WriteFile(mdOut, []byte(report), 0o644); err != nil {
 			return fmt.Errorf("write markdown report: %w", err)
 		}

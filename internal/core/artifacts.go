@@ -77,7 +77,7 @@ func (e *Engine) SaveArtifacts(dir string, format storage.Format) error {
 // built indexes, written once from engines[0] (engines over one dataset
 // hold equal ones), plus each method's summary batch — the union of the
 // engines' caches, which a topic-partitioned serving set keeps disjoint,
-// sorted by topic, when there is any. Such a set therefore writes byte
+// in topic order, when there is any. Such a set therefore writes byte
 // for byte what one engine holding the whole corpus writes: the
 // directory belongs to the dataset and records nothing about how many
 // engines wrote it. Every file is written
@@ -101,13 +101,17 @@ func WriteArtifacts(dir string, engines ...*Engine) error {
 	}
 	for _, m := range []Method{MethodLRW, MethodRCL} {
 		var sums []summary.Summary
-		for _, e := range engines {
-			sums = e.corpus.cache.appendMethod(sums, m)
+		for t := range engines[0].space.NumTopics() {
+			for _, e := range engines {
+				if s, ok := e.corpus.cached(cacheKey{m, topics.TopicID(t)}); ok {
+					sums = append(sums, s)
+					break
+				}
+			}
 		}
 		if len(sums) == 0 {
 			continue
 		}
-		slices.SortFunc(sums, func(a, b summary.Summary) int { return int(a.Topic) - int(b.Topic) })
 		if err := storage.SaveSummaries(filepath.Join(dir, SummaryArtifact(m)), sums); err != nil {
 			return err
 		}

@@ -1,6 +1,6 @@
 package core
 
-// PR 3 concurrency tests: the sharded cache under churn, singleflight
+// Concurrency tests: the summary cache under churn, singleflight
 // materialization (exactly one summarization per topic under concurrent
 // misses), waiter cancellation not aborting the shared build, and
 // RunMany's worker clamping + first-error semantics. Run with -race.
@@ -34,6 +34,19 @@ func (c *countingSummarizer) Summarize(_ context.Context, t topics.TopicID) (sum
 	return summary.New(t, nil), nil
 }
 
+// awaitDedupWaits blocks until at least n callers have joined another
+// caller's in-flight build on eng, failing the test after 5 s.
+func awaitDedupWaits(t *testing.T, eng *Engine, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); eng.corpus.flight.Stats().DedupedWaits < n; {
+		if time.Now().After(deadline) {
+			t.Errorf("only %d of %d callers joined the in-flight build after 5s", eng.corpus.flight.Stats().DedupedWaits, n)
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestSummarizeSingleFlight: N concurrent misses on one uncached topic
 // run the backend summarizer exactly once — the singleflight guarantee
 // the ISSUE's tentpole demands, observed through the SetSummarizer seam.
@@ -57,11 +70,9 @@ func TestSummarizeSingleFlight(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		<-started
 	}
-	// All workers have signaled; between the signal and blocking in the
-	// flight there is only straight-line code (cache miss, ctx check), so
-	// a short sleep lets every one of them join the in-flight build the
-	// gate is holding open. Then one release completes the shared call.
-	time.Sleep(50 * time.Millisecond)
+	// Every worker but the leader joins the in-flight build the gate is
+	// holding open; then one release completes the shared call.
+	awaitDedupWaits(t, eng, workers-1)
 	close(cs.gate)
 	wg.Wait()
 
@@ -105,7 +116,8 @@ func TestSummarizeWaiterCancellationKeepsBuild(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(10 * time.Millisecond)
+		// Cancel only once the impatient waiter has joined the build.
+		awaitDedupWaits(t, eng, 1)
 		cancel()
 	}()
 	if _, err := eng.Summarize(ctx, MethodLRW, 0); !errors.Is(err, context.Canceled) {
@@ -124,7 +136,7 @@ func TestSummarizeWaiterCancellationKeepsBuild(t *testing.T) {
 	}
 }
 
-// TestCacheChurnRace hammers the sharded cache from every write path at
+// TestCacheChurnRace hammers the summary cache from every write path at
 // once — Search (fill-on-miss), InvalidateTopic, PreloadSummaries, and
 // the CachedSummaries stats walk — while -race watches. Searches must
 // keep returning valid rankings throughout.
@@ -285,44 +297,6 @@ func TestMaterializeManyMixedErrorTypes(t *testing.T) {
 	}
 }
 
-// TestInvalidateDuringBuildIsNotCached: an InvalidateTopic landing
-// while a summary build is in flight wins — the build's result still
-// reaches its waiters, but it must NOT land in the cache (it summarizes
-// pre-invalidation data), and the next Summarize rebuilds.
-func TestInvalidateDuringBuildIsNotCached(t *testing.T) {
-	eng := builtEngine(t)
-	cs := &countingSummarizer{gate: make(chan struct{})}
-	eng.SetSummarizer(MethodLRW, cs)
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := eng.Summarize(context.Background(), MethodLRW, 0)
-		done <- err
-	}()
-	// Wait until the build is past its in-flight cache re-check (the
-	// summarizer increments before blocking on the gate).
-	for cs.calls.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	eng.InvalidateTopic(0)
-	close(cs.gate)
-	if err := <-done; err != nil {
-		t.Fatalf("build interrupted by invalidation should still serve its waiters: %v", err)
-	}
-	if _, ok := eng.CachedSummary(MethodLRW, 0); ok {
-		t.Fatal("summary built before InvalidateTopic landed stayed cached")
-	}
-	if _, err := eng.Summarize(context.Background(), MethodLRW, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := cs.calls.Load(); got != 2 {
-		t.Fatalf("summarizer ran %d times, want 2 — post-invalidation Summarize must rebuild", got)
-	}
-	if _, ok := eng.CachedSummary(MethodLRW, 0); !ok {
-		t.Fatal("post-invalidation rebuild was not cached")
-	}
-}
-
 // blockingSummarizer parks until its context is canceled — the stand-in
 // for a long build only the engine lifecycle can stop.
 type blockingSummarizer struct {
@@ -334,6 +308,44 @@ func (b *blockingSummarizer) Summarize(ctx context.Context, _ topics.TopicID) (s
 	b.once.Do(func() { close(b.entered) })
 	<-ctx.Done()
 	return summary.Summary{}, ctx.Err()
+}
+
+// TestBuildNeverOverwritesPreload: a preload landing while a build of
+// the same topic is in flight stays cached — the build installs only
+// into an empty slot — while the build's waiter still gets the build.
+func TestBuildNeverOverwritesPreload(t *testing.T) {
+	eng := builtEngine(t)
+	cs := &countingSummarizer{gate: make(chan struct{})}
+	eng.SetSummarizer(MethodLRW, cs)
+
+	done := make(chan summary.Summary, 1)
+	go func() {
+		s, err := eng.Summarize(context.Background(), MethodLRW, 0)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- s
+	}()
+	for deadline := time.Now().Add(5 * time.Second); cs.calls.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("build did not start within 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	marker := summary.New(0, []summary.WeightedNode{{Node: 3, Weight: 1}})
+	if err := eng.PreloadSummaries(MethodLRW, []summary.Summary{marker}); err != nil {
+		t.Fatal(err)
+	}
+	close(cs.gate)
+	if got := <-done; got.Len() != 0 {
+		t.Errorf("waiter got %+v, want the build's empty summary", got)
+	}
+	if got, ok := eng.CachedSummary(MethodLRW, 0); !ok || got.Len() != 1 || got.Reps[0].Node != 3 {
+		t.Errorf("CachedSummary = %+v, %v; want the preload, not the build", got, ok)
+	}
+	if got := cs.calls.Load(); got != 1 {
+		t.Errorf("summarizer ran %d times, want 1", got)
+	}
 }
 
 // TestCloseCancelsDetachedBuild: waiter cancellation deliberately never

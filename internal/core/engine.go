@@ -21,7 +21,7 @@
 // drains behind it; nested calls on a held engine ride the outer hold.
 // Behind the gate, reads take no engine-wide lock: readiness is an
 // atomic flag that publishes the immutable indexes, the summary cache
-// is sharded with per-shard RWMutexes (sumcache.go), and cache misses
+// is one atomic slot per (method, topic) (sumcache.go), and cache misses
 // go through a multi-key singleflight group, so a thundering herd of
 // identical queries triggers exactly one summarization per topic. The
 // summarizers take their scratch from pools, one per call. The
@@ -125,19 +125,25 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-func (o *Options) fill() {
-	if o.WalkL <= 0 {
+// fill gives each zero field its default and refuses any other
+// out-of-range θ, L or R, naming the field.
+func (o *Options) fill() error {
+	if o.WalkL == 0 {
 		o.WalkL = 6
 	}
-	if o.WalkR <= 0 {
+	if o.WalkR == 0 {
 		o.WalkR = 16
 	}
-	if o.Theta <= 0 || o.Theta >= 1 {
+	if o.Theta == 0 {
 		o.Theta = 0.01
 	}
 	if o.RCL.Seed == 0 {
 		o.RCL.Seed = o.Seed
 	}
+	if err := o.check("Theta", "WalkL", "WalkR"); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidArgument, err)
+	}
+	return nil
 }
 
 // RegisterFlags binds -L, -R, -theta and -seed on fs to o: the one
@@ -145,7 +151,7 @@ func (o *Options) fill() {
 // zero Options runs at, with seed 1. Call CheckFlags after fs.Parse.
 func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	var d Options
-	d.fill()
+	_ = d.fill() // the zero Options is in range
 	fs.Float64Var(&o.Theta, "theta", d.Theta, "propagation-index threshold θ")
 	fs.IntVar(&o.WalkL, "L", d.WalkL, "random-walk length L")
 	fs.IntVar(&o.WalkR, "R", d.WalkR, "random walks per node R")
@@ -155,20 +161,24 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 // CheckFlags refuses what RegisterFlags bound out of range, naming the
 // flag. Unlike a zero Options field, which New fills with its default,
 // a value given on a command line is never replaced silently.
-func (o Options) CheckFlags() error {
+func (o Options) CheckFlags() error { return o.check("-theta", "-L", "-R") }
+
+// check refuses an out-of-range θ, L or R, calling each by the name
+// given for it.
+func (o Options) check(theta, walkL, walkR string) error {
 	switch {
 	case !(o.Theta > 0 && o.Theta < 1): // NaN fails both comparisons
-		return fmt.Errorf("-theta: want 0 < θ < 1, got %v", o.Theta)
+		return fmt.Errorf("%s: want 0 < θ < 1, got %v", theta, o.Theta)
 	case o.WalkL < 1:
-		return fmt.Errorf("-L: want a walk length of at least 1, got %d", o.WalkL)
+		return fmt.Errorf("%s: want a walk length of at least 1, got %d", walkL, o.WalkL)
 	case o.WalkR < 1:
-		return fmt.Errorf("-R: want at least 1 walk per node, got %d", o.WalkR)
+		return fmt.Errorf("%s: want at least 1 walk per node, got %d", walkR, o.WalkR)
 	}
 	return nil
 }
 
 // Engine owns the graph, topic space, both offline indexes, the two
-// summarizers and a sharded per-method summary cache. All methods are
+// summarizers and a per-method summary cache. All methods are
 // safe for concurrent use after BuildIndexes has returned.
 type Engine struct {
 	g     *graph.Graph
@@ -196,7 +206,7 @@ type Engine struct {
 	life     context.Context
 	stopLife context.CancelFunc
 
-	// corpus is the materialized-summary unit: sharded cache plus the
+	// corpus is the materialized-summary unit: slot table plus the
 	// build-deduplicating singleflight group (corpus.go). In a
 	// partitioned deployment each shard engine's corpus holds only the
 	// topics its partition owns.
@@ -226,12 +236,15 @@ type Engine struct {
 }
 
 // New returns an Engine over the graph and topic space. Indexes are not
-// built yet; call BuildIndexes before searching.
+// built yet; call BuildIndexes before searching. A zero θ, L or R runs at
+// its default; any other out-of-range one is ErrInvalidArgument.
 func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 	if g == nil || space == nil {
 		return nil, fmt.Errorf("core: nil graph or topic space")
 	}
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		g:        g,
 		space:    space,
@@ -239,7 +252,7 @@ func New(g *graph.Graph, space *topics.Space, opts Options) (*Engine, error) {
 		override: map[Method]summary.Summarizer{},
 	}
 	e.life, e.stopLife = context.WithCancel(context.Background())
-	e.corpus.init(e.life)
+	e.corpus.init(e.life, space.NumTopics())
 	if opts.Metrics != nil {
 		e.met = newEngineMetrics(opts.Metrics)
 	}
@@ -313,6 +326,7 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 func (e *Engine) Options() Options { return e.opts }
 
 // CachedSummary returns the cached summary of t under m, if materialized.
+// An unknown method or topic reads as not materialized.
 func (e *Engine) CachedSummary(m Method, t topics.TopicID) (summary.Summary, bool) {
 	return e.corpus.cached(cacheKey{m, t})
 }
@@ -335,7 +349,9 @@ func (e *Engine) Ready() bool { return e.ready.Load() }
 // every cache-miss Summarize call (the engine does not serialize it; it
 // must be safe for concurrent use, or manage its own locking). Passing nil
 // restores the built-in implementation. Already-cached summaries are kept;
-// call InvalidateTopic to force recomputation through the replacement.
+// call InvalidateTopic to force recomputation through the replacement. A
+// build the previous backend has in flight may still install after such
+// an invalidation, since a build fills any empty slot.
 func (e *Engine) SetSummarizer(m Method, s summary.Summarizer) {
 	e.ovMu.Lock()
 	defer e.ovMu.Unlock()
@@ -463,9 +479,11 @@ func (e *Engine) MaterializeAll(ctx context.Context, m Method) error {
 // summarization "after a period of time when the social network and topics
 // have changed" (§4.4); callers tracking topic churn can refresh just the
 // affected topics instead of rebuilding the whole topic-to-representative
-// index.
+// index. A build of t already in flight may still install its result
+// afterwards: a built-in build is deterministic over the engine's fixed
+// inputs, so it installs what the next miss would rebuild.
 func (e *Engine) InvalidateTopic(t topics.TopicID) {
-	e.corpus.cache.deleteTopic(t, MethodLRW, MethodRCL)
+	e.corpus.cache.deleteTopic(t)
 }
 
 // CachedSummaries returns how many topic summaries are currently
@@ -475,8 +493,10 @@ func (e *Engine) CachedSummaries(m Method) int {
 }
 
 // PreloadSummaries seeds the cache with externally materialized summaries
-// (e.g. loaded from internal/storage). Summaries for unknown topics or
-// failing validation are rejected; a failed preload installs nothing.
+// (e.g. loaded from internal/storage). A preload is authoritative: it
+// replaces whatever the topic's slot held, and a build in flight never
+// overwrites it. Summaries for unknown topics or failing validation are
+// rejected; a failed preload installs nothing.
 func (e *Engine) PreloadSummaries(m Method, sums []summary.Summary) error {
 	if !m.valid() {
 		return fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, m)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -70,6 +71,31 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(g, nil, Options{}); err == nil {
 		t.Error("nil space accepted")
+	}
+	// A zero field runs at its default; any other out-of-range θ, L or R
+	// is refused by its field name, never replaced by the default.
+	nan := math.NaN()
+	for _, c := range []struct {
+		opts  Options
+		field string
+	}{
+		{Options{Theta: 1.5, WalkL: -1}, "Theta:"},
+		{Options{Theta: 1}, "Theta:"},
+		{Options{Theta: -0.1}, "Theta:"},
+		{Options{Theta: nan}, "Theta:"},
+		{Options{WalkL: -1}, "WalkL:"},
+		{Options{WalkR: -16}, "WalkR:"},
+	} {
+		if _, err := New(g, space, c.opts); !errors.Is(err, ErrInvalidArgument) || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("New(%+v) = %v, want ErrInvalidArgument naming %s", c.opts, err, c.field)
+		}
+	}
+	eng, err := New(g, space, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := eng.Options(); o.Theta != 0.01 || o.WalkL != 6 || o.WalkR != 16 {
+		t.Errorf("zero Options filled to θ %v, L %d, R %d; want 0.01, 6, 16", o.Theta, o.WalkL, o.WalkR)
 	}
 }
 
@@ -140,7 +166,9 @@ func TestRegisterFlags(t *testing.T) {
 	fs := flag.NewFlagSet("core", flag.ContinueOnError)
 	o.RegisterFlags(fs)
 	want := Options{Seed: 1}
-	want.fill()
+	if err := want.fill(); err != nil {
+		t.Fatal(err)
+	}
 	want.RCL.Seed = 0 // New derives it from the bound -seed
 	if !reflect.DeepEqual(o, want) {
 		t.Errorf("bound defaults %+v, want the filled zero Options %+v", o, want)
@@ -196,6 +224,12 @@ func TestSummarizeErrors(t *testing.T) {
 	}
 	if _, err := eng.Summarize(context.Background(), Method(42), 0); err == nil {
 		t.Error("unknown method accepted")
+	}
+	// A key outside the slot table reads as a miss, never a panic.
+	for _, k := range []cacheKey{{Method(7), 0}, {MethodLRW, -1}, {MethodLRW, topics.TopicID(eng.Space().NumTopics())}} {
+		if _, ok := eng.CachedSummary(k.m, k.t); ok {
+			t.Errorf("CachedSummary(%v, %d) hit", k.m, k.t)
+		}
 	}
 }
 

@@ -107,10 +107,9 @@ func TestMetricsDedupWaits(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		<-started
 	}
-	// Between signaling started and parking in the flight there is only
-	// straight-line code (cache miss, ctx check); a short sleep lets the
-	// whole herd join the build the gate is holding open.
-	time.Sleep(50 * time.Millisecond)
+	// The gate opens only once the whole herd has joined the build it is
+	// holding open.
+	awaitDedupWaits(t, eng, workers-1)
 	close(cs.gate)
 	wg.Wait()
 

@@ -125,7 +125,7 @@ func (e *Engine) WarmSummaries(ctx context.Context, m Method, opts WarmOptions) 
 // instrumented warm pool: a whole-corpus warm passes every topic, a
 // shard (shard.Router.WarmOwned) the topics it owns. It is the engine's
 // miss path with up to opts.Workers builders, i.e. the singleflight group
-// and the sharded cache: topics already materialized are skipped at
+// and the slot cache: topics already materialized are skipped at
 // cache-hit cost, the rest build in blocks of up to lrw.Lanes, and a
 // warm racing live cache misses collapses into the same in-flight
 // builds. Each warmed topic counts into pit_warm_topics_total and

@@ -230,8 +230,8 @@ func TestWarmSummariesMetrics(t *testing.T) {
 // TestWarmChurnAgainstInvalidate races WarmSummaries with InvalidateTopic
 // over the whole corpus (the §4.4 refresh scenario). Whatever interleaving
 // the race detector explores, a final warm over a quiet engine must leave
-// every topic cached with a summary byte-identical to a fresh build — no
-// stale putIfGen write may survive an invalidation.
+// every topic cached with a summary byte-identical to a fresh build — a
+// build that installs past an invalidation installs exactly that.
 func TestWarmChurnAgainstInvalidate(t *testing.T) {
 	eng := builtEngine(t)
 	total := eng.Space().NumTopics()

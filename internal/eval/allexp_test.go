@@ -20,7 +20,7 @@ func TestAllExperimentsTinyScale(t *testing.T) {
 	cfg.Users = 1
 	cfg.WalkL = 3
 	cfg.WalkR = 4
-	r := NewRunner(cfg)
+	r := mustRunner(t, cfg)
 	for _, exp := range Experiments() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
@@ -65,7 +65,7 @@ func TestReportRendersAllRequested(t *testing.T) {
 	cfg.Scale = 0.05
 	cfg.Queries = 1
 	cfg.Users = 1
-	r := NewRunner(cfg)
+	r := mustRunner(t, cfg)
 	report, err := r.Report([]string{"fig4", "fig5"})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/search"
 )
@@ -83,17 +85,61 @@ func TestExperimentRegistryComplete(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	r := NewRunner(TestConfig())
+	r := mustRunner(t, TestConfig())
 	if _, err := r.Run("fig99"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
+// mustRunner is NewRunner for a configuration the test knows is valid.
+func mustRunner(t *testing.T, cfg Config) *Runner {
+	t.Helper()
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestRenderReportRunsNothing: the Markdown report renders the tables
+// and times it is given under the configuration header; no runner is
+// involved, so nothing re-runs.
+func TestRenderReportRunsNothing(t *testing.T) {
+	results := []Result{
+		{Table{ID: "figA", Caption: "first", Header: []string{"x", "y"}, Rows: [][]string{{"1", "2"}}}, 1500 * time.Millisecond},
+		{Table{ID: "figB", Caption: "second", Header: []string{"z"}, Rows: [][]string{{"3"}}}, 20 * time.Millisecond},
+	}
+	report := RenderReport(DefaultConfig(), results)
+	for _, want := range []string{"# PIT-Search experiment report", "Configuration: scale 1.00", "### figA — first", "| 1 | 2 |", "_regenerated in 1.5s_", "### figB — second", "| 3 |", "_regenerated in 20ms_"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report missing %q:\n%s", want, report)
+		}
+	}
+}
+
+// TestConfigFillDefaults: a zero field runs at its default, and any
+// other out-of-range θ, L or R is an error naming its flag, never
+// replaced by the default.
 func TestConfigFillDefaults(t *testing.T) {
-	r := NewRunner(Config{})
+	r := mustRunner(t, Config{})
 	cfg := r.Config()
 	if cfg.Scale != 1 || cfg.WalkL != 6 || cfg.Queries < 1 {
 		t.Errorf("zero config not filled: %+v", cfg)
+	}
+	for _, c := range []struct {
+		mod  func(*Config)
+		flag string
+	}{
+		{func(c *Config) { c.Theta = 1.5 }, "-theta:"},
+		{func(c *Config) { c.Theta = math.NaN() }, "-theta:"},
+		{func(c *Config) { c.WalkL = -1 }, "-L:"},
+		{func(c *Config) { c.WalkR = -1 }, "-R:"},
+	} {
+		cfg := TestConfig()
+		c.mod(&cfg)
+		if _, err := NewRunner(cfg); err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("NewRunner = %v, want an error naming %s", err, c.flag)
+		}
 	}
 }
 
@@ -121,7 +167,7 @@ func TestFig5Shape(t *testing.T) {
 	cfg.Queries = 2
 	cfg.Users = 2
 	cfg.WalkL = 6
-	r := NewRunner(cfg)
+	r := mustRunner(t, cfg)
 	tab, err := r.Run("fig5")
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +199,7 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	r := NewRunner(TestConfig())
+	r := mustRunner(t, TestConfig())
 	tab, err := r.Run("fig10")
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +229,7 @@ func TestFig16Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	r := NewRunner(TestConfig())
+	r := mustRunner(t, TestConfig())
 	tab, err := r.Run("fig16")
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,9 @@ func TestConfig() Config {
 	return c
 }
 
-func (c *Config) fill() {
+// fill gives each unset field its default and refuses any other
+// out-of-range θ, L or R, naming the pitbench flag that sets it.
+func (c *Config) fill() error {
 	d := DefaultConfig()
 	if c.Scale <= 0 {
 		c.Scale = d.Scale
@@ -68,18 +70,19 @@ func (c *Config) fill() {
 	if c.Users <= 0 {
 		c.Users = d.Users
 	}
-	if c.WalkL <= 0 {
+	if c.WalkL == 0 {
 		c.WalkL = d.WalkL
 	}
-	if c.WalkR <= 0 {
+	if c.WalkR == 0 {
 		c.WalkR = d.WalkR
 	}
-	if c.Theta <= 0 || c.Theta >= 1 {
+	if c.Theta == 0 {
 		c.Theta = d.Theta
 	}
 	if c.RepScale <= 0 {
 		c.RepScale = d.RepScale
 	}
+	return c.CheckFlags()
 }
 
 // repsFor converts a paper representative count to this run's scale
@@ -117,10 +120,13 @@ type Runner struct {
 	envs map[envKey]*env
 }
 
-// NewRunner returns a Runner with the given configuration.
-func NewRunner(cfg Config) *Runner {
-	cfg.fill()
-	return &Runner{cfg: cfg, envs: map[envKey]*env{}}
+// NewRunner returns a Runner with the given configuration. A zero θ, L
+// or R runs at its default; any other out-of-range one is an error.
+func NewRunner(cfg Config) (*Runner, error) {
+	if err := cfg.fill(); err != nil {
+		return nil, fmt.Errorf("eval: %w", err)
+	}
+	return &Runner{cfg: cfg, envs: map[envKey]*env{}}, nil
 }
 
 // Config returns the runner's effective configuration.

@@ -37,7 +37,7 @@ type Options struct {
 }
 
 func (o *Options) fill() error {
-	if o.Theta <= 0 || o.Theta >= 1 {
+	if !(o.Theta > 0 && o.Theta < 1) { // NaN fails both comparisons
 		return fmt.Errorf("propidx: theta must be in (0,1), got %v", o.Theta)
 	}
 	if o.MaxPathsPerNode <= 0 {

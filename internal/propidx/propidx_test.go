@@ -29,6 +29,15 @@ func TestBuildValidatesTheta(t *testing.T) {
 			t.Errorf("theta %v accepted", theta)
 		}
 	}
+	// NaN fails every comparison, so a range check written as two
+	// rejections lets it through and the θ-bounded enumeration never cuts
+	// a path. On a canceled context an accepted NaN fails fast with
+	// context.Canceled instead of the θ error.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Build(ctx, g, Options{Theta: math.NaN()}); err == nil || errors.Is(err, context.Canceled) {
+		t.Errorf("theta NaN: got %v, want the θ range error", err)
+	}
 }
 
 func TestGammaAggregatesPathProducts(t *testing.T) {
