@@ -39,8 +39,8 @@
 // batching pipeline (-stream-batch events or -stream-max-age, whichever
 // first) that incrementally refreshes and hot-swaps the engines, and
 // POST /subscribe registers standing queries pushed over SSE when an
-// applied batch changes their top-k. -decay-halflife fades queued
-// event weights by age before application.
+// applied batch changes their top-k. A batch applies exactly the edge
+// weights it was sent.
 //
 // Serving is always partitioned (DESIGN.md §16): the summary corpus is
 // split across -shards N engines (default 1) by stable topic hash, and
@@ -101,7 +101,6 @@ type options struct {
 	indexDir        string
 	streamBatch     int
 	streamMaxAge    time.Duration
-	decayHalfLife   time.Duration
 	shards          int
 	// The engine's -L, -R, -theta and -seed, bound by core.
 	core.Options
@@ -171,7 +170,6 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.indexDir, "index-dir", "", "artifact directory: cold-start from it when populated (by `datagen -index-dir` or an earlier run at any -shards), save freshly built indexes into it otherwise (empty disables persistence)")
 	fs.IntVar(&o.streamBatch, "stream-batch", 0, "streaming updates: apply a batch once this many events are pending (0 disables streaming; enables POST /updates and /subscribe)")
 	fs.DurationVar(&o.streamMaxAge, "stream-max-age", time.Second, "streaming updates: apply a smaller batch once its oldest event is this old")
-	fs.DurationVar(&o.decayHalfLife, "decay-halflife", 0, "halve a queued event's edge weight per this much age at application time (0 disables decay)")
 	fs.IntVar(&o.shards, "shards", 1, "partition the summary corpus across N shard engines behind the scatter-gather router (at least 1)")
 }
 
@@ -246,10 +244,9 @@ func buildApp(o options) (*app, error) {
 	if o.streamBatch > 0 {
 		a.subs = subscribe.NewRegistry(reg)
 		a.pipe, err = stream.NewSet(engines, stream.Config{
-			BatchSize:     o.streamBatch,
-			MaxAge:        o.streamMaxAge,
-			DecayHalfLife: o.decayHalfLife,
-			Metrics:       reg,
+			BatchSize: o.streamBatch,
+			MaxAge:    o.streamMaxAge,
+			Metrics:   reg,
 			OnApply: func(ctx context.Context, r stream.ApplyResult) {
 				// Standing queries evaluate against the router; by now
 				// every shard it scatters to serves the batch.

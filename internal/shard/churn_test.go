@@ -314,7 +314,7 @@ func TestRouterFollowsGrownGraph(t *testing.T) {
 	// not trivially empty.
 	grown := graph.NodeID(g.NumNodes())
 	events := []stream.Event{{From: 3, To: grown, Weight: 0.6}, {From: 41, To: grown, Weight: 0.4}}
-	if err := set.GrowNodes(1); err != nil {
+	if err := set.Update(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := set.Submit(events...); err != nil {
@@ -323,7 +323,7 @@ func TestRouterFollowsGrownGraph(t *testing.T) {
 	if err := set.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := pipe.GrowNodes(1); err != nil {
+	if err := pipe.Update(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := pipe.Submit(events...); err != nil {

@@ -10,10 +10,11 @@ import (
 // here so the apply path pays one atomic add per event and never
 // allocates.
 type pipeMetrics struct {
-	// submitted counts events accepted by Submit; applied counts events
+	// submitted counts events accepted by Update; applied counts events
 	// that made it into a published engine. applied lags submitted by
-	// the pending batch, and diverges when a batch's refresh fails or an
-	// upsert decayed to nothing before its flush.
+	// the pending batch, and diverges when a batch's refresh fails: its
+	// events are dropped, and with its growth the later events naming
+	// the lost nodes.
 	submitted *obs.Counter
 	applied   *obs.Counter
 	// batches counts successful applies; failures counts batches whose
@@ -30,8 +31,8 @@ type pipeMetrics struct {
 	// swaps counts publications of the whole shard set (it moves once
 	// per batch, with the generation's one pointer store — the same
 	// number as batches, kept because both are scraped); lag observes the
-	// oldest event's age at each publication (batching delay + rebuild
-	// time).
+	// time from the batch's first admission to its publication (batching
+	// delay + rebuild time).
 	swaps *obs.Counter
 	lag   *obs.Histogram
 	// pending gauges the current unapplied batch size.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,10 +25,10 @@ type Pipeline struct {
 	cur atomic.Pointer[core.Generation]
 
 	mu       sync.Mutex // guards pending, nodes, newNodes, oldest
-	pending  []Event
+	pending  []dynamic.EdgeUpdate
 	nodes    int       // events may name nodes below this: published plus accepted growth
 	newNodes int       // growth not yet taken by a flush
-	oldest   time.Time // earliest At among pending events
+	oldest   time.Time // the first admission since the last flush
 
 	kick chan struct{} // buffered(1): wakes the run loop on batch-size
 
@@ -52,9 +53,6 @@ func NewSet(engines []*core.Engine, cfg Config) (*Pipeline, error) {
 	}
 	if cfg.MaxAge <= 0 {
 		cfg.MaxAge = time.Second
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = log.Default()
@@ -101,8 +99,7 @@ func (p *Pipeline) PendingEvents() int {
 }
 
 // Update admits one update: newNodes fresh node IDs, appended after the
-// current maximum, and events for the pending batch, whose zero
-// observation times are stamped with the current clock. The events are
+// current maximum, and events for the pending batch. The events are
 // validated against the node range the growth makes, so they may name
 // the new IDs already. The growth pending for one batch may not exceed
 // the published graph's node count, so a flush at most doubles the
@@ -118,7 +115,6 @@ func (p *Pipeline) Update(newNodes int, events ...Event) error {
 		return fmt.Errorf("stream: %d new nodes: need a count >= 0", newNodes)
 	}
 	published := p.Current().Graph().NumNodes()
-	now := p.cfg.Clock()
 
 	p.mu.Lock()
 	if newNodes > published-p.newNodes {
@@ -134,18 +130,10 @@ func (p *Pipeline) Update(newNodes int, events ...Event) error {
 	}
 	p.nodes += newNodes
 	p.newNodes += newNodes
-	if newNodes > 0 && p.oldest.IsZero() {
-		p.oldest = now
+	if (newNodes > 0 || len(events) > 0) && p.oldest.IsZero() {
+		p.oldest = time.Now()
 	}
-	for _, ev := range events {
-		if ev.At.IsZero() {
-			ev.At = now
-		}
-		if p.oldest.IsZero() || ev.At.Before(p.oldest) {
-			p.oldest = ev.At
-		}
-		p.pending = append(p.pending, ev)
-	}
+	p.pending = append(p.pending, events...)
 	n := len(p.pending)
 	p.mu.Unlock()
 
@@ -165,10 +153,6 @@ func (p *Pipeline) Update(newNodes int, events ...Event) error {
 // Submit is Update with no growth. It stays because frozen
 // benchmark/trace.go calls it.
 func (p *Pipeline) Submit(events ...Event) error { return p.Update(0, events...) }
-
-// GrowNodes is Update with no events, for a caller that grows the graph
-// on its own.
-func (p *Pipeline) GrowNodes(n int) error { return p.Update(n) }
 
 // wake nudges the run loop without blocking; a pending nudge coalesces.
 func (p *Pipeline) wake() {
@@ -216,7 +200,7 @@ func (p *Pipeline) run() {
 		}
 		var wait time.Duration = -1
 		if size > 0 || grow > 0 {
-			wait = p.cfg.MaxAge - p.cfg.Clock().Sub(oldest)
+			wait = p.cfg.MaxAge - time.Since(oldest)
 			if wait <= 0 {
 				p.flushLogged()
 				continue
@@ -255,19 +239,18 @@ func (p *Pipeline) flushLogged() {
 	}
 }
 
-// Flush applies the pending batch to the deployment now. It decays the
-// queued weights against one clock reading (an upsert that decayed to
-// exactly 0 is dropped, not applied as the delete a 0 would mean), applies the batch to the
-// graph once, computes the affected set once, rebuilds every shard's
-// engine side by side over that one graph (each carrying its own
-// shard's unaffected summaries) and publishes all of them or none:
-// if any rebuild fails, every fresh engine is closed, the failure is
-// counted once and the old generation keeps serving on every shard.
-// Success publishes generation ID+1 with one pointer store and then
-// retires the old generation as a whole.
+// Flush applies the pending batch to the deployment now, exactly as it
+// was admitted. It applies the batch to the graph once, computes the
+// affected set once, rebuilds every shard's engine side by side over
+// that one graph (each carrying its own shard's unaffected summaries)
+// and publishes all of them or none: if any rebuild fails, every fresh
+// engine is closed, the failure is counted once and the old generation
+// keeps serving on every shard. Success publishes generation ID+1 with
+// one pointer store and then retires the old generation as a whole.
 // A flush with nothing pending is a no-op. ctx bounds the rebuilds; on
-// error the pending events are dropped (they were consumed by the
-// failed attempt). Concurrent flushes serialize.
+// error the batch's events and growth are lost, and with the growth
+// every event admitted since that names a node past the published graph
+// (its IDs assumed that growth). Concurrent flushes serialize.
 func (p *Pipeline) Flush(ctx context.Context) error {
 	p.applyMu.Lock()
 	defer p.applyMu.Unlock()
@@ -287,31 +270,18 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 		return nil
 	}
 
-	now := p.cfg.Clock()
-	batch := dynamic.Batch{NewNodes: grow, Updates: make([]dynamic.EdgeUpdate, 0, len(events))}
-	for _, ev := range events {
-		w := ev.Weight
-		if w > 0 {
-			w = DecayedWeight(w, now.Sub(ev.At), p.cfg.DecayHalfLife)
-			if w == 0 {
-				// Faded to nothing: the observation carries no influence
-				// any more. Forwarded, the 0 would read as a delete.
-				continue
-			}
-		}
-		batch.Updates = append(batch.Updates, dynamic.EdgeUpdate{From: ev.From, To: ev.To, Weight: w})
-	}
-
+	batch := dynamic.Batch{NewNodes: grow, Updates: events}
 	old := p.Current()
 	fresh, stats, err := p.rebuild(ctx, old.Engines, batch)
 	if err != nil {
-		p.mu.Lock()
-		p.nodes = old.Graph().NumNodes() + p.newNodes // the batch's growth is lost with it
-		p.mu.Unlock()
+		stranded := p.loseGrowth(grow, old.Graph().NumNodes())
 		if p.met != nil {
 			p.met.failures.Inc()
 		}
-		return fmt.Errorf("stream: refresh (batch of %d): %w", len(events), err)
+		if stranded > 0 {
+			err = fmt.Errorf("%w; dropped %d later events naming its new nodes", err, stranded)
+		}
+		return fmt.Errorf("stream: batch of %d events and %d new nodes lost: %w", len(events), grow, err)
 	}
 	if p.cfg.PrepareEngine != nil {
 		for i, eng := range fresh {
@@ -323,7 +293,7 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 	// loading the generation.
 	gen := &core.Generation{ID: old.ID + 1, Engines: fresh}
 	p.cur.Store(gen)
-	lag := p.cfg.Clock().Sub(oldest)
+	lag := time.Since(oldest)
 
 	if p.met != nil {
 		p.met.applied.Add(uint64(len(batch.Updates)))
@@ -342,6 +312,31 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 	// full fidelity while the fresh one already serves new queries.
 	old.Retire()
 	return nil
+}
+
+// loseGrowth rolls the node range back after a failed flush that took
+// grow new nodes with it: the growth admitted since moves down onto the
+// published IDs, so a pending event naming any node past the published
+// graph would land on the wrong node or none, and is dropped. It reports
+// how many were.
+func (p *Pipeline) loseGrowth(grow, published int) int {
+	if grow == 0 {
+		return 0
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.pending)
+	p.pending = slices.DeleteFunc(p.pending, func(ev Event) bool {
+		return int(ev.From) >= published || int(ev.To) >= published
+	})
+	p.nodes = published + p.newNodes
+	if len(p.pending) == 0 && p.newNodes == 0 {
+		p.oldest = time.Time{}
+	}
+	if p.met != nil {
+		p.met.pending.Set(int64(len(p.pending)))
+	}
+	return n - len(p.pending)
 }
 
 // rebuild is the fallible half of Flush: one dynamic.Apply and one

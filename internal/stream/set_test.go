@@ -2,7 +2,7 @@ package stream
 
 // A batch is applied to the deployment, not to a shard: the tests here
 // run one pipeline over two shard engines and pin what a per-shard
-// pipeline could not promise — one clock reading, one published
+// pipeline could not promise — one applied graph, one published
 // generation, counters that cover every shard, no partial publish, and
 // the same indexes on every shard after every batch.
 
@@ -57,41 +57,6 @@ func closeSet(p *Pipeline) {
 	p.Current().Close()
 }
 
-// With decay on and a clock that moves between any two readings, one
-// event still lands with one weight: every shard serves the same
-// applied graph, so no two shards can disagree on an edge by a bit.
-func TestSetDecaysOnce(t *testing.T) {
-	var ticks atomic.Int64
-	p, err := NewSet(testSet(t, 100, 5), Config{
-		BatchSize:     1 << 20,
-		DecayHalfLife: time.Minute,
-		Clock:         func() time.Time { return time.Unix(1000+7*ticks.Add(1), 0) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeSet(p)
-	events := []Event{{From: 1, To: 2, Weight: 0.8}, {From: 2, To: 3, Weight: 0.6}}
-	if err := p.Submit(events...); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	base := p.Current().Graph()
-	for _, ev := range events {
-		want, ok := base.EdgeWeight(ev.From, ev.To)
-		if !ok || want >= ev.Weight {
-			t.Fatalf("shard 0: edge %d→%d = (%v, %v), want a decayed weight below %v", ev.From, ev.To, want, ok, ev.Weight)
-		}
-		for i, eng := range p.Current().Engines {
-			if got, _ := eng.Graph().EdgeWeight(ev.From, ev.To); got != want {
-				t.Errorf("shard %d applied %d→%d at weight %v, shard 0 at %v", i, ev.From, ev.To, got, want)
-			}
-		}
-	}
-}
-
 // OnApply fires once per batch and only after the generation's pointer
 // store: a standing query re-evaluated from the hook scatters over one
 // generation. Swaps() has moved by then, and not before.
@@ -121,7 +86,7 @@ func TestSetOnApplySeesEveryShardSwapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeSet(p)
-	if err := p.GrowNodes(1); err != nil {
+	if err := p.Update(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Submit(Event{From: 1, To: graph.NodeID(nodes), Weight: 0.5}); err != nil {
@@ -170,7 +135,7 @@ func TestSetShardIndexesIdentical(t *testing.T) {
 	nodes := engines[0].Graph().NumNodes()
 	for flush := 1; flush <= 5; flush++ {
 		if flush == 3 {
-			if err := p.GrowNodes(1); err != nil {
+			if err := p.Update(1); err != nil {
 				t.Fatal(err)
 			}
 			if err := p.Submit(Event{From: 2, To: graph.NodeID(nodes), Weight: 0.4}); err != nil {
@@ -255,16 +220,21 @@ func TestSetCountsCarriedOnEveryShard(t *testing.T) {
 }
 
 // cancelAfter is a context that cancels itself on its n-th Err() poll —
-// the index builders poll it, so the cancellation lands mid-rebuild.
+// the index builders poll it, so the cancellation lands mid-rebuild. A
+// hook, when set, runs at that poll before the cancel.
 type cancelAfter struct {
 	context.Context
 	cancel context.CancelFunc
 	polls  atomic.Int64
 	n      int64
+	hook   func()
 }
 
 func (c *cancelAfter) Err() error {
 	if c.polls.Add(1) == c.n {
+		if c.hook != nil {
+			c.hook()
+		}
 		c.cancel()
 	}
 	return c.Context.Err()

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // testEngine builds a small warm engine: generated graph + topics,
@@ -44,103 +44,6 @@ func testEngine(t testing.TB, nodes int, seed int64) *core.Engine {
 		t.Fatal(err)
 	}
 	return eng
-}
-
-func TestDecayedWeight(t *testing.T) {
-	const w = 0.8
-	if got := DecayedWeight(w, time.Hour, 0); got != w {
-		t.Errorf("no half-life: %v, want %v", got, w)
-	}
-	if got := DecayedWeight(w, 0, time.Hour); got != w {
-		t.Errorf("no age: %v, want %v", got, w)
-	}
-	if got := DecayedWeight(w, time.Minute, time.Minute); math.Abs(got-w/2) > 1e-12 {
-		t.Errorf("one half-life: %v, want %v", got, w/2)
-	}
-	if got := DecayedWeight(w, 2*time.Minute, time.Minute); math.Abs(got-w/4) > 1e-12 {
-		t.Errorf("two half-lives: %v, want %v", got, w/4)
-	}
-	// Stays inside the graph's weight domain for any age.
-	for age := time.Second; age < time.Hour; age *= 3 {
-		got := DecayedWeight(1.0, age, time.Minute)
-		if got <= 0 || got > 1 {
-			t.Fatalf("decay left the weight domain: %v at age %v", got, age)
-		}
-	}
-	// Past ≈ 1 075 half-lives the product underflows: the smallest
-	// subnormal is 2^-1074, so 1 074 half-lives still leave something of a
-	// weight of 1 and 1 100 leave exactly nothing, never a negative or NaN.
-	if got := DecayedWeight(1.0, 1074*time.Millisecond, time.Millisecond); got <= 0 {
-		t.Errorf("1 074 half-lives: %v, want the smallest positive float", got)
-	}
-	for _, halfLives := range []time.Duration{1100, 3000, 1 << 40} {
-		if got := DecayedWeight(w, halfLives*time.Millisecond, time.Millisecond); got != 0 {
-			t.Errorf("%d half-lives: %v, want exactly 0", halfLives, got)
-		}
-	}
-}
-
-// An upsert so old that its weight decays to exactly 0 is dropped from
-// the batch: forwarded, the 0 would reach dynamic.Apply as a delete and an
-// old observation of an existing edge would remove it.
-func TestFlushDropsFullyDecayedUpsert(t *testing.T) {
-	eng := testEngine(t, 100, 5)
-	now := time.Unix(1000, 0)
-	reg := obs.NewRegistry()
-	p, err := New(eng, Config{
-		BatchSize:     1 << 20,
-		DecayHalfLife: 10 * time.Millisecond, // with the 30 s below: 3 000 half-lives
-		Clock:         func() time.Time { return now },
-		Metrics:       reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nbrs, ws := eng.Graph().OutNeighbors(0)
-	if len(nbrs) == 0 {
-		t.Fatal("node 0 has no out-edges in the generated graph")
-	}
-	if eng.Graph().HasEdge(1, 0) {
-		t.Fatal("the generated graph already has 1→0")
-	}
-	if err := p.Submit(Event{From: 0, To: nbrs[0], Weight: 0.9}, Event{From: 1, To: 0, Weight: 0.9}); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(30 * time.Second)
-	if err := p.Submit(Event{From: 2, To: 0, Weight: 0.7}); err != nil { // fresh: applied as is
-		t.Fatal(err)
-	}
-	if err := p.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	fresh := p.Engine()
-	defer fresh.Close()
-	if w, ok := fresh.Graph().EdgeWeight(0, nbrs[0]); !ok || w != ws[0] {
-		t.Errorf("existing edge 0→%d = (%v, %v) after a fully decayed upsert, want it untouched at %v", nbrs[0], w, ok, ws[0])
-	}
-	if fresh.Graph().HasEdge(1, 0) {
-		t.Error("a fully decayed upsert created edge 1→0")
-	}
-	if w, _ := fresh.Graph().EdgeWeight(2, 0); w != 0.7 {
-		t.Errorf("the fresh upsert landed at %v, want 0.7", w)
-	}
-	// A dropped upsert was submitted but never applied.
-	submitted := reg.Counter("pit_stream_events_submitted_total", "")
-	applied := reg.Counter("pit_stream_events_applied_total", "")
-	if submitted.Value() != 3 || applied.Value() != 1 {
-		t.Errorf("events submitted %d / applied %d, want 3 / 1 (two faded to nothing)", submitted.Value(), applied.Value())
-	}
-	if err := p.Submit(Event{From: 3, To: 0, Weight: 0.9}); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(30 * time.Second)
-	if err := p.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if s, a := submitted.Value()-3, applied.Value()-1; s != 1 || a != 0 {
-		t.Errorf("a lone faded upsert: submitted %d / applied %d, want 1 / 0", s, a)
-	}
-	p.Engine().Close()
 }
 
 // Submit is all-or-nothing: one bad event rejects the whole call and
@@ -178,8 +81,8 @@ func TestSubmitValidation(t *testing.T) {
 	if n := p.PendingEvents(); n != 2 {
 		t.Fatalf("pending = %d, want 2", n)
 	}
-	// Events may target nodes granted by GrowNodes before any flush.
-	if err := p.GrowNodes(1); err != nil {
+	// Events may target nodes granted by an earlier Update.
+	if err := p.Update(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Submit(Event{From: 100, To: 0, Weight: 0.3}); err != nil {
@@ -202,8 +105,8 @@ func TestGrowNodesAtMostDoubles(t *testing.T) {
 		n  int
 		ok bool
 	}{{1_000_000_000, false}, {math.MaxInt, false}, {60, true}, {41, false}, {40, true}, {1, false}} {
-		if err := p.GrowNodes(c.n); (err == nil) != c.ok {
-			t.Fatalf("GrowNodes(%d) = %v, want accepted %v", c.n, err, c.ok)
+		if err := p.Update(c.n); (err == nil) != c.ok {
+			t.Fatalf("Update(%d) = %v, want accepted %v", c.n, err, c.ok)
 		}
 	}
 	if err := p.Submit(Event{From: 0, To: 199, Weight: 0.5}); err != nil {
@@ -218,8 +121,8 @@ func TestGrowNodesAtMostDoubles(t *testing.T) {
 	if got := p.Current().Graph().NumNodes(); got != 200 {
 		t.Fatalf("graph after the flush has %d nodes, want 200", got)
 	}
-	if err := p.GrowNodes(200); err != nil {
-		t.Fatalf("GrowNodes(200) on a 200-node graph: %v", err)
+	if err := p.Update(200); err != nil {
+		t.Fatalf("Update(200) on a 200-node graph: %v", err)
 	}
 }
 
@@ -249,7 +152,7 @@ func TestSubmitDuringFlushSeesAcceptedGrowth(t *testing.T) {
 	}
 	defer closeSet(p)
 	ctx := context.Background()
-	if err := p.GrowNodes(1); err != nil {
+	if err := p.Update(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Flush(ctx); err != nil {
@@ -265,7 +168,7 @@ func TestSubmitDuringFlushSeesAcceptedGrowth(t *testing.T) {
 		t.Fatalf("edge 0→100 after the next flush = (%v, %v), want (0.4, true)", w, ok)
 	}
 
-	if err := p.GrowNodes(1); err != nil {
+	if err := p.Update(1); err != nil {
 		t.Fatal(err)
 	}
 	canceled, cancel := context.WithCancel(ctx)
@@ -275,6 +178,61 @@ func TestSubmitDuringFlushSeesAcceptedGrowth(t *testing.T) {
 	}
 	if err := p.Submit(Event{From: 0, To: 101, Weight: 0.4}); err == nil {
 		t.Fatal("event on a node whose growth failed to apply was accepted")
+	}
+}
+
+// A flush that fails loses its node growth, and with it the events
+// admitted during the rebuild that name the lost node: they are dropped
+// with the batch instead of failing the next one. An event on the
+// published graph admitted in that window stays pending, and the next
+// flush applies it beside a fresh one. The error names what was lost.
+func TestFailedFlushDropsEventsOnLostGrowth(t *testing.T) {
+	eng := testEngine(t, 100, 3)
+	p, err := NewSet([]*core.Engine{eng}, Config{BatchSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeSet(p)
+	if err := p.Update(1); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var onLost, onOld error
+	failing := &cancelAfter{Context: ctx, cancel: cancel, n: 1, hook: func() {
+		onLost = p.Submit(Event{From: 0, To: 100, Weight: 0.4})
+		onOld = p.Submit(Event{From: 2, To: 3, Weight: 0.321})
+	}}
+	err = p.Flush(failing)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("flush canceled mid-rebuild returned %v, want context.Canceled", err)
+	}
+	if onLost != nil || onOld != nil {
+		t.Fatalf("events admitted during the flush: %v, %v; want both accepted", onLost, onOld)
+	}
+	for _, want := range []string{"0 events and 1 new nodes", "dropped 1 later events"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("failed flush error %q does not say %q", err, want)
+		}
+	}
+	if n := p.PendingEvents(); n != 1 {
+		t.Fatalf("pending = %d after the failed flush, want 1 (the event on the published graph)", n)
+	}
+
+	if err := p.Submit(Event{From: 1, To: 2, Weight: 0.654}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(context.Background()); err != nil {
+		t.Fatalf("the flush after a failed one: %v", err)
+	}
+	g := p.Current().Graph()
+	if g.NumNodes() != 100 {
+		t.Errorf("graph has %d nodes after the lost growth, want 100", g.NumNodes())
+	}
+	if w, _ := g.EdgeWeight(2, 3); w != 0.321 {
+		t.Errorf("2→3 = %v, want the event admitted during the failed flush at 0.321", w)
+	}
+	if w, _ := g.EdgeWeight(1, 2); w != 0.654 {
+		t.Errorf("1→2 = %v, want 0.654", w)
 	}
 }
 
@@ -349,46 +307,6 @@ func TestFlushSwapsAndRetires(t *testing.T) {
 	}
 	if p.Swaps() != 1 || p.Engine() != fresh {
 		t.Error("empty flush swapped the engine")
-	}
-}
-
-// Decay applies to queued events at flush time, from their observation
-// timestamp to the flush clock; deletes (weight 0) never decay into
-// phantom upserts.
-func TestFlushDecaysQueuedWeights(t *testing.T) {
-	eng := testEngine(t, 100, 5)
-	now := time.Unix(1000, 0)
-	p, err := New(eng, Config{
-		BatchSize:     1 << 20,
-		DecayHalfLife: time.Minute,
-		Clock:         func() time.Time { return now },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Submit(Event{From: 1, To: 2, Weight: 0.8}); err != nil {
-		t.Fatal(err)
-	}
-	// Delete an edge the generated graph is known to have, if any; a
-	// nonexistent delete is a no-op, so pick one deterministically.
-	nbrs, _ := eng.Graph().OutNeighbors(0)
-	if len(nbrs) == 0 {
-		t.Fatal("node 0 has no out-edges in the generated graph")
-	}
-	if err := p.Submit(Event{From: 0, To: nbrs[0], Weight: 0}); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(time.Minute) // one half-life in the queue
-	if err := p.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	fresh := p.Engine()
-	defer fresh.Close()
-	if w, ok := fresh.Graph().EdgeWeight(1, 2); !ok || math.Abs(w-0.4) > 1e-12 {
-		t.Errorf("decayed upsert = (%v, %v), want (0.4, true)", w, ok)
-	}
-	if fresh.Graph().HasEdge(0, nbrs[0]) {
-		t.Error("deleted edge survived the decayed flush")
 	}
 }
 

@@ -3,13 +3,14 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/stream"
 	"repro/internal/topics"
@@ -25,7 +26,9 @@ import (
 // leaves anything stale behind poisons every later comparison, and they
 // mix everything the update surface accepts: new-edge upserts,
 // weight-only upserts, deletes, deletes of absent edges, duplicate keys
-// within a batch, node growth, all under time decay on a fake clock.
+// within a batch, node growth. The served graph itself must be exactly
+// what was sent: the previous graph with the batch applied, edge for
+// edge and weight for weight, on every shard.
 func TestRefreshEqualsRebuild(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { refreshEqualsRebuild(t, shards) })
@@ -72,13 +75,10 @@ func refreshEqualsRebuild(t *testing.T, shards int) {
 		engines[i] = eng
 	}
 
-	now := time.Unix(1_700_000_000, 0)
 	var applied stream.ApplyResult
 	pipe, err := stream.NewSet(engines, stream.Config{
-		BatchSize:     1 << 20, // flushes are explicit
-		DecayHalfLife: time.Minute,
-		Clock:         func() time.Time { return now },
-		OnApply:       func(_ context.Context, r stream.ApplyResult) { applied = r },
+		BatchSize: 1 << 20, // flushes are explicit
+		OnApply:   func(_ context.Context, r stream.ApplyResult) { applied = r },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,17 +94,16 @@ func refreshEqualsRebuild(t *testing.T, shards int) {
 		grow := 0
 		if k%10 == 9 {
 			grow = 1 + rng.Intn(2)
-			if err := pipe.GrowNodes(grow); err != nil {
+			if err := pipe.Update(grow); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, ev := range refreshBatch(rng, cur, grow, k) {
-			now = now.Add(time.Duration(1+rng.Intn(20)) * time.Second) // each event decays by its own age
+		submitted := refreshBatch(rng, cur, grow, k)
+		for _, ev := range submitted {
 			if err := pipe.Submit(ev); err != nil {
 				t.Fatalf("batch %d: %v", k, err)
 			}
 		}
-		now = now.Add(5 * time.Second)
 		if err := pipe.Flush(ctx); err != nil {
 			t.Fatalf("batch %d: %v", k, err)
 		}
@@ -112,6 +111,13 @@ func refreshEqualsRebuild(t *testing.T, shards int) {
 		served := pipe.Current().Graph()
 		if served.NumNodes() != cur.NumNodes()+grow {
 			t.Fatalf("batch %d: %d nodes served, want %d", k, served.NumNodes(), cur.NumNodes()+grow)
+		}
+		sent, err := dynamic.Apply(cur, dynamic.Batch{NewNodes: grow, Updates: submitted})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(served.Edges(), sent.Edges(), sameEdge) {
+			t.Fatalf("batch %d: the served graph is not the previous one with the submitted batch applied", k)
 		}
 		// Equal digests prove nothing about the patch path if every flush
 		// quietly fell back to a build: the patch sizes must follow the
@@ -175,6 +181,12 @@ func refreshEqualsRebuild(t *testing.T, shards int) {
 		}
 		ref.Close()
 	}
+}
+
+// sameEdge reports whether two edges join the same nodes at the same
+// weight, bit for bit.
+func sameEdge(a, b graph.Edge) bool {
+	return a.From == b.From && a.To == b.To && math.Float64bits(a.Weight) == math.Float64bits(b.Weight)
 }
 
 // refreshBatch draws batch k over the current graph g (about to grow by
