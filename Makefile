@@ -13,60 +13,18 @@ all: check
 
 help:
 	@echo "make check       - full pre-merge gate (build fmt vet lint lint-audit race bench-smoke vulncheck)"
-	@echo "make build       - compile all packages, for this machine and for arm64 (whose"
-	@echo "                   portable Go Equation 5 kernel is also vetted there), and fail"
-	@echo "                   if the arm64 compiler fuses any multiply-add (FMADDD, FMSUBD,"
-	@echo "                   FNMADDD, FNMSUBD) outside benchmark/: the goldens pin unfused bits"
+	@echo "make build       - compile for this machine and for arm64; fail on any arm64 fused multiply-add"
 	@echo "make test        - run the test suite"
 	@echo "make race        - run the test suite under the race detector"
 	@echo "make fmt         - fail if any file needs gofmt"
 	@echo "make vet         - go vet"
 	@echo "make lint        - pitlint, the repo's own static-analysis suite"
 	@echo "make lint-audit  - list every active //pitlint:ignore with its justification"
-	@echo "make bench       - the BENCHMARK.json harness in self-check mode (go run ./benchmark"
-	@echo "                   -selfcheck); see benchmark/README.md for a measured run"
-	@echo "make bench-smoke - one-shot benchmark smoke: figure benchmarks plus the"
-	@echo "                   search/core/rcl/lrw/randwalk/propidx/dynamic/stream micro-benchmarks"
-	@echo "                   (lrw's SummarizeMany and core's ColdOpen time a 120-topic refill,"
-	@echo "                   core's ColdOpenRCL the same refill on RCL-A summaries,"
-	@echo "                   lrw's Propagate4 one Equation 5 iteration per kernel, go and avx,"
-	@echo "                   in ns per in-edge,"
-	@echo "                   core's WarmSummaries the 1 200-topic warm-up per method at one"
-	@echo "                   worker and at GOMAXPROCS, stream's Flush one streamed batch,"
-	@echo "                   dynamic's Apply its graph splice), the benchmark harness's"
-	@echo "                   -smoke run, and pitserve -smoke at -shards 1 (the default) and 2,"
-	@echo "                   the second cold-starting from the artifacts the first saved"
-	@echo "                   (the metric family list is TestMetricFamiliesDocumented's, under make test)"
-	@echo "make fuzz        - every Fuzz* target for 10s each: the artifact, graph and topic"
-	@echo "                   parsers (storage FuzzLoad, graph/topics FuzzRead) and the"
-	@echo "                   /search and /updates request decoders (server FuzzSearchQuery,"
-	@echo "                   FuzzUpdates)"
-	@echo "make chaos       - fault-injection suite under -race: internal/chaos plus the"
-	@echo "                   ladder tests in core, server and shard (a deadline shorter"
-	@echo "                   than a build still warming the cache for the next request,"
-	@echo "                   the 503 floor under a permanent outage, retried by every"
-	@echo "                   request at most once per topic until a healed kernel serves"
-	@echo "                   full again, the answer a faulted shard degrades to), the"
-	@echo "                   streaming churn/soak/all-or-nothing tests in internal/stream"
-	@echo "                   and internal/shard, the refresh = rebuild property test,"
-	@echo "                   a canceled concurrent index patch,"
-	@echo "                   an open session holding the query gate until Done"
-	@echo "                   (OpenHoldsGateUntilDone), every shard's walks and Γ equal"
-	@echo "                   to shard 0's after every batch (ShardIndexesIdentical),"
-	@echo "                   the generation the /updates ack, /search and /stats report,"
-	@echo "                   a building open spreading its misses over every core"
-	@echo "                   (BuildingOpenFansOut) and the multi-key singleflight (DoMany) tests"
-	@echo "make stress      - the handshake-driven concurrency tests 200 times each: in core,"
-	@echo "                   a building open fanning out (BuildingOpenFansOut) and the"
-	@echo "                   query gate held by an open session, a Run and a nested hold"
-	@echo "                   while Retire drains (OpenHoldsGateUntilDone,"
-	@echo "                   RetireDrainsBuiltEngine, RunHoldsGateAcrossRerank,"
-	@echo "                   GateTokenNamesItsGate), a herd joining one summary build and a"
-	@echo "                   waiter canceled once joined (SummarizeSingleFlight,"
-	@echo "                   MetricsDedupWaits, SummarizeWaiterCancellationKeepsBuild);"
-	@echo "                   in singleflight, every caller joining"
-	@echo "                   one flight and a waiter canceled while joined (DoDeduplicates,"
-	@echo "                   WaiterCancellationDoesNotAbortCall)"
+	@echo "make bench       - the BENCHMARK.json harness in self-check mode"
+	@echo "make bench-smoke - run every benchmark path once, measuring nothing"
+	@echo "make fuzz        - every Fuzz* target for 10s each"
+	@echo "make chaos       - the fault-injection and fidelity-ladder suite under -race"
+	@echo "make stress      - the handshake-driven concurrency tests 200 times each"
 	@echo "make vulncheck   - govulncheck when installed (best-effort)"
 
 # build also cross-compiles for arm64, where propagate4 runs its portable
@@ -103,7 +61,7 @@ vet:
 
 # pitlint: the repo's domain-specific analyzers (cancellation,
 # determinism, probability hygiene, error wrapping, lock safety,
-# goroutine lifecycle, pool/metric hygiene, unsafe confinement), run
+# pool hygiene, unsafe confinement), run
 # through the standard vet driver. ./... includes internal/analysis and
 # cmd/pitlint, so the suite is held to its own rules by the same run. A
 # //pitlint:ignore that suppresses nothing is a finding here. See README

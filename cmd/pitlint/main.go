@@ -7,16 +7,14 @@
 // It speaks the cmd/go vet protocol — responding to -V=full (tool build
 // ID for the build cache), -flags (supported flags as JSON), and
 // otherwise a single *.cfg argument describing one type-checked package
-// — and runs the nine pitlint analyzers over it:
+// — and runs the seven pitlint analyzers over it:
 //
 //	ctxloop        heavy kernel loops must observe ctx cancellation
 //	norandglobal   no global math/rand state, no wall-clock seeding
 //	probinvariant  no raw float ==/!=, no unchecked probability products
 //	errsentinel    errors crossing core.Engine must wrap with %w
 //	locksafe       no same-receiver call that re-acquires a held mutex
-//	goroutinelife  goroutines must be waitable (WaitGroup) or ctx-bounded
 //	poolsafe       sync.Pool objects must drop object references before Put
-//	metrichygiene  metrics register at wiring time; label values from const sets
 //	unsafeslice    unsafe and syscall.Mmap only inside internal/storage
 //
 // Every analyzer judges one package at a time; no facts cross packages,
@@ -53,10 +51,8 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/ctxloop"
 	"repro/internal/analysis/errsentinel"
-	"repro/internal/analysis/goroutinelife"
 	"repro/internal/analysis/ignore"
 	"repro/internal/analysis/locksafe"
-	"repro/internal/analysis/metrichygiene"
 	"repro/internal/analysis/norandglobal"
 	"repro/internal/analysis/poolsafe"
 	"repro/internal/analysis/probinvariant"
@@ -66,9 +62,7 @@ import (
 var analyzers = []*analysis.Analyzer{
 	ctxloop.Analyzer,
 	errsentinel.Analyzer,
-	goroutinelife.Analyzer,
 	locksafe.Analyzer,
-	metrichygiene.Analyzer,
 	norandglobal.Analyzer,
 	poolsafe.Analyzer,
 	probinvariant.Analyzer,

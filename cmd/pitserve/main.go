@@ -218,7 +218,7 @@ func buildApp(o options) (*app, error) {
 	// durations), query path (frontier truncations), router,
 	// streaming and HTTP. All families register at construction, so a
 	// scrape of an idle process already lists every metric name — the
-	// names README's metrics table documents.
+	// names README's metrics table documents (TestMetricFamiliesDocumented).
 	reg := obs.NewRegistry()
 	a := &app{opts: o, reg: reg}
 	engines := make([]*core.Engine, o.shards)

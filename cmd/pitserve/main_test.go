@@ -333,10 +333,11 @@ func readmeFamilies(t *testing.T) []string {
 }
 
 // TestMetricFamiliesDocumented: README's metrics table is the one list of
-// families. A live process at -shards 2 with streaming on, after two
-// searches and a flushed batch, exposes exactly the families the table
-// names — a family missing from the table fails, and so does a row whose
-// family is gone.
+// families. A process at -shards 2 with streaming on exposes exactly the
+// families the table names twice: idle, right after buildApp (every
+// family registers at construction, none on a request path), and after
+// two searches and a flushed batch. A family missing from the table
+// fails, and so does a row whose family is gone.
 func TestMetricFamiliesDocumented(t *testing.T) {
 	o := testOptions()
 	o.scale = 0.05
@@ -348,6 +349,30 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.closeEngine()
+	documented := readmeFamilies(t)
+	slices.Sort(documented)
+	if n := len(slices.Compact(slices.Clone(documented))); n != len(documented) {
+		t.Errorf("README has %d metrics rows for %d families", len(documented), n)
+	}
+	match := func(when string, exposed []string) {
+		slices.Sort(exposed)
+		for _, name := range exposed {
+			if _, found := slices.BinarySearch(documented, name); !found {
+				t.Errorf("%s: %s is exposed but has no README metrics row", when, name)
+			}
+		}
+		for _, name := range documented {
+			if _, found := slices.BinarySearch(exposed, name); !found {
+				t.Errorf("%s: README documents %s, which the process does not expose", when, name)
+			}
+		}
+	}
+	var idle strings.Builder
+	if err := a.reg.WritePrometheus(&idle); err != nil {
+		t.Fatal(err)
+	}
+	match("idle, before prepare", typeLines(t, strings.NewReader(idle.String())))
+
 	ctx := context.Background()
 	if err := a.prepare(ctx); err != nil {
 		t.Fatal(err)
@@ -370,22 +395,91 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	match("after searches and a flush", typeLines(t, resp.Body))
+}
 
-	exposed, documented := typeLines(t, resp.Body), readmeFamilies(t)
-	slices.Sort(exposed)
-	slices.Sort(documented)
-	for _, name := range exposed {
-		if _, found := slices.BinarySearch(documented, name); !found {
-			t.Errorf("%s is exposed but has no README metrics row", name)
+// seriesSet returns every series the app's registry exposes: each sample
+// line's name and labels, without its value.
+func seriesSet(t *testing.T, a *app) map[string]bool {
+	t.Helper()
+	var buf strings.Builder
+	if err := a.reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	set := map[string]bool{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			set[line[:strings.LastIndexByte(line, ' ')]] = true
 		}
 	}
-	for _, name := range documented {
-		if _, found := slices.BinarySearch(exposed, name); !found {
-			t.Errorf("README documents %s, which the process does not expose", name)
+	return set
+}
+
+// TestMetricSeriesBounded: no label value comes from request data. Two
+// bursts of HTTP requests that differ in every user, query, k and
+// unknown path, well-formed and malformed alike, leave the process
+// exposing after the second burst exactly the series it exposed after
+// the first.
+func TestMetricSeriesBounded(t *testing.T) {
+	o := testOptions()
+	o.scale = 0.05
+	o.shards = 2
+	o.streamBatch = 64         // the ten accepted events below never fill a batch
+	o.streamMaxAge = time.Hour // nor age one out
+	a, err := buildApp(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.closeEngine()
+	if err := a.prepare(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	h := a.srv.Handler()
+	burst := func(b int) {
+		for i := range 5 {
+			n := 10*b + i // users and k values no other burst uses
+			for _, r := range []struct{ method, target, body string }{
+				{"GET", fmt.Sprintf("/search?q=tag%03d&user=%d&k=%d", i, n, n+1), ""},
+				{"GET", fmt.Sprintf("/search?q=no-such-tag-%d&user=%d&k=3", n, n), ""},
+				{"GET", fmt.Sprintf("/search?q=tag000&user=u%d&k=3", n), ""},    // 400
+				{"GET", fmt.Sprintf("/search?q=tag000&user=1&k=%d", 100+n), ""}, // 400: k > -max-k
+				{"POST", fmt.Sprintf("/search?q=tag000&user=%d", n), ""},        // 405
+				{"GET", fmt.Sprintf("/topics?q=tag%03d", n), ""},
+				{"GET", "/stats", ""},
+				{"GET", "/healthz", ""},
+				{"GET", "/readyz", ""},
+				{"POST", "/updates", fmt.Sprintf(`{"updates":[{"from":%d,"to":%d,"weight":0.5}]}`, n, n+1)},
+				{"POST", "/updates", fmt.Sprintf(`{"updates":[{"from":%d`, n)}, // 400
+				{"GET", "/subscribe", ""},                       // 405
+				{"GET", fmt.Sprintf("/no/such/path/%d", n), ""}, // 404
+			} {
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(r.method, r.target, strings.NewReader(r.body)))
+			}
 		}
 	}
-	if n := len(slices.Compact(slices.Clone(documented))); n != len(documented) {
-		t.Errorf("README has %d metrics rows for %d families", len(documented), n)
+	burst(0)
+	first := seriesSet(t, a)
+	for _, s := range []string{
+		`pit_http_requests_total{route="/search",code="200"}`,
+		`pit_http_requests_total{route="/search",code="400"}`,
+		`pit_http_requests_total{route="/updates",code="202"}`,
+		`pit_http_requests_total{route="other",code="404"}`,
+	} {
+		if !first[s] {
+			t.Errorf("the first burst did not expose %s", s)
+		}
+	}
+	burst(1)
+	second := seriesSet(t, a)
+	for s := range second {
+		if !first[s] {
+			t.Errorf("series %s appeared in the second burst: a label takes its value from the request", s)
+		}
+	}
+	for s := range first {
+		if !second[s] {
+			t.Errorf("series %s vanished in the second burst", s)
+		}
 	}
 }
 

@@ -74,9 +74,11 @@ func TestRouterChurnSwapAndFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	warmFrom := runtime.NumGoroutine()
 	if err := r.WarmOwned(ctx, core.MethodLRW, core.WarmOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
+	goroutinesSettle(t, "WarmOwned", warmFrom)
 
 	// Replay-backed chaos wrapper: untargeted rebuilds stay correct,
 	// targeted rebuilds always fail.

@@ -3,8 +3,10 @@ package shard_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -137,6 +139,20 @@ func indexOf(ts []topics.TopicID, id topics.TopicID) int {
 	return -1
 }
 
+// goroutinesSettle fails t unless the goroutine count falls back to at
+// most before within a second: a scatter that returned has joined every
+// goroutine it spawned.
+func goroutinesSettle(t *testing.T, what string, before int) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("%s left goroutines behind: %d after it returned, %d before", what, n, before)
+	}
+}
+
 // hydrate constructs n fresh shard engines, as pitserve does, and
 // cold-starts them from the artifact directory dir.
 func hydrate(ctx context.Context, g *graph.Graph, space *topics.Space, opts core.Options, dir string, n int) ([]*core.Engine, error) {
@@ -191,7 +207,8 @@ func savedWorld(t *testing.T, g *graph.Graph, space *topics.Space, warm bool) (*
 // 3-shard set from the same directory, and requires the hydrated router
 // to answer exactly like the source engine — summaries included, without
 // rebuilding anything (every shard's owned slice must arrive warm, and
-// nothing else).
+// nothing else). The load's per-shard goroutines are all gone once it
+// returns.
 func TestHydrateRoundTrip(t *testing.T) {
 	g, space := world()
 	ctx := context.Background()
@@ -202,11 +219,13 @@ func TestHydrateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := runtime.NumGoroutine()
 	engines, err := hydrate(ctx, g, space, worldOptions(), dir, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeEngines(engines)
+	goroutinesSettle(t, "LoadArtifacts", before)
 	for i, eng := range engines {
 		if !eng.Ready() {
 			t.Fatalf("shard %d not ready after hydration", i)

@@ -219,12 +219,3 @@ func (g *Group[K, V]) run(ctx context.Context, c *call[K, V], fn func(context.Co
 	}
 	fn(fctx, c.keys, c.vals, c.errs)
 }
-
-// InFlight reports whether a call for key is currently executing —
-// a test/metrics helper, inherently racy as a synchronization primitive.
-func (g *Group[K, V]) InFlight(key K) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.flight[key]
-	return ok
-}

@@ -141,16 +141,20 @@ func TestCallerCancellationDetached(t *testing.T) {
 	if err := <-fnErr; err != nil {
 		t.Errorf("fn observed ctx error %v after initiator canceled; must be detached", err)
 	}
-	// The flight eventually drains (fn finished without a ctx error and
-	// the key is forgotten).
-	deadline := time.After(2 * time.Second)
-	for g.InFlight("k") {
-		select {
-		case <-deadline:
-			t.Fatal("flight never drained")
-		default:
-			time.Sleep(time.Millisecond)
-		}
+	// The key is forgotten once the flight drains: a later Do leads a
+	// fresh call. A Do that joins the draining flight returns only after
+	// it released the key, so the one after it must lead.
+	leaders := g.Stats().Leaders
+	seven := func(context.Context) (int, error) { return 7, nil }
+	v, err, shared := g.Do(context.Background(), "k", seven)
+	if shared {
+		v, err, shared = g.Do(context.Background(), "k", seven)
+	}
+	if shared || err != nil || v != 7 {
+		t.Fatalf("later Do got (%d, %v, shared=%v), want (7, nil, false): the key was never forgotten", v, err, shared)
+	}
+	if got := g.Stats().Leaders; got != leaders+1 {
+		t.Errorf("Leaders = %d after the later Do, want %d", got, leaders+1)
 	}
 }
 

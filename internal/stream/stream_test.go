@@ -337,8 +337,10 @@ func TestBatchingByCount(t *testing.T) {
 
 // The background loop flushes a below-size batch once its oldest event
 // reaches MaxAge — including events submitted while the loop slept idle.
+// Stop joins the loop: no goroutine the pipeline started outlives it.
 func TestBatchingByAge(t *testing.T) {
 	eng := testEngine(t, 100, 15)
+	before := runtime.NumGoroutine()
 	p, err := New(eng, Config{BatchSize: 1 << 20, MaxAge: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -354,6 +356,14 @@ func TestBatchingByAge(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return p.Swaps() == 1 })
 	if n := p.PendingEvents(); n != 0 {
 		t.Errorf("pending = %d after age flush, want 0", n)
+	}
+	p.Stop()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("goroutines = %d after Stop, %d before New", n, before)
 	}
 }
 

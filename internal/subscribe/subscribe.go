@@ -10,8 +10,9 @@
 // guarantees an untouched topic's influence is unchanged, so disjoint
 // subscriptions cannot have moved. Then by value: a push goes out only
 // when the re-evaluated top-k *ranking* differs from the last pushed
-// one — scores drift across rebuilds (fresh walk sets), rankings only
-// move when influence structure does.
+// one. A push reports a changed top-k, and a batch can move scores
+// without moving the ranking. (Scores move only when the graph does: a
+// patch is bit for bit a build over the new graph at the same seed.)
 //
 // Delivery is latest-wins: each subscription holds a one-slot buffer
 // and an undelivered push is replaced, never queued, so a slow SSE
@@ -228,8 +229,9 @@ func (r *Registry) Dispatch(ctx context.Context, eng Engine, affected []topics.T
 }
 
 // ranking projects results onto their ordered topic IDs — the value a
-// push decision compares. Scores are excluded deliberately: each swap
-// resamples walks, so scores jitter on unchanged structure.
+// push decision compares. Scores are excluded deliberately: a push
+// reports a changed top-k, and a batch can move scores without moving
+// the ranking.
 func ranking(res []core.TopicResult) []topics.TopicID {
 	ids := make([]topics.TopicID, len(res))
 	for i, r := range res {

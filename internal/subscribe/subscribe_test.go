@@ -129,8 +129,9 @@ func TestDispatchFiltersByAffected(t *testing.T) {
 	}
 }
 
-// A re-evaluation that lands on the same ranking pushes nothing: scores
-// may jitter across rebuilds, the ordered topic IDs are the signal.
+// A re-evaluation that lands on the same ranking pushes nothing: a batch
+// can move scores without moving the ranking, and the ordered topic IDs
+// are the signal.
 func TestDispatchNoPushOnUnchangedRanking(t *testing.T) {
 	eng := testEngine(t, 9)
 	r := NewRegistry(nil)
